@@ -25,7 +25,6 @@ NUMERICAL_ERROR = "numerical_error"
 # whose Gram blocks are forced singular at the origin, returning a *worse*
 # iterate than the stock stopping rule does.
 SOLVER_OPTIONS: dict = {}
-TIMEOUT = "timeout"
 
 
 @dataclass

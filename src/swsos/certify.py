@@ -24,8 +24,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .poly import Polynomial, PolyVector, lie_derivative, monomial_basis, \
-    coefficients_equal
+from .poly import DISPLAY_CLEANUP, Polynomial, PolyVector, lie_derivative, \
+    monomial_basis, coefficients_equal
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
 from .backend import default_backend, FEASIBLE, INFEASIBLE
@@ -41,7 +41,6 @@ NOT_ATTRACTIVE = "not_attractive"
 UNKNOWN = "unknown"
 
 GLUE_RESIDUAL_TOL = 1e-7
-DISPLAY_CLEANUP = 1e-4
 
 
 @dataclass

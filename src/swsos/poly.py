@@ -19,8 +19,6 @@ Monomial = tuple  # exponent tuple, one entry per variable
 #: coefficients below this are dropped at *display* time only
 DISPLAY_CLEANUP = 1e-4
 
-_COEFF_EPS = 0.0  # stored terms are exact; zeros are removed eagerly
-
 
 def grlex_key(mono: Monomial):
     """Sort key for graded lexicographic order (x1 largest)."""
@@ -30,7 +28,7 @@ def grlex_key(mono: Monomial):
 class Polynomial:
     """Immutable sparse polynomial in n variables."""
 
-    __slots__ = ("dim", "terms", "_arrays")
+    __slots__ = ("dim", "terms", "_arrays", "_compiled")
 
     def __init__(self, dim: int, terms: dict | None = None):
         if dim < 1:
@@ -50,6 +48,7 @@ class Polynomial:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_arrays", None)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -166,14 +165,18 @@ class Polynomial:
             object.__setattr__(self, "_arrays", arrs)
         return arrs
 
+    def _term_list(self):
+        terms = self._compiled
+        if terms is None:
+            terms = _kernels.compile_terms(*self._packed())
+            object.__setattr__(self, "_compiled", terms)
+        return terms
+
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        if not self.terms:
-            return 0.0
-        coeffs, exps = self._packed()
-        return float(_kernels.eval_poly(coeffs, exps, x))
+        return _kernels.eval_terms(self._term_list(), x.tolist())
 
     def eval_many(self, X) -> np.ndarray:
         """Evaluate at every row of X (m, n)."""
@@ -269,7 +272,11 @@ class PolyVector:
         return isinstance(other, PolyVector) and self.components == other.components
 
     def __call__(self, x) -> np.ndarray:
-        return np.array([p(x) for p in self.components])
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
+        xs = x.tolist()
+        return np.array([_kernels.eval_terms(p._term_list(), xs) for p in self.components])
 
     def __add__(self, other):
         return PolyVector([a + b for a, b in zip(self.components, other.components)])

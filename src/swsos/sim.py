@@ -6,8 +6,9 @@ sliding dynamics from the convexified inclusion when the adjacent normal
 components point at each other.  Codimension >= 2 strata stop the run
 (stratum_stop) instead of guessing a selection from the convex hull.
 
-The smooth inner loop runs in a compiled kernel (numba when available, see
-_kernels); event handling, sliding and the chattering guard live here.
+The smooth inner loop runs in the RK4 segment kernel of _kernels (plain
+floats over compiled term lists, or its numba twin when the optional extra
+is installed); event handling, sliding and the chattering guard live here.
 """
 
 from __future__ import annotations
@@ -108,7 +109,10 @@ def step_smooth(sys: SwitchedSystem, rid: int, x, h: float, theta) -> np.ndarray
     """One classical RK4 step of xdot = F_rid(x, theta)."""
     if h <= 0:
         raise ValueError("h must be > 0")
-    F = sys.field_at(rid, theta)
+    return _rk4_step(sys.field_at(rid, theta), x, h)
+
+
+def _rk4_step(F: PolyVector, x, h: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     k1 = F(x)
     k2 = F(x + 0.5 * h * k1)
@@ -225,6 +229,12 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         raise ValueError(f"x0 {x.tolist()} is outside the system box")
     lo, hi = sys.box
     traj = Trajectory()
+    fields = {}             # rid -> field at its theta, built once per run
+
+    def field_of(rid):
+        if rid not in fields:
+            fields[rid] = sys.field_at(rid, _theta_for(sys, cfg, rid))
+        return fields[rid]
 
     def psi_at(rid, xx):
         if certificate is None:
@@ -301,9 +311,9 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                     # way; continue in the region owning that side
                     b = sys.boundary(i, j)
                     n = np.array([b.chi.diff(k)(x) for k in range(sys.dimension)])
-                    dchi = float(np.dot(n, sys.field_at(i, _theta_for(sys, cfg, i))(x)))
+                    dchi = float(np.dot(n, field_of(i)(x)))
                     if dchi == 0.0:
-                        dchi = float(np.dot(n, sys.field_at(j, _theta_for(sys, cfg, j))(x)))
+                        dchi = float(np.dot(n, field_of(j)(x)))
                     nn = np.linalg.norm(n)
                     if nn == 0.0 or dchi == 0.0:
                         add_point(t, x, "stopped:stratum_stop")
@@ -316,15 +326,14 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             continue
 
         if state == "smooth":
-            theta = _theta_for(sys, cfg, rid)
-            F = sys.field_at(rid, theta)
+            F = field_of(rid)
             fc, fe, foff = _pack_vector(F)
             cc, ce, coff = _pack_chis(sys.boundaries, sys.dimension)
             # nudge off the boundary if the previous event left us on it
             guard = 0
             while any(abs(b.chi(x)) <= 2 * cfg.event_tol for b in sys.boundaries) \
                     and guard < 8:
-                x = step_smooth(sys, rid, x, h * 1e-3, theta)
+                x = _rk4_step(F, x, h * 1e-3)
                 t += h * 1e-3
                 guard += 1
             max_steps = max(int(np.ceil((cfg.t_end - t) / h)), 1)
@@ -400,10 +409,8 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         if state == "sliding":
             i, j = pair
             b = sys.boundary(i, j)
-            th_i = _theta_for(sys, cfg, i)
-            th_j = _theta_for(sys, cfg, j)
-            Fi = sys.field_at(i, th_i)
-            Fj = sys.field_at(j, th_j)
+            Fi = field_of(i)
+            Fj = field_of(j)
             grad = [b.chi.diff(k) for k in range(sys.dimension)]
 
             def f_slide(xx):

@@ -8,7 +8,6 @@ abstract block-PSD feasibility program for the conic backend.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -115,3 +115,20 @@ def test_manifest_hash_is_reproducible(tmp_path):
     second = json.loads((tmp_path / "quadrant-cubic.oracle.json").read_text())
     assert first["manifest"]["hash"] == second["manifest"]["hash"]
     assert first["conditions"] == second["conditions"]
+
+
+def test_import_loads_neither_scipy_nor_cvxpy():
+    # a fresh interpreter, so imports made by other tests cannot mask one
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, swsos; "
+            "print(sorted(m for m in ('scipy', 'cvxpy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
