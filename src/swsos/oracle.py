@@ -18,11 +18,11 @@ origin, since strictness cannot be sampled literally.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .poly import Polynomial, lie_derivative
 from .system import SwitchedSystem, SemiAlgebraicRegion, BoundaryVariety
 
@@ -153,40 +153,62 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
     Segment endpoints are redrawn until chi changes sign across them; after
     50 failed draws per requested point a warning is emitted and sampling
     stops early.
+
+    Segments are drawn and bisected in rounds, all of a round's segments at
+    once.  A round draws k = min(points still needed, misses still allowed)
+    segments in one (k, 2, n) call, the same stream as drawing each
+    segment's a then b, and no round can overshoot either limit, so the
+    points and the generator's final state are those of drawing and
+    bisecting one segment at a time.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     lo, hi = _sampling_box(sys, cfg)
     n = len(lo)
-    chi = boundary.chi
-    pts = []
+    terms = boundary.chi._term_list()
+
+    def chi(P):
+        # columns in, so every product is the scalar evaluation's, elementwise
+        v = _kernels.eval_terms(terms, [P[:, k] for k in range(n)])
+        return v if isinstance(v, np.ndarray) else np.full(P.shape[0], v)
+
+    need = cfg.boundary_samples
+    allowed = 50 * cfg.boundary_samples
+    found = []
     warns = []
-    misses = 0
-    while len(pts) < cfg.boundary_samples:
-        a = rng.uniform(lo, hi, size=n)
-        b = rng.uniform(lo, hi, size=n)
-        fa, fb = chi(a), chi(b)
-        if fa == 0.0:
-            pts.append(a)
-            continue
-        if np.sign(fa) == np.sign(fb):
-            misses += 1
-            if misses >= 50 * cfg.boundary_samples:
-                warns.append(
-                    f"boundary ({boundary.i},{boundary.j}): no sign straddle "
-                    f"after {misses} segment draws; {len(pts)} points found")
-                break
-            continue
+    npts = misses = 0
+    while npts < need and misses < allowed:
+        seg = rng.uniform(lo, hi, size=(min(need - npts, allowed - misses), 2, n))
+        out = seg[:, 0].copy()
+        fa, fb = chi(out), chi(seg[:, 1])
+        zero = fa == 0.0
+        miss = ~zero & (np.sign(fa) == np.sign(fb))
+        idx = np.flatnonzero(~zero & ~miss)
+        a, b = out[idx], seg[idx, 1]
+        # a only ever takes a midpoint of its own sign, so sign(fa) is fixed
+        sa = np.sign(fa[idx])
         for _ in range(200):
+            if idx.size == 0:
+                break
             m = 0.5 * (a + b)
             fm = chi(m)
-            if abs(fm) <= 1e-12:
-                break
-            if np.sign(fm) == np.sign(fa):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
-        pts.append(0.5 * (a + b))
-    pts = np.asarray(pts).reshape(-1, n)
+            stop = np.abs(fm) <= 1e-12
+            if stop.any():
+                out[idx[stop]] = m[stop]
+                go = ~stop
+                a, b, m, fm, sa, idx = a[go], b[go], m[go], fm[go], sa[go], idx[go]
+            same = (np.sign(fm) == sa)[:, None]
+            a = np.where(same, m, a)
+            b = np.where(same, b, m)
+        out[idx] = 0.5 * (a + b)
+        out = out[~miss]
+        found.append(out)
+        npts += out.shape[0]
+        misses += int(miss.sum())
+    if npts < need:
+        warns.append(
+            f"boundary ({boundary.i},{boundary.j}): no sign straddle "
+            f"after {misses} segment draws; {npts} points found")
+    pts = np.concatenate(found)
     if pts.shape[0]:
         pts = pts[np.linalg.norm(pts, axis=1) >= cfg.exclusion_radius]
     if pts.shape[0] == 0 and not warns:
@@ -196,8 +218,8 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
 
 # -- condition evaluation ----------------------------------------------------
 
-def _scale(pts: np.ndarray, deg: int) -> np.ndarray:
-    return 1.0 + np.linalg.norm(pts, axis=1) ** max(deg, 1)
+def _scale(norms: np.ndarray, deg: int) -> np.ndarray:
+    return 1.0 + norms ** max(deg, 1)
 
 
 def _worst(values: np.ndarray, pts: np.ndarray):
@@ -233,10 +255,10 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
         report.warnings.extend(warns)
 
         V = lyapunov[region.rid]
-        sc = _scale(pts, V.degree())
+        norms = np.linalg.norm(pts, axis=1)
+        sc = _scale(norms, V.degree())
         # positivity: V must dominate a tolerance-sized quadratic
-        viol = (cfg.tolerance * np.linalg.norm(pts, axis=1) ** 2
-                - V.eval_many(pts)) / sc
+        viol = (cfg.tolerance * norms ** 2 - V.eval_many(pts)) / sc
         w, at = _worst(viol, pts)
         report.records.append(ConditionRecord(
             "positivity", f"region {region.rid}", pts.shape[0], w, at,
@@ -244,8 +266,7 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
 
         for l, f in enumerate(sys.dynamics[region.rid].vertices):
             lie = lie_derivative(V, f)
-            sc = _scale(pts, lie.degree())
-            viol = lie.eval_many(pts) / sc
+            viol = lie.eval_many(pts) / _scale(norms, lie.degree())
             w, at = _worst(viol, pts)
             report.records.append(ConditionRecord(
                 "lie_region", f"region {region.rid}, vertex {l}",
@@ -256,9 +277,10 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
         report.warnings.extend(warns)
         if pts.shape[0] == 0:
             continue
+        norms = np.linalg.norm(pts, axis=1)
         Vi, Vj = lyapunov[bnd.i], lyapunov[bnd.j]
         deg = max(Vi.degree(), Vj.degree())
-        viol = np.abs(Vi.eval_many(pts) - Vj.eval_many(pts)) / _scale(pts, deg)
+        viol = np.abs(Vi.eval_many(pts) - Vj.eval_many(pts)) / _scale(norms, deg)
         w, at = _worst(viol, pts)
         report.records.append(ConditionRecord(
             "continuity", f"boundary ({bnd.i},{bnd.j})", pts.shape[0], w, at,
@@ -271,7 +293,7 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
             V = lyapunov[i]
             for l, f in enumerate(sys.dynamics[j].vertices):
                 lie = lie_derivative(V, f)
-                viol = lie.eval_many(pts) / _scale(pts, lie.degree())
+                viol = lie.eval_many(pts) / _scale(norms, lie.degree())
                 w, at = _worst(viol, pts)
                 report.records.append(ConditionRecord(
                     "lie_boundary", f"boundary ({i},{j}), vertex {l}",

@@ -197,16 +197,28 @@ def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None,
     """
     i, j = pair
     b = sys.boundary(i, j)
+    th_i = theta_i if theta_i is not None else _theta_for(sys, SimConfig(), i)
+    th_j = theta_j if theta_j is not None else _theta_for(sys, SimConfig(), j)
+    return _sliding_weight(b, pair, _gradient(b.chi, sys.dimension),
+                           sys.field_at(i, th_i), sys.field_at(j, th_j),
+                           x, event_tol)
+
+
+def _gradient(chi: Polynomial, dim: int) -> list:
+    return [chi.diff(k) for k in range(dim)]
+
+
+def _sliding_weight(b, pair, grad, Fi: PolyVector, Fj: PolyVector, x,
+                    event_tol: float) -> float:
+    """sliding_weight with the boundary gradient and both fields prebuilt."""
+    i, j = pair
     x = np.asarray(x, dtype=float)
     if abs(b.chi(x)) > SLIDING_BAND * event_tol:
         raise ValueError(f"point is not on boundary ({i},{j})")
-    n = np.array([b.chi.diff(k)(x) for k in range(sys.dimension)])
+    n = np.array([g(x) for g in grad])
     if np.linalg.norm(n) == 0.0:
         raise StratumStop(f"singular boundary point of ({i},{j}): zero normal")
-    th_i = theta_i if theta_i is not None else _theta_for(sys, SimConfig(), i)
-    th_j = theta_j if theta_j is not None else _theta_for(sys, SimConfig(), j)
-    Fi = sys.field_at(i, th_i)(x)
-    Fj = sys.field_at(j, th_j)(x)
+    Fi, Fj = Fi(x), Fj(x)
     den = float(np.dot(n, Fj - Fi))
     if abs(den) < 1e-12:
         raise Tangency(f"fields tangent to boundary ({i},{j}) at {x.tolist()}")
@@ -230,11 +242,17 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     lo, hi = sys.box
     traj = Trajectory()
     fields = {}             # rid -> field at its theta, built once per run
+    grads = {}              # boundary pair -> chi gradient, built once per run
 
     def field_of(rid):
         if rid not in fields:
             fields[rid] = sys.field_at(rid, _theta_for(sys, cfg, rid))
         return fields[rid]
+
+    def grad_of(b):
+        if b.pair not in grads:
+            grads[b.pair] = _gradient(b.chi, sys.dimension)
+        return grads[b.pair]
 
     def psi_at(rid, xx):
         if certificate is None:
@@ -289,11 +307,11 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 rid, state = r, "smooth"
             else:
                 i, j = p
+                b = sys.boundary(i, j)
                 try:
-                    alpha = sliding_weight(sys, (i, j), x,
-                                           _theta_for(sys, cfg, i),
-                                           _theta_for(sys, cfg, j),
-                                           cfg.event_tol)
+                    alpha = _sliding_weight(b, (i, j), grad_of(b),
+                                            field_of(i), field_of(j), x,
+                                            cfg.event_tol)
                 except Tangency:
                     alpha = None
                 except StratumStop as exc:
@@ -309,8 +327,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 else:
                     # transversal crossing: both fields push chi the same
                     # way; continue in the region owning that side
-                    b = sys.boundary(i, j)
-                    n = np.array([b.chi.diff(k)(x) for k in range(sys.dimension)])
+                    n = np.array([g(x) for g in grad_of(b)])
                     dchi = float(np.dot(n, field_of(i)(x)))
                     if dchi == 0.0:
                         dchi = float(np.dot(n, field_of(j)(x)))
@@ -411,7 +428,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             b = sys.boundary(i, j)
             Fi = field_of(i)
             Fj = field_of(j)
-            grad = [b.chi.diff(k) for k in range(sys.dimension)]
+            grad = grad_of(b)
 
             def f_slide(xx):
                 n = np.array([g(xx) for g in grad])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from swsos.certify import CertificationConfig, certify
+from swsos.cli import _theta_table
 from swsos.oracle import OracleConfig, verify_certificate, vertex_convexity_check
 from swsos.poly import Polynomial, monomial_basis, parse_polynomial
 from swsos.sim import SimConfig, simulate, step_smooth
@@ -26,19 +27,6 @@ def _report(num: int, ok: bool, detail: str) -> None:
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
-
-
-def _theta_table(sys_, value: float) -> dict:
-    """(value, 1-value) on two-vertex regions, first vertex elsewhere."""
-    table = {}
-    for rid, dyn in sys_.dynamics.items():
-        if dyn.count == 2:
-            table[rid] = (value, 1.0 - value)
-        else:
-            w = np.zeros(dyn.count)
-            w[0] = 1.0
-            table[rid] = tuple(w)
-    return table
 
 
 @pytest.fixture(scope="module")

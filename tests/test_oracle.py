@@ -126,3 +126,72 @@ def test_deterministic_given_seed(quadrant_system, published_lyapunov):
     b = verify_certificate(quadrant_system, published_lyapunov,
                            small_cfg(seed=7), attractive_pairs=[])
     assert a.to_dict() == b.to_dict()
+
+
+def _sample_boundary_one_at_a_time(box, boundary, cfg, rng):
+    """The segment-at-a-time sampler that sample_boundary must reproduce."""
+    lo, hi = box
+    n = len(lo)
+    chi = boundary.chi
+    pts = []
+    warns = []
+    misses = 0
+    while len(pts) < cfg.boundary_samples:
+        a = rng.uniform(lo, hi, size=n)
+        b = rng.uniform(lo, hi, size=n)
+        fa, fb = chi(a), chi(b)
+        if fa == 0.0:
+            pts.append(a)
+            continue
+        if np.sign(fa) == np.sign(fb):
+            misses += 1
+            if misses >= 50 * cfg.boundary_samples:
+                warns.append(
+                    f"boundary ({boundary.i},{boundary.j}): no sign straddle "
+                    f"after {misses} segment draws; {len(pts)} points found")
+                break
+            continue
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = chi(m)
+            if abs(fm) <= 1e-12:
+                break
+            if np.sign(fm) == np.sign(fa):
+                a, fa = m, fm
+            else:
+                b, fb = m, fm
+        pts.append(0.5 * (a + b))
+    pts = np.asarray(pts).reshape(-1, n)
+    if pts.shape[0]:
+        pts = pts[np.linalg.norm(pts, axis=1) >= cfg.exclusion_radius]
+    if pts.shape[0] == 0 and not warns:
+        warns.append(f"boundary ({boundary.i},{boundary.j}): no boundary witness found")
+    return pts, warns
+
+
+_X2_ZERO_BOX = (np.array([-2.0, 0.0]), np.array([2.0, 0.0]))
+
+
+@pytest.mark.parametrize("chi, cfg_kw", [
+    *[("x1*x2", dict(seed=s)) for s in range(5)],
+    ("x1^2 + 1", dict(boundary_samples=100)),            # never straddles
+    ("100000000*x1 - 10000000", dict()),                 # 200-step cap
+    ("x1*x2", dict(box=_X2_ZERO_BOX)),                   # chi(a) == 0 exactly
+    ("x1^2 - 15.21", dict()),                            # rare hits, many rounds
+    ("x1^2 - 15.9", dict()),                             # misses run out mid-round
+    ("1e60*x1", dict()),                                 # still bisecting at the cap
+], ids=["xy-seed0", "xy-seed1", "xy-seed2", "xy-seed3", "xy-seed4",
+        "no-straddle", "step-cap", "exact-zeros", "rare-hits",
+        "misses-run-out", "cap-binds"])
+def test_sample_boundary_matches_one_at_a_time(quadrant_system, chi, cfg_kw):
+    from swsos.system import BoundaryVariety
+    bnd = BoundaryVariety(i=1, j=2, chi=parse_polynomial(chi, 2))
+    cfg = small_cfg(**cfg_kw)
+    box = cfg.box if cfg.box is not None else quadrant_system.box
+    rng_ref = np.random.default_rng(cfg.seed)
+    rng_new = np.random.default_rng(cfg.seed)
+    ref_pts, ref_warns = _sample_boundary_one_at_a_time(box, bnd, cfg, rng_ref)
+    pts, warns = sample_boundary(quadrant_system, bnd, cfg, rng_new)
+    assert np.array_equal(pts, ref_pts)
+    assert warns == ref_warns
+    assert rng_new.random() == rng_ref.random()
