@@ -4,27 +4,25 @@ Scalar evaluation compiles each polynomial once into a term list of
 (coefficient, variable indices), one index per unit of exponent, and
 evaluates it in plain Python floats with one multiply per factor, which
 avoids numpy's per-call overhead on polynomials of a few terms.  The RK4
-segment kernel runs on the same term lists.  Batch
+segment kernel runs on the term lists each `Polynomial` caches.  Batch
 evaluation builds per-variable power columns by repeated multiplication.
-
-numba is an optional extra: when it imports (and SWSOS_NO_NUMBA is not
-set), @njit twins take over `eval_poly`, `eval_poly_batch` and
-`rk4_smooth_run`; `Polynomial.__call__` uses the term lists either way.
+There is one implementation of each.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("SWSOS_NO_NUMBA", "0") not in ("1", "true", "yes")
+# No compiled (numba) twin exists; the benchmark's environment record still
+# reads this flag to name the kernel that ran, so it stays, always False.
+USE_NUMBA = False
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # numba is an optional extra
-        USE_NUMBA = False
+# termination codes of rk4_smooth_run
+STOP_MAXSTEPS = 0
+STOP_CONVERGED = 1
+STOP_ESCAPED = 2
+STOP_BOUNDARY = 3
 
 
 # -- term lists: plain-float evaluation -------------------------------------
@@ -50,13 +48,10 @@ def eval_terms(terms, x) -> float:
     return total
 
 
-# -- pure numpy / python implementations ----------------------------------
+# -- batch evaluation ---------------------------------------------------------
 
-def _eval_poly_np(coeffs, exps, x):
-    return eval_terms(compile_terms(coeffs, exps), np.asarray(x, dtype=np.float64).tolist())
-
-
-def _eval_poly_batch_np(coeffs, exps, X):
+def eval_poly_batch(coeffs, exps, X):
+    """Evaluate packed (coeffs, exps) at every row of X (m, n)."""
     # per variable: power rows X[:, k]^0..X[:, k]^top by repeated
     # multiplication, gathered by each term's exponent
     prods = np.ones((exps.shape[0], X.shape[0]))
@@ -72,14 +67,21 @@ def _eval_poly_batch_np(coeffs, exps, X):
     return coeffs @ prods
 
 
-def _rk4_smooth_run_np(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
-                       ball_stop, box_lo, box_hi, band):
+# -- RK4 smooth segment ---------------------------------------------------------
+
+def rk4_smooth_run(fields, chis, x0, h, max_steps, ball_stop, box_lo, box_hi,
+                   band):
+    """Fixed-step RK4 on xdot = F(x) until something stops the segment.
+
+    fields: one term list per component of F; chis: one term list per
+    boundary variety.  Returns (states, code, boundary index): the
+    accepted states from x0 on, one row each, the STOP_* code, and the
+    index of the boundary whose chi changed sign or came within `band`
+    of zero (-1 for the other codes).  The escaping or boundary-flagged
+    state is the last row.
+    """
     n = x0.shape[0]
-    nb = len(coff) - 1
-    fields = [compile_terms(fc[foff[k]:foff[k + 1]], fe[foff[k]:foff[k + 1]])
-              for k in range(n)]
-    chis = [compile_terms(cc[coff[b]:coff[b + 1]], ce[coff[b]:coff[b + 1]])
-            for b in range(nb)]
+    nb = len(chis)
     lo = np.asarray(box_lo, dtype=np.float64).tolist()
     hi = np.asarray(box_hi, dtype=np.float64).tolist()
     h = float(h)
@@ -117,90 +119,3 @@ def _rk4_smooth_run_np(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
             chi_prev[b] = chi
         x = xn
     return states(), STOP_MAXSTEPS, -1
-
-
-# termination codes shared by both implementations
-STOP_MAXSTEPS = 0
-STOP_CONVERGED = 1
-STOP_ESCAPED = 2
-STOP_BOUNDARY = 3
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _eval_poly_nb(coeffs, exps, x):
-        total = 0.0
-        nterms = coeffs.shape[0]
-        nvars = x.shape[0]
-        for t in range(nterms):
-            term = coeffs[t]
-            for k in range(nvars):
-                e = exps[t, k]
-                if e == 1:
-                    term *= x[k]
-                elif e > 1:
-                    term *= x[k] ** e
-            total += term
-        return total
-
-    @njit(cache=True)
-    def _eval_poly_batch_nb(coeffs, exps, X):
-        npts = X.shape[0]
-        out = np.empty(npts)
-        for i in range(npts):
-            out[i] = _eval_poly_nb(coeffs, exps, X[i])
-        return out
-
-    @njit(cache=True)
-    def _field_nb(fc, fe, foff, x, out):
-        for k in range(out.shape[0]):
-            out[k] = _eval_poly_nb(fc[foff[k]:foff[k + 1]], fe[foff[k]:foff[k + 1]], x)
-
-    @njit(cache=True)
-    def _rk4_smooth_run_nb(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
-                           ball_stop, box_lo, box_hi, band):
-        n = x0.shape[0]
-        nb = coff.shape[0] - 1
-        states = np.empty((max_steps + 1, n))
-        states[0] = x0
-        chi_prev = np.empty(nb)
-        for b in range(nb):
-            chi_prev[b] = _eval_poly_nb(cc[coff[b]:coff[b + 1]], ce[coff[b]:coff[b + 1]], x0)
-        k1 = np.empty(n)
-        k2 = np.empty(n)
-        k3 = np.empty(n)
-        k4 = np.empty(n)
-        for step in range(max_steps):
-            x = states[step]
-            nrm = 0.0
-            for k in range(n):
-                nrm += x[k] * x[k]
-            if np.sqrt(nrm) <= ball_stop:
-                return states[: step + 1], STOP_CONVERGED, -1
-            _field_nb(fc, fe, foff, x, k1)
-            _field_nb(fc, fe, foff, x + 0.5 * h * k1, k2)
-            _field_nb(fc, fe, foff, x + 0.5 * h * k2, k3)
-            _field_nb(fc, fe, foff, x + h * k3, k4)
-            xn = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ok = True
-            for k in range(n):
-                if not np.isfinite(xn[k]) or xn[k] < box_lo[k] or xn[k] > box_hi[k]:
-                    ok = False
-            states[step + 1] = xn
-            if not ok:
-                return states[: step + 2], STOP_ESCAPED, -1
-            for b in range(nb):
-                chi = _eval_poly_nb(cc[coff[b]:coff[b + 1]], ce[coff[b]:coff[b + 1]], xn)
-                if chi * chi_prev[b] < 0.0 or abs(chi) <= band:
-                    return states[: step + 2], STOP_BOUNDARY, b
-                chi_prev[b] = chi
-        return states, STOP_MAXSTEPS, -1
-
-    eval_poly = _eval_poly_nb
-    eval_poly_batch = _eval_poly_batch_nb
-    rk4_smooth_run = _rk4_smooth_run_nb
-else:
-    eval_poly = _eval_poly_np
-    eval_poly_batch = _eval_poly_batch_np
-    rk4_smooth_run = _rk4_smooth_run_np

@@ -97,11 +97,15 @@ def load_lyapunov(path: str, sys_) -> dict:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: top level must be a JSON object")
     table = doc.get("lyapunov_full") or doc.get("lyapunov")
     if not isinstance(table, dict):
         raise InputError(f"{path}: missing 'lyapunov' table")
     out = {}
     for rid_s, text in table.items():
+        if not isinstance(text, str):
+            raise InputError(f"{path}: entry {rid_s!r}: expected a polynomial string")
         try:
             rid = int(rid_s)
             out[rid] = parse_polynomial(text, sys_.dimension)
@@ -114,6 +118,14 @@ def load_lyapunov(path: str, sys_) -> dict:
             f"{path}: lyapunov table must have exactly one entry per region "
             f"(missing {sorted(missing)}, unknown {sorted(extra)})")
     return out
+
+
+def _config(cls, **fields):
+    """Build a config dataclass; a value it rejects is an input error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _parse_floats(text: str, what: str):
@@ -145,11 +157,10 @@ def _theta_table(sys_, th11: float) -> dict:
 
 def cmd_certify(args) -> int:
     sys_ = _load_system(args.system)
-    cfg = CertificationConfig(
-        lyapunov_degree=args.degree,
-        use_attractivity_filter=not args.no_attractivity_filter,
-    )
-    oracle_cfg = OracleConfig(seed=args.seed, tolerance=args.tolerance)
+    cfg = _config(CertificationConfig,
+                  lyapunov_degree=args.degree,
+                  use_attractivity_filter=not args.no_attractivity_filter)
+    oracle_cfg = _config(OracleConfig, seed=args.seed, tolerance=args.tolerance)
     manifest = make_manifest(
         "certify", [args.system],
         {"degree": args.degree,
@@ -189,6 +200,8 @@ def cmd_simulate(args) -> int:
 
     if args.theta_sweep:
         sweep = _parse_floats(args.theta_sweep, "--theta-sweep")
+        if not all(0.0 <= v <= 1.0 for v in sweep):
+            raise InputError(f"--theta-sweep {sweep} has a value outside [0, 1]")
         thetas = [(f"theta{v:g}", _theta_table(sys_, v)) for v in sweep]
     elif args.theta:
         weights = _parse_floats(args.theta, "--theta")
@@ -203,6 +216,9 @@ def cmd_simulate(args) -> int:
         thetas = [("theta", table)]
     else:
         thetas = [("theta-default", None)]
+    configs = [(label, _config(SimConfig, step=args.step, t_end=args.t_end,
+                               theta=table))
+               for label, table in thetas]
 
     manifest = make_manifest(
         "simulate", [args.system] + ([args.certificate] if args.certificate else []),
@@ -212,8 +228,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label, table in thetas:
-        cfg = SimConfig(step=args.step, t_end=args.t_end, theta=table)
+    for label, cfg in configs:
         traj = simulate(sys_, x0, cfg, certificate=certificate)
         name = f"{Path(args.system).stem}__{label}.trajectory.tsv"
         with open(out_dir / name, "w") as fh:
@@ -231,8 +246,12 @@ def cmd_verify(args) -> int:
     # conditions only apply there.  Plain Lyapunov files check every pair.
     pairs = json.loads(Path(args.lyapunov).read_text()).get("attractive_pairs")
     if pairs is not None:
+        if not (isinstance(pairs, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+            raise InputError(
+                f"{args.lyapunov}: 'attractive_pairs' must be a list of [i, j] pairs")
         pairs = {tuple(p) for p in pairs}
-    cfg = OracleConfig(seed=args.seed, tolerance=args.tolerance)
+    cfg = _config(OracleConfig, seed=args.seed, tolerance=args.tolerance)
     manifest = make_manifest("verify", [args.system, args.lyapunov],
                              {"tolerance": args.tolerance},
                              args.seed, args.out_dir)

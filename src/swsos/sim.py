@@ -6,19 +6,20 @@ sliding dynamics from the convexified inclusion when the adjacent normal
 components point at each other.  Codimension >= 2 strata stop the run
 (stratum_stop) instead of guessing a selection from the convex hull.
 
-The smooth inner loop runs in the RK4 segment kernel of _kernels (plain
-floats over compiled term lists, or its numba twin when the optional extra
-is installed); event handling, sliding and the chattering guard live here.
+The smooth inner loop runs in the RK4 segment kernel of _kernels, on the
+term lists each field and boundary polynomial caches; event handling,
+sliding and the chattering guard live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import intern
 
 import numpy as np
 
 from . import _kernels
-from .poly import Polynomial, PolyVector
+from .poly import PolyVector
 from .system import SwitchedSystem
 
 SLIDING_BAND = 10.0          # sliding keeps |chi| <= SLIDING_BAND * event_tol
@@ -36,8 +37,9 @@ class SimConfig:
     ball_stop: float = 1e-4
 
     def __post_init__(self):
-        if self.step <= 0 or self.event_tol <= 0 or self.t_end <= 0:
-            raise ValueError("step, event_tol and t_end must all be > 0")
+        if not all(v > 0 and np.isfinite(v)
+                   for v in (self.step, self.event_tol, self.t_end)):
+            raise ValueError("step, event_tol and t_end must all be finite and > 0")
 
 
 @dataclass
@@ -76,31 +78,6 @@ def _theta_for(sys: SwitchedSystem, cfg: SimConfig, rid: int):
     th = np.zeros(count)
     th[0] = 1.0
     return th
-
-
-def _pack_vector(F: PolyVector):
-    coeffs, exps, off = [], [], [0]
-    for k in range(F.dim):
-        c, e = F[k]._packed()
-        coeffs.append(c)
-        exps.append(e)
-        off.append(off[-1] + len(c))
-    return (np.concatenate(coeffs), np.vstack(exps).astype(np.int64),
-            np.asarray(off, dtype=np.int64))
-
-
-def _pack_chis(boundaries, dim):
-    coeffs, exps, off = [], [], [0]
-    for b in boundaries:
-        c, e = b.chi._packed()
-        coeffs.append(c)
-        exps.append(e)
-        off.append(off[-1] + len(c))
-    if not boundaries:
-        return (np.zeros(0), np.zeros((0, dim), dtype=np.int64),
-                np.asarray([0], dtype=np.int64))
-    return (np.concatenate(coeffs), np.vstack(exps).astype(np.int64),
-            np.asarray(off, dtype=np.int64))
 
 
 # -- elementary operations ----------------------------------------------------
@@ -199,30 +176,35 @@ def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None,
     b = sys.boundary(i, j)
     th_i = theta_i if theta_i is not None else _theta_for(sys, SimConfig(), i)
     th_j = theta_j if theta_j is not None else _theta_for(sys, SimConfig(), j)
-    return _sliding_weight(b, pair, _gradient(b.chi, sys.dimension),
+    return _sliding_weight(b, pair, b.chi.gradient(),
                            sys.field_at(i, th_i), sys.field_at(j, th_j),
                            x, event_tol)
 
 
-def _gradient(chi: Polynomial, dim: int) -> list:
-    return [chi.diff(k) for k in range(dim)]
-
-
-def _sliding_weight(b, pair, grad, Fi: PolyVector, Fj: PolyVector, x,
-                    event_tol: float) -> float:
+def _sliding_weight(b, pair, grad: PolyVector, Fi: PolyVector, Fj: PolyVector,
+                    x, event_tol: float) -> float:
     """sliding_weight with the boundary gradient and both fields prebuilt."""
     i, j = pair
     x = np.asarray(x, dtype=float)
     if abs(b.chi(x)) > SLIDING_BAND * event_tol:
         raise ValueError(f"point is not on boundary ({i},{j})")
-    n = np.array([g(x) for g in grad])
+    n = grad(x)
     if np.linalg.norm(n) == 0.0:
         raise StratumStop(f"singular boundary point of ({i},{j}): zero normal")
-    Fi, Fj = Fi(x), Fj(x)
-    den = float(np.dot(n, Fj - Fi))
+    return _sliding_field(pair, n, Fi(x), Fj(x))[1]
+
+
+def _sliding_field(pair, n, fi, fj):
+    """(F_s, alpha) from the boundary normal n and both field values.
+
+    alpha = <n, F_j> / <n, F_j - F_i> and F_s = alpha*F_i + (1-alpha)*F_j;
+    a denominator under 1e-12 raises Tangency.
+    """
+    den = float(np.dot(n, fj - fi))
     if abs(den) < 1e-12:
-        raise Tangency(f"fields tangent to boundary ({i},{j}) at {x.tolist()}")
-    return float(np.dot(n, Fj)) / den
+        raise Tangency(f"fields tangent to boundary ({pair[0]},{pair[1]})")
+    a = float(np.dot(n, fj)) / den
+    return a * fi + (1.0 - a) * fj, a
 
 
 # -- full trajectory ----------------------------------------------------------
@@ -243,6 +225,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     traj = Trajectory()
     fields = {}             # rid -> field at its theta, built once per run
     grads = {}              # boundary pair -> chi gradient, built once per run
+    chis = [b.chi._term_list() for b in sys.boundaries]
 
     def field_of(rid):
         if rid not in fields:
@@ -251,7 +234,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     def grad_of(b):
         if b.pair not in grads:
-            grads[b.pair] = _gradient(b.chi, sys.dimension)
+            grads[b.pair] = b.chi.gradient()
         return grads[b.pair]
 
     def psi_at(rid, xx):
@@ -263,6 +246,12 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         traj.points.append(TrajectoryPoint(
             t=float(t), x=np.array(xx, dtype=float), mode=mode, alpha=alpha,
             psi=psi_at(rid, xx) if rid is not None else None))
+
+    def stop(t, xx, kind, detail=""):
+        # interned: the stopped points of one kind share one mode string
+        add_point(t, xx, intern(f"stopped:{kind}"))
+        traj.events.append((t, kind, detail))
+        return traj
 
     def pick_region(xx):
         """Region whose (theta-combined) field keeps xx in its closure."""
@@ -292,17 +281,13 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     while t < cfg.t_end - 1e-15:
         if np.linalg.norm(x) <= cfg.ball_stop:
-            add_point(t, x, "stopped:converged")
-            traj.events.append((t, "converged", ""))
-            return traj
+            return stop(t, x, "converged")
 
         if state == "decide":
             try:
                 r, p = pick_region(x)
             except StratumStop as exc:
-                add_point(t, x, "stopped:stratum_stop")
-                traj.events.append((t, "stratum_stop", str(exc)))
-                return traj
+                return stop(t, x, "stratum_stop", str(exc))
             if r is not None:
                 rid, state = r, "smooth"
             else:
@@ -315,9 +300,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 except Tangency:
                     alpha = None
                 except StratumStop as exc:
-                    add_point(t, x, "stopped:stratum_stop")
-                    traj.events.append((t, "stratum_stop", str(exc)))
-                    return traj
+                    return stop(t, x, "stratum_stop", str(exc))
                 if alpha is not None and 0.0 <= alpha <= 1.0:
                     pair, state = (i, j), "sliding"
                     # sliding dynamics are smooth; undo any chattering halvings
@@ -327,16 +310,14 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 else:
                     # transversal crossing: both fields push chi the same
                     # way; continue in the region owning that side
-                    n = np.array([g(x) for g in grad_of(b)])
+                    n = grad_of(b)(x)
                     dchi = float(np.dot(n, field_of(i)(x)))
                     if dchi == 0.0:
                         dchi = float(np.dot(n, field_of(j)(x)))
                     nn = np.linalg.norm(n)
                     if nn == 0.0 or dchi == 0.0:
-                        add_point(t, x, "stopped:stratum_stop")
-                        traj.events.append((t, "stratum_stop",
-                                            f"degenerate crossing of ({i},{j})"))
-                        return traj
+                        return stop(t, x, "stratum_stop",
+                                    f"degenerate crossing of ({i},{j})")
                     probe = x + np.sign(dchi) * (1e-3 * (1.0 + np.linalg.norm(x)) / nn) * n
                     rid = i if all(xi(probe) >= 0.0 for xi in sys.regions[i].xi) else j
                     state = "smooth"
@@ -344,8 +325,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
         if state == "smooth":
             F = field_of(rid)
-            fc, fe, foff = _pack_vector(F)
-            cc, ce, coff = _pack_chis(sys.boundaries, sys.dimension)
             # nudge off the boundary if the previous event left us on it
             guard = 0
             while any(abs(b.chi(x)) <= 2 * cfg.event_tol for b in sys.boundaries) \
@@ -355,28 +334,20 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 guard += 1
             max_steps = max(int(np.ceil((cfg.t_end - t) / h)), 1)
             states, code, bidx = _kernels.rk4_smooth_run(
-                fc, fe, foff, cc, ce, coff, np.ascontiguousarray(x), h,
+                [p._term_list() for p in F], chis, np.ascontiguousarray(x), h,
                 max_steps, cfg.ball_stop, lo, hi, cfg.event_tol)
             for k in range(1, states.shape[0] - (1 if code in
                            (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else 0)):
                 add_point(t + k * h, states[k], f"smooth:{rid}", rid=rid)
             step_counter += states.shape[0] - 1
 
-            if code == _kernels.STOP_CONVERGED:
+            if code != _kernels.STOP_BOUNDARY:
                 t = t + (states.shape[0] - 1) * h
                 x = states[-1]
-                add_point(t, x, "stopped:converged")
-                traj.events.append((t, "converged", ""))
-                return traj
-            if code == _kernels.STOP_ESCAPED:
-                t = t + (states.shape[0] - 1) * h
-                x = states[-1]
-                add_point(t, x, "stopped:escaped")
-                traj.events.append((t, "escaped", ""))
-                return traj
-            if code == _kernels.STOP_MAXSTEPS:
-                t = t + (states.shape[0] - 1) * h
-                x = states[-1]
+                if code == _kernels.STOP_CONVERGED:
+                    return stop(t, x, "converged")
+                if code == _kernels.STOP_ESCAPED:
+                    return stop(t, x, "escaped")
                 break
             # boundary event: localize on the last step
             x_prev = states[-2]
@@ -386,9 +357,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 hit = detect_crossing(sys, x_prev, x_next, field=F,
                                       event_tol=cfg.event_tol, h=h)
             except StratumStop as exc:
-                add_point(t_prev, x_prev, "stopped:stratum_stop")
-                traj.events.append((t_prev, "stratum_stop", str(exc)))
-                return traj
+                return stop(t_prev, x_prev, "stratum_stop", str(exc))
             if hit is None:
                 # the kernel flagged proximity without a sign change; accept
                 # the step and continue from x_next
@@ -404,11 +373,9 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             recent_crossings.append((step_counter, b.pair))
             x = xc
             # chattering guard
-            recent = [p for (sc, p) in recent_crossings
-                      if step_counter - sc <= CHATTER_WINDOW]
             recent_crossings = [(sc, p) for (sc, p) in recent_crossings
                                 if step_counter - sc <= CHATTER_WINDOW]
-            if sum(1 for p in recent if p == b.pair) > CHATTER_CROSSINGS:
+            if sum(1 for _, p in recent_crossings if p == b.pair) > CHATTER_CROSSINGS:
                 if halvings < CHATTER_MAX_HALVINGS:
                     h *= 0.5
                     halvings += 1
@@ -431,19 +398,11 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             grad = grad_of(b)
 
             def f_slide(xx):
-                n = np.array([g(xx) for g in grad])
-                fi, fj = Fi(xx), Fj(xx)
-                den = float(np.dot(n, fj - fi))
-                if abs(den) < 1e-12:
-                    raise Tangency("tangency during sliding")
-                a = float(np.dot(n, fj)) / den
-                return a * fi + (1.0 - a) * fj, a
+                return _sliding_field(pair, grad(xx), Fi(xx), Fj(xx))
 
             while t < cfg.t_end - 1e-15:
                 if np.linalg.norm(x) <= cfg.ball_stop:
-                    add_point(t, x, "stopped:converged")
-                    traj.events.append((t, "converged", ""))
-                    return traj
+                    return stop(t, x, "converged")
                 if abs(b.chi(x)) > SLIDING_BAND * cfg.event_tol:
                     traj.events.append((t, "sliding_exit", f"({i},{j}) [off variety]"))
                     state = "decide"
@@ -475,7 +434,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                     c = b.chi(xn)
                     if abs(c) <= cfg.event_tol:
                         break
-                    n = np.array([g(xn) for g in grad])
+                    n = grad(xn)
                     nn = float(np.dot(n, n))
                     if nn == 0.0:
                         break
@@ -484,9 +443,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 step_counter += 1
                 x = xn
                 if not sys.in_box(x):
-                    add_point(t, x, "stopped:escaped")
-                    traj.events.append((t, "escaped", ""))
-                    return traj
+                    return stop(t, x, "escaped")
                 add_point(t, x, f"sliding:{i},{j}", rid=i, alpha=alpha)
             continue
 

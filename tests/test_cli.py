@@ -78,6 +78,39 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     assert "psi" in head[1].split("\t")
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", QUAD, "--x0", "1,1", "--step", "0"],
+    ["simulate", QUAD, "--x0", "1,1", "--t-end", "-1"],
+    ["simulate", QUAD, "--x0", "1,1", "--step", "nan"],
+    ["simulate", QUAD, "--x0", "1,1", "--t-end", "inf"],
+    ["simulate", QUAD, "--x0", "1,1", "--theta-sweep", "1.5"],
+    ["certify", QUAD, "--degree", "5"],
+    ["--tolerance", "0", "certify", QUAD],
+], ids=["step-0", "t-end-negative", "step-nan", "t-end-inf",
+        "sweep-off-simplex", "odd-degree", "tolerance-0"])
+def test_rejected_option_values_are_input_errors(tmp_path, capsys, args):
+    assert run(args, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not list(tmp_path.iterdir())     # nothing was written
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"lyapunov": {"1": 5, "2": "x1^2 + x2^2"}},
+    {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
+     "attractive_pairs": 5},
+    {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
+     "attractive_pairs": [[1, 2, 3]]},
+], ids=["top-level-list", "entry-not-string", "pairs-not-list",
+        "pair-of-three"])
+def test_verify_malformed_lyapunov_file_is_input_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.lyap"
+    bad.write_text(json.dumps(doc))
+    assert run(["verify", QUAD, str(bad)], tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 def test_attractivity_known_pairs(tmp_path, capsys):
     assert run(["attractivity", "systems/opposing-fields.sys",
                 "--pair", "1,2"], tmp_path) == 0

@@ -1,6 +1,6 @@
-"""The numba kernels and the numpy fallback must agree bit-for-bit on the
-same inputs (both perform the identical floating-point operations up to
-associativity; tolerances below absorb the difference)."""
+"""The plain-float kernels against the numpy expressions they replaced:
+term-list evaluation, batch evaluation and the RK4 segment run must match
+those references to rounding (tolerances below absorb the difference)."""
 
 import numpy as np
 import pytest
@@ -17,41 +17,11 @@ def _random_packed(rng, dim=2, deg=6, nterms=12):
     return coeffs, exps
 
 
-def test_eval_poly_fallback_agrees():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        coeffs, exps = _random_packed(rng)
-        x = rng.uniform(-3, 3, size=2)
-        a = _kernels.eval_poly(coeffs, exps, x)
-        b = _kernels._eval_poly_np(coeffs, exps, x)
-        assert np.isclose(a, b, rtol=1e-13, atol=1e-13)
-
-
-def test_eval_poly_batch_fallback_agrees():
-    rng = np.random.default_rng(1)
-    coeffs, exps = _random_packed(rng, dim=3, deg=4)
-    X = rng.uniform(-2, 2, size=(500, 3))
-    a = _kernels.eval_poly_batch(coeffs, exps, X)
-    b = _kernels._eval_poly_batch_np(coeffs, exps, X)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-13)
-
-
-def _linear_decay_args(dim=1):
-    # packed form of xdot = -x with no boundaries
-    fc = np.array([-1.0])
-    fe = np.array([[1]], dtype=np.int64)
-    foff = np.array([0, 1], dtype=np.int64)
-    cc = np.zeros(0)
-    ce = np.zeros((0, dim), dtype=np.int64)
-    coff = np.array([0], dtype=np.int64)
-    return fc, fe, foff, cc, ce, coff
-
-
 def test_rk4_run_converges_on_linear_decay():
-    fc, fe, foff, cc, ce, coff = _linear_decay_args()
+    # xdot = -x with no boundaries
     x0 = np.array([1.0])
     states, code, bidx = _kernels.rk4_smooth_run(
-        fc, fe, foff, cc, ce, coff, x0, 0.01, 2000, 1e-4,
+        [((-1.0, (0,)),)], [], x0, 0.01, 2000, 1e-4,
         np.array([-2.0]), np.array([2.0]), 1e-9)
     assert code == _kernels.STOP_CONVERGED
     assert bidx == -1
@@ -61,14 +31,8 @@ def test_rk4_run_converges_on_linear_decay():
 
 def test_rk4_run_escape_detection():
     # xdot = +x blows out of the box
-    fc = np.array([1.0])
-    fe = np.array([[1]], dtype=np.int64)
-    foff = np.array([0, 1], dtype=np.int64)
-    cc = np.zeros(0)
-    ce = np.zeros((0, 1), dtype=np.int64)
-    coff = np.array([0], dtype=np.int64)
     states, code, _ = _kernels.rk4_smooth_run(
-        fc, fe, foff, cc, ce, coff, np.array([1.0]), 0.01, 10000, 1e-6,
+        [((1.0, (0,)),)], [], np.array([1.0]), 0.01, 10000, 1e-6,
         np.array([-2.0]), np.array([2.0]), 1e-9)
     assert code == _kernels.STOP_ESCAPED
     assert states[-1, 0] > 2.0
@@ -76,37 +40,12 @@ def test_rk4_run_escape_detection():
 
 def test_rk4_run_boundary_flag():
     # xdot = (1, 0) crossing the chi = x1 variety from the left
-    fc = np.array([1.0, 0.0])
-    fe = np.array([[0, 0], [0, 0]], dtype=np.int64)
-    foff = np.array([0, 1, 2], dtype=np.int64)
-    cc = np.array([1.0])
-    ce = np.array([[1, 0]], dtype=np.int64)
-    coff = np.array([0, 1], dtype=np.int64)
     states, code, bidx = _kernels.rk4_smooth_run(
-        fc, fe, foff, cc, ce, coff, np.array([-0.05, 0.0]), 0.01, 100, 1e-9,
-        np.array([-2.0, -2.0]), np.array([2.0, 2.0]), 1e-9)
+        [((1.0, ()),), ()], [((1.0, (0,)),)], np.array([-0.05, 0.0]), 0.01,
+        100, 1e-9, np.array([-2.0, -2.0]), np.array([2.0, 2.0]), 1e-9)
     assert code == _kernels.STOP_BOUNDARY
     assert bidx == 0
     assert states[-2, 0] < 0.0 <= states[-1, 0] + 1e-9
-
-
-def test_rk4_fallback_agrees_with_active_kernel(quadrant_system):
-    from swsos.sim import _pack_chis, _pack_vector
-    F = quadrant_system.field_at(1, (0.5, 0.5))
-    fc, fe, foff = _pack_vector(F)
-    cc, ce, coff = _pack_chis(quadrant_system.boundaries, 2)
-    lo, hi = quadrant_system.box
-    args = (fc, fe, foff, cc, ce, coff, np.array([1.0, 1.0]), 1e-3,
-            500, 1e-4, lo, hi, 1e-9)
-    s1, c1, b1 = _kernels.rk4_smooth_run(*args)
-    s2, c2, b2 = _kernels._rk4_smooth_run_np(*args)
-    assert (c1, b1) == (c2, b2)
-    assert np.allclose(s1, s2, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.skipif(not _kernels.USE_NUMBA, reason="numba disabled via env")
-def test_numba_path_active_by_default():
-    assert _kernels.eval_poly is _kernels._eval_poly_nb
 
 
 # -- term-list evaluator against the numpy expressions it replaced ------------
@@ -117,6 +56,14 @@ def _ref_eval(coeffs, exps, x):
 
 def _ref_eval_batch(coeffs, exps, X):
     return np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
+
+
+def test_eval_poly_batch_matches_numpy_reference():
+    rng = np.random.default_rng(1)
+    coeffs, exps = _random_packed(rng, dim=3, deg=4)
+    X = rng.uniform(-2, 2, size=(500, 3))
+    assert np.allclose(_kernels.eval_poly_batch(coeffs, exps, X),
+                       _ref_eval_batch(coeffs, exps, X), rtol=1e-12, atol=1e-13)
 
 
 def test_term_list_matches_numpy_reference():
@@ -155,6 +102,16 @@ def test_eval_many_edge_cases_match_reference():
         assert np.allclose(p.eval_many(X), _ref_eval_batch(coeffs, exps, X),
                            rtol=1e-13, atol=1e-13)
         assert p.eval_many(np.zeros((0, 3))).shape == (0,)
+
+
+def _pack(polys):
+    # the packed (coeffs, exps, offsets) form the reference loop reads
+    packed = [p._packed() for p in polys]
+    off = np.cumsum([0] + [len(c) for c, _ in packed])
+    if not packed:
+        return np.zeros(0), np.zeros((0, 1), dtype=np.int64), off
+    return (np.concatenate([c for c, _ in packed]),
+            np.vstack([e for _, e in packed]), off)
 
 
 def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
@@ -201,15 +158,13 @@ def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
     (2, (1.0,), (0.5, -0.6)),
 ])
 def test_rk4_term_list_matches_numpy_reference(quadrant_system, rid, theta, x0):
-    from swsos.sim import _pack_chis, _pack_vector
     F = quadrant_system.field_at(rid, theta)
-    fc, fe, foff = _pack_vector(F)
-    cc, ce, coff = _pack_chis(quadrant_system.boundaries, 2)
+    chis = [b.chi for b in quadrant_system.boundaries]
     lo, hi = quadrant_system.box
-    args = (fc, fe, foff, cc, ce, coff, np.array(x0), 1e-3,
-            500, 1e-4, lo, hi, 1e-9)
-    s1, c1, b1 = _kernels._rk4_smooth_run_np(*args)
-    s2, c2, b2 = _ref_rk4_smooth_run(*args)
+    tail = (np.array(x0), 1e-3, 500, 1e-4, lo, hi, 1e-9)
+    s1, c1, b1 = _kernels.rk4_smooth_run(
+        [p._term_list() for p in F], [c._term_list() for c in chis], *tail)
+    s2, c2, b2 = _ref_rk4_smooth_run(*_pack(F), *_pack(chis), *tail)
     assert (c1, b1) == (c2, b2)
     assert s1.shape == s2.shape
     assert np.allclose(s1, s2, rtol=1e-12, atol=0.0)
@@ -217,11 +172,9 @@ def test_rk4_term_list_matches_numpy_reference(quadrant_system, rid, theta, x0):
 
 def test_rk4_term_list_escape_matches_numpy_reference():
     # xdot = x^3 blows up in finite time and leaves the box
-    fc, fe, foff = np.array([1.0]), np.array([[3]], dtype=np.int64), np.array([0, 1])
-    cc, ce, coff = np.zeros(0), np.zeros((0, 1), dtype=np.int64), np.array([0])
-    args = (fc, fe, foff, cc, ce, coff, np.array([1.5]), 1e-2, 500, 1e-6,
-            np.array([-4.0]), np.array([4.0]), 1e-9)
-    s1, c1, _ = _kernels._rk4_smooth_run_np(*args)
-    s2, c2, _ = _ref_rk4_smooth_run(*args)
+    F = [Polynomial.monomial(1, (3,))]
+    tail = (np.array([1.5]), 1e-2, 500, 1e-6, np.array([-4.0]), np.array([4.0]), 1e-9)
+    s1, c1, _ = _kernels.rk4_smooth_run([p._term_list() for p in F], [], *tail)
+    s2, c2, _ = _ref_rk4_smooth_run(*_pack(F), *_pack([]), *tail)
     assert c1 == c2 == _kernels.STOP_ESCAPED
     assert np.allclose(s1, s2, rtol=1e-12, atol=0.0)

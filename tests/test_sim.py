@@ -158,6 +158,21 @@ def test_simulate_escape(quadrant_system):
     assert not traj.converged()
 
 
+def test_chattering_run_pins_event_counts(quadrant_system):
+    # at theta = 1 the run from (0.3, -2) chatters across x1*x2 = 0: the
+    # guard halves the step, then enters sliding [chattering]; each sliding
+    # stretch ends when alpha leaves [0, 1]
+    from swsos.cli import _theta_table
+    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
+    traj = simulate(quadrant_system, (0.3, -2.0), cfg)
+    kinds = traj.event_kinds()
+    assert {k: kinds.count(k) for k in set(kinds)} == {
+        "crossing": 401, "step_halved": 21, "sliding_entry": 7,
+        "sliding_exit": 7, "t_end": 1}
+    assert any(kind == "sliding_entry" and detail.endswith("[chattering]")
+               for _, kind, detail in traj.events)
+
+
 def test_stratum_stop_at_higher_codimension():
     # three regions meeting at a point with no pairwise selection rule
     sys_ = parse_system({
