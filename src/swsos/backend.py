@@ -1,14 +1,13 @@
-"""Pluggable conic backend: block-PSD feasibility programs in, values out.
+"""Conic solver: block-PSD feasibility programs in, values out.
 
-The default backend, `NativeBackend`, is a dense primal-dual interior-point
-method written against numpy alone.  `CvxpyBackend` wraps cvxpy (CLARABEL
-first, SCS as fallback) for callers who construct it themselves.  Problems
-are small (blocks of size <= ~20): the native backend works on dense
-arrays, and the cvxpy adapter builds its expressions term by term.
+`solve` is a dense primal-dual interior-point method written against numpy
+alone.  Problems are small (blocks of size <= ~20), so it works on dense
+arrays built once per solve from the row dicts of an `SdpProblem`.
 """
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +18,6 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_ERROR = "numerical_error"
-
-# Per-solver option overrides, applied on every solve call.  Kept empty by
-# default: pushing SCS below its stock tolerance tends to stall on problems
-# whose Gram blocks are forced singular at the origin, returning a *worse*
-# iterate than the stock stopping rule does.
-SOLVER_OPTIONS: dict = {}
 
 
 @dataclass
@@ -45,6 +38,9 @@ class SdpProblem:
 
     def validate(self):
         sizes = dict(self.psd_blocks)
+        if len(sizes) != len(self.psd_blocks):
+            dup = [b for b, k in Counter(b for b, _ in self.psd_blocks).items() if k > 1]
+            raise ValueError(f"duplicate PSD block ids {dup}")
         if any(s < 1 for s in sizes.values()):
             raise ValueError("PSD block sizes must be >= 1")
         scalars = set(self.free_scalars)
@@ -77,130 +73,9 @@ class SdpSolution:
         return self.status == FEASIBLE
 
 
-class BackendUnavailable(RuntimeError):
-    pass
+# -- interior-point solver -----------------------------------------------------
 
-
-def _residual(problem: SdpProblem, blocks, scalars) -> float:
-    worst = 0.0
-    for terms, rhs in problem.equality_rows:
-        acc = -rhs
-        for key, coef in terms.items():
-            if key[0] == "s":
-                acc += coef * scalars[key[1]]
-            else:
-                _, b, i, j = key
-                acc += coef * blocks[b][i, j]
-        worst = max(worst, abs(acc))
-    return worst
-
-
-class CvxpyBackend:
-    """Conic backend via cvxpy; needs the optional cvxpy extra."""
-
-    def __init__(self, solvers=("CLARABEL", "SCS")):
-        self.solvers = solvers
-
-    def solve(self, problem: SdpProblem) -> SdpSolution:
-        try:
-            import cvxpy as cp
-        except ImportError as exc:  # pragma: no cover
-            raise BackendUnavailable("cvxpy is not installed") from exc
-
-        problem.validate()
-        blocks = {}
-        for bid, size in problem.psd_blocks:
-            if size == 1:
-                v = cp.Variable((1, 1), name=str(bid))
-                blocks[bid] = (v, [v[0, 0] >= 0])
-            else:
-                v = cp.Variable((size, size), PSD=True, name=str(bid))
-                blocks[bid] = (v, [])
-        scalars = {name: cp.Variable(name=f"s_{k}") for k, name in enumerate(problem.free_scalars)}
-
-        cons = []
-        for _, (v, extra) in blocks.items():
-            cons.extend(extra)
-        for terms, rhs in problem.equality_rows:
-            expr = 0
-            for key, coef in terms.items():
-                if key[0] == "s":
-                    expr = expr + coef * scalars[key[1]]
-                else:
-                    _, b, i, j = key
-                    expr = expr + coef * blocks[b][0][i, j]
-            cons.append(expr == rhs)
-
-        if problem.objective:
-            obj = 0
-            for key, coef in problem.objective.items():
-                if key[0] == "s":
-                    obj = obj + coef * scalars[key[1]]
-                else:
-                    _, b, i, j = key
-                    obj = obj + coef * blocks[b][0][i, j]
-            objective = cp.Minimize(obj)
-        else:
-            objective = cp.Minimize(0)
-
-        prob = cp.Problem(objective, cons)
-
-        def package(solver, status):
-            bvals = {}
-            eigs = {}
-            for bid, (v, _) in blocks.items():
-                Q = np.atleast_2d(np.asarray(v.value, dtype=float))
-                Q = 0.5 * (Q + Q.T)
-                bvals[bid] = Q
-                eigs[bid] = float(np.linalg.eigvalsh(Q).min()) if Q.size else 0.0
-            svals = {name: float(var.value) for name, var in scalars.items()}
-            return SdpSolution(
-                status=FEASIBLE,
-                block_values=bvals,
-                scalar_values=svals,
-                primal_residual=_residual(problem, bvals, svals),
-                min_eigenvalues=eigs,
-                solver_status=f"{solver}:{status}",
-            )
-
-        last_exc = None
-        best_inaccurate = None
-        saw_infeasible_inaccurate = None
-        for solver in self.solvers:
-            kwargs = SOLVER_OPTIONS.get(solver, {})
-            try:
-                prob.solve(solver=solver, **kwargs)
-            except Exception as exc:  # solver-level failure; try the next one
-                last_exc = exc
-                continue
-            status = prob.status
-            if status == "optimal":
-                return package(solver, status)
-            if status == "optimal_inaccurate":
-                # keep the best low-residual candidate but let the next
-                # solver have a shot at a clean answer
-                cand = package(solver, status)
-                if best_inaccurate is None or cand.primal_residual < best_inaccurate.primal_residual:
-                    best_inaccurate = cand
-                continue
-            if status == "infeasible":
-                return SdpSolution(status=INFEASIBLE, solver_status=f"{solver}:{status}")
-            if status == "infeasible_inaccurate":
-                saw_infeasible_inaccurate = f"{solver}:{status}"
-                continue
-            if status in ("unbounded", "unbounded_inaccurate"):
-                return SdpSolution(status=UNBOUNDED, solver_status=f"{solver}:{status}")
-            last_exc = RuntimeError(f"solver status {status}")
-        if best_inaccurate is not None:
-            return best_inaccurate
-        if saw_infeasible_inaccurate is not None:
-            return SdpSolution(status=INFEASIBLE, solver_status=saw_infeasible_inaccurate)
-        return SdpSolution(status=NUMERICAL_ERROR, solver_status=str(last_exc))
-
-
-# -- native interior-point backend --------------------------------------------
-
-# Stopping rules of NativeBackend.  Residuals and the gap are relative to
+# Stopping rules of solve.  Residuals and the gap are relative to
 # 1 + the norm of the data they are measured against.
 OPTIMAL_TOL = 1e-9      # primal, dual and gap tolerance of a clean "optimal"
 # A stalled run still returns FEASIBLE when its best iterate has primal
@@ -386,8 +261,8 @@ def _hsd(A, b, c, layout, farkas):
     return "stalled", best, it, best_dres
 
 
-class NativeBackend:
-    """Dense primal-dual interior-point SDP solver on numpy; the default.
+def solve(problem: SdpProblem) -> SdpSolution:
+    """Solve `problem` by a dense primal-dual interior-point method on numpy.
 
     Free scalars are eliminated by projecting the rows onto the orthogonal
     complement of their columns, which leaves the standard form
@@ -408,57 +283,55 @@ class NativeBackend:
       through the rows;
     - NUMERICAL_ERROR otherwise.
     """
+    problem.validate()
+    layout, nx = _svec_layout(problem.psd_blocks)
+    A, F, b, cx, cs = _dense_rows(problem, layout, nx)
 
-    def solve(self, problem: SdpProblem) -> SdpSolution:
-        problem.validate()
-        layout, nx = _svec_layout(problem.psd_blocks)
-        A, F, b, cx, cs = _dense_rows(problem, layout, nx)
+    def farkas(y, z):
+        by = b @ y
+        return by > 0 and (np.linalg.norm(A.T @ y + z) <= FARKAS_TOL * by
+                           and np.linalg.norm(F.T @ y) <= FARKAS_TOL * by)
 
-        def farkas(y, z):
-            by = b @ y
-            return by > 0 and (np.linalg.norm(A.T @ y + z) <= FARKAS_TOL * by
-                               and np.linalg.norm(F.T @ y) <= FARKAS_TOL * by)
+    # an objective on free scalars must factor through the rows
+    # (cs = F'w, so cs.s = w.(b - A x)); otherwise it is unbounded below
+    w = np.linalg.lstsq(F.T, cs, rcond=None)[0] if F.size else np.zeros(len(b))
+    unbounded = np.linalg.norm(F.T @ w - cs) > RANK_TOL * (1.0 + np.linalg.norm(cs))
+    c = np.zeros(nx) if unbounded else cx - A.T @ w
 
-        # an objective on free scalars must factor through the rows
-        # (cs = F'w, so cs.s = w.(b - A x)); otherwise it is unbounded below
-        w = np.linalg.lstsq(F.T, cs, rcond=None)[0] if F.size else np.zeros(len(b))
-        unbounded = np.linalg.norm(F.T @ w - cs) > RANK_TOL * (1.0 + np.linalg.norm(cs))
-        c = np.zeros(nx) if unbounded else cx - A.T @ w
+    # T: orthonormal rows with T F = 0 and T A of full row rank
+    U, s, _ = np.linalg.svd(F)
+    N = U[:, _rank(s):]
+    U2, s2, Vt2 = np.linalg.svd(N.T @ A, full_matrices=False)
+    r = _rank(s2)
+    T = U2[:, :r].T @ N.T
+    # the part of the right-hand side no x can reach: inconsistent rows
+    unreachable = N.T @ b - U2[:, :r] @ (T @ b)
+    if farkas(N @ unreachable, np.zeros(nx)):
+        return SdpSolution(status=INFEASIBLE, solver_status="native:infeasible:0")
 
-        # T: orthonormal rows with T F = 0 and T A of full row rank
-        U, s, _ = np.linalg.svd(F)
-        N = U[:, _rank(s):]
-        U2, s2, Vt2 = np.linalg.svd(N.T @ A, full_matrices=False)
-        r = _rank(s2)
-        T = U2[:, :r].T @ N.T
-        # the part of the right-hand side no x can reach: inconsistent rows
-        unreachable = N.T @ b - U2[:, :r] @ (T @ b)
-        if farkas(N @ unreachable, np.zeros(nx)):
-            return SdpSolution(status=INFEASIBLE, solver_status="native:infeasible:0")
+    outcome, x, iters, dres = _hsd(s2[:r, None] * Vt2[:r], T @ b, c, layout,
+                                   lambda y, z: farkas(T.T @ y, z))
+    if outcome in ("infeasible", "unbounded"):
+        return SdpSolution(status=INFEASIBLE if outcome == "infeasible" else UNBOUNDED,
+                           solver_status=f"native:{outcome}:{iters}")
 
-        outcome, x, iters, dres = _hsd(s2[:r, None] * Vt2[:r], T @ b, c, layout,
-                                       lambda y, z: farkas(T.T @ y, z))
-        if outcome in ("infeasible", "unbounded"):
-            return SdpSolution(status=INFEASIBLE if outcome == "infeasible" else UNBOUNDED,
-                               solver_status=f"native:{outcome}:{iters}")
-
-        bvals = {bid: _smat(x[sl], n, i, j) for bid, n, sl, i, j in layout}
-        svals = dict(zip(problem.free_scalars, map(float, _recover_scalars(A, F, b, x))))
-        residual = _residual(problem, bvals, svals)
-        if outcome == "stalled" and not max(residual, dres) <= INACCURATE_TOL:
-            return SdpSolution(status=NUMERICAL_ERROR,
-                               solver_status=f"native:stalled:{iters}:primal {residual:.1e}"
-                                             f" dual {dres:.1e}")
-        if unbounded:
-            return SdpSolution(status=UNBOUNDED, solver_status=f"native:unbounded:{iters}")
-        return SdpSolution(
-            status=FEASIBLE,
-            block_values=bvals,
-            scalar_values=svals,
-            primal_residual=residual,
-            min_eigenvalues={bid: float(np.linalg.eigvalsh(Q)[0]) for bid, Q in bvals.items()},
-            solver_status=f"native:{'optimal' if outcome == 'optimal' else 'inaccurate'}:{iters}",
-        )
+    scalars = _recover_scalars(A, F, b, x)
+    residual = float(np.abs(A @ x + F @ scalars - b).max(initial=0.0))
+    if outcome == "stalled" and not max(residual, dres) <= INACCURATE_TOL:
+        return SdpSolution(status=NUMERICAL_ERROR,
+                           solver_status=f"native:stalled:{iters}:primal {residual:.1e}"
+                                         f" dual {dres:.1e}")
+    if unbounded:
+        return SdpSolution(status=UNBOUNDED, solver_status=f"native:unbounded:{iters}")
+    bvals = {bid: _smat(x[sl], n, i, j) for bid, n, sl, i, j in layout}
+    return SdpSolution(
+        status=FEASIBLE,
+        block_values=bvals,
+        scalar_values=dict(zip(problem.free_scalars, map(float, scalars))),
+        primal_residual=residual,
+        min_eigenvalues={bid: float(np.linalg.eigvalsh(Q)[0]) for bid, Q in bvals.items()},
+        solver_status=f"native:{'optimal' if outcome == 'optimal' else 'inaccurate'}:{iters}",
+    )
 
 
 def _recover_scalars(A, F, b, x):
@@ -474,13 +347,3 @@ def _recover_scalars(A, F, b, x):
     t = np.linalg.lstsq(F[rest] @ Z, rhs[rest] - F[rest] @ s0, rcond=None)[0]
     return s0 + Z @ t
 
-
-_default_backend = None
-
-
-def default_backend() -> NativeBackend:
-    """The process-wide NativeBackend; the same solver on every machine."""
-    global _default_backend
-    if _default_backend is None:
-        _default_backend = NativeBackend()
-    return _default_backend

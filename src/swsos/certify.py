@@ -28,7 +28,7 @@ from .poly import DISPLAY_CLEANUP, Polynomial, PolyVector, lie_derivative, \
     monomial_basis, coefficients_equal
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
-from .backend import default_backend, FEASIBLE, INFEASIBLE
+from .backend import FEASIBLE, INFEASIBLE, solve
 from .system import SwitchedSystem
 from .oracle import OracleConfig, verify_certificate
 
@@ -51,7 +51,6 @@ class CertificationConfig:
     pd_epsilon: float = 1e-4
     use_attractivity_filter: bool = True
     attractivity_kappa: float = 1e-4
-    multiplier_degrees: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lyapunov_degree < 2 or self.lyapunov_degree % 2 != 0:
@@ -129,18 +128,12 @@ class Certificate:
 
 # -- construction helpers -----------------------------------------------------
 
-def _var(n: int, k: int) -> Polynomial:
-    e = [0] * n
-    e[k] = 1
-    return Polynomial.monomial(n, tuple(e))
-
-
 def _box_generators(sys: SwitchedSystem) -> list:
     lo, hi = sys.box
     n = sys.dimension
     gens = []
     for k in range(n):
-        xk = _var(n, k)
+        xk = Polynomial.variable(n, k)
         gens.append((float(hi[k]) - xk) * (xk - float(lo[k])))
     return gens
 
@@ -148,19 +141,19 @@ def _box_generators(sys: SwitchedSystem) -> list:
 def _pd_floor(n: int, deg: int, eps: float) -> Polynomial:
     p = Polynomial.zero(n)
     for k in range(n):
-        p = p + _var(n, k) ** 2 + _var(n, k) ** deg
+        xk = Polynomial.variable(n, k)
+        p = p + xk ** 2 + xk ** deg
     return p * eps
 
 
 def _margin(n: int, deg: int, scale: float) -> Polynomial:
     q = Polynomial.zero(n)
     for k in range(n):
-        q = q + _var(n, k) ** 2
+        q = q + Polynomial.variable(n, k) ** 2
     return (q ** (deg // 2)) * scale
 
 
-def check_attractivity(sys: SwitchedSystem, pair, degree_cap: int = None,
-                       kappa: float = 1e-4, backend=None) -> str:
+def check_attractivity(sys: SwitchedSystem, pair, kappa: float = 1e-4) -> str:
     """SOS test for whether a boundary can host a sliding mode.
 
     For each vertex pair (f, g) of the adjacent regions, tests whether
@@ -172,20 +165,16 @@ def check_attractivity(sys: SwitchedSystem, pair, degree_cap: int = None,
     i, j = pair
     bnd = sys.boundary(i, j)   # raises KeyError for unknown pairs
     chi = bnd.chi
-    backend = backend or default_backend()
     any_unknown = False
     for f in sys.dynamics[i].vertices:
         lf = lie_derivative(chi, f)
         for g in sys.dynamics[j].vertices:
             lg = lie_derivative(chi, g)
             target = (lf * lg) * (-1.0) - kappa
-            if degree_cap is not None and target.degree() > degree_cap:
-                any_unknown = True
-                continue
             cons = PositivityConstraint(
                 cid="attract", target=LinPoly.from_poly(target),
                 equality_generators=[chi])
-            sol = backend.solve(assemble([cons]))
+            sol = solve(assemble([cons]))
             if sol.status == FEASIBLE:
                 return ATTRACTIVE
             if sol.status != INFEASIBLE:
@@ -228,14 +217,12 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
         ineq = list(region.xi) + box_gens
         constraints.append(PositivityConstraint(
             cid=f"pd{rid}", target=V[rid] - phi,
-            equality_generators=eq, inequality_generators=ineq,
-            multiplier_degrees=cfg.multiplier_degrees.get(f"pd{rid}", {})))
+            equality_generators=eq, inequality_generators=ineq))
         for l, f in enumerate(sys.dynamics[rid].vertices):
             constraints.append(PositivityConstraint(
                 cid=f"lie{rid}v{l}",
                 target=V[rid].lie(f).scale(-1.0) - mu_m,
-                equality_generators=eq, inequality_generators=ineq,
-                multiplier_degrees=cfg.multiplier_degrees.get(f"lie{rid}v{l}", {})))
+                equality_generators=eq, inequality_generators=ineq))
     for (i, j) in cross_pairs:
         chi_ij = sys.boundary(i, j).chi
         for l, f in enumerate(sys.dynamics[j].vertices):
@@ -243,8 +230,7 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
                 cid=f"cross{i}_{j}v{l}",
                 target=V[i].lie(f).scale(-1.0) - nu_m,
                 equality_generators=[chi_ij],
-                inequality_generators=list(box_gens),
-                multiplier_degrees=cfg.multiplier_degrees.get(f"cross{i}_{j}v{l}", {})))
+                inequality_generators=list(box_gens)))
 
     glue = {}
     identities = []
@@ -266,10 +252,9 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
 
 
 def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
-            oracle_cfg: OracleConfig = None, backend=None) -> Certificate:
+            oracle_cfg: OracleConfig = None) -> Certificate:
     """Run the full pipeline: pre-filter, SDP, extraction, oracle gate."""
     cfg = cfg or CertificationConfig()
-    backend = backend or default_backend()
     t0 = time.time()
 
     validation = sys.validate()
@@ -284,8 +269,7 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
         attractive = []
         for b in sys.boundaries:
             status = check_attractivity(sys, (b.i, b.j),
-                                        kappa=cfg.attractivity_kappa,
-                                        backend=backend)
+                                        kappa=cfg.attractivity_kappa)
             if status != NOT_ATTRACTIVE:
                 # sliding not ruled out (or test inconclusive): keep the
                 # cross conditions for both orderings
@@ -293,7 +277,7 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
                 attractive.append((b.i, b.j))
 
     problem, plan = build_feasibility(sys, cfg, cross_pairs=cross_pairs)
-    sol = backend.solve(problem)
+    sol = solve(problem)
 
     if sol.status == INFEASIBLE:
         return Certificate(

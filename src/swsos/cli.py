@@ -352,6 +352,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InputError(f"--seed {args.seed} is negative")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=_sys.stderr)

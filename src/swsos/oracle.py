@@ -133,10 +133,7 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
     pts = (points if points is not None
            else _candidate_points(_sampling_box(sys, cfg), cfg, rng))
     keep = np.linalg.norm(pts, axis=1) >= cfg.exclusion_radius
-    if region.chi is not None and not region.chi.is_zero():
-        keep &= np.abs(region.chi.eval_many(pts)) <= cfg.tolerance
-    for xi in region.xi:
-        keep &= xi.eval_many(pts) >= -cfg.tolerance
+    keep &= region.contains_many(pts, cfg.tolerance)
     out = pts[keep]
     warns = []
     if out.shape[0] == 0:

@@ -236,10 +236,6 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.dim}, {self.to_string()!r})"
 
-    @staticmethod
-    def parse(text: str, dim: int) -> "Polynomial":
-        return parse_polynomial(text, dim)
-
 
 class PolyVector:
     """Ordered list of polynomials sharing one dimension (a vector field)."""

@@ -2,9 +2,9 @@
 
 Constraint templates follow the classic recipe: a target polynomial minus
 free-multiplier combinations of equality generators, minus SOS-multiplier
-combinations of inequality generators, minus a strictness margin, must equal
-one master SOS form.  Everything is flattened coefficient-wise into an
-abstract block-PSD feasibility program for the conic backend.
+combinations of inequality generators must equal one master SOS form.
+Everything is flattened coefficient-wise into an abstract block-PSD
+feasibility program, which `solve` (imported from `backend`) solves.
 """
 from __future__ import annotations
 
@@ -12,13 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import (
-    FEASIBLE,
-    INFEASIBLE,
-    SdpProblem,
-    SdpSolution,
-    default_backend,
-)
+# INFEASIBLE is re-exported for callers that import it from here
+from .backend import FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve
 from .poly import Monomial, Polynomial, grlex_key, monomial_basis
 
 GRAM_SYM_TOL = 1e-9
@@ -28,7 +23,8 @@ RESIDUAL_MARGINAL = 1e-5
 
 
 class DegreeBookkeepingError(ValueError):
-    """A multiplier/generator product exceeds the declared degree cap."""
+    """An inequality generator has higher degree than its constraint's
+    target, so no SOS multiplier keeps the identity balanced."""
 
 
 class NumericalInfeasibility(RuntimeError):
@@ -70,9 +66,6 @@ class LinPoly:
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
-
-    def min_degree(self) -> int:
-        return min((sum(m) for m in self.terms), default=0)
 
     def __add__(self, other):
         if isinstance(other, Polynomial):
@@ -182,24 +175,17 @@ def gram_basis(dim: int, max_half_deg: int, min_half_deg: int = 0) -> list:
 
 @dataclass
 class PositivityConstraint:
-    """target - sum r_i * a_i - sum s_j * b_j - margin must be SOS."""
+    """target - sum r_i * a_i - sum s_j * b_j must be SOS."""
 
     cid: str
     target: object                      # Polynomial or LinPoly
     equality_generators: list = field(default_factory=list)
     inequality_generators: list = field(default_factory=list)
-    margin: float = 0.0
-    margin_poly: Polynomial | None = None   # optional positive-definite margin
-    multiplier_degrees: dict = field(default_factory=dict)  # overrides per generator index
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
         dims = {g.dim for g in self.equality_generators}
         dims |= {g.dim for g in self.inequality_generators}
         dims.add(self.target.dim)
-        if self.margin_poly is not None:
-            dims.add(self.margin_poly.dim)
         if len(dims) != 1:
             raise ValueError("all constraint polynomials must share one dimension")
         self.dim = dims.pop()
@@ -262,12 +248,10 @@ def assemble(constraints, identities=()) -> SdpProblem:
             declare_scalar(v)
 
         d_t = target.degree()
-        if cons.margin_poly is not None:
-            d_t = max(d_t, cons.margin_poly.degree())
         d0 = _even_up(d_t)
 
         # rows[mono] = (terms dict, rhs); identity is
-        #   target - margin - sum r a - sum s b - s0 = 0 coefficient-wise
+        #   target - sum r a - sum s b - s0 = 0 coefficient-wise
         rows = {}
 
         def row(mono):
@@ -292,26 +276,14 @@ def assemble(constraints, identities=()) -> SdpProblem:
                     add_const(mono, v)
                 else:
                     add_var(mono, ("s", k), v)
-        # margin
-        zero_mono = (0,) * dim
-        if cons.margin:
-            add_const(zero_mono, -cons.margin)
-        if cons.margin_poly is not None:
-            for mono, c in cons.margin_poly.terms.items():
-                add_const(mono, -c)
 
         # free multipliers r_i on equality generators
         for idx, a in enumerate(cons.equality_generators):
-            cap = cons.multiplier_degrees.get(("eq", idx), d_t - a.degree())
-            if cap < 0 and ("eq", idx) not in cons.multiplier_degrees:
+            cap = d_t - a.degree()
+            if cap < 0:
                 # generator degree exceeds the target's: the only multiplier
                 # that keeps the identity balanced is zero, so drop it
                 continue
-            if cap < 0 or cap + a.degree() > d0:
-                raise DegreeBookkeepingError(
-                    f"{cons.cid}: free multiplier for equality generator {idx} "
-                    f"(degree {a.degree()}) exceeds cap (target degree {d_t})"
-                )
             rbasis = monomial_basis(dim, cap)
             for mono_r in rbasis:
                 var = ("s", f"{cons.cid}:r{idx}[{_mono_tag(mono_r)}]")
@@ -336,14 +308,12 @@ def assemble(constraints, identities=()) -> SdpProblem:
 
         # SOS multipliers s_j on inequality generators
         for idx, b in enumerate(cons.inequality_generators):
-            sdeg = cons.multiplier_degrees.get(("ineq", idx), None)
-            if sdeg is None:
-                sdeg = d_t - b.degree()
-                sdeg -= sdeg % 2
-            if sdeg < 0 or sdeg + b.degree() > d0:
+            sdeg = d_t - b.degree()
+            sdeg -= sdeg % 2
+            if sdeg < 0:
                 raise DegreeBookkeepingError(
-                    f"{cons.cid}: SOS multiplier for inequality generator {idx} "
-                    f"(degree {b.degree()}) exceeds cap (target degree {d_t})"
+                    f"{cons.cid}: inequality generator {idx} (degree {b.degree()}) "
+                    f"exceeds the target degree {d_t}"
                 )
             bid = f"{cons.cid}:s{idx + 1}"
             lo_j = 1 if (origin_forced and b.terms.get(zero_mono, 0.0) > 0.0) else 0
@@ -387,10 +357,6 @@ def assemble(constraints, identities=()) -> SdpProblem:
     return problem
 
 
-def solve(problem: SdpProblem, backend=None) -> SdpSolution:
-    return (backend or default_backend()).solve(problem)
-
-
 def certificate_from_solution(problem: SdpProblem, sol: SdpSolution, dim: int) -> SosCertificate:
     layout = problem.meta.get("gram_layout", {})
     grams = {
@@ -419,7 +385,7 @@ def certificate_from_solution(problem: SdpProblem, sol: SdpSolution, dim: int) -
 
 # -- top-level operations --------------------------------------------------
 
-def sos_decompose(p: Polynomial, backend=None) -> SosCertificate:
+def sos_decompose(p: Polynomial) -> SosCertificate:
     """Find a Gram representation p = Z^T Q Z, or report infeasibility."""
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -427,7 +393,7 @@ def sos_decompose(p: Polynomial, backend=None) -> SosCertificate:
         raise ValueError(f"degree {p.degree()} is odd; not a candidate SOS")
     cons = PositivityConstraint(cid="sos", target=p)
     problem = assemble([cons])
-    sol = solve(problem, backend)
+    sol = solve(problem)
     if sol.status != FEASIBLE:
         return SosCertificate(status=sol.status, solver_status=sol.solver_status)
     cert = certificate_from_solution(problem, sol, p.dim)

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from swsos.backend import (FEASIBLE, INFEASIBLE, NUMERICAL_ERROR, UNBOUNDED,
-                           CvxpyBackend, NativeBackend, SdpProblem,
-                           default_backend)
+from swsos.backend import FEASIBLE, INFEASIBLE, UNBOUNDED, SdpProblem, solve
 
 
 def _problem_psd_scalar(rhs):
@@ -14,110 +12,66 @@ def _problem_psd_scalar(rhs):
     return p
 
 
-# Each case takes the backend to run on.  The test_* functions below run
-# them on the default backend; test_cvxpy_backend_cases runs them on cvxpy
-# wherever it is installed.
-
-def _feasible_scalar_block(backend):
-    sol = backend.solve(_problem_psd_scalar(2.0))
+def test_feasible_scalar_block():
+    sol = solve(_problem_psd_scalar(2.0))
     assert sol.status == FEASIBLE
     assert abs(sol.block_values["Q"][0, 0] - 2.0) < 1e-6
     assert sol.feasible
 
 
-def _infeasible_scalar_block(backend):
-    sol = backend.solve(_problem_psd_scalar(-1.0))
+def test_infeasible_scalar_block():
+    sol = solve(_problem_psd_scalar(-1.0))
     assert sol.status == INFEASIBLE
     assert not sol.feasible
 
 
-def _free_scalar_equality(backend):
+def test_free_scalar_equality():
     p = SdpProblem()
     p.free_scalars.append("t")
     p.psd_blocks.append(("Q", 1))
     # t + q = 3 and t - q = 1  =>  t = 2, q = 1
     p.equality_rows.append(({("s", "t"): 1.0, ("e", "Q", 0, 0): 1.0}, 3.0))
     p.equality_rows.append(({("s", "t"): 1.0, ("e", "Q", 0, 0): -1.0}, 1.0))
-    sol = backend.solve(p)
+    sol = solve(p)
     assert sol.status == FEASIBLE
     assert abs(sol.scalar_values["t"] - 2.0) < 1e-6
 
 
-def _objective_breaks_upward_cone(backend):
+def test_objective_breaks_upward_cone():
     # q >= 1 is feasible for any larger q; minimizing trace must pin q = 1
     p = SdpProblem()
     p.psd_blocks.append(("Q", 2))
     p.equality_rows.append(({("e", "Q", 0, 0): 1.0, ("e", "Q", 1, 1): -1.0}, 1.0))
     p.objective[("e", "Q", 0, 0)] = 1.0
     p.objective[("e", "Q", 1, 1)] = 1.0
-    sol = backend.solve(p)
+    sol = solve(p)
     assert sol.status == FEASIBLE
     assert abs(np.trace(sol.block_values["Q"]) - 1.0) < 1e-5
 
 
-def _reported_residual_matches_solution(backend):
-    sol = backend.solve(_problem_psd_scalar(2.0))
+def test_reported_residual_matches_solution():
+    sol = solve(_problem_psd_scalar(2.0))
     assert sol.primal_residual < 1e-6
     assert "Q" in sol.min_eigenvalues
 
 
-def _objective_on_free_scalar(backend):
+def test_objective_on_free_scalar():
     # min t subject to t - q = 1, q >= 0: t = 1
     p = _problem_psd_scalar(0.0)
     p.free_scalars.append("t")
     p.equality_rows[0] = ({("s", "t"): 1.0, ("e", "Q", 0, 0): -1.0}, 1.0)
     p.objective[("s", "t")] = 1.0
-    sol = backend.solve(p)
+    sol = solve(p)
     assert sol.status == FEASIBLE
     assert abs(sol.scalar_values["t"] - 1.0) < 1e-6
 
 
-def _unbounded_objective(backend):
+def test_unbounded_objective():
     # the free scalar u is in no row, so minimizing it has no bound
     p = _problem_psd_scalar(1.0)
     p.free_scalars.append("u")
     p.objective[("s", "u")] = 1.0
-    assert backend.solve(p).status == UNBOUNDED
-
-
-CASES = (_feasible_scalar_block, _infeasible_scalar_block,
-         _free_scalar_equality, _objective_breaks_upward_cone,
-         _reported_residual_matches_solution, _objective_on_free_scalar,
-         _unbounded_objective)
-
-
-def test_default_backend_is_native():
-    assert isinstance(default_backend(), NativeBackend)
-
-
-def test_feasible_scalar_block():
-    _feasible_scalar_block(default_backend())
-
-
-def test_infeasible_scalar_block():
-    _infeasible_scalar_block(default_backend())
-
-
-def test_free_scalar_equality():
-    _free_scalar_equality(default_backend())
-
-
-def test_objective_breaks_upward_cone():
-    _objective_breaks_upward_cone(default_backend())
-
-
-def test_objective_on_free_scalar():
-    _objective_on_free_scalar(default_backend())
-
-
-def test_unbounded_objective():
-    _unbounded_objective(default_backend())
-
-
-@pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__[1:])
-def test_cvxpy_backend_cases(case):
-    pytest.importorskip("cvxpy")
-    case(CvxpyBackend())
+    assert solve(p).status == UNBOUNDED
 
 
 def test_validate_rejects_unknown_keys():
@@ -135,19 +89,9 @@ def test_validate_rejects_out_of_range_index():
         p.validate()
 
 
-def test_unknown_solver_name_is_skipped():
-    pytest.importorskip("cvxpy")
-    backend = CvxpyBackend(solvers=("NOSUCHSOLVER", "SCS"))
-    sol = backend.solve(_problem_psd_scalar(1.0))
-    assert sol.status == FEASIBLE
-
-
-def test_all_solvers_unavailable():
-    pytest.importorskip("cvxpy")
-    backend = CvxpyBackend(solvers=("NOSUCHSOLVER",))
-    sol = backend.solve(_problem_psd_scalar(1.0))
-    assert sol.status == NUMERICAL_ERROR
-
-
-def test_reported_residual_matches_solution():
-    _reported_residual_matches_solution(default_backend())
+def test_validate_rejects_duplicate_block_ids():
+    # rows name blocks by id, so two blocks with one id cannot be told apart
+    p = _problem_psd_scalar(1.0)
+    p.psd_blocks.append(("Q", 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        p.validate()

@@ -96,13 +96,27 @@ def test_equality_generator_above_target_degree_is_dropped():
     assert sol.status == FEASIBLE
 
 
-def test_explicit_multiplier_cap_still_errors():
+def test_inequality_generator_above_target_degree_errors():
+    # x2^2 has higher degree than the target x1: its SOS multiplier would
+    # need a negative degree
     cons = PositivityConstraint(
-        cid="c", target=LinPoly.from_poly(Polynomial.constant(2, 1.0)),
-        equality_generators=[parse_polynomial("x2", 2)],
-        multiplier_degrees={("eq", 0): 4})
+        cid="c", target=LinPoly.from_poly(parse_polynomial("x1", 2)),
+        inequality_generators=[parse_polynomial("x2^2", 2)])
     with pytest.raises(DegreeBookkeepingError):
         assemble([cons])
+
+
+def test_assemble_rejects_duplicate_constraint_ids():
+    # each is feasible alone; sharing cid "c" would share their multiplier
+    # scalars and Gram block ids
+    g = parse_polynomial("x1", 1)
+    cons = [PositivityConstraint(cid="c", target=parse_polynomial(t, 1),
+                                 equality_generators=[g])
+            for t in ("x1^2 + x1", "x1^2 - x1")]
+    for c in cons:
+        assert solve(assemble([c])).status == FEASIBLE
+    with pytest.raises(ValueError, match="duplicate"):
+        assemble(cons)
 
 
 def test_identity_rows_enforced_exactly():
