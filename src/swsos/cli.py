@@ -90,6 +90,11 @@ def load_lyapunov(path: str, sys_) -> dict:
     full-precision "lyapunov_full" entry wins over the cleaned display
     form).
     """
+    return _lyapunov_table(path, _read_lyapunov_doc(path), sys_)
+
+
+def _read_lyapunov_doc(path: str) -> dict:
+    """The JSON object of a Lyapunov or certificate file."""
     p = Path(path)
     if not p.exists():
         raise InputError(f"{path}: no such file")
@@ -99,6 +104,11 @@ def load_lyapunov(path: str, sys_) -> dict:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def _lyapunov_table(path: str, doc: dict, sys_) -> dict:
+    """Region id -> Polynomial from a document read by _read_lyapunov_doc."""
     table = doc.get("lyapunov_full") or doc.get("lyapunov")
     if not isinstance(table, dict):
         raise InputError(f"{path}: missing 'lyapunov' table")
@@ -241,10 +251,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     sys_ = _load_system(args.system)
-    lyapunov = load_lyapunov(args.lyapunov, sys_)
+    doc = _read_lyapunov_doc(args.lyapunov)
+    lyapunov = _lyapunov_table(args.lyapunov, doc, sys_)
     # certificate files record which boundaries can host sliding; cross-Lie
     # conditions only apply there.  Plain Lyapunov files check every pair.
-    pairs = json.loads(Path(args.lyapunov).read_text()).get("attractive_pairs")
+    pairs = doc.get("attractive_pairs")
     if pairs is not None:
         if not (isinstance(pairs, list)
                 and all(isinstance(p, list) and len(p) == 2 for p in pairs)):

@@ -6,9 +6,11 @@ sliding dynamics from the convexified inclusion when the adjacent normal
 components point at each other.  Codimension >= 2 strata stop the run
 (stratum_stop) instead of guessing a selection from the convex hull.
 
-The smooth inner loop runs in the RK4 segment kernel of _kernels, on the
-term lists each field and boundary polynomial caches; event handling,
-sliding and the chattering guard live here.
+Both inner loops run in the RK4 segment kernels of _kernels, on the term
+lists each field and boundary polynomial caches: rk4_smooth_run inside a
+region, rk4_sliding_run along a boundary variety.  Event handling, the
+decisions between crossing and sliding, the chattering guard and the
+switched Lyapunov value (one batch evaluation per segment) live here.
 """
 
 from __future__ import annotations
@@ -191,20 +193,16 @@ def _sliding_weight(b, pair, grad: PolyVector, Fi: PolyVector, Fj: PolyVector,
     n = grad(x)
     if np.linalg.norm(n) == 0.0:
         raise StratumStop(f"singular boundary point of ({i},{j}): zero normal")
-    return _sliding_field(pair, n, Fi(x), Fj(x))[1]
+    slide = _kernels.sliding_field(n.tolist(), Fi(x).tolist(), Fj(x).tolist())
+    if slide is None:
+        raise Tangency(f"fields tangent to boundary ({i},{j})")
+    return slide[1]
 
 
-def _sliding_field(pair, n, fi, fj):
-    """(F_s, alpha) from the boundary normal n and both field values.
-
-    alpha = <n, F_j> / <n, F_j - F_i> and F_s = alpha*F_i + (1-alpha)*F_j;
-    a denominator under 1e-12 raises Tangency.
-    """
-    den = float(np.dot(n, fj - fi))
-    if abs(den) < 1e-12:
-        raise Tangency(f"fields tangent to boundary ({pair[0]},{pair[1]})")
-    a = float(np.dot(n, fj)) / den
-    return a * fi + (1.0 - a) * fj, a
+# sliding_exit detail suffix per rk4_sliding_run exit code
+_SLIDING_EXIT_NOTE = {_kernels.STOP_OFF_VARIETY: " [off variety]",
+                      _kernels.STOP_TANGENCY: " [tangency]",
+                      _kernels.STOP_ALPHA: ""}
 
 
 # -- full trajectory ----------------------------------------------------------
@@ -237,15 +235,20 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             grads[b.pair] = b.chi.gradient()
         return grads[b.pair]
 
-    def psi_at(rid, xx):
-        if certificate is None:
-            return None
-        return float(certificate[rid](xx))
-
-    def add_point(t, xx, mode, rid=None, alpha=None):
+    def add_point(t, xx, mode, rid=None):
+        psi = None
+        if certificate is not None and rid is not None:
+            psi = float(certificate[rid](xx))
         traj.points.append(TrajectoryPoint(
-            t=float(t), x=np.array(xx, dtype=float), mode=mode, alpha=alpha,
-            psi=psi_at(rid, xx) if rid is not None else None))
+            t=float(t), x=np.array(xx, dtype=float), mode=mode, psi=psi))
+
+    def add_segment(times, states, mode, rid, alphas=None):
+        """The accepted points of one kernel run, psi from one eval_many."""
+        m = len(times)
+        psi = ([None] * m if certificate is None
+               else certificate[rid].eval_many(states).tolist())
+        traj.points.extend(map(TrajectoryPoint, times, states, [mode] * m,
+                               alphas or [None] * m, psi))
 
     def stop(t, xx, kind, detail=""):
         # interned: the stopped points of one kind share one mode string
@@ -336,9 +339,10 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             states, code, bidx = _kernels.rk4_smooth_run(
                 [p._term_list() for p in F], chis, np.ascontiguousarray(x), h,
                 max_steps, cfg.ball_stop, lo, hi, cfg.event_tol)
-            for k in range(1, states.shape[0] - (1 if code in
-                           (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else 0)):
-                add_point(t + k * h, states[k], f"smooth:{rid}", rid=rid)
+            accepted = states[1:states.shape[0] - (1 if code in
+                              (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else 0)]
+            add_segment([t + k * h for k in range(1, accepted.shape[0] + 1)],
+                        accepted, f"smooth:{rid}", rid)
             step_counter += states.shape[0] - 1
 
             if code != _kernels.STOP_BOUNDARY:
@@ -393,58 +397,23 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         if state == "sliding":
             i, j = pair
             b = sys.boundary(i, j)
-            Fi = field_of(i)
-            Fj = field_of(j)
-            grad = grad_of(b)
-
-            def f_slide(xx):
-                return _sliding_field(pair, grad(xx), Fi(xx), Fj(xx))
-
-            while t < cfg.t_end - 1e-15:
-                if np.linalg.norm(x) <= cfg.ball_stop:
-                    return stop(t, x, "converged")
-                if abs(b.chi(x)) > SLIDING_BAND * cfg.event_tol:
-                    traj.events.append((t, "sliding_exit", f"({i},{j}) [off variety]"))
-                    state = "decide"
-                    break
-                try:
-                    k1, alpha = f_slide(x)
-                except Tangency:
-                    traj.events.append((t, "sliding_exit", f"({i},{j}) [tangency]"))
-                    state = "decide"
-                    break
-                if not (0.0 <= alpha <= 1.0):
-                    traj.events.append((t, "sliding_exit", f"({i},{j})"))
-                    state = "decide"
-                    # hand off to the side the combined field points into
-                    break
-                hs = min(h, cfg.t_end - t)   # never step past t_end
-                try:
-                    k2, _ = f_slide(x + 0.5 * hs * k1)
-                    k3, _ = f_slide(x + 0.5 * hs * k2)
-                    k4, _ = f_slide(x + hs * k3)
-                except Tangency:
-                    traj.events.append((t, "sliding_exit", f"({i},{j}) [tangency]"))
-                    state = "decide"
-                    break
-                xn = x + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                # project back onto the variety (first-order Newton) so the
-                # sliding invariant |chi| <= 10*event_tol holds
-                for _ in range(3):
-                    c = b.chi(xn)
-                    if abs(c) <= cfg.event_tol:
-                        break
-                    n = grad(xn)
-                    nn = float(np.dot(n, n))
-                    if nn == 0.0:
-                        break
-                    xn = xn - (c / nn) * n
-                t += hs
-                step_counter += 1
-                x = xn
-                if not sys.in_box(x):
-                    return stop(t, x, "escaped")
-                add_point(t, x, f"sliding:{i},{j}", rid=i, alpha=alpha)
+            states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
+                [p._term_list() for p in grad_of(b)],
+                [p._term_list() for p in field_of(i)],
+                [p._term_list() for p in field_of(j)], b.chi._term_list(),
+                x, t, cfg.t_end, h, cfg.ball_stop, lo, hi, cfg.event_tol,
+                SLIDING_BAND * cfg.event_tol)
+            x = np.array(x)
+            add_segment(times, states, f"sliding:{i},{j}", i, alphas)
+            step_counter += len(times)
+            if code == _kernels.STOP_CONVERGED:
+                return stop(t, x, "converged")
+            if code == _kernels.STOP_ESCAPED:
+                return stop(t, x, "escaped")
+            if code != _kernels.STOP_MAXSTEPS:
+                traj.events.append(
+                    (t, "sliding_exit", f"({i},{j}){_SLIDING_EXIT_NOTE[code]}"))
+                state = "decide"
             continue
 
     if not traj.points or t - traj.points[-1].t > 1e-15:

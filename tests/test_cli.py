@@ -115,6 +115,26 @@ def test_verify_malformed_lyapunov_file_is_input_error(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+def test_verify_reads_the_lyapunov_file_once(tmp_path, monkeypatch, capsys):
+    from pathlib import Path
+    doc = json.loads(open(PUBLISHED_V).read())
+    doc["attractive_pairs"] = [[1, 2]]
+    lyap = tmp_path / "pairs.lyap"
+    lyap.write_text(json.dumps(doc))
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if Path(self) == lyap:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    assert run(["verify", QUAD, str(lyap)], tmp_path) == 0
+    assert "no-violation-found" in capsys.readouterr().out
+    assert len(reads) == 1
+
+
 def test_attractivity_known_pairs(tmp_path, capsys):
     assert run(["attractivity", "systems/opposing-fields.sys",
                 "--pair", "1,2"], tmp_path) == 0

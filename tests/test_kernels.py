@@ -178,3 +178,214 @@ def test_rk4_term_list_escape_matches_numpy_reference():
     s2, c2, _ = _ref_rk4_smooth_run(*_pack(F), *_pack([]), *tail)
     assert c1 == c2 == _kernels.STOP_ESCAPED
     assert np.allclose(s1, s2, rtol=1e-12, atol=0.0)
+
+
+# -- RK4 sliding segment ----------------------------------------------------------
+
+# boundary chi = x2 between x2 >= 0 (field F_i) and x2 <= 0 (field F_j)
+_CHI = ((1.0, (1,)),)
+_GRAD = [(), ((1.0, ()),)]                 # (0, 1)
+_BOX = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+
+
+def _const(c):
+    return ((float(c), ()),)
+
+
+def _slide(fi, fj, x0, t_end=1.0, h=0.01, ball_stop=1e-6, chi=_CHI,
+           grad=_GRAD, band=1e-8):
+    # event_tol 1e-9
+    return _kernels.rk4_sliding_run(grad, fi, fj, chi, np.array(x0), 0.0,
+                                    t_end, h, ball_stop, *_BOX, 1e-9, band)
+
+
+def test_sliding_field_formula():
+    # n = (0,1), F_i = (2,-1), F_j = (1,3): alpha = 3/4, F_s = (7/4, 0)
+    fs, alpha = _kernels.sliding_field([0.0, 1.0], [2.0, -1.0], [1.0, 3.0])
+    assert alpha == 0.75
+    assert fs == [1.75, 0.0]
+    # tangency: |<n, F_j - F_i>| under 1e-12
+    assert _kernels.sliding_field([0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]) is None
+    assert _kernels.sliding_field([0.0, 1.0], [1.0, 0.0], [-1.0, 5e-13]) is None
+    assert _kernels.sliding_field([0.0, 1.0], [1.0, 0.0], [-1.0, 2e-12]) is not None
+
+
+def test_sliding_run_reaches_t_end():
+    # opposing constant fields: F_s = 0, alpha = 1/2 at every step
+    states, times, alphas, x, t, code = _slide(
+        [_const(1), _const(-1)], [_const(-1), _const(1)], (0.5, 0.0),
+        t_end=0.105)
+    assert code == _kernels.STOP_MAXSTEPS
+    # the time rule: t += min(h, t_end - t) until t_end - 1e-15
+    ref, tt = [], 0.0
+    while tt < 0.105 - 1e-15:
+        tt += min(0.01, 0.105 - tt)
+        ref.append(tt)
+    assert times == ref and len(times) == 11
+    assert t == times[-1] and x == states[-1].tolist()
+    assert alphas == [0.5] * 11
+    assert np.array_equal(states, np.tile([0.5, 0.0], (11, 1)))
+
+
+def test_sliding_run_projects_back_onto_variety():
+    # chi = x2 + x2^2 with opposing fields along its normal (0, 1 + 2*x2):
+    # F_s = 0, so the step only projects.  From x2 = 0.2 three Newton steps
+    # leave |chi| ~ 6e-7, above event_tol, and the projection stops there.
+    chi = ((1.0, (1,)), (1.0, (1, 1)))
+    grad = [(), ((1.0, ()), (2.0, (1,)))]
+    states, *_ = _slide([_const(1), _const(-1)], [_const(-1), _const(1)],
+                        (0.5, 0.2), t_end=0.01, chi=chi, grad=grad, band=0.5)
+    x2 = 0.2
+    for _ in range(3):
+        g = 1.0 + 2.0 * x2
+        x2 = x2 - (x2 + x2 * x2) / (g * g) * g
+    assert states.tolist() == [[0.5, x2]]
+    assert 1e-9 < abs(x2 + x2 * x2) < 1e-6
+
+
+def test_sliding_run_records_alpha_of_step_start():
+    # F_i = (1, -1), F_j = (1, x1): alpha = x1 / (x1 + 1), F_s = (1, 0)
+    fi = [_const(1), _const(-1)]
+    fj = [_const(1), ((1.0, (0,)),)]
+    states, times, alphas, *_ = _slide(fi, fj, (0.5, 0.0), t_end=0.1)
+    starts = [[0.5, 0.0]] + states[:-1].tolist()
+    assert alphas == [_kernels.sliding_field(
+        [0.0, 1.0], [1.0, -1.0], [1.0, s[0]])[1] for s in starts]
+    assert alphas[0] == 0.5 / 1.5 and alphas[-1] > alphas[0]
+
+
+def test_sliding_run_converges():
+    # F_i = (-x1, -1), F_j = (-x1, 1): F_s = (-x1, 0)
+    fi = [((-1.0, (0,)),), _const(-1)]
+    fj = [((-1.0, (0,)),), _const(1)]
+    states, times, alphas, x, t, code = _slide(fi, fj, (1e-3, 0.0), t_end=10.0,
+                                               ball_stop=1e-4)
+    assert code == _kernels.STOP_CONVERGED
+    # the converged state is the last accepted one
+    assert x == states[-1].tolist() and t == times[-1]
+    assert np.linalg.norm(states[-1]) <= 1e-4 < np.linalg.norm(states[-2])
+    assert abs(t - np.log(10.0)) < 0.01
+
+
+def test_sliding_run_escapes():
+    # F_i = (1, -1), F_j = (1, 1): F_s = (1, 0) leaves the box at x1 = 2
+    states, times, alphas, x, t, code = _slide(
+        [_const(1), _const(-1)], [_const(1), _const(1)], (1.5, 0.0))
+    assert code == _kernels.STOP_ESCAPED
+    # the escaping state is the stop state, not an accepted row
+    assert x[0] > 2.0 and states[:, 0].max() <= 2.0
+    assert len(times) == states.shape[0] and t > times[-1]
+
+
+def test_sliding_run_off_variety():
+    states, times, alphas, x, t, code = _slide(
+        [_const(1), _const(-1)], [_const(-1), _const(1)], (0.5, 1e-3))
+    assert code == _kernels.STOP_OFF_VARIETY
+    assert states.shape == (0, 2) and times == [] and alphas == []
+    assert x == [0.5, 1e-3] and t == 0.0
+
+
+def test_sliding_run_tangency_at_step_start():
+    # F_i = (1, 0), F_j = (-1, 0): <n, F_j - F_i> = 0
+    states, times, _, x, t, code = _slide(
+        [_const(1), ()], [_const(-1), ()], (0.5, 0.0))
+    assert code == _kernels.STOP_TANGENCY
+    assert times == [] and x == [0.5, 0.0] and t == 0.0
+
+
+def test_sliding_run_tangency_at_a_later_stage():
+    # F_i = (1, -x1), F_j = (1, x1): <n, F_j - F_i> = 2*x1, nonzero at
+    # x1 = -0.25 (alpha = 1/2, F_s = (1, 0)) and zero at the second stage,
+    # x1 + (h/2)*1 = 0 with h = 0.5
+    fi = [_const(1), ((-1.0, (0,)),)]
+    fj = [_const(1), ((1.0, (0,)),)]
+    states, times, _, x, t, code = _slide(fi, fj, (-0.25, 0.0), h=0.5)
+    assert code == _kernels.STOP_TANGENCY
+    assert times == [] and x == [-0.25, 0.0] and t == 0.0
+
+
+def test_sliding_run_alpha_outside_unit_interval():
+    # F_i = (0, -1), F_j = (0, -2) both point down: alpha = -2 / -1 = 2
+    states, times, _, x, t, code = _slide(
+        [(), _const(-1)], [(), _const(-2)], (0.5, 0.0))
+    assert code == _kernels.STOP_ALPHA
+    assert times == [] and x == [0.5, 0.0] and t == 0.0
+
+
+def _ref_rk4_sliding_run(grad, Fi, Fj, chi, x0, t0, t_end, h, ball_stop,
+                         box_lo, box_hi, event_tol, band):
+    # the numpy-vector loop simulate ran per sliding step before the kernel
+    def f_slide(x):
+        n, fi, fj = grad(x), Fi(x), Fj(x)
+        den = float(np.dot(n, fj - fi))
+        if abs(den) < 1e-12:
+            return None
+        a = float(np.dot(n, fj)) / den
+        return a * fi + (1.0 - a) * fj, a
+
+    x, t = np.asarray(x0, dtype=float), t0
+    states, times, alphas = [], [], []
+
+    def done(code):
+        return np.array(states).reshape(-1, x.shape[0]), times, alphas, x, t, code
+
+    while t < t_end - 1e-15:
+        if np.linalg.norm(x) <= ball_stop:
+            return done(_kernels.STOP_CONVERGED)
+        if abs(chi(x)) > band:
+            return done(_kernels.STOP_OFF_VARIETY)
+        r = f_slide(x)
+        if r is None:
+            return done(_kernels.STOP_TANGENCY)
+        k1, alpha = r
+        if not 0.0 <= alpha <= 1.0:
+            return done(_kernels.STOP_ALPHA)
+        hs = min(h, t_end - t)
+        r2 = f_slide(x + 0.5 * hs * k1)
+        r3 = r2 and f_slide(x + 0.5 * hs * r2[0])
+        r4 = r3 and f_slide(x + hs * r3[0])
+        if r4 is None:
+            return done(_kernels.STOP_TANGENCY)
+        xn = x + (hs / 6.0) * (k1 + 2 * r2[0] + 2 * r3[0] + r4[0])
+        for _ in range(3):
+            c = chi(xn)
+            if abs(c) <= event_tol:
+                break
+            n = grad(xn)
+            nn = float(np.dot(n, n))
+            if nn == 0.0:
+                break
+            xn = xn - (c / nn) * n
+        t += hs
+        x = xn
+        if not (np.all(x >= box_lo) and np.all(x <= box_hi)):
+            return done(_kernels.STOP_ESCAPED)
+        states.append(x)
+        times.append(t)
+        alphas.append(alpha)
+    return done(_kernels.STOP_MAXSTEPS)
+
+
+@pytest.mark.parametrize("chi, fi, fj, x0, t_end, code", [
+    # quadrant-cubic at theta = 1 from its sliding entry on x1*x2 = 0
+    ("x1*x2", ("-x1", "-x2^3"), ("-0.5*x2", "x1^3 - x2^3"),
+     (-2.0882007185443494, -2.6728439166817664e-10), 0.7005,
+     _kernels.STOP_MAXSTEPS),
+    # alpha = 1 / (2 - x1) leaves [0, 1] once x1 passes 1
+    ("x2", ("1", "x1 - 1"), ("1", "1"), (0.5, 0.0), 2.0, _kernels.STOP_ALPHA),
+])
+def test_rk4_sliding_run_matches_numpy_reference(chi, fi, fj, x0, t_end, code):
+    from swsos.poly import parse_polynomial, parse_vector
+    chi = parse_polynomial(chi, 2)
+    Fi, Fj, grad = parse_vector(fi, 2), parse_vector(fj, 2), chi.gradient()
+    tail = (np.array(x0), 0.0, t_end, 1e-3, 1e-4, np.array([-3.0, -3.0]),
+            np.array([3.0, 3.0]), 1e-9, 1e-8)
+    s1, t1, a1, x1, end1, c1 = _kernels.rk4_sliding_run(
+        *([p._term_list() for p in v] for v in (grad, Fi, Fj)),
+        chi._term_list(), *tail)
+    s2, t2, a2, x2, end2, c2 = _ref_rk4_sliding_run(grad, Fi, Fj, chi, *tail)
+    assert c1 == c2 == code
+    assert t1 == t2 and end1 == end2 and len(t1) > 400
+    assert np.allclose(a1, a2, rtol=1e-12, atol=0.0)
+    assert np.allclose(s1, s2, rtol=1e-12, atol=1e-15)
+    assert np.allclose(x1, x2, rtol=1e-12, atol=1e-15)

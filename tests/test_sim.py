@@ -158,6 +158,53 @@ def test_simulate_escape(quadrant_system):
     assert not traj.converged()
 
 
+def _two_sided(f1, f2):
+    # x2 >= 0 runs F_1, x2 <= 0 runs F_2, boundary x2 = 0
+    return parse_system({
+        "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "regions": [
+            {"id": 1, "chi": "0", "xi": ["x2"], "witness": [0.0, 1.0]},
+            {"id": 2, "chi": "0", "xi": ["-x2"], "witness": [0.0, -1.0]},
+        ],
+        "boundaries": [{"i": 1, "j": 2, "chi_ij": "x2", "witness": [1.0, 0.0]}],
+        "dynamics": {"1": [f1], "2": [f2]},
+        "origin_regions": [1, 2],
+    })
+
+
+def test_simulate_converges_while_sliding():
+    # falls onto x2 = 0 at t = 0.5, then slides with F_s = (-x1, 0) until
+    # |x| <= 1e-4 at t ~= ln(1e4)
+    traj = simulate(_two_sided(["-x1", "-1"], ["-x1", "1"]), (1.0, 0.5),
+                    SimConfig(step=1e-3, t_end=20.0))
+    assert [(kind, detail) for _, kind, detail in traj.events] == [
+        ("crossing", "(1,2)"), ("sliding_entry", "(1,2)"), ("converged", "")]
+    t_conv = traj.events[-1][0]
+    assert abs(t_conv - np.log(1e4)) < 0.01
+    last, stop_pt = traj.points[-2:]
+    assert last.mode == "sliding:1,2" and last.alpha == 0.5
+    assert stop_pt.mode == "stopped:converged" and stop_pt.alpha is None
+    assert stop_pt.t == last.t == t_conv
+    assert np.array_equal(stop_pt.x, last.x)
+    assert sum(p.mode.startswith("stopped") for p in traj.points) == 1
+
+
+def test_simulate_escapes_while_sliding():
+    # falls onto x2 = 0 at t = 0.5, x1 = 0.5, then slides with F_s = (1, 0)
+    # out of the box at x1 = 2
+    traj = simulate(_two_sided(["1", "-1"], ["1", "1"]), (0.0, 0.5),
+                    SimConfig(step=1e-3, t_end=20.0))
+    assert [(kind, detail) for _, kind, detail in traj.events] == [
+        ("crossing", "(1,2)"), ("sliding_entry", "(1,2)"), ("escaped", "")]
+    stop_pt = traj.points[-1]
+    assert stop_pt.mode == "stopped:escaped" and stop_pt.alpha is None
+    assert stop_pt.x[0] > 2.0 and stop_pt.t == traj.events[-1][0]
+    sliding = [p for p in traj.points if p.mode == "sliding:1,2"]
+    assert len(sliding) > 1000
+    assert max(p.x[0] for p in sliding) <= 2.0
+    assert sliding[-1].t < stop_pt.t
+
+
 def test_chattering_run_pins_event_counts(quadrant_system):
     # at theta = 1 the run from (0.3, -2) chatters across x1*x2 = 0: the
     # guard halves the step, then enters sliding [chattering]; each sliding
