@@ -5,10 +5,14 @@ Scalar evaluation compiles each polynomial once into a term list of
 evaluates it in plain Python floats with one multiply per factor, which
 avoids numpy's per-call overhead on polynomials of a few terms.  The two
 RK4 segment kernels, one for a smooth stretch inside a region and one for
-a Filippov sliding stretch on a boundary variety, run on the term lists
-each `Polynomial` caches.  The sliding field's formula lives here once,
-in `sliding_field`.  Batch evaluation builds per-variable power columns
-by repeated multiplication.  There is one implementation of each.
+a Filippov sliding stretch on a boundary variety, are generated from the
+term lists each `Polynomial` caches: `smooth_kernel` and `sliding_kernel`
+emit the whole segment loop as straight-line Python source, unrolled over
+the dimension, and compile it; `rk4_smooth_run` and `rk4_sliding_run` run
+a compiled kernel.  The emitted arithmetic is `eval_terms`' and
+`sliding_field`'s, in the same order, so the values are those of
+interpreting the term lists, bit for bit.  Batch evaluation builds
+per-variable power columns by repeated multiplication.
 """
 from __future__ import annotations
 
@@ -75,58 +79,123 @@ def eval_poly_batch(coeffs, exps, X):
     return coeffs @ prods
 
 
-# -- RK4 smooth segment ---------------------------------------------------------
+# -- generated RK4 segment kernels ---------------------------------------------
 
-def rk4_smooth_run(fields, chis, x0, h, max_steps, ball_stop, box_lo, box_hi,
-                   band):
-    """Fixed-step RK4 on xdot = F(x) until something stops the segment.
+# The names generated source reads besides its own locals.  repr(float)
+# writes non-finite coefficients as inf, -inf and nan.
+_NAMESPACE = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+              "inf": math.inf, "nan": math.nan}
+
+
+def _expr(terms, var) -> str:
+    """Source of eval_terms(terms, [var0, var1, ...]) as one expression.
+
+    ((c, (0, 0, 1)), (d, (1,))) with var "x" -> "0.0 + c*x0*x0*x1 + d*x1",
+    with c and d written by repr(float): the same multiplications and
+    additions in the same order as eval_terms.  The source holds only float
+    literals, integer indices and `var`.  The compiler nests one level per
+    term, so a list of several thousand terms does not compile.
+    """
+    return "0.0" + "".join(
+        " + " + "*".join([repr(float(c))] + ["%s%d" % (var, k) for k in idx])
+        for c, idx in terms)
+
+
+def _names(var, n) -> str:
+    return ", ".join(f"{var}{k}" for k in range(n))
+
+
+def _dot(template, n) -> str:
+    """'0.0 + ...' summing template.format(k=k) over k: sum()'s order."""
+    return "0.0" + "".join(" + " + template.format(k=k) for k in range(n))
+
+
+def _compile(lines):
+    namespace = dict(_NAMESPACE)
+    exec(compile("\n".join(lines) + "\n", "<swsos rk4 kernel>", "exec"),
+         namespace)
+    return namespace["kernel"]
+
+
+def _rk4_lines(n, stage, h):
+    """Lines of one RK4 step from x0.. to y0.. with step `h` (a name).
+
+    stage(var, s) gives the lines that set ks_0.. to the field at var0..;
+    hh = h/2 and h6 = h/6 must be bound.
+    """
+    cols = range(n)
+    lines = stage("x", 1)
+    for s, hk in ((2, "hh"), (3, "hh"), (4, h)):
+        lines += [f"y{k} = x{k} + {hk} * k{s - 1}_{k}" for k in cols]
+        lines += stage("y", s)
+    return lines + [f"y{k} = x{k} + h6 * (k1_{k} + 2 * k2_{k} + 2 * k3_{k}"
+                    f" + k4_{k})" for k in cols]
+
+
+def _indent(lines, depth):
+    return ["    " * depth + line for line in lines]
+
+
+def smooth_kernel(fields, chis):
+    """Compile the smooth RK4 segment loop of xdot = F(x) for rk4_smooth_run.
 
     fields: one term list per component of F; chis: one term list per
-    boundary variety.  Returns (states, code, boundary index): the
-    accepted states from x0 on, one row each, the STOP_* code, and the
-    index of the boundary whose chi changed sign or came within `band`
-    of zero (-1 for the other codes).  The escaping or boundary-flagged
-    state is the last row.
+    boundary variety.  The kernel is
+    kernel(x, h, max_steps, ball_stop, lo, hi, band) -> (flat, code, b), with
+    x, lo and hi lists of floats and flat the accepted states row after row;
+    see rk4_smooth_run for the rules.
     """
-    n = x0.shape[0]
-    nb = len(chis)
-    lo = np.asarray(box_lo, dtype=np.float64).tolist()
-    hi = np.asarray(box_hi, dtype=np.float64).tolist()
-    h = float(h)
-    hh = 0.5 * h
-    h6 = h / 6.0
-    cols = range(n)
+    n = len(fields)
+    X, Y = _names("x", n), _names("y", n)
 
-    x = np.asarray(x0, dtype=np.float64).tolist()
-    flat = list(x)          # accepted states, row after row
+    def stage(var, s):
+        return [f"k{s}_{k} = {_expr(f, var)}" for k, f in enumerate(fields)]
 
-    def states():
-        return np.array(flat).reshape(-1, n)
+    step = _rk4_lines(n, stage, "h") + [f"flat += [{Y}]"]
+    for k in range(n):
+        step += [f"if not (isfinite(y{k}) and lo{k} <= y{k} <= hi{k}):",
+                 f"    return flat, {STOP_ESCAPED}, -1"]
+    for b, chi in enumerate(chis):
+        step += [f"q = {_expr(chi, 'y')}",
+                 f"if q * p{b} < 0.0 or abs(q) <= band:",
+                 f"    return flat, {STOP_BOUNDARY}, {b}",
+                 f"p{b} = q"]
+    step += [f"[{X}] = [{Y}]"]
+    lines = [
+        "def kernel(x, h, max_steps, ball_stop, lo, hi, band):",
+        f"    [{X}] = x",
+        f"    [{_names('lo', n)}] = lo",
+        f"    [{_names('hi', n)}] = hi",
+        "    hh = 0.5 * h",
+        "    h6 = h / 6.0",
+        f"    flat = [{X}]",
+        *(f"    p{b} = {_expr(chi, 'x')}" for b, chi in enumerate(chis)),
+        "    for _ in range(max_steps):",
+        f"        if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
+        f"            return flat, {STOP_CONVERGED}, -1",
+        *_indent(step, 2),
+        f"    return flat, {STOP_MAXSTEPS}, -1",
+    ]
+    return _compile(lines)
 
-    chi_prev = [eval_terms(t, x) for t in chis]
-    for step in range(max_steps):
-        if math.sqrt(sum(v * v for v in x)) <= ball_stop:
-            return states(), STOP_CONVERGED, -1
-        k1 = [eval_terms(t, x) for t in fields]
-        xs = [x[k] + hh * k1[k] for k in cols]
-        k2 = [eval_terms(t, xs) for t in fields]
-        xs = [x[k] + hh * k2[k] for k in cols]
-        k3 = [eval_terms(t, xs) for t in fields]
-        xs = [x[k] + h * k3[k] for k in cols]
-        k4 = [eval_terms(t, xs) for t in fields]
-        xn = [x[k] + h6 * (k1[k] + 2 * k2[k] + 2 * k3[k] + k4[k]) for k in cols]
-        flat.extend(xn)
-        for k in cols:
-            v = xn[k]
-            if not math.isfinite(v) or v < lo[k] or v > hi[k]:
-                return states(), STOP_ESCAPED, -1
-        for b in range(nb):
-            chi = eval_terms(chis[b], xn)
-            if chi * chi_prev[b] < 0.0 or abs(chi) <= band:
-                return states(), STOP_BOUNDARY, b
-            chi_prev[b] = chi
-        x = xn
-    return states(), STOP_MAXSTEPS, -1
+
+def rk4_smooth_run(kernel, x0, h, max_steps, ball_stop, box_lo, box_hi, band):
+    """Fixed-step RK4 on xdot = F(x) until something stops the segment.
+
+    kernel: smooth_kernel(fields, chis) of F and the boundary varieties.
+    Each step starts with |x| <= ball_stop (STOP_CONVERGED); the new state
+    is accepted, and a non-finite or out-of-box one is STOP_ESCAPED; a
+    boundary whose chi changed sign or came within `band` of zero is
+    STOP_BOUNDARY; max_steps steps are STOP_MAXSTEPS.  Returns (states,
+    code, boundary index): the accepted states from x0 on, one row each,
+    the STOP_* code and the boundary's index (-1 for the other codes).  The
+    escaping or boundary-flagged state is the last row.
+    """
+    flat, code, b = kernel(np.asarray(x0, dtype=np.float64).tolist(), float(h),
+                           max_steps, ball_stop,
+                           np.asarray(box_lo, dtype=np.float64).tolist(),
+                           np.asarray(box_hi, dtype=np.float64).tolist(), band)
+    return np.array(flat).reshape(-1, len(x0)), code, b
 
 
 # -- RK4 sliding segment --------------------------------------------------------
@@ -138,7 +207,7 @@ def sliding_field(n, fi, fj):
     floats.  alpha = <n, F_j> / <n, F_j - F_i> and F_s = alpha*F_i +
     (1-alpha)*F_j, the convex combination tangent to {chi = 0}.  None
     when |<n, F_j - F_i>| < TANGENCY_TOL: both fields are tangent and
-    alpha is undefined.
+    alpha is undefined.  sliding_kernel emits this formula inline.
     """
     num = den = 0.0
     for nk, u, v in zip(n, fi, fj):
@@ -151,86 +220,99 @@ def sliding_field(n, fi, fj):
     return [a * u + b * v for u, v in zip(fi, fj)], a
 
 
-def rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop, box_lo,
-                    box_hi, event_tol, band):
-    """Fixed-step RK4 on the sliding field of one boundary until an exit.
+def sliding_kernel(grad, fi, fj, chi):
+    """Compile the sliding RK4 segment loop on {chi = 0} for rk4_sliding_run.
 
     grad, fi, fj: one term list per component of the variety's gradient,
-    F_i and F_j; chi: the variety's term list.  Each step starts at (x, t)
-    with the exits, in this order: |x| <= ball_stop (STOP_CONVERGED),
-    |chi(x)| > band (STOP_OFF_VARIETY), tangency at x (STOP_TANGENCY) and
-    alpha outside [0, 1] (STOP_ALPHA).  It then takes hs = min(h, t_end - t)
-    (tangency at a later stage is STOP_TANGENCY too), makes up to three
-    Newton steps back onto chi = 0, stopping once |chi| <= event_tol or
-    the gradient vanishes, and sets t += hs.  A non-finite or out-of-box
-    state ends the run (STOP_ESCAPED); reaching t_end is STOP_MAXSTEPS.
+    F_i and F_j; chi: the variety's term list.  The kernel is
+    kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band)
+    -> (flat, times, alphas, x, t, code), with x, lo and hi lists of floats
+    and flat the accepted states row after row; see rk4_sliding_run for the
+    rules.
+    """
+    n = len(fi)
+    cols = range(n)
+    X, Y = _names("x", n), _names("y", n)
+
+    def stop(code):
+        return f"    return flat, times, alphas, [{X}], t, {code}"
+
+    def stage(var, s):
+        # sliding_field at var0..: tangency exits the run; the first stage's
+        # weight is the step's alpha, and outside [0, 1] it exits too
+        lines = [f"{name}{k} = {_expr(p, var)}"
+                 for name, vec in (("n", grad), ("u", fi), ("v", fj))
+                 for k, p in enumerate(vec)]
+        lines += [f"den = {_dot('n{k} * (v{k} - u{k})', n)}",
+                  f"if abs(den) < {TANGENCY_TOL!r}:", stop(STOP_TANGENCY),
+                  f"a = ({_dot('n{k} * v{k}', n)}) / den"]
+        if s == 1:
+            lines += ["if not 0.0 <= a <= 1.0:", stop(STOP_ALPHA), "alpha = a"]
+        return lines + ["w = 1.0 - a"] + [f"k{s}_{k} = a * u{k} + w * v{k}"
+                                         for k in cols]
+
+    project = [f"c = {_expr(chi, 'y')}",
+               "if abs(c) <= event_tol:",
+               "    break",
+               *(f"g{k} = {_expr(p, 'y')}" for k, p in enumerate(grad)),
+               f"nn = {_dot('g{k} * g{k}', n)}",
+               "if nn == 0.0:",
+               "    break",
+               "s = c / nn",
+               *(f"y{k} = y{k} - s * g{k}" for k in cols)]
+    step = [
+        f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:", stop(STOP_CONVERGED),
+        f"if abs({_expr(chi, 'x')}) > band:", stop(STOP_OFF_VARIETY),
+        "dt = t_end - t",
+        "hs = dt if dt < h else h",
+        "hh = 0.5 * hs",
+        "h6 = hs / 6.0",
+        *_rk4_lines(n, stage, "hs"),
+        "for _ in range(3):",
+        *_indent(project, 1),
+        "t += hs",
+        f"[{X}] = [{Y}]",
+        f"if not ({' and '.join(f'lo{k} <= x{k} <= hi{k}' for k in cols)}):",
+        stop(STOP_ESCAPED),
+        f"flat += [{X}]",
+        "times.append(t)",
+        "alphas.append(alpha)",
+    ]
+    lines = [
+        "def kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band):",
+        f"    [{X}] = x",
+        f"    [{_names('lo', n)}] = lo",
+        f"    [{_names('hi', n)}] = hi",
+        "    t_stop = t_end - 1e-15",
+        "    flat, times, alphas = [], [], []",
+        "    while t < t_stop:",
+        *_indent(step, 2),
+        stop(STOP_MAXSTEPS),
+    ]
+    return _compile(lines)
+
+
+def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
+                    event_tol, band):
+    """Fixed-step RK4 on the sliding field of one boundary until an exit.
+
+    kernel: sliding_kernel(grad, fi, fj, chi) of the variety and both
+    fields.  Each step starts at (x, t) with the exits, in this order:
+    |x| <= ball_stop (STOP_CONVERGED), |chi(x)| > band (STOP_OFF_VARIETY),
+    tangency at x (STOP_TANGENCY) and alpha outside [0, 1] (STOP_ALPHA).
+    It then takes hs = min(h, t_end - t) (tangency at a later stage is
+    STOP_TANGENCY too), makes up to three Newton steps back onto chi = 0,
+    stopping once |chi| <= event_tol or the gradient vanishes, and sets
+    t += hs.  A non-finite or out-of-box state ends the run (STOP_ESCAPED);
+    reaching t_end is STOP_MAXSTEPS.
 
     Returns (states, times, alphas, x, t, code): the accepted states
     (m, n) with their times and the alpha of each step's start, and the
     state and time the run stopped at.  The escaping state is that stop
     state and not an accepted row.
     """
-    n = len(x0)
-    cols = range(n)
-    lo = np.asarray(box_lo, dtype=np.float64).tolist()
-    hi = np.asarray(box_hi, dtype=np.float64).tolist()
-    h = float(h)
-    t = float(t0)
-    t_stop = t_end - 1e-15
-    x = np.asarray(x0, dtype=np.float64).tolist()
-    flat, times, alphas = [], [], []
-
-    def field(xs):
-        return sliding_field([eval_terms(p, xs) for p in grad],
-                             [eval_terms(p, xs) for p in fi],
-                             [eval_terms(p, xs) for p in fj])
-
-    code = STOP_MAXSTEPS
-    while t < t_stop:
-        if math.sqrt(sum(v * v for v in x)) <= ball_stop:
-            code = STOP_CONVERGED
-            break
-        if abs(eval_terms(chi, x)) > band:
-            code = STOP_OFF_VARIETY
-            break
-        r = field(x)
-        if r is None:
-            code = STOP_TANGENCY
-            break
-        k1, alpha = r
-        if not 0.0 <= alpha <= 1.0:
-            code = STOP_ALPHA
-            break
-        hs = min(h, t_end - t)
-        hh = 0.5 * hs
-        ks = [k1]
-        for hk in (hh, hh, hs):
-            r = field([x[k] + hk * ks[-1][k] for k in cols])
-            if r is None:
-                break
-            ks.append(r[0])
-        if r is None:
-            code = STOP_TANGENCY
-            break
-        k1, k2, k3, k4 = ks
-        h6 = hs / 6.0
-        xn = [x[k] + h6 * (k1[k] + 2 * k2[k] + 2 * k3[k] + k4[k]) for k in cols]
-        for _ in range(3):
-            c = eval_terms(chi, xn)
-            if abs(c) <= event_tol:
-                break
-            g = [eval_terms(p, xn) for p in grad]
-            nn = sum(v * v for v in g)
-            if nn == 0.0:
-                break
-            s = c / nn
-            xn = [xn[k] - s * g[k] for k in cols]
-        t += hs
-        x = xn
-        if not all(lo[k] <= x[k] <= hi[k] for k in cols):   # NaN fails too
-            code = STOP_ESCAPED
-            break
-        flat.extend(x)
-        times.append(t)
-        alphas.append(alpha)
-    return np.array(flat).reshape(-1, n), times, alphas, x, t, code
+    flat, times, alphas, x, t, code = kernel(
+        np.asarray(x0, dtype=np.float64).tolist(), float(t0), float(t_end),
+        float(h), ball_stop, np.asarray(box_lo, dtype=np.float64).tolist(),
+        np.asarray(box_hi, dtype=np.float64).tolist(), event_tol, band)
+    return np.array(flat).reshape(-1, len(x0)), times, alphas, x, t, code

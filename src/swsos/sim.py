@@ -6,11 +6,14 @@ sliding dynamics from the convexified inclusion when the adjacent normal
 components point at each other.  Codimension >= 2 strata stop the run
 (stratum_stop) instead of guessing a selection from the convex hull.
 
-Both inner loops run in the RK4 segment kernels of _kernels, on the term
-lists each field and boundary polynomial caches: rk4_smooth_run inside a
-region, rk4_sliding_run along a boundary variety.  Event handling, the
-decisions between crossing and sliding, the chattering guard and the
-switched Lyapunov value (one batch evaluation per segment) live here.
+Both inner loops run in RK4 segment kernels that _kernels generates from
+the term lists each field and boundary polynomial caches: rk4_smooth_run
+inside a region, rk4_sliding_run along a boundary variety.  simulate
+compiles each region's and each boundary's kernel once per run, on first
+use; the small nudge off a boundary after an event is one step of the
+region's smooth kernel.  Event handling, the decisions between crossing
+and sliding, the chattering guard and the switched Lyapunov value (one
+batch evaluation per segment) live here.
 """
 
 from __future__ import annotations
@@ -219,10 +222,13 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     x = np.asarray(x0, dtype=float)
     if not sys.in_box(x):
         raise ValueError(f"x0 {x.tolist()} is outside the system box")
-    lo, hi = sys.box
+    box_lo, box_hi = (v.tolist() for v in sys.box)
     traj = Trajectory()
-    fields = {}             # rid -> field at its theta, built once per run
-    grads = {}              # boundary pair -> chi gradient, built once per run
+    # built once per run, on first use
+    fields = {}             # rid -> field at its theta
+    grads = {}              # boundary pair -> chi gradient
+    smooth_kernels = {}     # rid -> _kernels.smooth_kernel of its field
+    sliding_kernels = {}    # boundary pair -> _kernels.sliding_kernel
     chis = [b.chi._term_list() for b in sys.boundaries]
 
     def field_of(rid):
@@ -234,6 +240,21 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         if b.pair not in grads:
             grads[b.pair] = b.chi.gradient()
         return grads[b.pair]
+
+    def smooth_kernel_of(rid):
+        if rid not in smooth_kernels:
+            smooth_kernels[rid] = _kernels.smooth_kernel(
+                [p._term_list() for p in field_of(rid)], chis)
+        return smooth_kernels[rid]
+
+    def sliding_kernel_of(b):
+        if b.pair not in sliding_kernels:
+            i, j = b.pair
+            sliding_kernels[b.pair] = _kernels.sliding_kernel(
+                *([p._term_list() for p in v]
+                  for v in (grad_of(b), field_of(i), field_of(j))),
+                b.chi._term_list())
+        return sliding_kernels[b.pair]
 
     def add_point(t, xx, mode, rid=None):
         psi = None
@@ -328,17 +349,22 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
         if state == "smooth":
             F = field_of(rid)
-            # nudge off the boundary if the previous event left us on it
+            kernel = smooth_kernel_of(rid)
+            # nudge off the boundary if the previous event left us on it:
+            # one step of the region's kernel, called directly because a
+            # nudge is not a segment (the stepped state is the last row)
             guard = 0
             while any(abs(b.chi(x)) <= 2 * cfg.event_tol for b in sys.boundaries) \
                     and guard < 8:
-                x = _rk4_step(F, x, h * 1e-3)
+                flat = kernel(x.tolist(), h * 1e-3, 1, -1.0, box_lo, box_hi,
+                              cfg.event_tol)[0]
+                x = np.array(flat[-x.shape[0]:])
                 t += h * 1e-3
                 guard += 1
             max_steps = max(int(np.ceil((cfg.t_end - t) / h)), 1)
             states, code, bidx = _kernels.rk4_smooth_run(
-                [p._term_list() for p in F], chis, np.ascontiguousarray(x), h,
-                max_steps, cfg.ball_stop, lo, hi, cfg.event_tol)
+                kernel, x, h, max_steps, cfg.ball_stop, box_lo, box_hi,
+                cfg.event_tol)
             accepted = states[1:states.shape[0] - (1 if code in
                               (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else 0)]
             add_segment([t + k * h for k in range(1, accepted.shape[0] + 1)],
@@ -398,11 +424,8 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             i, j = pair
             b = sys.boundary(i, j)
             states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
-                [p._term_list() for p in grad_of(b)],
-                [p._term_list() for p in field_of(i)],
-                [p._term_list() for p in field_of(j)], b.chi._term_list(),
-                x, t, cfg.t_end, h, cfg.ball_stop, lo, hi, cfg.event_tol,
-                SLIDING_BAND * cfg.event_tol)
+                sliding_kernel_of(b), x, t, cfg.t_end, h, cfg.ball_stop,
+                box_lo, box_hi, cfg.event_tol, SLIDING_BAND * cfg.event_tol)
             x = np.array(x)
             add_segment(times, states, f"sliding:{i},{j}", i, alphas)
             step_counter += len(times)
@@ -432,13 +455,13 @@ def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
     dim = len(traj.points[0].x) if traj.points else 0
     cols = ["t"] + [f"x{k + 1}" for k in range(dim)] + ["mode", "alpha", "psi"]
     fh.write("\t".join(cols) + "\n")
-    for p in traj.points:
-        row = [f"{p.t:.9g}"] + [f"{v:.12g}" for v in p.x] + [
-            p.mode,
-            "" if p.alpha is None else f"{p.alpha:.9g}",
-            "" if p.psi is None else f"{p.psi:.12g}",
-        ]
-        fh.write("\t".join(row) + "\n")
+    row = "%.9g\t" + "%.12g\t" * dim + "%s\t%s\t%s\n"
+    xs = np.array([p.x for p in traj.points]).tolist()
+    fh.write("".join([
+        row % (p.t, *x, p.mode,
+               "" if p.alpha is None else "%.9g" % p.alpha,
+               "" if p.psi is None else "%.12g" % p.psi)
+        for p, x in zip(traj.points, xs)]))
     fh.write("\n# events\n# t\tkind\tdetail\n")
     for (t, kind, detail) in traj.events:
         fh.write(f"{t:.9g}\t{kind}\t{detail}\n")

@@ -1,6 +1,13 @@
-"""The plain-float kernels against the numpy expressions they replaced:
-term-list evaluation, batch evaluation and the RK4 segment run must match
-those references to rounding (tolerances below absorb the difference)."""
+"""The plain-float kernels against the references they replaced.
+
+Term-list evaluation, batch evaluation and the RK4 segment runs match the
+numpy expressions to rounding (tolerances below absorb the difference).
+The generated RK4 kernels and the emitted expressions match the term-list
+interpreters they replaced bit for bit: those interpreters are kept here
+as references.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +28,7 @@ def test_rk4_run_converges_on_linear_decay():
     # xdot = -x with no boundaries
     x0 = np.array([1.0])
     states, code, bidx = _kernels.rk4_smooth_run(
-        [((-1.0, (0,)),)], [], x0, 0.01, 2000, 1e-4,
+        _kernels.smooth_kernel([((-1.0, (0,)),)], []), x0, 0.01, 2000, 1e-4,
         np.array([-2.0]), np.array([2.0]), 1e-9)
     assert code == _kernels.STOP_CONVERGED
     assert bidx == -1
@@ -32,8 +39,8 @@ def test_rk4_run_converges_on_linear_decay():
 def test_rk4_run_escape_detection():
     # xdot = +x blows out of the box
     states, code, _ = _kernels.rk4_smooth_run(
-        [((1.0, (0,)),)], [], np.array([1.0]), 0.01, 10000, 1e-6,
-        np.array([-2.0]), np.array([2.0]), 1e-9)
+        _kernels.smooth_kernel([((1.0, (0,)),)], []), np.array([1.0]), 0.01,
+        10000, 1e-6, np.array([-2.0]), np.array([2.0]), 1e-9)
     assert code == _kernels.STOP_ESCAPED
     assert states[-1, 0] > 2.0
 
@@ -41,8 +48,9 @@ def test_rk4_run_escape_detection():
 def test_rk4_run_boundary_flag():
     # xdot = (1, 0) crossing the chi = x1 variety from the left
     states, code, bidx = _kernels.rk4_smooth_run(
-        [((1.0, ()),), ()], [((1.0, (0,)),)], np.array([-0.05, 0.0]), 0.01,
-        100, 1e-9, np.array([-2.0, -2.0]), np.array([2.0, 2.0]), 1e-9)
+        _kernels.smooth_kernel([((1.0, ()),), ()], [((1.0, (0,)),)]),
+        np.array([-0.05, 0.0]), 0.01, 100, 1e-9, np.array([-2.0, -2.0]),
+        np.array([2.0, 2.0]), 1e-9)
     assert code == _kernels.STOP_BOUNDARY
     assert bidx == 0
     assert states[-2, 0] < 0.0 <= states[-1, 0] + 1e-9
@@ -152,18 +160,21 @@ def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
     return states, _kernels.STOP_MAXSTEPS, -1
 
 
-@pytest.mark.parametrize("rid, theta, x0", [
+_SMOOTH_CASES = [
     (1, (0.5, 0.5), (1.0, 1.0)),        # stays inside for all 500 steps
     (1, (0.0, 1.0), (0.05, 0.4)),       # rotates into the x1 = 0 boundary
     (2, (1.0,), (0.5, -0.6)),
-])
+]
+
+
+@pytest.mark.parametrize("rid, theta, x0", _SMOOTH_CASES)
 def test_rk4_term_list_matches_numpy_reference(quadrant_system, rid, theta, x0):
     F = quadrant_system.field_at(rid, theta)
     chis = [b.chi for b in quadrant_system.boundaries]
     lo, hi = quadrant_system.box
     tail = (np.array(x0), 1e-3, 500, 1e-4, lo, hi, 1e-9)
-    s1, c1, b1 = _kernels.rk4_smooth_run(
-        [p._term_list() for p in F], [c._term_list() for c in chis], *tail)
+    s1, c1, b1 = _kernels.rk4_smooth_run(_kernels.smooth_kernel(
+        [p._term_list() for p in F], [c._term_list() for c in chis]), *tail)
     s2, c2, b2 = _ref_rk4_smooth_run(*_pack(F), *_pack(chis), *tail)
     assert (c1, b1) == (c2, b2)
     assert s1.shape == s2.shape
@@ -174,7 +185,8 @@ def test_rk4_term_list_escape_matches_numpy_reference():
     # xdot = x^3 blows up in finite time and leaves the box
     F = [Polynomial.monomial(1, (3,))]
     tail = (np.array([1.5]), 1e-2, 500, 1e-6, np.array([-4.0]), np.array([4.0]), 1e-9)
-    s1, c1, _ = _kernels.rk4_smooth_run([p._term_list() for p in F], [], *tail)
+    s1, c1, _ = _kernels.rk4_smooth_run(
+        _kernels.smooth_kernel([p._term_list() for p in F], []), *tail)
     s2, c2, _ = _ref_rk4_smooth_run(*_pack(F), *_pack([]), *tail)
     assert c1 == c2 == _kernels.STOP_ESCAPED
     assert np.allclose(s1, s2, rtol=1e-12, atol=0.0)
@@ -195,8 +207,9 @@ def _const(c):
 def _slide(fi, fj, x0, t_end=1.0, h=0.01, ball_stop=1e-6, chi=_CHI,
            grad=_GRAD, band=1e-8):
     # event_tol 1e-9
-    return _kernels.rk4_sliding_run(grad, fi, fj, chi, np.array(x0), 0.0,
-                                    t_end, h, ball_stop, *_BOX, 1e-9, band)
+    return _kernels.rk4_sliding_run(_kernels.sliding_kernel(grad, fi, fj, chi),
+                                    np.array(x0), 0.0, t_end, h, ball_stop,
+                                    *_BOX, 1e-9, band)
 
 
 def test_sliding_field_formula():
@@ -366,26 +379,318 @@ def _ref_rk4_sliding_run(grad, Fi, Fj, chi, x0, t0, t_end, h, ball_stop,
     return done(_kernels.STOP_MAXSTEPS)
 
 
-@pytest.mark.parametrize("chi, fi, fj, x0, t_end, code", [
+_SLIDING_CASES = [
     # quadrant-cubic at theta = 1 from its sliding entry on x1*x2 = 0
     ("x1*x2", ("-x1", "-x2^3"), ("-0.5*x2", "x1^3 - x2^3"),
      (-2.0882007185443494, -2.6728439166817664e-10), 0.7005,
      _kernels.STOP_MAXSTEPS),
     # alpha = 1 / (2 - x1) leaves [0, 1] once x1 passes 1
     ("x2", ("1", "x1 - 1"), ("1", "1"), (0.5, 0.0), 2.0, _kernels.STOP_ALPHA),
-])
-def test_rk4_sliding_run_matches_numpy_reference(chi, fi, fj, x0, t_end, code):
+]
+
+
+def _sliding_case(chi, fi, fj, x0, t_end):
     from swsos.poly import parse_polynomial, parse_vector
     chi = parse_polynomial(chi, 2)
     Fi, Fj, grad = parse_vector(fi, 2), parse_vector(fj, 2), chi.gradient()
     tail = (np.array(x0), 0.0, t_end, 1e-3, 1e-4, np.array([-3.0, -3.0]),
             np.array([3.0, 3.0]), 1e-9, 1e-8)
+    return grad, Fi, Fj, chi, tail
+
+
+@pytest.mark.parametrize("chi, fi, fj, x0, t_end, code", _SLIDING_CASES)
+def test_rk4_sliding_run_matches_numpy_reference(chi, fi, fj, x0, t_end, code):
+    grad, Fi, Fj, chi, tail = _sliding_case(chi, fi, fj, x0, t_end)
     s1, t1, a1, x1, end1, c1 = _kernels.rk4_sliding_run(
-        *([p._term_list() for p in v] for v in (grad, Fi, Fj)),
-        chi._term_list(), *tail)
+        _kernels.sliding_kernel(
+            *([p._term_list() for p in v] for v in (grad, Fi, Fj)),
+            chi._term_list()), *tail)
     s2, t2, a2, x2, end2, c2 = _ref_rk4_sliding_run(grad, Fi, Fj, chi, *tail)
     assert c1 == c2 == code
     assert t1 == t2 and end1 == end2 and len(t1) > 400
     assert np.allclose(a1, a2, rtol=1e-12, atol=0.0)
     assert np.allclose(s1, s2, rtol=1e-12, atol=1e-15)
     assert np.allclose(x1, x2, rtol=1e-12, atol=1e-15)
+
+
+# -- generated kernels against the term-list interpreters they replaced -------
+
+def _interp_rk4_smooth_run(fields, chis, x0, h, max_steps, ball_stop, box_lo,
+                           box_hi, band):
+    # the interpreted smooth segment loop, term list by term list
+    n = x0.shape[0]
+    nb = len(chis)
+    lo = np.asarray(box_lo, dtype=np.float64).tolist()
+    hi = np.asarray(box_hi, dtype=np.float64).tolist()
+    h = float(h)
+    hh = 0.5 * h
+    h6 = h / 6.0
+    cols = range(n)
+    eval_terms = _kernels.eval_terms
+
+    x = np.asarray(x0, dtype=np.float64).tolist()
+    flat = list(x)
+
+    def states():
+        return np.array(flat).reshape(-1, n)
+
+    chi_prev = [eval_terms(t, x) for t in chis]
+    for step in range(max_steps):
+        if math.sqrt(sum(v * v for v in x)) <= ball_stop:
+            return states(), _kernels.STOP_CONVERGED, -1
+        k1 = [eval_terms(t, x) for t in fields]
+        xs = [x[k] + hh * k1[k] for k in cols]
+        k2 = [eval_terms(t, xs) for t in fields]
+        xs = [x[k] + hh * k2[k] for k in cols]
+        k3 = [eval_terms(t, xs) for t in fields]
+        xs = [x[k] + h * k3[k] for k in cols]
+        k4 = [eval_terms(t, xs) for t in fields]
+        xn = [x[k] + h6 * (k1[k] + 2 * k2[k] + 2 * k3[k] + k4[k]) for k in cols]
+        flat.extend(xn)
+        for k in cols:
+            v = xn[k]
+            if not math.isfinite(v) or v < lo[k] or v > hi[k]:
+                return states(), _kernels.STOP_ESCAPED, -1
+        for b in range(nb):
+            chi = eval_terms(chis[b], xn)
+            if chi * chi_prev[b] < 0.0 or abs(chi) <= band:
+                return states(), _kernels.STOP_BOUNDARY, b
+            chi_prev[b] = chi
+        x = xn
+    return states(), _kernels.STOP_MAXSTEPS, -1
+
+
+def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
+                            box_lo, box_hi, event_tol, band):
+    # the interpreted sliding segment loop, term list by term list
+    n = len(x0)
+    cols = range(n)
+    lo = np.asarray(box_lo, dtype=np.float64).tolist()
+    hi = np.asarray(box_hi, dtype=np.float64).tolist()
+    h = float(h)
+    t = float(t0)
+    t_stop = t_end - 1e-15
+    x = np.asarray(x0, dtype=np.float64).tolist()
+    flat, times, alphas = [], [], []
+    eval_terms = _kernels.eval_terms
+
+    def field(xs):
+        return _kernels.sliding_field([eval_terms(p, xs) for p in grad],
+                                      [eval_terms(p, xs) for p in fi],
+                                      [eval_terms(p, xs) for p in fj])
+
+    code = _kernels.STOP_MAXSTEPS
+    while t < t_stop:
+        if math.sqrt(sum(v * v for v in x)) <= ball_stop:
+            code = _kernels.STOP_CONVERGED
+            break
+        if abs(eval_terms(chi, x)) > band:
+            code = _kernels.STOP_OFF_VARIETY
+            break
+        r = field(x)
+        if r is None:
+            code = _kernels.STOP_TANGENCY
+            break
+        k1, alpha = r
+        if not 0.0 <= alpha <= 1.0:
+            code = _kernels.STOP_ALPHA
+            break
+        hs = min(h, t_end - t)
+        hh = 0.5 * hs
+        ks = [k1]
+        for hk in (hh, hh, hs):
+            r = field([x[k] + hk * ks[-1][k] for k in cols])
+            if r is None:
+                break
+            ks.append(r[0])
+        if r is None:
+            code = _kernels.STOP_TANGENCY
+            break
+        k1, k2, k3, k4 = ks
+        h6 = hs / 6.0
+        xn = [x[k] + h6 * (k1[k] + 2 * k2[k] + 2 * k3[k] + k4[k]) for k in cols]
+        for _ in range(3):
+            c = eval_terms(chi, xn)
+            if abs(c) <= event_tol:
+                break
+            g = [eval_terms(p, xn) for p in grad]
+            nn = sum(v * v for v in g)
+            if nn == 0.0:
+                break
+            s = c / nn
+            xn = [xn[k] - s * g[k] for k in cols]
+        t += hs
+        x = xn
+        if not all(lo[k] <= x[k] <= hi[k] for k in cols):
+            code = _kernels.STOP_ESCAPED
+            break
+        flat.extend(x)
+        times.append(t)
+        alphas.append(alpha)
+    return np.array(flat).reshape(-1, n), times, alphas, x, t, code
+
+
+def _assert_smooth_exact(result, fields, chis, *tail):
+    # result: rk4_smooth_run on the kernel of fields and chis, with tail
+    s1, c1, b1 = result
+    s2, c2, b2 = _interp_rk4_smooth_run(fields, chis, *tail)
+    assert (c1, b1) == (c2, b2)
+    assert s1.shape == s2.shape and np.array_equal(s1, s2)
+    return c1
+
+
+def _assert_sliding_exact(result, grad, fi, fj, chi, *tail):
+    # result: rk4_sliding_run on the kernel of grad, fi, fj and chi, with tail
+    s1, t1, a1, x1, end1, c1 = result
+    s2, t2, a2, x2, end2, c2 = _interp_rk4_sliding_run(grad, fi, fj, chi, *tail)
+    assert c1 == c2
+    assert s1.shape == s2.shape and np.array_equal(s1, s2)
+    assert t1 == t2 and a1 == a2 and x1 == x2 and end1 == end2
+    return c1
+
+
+def _smooth_exact(fields, chis, *tail):
+    result = _kernels.rk4_smooth_run(_kernels.smooth_kernel(fields, chis), *tail)
+    return _assert_smooth_exact(result, fields, chis, *tail)
+
+
+def _sliding_exact(grad, fi, fj, chi, *tail):
+    result = _kernels.rk4_sliding_run(
+        _kernels.sliding_kernel(grad, fi, fj, chi), *tail)
+    return _assert_sliding_exact(result, grad, fi, fj, chi, *tail)
+
+
+def _terms(vec):
+    return [p._term_list() for p in vec]
+
+
+@pytest.mark.parametrize("rid, theta, x0", _SMOOTH_CASES)
+def test_smooth_kernel_bit_identical_to_interpreter(quadrant_system, rid,
+                                                    theta, x0):
+    F = quadrant_system.field_at(rid, theta)
+    chis = [b.chi._term_list() for b in quadrant_system.boundaries]
+    lo, hi = quadrant_system.box
+    _smooth_exact(_terms(F), chis, np.array(x0), 1e-3, 500, 1e-4,
+                         lo, hi, 1e-9)
+
+
+@pytest.mark.parametrize("fields, chis, x0, h, max_steps, ball_stop, box, code", [
+    # the cases of the tests above: decay, blow-up, x1 = 0 crossing, x^3
+    ([((-1.0, (0,)),)], [], (1.0,), 0.01, 2000, 1e-4, 2.0,
+     _kernels.STOP_CONVERGED),
+    ([((1.0, (0,)),)], [], (1.0,), 0.01, 10000, 1e-6, 2.0,
+     _kernels.STOP_ESCAPED),
+    ([((1.0, ()),), ()], [((1.0, (0,)),)], (-0.05, 0.0), 0.01, 100, 1e-9, 2.0,
+     _kernels.STOP_BOUNDARY),
+    ([((1.0, (0, 0, 0)),)], [], (1.5,), 1e-2, 500, 1e-6, 4.0,
+     _kernels.STOP_ESCAPED),
+])
+def test_smooth_kernel_bit_identical_on_unit_cases(fields, chis, x0, h,
+                                                   max_steps, ball_stop, box,
+                                                   code):
+    n = len(x0)
+    assert _smooth_exact(fields, chis, np.array(x0), h, max_steps, ball_stop,
+                         np.full(n, -box), np.full(n, box), 1e-9) == code
+
+
+@pytest.mark.parametrize("chi, fi, fj, x0, t_end, code", _SLIDING_CASES)
+def test_sliding_kernel_bit_identical_to_interpreter(chi, fi, fj, x0, t_end,
+                                                     code):
+    grad, Fi, Fj, chi, tail = _sliding_case(chi, fi, fj, x0, t_end)
+    assert _sliding_exact(_terms(grad), _terms(Fi), _terms(Fj),
+                          chi._term_list(), *tail) == code
+
+
+@pytest.mark.parametrize("fi, fj, x0, kw, code", [
+    # the cases of the _slide tests above, one per exit
+    ([_const(1), _const(-1)], [_const(-1), _const(1)], (0.5, 0.0),
+     {"t_end": 0.105}, _kernels.STOP_MAXSTEPS),
+    ([_const(1), _const(-1)], [_const(-1), _const(1)], (0.5, 0.2),
+     {"t_end": 0.01, "chi": ((1.0, (1,)), (1.0, (1, 1))),
+      "grad": [(), ((1.0, ()), (2.0, (1,)))], "band": 0.5},
+     _kernels.STOP_MAXSTEPS),
+    ([_const(1), _const(-1)], [_const(1), ((1.0, (0,)),)], (0.5, 0.0),
+     {"t_end": 0.1}, _kernels.STOP_MAXSTEPS),
+    ([((-1.0, (0,)),), _const(-1)], [((-1.0, (0,)),), _const(1)], (1e-3, 0.0),
+     {"t_end": 10.0, "ball_stop": 1e-4}, _kernels.STOP_CONVERGED),
+    ([_const(1), _const(-1)], [_const(1), _const(1)], (1.5, 0.0), {},
+     _kernels.STOP_ESCAPED),
+    ([_const(1), _const(-1)], [_const(-1), _const(1)], (0.5, 1e-3), {},
+     _kernels.STOP_OFF_VARIETY),
+    ([_const(1), ()], [_const(-1), ()], (0.5, 0.0), {},
+     _kernels.STOP_TANGENCY),
+    ([_const(1), ((-1.0, (0,)),)], [_const(1), ((1.0, (0,)),)], (-0.25, 0.0),
+     {"h": 0.5}, _kernels.STOP_TANGENCY),
+    ([(), _const(-1)], [(), _const(-2)], (0.5, 0.0), {}, _kernels.STOP_ALPHA),
+])
+def test_sliding_kernel_bit_identical_on_unit_cases(fi, fj, x0, kw, code):
+    args = {"t_end": 1.0, "h": 0.01, "ball_stop": 1e-6, "chi": _CHI,
+            "grad": _GRAD, "band": 1e-8, **kw}
+    assert _sliding_exact(
+        args["grad"], fi, fj, args["chi"], np.array(x0), 0.0, args["t_end"],
+        args["h"], args["ball_stop"], *_BOX, 1e-9, args["band"]) == code
+
+
+def test_kernels_bit_identical_on_chattering_run(quadrant_system, monkeypatch):
+    # every segment simulate runs from (0.3, -2) at theta = 1: chattering
+    # smooth segments at halved steps and [chattering] sliding stretches
+    from swsos.cli import _theta_table
+    from swsos.sim import SimConfig, simulate
+
+    sources = {}            # compiled kernel -> the term lists it came from
+    codes = []
+
+    def compiled(factory):
+        def build(*terms):
+            kernel = factory(*terms)
+            sources[kernel] = terms
+            return kernel
+        return build
+
+    def smooth_run(kernel, *tail):
+        result = smooth(kernel, *tail)
+        codes.append(_assert_smooth_exact(result, *sources[kernel], *tail))
+        return result
+
+    def sliding_run(kernel, *tail):
+        result = sliding(kernel, *tail)
+        codes.append(_assert_sliding_exact(result, *sources[kernel], *tail))
+        return result
+
+    smooth, sliding = _kernels.rk4_smooth_run, _kernels.rk4_sliding_run
+    monkeypatch.setattr(_kernels, "smooth_kernel",
+                        compiled(_kernels.smooth_kernel))
+    monkeypatch.setattr(_kernels, "sliding_kernel",
+                        compiled(_kernels.sliding_kernel))
+    monkeypatch.setattr(_kernels, "rk4_smooth_run", smooth_run)
+    monkeypatch.setattr(_kernels, "rk4_sliding_run", sliding_run)
+    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
+    traj = simulate(quadrant_system, (0.3, -2.0), cfg)
+    assert traj.event_kinds().count("sliding_entry") == 7
+    assert codes.count(_kernels.STOP_BOUNDARY) > 400
+    assert codes.count(_kernels.STOP_ALPHA) == 7
+
+
+def test_expr_matches_eval_terms():
+    rng = np.random.default_rng(11)
+    polys = []
+    for dim in (1, 2, 3):
+        for deg in range(7):
+            coeffs, exps = _random_packed(rng, dim=dim, deg=deg, nterms=10)
+            polys.append((dim, _kernels.compile_terms(coeffs, exps)))
+    polys += [
+        (2, ((float("1e400"), (0,)), (-float("1e400"), (1, 1)), (0.5, ()))),
+        (3, ((-3.25, ()),)),            # constant only
+        (2, ()),                        # an empty component
+    ]
+    for dim, terms in polys:
+        src = _kernels._expr(terms, "x")
+        for x in [rng.uniform(-2, 2, size=dim).tolist(), [0.0] * dim,
+                  [-0.0] * dim]:
+            env = {**_kernels._NAMESPACE,
+                   **{f"x{k}": v for k, v in enumerate(x)}}
+            # repr tells every float apart, -0.0 from 0.0 included
+            assert repr(eval(src, env)) == repr(_kernels.eval_terms(terms, x))
+    assert _kernels._expr((), "x") == "0.0"
+    assert _kernels._expr(((2.5, (0, 0, 1)), (-1.0, ())), "y") == (
+        "0.0 + 2.5*y0*y0*y1 + -1.0")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from swsos.sim import (SimConfig, StratumStop, Tangency, detect_crossing,
-                       simulate, sliding_weight, step_smooth,
-                       write_trajectory)
+from swsos import _kernels
+from swsos.poly import parse_polynomial
+from swsos.sim import (SimConfig, StratumStop, Tangency, Trajectory,
+                       _rk4_step, detect_crossing, simulate, sliding_weight,
+                       step_smooth, write_trajectory)
 from swsos.system import parse_system
 
 
@@ -252,3 +254,70 @@ def test_write_trajectory_format(tmp_path, opposing_system):
     assert lines[0] == "# manifest abc123"
     assert lines[1].split("\t")[:3] == ["t", "x1", "x2"]
     assert "# events" in "\n".join(lines)
+
+
+@pytest.mark.parametrize("rid, theta, x", [
+    (1, (0.5, 0.5), (0.0, 1.3)),
+    (1, (0.0, 1.0), (0.7, 0.0)),
+    (2, (1.0,), (-1.2, 0.0)),
+    (1, (1.0, 0.0), (0.0, 0.0)),        # at the origin: no ball stop
+])
+def test_nudge_step_is_one_rk4_step(quadrant_system, rid, theta, x):
+    # simulate nudges off x1*x2 = 0 with one step of the region's kernel
+    F = quadrant_system.field_at(rid, theta)
+    kernel = _kernels.smooth_kernel(
+        [p._term_list() for p in F],
+        [b.chi._term_list() for b in quadrant_system.boundaries])
+    lo, hi = (v.tolist() for v in quadrant_system.box)
+    h = 1e-3
+    flat = kernel(list(x), h * 1e-3, 1, -1.0, lo, hi, 1e-9)[0]
+    assert np.array_equal(np.array(flat[-2:]), _rk4_step(F, x, h * 1e-3))
+
+
+def test_nudge_step_row_is_last_on_escape():
+    # F = (1, -1) from the box edge x1 = 2: the stepped state escapes
+    sys_ = _two_sided(["1", "-1"], ["1", "1"])
+    F = sys_.field_at(1, (1.0,))
+    kernel = _kernels.smooth_kernel([p._term_list() for p in F],
+                                    [b.chi._term_list() for b in sys_.boundaries])
+    flat, code, _ = kernel([2.0, 0.0], 1e-3, 1, -1.0, [-2.0, -2.0], [2.0, 2.0],
+                           1e-9)
+    assert code == _kernels.STOP_ESCAPED
+    assert np.array_equal(np.array(flat[-2:]), _rk4_step(F, (2.0, 0.0), 1e-3))
+
+
+def _per_row_writer(traj, fh, manifest_hash=""):
+    # the one-f-string-per-value writer write_trajectory replaced
+    if manifest_hash:
+        fh.write(f"# manifest {manifest_hash}\n")
+    dim = len(traj.points[0].x) if traj.points else 0
+    cols = ["t"] + [f"x{k + 1}" for k in range(dim)] + ["mode", "alpha", "psi"]
+    fh.write("\t".join(cols) + "\n")
+    for p in traj.points:
+        row = [f"{p.t:.9g}"] + [f"{v:.12g}" for v in p.x] + [
+            p.mode,
+            "" if p.alpha is None else f"{p.alpha:.9g}",
+            "" if p.psi is None else f"{p.psi:.12g}",
+        ]
+        fh.write("\t".join(row) + "\n")
+    fh.write("\n# events\n# t\tkind\tdetail\n")
+    for (t, kind, detail) in traj.events:
+        fh.write(f"{t:.9g}\t{kind}\t{detail}\n")
+
+
+def test_write_trajectory_matches_per_row_writer():
+    # smooth points (psi, no alpha), sliding points (alpha and psi) and the
+    # stopped point (neither)
+    import io
+    v = parse_polynomial("x1^2 + 3*x2^2 + 0.1*x1*x2", 2)
+    traj = simulate(_two_sided(["-x1", "-1"], ["-x1", "1"]), (1.0, 0.5),
+                    SimConfig(step=1e-3, t_end=20.0), certificate={1: v, 2: v})
+    modes = {p.mode.split(":")[0] for p in traj.points}
+    assert modes == {"smooth", "sliding", "stopped"}
+    assert any(p.alpha is None and p.psi is not None for p in traj.points)
+    assert traj.points[-1].alpha is None and traj.points[-1].psi is None
+    for t, manifest in ((traj, ""), (traj, "abc123"), (Trajectory(), "")):
+        got, ref = io.StringIO(), io.StringIO()
+        write_trajectory(t, got, manifest_hash=manifest)
+        _per_row_writer(t, ref, manifest_hash=manifest)
+        assert got.getvalue() == ref.getvalue()
