@@ -1,18 +1,19 @@
 """Hot numeric kernels: polynomial evaluation and RK4 segment runs.
 
-Scalar evaluation compiles each polynomial once into a term list of
-(coefficient, variable indices), one index per unit of exponent, and
-evaluates it in plain Python floats with one multiply per factor, which
-avoids numpy's per-call overhead on polynomials of a few terms.  The two
-RK4 segment kernels, one for a smooth stretch inside a region and one for
-a Filippov sliding stretch on a boundary variety, are generated from the
-term lists each `Polynomial` caches: `smooth_kernel` and `sliding_kernel`
-emit the whole segment loop as straight-line Python source, unrolled over
-the dimension, and compile it; `rk4_smooth_run` and `rk4_sliding_run` run
-a compiled kernel.  The emitted arithmetic is `eval_terms`' and
-`sliding_field`'s, in the same order, so the values are those of
-interpreting the term lists, bit for bit.  Batch evaluation builds
-per-variable power columns by repeated multiplication.
+Each polynomial compiles once into a term list of (coefficient, variable
+indices), one index per unit of exponent, and `eval_terms` is its one
+evaluator: one multiply per factor, in plain Python floats at one point,
+which avoids numpy's per-call overhead on polynomials of a few terms, or
+elementwise on one column per variable at many points, with the same
+multiplies and adds.  The two RK4 segment kernels, one for a smooth
+stretch inside a region and one for a Filippov sliding stretch on a
+boundary variety, are generated from the term lists each `Polynomial`
+caches: `smooth_kernel` and `sliding_kernel` emit the whole segment loop
+as straight-line Python source, unrolled over the dimension, and compile
+it; `rk4_smooth_run` and `rk4_sliding_run` run a compiled kernel.  The
+emitted arithmetic is `eval_terms`' and `sliding_field`'s, in the same
+order, so the values are those of interpreting the term lists, bit for
+bit.
 """
 from __future__ import annotations
 
@@ -37,20 +38,27 @@ STOP_ALPHA = 6              # the sliding weight left [0, 1]
 TANGENCY_TOL = 1e-12
 
 
-# -- term lists: plain-float evaluation -------------------------------------
+# -- term lists: the one polynomial evaluator --------------------------------
 
 def compile_terms(coeffs, exps) -> tuple:
-    """Packed (coeffs, exps) -> ((c, (k, ...)), ...); x1^3*x2 -> (c, (0, 0, 0, 1))."""
+    """Coefficients and exponent rows -> ((c, (k, ...)), ...).
+
+    x1^3*x2 -> (c, (0, 0, 0, 1)): one variable index per unit of exponent.
+    """
     return tuple(
         (float(c), tuple(k for k, e in enumerate(row) for _ in range(e)))
-        for c, row in zip(np.asarray(coeffs).tolist(), np.asarray(exps).tolist()))
+        for c, row in zip(coeffs, exps))
 
 
-def eval_terms(terms, x) -> float:
-    """Evaluate a compiled term list at x, a list of Python floats.
+def eval_terms(terms, x):
+    """Evaluate a compiled term list at x, one entry per variable.
 
-    Repeated multiplication overflows to inf like numpy does, where
-    `float ** int` would raise OverflowError.
+    Entries of x are Python floats (one point; returns a float) or equal
+    length float arrays (one column per variable; returns an array, or a
+    float when no term reads a variable).  Either way every value comes
+    from the same multiplies and adds in the same order.  Repeated
+    multiplication overflows to inf, where `float ** int` would raise
+    OverflowError.
     """
     total = 0.0
     for c, idx in terms:
@@ -58,25 +66,6 @@ def eval_terms(terms, x) -> float:
             c *= x[k]
         total += c
     return total
-
-
-# -- batch evaluation ---------------------------------------------------------
-
-def eval_poly_batch(coeffs, exps, X):
-    """Evaluate packed (coeffs, exps) at every row of X (m, n)."""
-    # per variable: power rows X[:, k]^0..X[:, k]^top by repeated
-    # multiplication, gathered by each term's exponent
-    prods = np.ones((exps.shape[0], X.shape[0]))
-    for k in range(exps.shape[1]):
-        top = int(exps[:, k].max(initial=0))
-        if top == 0:
-            continue
-        pows = np.empty((top + 1, X.shape[0]))
-        pows[0] = 1.0
-        for e in range(1, top + 1):
-            pows[e] = pows[e - 1] * X[:, k]
-        prods *= pows[exps[:, k]]
-    return coeffs @ prods
 
 
 # -- generated RK4 segment kernels ---------------------------------------------

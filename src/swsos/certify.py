@@ -50,7 +50,6 @@ class CertificationConfig:
     margin_nu: float = 1e-4
     pd_epsilon: float = 1e-4
     use_attractivity_filter: bool = True
-    attractivity_kappa: float = 1e-4
 
     def __post_init__(self):
         if self.lyapunov_degree < 2 or self.lyapunov_degree % 2 != 0:
@@ -268,8 +267,7 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
         cross_pairs = []
         attractive = []
         for b in sys.boundaries:
-            status = check_attractivity(sys, (b.i, b.j),
-                                        kappa=cfg.attractivity_kappa)
+            status = check_attractivity(sys, (b.i, b.j))
             if status != NOT_ATTRACTIVE:
                 # sliding not ruled out (or test inconclusive): keep the
                 # cross conditions for both orderings

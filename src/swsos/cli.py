@@ -31,7 +31,7 @@ from .certify import (CERTIFIED, NO_CERTIFICATE, CertificationConfig,
 from .oracle import OracleConfig, verify_certificate
 from .poly import PolynomialParseError, parse_polynomial
 from .sim import SimConfig, simulate, write_trajectory
-from .system import SystemFormatError, load_system
+from .system import SIMPLEX_TOL, SystemFormatError, load_system
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -215,7 +215,8 @@ def cmd_simulate(args) -> int:
         thetas = [(f"theta{v:g}", _theta_table(sys_, v)) for v in sweep]
     elif args.theta:
         weights = _parse_floats(args.theta, "--theta")
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        # field_at's own test, so an accepted theta is never refused later
+        if any(w < 0 for w in weights) or abs(np.sum(weights) - 1.0) > SIMPLEX_TOL:
             raise InputError(f"--theta {weights} is not on the simplex")
         table = {rid: tuple(weights) for rid, dyn in sys_.dynamics.items()
                  if dyn.count == len(weights)}
@@ -257,10 +258,14 @@ def cmd_verify(args) -> int:
     # conditions only apply there.  Plain Lyapunov files check every pair.
     pairs = doc.get("attractive_pairs")
     if pairs is not None:
-        if not (isinstance(pairs, list)
-                and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        known = sorted(b.pair for b in sys_.boundaries)
+        declared = set(known) | {(j, i) for i, j in known}
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, list) and all(type(r) is int for r in p)
+                and tuple(p) in declared for p in pairs)):
             raise InputError(
-                f"{args.lyapunov}: 'attractive_pairs' must be a list of [i, j] pairs")
+                f"{args.lyapunov}: 'attractive_pairs' must be a list of [i, j] "
+                f"pairs naming declared boundaries {known}")
         pairs = {tuple(p) for p in pairs}
     cfg = _config(OracleConfig, seed=args.seed, tolerance=args.tolerance)
     manifest = make_manifest("verify", [args.system, args.lyapunov],

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .poly import Polynomial, lie_derivative
 from .system import SwitchedSystem, SemiAlgebraicRegion, BoundaryVariety
 
@@ -161,12 +160,7 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     lo, hi = _sampling_box(sys, cfg)
     n = len(lo)
-    terms = boundary.chi._term_list()
-
-    def chi(P):
-        # columns in, so every product is the scalar evaluation's, elementwise
-        v = _kernels.eval_terms(terms, [P[:, k] for k in range(n)])
-        return v if isinstance(v, np.ndarray) else np.full(P.shape[0], v)
+    chi = boundary.chi.eval_many
 
     need = cfg.boundary_samples
     allowed = 50 * cfg.boundary_samples

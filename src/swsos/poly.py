@@ -2,7 +2,9 @@
 
 Monomials are exponent tuples; the canonical term order everywhere is
 graded lexicographic (total degree first, then x1 before x2, ...), which
-keeps Gram indexing and all serialized output deterministic.
+keeps Gram indexing and all serialized output deterministic.  Evaluation,
+at one point or at many, runs the polynomial's cached term list through
+`_kernels.eval_terms`.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ def grlex_key(mono: Monomial):
 class Polynomial:
     """Immutable sparse polynomial in n variables."""
 
-    __slots__ = ("dim", "terms", "_arrays", "_compiled")
+    __slots__ = ("dim", "terms", "_compiled")
 
     def __init__(self, dim: int, terms: dict | None = None):
         if dim < 1:
@@ -47,7 +49,6 @@ class Polynomial:
                     del clean[mono]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_arrays", None)
         object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, *a):
@@ -155,20 +156,11 @@ class Polynomial:
         return hash((self.dim, frozenset(self.terms.items())))
 
     # -- evaluation ----------------------------------------------------
-    def _packed(self):
-        arrs = object.__getattribute__(self, "_arrays")
-        if arrs is None:
-            monos = self.support()
-            coeffs = np.array([self.terms[m] for m in monos], dtype=np.float64)
-            exps = np.array(monos, dtype=np.int64).reshape(len(monos), self.dim)
-            arrs = (coeffs, exps)
-            object.__setattr__(self, "_arrays", arrs)
-        return arrs
-
     def _term_list(self):
         terms = self._compiled
         if terms is None:
-            terms = _kernels.compile_terms(*self._packed())
+            monos = self.support()
+            terms = _kernels.compile_terms([self.terms[m] for m in monos], monos)
             object.__setattr__(self, "_compiled", terms)
         return terms
 
@@ -179,14 +171,17 @@ class Polynomial:
         return _kernels.eval_terms(self._term_list(), x.tolist())
 
     def eval_many(self, X) -> np.ndarray:
-        """Evaluate at every row of X (m, n)."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        """Evaluate at every row of X (m, n).
+
+        The term list runs on one contiguous column per variable, so every
+        value is the scalar call's, bit for bit: eval_many(X)[k] == self(X[k]).
+        """
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points have shape {X.shape}, expected (m, {self.dim})")
-        if not self.terms:
-            return np.zeros(X.shape[0])
-        coeffs, exps = self._packed()
-        return _kernels.eval_poly_batch(coeffs, exps, X)
+        v = _kernels.eval_terms(self._term_list(), list(X.T.copy()))
+        # a constant or zero polynomial never touches a column
+        return v if isinstance(v, np.ndarray) else np.full(X.shape[0], v)
 
     # -- calculus ------------------------------------------------------
     def diff(self, k: int) -> "Polynomial":

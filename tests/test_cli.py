@@ -84,14 +84,15 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     ["simulate", QUAD, "--x0", "1,1", "--step", "nan"],
     ["simulate", QUAD, "--x0", "1,1", "--t-end", "inf"],
     ["simulate", QUAD, "--x0", "1,1", "--theta-sweep", "1.5"],
+    ["simulate", QUAD, "--x0", "1,1", "--theta", "0.5,0.5000000001"],
     ["certify", QUAD, "--degree", "5"],
     ["--tolerance", "0", "certify", QUAD],
     ["--seed", "-1", "verify", QUAD, PUBLISHED_V],
     ["--seed", "-1", "validate", QUAD],
     ["--seed", "-1", "certify", QUAD],
 ], ids=["step-0", "t-end-negative", "step-nan", "t-end-inf",
-        "sweep-off-simplex", "odd-degree", "tolerance-0", "verify-seed-negative",
-        "validate-seed-negative", "certify-seed-negative"])
+        "sweep-off-simplex", "theta-near-simplex", "odd-degree", "tolerance-0",
+        "verify-seed-negative", "validate-seed-negative", "certify-seed-negative"])
 def test_rejected_option_values_are_input_errors(tmp_path, capsys, args):
     assert run(args, tmp_path) == 1
     err = capsys.readouterr().err
@@ -106,13 +107,28 @@ def test_rejected_option_values_are_input_errors(tmp_path, capsys, args):
      "attractive_pairs": 5},
     {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
      "attractive_pairs": [[1, 2, 3]]},
+    {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
+     "attractive_pairs": [["1", "2"]]},
+    {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
+     "attractive_pairs": [[1, 3]]},
 ], ids=["top-level-list", "entry-not-string", "pairs-not-list",
-        "pair-of-three"])
+        "pair-of-three", "pair-of-strings", "pair-not-a-boundary"])
 def test_verify_malformed_lyapunov_file_is_input_error(tmp_path, capsys, doc):
     bad = tmp_path / "bad.lyap"
     bad.write_text(json.dumps(doc))
     assert run(["verify", QUAD, str(bad)], tmp_path) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("pairs, lie_boundary", [([[2, 1]], 3), ([], 0)],
+                         ids=["reversed-pair", "no-pairs"])
+def test_verify_accepts_declared_pairs(tmp_path, capsys, pairs, lie_boundary):
+    doc = json.loads(open(PUBLISHED_V).read())
+    doc["attractive_pairs"] = pairs
+    lyap = tmp_path / "pairs.lyap"
+    lyap.write_text(json.dumps(doc))
+    assert run(["verify", QUAD, str(lyap)], tmp_path) == 0
+    assert capsys.readouterr().out.count("lie_boundary") == lie_boundary
 
 
 def test_verify_reads_the_lyapunov_file_once(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,8 @@
 """The plain-float kernels against the references they replaced.
 
-Term-list evaluation, batch evaluation and the RK4 segment runs match the
-numpy expressions to rounding (tolerances below absorb the difference).
+Term-list evaluation, at one point and on columns, and the RK4 segment
+runs match the numpy expressions to rounding (tolerances below absorb the
+difference); on columns it equals the one-point evaluation bit for bit.
 The generated RK4 kernels and the emitted expressions match the term-list
 interpreters they replaced bit for bit: those interpreters are kept here
 as references.
@@ -66,12 +67,49 @@ def _ref_eval_batch(coeffs, exps, X):
     return np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
 
 
-def test_eval_poly_batch_matches_numpy_reference():
+def _coeffs_exps(p):
+    # p as packed (coeffs, exps) arrays, in its grlex term order
+    monos = p.support()
+    return (np.array([p.terms[m] for m in monos], dtype=np.float64),
+            np.array(monos, dtype=np.int64).reshape(len(monos), p.dim))
+
+
+def test_eval_many_matches_numpy_reference():
     rng = np.random.default_rng(1)
     coeffs, exps = _random_packed(rng, dim=3, deg=4)
+    p = Polynomial(3, {tuple(e): c for c, e in zip(coeffs, exps.tolist())})
     X = rng.uniform(-2, 2, size=(500, 3))
-    assert np.allclose(_kernels.eval_poly_batch(coeffs, exps, X),
-                       _ref_eval_batch(coeffs, exps, X), rtol=1e-12, atol=1e-13)
+    assert np.allclose(p.eval_many(X), _ref_eval_batch(coeffs, exps, X),
+                       rtol=1e-12, atol=1e-13)
+
+
+# inf * 0.0 is nan in both evaluations; numpy also warns about it
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_eval_many_equals_scalar_call_bit_for_bit():
+    rng = np.random.default_rng(5)
+    polys = []
+    for dim in (1, 2, 3):
+        for deg in range(7):
+            coeffs, exps = _random_packed(rng, dim=dim, deg=deg, nterms=10)
+            polys.append(Polynomial(dim, {tuple(e): c for c, e
+                                          in zip(coeffs, exps.tolist())}))
+    polys += [
+        Polynomial(2, {(1, 0): 1e400, (1, 1): -0.5, (0, 0): 0.25}),
+        Polynomial.constant(3, -3.25),
+        Polynomial.zero(2),
+        Polynomial(3, {(2, 0, 1): 1.5, (0, 0, 4): -0.5}),   # x2 in no term
+    ]
+    for p in polys:
+        X = rng.uniform(-2, 2, size=(60, p.dim))
+        X[:3] = 0.0
+        X[3] = -0.0
+        big = rng.uniform(-2, 2, size=(60, 2 * p.dim))
+        for pts in (X, np.asfortranarray(X), big[:, ::2], X[::3]):
+            got = p.eval_many(pts)
+            assert got.shape == (pts.shape[0],)
+            # repr tells every float apart, -0.0 from 0.0 and nan included
+            assert [repr(v) for v in got.tolist()] == [repr(p(x)) for x in pts]
+        assert p.eval_many(np.zeros((0, p.dim))).shape == (0,)
 
 
 def test_term_list_matches_numpy_reference():
@@ -106,7 +144,7 @@ def test_eval_many_edge_cases_match_reference():
     absent = Polynomial(3, {(2, 0, 1): 1.5, (0, 0, 4): -0.5, (1, 0, 0): 2.0})
     const = Polynomial.constant(3, -3.25)
     for p in (absent, const):
-        coeffs, exps = p._packed()
+        coeffs, exps = _coeffs_exps(p)
         assert np.allclose(p.eval_many(X), _ref_eval_batch(coeffs, exps, X),
                            rtol=1e-13, atol=1e-13)
         assert p.eval_many(np.zeros((0, 3))).shape == (0,)
@@ -114,7 +152,7 @@ def test_eval_many_edge_cases_match_reference():
 
 def _pack(polys):
     # the packed (coeffs, exps, offsets) form the reference loop reads
-    packed = [p._packed() for p in polys]
+    packed = [_coeffs_exps(p) for p in polys]
     off = np.cumsum([0] + [len(c) for c, _ in packed])
     if not packed:
         return np.zeros(0), np.zeros((0, 1), dtype=np.int64), off
