@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,7 @@ class SdpProblem:
     meta: dict = field(default_factory=dict)
 
     def validate(self):
+        """Raise ValueError on a malformed block, key or non-finite value."""
         sizes = dict(self.psd_blocks)
         if len(sizes) != len(self.psd_blocks):
             dup = [b for b, k in Counter(b for b, _ in self.psd_blocks).items() if k > 1]
@@ -44,7 +46,8 @@ class SdpProblem:
         if any(s < 1 for s in sizes.values()):
             raise ValueError("PSD block sizes must be >= 1")
         scalars = set(self.free_scalars)
-        for terms, _ in self.equality_rows:
+        rows = self.equality_rows
+        for terms, _ in rows:
             for key in terms:
                 if key[0] == "s":
                     if key[1] not in scalars:
@@ -57,6 +60,12 @@ class SdpProblem:
                         raise ValueError(f"entry ({i},{j}) out of range for block {b!r}")
                 else:
                     raise ValueError(f"unknown variable key {key!r}")
+        values = np.fromiter(chain(chain.from_iterable(terms.values() for terms, _ in rows),
+                                   (rhs for _, rhs in rows)), dtype=np.float64)
+        if not np.isfinite(values).all():
+            bad = next(r for r, (terms, rhs) in enumerate(rows)
+                       if not np.isfinite([rhs, *terms.values()]).all())
+            raise ValueError(f"row {bad} has a non-finite coefficient or right-hand side")
 
 
 @dataclass

@@ -131,15 +131,21 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     pts = (points if points is not None
            else _candidate_points(_sampling_box(sys, cfg), cfg, rng))
-    keep = np.linalg.norm(pts, axis=1) >= cfg.exclusion_radius
+    keep, warns = _region_keep(region, pts, np.linalg.norm(pts, axis=1), cfg)
+    return pts[keep], warns
+
+
+def _region_keep(region: SemiAlgebraicRegion, pts, norms, cfg: OracleConfig):
+    """(mask, warnings) of sample_region, given the norms of the points."""
+    keep = norms >= cfg.exclusion_radius
     keep &= region.contains_many(pts, cfg.tolerance)
-    out = pts[keep]
+    count = int(keep.sum())
     warns = []
-    if out.shape[0] == 0:
+    if count == 0:
         warns.append(f"region {region.rid}: zero sample survivors")
-    elif out.shape[0] < 100:
-        warns.append(f"region {region.rid}: only {out.shape[0]} sample survivors")
-    return out, warns
+    elif count < 100:
+        warns.append(f"region {region.rid}: only {count} sample survivors")
+    return keep, warns
 
 
 def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
@@ -238,15 +244,14 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
         raise ValueError(f"no Lyapunov polynomial for regions {missing}")
 
     shared = _candidate_points(_sampling_box(sys, cfg), cfg, rng)
+    shared_norms = np.linalg.norm(shared, axis=1)
 
-    region_pts = {}
     for rid, region in sorted(sys.regions.items()):
-        pts, warns = sample_region(sys, region, cfg, rng, points=shared)
-        region_pts[region.rid] = pts
+        keep, warns = _region_keep(region, shared, shared_norms, cfg)
+        pts, norms = shared[keep], shared_norms[keep]
         report.warnings.extend(warns)
 
         V = lyapunov[region.rid]
-        norms = np.linalg.norm(pts, axis=1)
         sc = _scale(norms, V.degree())
         # positivity: V must dominate a tolerance-sized quadratic
         viol = (cfg.tolerance * norms ** 2 - V.eval_many(pts)) / sc

@@ -179,7 +179,9 @@ class Polynomial:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points have shape {X.shape}, expected (m, {self.dim})")
-        v = _kernels.eval_terms(self._term_list(), list(X.T.copy()))
+        # inf and nan come out as in the scalar call, which does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _kernels.eval_terms(self._term_list(), list(X.T.copy()))
         # a constant or zero polynomial never touches a column
         return v if isinstance(v, np.ndarray) else np.full(X.shape[0], v)
 

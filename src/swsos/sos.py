@@ -5,10 +5,16 @@ free-multiplier combinations of equality generators, minus SOS-multiplier
 combinations of inequality generators must equal one master SOS form.
 Everything is flattened coefficient-wise into an abstract block-PSD
 feasibility program, which `solve` (imported from `backend`) solves.
+
+A Gram block's coefficients depend only on its basis and its generator, and
+the same pair recurs across constraints (the box generators sit in all of
+them), so `assemble` builds one entry table per pair and call and reuses it;
+only the variable keys are made per block.  Nothing outlives the call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
@@ -50,8 +56,19 @@ class LinPoly:
                 self.terms[tuple(mono)] = cleaned
 
     @staticmethod
+    def _clean(dim: int, terms: dict) -> "LinPoly":
+        """__init__ without the copy: drop exact zeros of fresh float terms."""
+        for m in [m for m, e in terms.items() if 0.0 in e.values()]:
+            terms[m] = {k: v for k, v in terms[m].items() if v != 0.0}
+            if not terms[m]:
+                del terms[m]
+        out = object.__new__(LinPoly)
+        out.dim, out.terms = dim, terms
+        return out
+
+    @staticmethod
     def from_poly(p: Polynomial) -> "LinPoly":
-        return LinPoly(p.dim, {m: {None: c} for m, c in p.terms.items()})
+        return LinPoly._clean(p.dim, {m: {None: c} for m, c in p.terms.items()})
 
     @staticmethod
     def decision(dim: int, name: str, monomials) -> "LinPoly":
@@ -77,7 +94,7 @@ class LinPoly:
             acc = t.setdefault(m, {})
             for k, v in expr.items():
                 acc[k] = acc.get(k, 0.0) + v
-        return LinPoly(self.dim, t)
+        return LinPoly._clean(self.dim, t)
 
     def __sub__(self, other):
         if isinstance(other, Polynomial):
@@ -85,30 +102,27 @@ class LinPoly:
         return self + other.scale(-1.0)
 
     def scale(self, c: float) -> "LinPoly":
-        return LinPoly(self.dim, {m: {k: v * c for k, v in e.items()} for m, e in self.terms.items()})
+        c = float(c)
+        return LinPoly._clean(self.dim, {m: {k: v * c for k, v in e.items()}
+                                         for m, e in self.terms.items()})
 
     def mul_poly(self, p: Polynomial) -> "LinPoly":
         t = {}
         for m1, expr in self.terms.items():
             for m2, c in p.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc = t.setdefault(m, {})
+                acc = t.setdefault(tuple(map(add, m1, m2)), {})
                 for k, v in expr.items():
                     acc[k] = acc.get(k, 0.0) + v * c
-        return LinPoly(self.dim, t)
+        return LinPoly._clean(self.dim, t)
 
     def diff(self, k: int) -> "LinPoly":
+        # m -> m - e_k is one-to-one, so nothing is summed
         t = {}
         for m, expr in self.terms.items():
-            if m[k] == 0:
-                continue
-            dm = list(m)
-            dm[k] -= 1
-            dm = tuple(dm)
-            acc = t.setdefault(dm, {})
-            for key, v in expr.items():
-                acc[key] = acc.get(key, 0.0) + v * m[k]
-        return LinPoly(self.dim, t)
+            e = m[k]
+            if e:
+                t[m[:k] + (e - 1,) + m[k + 1:]] = {key: v * e for key, v in expr.items()}
+        return LinPoly._clean(self.dim, t)
 
     def lie(self, F) -> "LinPoly":
         """<grad self, F> for a fixed PolyVector F."""
@@ -239,7 +253,30 @@ def assemble(constraints, identities=()) -> SdpProblem:
             scalars[name] = True
             problem.free_scalars.append(name)
 
-    gram_layout = {}   # block id -> (basis, constraint id, role)
+    gram_layout = {}   # block id -> basis
+    # (dim, half degree, min degree, generator terms) -> (basis, ij, entries),
+    # entries: row monomial -> (indices into ij, -w * generator coefficient)
+    tables = {}
+
+    def add_gram_block(rows, bid, dim, half, lo, gen_terms):
+        key = (dim, half, lo, gen_terms)
+        if key not in tables:
+            basis = gram_basis(dim, half, min_half_deg=lo)
+            ij = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+            entries = {}
+            for p, (i, j) in enumerate(ij):
+                z, w = tuple(map(add, basis[i], basis[j])), 1.0 if i == j else 2.0
+                for mono_g, c in gen_terms:
+                    ps, cs = entries.setdefault(tuple(map(add, z, mono_g)), ([], []))
+                    ps.append(p)
+                    cs.append(-w * c)
+            tables[key] = (basis, ij, entries)
+        basis, ij, entries = tables[key]
+        gram_layout[bid] = list(basis)
+        problem.psd_blocks.append((bid, len(basis)))
+        keys = [("e", bid, i, j) for i, j in ij]
+        for m, (ps, cs) in entries.items():   # no (row, key) pair repeats
+            rows.setdefault(m, {}).update(zip(map(keys.__getitem__, ps), cs))
 
     for cons in constraints:
         dim = cons.dim
@@ -250,32 +287,19 @@ def assemble(constraints, identities=()) -> SdpProblem:
         d_t = target.degree()
         d0 = _even_up(d_t)
 
-        # rows[mono] = (terms dict, rhs); identity is
-        #   target - sum r a - sum s b - s0 = 0 coefficient-wise
-        rows = {}
-
-        def row(mono):
-            if mono not in rows:
-                rows[mono] = ({}, 0.0)
-            return mono
-
-        def add_var(mono, key, coef):
-            terms, rhs = rows[row(mono)]
-            terms[key] = terms.get(key, 0.0) + coef
-            rows[mono] = (terms, rhs)
-
-        def add_const(mono, value):
-            # moves a known value to the right-hand side
-            terms, rhs = rows[row(mono)]
-            rows[mono] = (terms, rhs - value)
+        # identity target - sum r a - sum s b - s0 = 0 coefficient-wise:
+        # rows[mono] maps variable keys to coefficients, rhs[mono] holds
+        # the known value moved to the right-hand side
+        rows, rhs = {}, {}
 
         # target
         for mono, expr in target.terms.items():
+            row = rows[mono] = {}
             for k, v in expr.items():
                 if k is None:
-                    add_const(mono, v)
+                    rhs[mono] = -v
                 else:
-                    add_var(mono, ("s", k), v)
+                    row[("s", k)] = v
 
         # free multipliers r_i on equality generators
         for idx, a in enumerate(cons.equality_generators):
@@ -284,13 +308,13 @@ def assemble(constraints, identities=()) -> SdpProblem:
                 # generator degree exceeds the target's: the only multiplier
                 # that keeps the identity balanced is zero, so drop it
                 continue
-            rbasis = monomial_basis(dim, cap)
-            for mono_r in rbasis:
+            for mono_r in monomial_basis(dim, cap):
                 var = ("s", f"{cons.cid}:r{idx}[{_mono_tag(mono_r)}]")
                 declare_scalar(var[1])
                 for mono_a, ca in a.terms.items():
-                    m = tuple(x + y for x, y in zip(mono_r, mono_a))
-                    add_var(m, var, -ca)
+                    row = rows.setdefault(tuple(map(add, mono_r, mono_a)), {})
+                    # summed: a target scalar may carry the same name
+                    row[var] = row.get(var, 0.0) - ca
 
         # When the identity has no constant term and every generator is
         # nonnegative at the origin, each SOS multiplier attached to a
@@ -299,9 +323,8 @@ def assemble(constraints, identities=()) -> SdpProblem:
         # lossless and removes a structurally singular row (the problem
         # would otherwise have no strictly feasible point).
         zero_mono = (0,) * dim
-        zt = rows.get(zero_mono)
         origin_forced = (
-            (zt is None or (not zt[0] and zt[1] == 0.0))
+            not rows.get(zero_mono) and rhs.get(zero_mono, 0.0) == 0.0
             and all(a.terms.get(zero_mono, 0.0) == 0.0 for a in cons.equality_generators)
             and all(b.terms.get(zero_mono, 0.0) >= 0.0 for b in cons.inequality_generators)
         )
@@ -315,34 +338,18 @@ def assemble(constraints, identities=()) -> SdpProblem:
                     f"{cons.cid}: inequality generator {idx} (degree {b.degree()}) "
                     f"exceeds the target degree {d_t}"
                 )
-            bid = f"{cons.cid}:s{idx + 1}"
             lo_j = 1 if (origin_forced and b.terms.get(zero_mono, 0.0) > 0.0) else 0
-            basis = gram_basis(dim, sdeg // 2, min_half_deg=min(lo_j, sdeg // 2))
-            gram_layout[bid] = basis
-            problem.psd_blocks.append((bid, len(basis)))
-            for i in range(len(basis)):
-                for j in range(i, len(basis)):
-                    mz = tuple(x + y for x, y in zip(basis[i], basis[j]))
-                    w = 1.0 if i == j else 2.0
-                    for mono_b, cb in b.terms.items():
-                        m = tuple(x + y for x, y in zip(mz, mono_b))
-                        add_var(m, ("e", bid, i, j), -w * cb)
+            add_gram_block(rows, f"{cons.cid}:s{idx + 1}", dim, sdeg // 2,
+                           min(lo_j, sdeg // 2), tuple(b.terms.items()))
 
-        # master SOS block s0: parity filter on total degree only
+        # master SOS block s0 (generator 1): parity filter on total degree only
         support_min = min((sum(m) for m in rows), default=0)
         lo = (support_min + 1) // 2
-        bid0 = f"{cons.cid}:s0"
-        basis0 = gram_basis(dim, d0 // 2, min_half_deg=min(lo, d0 // 2))
-        gram_layout[bid0] = basis0
-        problem.psd_blocks.append((bid0, len(basis0)))
-        for i in range(len(basis0)):
-            for j in range(i, len(basis0)):
-                m = tuple(x + y for x, y in zip(basis0[i], basis0[j]))
-                w = 1.0 if i == j else 2.0
-                add_var(m, ("e", bid0, i, j), -w)
+        add_gram_block(rows, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
+                       ((zero_mono, 1.0),))
 
         for mono in sorted(rows, key=grlex_key):
-            problem.equality_rows.append(rows[mono])
+            problem.equality_rows.append((rows[mono], rhs.get(mono, 0.0)))
 
     for ident in identities:
         for v in sorted(ident.variables()):

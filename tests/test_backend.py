@@ -95,3 +95,36 @@ def test_validate_rejects_duplicate_block_ids():
     p.psd_blocks.append(("Q", 1))
     with pytest.raises(ValueError, match="duplicate"):
         p.validate()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+def test_validate_rejects_non_finite_coefficient(bad):
+    p = _problem_psd_scalar(1.0)
+    p.free_scalars.append("u")
+    p.equality_rows.append(({("s", "u"): 1.0, ("e", "Q", 0, 0): bad}, 0.0))
+    with pytest.raises(ValueError, match="row 1 has a non-finite"):
+        p.validate()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_validate_rejects_non_finite_rhs(bad):
+    p = _problem_psd_scalar(1.0)
+    p.equality_rows.append(({("e", "Q", 0, 0): 2.0}, bad))
+    with pytest.raises(ValueError, match="row 1 has a non-finite"):
+        p.validate()
+
+
+def test_validate_names_the_first_undeclared_key():
+    # keys are checked in row order, before any value: the first bad key
+    # in that order is the one reported, even with a non-finite value about
+    p = _problem_psd_scalar(float("nan"))
+    p.equality_rows.append(({("e", "Q", 0, 0): 1.0, ("s", "a"): 1.0}, 0.0))
+    p.equality_rows.append(({("s", "b"): 1.0, ("s", "a"): 1.0}, 0.0))
+    with pytest.raises(ValueError, match="undeclared scalar 'a'"):
+        p.validate()
+    p.free_scalars.append("a")
+    with pytest.raises(ValueError, match="undeclared scalar 'b'"):
+        p.validate()
+    p.free_scalars.append("b")
+    with pytest.raises(ValueError, match="row 0 has a non-finite"):
+        p.validate()

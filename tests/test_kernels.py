@@ -83,8 +83,6 @@ def test_eval_many_matches_numpy_reference():
                        rtol=1e-12, atol=1e-13)
 
 
-# inf * 0.0 is nan in both evaluations; numpy also warns about it
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_eval_many_equals_scalar_call_bit_for_bit():
     rng = np.random.default_rng(5)
     polys = []

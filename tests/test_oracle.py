@@ -195,3 +195,34 @@ def test_sample_boundary_matches_one_at_a_time(quadrant_system, chi, cfg_kw):
     assert np.array_equal(pts, ref_pts)
     assert warns == ref_warns
     assert rng_new.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_region_records_match_sample_region(quadrant_system, published_lyapunov,
+                                            seed, sign):
+    # verify_certificate takes the candidates' norms once; the records must
+    # be those of sample_region and the norms of its survivors
+    from swsos.oracle import ConditionRecord, _candidate_points, _scale, _worst
+    from swsos.poly import lie_derivative
+    family = {rid: V * sign for rid, V in published_lyapunov.items()}
+    cfg = OracleConfig(seed=seed)
+    report = verify_certificate(quadrant_system, family, cfg)
+
+    rng = np.random.default_rng(seed)
+    shared = _candidate_points(quadrant_system.box, cfg, rng)
+    expected, warnings = [], []
+    for rid, region in sorted(quadrant_system.regions.items()):
+        pts, warns = sample_region(quadrant_system, region, cfg, rng, points=shared)
+        warnings += warns
+        norms = np.linalg.norm(pts, axis=1)
+        V = family[rid]
+        viol = (cfg.tolerance * norms ** 2 - V.eval_many(pts)) / _scale(norms, V.degree())
+        expected.append(("positivity", f"region {rid}", pts.shape[0], *_worst(viol, pts)))
+        for l, f in enumerate(quadrant_system.dynamics[rid].vertices):
+            lie = lie_derivative(V, f)
+            w = _worst(lie.eval_many(pts) / _scale(norms, lie.degree()), pts)
+            expected.append(("lie_region", f"region {rid}, vertex {l}", pts.shape[0], *w))
+    expected = [ConditionRecord(*e, e[3] <= cfg.tolerance) for e in expected]
+    assert repr(report.records[:len(expected)]) == repr(expected)
+    assert report.warnings[:len(warnings)] == warnings

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,3 +140,14 @@ def test_polyvector_dimension_checks():
         PolyVector([])
     with pytest.raises(ValueError):
         PolyVector([Polynomial.variable(1, 0), Polynomial.variable(2, 0)])
+
+
+@pytest.mark.parametrize("bad", [1e400, -1e400, float("nan")])
+def test_eval_many_non_finite_coefficients_do_not_warn(bad):
+    # inf * 0.0 and nan are computed silently, as the scalar call does
+    p = Polynomial(2, {(1, 0): bad, (0, 1): 1.0, (3, 0): 1e300})
+    X = np.array([[0.0, 1.0], [1.0, 1.0], [1e200, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = p.eval_many(X)
+    assert repr(got.tolist()) == repr([p(x) for x in X])

@@ -1,11 +1,17 @@
+from importlib import import_module
+
 import numpy as np
 import pytest
 
-from swsos.backend import FEASIBLE, INFEASIBLE
+from swsos.backend import FEASIBLE, INFEASIBLE, SdpSolution
 from swsos.poly import Polynomial, monomial_basis, parse_polynomial, parse_vector
 from swsos.sos import (DegreeBookkeepingError, LinPoly, PositivityConstraint,
                        assemble, certificate_from_solution, extract_sos_split,
                        gram_basis, mono_from_tag, solve, sos_decompose)
+
+# swsos.certify the attribute is the function; these are the modules
+certify_module = import_module("swsos.certify")
+sos_module = import_module("swsos.sos")
 
 
 def test_gram_basis_half_degree():
@@ -147,3 +153,336 @@ def test_certificate_from_solution_groups_multipliers():
     resid = (s0 + cert.free_multipliers["c:r0"] * g
              - parse_polynomial("x1^2 + x1", 1)).coeff_norm()
     assert resid < 1e-6
+
+
+# -- assembly against the straightforward reference --------------------------
+#
+# _ref_assemble and the _ref_* LinPoly arithmetic are the plain loops that
+# sos.assemble and LinPoly replaced: every coefficient goes through a
+# (terms, rhs) row tuple or a cleaning LinPoly(...) constructor.  The fast
+# versions must build the very same problem: the same rows with the same
+# key order, bit for bit the same coefficients and right-hand sides.
+
+def _ref_add(self, other):
+    if isinstance(other, Polynomial):
+        other = _ref_from_poly(other)
+    if self.dim != other.dim:
+        raise ValueError("dimension mismatch")
+    t = {m: dict(e) for m, e in self.terms.items()}
+    for m, expr in other.terms.items():
+        acc = t.setdefault(m, {})
+        for k, v in expr.items():
+            acc[k] = acc.get(k, 0.0) + v
+    return LinPoly(self.dim, t)
+
+
+def _ref_sub(self, other):
+    if isinstance(other, Polynomial):
+        other = _ref_from_poly(other)
+    return self + other.scale(-1.0)
+
+
+def _ref_scale(self, c):
+    return LinPoly(self.dim, {m: {k: v * c for k, v in e.items()}
+                              for m, e in self.terms.items()})
+
+
+def _ref_mul_poly(self, p):
+    t = {}
+    for m1, expr in self.terms.items():
+        for m2, c in p.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            acc = t.setdefault(m, {})
+            for k, v in expr.items():
+                acc[k] = acc.get(k, 0.0) + v * c
+    return LinPoly(self.dim, t)
+
+
+def _ref_diff(self, k):
+    t = {}
+    for m, expr in self.terms.items():
+        if m[k] == 0:
+            continue
+        dm = list(m)
+        dm[k] -= 1
+        dm = tuple(dm)
+        acc = t.setdefault(dm, {})
+        for key, v in expr.items():
+            acc[key] = acc.get(key, 0.0) + v * m[k]
+    return LinPoly(self.dim, t)
+
+
+def _ref_lie(self, F):
+    out = LinPoly(self.dim)
+    for k in range(self.dim):
+        out = out + self.diff(k).mul_poly(F[k])
+    return out
+
+
+def _ref_from_poly(p):
+    return LinPoly(p.dim, {m: {None: c} for m, c in p.terms.items()})
+
+
+def _ref_assemble(constraints, identities=()):
+    from swsos.backend import SdpProblem
+    from swsos.poly import grlex_key
+    from swsos.sos import _even_up, _mono_tag
+
+    problem = SdpProblem()
+    scalars = {}
+
+    def declare_scalar(name):
+        if name not in scalars:
+            scalars[name] = True
+            problem.free_scalars.append(name)
+
+    gram_layout = {}
+    for cons in constraints:
+        dim = cons.dim
+        target = cons.as_linpoly()
+        for v in sorted(target.variables()):
+            declare_scalar(v)
+        d_t = target.degree()
+        d0 = _even_up(d_t)
+        rows = {}
+
+        def row(mono):
+            if mono not in rows:
+                rows[mono] = ({}, 0.0)
+            return mono
+
+        def add_var(mono, key, coef):
+            terms, rhs = rows[row(mono)]
+            terms[key] = terms.get(key, 0.0) + coef
+            rows[mono] = (terms, rhs)
+
+        def add_const(mono, value):
+            terms, rhs = rows[row(mono)]
+            rows[mono] = (terms, rhs - value)
+
+        for mono, expr in target.terms.items():
+            for k, v in expr.items():
+                if k is None:
+                    add_const(mono, v)
+                else:
+                    add_var(mono, ("s", k), v)
+        for idx, a in enumerate(cons.equality_generators):
+            cap = d_t - a.degree()
+            if cap < 0:
+                continue
+            for mono_r in monomial_basis(dim, cap):
+                var = ("s", f"{cons.cid}:r{idx}[{_mono_tag(mono_r)}]")
+                declare_scalar(var[1])
+                for mono_a, ca in a.terms.items():
+                    m = tuple(x + y for x, y in zip(mono_r, mono_a))
+                    add_var(m, var, -ca)
+        zero_mono = (0,) * dim
+        zt = rows.get(zero_mono)
+        origin_forced = (
+            (zt is None or (not zt[0] and zt[1] == 0.0))
+            and all(a.terms.get(zero_mono, 0.0) == 0.0 for a in cons.equality_generators)
+            and all(b.terms.get(zero_mono, 0.0) >= 0.0 for b in cons.inequality_generators))
+        for idx, b in enumerate(cons.inequality_generators):
+            sdeg = d_t - b.degree()
+            sdeg -= sdeg % 2
+            if sdeg < 0:
+                raise DegreeBookkeepingError(cons.cid)
+            bid = f"{cons.cid}:s{idx + 1}"
+            lo_j = 1 if (origin_forced and b.terms.get(zero_mono, 0.0) > 0.0) else 0
+            basis = gram_basis(dim, sdeg // 2, min_half_deg=min(lo_j, sdeg // 2))
+            gram_layout[bid] = basis
+            problem.psd_blocks.append((bid, len(basis)))
+            for i in range(len(basis)):
+                for j in range(i, len(basis)):
+                    mz = tuple(x + y for x, y in zip(basis[i], basis[j]))
+                    w = 1.0 if i == j else 2.0
+                    for mono_b, cb in b.terms.items():
+                        m = tuple(x + y for x, y in zip(mz, mono_b))
+                        add_var(m, ("e", bid, i, j), -w * cb)
+        support_min = min((sum(m) for m in rows), default=0)
+        lo = (support_min + 1) // 2
+        bid0 = f"{cons.cid}:s0"
+        basis0 = gram_basis(dim, d0 // 2, min_half_deg=min(lo, d0 // 2))
+        gram_layout[bid0] = basis0
+        problem.psd_blocks.append((bid0, len(basis0)))
+        for i in range(len(basis0)):
+            for j in range(i, len(basis0)):
+                m = tuple(x + y for x, y in zip(basis0[i], basis0[j]))
+                add_var(m, ("e", bid0, i, j), -1.0 if i == j else -2.0)
+        for mono in sorted(rows, key=grlex_key):
+            problem.equality_rows.append(rows[mono])
+    for ident in identities:
+        for v in sorted(ident.variables()):
+            declare_scalar(v)
+        for mono in sorted(ident.terms, key=grlex_key):
+            expr = ident.terms[mono]
+            terms = {("s", k): v for k, v in expr.items() if k is not None}
+            problem.equality_rows.append((terms, -expr.get(None, 0.0)))
+    problem.meta["gram_layout"] = gram_layout
+    problem.validate()
+    return problem
+
+
+def _use_reference(mp):
+    """Swap the reference assembly and LinPoly arithmetic in on mp."""
+    for name, fn in (("__add__", _ref_add), ("__sub__", _ref_sub),
+                     ("scale", _ref_scale), ("mul_poly", _ref_mul_poly),
+                     ("diff", _ref_diff), ("lie", _ref_lie),
+                     ("from_poly", staticmethod(_ref_from_poly))):
+        mp.setattr(LinPoly, name, fn)
+    mp.setattr(sos_module, "assemble", _ref_assemble)
+    mp.setattr(certify_module, "assemble", _ref_assemble)
+
+
+def _both(monkeypatch, build):
+    """(build() as it runs, build() on the reference code)."""
+    new = build()
+    with monkeypatch.context() as mp:
+        _use_reference(mp)
+        ref = build()
+    return new, ref
+
+
+def _bits(items) -> str:
+    # repr tells every pair of floats apart, signed zeros included
+    return repr(list(items))
+
+
+def _assert_same_linpoly(a, b):
+    assert a.dim == b.dim
+    assert _bits((m, _bits(e.items())) for m, e in a.terms.items()) == \
+        _bits((m, _bits(e.items())) for m, e in b.terms.items())
+
+
+def _assert_same_problem(new, ref):
+    assert len(new.equality_rows) == len(ref.equality_rows)
+    for k, ((terms, rhs), (ref_terms, ref_rhs)) in enumerate(
+            zip(new.equality_rows, ref.equality_rows)):
+        assert _bits(terms.items()) == _bits(ref_terms.items()), f"row {k}"
+        assert repr(rhs) == repr(ref_rhs), f"rhs of row {k}"
+    assert new.psd_blocks == ref.psd_blocks
+    assert new.free_scalars == ref.free_scalars
+    assert new.meta["gram_layout"] == ref.meta["gram_layout"]
+    assert _bits(new.objective.items()) == _bits(ref.objective.items())
+
+
+SHIPPED = ["quadrant-cubic", "opposing-fields", "aligned-fields", "unstable-scalar"]
+MOTZKIN = "x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2 + 1"
+
+
+def _feasibility(systems_dir, name, degree, cross_pairs):
+    from swsos.certify import CertificationConfig, build_feasibility
+    from swsos.system import load_system
+    sys_ = load_system(systems_dir / f"{name}.sys")
+    return build_feasibility(sys_, CertificationConfig(lyapunov_degree=degree),
+                             cross_pairs=cross_pairs)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_build_feasibility_matches_reference(monkeypatch, systems_dir, name, degree):
+    (new, plan), (ref, ref_plan) = _both(
+        monkeypatch, lambda: _feasibility(systems_dir, name, degree, None))
+    _assert_same_problem(new, ref)
+    for key in ("V", "glue"):
+        for k in plan[key]:
+            _assert_same_linpoly(plan[key][k], ref_plan[key][k])
+    for c, ref_c in zip(plan["constraints"], ref_plan["constraints"]):
+        _assert_same_linpoly(c.as_linpoly(), ref_c.as_linpoly())
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_build_feasibility_matches_reference_on_certify_cross_pairs(
+        monkeypatch, systems_dir, name):
+    from swsos.certify import NOT_ATTRACTIVE, check_attractivity
+    from swsos.system import load_system
+    sys_ = load_system(systems_dir / f"{name}.sys")
+    # the cross pairs certify keeps after its attractivity filter
+    pairs = []
+    for b in sys_.boundaries:
+        if check_attractivity(sys_, (b.i, b.j)) != NOT_ATTRACTIVE:
+            pairs.extend([(b.i, b.j), (b.j, b.i)])
+    for degree in (2, 4, 6):
+        (new, _), (ref, _) = _both(
+            monkeypatch, lambda: _feasibility(systems_dir, name, degree, pairs))
+        _assert_same_problem(new, ref)
+
+
+def test_quadrant_cubic_degree_6_certify_program_has_210_rows(systems_dir):
+    problem, _ = _feasibility(systems_dir, "quadrant-cubic", 6, [])
+    assert len(problem.equality_rows) == 210
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_attractivity_programs_match_reference(monkeypatch, systems_dir, name):
+    from swsos.system import load_system
+    sys_ = load_system(systems_dir / f"{name}.sys")
+
+    def programs():
+        seen = []
+        with monkeypatch.context() as mp:
+            # an infeasible answer makes check_attractivity try every vertex pair
+            mp.setattr(certify_module, "solve",
+                       lambda pr: seen.append(pr) or SdpSolution(INFEASIBLE))
+            for b in sys_.boundaries:
+                certify_module.check_attractivity(sys_, (b.i, b.j))
+        return seen
+
+    new, ref = _both(monkeypatch, programs)
+    assert len(new) == len(ref) == sum(
+        len(sys_.dynamics[b.i].vertices) * len(sys_.dynamics[b.j].vertices)
+        for b in sys_.boundaries)
+    for p, r in zip(new, ref):
+        _assert_same_problem(p, r)
+
+
+def test_motzkin_programs_match_reference(monkeypatch):
+    motzkin = parse_polynomial(MOTZKIN, 2)
+    new, ref = _both(monkeypatch, lambda: sos_module.assemble(
+        [PositivityConstraint(cid="sos", target=motzkin)]))
+    _assert_same_problem(new, ref)
+
+    def decomposed():
+        seen = []
+        with monkeypatch.context() as mp:
+            mp.setattr(sos_module, "solve",
+                       lambda pr: seen.append(pr) or SdpSolution(INFEASIBLE))
+            assert sos_decompose(motzkin).status == INFEASIBLE
+        return seen[0]
+
+    new, ref = _both(monkeypatch, decomposed)
+    _assert_same_problem(new, ref)
+
+
+def test_linpoly_arithmetic_matches_reference(monkeypatch):
+    rng = np.random.default_rng(7)
+    monos = monomial_basis(2, 3)
+
+    def rand_linpoly(names):
+        terms = {}
+        for m in monos:
+            if rng.random() < 0.7:
+                terms[m] = {k: float(rng.normal()) for k in names if rng.random() < 0.6}
+        return LinPoly(2, terms)
+
+    a = rand_linpoly([None, "a", "b", "c"])
+    b = rand_linpoly([None, "b", "c", "d"])
+    p = Polynomial(2, {m: float(rng.normal()) for m in monos[:6]})
+    F = parse_vector(["-x1 + 0.5*x2^2", "x1^3 - x2"], 2)
+    cases = [
+        lambda: a + b, lambda: a - b, lambda: a - a, lambda: a + p, lambda: a - p,
+        lambda: a.scale(-1.5), lambda: a.scale(0.0), lambda: a.scale(1e-320),
+        lambda: a.mul_poly(p), lambda: a.diff(0), lambda: a.diff(1),
+        lambda: a.lie(F), lambda: (a - b).lie(F) + b.mul_poly(p),
+        lambda: LinPoly.from_poly(p), lambda: LinPoly(2).lie(F),
+    ]
+    for k, case in enumerate(cases):
+        new, ref = _both(monkeypatch, case)
+        _assert_same_linpoly(new, ref)
+    assert (a - a).terms == {}
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_sos_decompose_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        sos_decompose(Polynomial(2, {(2, 0): bad, (0, 2): 1.0}))
