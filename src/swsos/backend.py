@@ -1,15 +1,15 @@
 """Conic solver: block-PSD feasibility programs in, values out.
 
+A program is one `SdpProblem`: sparse (row, column, value) triplets for
+the PSD blocks' svec columns and for the free scalars, dense b and c.
 `solve` is a dense primal-dual interior-point method written against numpy
-alone.  Problems are small (blocks of size <= ~20), so it works on dense
-arrays built once per solve from the row dicts of an `SdpProblem`.
+alone.  Problems are small (blocks of size <= ~20), so it scatters the
+triplets into dense arrays once per solve.
 """
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -20,52 +20,83 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_ERROR = "numerical_error"
 
+_SQRT2 = float(np.sqrt(2.0))
+
+
+def svec_layout(psd_blocks):
+    """[(block_id, n, slice, i, j)] with slice the block's svec columns and
+    (i, j) its upper-triangle indices in svec order (row by row), and the
+    total svec length.  Column k of a block stands for Q[i[k], j[k]], scaled
+    by sqrt(2) off the diagonal so that dot products are trace products."""
+    layout, off, triu = [], 0, {}    # blocks of one size share (i, j)
+    for bid, n in psd_blocks:
+        i, j = triu[n] = triu.get(n) or np.triu_indices(n)
+        layout.append((bid, n, slice(off, off + len(i)), i, j))
+        off += len(i)
+    return layout, off
+
 
 @dataclass
 class SdpProblem:
-    """Abstract conic feasibility problem.
+    """Conic feasibility problem  A x + F s = b,  x in the PSD blocks (svec
+    columns, see `svec_layout`),  s free,  minimizing c.(x, s).
 
-    equality_rows entries are (terms, rhs) with terms mapping variable keys
-    to coefficients.  Keys: ("s", name) for free scalars; ("e", block, i, j)
-    with i <= j for entries of symmetric PSD blocks (the coefficient
-    multiplies Q[i, j]; symmetric pairs must be accounted for by the caller).
+    A and F are (row, column, value) triplets, repeated positions adding
+    up; an off-diagonal svec column carries the coefficient of Q[i, j] +
+    Q[j, i] divided by sqrt(2).  Column k of F is free_scalars[k]; c runs
+    over the svec columns, then the free scalars.  gram_layout maps a
+    block id to its monomial basis.
     """
 
-    psd_blocks: list = field(default_factory=list)   # (block_id, size)
-    free_scalars: list = field(default_factory=list)
-    equality_rows: list = field(default_factory=list)
-    objective: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    psd_blocks: list        # (block_id, size)
+    free_scalars: list      # names
+    A: tuple                # (row, svec column, value)
+    F: tuple                # (row, free scalar, value)
+    b: np.ndarray
+    c: np.ndarray
+    gram_layout: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.A, self.F = ((np.asarray(r, np.intp), np.asarray(k, np.intp), np.asarray(v, float))
+                          for r, k, v in (self.A, self.F))
+        self.b, self.c = np.asarray(self.b, float), np.asarray(self.c, float)
+
+    @property
+    def equality_rows(self):
+        # Read-only (terms, rhs) per row, terms keyed by column as in c.  It
+        # exists for perfbench until ROADMAP item 1 moves those reads behind
+        # accessors; nothing in the package reads it.
+        rows, nx = [{} for _ in self.b], svec_layout(self.psd_blocks)[1]
+        for (r, k, v), shift in ((self.A, 0), (self.F, nx)):
+            for row, col, value in zip(r.tolist(), (k + shift).tolist(), v.tolist()):
+                rows[row][col] = value
+        return list(zip(rows, self.b.tolist()))
 
     def validate(self):
-        """Raise ValueError on a malformed block, key or non-finite value."""
-        sizes = dict(self.psd_blocks)
-        if len(sizes) != len(self.psd_blocks):
-            dup = [b for b, k in Counter(b for b, _ in self.psd_blocks).items() if k > 1]
+        """Raise ValueError on a malformed block, an entry outside its
+        matrix, a c of the wrong length, or a non-finite value."""
+        ids = [b for b, _ in self.psd_blocks]
+        if len(set(ids)) != len(ids):
+            dup = sorted({b for b in ids if ids.count(b) > 1})
             raise ValueError(f"duplicate PSD block ids {dup}")
-        if any(s < 1 for s in sizes.values()):
+        if any(n < 1 for _, n in self.psd_blocks):
             raise ValueError("PSD block sizes must be >= 1")
-        scalars = set(self.free_scalars)
-        rows = self.equality_rows
-        for terms, _ in rows:
-            for key in terms:
-                if key[0] == "s":
-                    if key[1] not in scalars:
-                        raise ValueError(f"row references undeclared scalar {key[1]!r}")
-                elif key[0] == "e":
-                    _, b, i, j = key
-                    if b not in sizes:
-                        raise ValueError(f"row references undeclared block {b!r}")
-                    if not (0 <= i <= j < sizes[b]):
-                        raise ValueError(f"entry ({i},{j}) out of range for block {b!r}")
-                else:
-                    raise ValueError(f"unknown variable key {key!r}")
-        values = np.fromiter(chain(chain.from_iterable(terms.values() for terms, _ in rows),
-                                   (rhs for _, rhs in rows)), dtype=np.float64)
-        if not np.isfinite(values).all():
-            bad = next(r for r, (terms, rhs) in enumerate(rows)
-                       if not np.isfinite([rhs, *terms.values()]).all())
-            raise ValueError(f"row {bad} has a non-finite coefficient or right-hand side")
+        m, nx, nf = len(self.b), svec_layout(self.psd_blocks)[1], len(self.free_scalars)
+        for name, (r, k, v), ncol in (("A", self.A, nx), ("F", self.F, nf)):
+            if not r.shape == k.shape == v.shape:
+                raise ValueError(f"{name} triplet arrays differ in shape")
+            out = np.flatnonzero((r < 0) | (r >= m) | (k < 0) | (k >= ncol))
+            if out.size:
+                raise ValueError(f"{name} entry ({r[out[0]]}, {k[out[0]]}) lies outside "
+                                 f"its {m} x {ncol} shape")
+        if self.c.shape != (nx + nf,):
+            raise ValueError(f"c has shape {self.c.shape}, not ({nx + nf},)")
+        rows = np.concatenate([self.A[0], self.F[0], np.arange(m)])
+        finite = np.isfinite(np.concatenate([self.A[2], self.F[2], self.b, self.c]))
+        if not finite.all():
+            bad = rows[~finite[:len(rows)]]
+            raise ValueError(f"row {bad.min()} has a non-finite coefficient or right-hand side"
+                             if bad.size else "the objective c has a non-finite value")
 
 
 @dataclass
@@ -98,20 +129,6 @@ STEP_TO_BOUNDARY = 0.98
 MAX_ITERS = 100
 STALL_ITERS = 10        # stop when the best iterate is this many iterations old
 
-_SQRT2 = float(np.sqrt(2.0))
-
-
-def _svec_layout(psd_blocks):
-    """[(block_id, n, slice, i, j)] with (i, j) the upper-triangle indices of
-    each block in svec order, and the total svec length."""
-    layout, off = [], 0
-    for bid, n in psd_blocks:
-        i, j = np.triu_indices(n)
-        layout.append((bid, n, slice(off, off + len(i)), i, j))
-        off += len(i)
-    return layout, off
-
-
 def _svec(M, i, j):
     """Symmetric matrix -> vector whose dot product is the trace inner product."""
     return np.where(i == j, M[i, j], _SQRT2 * M[i, j])
@@ -129,32 +146,6 @@ def _hkm(X, Zi, i, j):
     W = (X[np.ix_(i, i)] * Zi[np.ix_(j, j)] + X[np.ix_(i, j)] * Zi[np.ix_(j, i)]
          + X[np.ix_(j, i)] * Zi[np.ix_(i, j)] + X[np.ix_(j, j)] * Zi[np.ix_(i, i)])
     return W * np.outer(f, f)
-
-
-def _dense_rows(problem: SdpProblem, layout, nx):
-    """(A, F, b, cx, cs): PSD entries as svec columns of A, free scalars as
-    columns of F, objective split the same way."""
-    where = {bid: (sl.start, n) for bid, n, sl, _, _ in layout}
-    sidx = {name: k for k, name in enumerate(problem.free_scalars)}
-    m, f = len(problem.equality_rows), len(problem.free_scalars)
-    A, F = np.zeros((m, nx)), np.zeros((m, f))
-    cx, cs = np.zeros(nx), np.zeros(f)
-
-    def put(xrow, srow, terms):
-        for key, coef in terms.items():
-            if key[0] == "s":
-                srow[sidx[key[1]]] += coef
-            else:
-                _, bid, i, j = key
-                off, n = where[bid]
-                k = off + i * (2 * n - i + 1) // 2 + j - i
-                xrow[k] += coef if i == j else coef / _SQRT2
-
-    for r, (terms, _) in enumerate(problem.equality_rows):
-        put(A[r], F[r], terms)
-    put(cx, cs, problem.objective)
-    b = np.array([float(rhs) for _, rhs in problem.equality_rows])
-    return A, F, b, cx, cs
 
 
 def _rank(s) -> int:
@@ -293,8 +284,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
     - NUMERICAL_ERROR otherwise.
     """
     problem.validate()
-    layout, nx = _svec_layout(problem.psd_blocks)
-    A, F, b, cx, cs = _dense_rows(problem, layout, nx)
+    layout, nx = svec_layout(problem.psd_blocks)
+    b, cx, cs = problem.b, problem.c[:nx], problem.c[nx:]
+    A, F = np.zeros((len(b), nx)), np.zeros((len(b), len(cs)))
+    np.add.at(A, problem.A[:2], problem.A[2])
+    np.add.at(F, problem.F[:2], problem.F[2])
 
     def farkas(y, z):
         by = b @ y

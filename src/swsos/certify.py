@@ -28,7 +28,7 @@ from .poly import DISPLAY_CLEANUP, Polynomial, PolyVector, lie_derivative, \
     monomial_basis, coefficients_equal
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
-from .backend import FEASIBLE, INFEASIBLE, solve
+from .backend import FEASIBLE, INFEASIBLE, solve, svec_layout
 from .system import SwitchedSystem
 from .oracle import OracleConfig, verify_certificate
 
@@ -242,9 +242,8 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     problem = assemble(constraints, identities=identities)
     # Minimizing total Gram trace keeps the returned certificate at a sane
     # coefficient scale (the feasible set is unbounded upward).
-    for bid, size in problem.psd_blocks:
-        for k in range(size):
-            problem.objective[("e", bid, k, k)] = 1.0
+    for _, _, sl, i, j in svec_layout(problem.psd_blocks)[0]:
+        problem.c[sl][i == j] = 1.0
     plan = {"V": V, "glue": glue, "constraints": constraints,
             "cross_pairs": list(cross_pairs)}
     return problem, plan

@@ -302,6 +302,8 @@ def monomial_basis(n: int, d: int, include_constant: bool = True) -> list:
     """All monomials of total degree <= d in graded-lex order."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
+    # index combinations in lexicographic order are exponents in
+    # decreasing lexicographic order, which is grlex within one degree
     monos = []
     for total in range(0 if include_constant else 1, d + 1):
         for combo in itertools.combinations_with_replacement(range(n), total):
@@ -309,7 +311,7 @@ def monomial_basis(n: int, d: int, include_constant: bool = True) -> list:
             for k in combo:
                 e[k] += 1
             monos.append(tuple(e))
-    return sorted(set(monos), key=grlex_key)
+    return monos
 
 
 def coefficients_equal(p: Polynomial, q: Polynomial) -> dict:

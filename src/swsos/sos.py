@@ -3,13 +3,15 @@
 Constraint templates follow the classic recipe: a target polynomial minus
 free-multiplier combinations of equality generators, minus SOS-multiplier
 combinations of inequality generators must equal one master SOS form.
-Everything is flattened coefficient-wise into an abstract block-PSD
-feasibility program, which `solve` (imported from `backend`) solves.
+Everything is flattened coefficient-wise, one row per monomial in grlex
+order, into one block-PSD program in array form (`backend.SdpProblem`),
+which `solve` (imported from `backend`) solves.
 
 A Gram block's coefficients depend only on its basis and its generator, and
 the same pair recurs across constraints (the box generators sit in all of
 them), so `assemble` builds one entry table per pair and call and reuses it;
-only the variable keys are made per block.  Nothing outlives the call.
+a block only maps the table's monomials to rows and shifts its svec
+columns.  Nothing outlives the call.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from operator import add
 import numpy as np
 
 # INFEASIBLE is re-exported for callers that import it from here
-from .backend import FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve
+from .backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve, svec_layout
 from .poly import Monomial, Polynomial, grlex_key, monomial_basis
 
 GRAM_SYM_TOL = 1e-9
@@ -181,8 +183,7 @@ class GramRepresentation:
 
 def gram_basis(dim: int, max_half_deg: int, min_half_deg: int = 0) -> list:
     """Monomials of total degree in [min_half_deg, max_half_deg], grlex."""
-    monos = [m for m in monomial_basis(dim, max_half_deg) if sum(m) >= min_half_deg]
-    return sorted(monos, key=grlex_key)
+    return [m for m in monomial_basis(dim, max_half_deg) if sum(m) >= min_half_deg]
 
 
 # -- constraints -----------------------------------------------------------
@@ -245,38 +246,49 @@ def assemble(constraints, identities=()) -> SdpProblem:
     identities: extra LinPoly expressions required to vanish identically
     (exact linear equality rows, no PSD block).
     """
-    problem = SdpProblem()
-    scalars = {}
-
-    def declare_scalar(name):
-        if name not in scalars:
-            scalars[name] = True
-            problem.free_scalars.append(name)
-
-    gram_layout = {}   # block id -> basis
-    # (dim, half degree, min degree, generator terms) -> (basis, ij, entries),
-    # entries: row monomial -> (indices into ij, -w * generator coefficient)
+    scalars = {}       # name -> column of F
+    psd_blocks, gram_layout = [], {}
+    b, F, gram_parts = [], [], []   # F: (row, column, value) entries
+    sort_keys = {}     # monomial -> grlex_key, computed once per call
+    # (dim, half degree, min degree, generator terms) -> (basis, row monomials,
+    # per entry: monomial index, svec column in the block, scaled coefficient)
     tables = {}
 
-    def add_gram_block(rows, bid, dim, half, lo, gen_terms):
+    def declare_scalar(name):
+        return scalars.setdefault(name, len(scalars))
+
+    def add_gram_block(rows, grams, bid, dim, half, lo, gen_terms):
         key = (dim, half, lo, gen_terms)
         if key not in tables:
             basis = gram_basis(dim, half, min_half_deg=lo)
+            monos, entries = {}, []
             ij = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
-            entries = {}
-            for p, (i, j) in enumerate(ij):
-                z, w = tuple(map(add, basis[i], basis[j])), 1.0 if i == j else 2.0
+            for col, (i, j) in enumerate(ij):    # svec order (backend.svec_layout)
+                z = tuple(map(add, basis[i], basis[j]))
                 for mono_g, c in gen_terms:
-                    ps, cs = entries.setdefault(tuple(map(add, z, mono_g)), ([], []))
-                    ps.append(p)
-                    cs.append(-w * c)
-            tables[key] = (basis, ij, entries)
-        basis, ij, entries = tables[key]
-        gram_layout[bid] = list(basis)
-        problem.psd_blocks.append((bid, len(basis)))
-        keys = [("e", bid, i, j) for i, j in ij]
-        for m, (ps, cs) in entries.items():   # no (row, key) pair repeats
-            rows.setdefault(m, {}).update(zip(map(keys.__getitem__, ps), cs))
+                    m = monos.setdefault(tuple(map(add, z, mono_g)), len(monos))
+                    entries.append((m, col, -c if i == j else -2.0 * c / _SQRT2))
+            which, cols, vals = np.array(entries).T
+            tables[key] = (basis, list(monos), which.astype(np.intp), cols.astype(np.intp), vals)
+        table = tables[key]
+        gram_layout[bid] = list(table[0])
+        grams.append((len(psd_blocks), table))
+        psd_blocks.append((bid, len(table[0])))
+        for m in table[1]:
+            rows.setdefault(m, {})
+
+    def add_rows(rows, rhs, grams=()):
+        # rows[mono]: free-scalar column -> coefficient; rhs[mono]: rhs
+        new = [m for m in rows if m not in sort_keys]
+        sort_keys.update(zip(new, map(grlex_key, new)))
+        pos = {}
+        for r, mono in enumerate(sorted(rows, key=sort_keys.__getitem__), len(b)):
+            pos[mono] = r
+            b.append(rhs.get(mono, 0.0))
+            F.extend((r, col, v) for col, v in rows[mono].items())
+        for k, (_, monos, which, cols, vals) in grams:
+            gram_parts.append((k, np.array([pos[m] for m in monos], dtype=np.intp)[which],
+                               cols, vals))
 
     for cons in constraints:
         dim = cons.dim
@@ -287,19 +299,11 @@ def assemble(constraints, identities=()) -> SdpProblem:
         d_t = target.degree()
         d0 = _even_up(d_t)
 
-        # identity target - sum r a - sum s b - s0 = 0 coefficient-wise:
-        # rows[mono] maps variable keys to coefficients, rhs[mono] holds
-        # the known value moved to the right-hand side
-        rows, rhs = {}, {}
-
-        # target
-        for mono, expr in target.terms.items():
-            row = rows[mono] = {}
-            for k, v in expr.items():
-                if k is None:
-                    rhs[mono] = -v
-                else:
-                    row[("s", k)] = v
+        # identity target - sum r a - sum s b - s0 = 0 coefficient-wise,
+        # the known value of each monomial moved to the right-hand side
+        rows = {m: {scalars[k]: v for k, v in e.items() if k is not None}
+                for m, e in target.terms.items()}
+        rhs = {m: -e[None] for m, e in target.terms.items() if None in e}
 
         # free multipliers r_i on equality generators
         for idx, a in enumerate(cons.equality_generators):
@@ -309,12 +313,11 @@ def assemble(constraints, identities=()) -> SdpProblem:
                 # that keeps the identity balanced is zero, so drop it
                 continue
             for mono_r in monomial_basis(dim, cap):
-                var = ("s", f"{cons.cid}:r{idx}[{_mono_tag(mono_r)}]")
-                declare_scalar(var[1])
+                col = declare_scalar(f"{cons.cid}:r{idx}[{_mono_tag(mono_r)}]")
                 for mono_a, ca in a.terms.items():
                     row = rows.setdefault(tuple(map(add, mono_r, mono_a)), {})
                     # summed: a target scalar may carry the same name
-                    row[var] = row.get(var, 0.0) - ca
+                    row[col] = row.get(col, 0.0) - ca
 
         # When the identity has no constant term and every generator is
         # nonnegative at the origin, each SOS multiplier attached to a
@@ -326,51 +329,50 @@ def assemble(constraints, identities=()) -> SdpProblem:
         origin_forced = (
             not rows.get(zero_mono) and rhs.get(zero_mono, 0.0) == 0.0
             and all(a.terms.get(zero_mono, 0.0) == 0.0 for a in cons.equality_generators)
-            and all(b.terms.get(zero_mono, 0.0) >= 0.0 for b in cons.inequality_generators)
+            and all(g.terms.get(zero_mono, 0.0) >= 0.0 for g in cons.inequality_generators)
         )
 
         # SOS multipliers s_j on inequality generators
-        for idx, b in enumerate(cons.inequality_generators):
-            sdeg = d_t - b.degree()
+        grams = []
+        for idx, g in enumerate(cons.inequality_generators):
+            sdeg = d_t - g.degree()
             sdeg -= sdeg % 2
             if sdeg < 0:
                 raise DegreeBookkeepingError(
-                    f"{cons.cid}: inequality generator {idx} (degree {b.degree()}) "
+                    f"{cons.cid}: inequality generator {idx} (degree {g.degree()}) "
                     f"exceeds the target degree {d_t}"
                 )
-            lo_j = 1 if (origin_forced and b.terms.get(zero_mono, 0.0) > 0.0) else 0
-            add_gram_block(rows, f"{cons.cid}:s{idx + 1}", dim, sdeg // 2,
-                           min(lo_j, sdeg // 2), tuple(b.terms.items()))
+            lo_j = 1 if (origin_forced and g.terms.get(zero_mono, 0.0) > 0.0) else 0
+            add_gram_block(rows, grams, f"{cons.cid}:s{idx + 1}", dim, sdeg // 2,
+                           min(lo_j, sdeg // 2), tuple(g.terms.items()))
 
         # master SOS block s0 (generator 1): parity filter on total degree only
         support_min = min((sum(m) for m in rows), default=0)
         lo = (support_min + 1) // 2
-        add_gram_block(rows, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
+        add_gram_block(rows, grams, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
                        ((zero_mono, 1.0),))
-
-        for mono in sorted(rows, key=grlex_key):
-            problem.equality_rows.append((rows[mono], rhs.get(mono, 0.0)))
+        add_rows(rows, rhs, grams)
 
     for ident in identities:
         for v in sorted(ident.variables()):
             declare_scalar(v)
-        for mono in sorted(ident.terms, key=grlex_key):
-            expr = ident.terms[mono]
-            terms = {("s", k): v for k, v in expr.items() if k is not None}
-            problem.equality_rows.append((terms, -expr.get(None, 0.0)))
+        add_rows({m: {scalars[k]: v for k, v in e.items() if k is not None}
+                  for m, e in ident.terms.items()},
+                 {m: -e.get(None, 0.0) for m, e in ident.terms.items()})
 
-    problem.meta["gram_layout"] = gram_layout
+    layout, nx = svec_layout(psd_blocks)
+    A = [np.concatenate(part) for part in
+         zip(*((r, cols + layout[k][2].start, vals) for k, r, cols, vals in gram_parts))]
+    problem = SdpProblem(psd_blocks, list(scalars), A or ([], [], []),
+                         list(zip(*F)) or ([], [], []), b, np.zeros(nx + len(scalars)),
+                         gram_layout)
     problem.validate()
     return problem
 
 
 def certificate_from_solution(problem: SdpProblem, sol: SdpSolution, dim: int) -> SosCertificate:
-    layout = problem.meta.get("gram_layout", {})
-    grams = {
-        bid: GramRepresentation(basis=layout[bid], gram=sol.block_values[bid])
-        for bid in layout
-        if bid in sol.block_values
-    }
+    grams = {bid: GramRepresentation(basis=basis, gram=sol.block_values[bid])
+             for bid, basis in problem.gram_layout.items() if bid in sol.block_values}
     # group free scalars back into multiplier polynomials by name prefix
     free = {}
     for name, value in sol.scalar_values.items():

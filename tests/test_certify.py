@@ -8,6 +8,7 @@ assembly logic on the shipped 2-D examples.
 import numpy as np
 import pytest
 
+from swsos.backend import svec_layout
 from swsos.certify import (ATTRACTIVE, CERTIFIED, NO_CERTIFICATE,
                            NOT_ATTRACTIVE, CertificationConfig,
                            build_feasibility, certify, check_attractivity)
@@ -103,8 +104,12 @@ def test_build_feasibility_structure(quadrant_system):
     # origin regions have no constant term in the V ansatz
     assert ("0,0" not in
             {v.split("[")[1][:-1] for v in plan["V"][1].variables()})
-    # trace objective present on every PSD diagonal
-    assert problem.objective
+    # trace objective: 1 on every svec diagonal column, 0 everywhere else
+    diagonal = np.zeros(len(problem.c), dtype=bool)
+    for _, _, sl, i, j in svec_layout(problem.psd_blocks)[0]:
+        diagonal[sl] = i == j
+    assert diagonal.sum() == sum(n for _, n in problem.psd_blocks)
+    assert np.array_equal(problem.c, diagonal.astype(float))
 
 
 def test_build_feasibility_filtered_cross_pairs(quadrant_system):

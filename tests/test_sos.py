@@ -1,9 +1,10 @@
 from importlib import import_module
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from swsos.backend import FEASIBLE, INFEASIBLE, SdpSolution
+from swsos.backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpSolution, svec_layout
 from swsos.poly import Polynomial, monomial_basis, parse_polynomial, parse_vector
 from swsos.sos import (DegreeBookkeepingError, LinPoly, PositivityConstraint,
                        assemble, certificate_from_solution, extract_sos_split,
@@ -159,9 +160,11 @@ def test_certificate_from_solution_groups_multipliers():
 #
 # _ref_assemble and the _ref_* LinPoly arithmetic are the plain loops that
 # sos.assemble and LinPoly replaced: every coefficient goes through a
-# (terms, rhs) row tuple or a cleaning LinPoly(...) constructor.  The fast
-# versions must build the very same problem: the same rows with the same
-# key order, bit for bit the same coefficients and right-hand sides.
+# (terms, rhs) row tuple keyed by ("s", name) and ("e", block, i, j), or a
+# cleaning LinPoly(...) constructor.  _ref_dense_rows is the conversion of
+# those rows into the solver's arrays that the array form replaced.  The
+# array form must densify to the very same A, F, b and c, bit for bit,
+# with the same rows in the same order and the same entries in each row.
 
 def _ref_add(self, other):
     if isinstance(other, Polynomial):
@@ -224,11 +227,11 @@ def _ref_from_poly(p):
 
 
 def _ref_assemble(constraints, identities=()):
-    from swsos.backend import SdpProblem
     from swsos.poly import grlex_key
     from swsos.sos import _even_up, _mono_tag
 
-    problem = SdpProblem()
+    problem = SimpleNamespace(psd_blocks=[], free_scalars=[], equality_rows=[],
+                              objective={})
     scalars = {}
 
     def declare_scalar(name):
@@ -318,9 +321,44 @@ def _ref_assemble(constraints, identities=()):
             expr = ident.terms[mono]
             terms = {("s", k): v for k, v in expr.items() if k is not None}
             problem.equality_rows.append((terms, -expr.get(None, 0.0)))
-    problem.meta["gram_layout"] = gram_layout
-    problem.validate()
+    problem.gram_layout = gram_layout
+    # build_feasibility writes its objective into c; the reference
+    # objective is the dict _ref_trace_objective fills
+    problem.c = np.zeros(svec_layout(problem.psd_blocks)[1] + len(problem.free_scalars))
     return problem
+
+
+def _ref_trace_objective(problem):
+    """build_feasibility's trace objective on a reference problem."""
+    for bid, size in problem.psd_blocks:
+        for k in range(size):
+            problem.objective[("e", bid, k, k)] = 1.0
+
+
+def _ref_dense_rows(problem, layout, nx):
+    """(A, F, b, cx, cs): PSD entries as svec columns of A, free scalars as
+    columns of F, objective split the same way."""
+    where = {bid: (sl.start, n) for bid, n, sl, _, _ in layout}
+    sidx = {name: k for k, name in enumerate(problem.free_scalars)}
+    m, f = len(problem.equality_rows), len(problem.free_scalars)
+    A, F = np.zeros((m, nx)), np.zeros((m, f))
+    cx, cs = np.zeros(nx), np.zeros(f)
+
+    def put(xrow, srow, terms):
+        for key, coef in terms.items():
+            if key[0] == "s":
+                srow[sidx[key[1]]] += coef
+            else:
+                _, bid, i, j = key
+                off, n = where[bid]
+                k = off + i * (2 * n - i + 1) // 2 + j - i
+                xrow[k] += coef if i == j else coef / _SQRT2
+
+    for r, (terms, _) in enumerate(problem.equality_rows):
+        put(A[r], F[r], terms)
+    put(cx, cs, problem.objective)
+    b = np.array([float(rhs) for _, rhs in problem.equality_rows])
+    return A, F, b, cx, cs
 
 
 def _use_reference(mp):
@@ -355,15 +393,34 @@ def _assert_same_linpoly(a, b):
 
 
 def _assert_same_problem(new, ref):
-    assert len(new.equality_rows) == len(ref.equality_rows)
-    for k, ((terms, rhs), (ref_terms, ref_rhs)) in enumerate(
+    layout, nx = svec_layout(ref.psd_blocks)
+    A, F, b, cx, cs = _ref_dense_rows(ref, layout, nx)
+    m = len(new.b)
+    assert m == len(ref.equality_rows)
+    new_A, new_F = np.zeros((m, nx)), np.zeros((m, len(new.free_scalars)))
+    np.add.at(new_A, new.A[:2], new.A[2])
+    np.add.at(new_F, new.F[:2], new.F[2])
+    for k in range(m):
+        assert new_A[k].tobytes() == A[k].tobytes(), f"A row {k}"
+        assert new_F[k].tobytes() == F[k].tobytes(), f"F row {k}"
+    assert new.b.tobytes() == b.tobytes()
+    assert new.c.tobytes() == np.concatenate([cx, cs]).tobytes()
+    # the same entries in each row, explicit zeros included
+    where = {bid: (sl.start, n) for bid, n, sl, _, _ in layout}
+    sidx = {name: nx + k for k, name in enumerate(ref.free_scalars)}
+
+    def column(key):
+        if key[0] == "s":
+            return sidx[key[1]]
+        off, n = where[key[1]]
+        return off + key[2] * (2 * n - key[2] + 1) // 2 + key[3] - key[2]
+
+    for k, ((terms, _), (ref_terms, _)) in enumerate(
             zip(new.equality_rows, ref.equality_rows)):
-        assert _bits(terms.items()) == _bits(ref_terms.items()), f"row {k}"
-        assert repr(rhs) == repr(ref_rhs), f"rhs of row {k}"
+        assert sorted(terms) == sorted(map(column, ref_terms)), f"entries of row {k}"
     assert new.psd_blocks == ref.psd_blocks
     assert new.free_scalars == ref.free_scalars
-    assert new.meta["gram_layout"] == ref.meta["gram_layout"]
-    assert _bits(new.objective.items()) == _bits(ref.objective.items())
+    assert new.gram_layout == ref.gram_layout
 
 
 SHIPPED = ["quadrant-cubic", "opposing-fields", "aligned-fields", "unstable-scalar"]
@@ -383,6 +440,7 @@ def _feasibility(systems_dir, name, degree, cross_pairs):
 def test_build_feasibility_matches_reference(monkeypatch, systems_dir, name, degree):
     (new, plan), (ref, ref_plan) = _both(
         monkeypatch, lambda: _feasibility(systems_dir, name, degree, None))
+    _ref_trace_objective(ref)
     _assert_same_problem(new, ref)
     for key in ("V", "glue"):
         for k in plan[key]:
@@ -405,12 +463,13 @@ def test_build_feasibility_matches_reference_on_certify_cross_pairs(
     for degree in (2, 4, 6):
         (new, _), (ref, _) = _both(
             monkeypatch, lambda: _feasibility(systems_dir, name, degree, pairs))
+        _ref_trace_objective(ref)
         _assert_same_problem(new, ref)
 
 
 def test_quadrant_cubic_degree_6_certify_program_has_210_rows(systems_dir):
     problem, _ = _feasibility(systems_dir, "quadrant-cubic", 6, [])
-    assert len(problem.equality_rows) == 210
+    assert len(problem.b) == 210
 
 
 @pytest.mark.parametrize("name", SHIPPED)
