@@ -239,13 +239,14 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    kernels = {}            # compiled once per call, shared by its theta runs
     for label, cfg in configs:
-        traj = simulate(sys_, x0, cfg, certificate=certificate)
+        traj = simulate(sys_, x0, cfg, certificate=certificate, kernels=kernels)
         name = f"{Path(args.system).stem}__{label}.trajectory.tsv"
         with open(out_dir / name, "w") as fh:
             write_trajectory(traj, fh, manifest_hash=manifest["hash"])
         last = traj.events[-1] if traj.events else (traj.final_time, "t_end", "")
-        print(f"{name}: {len(traj.points)} points, final event {last[1]} "
+        print(f"{name}: {traj.count} points, final event {last[1]} "
               f"at t={last[0]:.4g}, ||x||={np.linalg.norm(traj.final_state):.3e}")
     return EXIT_OK
 

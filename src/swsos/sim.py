@@ -18,7 +18,8 @@ batch evaluation per segment) live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from sys import intern
 
 import numpy as np
@@ -56,18 +57,45 @@ class TrajectoryPoint:
     psi: float = None            # switched Lyapunov value, when loaded
 
 
-@dataclass
 class Trajectory:
-    points: list = field(default_factory=list)
-    events: list = field(default_factory=list)    # (t, kind, detail)
+    """A run's accepted points, stored as the kernels produce them.
+
+    chunks: one (times, states (m, n) array, mode, alphas | None,
+    psi | None) per kernel segment or single point, in time order; None
+    stands for a column that is missing on every row.  count: the number of
+    points.  events: (t, kind, detail).
+    """
+
+    def __init__(self):
+        self.chunks = []
+        self.count = 0
+        self.events = []
+        self._points = None
+
+    def add(self, times, states, mode, alphas=None, psi=None):
+        """Append one chunk; a zero-length one adds nothing."""
+        if len(times):
+            self.chunks.append((times, states, mode, alphas, psi))
+            self.count += len(times)
+            self._points = None
+
+    @property
+    def points(self) -> tuple:
+        """Every point as a TrajectoryPoint, built on first access."""
+        if self._points is None:
+            self._points = tuple(
+                p for times, states, mode, alphas, psi in self.chunks
+                for p in map(TrajectoryPoint, times, states, repeat(mode),
+                             alphas or repeat(None), psi or repeat(None)))
+        return self._points
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.points[-1].x
+        return self.chunks[-1][1][-1]
 
     @property
     def final_time(self) -> float:
-        return self.points[-1].t
+        return self.chunks[-1][0][-1]
 
     def event_kinds(self):
         return [kind for _, kind, _ in self.events]
@@ -103,11 +131,9 @@ def _rk4_step(F: PolyVector, x, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _hermite(x0, f0, x1, f1, h, s):
-    """Cubic dense interpolant across one RK4 step, s in [0, 1]."""
-    a = 2 * (x0 - x1) + h * (f0 + f1)
-    b = -3 * (x0 - x1) - h * (2 * f0 + f1)
-    return ((a * s + b) * s + h * f0) * s + x0
+def _sign(v):
+    """np.sign of a float: -1, 0 or 1, and nan for nan."""
+    return (v > 0.0) - (v < 0.0) if v == v else v
 
 
 def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
@@ -115,36 +141,46 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
     """Earliest boundary sign change across a step, or None.
 
     Returns (boundary, s, x_cross) with s the step fraction, localized by
-    bisection; the dense cubic interpolant is used when the step's vector
-    field is supplied, straight-line interpolation otherwise.  Raises
-    StratumStop when several boundaries change sign at an unseparable
-    fraction (codimension >= 2).
+    bisection; the dense cubic (Hermite) interpolant is used when the
+    step's vector field is supplied, straight-line interpolation otherwise.
+    The bisection runs in plain floats on the term lists, with numpy's
+    elementwise operations in the same order, so its values are those of
+    the 2-vector form bit for bit.  Raises StratumStop when several
+    boundaries change sign at an unseparable fraction (codimension >= 2).
     """
     x_prev = np.asarray(x_prev, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     if not (np.all(np.isfinite(x_prev)) and np.all(np.isfinite(x_next))):
         raise ValueError("states must be finite")
+    x0, x1 = x_prev.tolist(), x_next.tolist()
     if field is not None:
-        f0, f1 = field(x_prev), field(x_next)
-        interp = lambda s: _hermite(x_prev, f0, x_next, f1, h, s)
+        f0 = [_kernels.eval_terms(p._term_list(), x0) for p in field]
+        f1 = [_kernels.eval_terms(p._term_list(), x1) for p in field]
+        # the cubic through (x0, f0) and (x1, f1) over a step of h
+        cubic = [(2 * (u - v) + h * (fu + fv), -3 * (u - v) - h * (2 * fu + fv),
+                  h * fu, u) for u, v, fu, fv in zip(x0, x1, f0, f1)]
+        interp = lambda s: [((a * s + b) * s + c) * s + d
+                            for a, b, c, d in cubic]
     else:
-        interp = lambda s: x_prev + s * (x_next - x_prev)
+        interp = lambda s: [u + s * (v - u) for u, v in zip(x0, x1)]
 
     hits = []
     for b in sys.boundaries:
-        c0, c1 = b.chi(x_prev), b.chi(x_next)
+        chi = b.chi._term_list()
+        c0, c1 = _kernels.eval_terms(chi, x0), _kernels.eval_terms(chi, x1)
         if c0 == 0.0 and c1 == 0.0:
             continue
-        if np.sign(c0) * np.sign(c1) < 0 or (c0 != 0.0 and abs(c1) <= event_tol):
+        if _sign(c0) * _sign(c1) < 0 or (c0 != 0.0 and abs(c1) <= event_tol):
             lo, hi = 0.0, 1.0
             flo = c0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                fm = b.chi(interp(mid))
+                fm = _kernels.eval_terms(chi, interp(mid))
                 if abs(fm) <= event_tol:
                     lo = hi = mid
                     break
-                if np.sign(fm) == np.sign(flo):
+                # a nan on either side compares unequal: hi = mid
+                if _sign(fm) == _sign(flo):
                     lo = mid
                 else:
                     hi = mid
@@ -158,7 +194,7 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
             f"boundaries {[h[1].pair for h in hits[:2]]} cross within "
             f"event_tol of the same time")
     s, b = hits[0]
-    return b, s, interp(s)
+    return b, s, np.array(interp(s))
 
 
 class StratumStop(RuntimeError):
@@ -211,12 +247,16 @@ _SLIDING_EXIT_NOTE = {_kernels.STOP_OFF_VARIETY: " [off variety]",
 # -- full trajectory ----------------------------------------------------------
 
 def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
-             certificate: dict = None) -> Trajectory:
+             certificate: dict = None, kernels: dict = None) -> Trajectory:
     """Integrate a Filippov solution from x0 until convergence, escape,
     t_end, or a stratum stop.
 
     certificate: optional rid -> Polynomial family; when present, the
     switched Lyapunov value is recorded on every accepted point.
+    kernels: optional dict owned by the caller that holds the compiled RK4
+    kernels, keyed by the term lists they were generated from, so that runs
+    sharing a field or a boundary (the theta runs of one sweep) compile it
+    once; None uses a fresh dict for this run.
     """
     cfg = cfg or SimConfig()
     x = np.asarray(x0, dtype=float)
@@ -224,12 +264,13 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         raise ValueError(f"x0 {x.tolist()} is outside the system box")
     box_lo, box_hi = (v.tolist() for v in sys.box)
     traj = Trajectory()
+    kernels = {} if kernels is None else kernels
     # built once per run, on first use
     fields = {}             # rid -> field at its theta
     grads = {}              # boundary pair -> chi gradient
     smooth_kernels = {}     # rid -> _kernels.smooth_kernel of its field
     sliding_kernels = {}    # boundary pair -> _kernels.sliding_kernel
-    chis = [b.chi._term_list() for b in sys.boundaries]
+    chis = tuple(b.chi._term_list() for b in sys.boundaries)
 
     def field_of(rid):
         if rid not in fields:
@@ -243,33 +284,34 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     def smooth_kernel_of(rid):
         if rid not in smooth_kernels:
-            smooth_kernels[rid] = _kernels.smooth_kernel(
-                [p._term_list() for p in field_of(rid)], chis)
+            key = (tuple(p._term_list() for p in field_of(rid)), chis)
+            if key not in kernels:
+                kernels[key] = _kernels.smooth_kernel(*key)
+            smooth_kernels[rid] = kernels[key]
         return smooth_kernels[rid]
 
     def sliding_kernel_of(b):
         if b.pair not in sliding_kernels:
             i, j = b.pair
-            sliding_kernels[b.pair] = _kernels.sliding_kernel(
-                *([p._term_list() for p in v]
-                  for v in (grad_of(b), field_of(i), field_of(j))),
-                b.chi._term_list())
+            key = (*(tuple(p._term_list() for p in v)
+                     for v in (grad_of(b), field_of(i), field_of(j))),
+                   b.chi._term_list())
+            if key not in kernels:
+                kernels[key] = _kernels.sliding_kernel(*key)
+            sliding_kernels[b.pair] = kernels[key]
         return sliding_kernels[b.pair]
 
     def add_point(t, xx, mode, rid=None):
         psi = None
         if certificate is not None and rid is not None:
-            psi = float(certificate[rid](xx))
-        traj.points.append(TrajectoryPoint(
-            t=float(t), x=np.array(xx, dtype=float), mode=mode, psi=psi))
+            psi = [float(certificate[rid](xx))]
+        traj.add([float(t)], np.array([xx], dtype=float), mode, psi=psi)
 
     def add_segment(times, states, mode, rid, alphas=None):
         """The accepted points of one kernel run, psi from one eval_many."""
-        m = len(times)
-        psi = ([None] * m if certificate is None
+        psi = (None if certificate is None
                else certificate[rid].eval_many(states).tolist())
-        traj.points.extend(map(TrajectoryPoint, times, states, [mode] * m,
-                               alphas or [None] * m, psi))
+        traj.add(times, states, mode, alphas, psi)
 
     def stop(t, xx, kind, detail=""):
         # interned: the stopped points of one kind share one mode string
@@ -353,14 +395,16 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             # nudge off the boundary if the previous event left us on it:
             # one step of the region's kernel, called directly because a
             # nudge is not a segment (the stepped state is the last row)
+            xs = x.tolist()
             guard = 0
-            while any(abs(b.chi(x)) <= 2 * cfg.event_tol for b in sys.boundaries) \
-                    and guard < 8:
-                flat = kernel(x.tolist(), h * 1e-3, 1, -1.0, box_lo, box_hi,
+            while any(abs(_kernels.eval_terms(chi, xs)) <= 2 * cfg.event_tol
+                      for chi in chis) and guard < 8:
+                flat = kernel(xs, h * 1e-3, 1, -1.0, box_lo, box_hi,
                               cfg.event_tol)[0]
-                x = np.array(flat[-x.shape[0]:])
+                xs = flat[-len(xs):]
                 t += h * 1e-3
                 guard += 1
+            x = np.array(xs)
             max_steps = max(int(np.ceil((cfg.t_end - t) / h)), 1)
             states, code, bidx = _kernels.rk4_smooth_run(
                 kernel, x, h, max_steps, cfg.ball_stop, box_lo, box_hi,
@@ -439,7 +483,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 state = "decide"
             continue
 
-    if not traj.points or t - traj.points[-1].t > 1e-15:
+    if not traj.count or t - traj.final_time > 1e-15:
         add_point(t, x, "stopped:t_end")
     traj.events.append((t, "t_end", ""))
     return traj
@@ -452,16 +496,20 @@ def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
     table, directly plottable by external tools."""
     if manifest_hash:
         fh.write(f"# manifest {manifest_hash}\n")
-    dim = len(traj.points[0].x) if traj.points else 0
+    dim = traj.chunks[0][1].shape[1] if traj.chunks else 0
     cols = ["t"] + [f"x{k + 1}" for k in range(dim)] + ["mode", "alpha", "psi"]
     fh.write("\t".join(cols) + "\n")
-    row = "%.9g\t" + "%.12g\t" * dim + "%s\t%s\t%s\n"
-    xs = np.array([p.x for p in traj.points]).tolist()
-    fh.write("".join([
-        row % (p.t, *x, p.mode,
-               "" if p.alpha is None else "%.9g" % p.alpha,
-               "" if p.psi is None else "%.12g" % p.psi)
-        for p, x in zip(traj.points, xs)]))
+    rows = []
+    for times, states, mode, alphas, psi in traj.chunks:
+        # one template per chunk: a missing alpha is the bare "\t\t", a
+        # missing psi the bare "\n"
+        row = ("%.9g\t" + "%.12g\t" * dim + mode.replace("%", "%%")
+               + ("\t%.9g\t" if alphas is not None else "\t\t")
+               + ("%.12g\n" if psi is not None else "\n"))
+        columns = [times, *states.T.tolist()]
+        columns += [c for c in (alphas, psi) if c is not None]
+        rows += map(row.__mod__, zip(*columns))
+    fh.write("".join(rows))
     fh.write("\n# events\n# t\tkind\tdetail\n")
     for (t, kind, detail) in traj.events:
         fh.write(f"{t:.9g}\t{kind}\t{detail}\n")

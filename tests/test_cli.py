@@ -66,6 +66,29 @@ def test_simulate_off_simplex_theta(tmp_path):
                tmp_path) == 1
 
 
+def test_simulate_sweep_compiles_region_2_kernel_once(tmp_path, monkeypatch):
+    # region 2 has one vertex, so every theta run of one call steps the same
+    # field; the call compiles its kernel once and the runs share it
+    from swsos import _kernels
+    from swsos.system import load_system
+    region_2 = tuple(p._term_list()
+                     for p in load_system(QUAD).field_at(2, (1.0,)))
+    compiled = []
+    smooth_kernel = _kernels.smooth_kernel
+
+    def counting(fields, chis):
+        compiled.append(fields)
+        return smooth_kernel(fields, chis)
+
+    monkeypatch.setattr(_kernels, "smooth_kernel", counting)
+    assert run(["simulate", QUAD, "--x0", "2,-2", "--t-end", "0.5",
+                "--theta-sweep", "0,0.25,0.5,0.75,1"], tmp_path) == 0
+    files = sorted(tmp_path.glob("*.trajectory.tsv"))
+    assert len(files) == 5
+    assert all("\tsmooth:2\t" in f.read_text() for f in files)
+    assert compiled.count(region_2) == 1
+
+
 def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     code = run(["simulate", QUAD, "--x0", "1,1", "--t-end", "0.5",
                 "--theta-sweep", "0,0.5,1", "--certificate", PUBLISHED_V],

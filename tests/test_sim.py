@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swsos import _kernels
+from swsos import _kernels, sim
 from swsos.poly import parse_polynomial
 from swsos.sim import (SimConfig, StratumStop, Tangency, Trajectory,
                        _rk4_step, detect_crossing, simulate, sliding_weight,
@@ -54,6 +54,115 @@ def test_detect_crossing_linear(opposing_system):
     assert b.pair == (1, 2)
     assert abs(s - 0.5) < 1e-9
     assert abs(xc[1]) < 1e-9
+
+
+def _ref_hermite(x0, f0, x1, f1, h, s):
+    a = 2 * (x0 - x1) + h * (f0 + f1)
+    b = -3 * (x0 - x1) - h * (2 * f0 + f1)
+    return ((a * s + b) * s + h * f0) * s + x0
+
+
+def _ref_detect_crossing(sys, x_prev, x_next, field=None, event_tol=1e-9,
+                         h=1.0):
+    # the numpy 2-vector bisection detect_crossing replaced
+    x_prev = np.asarray(x_prev, dtype=float)
+    x_next = np.asarray(x_next, dtype=float)
+    if field is not None:
+        f0, f1 = field(x_prev), field(x_next)
+        interp = lambda s: _ref_hermite(x_prev, f0, x_next, f1, h, s)
+    else:
+        interp = lambda s: x_prev + s * (x_next - x_prev)
+    hits = []
+    for b in sys.boundaries:
+        c0, c1 = b.chi(x_prev), b.chi(x_next)
+        if c0 == 0.0 and c1 == 0.0:
+            continue
+        if np.sign(c0) * np.sign(c1) < 0 or (c0 != 0.0 and abs(c1) <= event_tol):
+            lo, hi = 0.0, 1.0
+            flo = c0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                fm = b.chi(interp(mid))
+                if abs(fm) <= event_tol:
+                    lo = hi = mid
+                    break
+                if np.sign(fm) == np.sign(flo):
+                    lo = mid
+                else:
+                    hi = mid
+            hits.append((0.5 * (lo + hi), b))
+    if not hits:
+        return None
+    hits.sort(key=lambda t: t[0])
+    if len(hits) > 1 and hits[1][0] - hits[0][0] <= event_tol:
+        raise StratumStop("codimension >= 2")
+    s, b = hits[0]
+    return b, s, interp(s)
+
+
+def _assert_same_crossing(got, ref):
+    if ref is None:
+        assert got is None
+        return
+    assert got[0] is ref[0]
+    assert got[1] == ref[1]
+    assert got[2].dtype == ref[2].dtype and got[2].tobytes() == ref[2].tobytes()
+
+
+def test_detect_crossing_matches_numpy_reference(quadrant_system, monkeypatch):
+    # every step the chattering run from (0.3, -2) at theta = 1 localizes,
+    # on the Hermite interpolant it uses and on the straight line
+    from swsos.cli import _theta_table
+    steps = []
+    detect = sim.detect_crossing
+
+    def record(*args, **kwargs):
+        steps.append((args, kwargs))
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "detect_crossing", record)
+    simulate(quadrant_system, (0.3, -2.0),
+             SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0)))
+    monkeypatch.undo()
+    assert len(steps) == 401
+    hits = 0
+    for args, kwargs in steps:
+        linear = dict(kwargs, field=None)
+        for kw in (kwargs, linear):
+            ref = _ref_detect_crossing(*args, **kw)
+            _assert_same_crossing(detect_crossing(*args, **kw), ref)
+            hits += ref is not None
+    assert hits > 700
+
+
+@pytest.mark.parametrize("x_prev, x_next", [((0.0, -1.0), (0.0, 1.0)),
+                                            ((0.0, 1.0), (0.0, -1.0))])
+def test_detect_crossing_nan_chi_mid_step(x_prev, x_next):
+    # chi = x2 at both ends (x1 = 0), but the Hermite bulge in x1 (the field
+    # is about 2e160 there) makes 1e300*x1^2 - 1e300*x1^3 = inf - inf = nan at
+    # every midpoint down to 2^-200: a nan never matches a side, so each
+    # bisection step keeps the lower half, from either crossing direction
+    sys_ = parse_system({
+        "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "regions": [
+            {"id": 1, "chi": "0", "xi": ["x2"], "witness": [0.0, 1.0]},
+            {"id": 2, "chi": "0", "xi": ["-x2"], "witness": [0.0, -1.0]},
+        ],
+        "boundaries": [{"i": 1, "j": 2,
+                        "chi_ij": "x2 + 1e300*x1^2 - 1e300*x1^3",
+                        "witness": [0.0, 0.0]}],
+        "dynamics": {"1": [["1e160 + 1e160*x2^2", "1"]],
+                     "2": [["1e160 + 1e160*x2^2", "1"]]},
+        "origin_regions": [],
+    })
+    b = sys_.boundaries[0]
+    F = sys_.field_at(1, (1.0,))
+    mid = _ref_hermite(np.array(x_prev), F(x_prev), np.array(x_next),
+                       F(x_next), 1.0, 0.5)
+    assert np.isnan(b.chi(mid))
+    ref = _ref_detect_crossing(sys_, x_prev, x_next, field=F)
+    assert ref[1] == 2.0 ** -201
+    _assert_same_crossing(detect_crossing(sys_, x_prev, x_next, field=F), ref)
 
 
 def test_detect_crossing_none_without_sign_change(opposing_system):
@@ -305,10 +414,22 @@ def _per_row_writer(traj, fh, manifest_hash=""):
         fh.write(f"{t:.9g}\t{kind}\t{detail}\n")
 
 
-def test_write_trajectory_matches_per_row_writer():
+def _chunk_rows(traj):
+    return [(t, x, mode, None if alphas is None else alphas[k],
+             None if psi is None else psi[k])
+            for times, states, mode, alphas, psi in traj.chunks
+            for k, (t, x) in enumerate(zip(times, states))]
+
+
+def test_write_trajectory_matches_per_row_writer(quadrant_system,
+                                                 published_lyapunov,
+                                                 opposing_system):
     # smooth points (psi, no alpha), sliding points (alpha and psi) and the
-    # stopped point (neither)
+    # stopped point (neither); sliding points without psi; the one-row
+    # crossing chunks of the chattering run (its sliding stretches end at
+    # their first step, so it stores no sliding row)
     import io
+    from swsos.cli import _theta_table
     v = parse_polynomial("x1^2 + 3*x2^2 + 0.1*x1*x2", 2)
     traj = simulate(_two_sided(["-x1", "-1"], ["-x1", "1"]), (1.0, 0.5),
                     SimConfig(step=1e-3, t_end=20.0), certificate={1: v, 2: v})
@@ -316,7 +437,22 @@ def test_write_trajectory_matches_per_row_writer():
     assert modes == {"smooth", "sliding", "stopped"}
     assert any(p.alpha is None and p.psi is not None for p in traj.points)
     assert traj.points[-1].alpha is None and traj.points[-1].psi is None
-    for t, manifest in ((traj, ""), (traj, "abc123"), (Trajectory(), "")):
+    bare = simulate(opposing_system, (0.0, 0.5), SimConfig(t_end=1.0))
+    assert any(p.alpha is not None and p.psi is None for p in bare.points)
+    chatter = simulate(quadrant_system, (0.3, -2.0),
+                       SimConfig(t_end=2.0,
+                                 theta=_theta_table(quadrant_system, 1.0)),
+                       certificate=published_lyapunov)
+    one_row = [c for c in chatter.chunks if len(c[0]) == 1]
+    assert len(one_row) == chatter.event_kinds().count("crossing") == 401
+    for t in (traj, bare, chatter):
+        rows = _chunk_rows(t)
+        assert len(t.points) == len(rows) == t.count
+        for p, (time, x, mode, alpha, psi) in zip(t.points, rows):
+            assert (p.t, p.mode, p.alpha, p.psi) == (time, mode, alpha, psi)
+            assert np.array_equal(p.x, x)
+    for t, manifest in ((traj, ""), (traj, "abc123"), (Trajectory(), ""),
+                        (bare, ""), (chatter, "abc123")):
         got, ref = io.StringIO(), io.StringIO()
         write_trajectory(t, got, manifest_hash=manifest)
         _per_row_writer(t, ref, manifest_hash=manifest)
