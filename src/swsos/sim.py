@@ -8,12 +8,23 @@ components point at each other.  Codimension >= 2 strata stop the run
 
 Both inner loops run in RK4 segment kernels that _kernels generates from
 the term lists each field and boundary polynomial caches: rk4_smooth_run
-inside a region, rk4_sliding_run along a boundary variety.  simulate
-compiles each region's and each boundary's kernel once per run, on first
-use; the small nudge off a boundary after an event is one step of the
-region's smooth kernel.  Event handling, the decisions between crossing
-and sliding, the chattering guard and the switched Lyapunov value (one
-batch evaluation per segment) live here.
+inside a region, rk4_sliding_run along a boundary variety.  A kernel is a
+pure function of the term lists it was generated from, so simulate looks
+it up by those term lists in a dict its caller may own and share: the
+theta runs of one `swsos simulate` call compile each distinct field and
+boundary once (a region with a single vertex once per call), and without
+a dict each run compiles its own, on first use.  The small nudge off a
+boundary after an event is one step of the region's smooth kernel.
+Event handling, the decisions between crossing and sliding, the
+chattering guard and the switched Lyapunov value (one batch evaluation
+per segment) live here.  No point or event lies past t_end: a smooth step
+that would record one is taken again as one step onto t_end.
+
+A Trajectory stores what the kernels return, one chunk per segment or
+single point: the times, the states as one (m, n) array, the mode, and
+the alpha and psi columns when present.  write_trajectory formats the
+chunks column-wise; the per-point TrajectoryPoint view is built only when
+something reads `points`.
 """
 
 from __future__ import annotations
@@ -342,10 +353,12 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     step_counter = 0
 
     state = "decide"        # decide | smooth | sliding | done
+    final = False           # the next smooth step is the last, onto t_end
     rid = None
     pair = None
 
-    while t < cfg.t_end - 1e-15:
+    t_stop = cfg.t_end - 1e-15
+    while t < t_stop:
         if np.linalg.norm(x) <= cfg.ball_stop:
             return stop(t, x, "converged")
 
@@ -394,56 +407,79 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             kernel = smooth_kernel_of(rid)
             # nudge off the boundary if the previous event left us on it:
             # one step of the region's kernel, called directly because a
-            # nudge is not a segment (the stepped state is the last row)
+            # nudge is not a segment (the stepped state is the last row);
+            # no nudge goes past t_end, and none precedes the last step
             xs = x.tolist()
             guard = 0
-            while any(abs(_kernels.eval_terms(chi, xs)) <= 2 * cfg.event_tol
-                      for chi in chis) and guard < 8:
-                flat = kernel(xs, h * 1e-3, 1, -1.0, box_lo, box_hi,
+            while not final and any(
+                    abs(_kernels.eval_terms(chi, xs)) <= 2 * cfg.event_tol
+                    for chi in chis) and guard < 8 and t < t_stop:
+                hn = min(h * 1e-3, cfg.t_end - t)
+                flat = kernel(xs, hn, 1, -1.0, box_lo, box_hi,
                               cfg.event_tol)[0]
                 xs = flat[-len(xs):]
-                t += h * 1e-3
+                t += hn
                 guard += 1
             x = np.array(xs)
-            max_steps = max(int(np.ceil((cfg.t_end - t) / h)), 1)
+            if t >= t_stop:
+                continue
+            if final:
+                hs, max_steps = cfg.t_end - t, 1
+            else:
+                hs, max_steps = h, max(int(np.ceil((cfg.t_end - t) / h)), 1)
             states, code, bidx = _kernels.rk4_smooth_run(
-                kernel, x, h, max_steps, cfg.ball_stop, box_lo, box_hi,
+                kernel, x, hs, max_steps, cfg.ball_stop, box_lo, box_hi,
                 cfg.event_tol)
-            accepted = states[1:states.shape[0] - (1 if code in
+            n = states.shape[0]
+            past = not final and t + (n - 1) * hs > cfg.t_end
+            accepted = states[1:n - (1 if past or code in
                               (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else 0)]
-            add_segment([t + k * h for k in range(1, accepted.shape[0] + 1)],
+            add_segment([t + k * hs for k in range(1, accepted.shape[0] + 1)],
                         accepted, f"smooth:{rid}", rid)
-            step_counter += states.shape[0] - 1
+            step_counter += n - 1
 
+            hit = None
+            if code == _kernels.STOP_BOUNDARY:
+                # boundary event: localize on the last step
+                x_prev = states[-2]
+                x_next = states[-1]
+                t_prev = t + (n - 2) * hs
+                try:
+                    hit = detect_crossing(sys, x_prev, x_next, field=F,
+                                          event_tol=cfg.event_tol, h=hs)
+                except StratumStop as exc:
+                    return stop(t_prev, x_prev, "stratum_stop", str(exc))
+                past = past and (hit is None or t_prev + hit[1] * hs > cfg.t_end)
+            if past:
+                # the last step ends past t_end, and no crossing before t_end
+                # ends it first: take it again as one step onto t_end
+                t, x, final = t + (n - 2) * hs, states[-2], True
+                continue
             if code != _kernels.STOP_BOUNDARY:
-                t = t + (states.shape[0] - 1) * h
+                t = t + (n - 1) * hs
                 x = states[-1]
                 if code == _kernels.STOP_CONVERGED:
                     return stop(t, x, "converged")
                 if code == _kernels.STOP_ESCAPED:
                     return stop(t, x, "escaped")
-                break
-            # boundary event: localize on the last step
-            x_prev = states[-2]
-            x_next = states[-1]
-            t_prev = t + (states.shape[0] - 2) * h
-            try:
-                hit = detect_crossing(sys, x_prev, x_next, field=F,
-                                      event_tol=cfg.event_tol, h=h)
-            except StratumStop as exc:
-                return stop(t_prev, x_prev, "stratum_stop", str(exc))
+                continue
             if hit is None:
                 # the kernel flagged proximity without a sign change; accept
                 # the step and continue from x_next
-                t = t_prev + h
+                t = t_prev + hs
                 x = x_next
                 add_point(t, x, f"smooth:{rid}", rid=rid)
                 state = "decide"
                 continue
             b, s, xc = hit
-            t = t_prev + s * h
+            t = t_prev + s * hs
             add_point(t, xc, f"smooth:{rid}", rid=rid)
             traj.events.append((t, "crossing", f"({b.i},{b.j})"))
+            if final:
+                # the step onto t_end is taken whole: its crossing is
+                # reported and the run ends at the stepped state
+                t, x = t_prev + hs, x_next
+                continue
             recent_crossings.append((step_counter, b.pair))
             x = xc
             # chattering guard

@@ -124,7 +124,7 @@ def test_detect_crossing_matches_numpy_reference(quadrant_system, monkeypatch):
     simulate(quadrant_system, (0.3, -2.0),
              SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0)))
     monkeypatch.undo()
-    assert len(steps) == 401
+    assert len(steps) > 400
     hits = 0
     for args, kwargs in steps:
         linear = dict(kwargs, field=None)
@@ -224,6 +224,28 @@ def test_simulate_scalar_convergence_time():
     assert traj.converged()
     t_conv = [t for t, kind, _ in traj.events if kind == "converged"][0]
     assert abs(t_conv - np.log(1e4)) / np.log(1e4) < 0.01
+
+
+def test_simulate_smooth_run_ends_at_t_end():
+    # 1234.5 steps of h: the run takes 1234 of them and one of h/2
+    traj = simulate(_scalar_decay(), (1.0,), SimConfig(step=1e-3, t_end=1.2345))
+    assert abs(traj.final_time - 1.2345) <= 1e-12
+    assert traj.events == [(traj.final_time, "t_end", "")]
+    times = [p.t for p in traj.points]
+    assert times[:-1] == [k * 1e-3 for k in range(1, 1235)]
+    assert abs(traj.final_state[0] - np.exp(-1.2345)) < 1e-9
+
+
+def test_chattering_run_ends_at_t_end(quadrant_system):
+    # the step that would cross x1*x2 = 0 past t_end is taken again onto
+    # t_end, whole: its crossing is reported and nothing lies past t_end
+    from swsos.cli import _theta_table
+    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
+    traj = simulate(quadrant_system, (0.3, -2.0), cfg)
+    assert traj.final_time == 2.0
+    assert max(t for t, _, _ in traj.events) == 2.0
+    assert traj.events[-2][1] == "crossing" and traj.events[-2][0] < 2.0
+    assert traj.points[-1].mode == "stopped:t_end"
 
 
 def test_simulate_rejects_x0_outside_box():
@@ -443,8 +465,9 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
                        SimConfig(t_end=2.0,
                                  theta=_theta_table(quadrant_system, 1.0)),
                        certificate=published_lyapunov)
-    one_row = [c for c in chatter.chunks if len(c[0]) == 1]
-    assert len(one_row) == chatter.event_kinds().count("crossing") == 401
+    crossings = [c for c in chatter.chunks
+                 if len(c[0]) == 1 and c[2].startswith("smooth:")]
+    assert len(crossings) == chatter.event_kinds().count("crossing") == 401
     for t in (traj, bare, chatter):
         rows = _chunk_rows(t)
         assert len(t.points) == len(rows) == t.count
