@@ -170,8 +170,8 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
         # the cubic through (x0, f0) and (x1, f1) over a step of h
         cubic = [(2 * (u - v) + h * (fu + fv), -3 * (u - v) - h * (2 * fu + fv),
                   h * fu, u) for u, v, fu, fv in zip(x0, x1, f0, f1)]
-        interp = lambda s: [((a * s + b) * s + c) * s + d
-                            for a, b, c, d in cubic]
+        interp = lambda s: [((k3 * s + k2) * s + k1) * s + k0
+                            for k3, k2, k1, k0 in cubic]
     else:
         interp = lambda s: [u + s * (v - u) for u, v in zip(x0, x1)]
 
