@@ -1,7 +1,8 @@
 """Conic solver: block-PSD feasibility programs in, values out.
 
 A program is one `SdpProblem`: sparse (row, column, value) triplets for
-the PSD blocks' svec columns and for the free scalars, dense b and c.
+the PSD blocks' svec columns and for the free scalars, dense b, and a
+dense objective c on the svec columns.
 `solve` is a dense primal-dual interior-point method written against numpy
 alone.  Problems are small (blocks of size <= ~20), so it scatters the
 triplets into dense arrays once per solve.
@@ -39,13 +40,13 @@ def svec_layout(psd_blocks):
 @dataclass
 class SdpProblem:
     """Conic feasibility problem  A x + F s = b,  x in the PSD blocks (svec
-    columns, see `svec_layout`),  s free,  minimizing c.(x, s).
+    columns, see `svec_layout`),  s free,  minimizing c.x.
 
     A and F are (row, column, value) triplets, repeated positions adding
     up; an off-diagonal svec column carries the coefficient of Q[i, j] +
-    Q[j, i] divided by sqrt(2).  Column k of F is free_scalars[k]; c runs
-    over the svec columns, then the free scalars.  gram_layout maps a
-    block id to its monomial basis.
+    Q[j, i] divided by sqrt(2).  Column k of F is free_scalars[k]; c has
+    one entry per svec column.  gram_layout maps a block id to its
+    monomial basis.
     """
 
     psd_blocks: list        # (block_id, size)
@@ -63,9 +64,10 @@ class SdpProblem:
 
     @property
     def equality_rows(self):
-        # Read-only (terms, rhs) per row, terms keyed by column as in c.  It
-        # exists for perfbench until ROADMAP item 1 moves those reads behind
-        # accessors; nothing in the package reads it.
+        # Read-only (terms, rhs) per row, terms keyed by column: the svec
+        # columns, then free scalar k as column nx + k.  It exists for
+        # perfbench until ROADMAP item 1 moves those reads behind accessors;
+        # nothing in the package reads it.
         rows, nx = [{} for _ in self.b], svec_layout(self.psd_blocks)[1]
         for (r, k, v), shift in ((self.A, 0), (self.F, nx)):
             for row, col, value in zip(r.tolist(), (k + shift).tolist(), v.tolist()):
@@ -89,8 +91,8 @@ class SdpProblem:
             if out.size:
                 raise ValueError(f"{name} entry ({r[out[0]]}, {k[out[0]]}) lies outside "
                                  f"its {m} x {ncol} shape")
-        if self.c.shape != (nx + nf,):
-            raise ValueError(f"c has shape {self.c.shape}, not ({nx + nf},)")
+        if self.c.shape != (nx,):
+            raise ValueError(f"c has shape {self.c.shape}, not ({nx},)")
         rows = np.concatenate([self.A[0], self.F[0], np.arange(m)])
         finite = np.isfinite(np.concatenate([self.A[2], self.F[2], self.b, self.c]))
         if not finite.all():
@@ -278,15 +280,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
       INACCURATE_TOL;
     - INFEASIBLE only on a Farkas certificate y with b.y > 0 and
       ||A*y + S|| <= FARKAS_TOL * b.y, S PSD, checked on the original rows;
-    - UNBOUNDED on a direction x in K with A x = 0 and c.x < 0, or when
-      a feasible problem's objective on free scalars does not factor
-      through the rows;
+    - UNBOUNDED on a direction x in K with A x = 0 and c.x < 0;
     - NUMERICAL_ERROR otherwise.
     """
     problem.validate()
     layout, nx = svec_layout(problem.psd_blocks)
-    b, cx, cs = problem.b, problem.c[:nx], problem.c[nx:]
-    A, F = np.zeros((len(b), nx)), np.zeros((len(b), len(cs)))
+    b, c = problem.b, problem.c
+    A, F = np.zeros((len(b), nx)), np.zeros((len(b), len(problem.free_scalars)))
     np.add.at(A, problem.A[:2], problem.A[2])
     np.add.at(F, problem.F[:2], problem.F[2])
 
@@ -294,12 +294,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
         by = b @ y
         return by > 0 and (np.linalg.norm(A.T @ y + z) <= FARKAS_TOL * by
                            and np.linalg.norm(F.T @ y) <= FARKAS_TOL * by)
-
-    # an objective on free scalars must factor through the rows
-    # (cs = F'w, so cs.s = w.(b - A x)); otherwise it is unbounded below
-    w = np.linalg.lstsq(F.T, cs, rcond=None)[0] if F.size else np.zeros(len(b))
-    unbounded = np.linalg.norm(F.T @ w - cs) > RANK_TOL * (1.0 + np.linalg.norm(cs))
-    c = np.zeros(nx) if unbounded else cx - A.T @ w
 
     # T: orthonormal rows with T F = 0 and T A of full row rank
     U, s, _ = np.linalg.svd(F)
@@ -324,8 +318,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
         return SdpSolution(status=NUMERICAL_ERROR,
                            solver_status=f"native:stalled:{iters}:primal {residual:.1e}"
                                          f" dual {dres:.1e}")
-    if unbounded:
-        return SdpSolution(status=UNBOUNDED, solver_status=f"native:unbounded:{iters}")
     bvals = {bid: _smat(x[sl], n, i, j) for bid, n, sl, i, j in layout}
     return SdpSolution(
         status=FEASIBLE,

@@ -8,12 +8,12 @@ Builds one feasibility SDP tying together, per region i and boundary pair
     (cross)  -<dV_i/dx, f_jl> - r_ij*chi_ij - nu*m          is SOS, per vertex l
     (glue)   V_i + p_ij*chi_ij = V_j                        exactly
 
-where phi = pd_epsilon*(sum x_k^2 + sum x_k^deg) pins positive definiteness
-and m = (sum x_k^2)^(deg/2) is the decrease margin.  The state-space box is
-threaded into every SOS constraint as extra inequality generators
-(hi_k - x_k)(x_k - lo_k) >= 0; without them the conditions are genuinely
-infeasible for degree reasons (the top-degree form of a Lie derivative
-constraint would have to be PSD on its own).
+where phi = MARGIN*(sum x_k^2 + sum x_k^deg) pins positive definiteness
+and m = (sum x_k^2)^(deg/2) is the decrease margin, mu = nu = MARGIN.
+The state-space box is threaded into every SOS constraint as extra
+inequality generators (hi_k - x_k)(x_k - lo_k) >= 0; without them the
+conditions are genuinely infeasible for degree reasons (the top-degree
+form of a Lie derivative constraint would have to be PSD on its own).
 
 A solver success is never reported as CERTIFIED directly: the extracted
 certificate must first pass the sampling oracle.
@@ -42,21 +42,23 @@ UNKNOWN = "unknown"
 
 GLUE_RESIDUAL_TOL = 1e-7
 
+# The one margin of the SOS conditions: the scale of the positive-
+# definiteness floor (pd_epsilon) and of the decrease margins of the region
+# (margin_mu) and cross (margin_nu) conditions, as the certificate's config
+# block records them.
+MARGIN = 1e-4
+# check_attractivity's strict-positivity offset
+ATTRACTIVITY_KAPPA = 1e-4
+
 
 @dataclass
 class CertificationConfig:
     lyapunov_degree: int = 6
-    margin_mu: float = 1e-4
-    margin_nu: float = 1e-4
-    pd_epsilon: float = 1e-4
     use_attractivity_filter: bool = True
 
     def __post_init__(self):
         if self.lyapunov_degree < 2 or self.lyapunov_degree % 2 != 0:
             raise ValueError("lyapunov_degree must be even and >= 2")
-        for name in ("margin_mu", "margin_nu", "pd_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass
@@ -64,7 +66,6 @@ class Certificate:
     status: str
     lyapunov: dict = field(default_factory=dict)       # rid -> Polynomial
     gluing: dict = field(default_factory=dict)         # (i,j) -> Polynomial
-    multipliers: dict = field(default_factory=dict)    # name -> Polynomial
     sos_evidence: SosCertificate = None
     config: CertificationConfig = None
     oracle_report = None
@@ -88,9 +89,9 @@ class Certificate:
         if self.config is not None:
             out["config"] = {
                 "lyapunov_degree": self.config.lyapunov_degree,
-                "margin_mu": self.config.margin_mu,
-                "margin_nu": self.config.margin_nu,
-                "pd_epsilon": self.config.pd_epsilon,
+                "margin_mu": MARGIN,
+                "margin_nu": MARGIN,
+                "pd_epsilon": MARGIN,
                 "use_attractivity_filter": self.config.use_attractivity_filter,
             }
         if self.lyapunov:
@@ -137,26 +138,27 @@ def _box_generators(sys: SwitchedSystem) -> list:
     return gens
 
 
-def _pd_floor(n: int, deg: int, eps: float) -> Polynomial:
+def _pd_floor(n: int, deg: int) -> Polynomial:
     p = Polynomial.zero(n)
     for k in range(n):
         xk = Polynomial.variable(n, k)
         p = p + xk ** 2 + xk ** deg
-    return p * eps
+    return p * MARGIN
 
 
-def _margin(n: int, deg: int, scale: float) -> Polynomial:
+def _margin(n: int, deg: int) -> Polynomial:
     q = Polynomial.zero(n)
     for k in range(n):
         q = q + Polynomial.variable(n, k) ** 2
-    return (q ** (deg // 2)) * scale
+    return (q ** (deg // 2)) * MARGIN
 
 
-def check_attractivity(sys: SwitchedSystem, pair, kappa: float = 1e-4) -> str:
+def check_attractivity(sys: SwitchedSystem, pair) -> str:
     """SOS test for whether a boundary can host a sliding mode.
 
     For each vertex pair (f, g) of the adjacent regions, tests whether
-    -<dchi, f><dchi, g> - l*chi - kappa is SOS for some polynomial l.
+    -<dchi, f><dchi, g> - l*chi - ATTRACTIVITY_KAPPA is SOS for some
+    polynomial l.
     Feasibility for any vertex pair means the normal components can have
     opposite signs somewhere on the boundary, so sliding cannot be ruled
     out and cross-Lie conditions must be enforced for the pair.
@@ -169,7 +171,7 @@ def check_attractivity(sys: SwitchedSystem, pair, kappa: float = 1e-4) -> str:
         lf = lie_derivative(chi, f)
         for g in sys.dynamics[j].vertices:
             lg = lie_derivative(chi, g)
-            target = (lf * lg) * (-1.0) - kappa
+            target = (lf * lg) * (-1.0) - ATTRACTIVITY_KAPPA
             cons = PositivityConstraint(
                 cid="attract", target=LinPoly.from_poly(target),
                 equality_generators=[chi])
@@ -194,9 +196,8 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     n = sys.dimension
     deg = cfg.lyapunov_degree
     box_gens = _box_generators(sys)
-    phi = _pd_floor(n, deg, cfg.pd_epsilon)
-    mu_m = _margin(n, deg, cfg.margin_mu)
-    nu_m = _margin(n, deg, cfg.margin_nu)
+    phi = _pd_floor(n, deg)
+    margin = _margin(n, deg)
 
     if cross_pairs is None:
         cross_pairs = []
@@ -220,14 +221,14 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
         for l, f in enumerate(sys.dynamics[rid].vertices):
             constraints.append(PositivityConstraint(
                 cid=f"lie{rid}v{l}",
-                target=V[rid].lie(f).scale(-1.0) - mu_m,
+                target=V[rid].lie(f).scale(-1.0) - margin,
                 equality_generators=eq, inequality_generators=ineq))
     for (i, j) in cross_pairs:
         chi_ij = sys.boundary(i, j).chi
         for l, f in enumerate(sys.dynamics[j].vertices):
             constraints.append(PositivityConstraint(
                 cid=f"cross{i}_{j}v{l}",
-                target=V[i].lie(f).scale(-1.0) - nu_m,
+                target=V[i].lie(f).scale(-1.0) - margin,
                 equality_generators=[chi_ij],
                 inequality_generators=list(box_gens)))
 
@@ -298,7 +299,6 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
 
     cert = Certificate(
         status=SUSPECT, lyapunov=lyapunov, gluing=gluing,
-        multipliers=dict(evidence.free_multipliers),
         sos_evidence=evidence, config=cfg,
         attractive_pairs=attractive, system_hash=sys.source_hash,
     )

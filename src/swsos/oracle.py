@@ -39,8 +39,8 @@ class OracleConfig:
     def __post_init__(self):
         for name in ("grid_per_dim", "random_samples", "exclusion_radius",
                      "tolerance", "boundary_samples"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"OracleConfig.{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"OracleConfig.{name} must be positive and finite")
 
 
 @dataclass

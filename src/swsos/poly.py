@@ -271,14 +271,6 @@ class PolyVector:
         xs = x.tolist()
         return np.array([_kernels.eval_terms(p._term_list(), xs) for p in self.components])
 
-    def __add__(self, other):
-        return PolyVector([a + b for a, b in zip(self.components, other.components)])
-
-    def __mul__(self, c: float):
-        return PolyVector([p * c for p in self.components])
-
-    __rmul__ = __mul__
-
     def degree(self) -> int:
         return max(p.degree() for p in self.components)
 

@@ -39,7 +39,8 @@ from . import _kernels
 from .poly import PolyVector
 from .system import SwitchedSystem
 
-SLIDING_BAND = 10.0          # sliding keeps |chi| <= SLIDING_BAND * event_tol
+EVENT_TOL = 1e-9             # |chi| at which an event is localized
+SLIDING_BAND = 10.0          # sliding keeps |chi| <= SLIDING_BAND * EVENT_TOL
 CHATTER_CROSSINGS = 50       # crossings of one boundary ...
 CHATTER_WINDOW = 100         # ... within this many accepted steps
 CHATTER_MAX_HALVINGS = 3
@@ -48,15 +49,13 @@ CHATTER_MAX_HALVINGS = 3
 @dataclass
 class SimConfig:
     step: float = 1e-3
-    event_tol: float = 1e-9
     t_end: float = 50.0
     theta: dict = None           # rid -> simplex weights; None = first vertex
     ball_stop: float = 1e-4
 
     def __post_init__(self):
-        if not all(v > 0 and np.isfinite(v)
-                   for v in (self.step, self.event_tol, self.t_end)):
-            raise ValueError("step, event_tol and t_end must all be finite and > 0")
+        if not all(v > 0 and np.isfinite(v) for v in (self.step, self.t_end)):
+            raise ValueError("step and t_end must both be finite and > 0")
 
 
 @dataclass
@@ -148,7 +147,7 @@ def _sign(v):
 
 
 def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
-                    event_tol: float = 1e-9, h: float = 1.0):
+                    h: float = 1.0):
     """Earliest boundary sign change across a step, or None.
 
     Returns (boundary, s, x_cross) with s the step fraction, localized by
@@ -181,13 +180,13 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
         c0, c1 = _kernels.eval_terms(chi, x0), _kernels.eval_terms(chi, x1)
         if c0 == 0.0 and c1 == 0.0:
             continue
-        if _sign(c0) * _sign(c1) < 0 or (c0 != 0.0 and abs(c1) <= event_tol):
+        if _sign(c0) * _sign(c1) < 0 or (c0 != 0.0 and abs(c1) <= EVENT_TOL):
             lo, hi = 0.0, 1.0
             flo = c0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 fm = _kernels.eval_terms(chi, interp(mid))
-                if abs(fm) <= event_tol:
+                if abs(fm) <= EVENT_TOL:
                     lo = hi = mid
                     break
                 # a nan on either side compares unequal: hi = mid
@@ -200,7 +199,7 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
     if not hits:
         return None
     hits.sort(key=lambda t: t[0])
-    if len(hits) > 1 and hits[1][0] - hits[0][0] <= event_tol:
+    if len(hits) > 1 and hits[1][0] - hits[0][0] <= EVENT_TOL:
         raise StratumStop(
             f"boundaries {[h[1].pair for h in hits[:2]]} cross within "
             f"event_tol of the same time")
@@ -216,8 +215,7 @@ class Tangency(RuntimeError):
     """Both fields are tangent to the boundary; sliding weight undefined."""
 
 
-def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None,
-                   event_tol: float = 1e-9) -> float:
+def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None) -> float:
     """Filippov convex weight alpha with F_s = alpha*F_i + (1-alpha)*F_j.
 
     alpha = <n, F_j> / <n, F_j - F_i> with n the boundary normal at x;
@@ -229,16 +227,15 @@ def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None,
     th_i = theta_i if theta_i is not None else _theta_for(sys, SimConfig(), i)
     th_j = theta_j if theta_j is not None else _theta_for(sys, SimConfig(), j)
     return _sliding_weight(b, pair, b.chi.gradient(),
-                           sys.field_at(i, th_i), sys.field_at(j, th_j),
-                           x, event_tol)
+                           sys.field_at(i, th_i), sys.field_at(j, th_j), x)
 
 
 def _sliding_weight(b, pair, grad: PolyVector, Fi: PolyVector, Fj: PolyVector,
-                    x, event_tol: float) -> float:
+                    x) -> float:
     """sliding_weight with the boundary gradient and both fields prebuilt."""
     i, j = pair
     x = np.asarray(x, dtype=float)
-    if abs(b.chi(x)) > SLIDING_BAND * event_tol:
+    if abs(b.chi(x)) > SLIDING_BAND * EVENT_TOL:
         raise ValueError(f"point is not on boundary ({i},{j})")
     n = grad(x)
     if np.linalg.norm(n) == 0.0:
@@ -332,7 +329,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     def pick_region(xx):
         """Region whose (theta-combined) field keeps xx in its closure."""
-        members = sorted(sys.locate(xx, tol=SLIDING_BAND * max(cfg.event_tol, 1e-12)))
+        members = sorted(sys.locate(xx, tol=SLIDING_BAND * EVENT_TOL))
         if len(members) == 1:
             return members[0], None
         # on a boundary: if exactly two adjacent regions, decide between
@@ -352,7 +349,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     recent_crossings = []   # (step index counter, pair) for the chattering guard
     step_counter = 0
 
-    state = "decide"        # decide | smooth | sliding | done
+    state = "decide"        # decide | smooth | sliding
     final = False           # the next smooth step is the last, onto t_end
     rid = None
     pair = None
@@ -374,8 +371,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 b = sys.boundary(i, j)
                 try:
                     alpha = _sliding_weight(b, (i, j), grad_of(b),
-                                            field_of(i), field_of(j), x,
-                                            cfg.event_tol)
+                                            field_of(i), field_of(j), x)
                 except Tangency:
                     alpha = None
                 except StratumStop as exc:
@@ -412,11 +408,10 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             xs = x.tolist()
             guard = 0
             while not final and any(
-                    abs(_kernels.eval_terms(chi, xs)) <= 2 * cfg.event_tol
+                    abs(_kernels.eval_terms(chi, xs)) <= 2 * EVENT_TOL
                     for chi in chis) and guard < 8 and t < t_stop:
                 hn = min(h * 1e-3, cfg.t_end - t)
-                flat = kernel(xs, hn, 1, -1.0, box_lo, box_hi,
-                              cfg.event_tol)[0]
+                flat = kernel(xs, hn, 1, -1.0, box_lo, box_hi, EVENT_TOL)[0]
                 xs = flat[-len(xs):]
                 t += hn
                 guard += 1
@@ -429,7 +424,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 hs, max_steps = h, max(int(np.ceil((cfg.t_end - t) / h)), 1)
             states, code, bidx = _kernels.rk4_smooth_run(
                 kernel, x, hs, max_steps, cfg.ball_stop, box_lo, box_hi,
-                cfg.event_tol)
+                EVENT_TOL)
             n = states.shape[0]
             past = not final and t + (n - 1) * hs > cfg.t_end
             accepted = states[1:n - (1 if past or code in
@@ -445,8 +440,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 x_next = states[-1]
                 t_prev = t + (n - 2) * hs
                 try:
-                    hit = detect_crossing(sys, x_prev, x_next, field=F,
-                                          event_tol=cfg.event_tol, h=hs)
+                    hit = detect_crossing(sys, x_prev, x_next, field=F, h=hs)
                 except StratumStop as exc:
                     return stop(t_prev, x_prev, "stratum_stop", str(exc))
                 past = past and (hit is None or t_prev + hit[1] * hs > cfg.t_end)
@@ -505,7 +499,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             b = sys.boundary(i, j)
             states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
                 sliding_kernel_of(b), x, t, cfg.t_end, h, cfg.ball_stop,
-                box_lo, box_hi, cfg.event_tol, SLIDING_BAND * cfg.event_tol)
+                box_lo, box_hi, EVENT_TOL, SLIDING_BAND * EVENT_TOL)
             x = np.array(x)
             add_segment(times, states, f"sliding:{i},{j}", i, alphas)
             step_counter += len(times)

@@ -222,7 +222,6 @@ class SosCertificate:
     min_eigenvalues: dict = field(default_factory=dict)
     status: str = FEASIBLE
     solver_status: str = ""
-    scalar_values: dict = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -364,7 +363,7 @@ def assemble(constraints, identities=()) -> SdpProblem:
     A = [np.concatenate(part) for part in
          zip(*((r, cols + layout[k][2].start, vals) for k, r, cols, vals in gram_parts))]
     problem = SdpProblem(psd_blocks, list(scalars), A or ([], [], []),
-                         list(zip(*F)) or ([], [], []), b, np.zeros(nx + len(scalars)),
+                         list(zip(*F)) or ([], [], []), b, np.zeros(nx),
                          gram_layout)
     problem.validate()
     return problem
@@ -388,7 +387,6 @@ def certificate_from_solution(problem: SdpProblem, sol: SdpSolution, dim: int) -
         min_eigenvalues=dict(sol.min_eigenvalues),
         status=sol.status,
         solver_status=sol.solver_status,
-        scalar_values=dict(sol.scalar_values),
     )
 
 

@@ -112,6 +112,18 @@ class SwitchedSystem:
         for rid in self.regions:
             if rid not in self.dynamics:
                 raise SystemFormatError(f"region {rid} has no dynamics")
+        n = self.dimension
+        witnesses = [(f"region {rid}", r.witness) for rid, r in self.regions.items()]
+        witnesses += [(f"boundary ({b.i},{b.j})", b.witness) for b in self.boundaries
+                      if b.witness is not None]
+        for what, w in witnesses:
+            if np.shape(w) != (n,):
+                raise SystemFormatError(f"{what} witness has {np.size(w)} entries, not {n}")
+        for rid, dyn in self.dynamics.items():
+            for l, v in enumerate(dyn.vertices):
+                if len(v) != n:
+                    raise SystemFormatError(f"region {rid} vertex field {l} has "
+                                            f"{len(v)} components, not {n}")
 
     # -- queries ------------------------------------------------------
     def locate(self, x, tol: float) -> set:

@@ -14,7 +14,7 @@ def _problem(blocks, scalars, rows, c=None):
                 rr.append(r)
                 kk.append(k)
                 vv.append(v)
-    nc = sum(n * (n + 1) // 2 for _, n in blocks) + len(scalars)
+    nc = sum(n * (n + 1) // 2 for _, n in blocks)
     return SdpProblem(list(blocks), list(scalars), A, F, [rhs for *_, rhs in rows],
                       np.zeros(nc) if c is None else c)
 
@@ -61,17 +61,9 @@ def test_reported_residual_matches_solution():
     assert "Q" in sol.min_eigenvalues
 
 
-def test_objective_on_free_scalar():
-    # min t subject to t - q = 1, q >= 0: t = 1
-    p = _problem([("Q", 1)], ["t"], [({0: -1.0}, {0: 1.0}, 1.0)], c=[0.0, 1.0])
-    sol = solve(p)
-    assert sol.status == FEASIBLE
-    assert abs(sol.scalar_values["t"] - 1.0) < 1e-6
-
-
 def test_unbounded_objective():
-    # the free scalar u is in no row, so minimizing it has no bound
-    p = _problem_psd_scalar(1.0, scalars=["u"], c=[0.0, 1.0])
+    # Q00 = 1 leaves Q11 free to grow, so minimizing -Q11 has no bound
+    p = _problem([("Q", 2)], [], [({0: 1.0}, {}, 1.0)], c=[0.0, 0.0, -1.0])
     assert solve(p).status == UNBOUNDED
 
 
@@ -84,7 +76,8 @@ def test_validate_rejects_unknown_keys():
 
 def test_validate_rejects_out_of_range_index():
     # entry (1, 1) of a 1x1 block, scalar 1 of one, a row past the last,
-    # negative indices, and an objective of the wrong length
+    # negative indices, and an objective of the wrong length, one entry per
+    # free scalar too many included
     bad = [
         (_problem([("Q", 1)], [], [({1: 1.0}, {}, 0.0)]), r"A entry \(0, 1\)"),
         (_problem([("Q", 1)], ["t"], [({0: 1.0}, {1: 1.0}, 0.0)]), r"F entry \(0, 1\)"),
@@ -95,7 +88,7 @@ def test_validate_rejects_out_of_range_index():
          r"A entry \(-1, 0\)"),
         (_problem_psd_scalar(1.0, c=[1.0, 1.0]), r"c has shape \(2,\), not \(1,\)"),
         (_problem_psd_scalar(1.0, c=[]), r"c has shape \(0,\), not \(1,\)"),
-        (_problem_psd_scalar(1.0, scalars=["u"], c=[1.0]), r"c has shape \(1,\), not \(2,\)"),
+        (_problem_psd_scalar(1.0, scalars=["u"], c=[1.0, 0.0]), r"c has shape \(2,\), not \(1,\)"),
         (SdpProblem([("Q", 1)], [], ([0, 0], [0], [1.0]), ([], [], []), [0.0], [0.0]),
          "A triplet arrays differ"),
     ]
@@ -121,13 +114,12 @@ def test_validate_rejects_non_finite_coefficient(bad):
     p = _problem([("Q", 1)], ["u"], [({0: 1.0}, {}, 1.0), ({0: 1.0}, {0: bad}, 0.0)])
     with pytest.raises(ValueError, match="row 1 has a non-finite"):
         p.validate()
-    # the objective, on a PSD entry and on a free scalar
-    for c in ([bad, 0.0], [0.0, bad]):
-        p = _problem_psd_scalar(1.0, scalars=["u"], c=c)
-        with pytest.raises(ValueError, match="objective c has a non-finite"):
-            p.validate()
-        with pytest.raises(ValueError, match="objective c has a non-finite"):
-            solve(p)
+    # the objective
+    p = _problem_psd_scalar(1.0, scalars=["u"], c=[bad])
+    with pytest.raises(ValueError, match="objective c has a non-finite"):
+        p.validate()
+    with pytest.raises(ValueError, match="objective c has a non-finite"):
+        solve(p)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])

@@ -5,6 +5,8 @@ the pipeline is exercised end to end on 1-D systems and the pre-filter and
 assembly logic on the shipped 2-D examples.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,9 @@ def test_config_validation():
         CertificationConfig(lyapunov_degree=3)
     with pytest.raises(ValueError):
         CertificationConfig(lyapunov_degree=0)
-    with pytest.raises(ValueError):
-        CertificationConfig(pd_epsilon=0.0)
+    # the margins are the constant certify.MARGIN
+    assert [f.name for f in fields(CertificationConfig)] == [
+        "lyapunov_degree", "use_attractivity_filter"]
 
 
 def test_certify_stable_scalar_degree2():
@@ -104,12 +107,22 @@ def test_build_feasibility_structure(quadrant_system):
     # origin regions have no constant term in the V ansatz
     assert ("0,0" not in
             {v.split("[")[1][:-1] for v in plan["V"][1].variables()})
-    # trace objective: 1 on every svec diagonal column, 0 everywhere else
-    diagonal = np.zeros(len(problem.c), dtype=bool)
-    for _, _, sl, i, j in svec_layout(problem.psd_blocks)[0]:
+    # trace objective: one entry per svec column, 1 on every diagonal
+    # column, 0 everywhere else
+    layout, nx = svec_layout(problem.psd_blocks)
+    assert problem.c.shape == (nx,)
+    diagonal = np.zeros(nx, dtype=bool)
+    for _, _, sl, i, j in layout:
         diagonal[sl] = i == j
     assert diagonal.sum() == sum(n for _, n in problem.psd_blocks)
     assert np.array_equal(problem.c, diagonal.astype(float))
+    # the known part of each target is the fixed 1e-4 margin:
+    # -1e-4*(x1^2 + x2^2 + x1^4 + x2^4) on pd, -1e-4*(x1^2 + x2^2)^2 otherwise
+    floor = {(2, 0): -1e-4, (0, 2): -1e-4, (4, 0): -1e-4, (0, 4): -1e-4}
+    margin = {(4, 0): -1e-4, (2, 2): -2e-4, (0, 4): -1e-4}
+    for c in plan["constraints"]:
+        known = {m: e[None] for m, e in c.as_linpoly().terms.items() if None in e}
+        assert known == (floor if c.cid.startswith("pd") else margin), c.cid
 
 
 def test_build_feasibility_filtered_cross_pairs(quadrant_system):
@@ -138,3 +151,8 @@ def test_certificate_to_dict_round_trip_keys(quadrant_system):
                 "glue_residuals", "sos_evidence", "oracle_report"):
         assert key in doc
     assert doc["status"] == CERTIFIED
+    # the margins are fixed, and the config block still records them, in
+    # the same order
+    assert list(doc["config"].items()) == [
+        ("lyapunov_degree", 4), ("margin_mu", 1e-4), ("margin_nu", 1e-4),
+        ("pd_epsilon", 1e-4), ("use_attractivity_filter", True)]

@@ -110,11 +110,14 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     ["simulate", QUAD, "--x0", "1,1", "--theta", "0.5,0.5000000001"],
     ["certify", QUAD, "--degree", "5"],
     ["--tolerance", "0", "certify", QUAD],
+    ["--tolerance", "nan", "verify", QUAD, PUBLISHED_V],
+    ["--tolerance", "inf", "verify", QUAD, PUBLISHED_V],
     ["--seed", "-1", "verify", QUAD, PUBLISHED_V],
     ["--seed", "-1", "validate", QUAD],
     ["--seed", "-1", "certify", QUAD],
 ], ids=["step-0", "t-end-negative", "step-nan", "t-end-inf",
         "sweep-off-simplex", "theta-near-simplex", "odd-degree", "tolerance-0",
+        "tolerance-nan", "tolerance-inf",
         "verify-seed-negative", "validate-seed-negative", "certify-seed-negative"])
 def test_rejected_option_values_are_input_errors(tmp_path, capsys, args):
     assert run(args, tmp_path) == 1

@@ -17,6 +17,11 @@ def test_config_rejects_nonpositive_fields():
         OracleConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OracleConfig(random_samples=-1)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            OracleConfig(tolerance=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            OracleConfig(exclusion_radius=bad)
 
 
 def test_sample_region_respects_quadrant_sign(quadrant_system):

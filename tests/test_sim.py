@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ def test_config_validation():
         SimConfig(step=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_end=-1.0)
+    # the event tolerance is the constant sim.EVENT_TOL
+    assert [f.name for f in fields(SimConfig)] == ["step", "t_end", "theta", "ball_stop"]
 
 
 def test_step_smooth_rk4_accuracy():

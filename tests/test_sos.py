@@ -404,7 +404,10 @@ def _assert_same_problem(new, ref):
         assert new_A[k].tobytes() == A[k].tobytes(), f"A row {k}"
         assert new_F[k].tobytes() == F[k].tobytes(), f"F row {k}"
     assert new.b.tobytes() == b.tobytes()
-    assert new.c.tobytes() == np.concatenate([cx, cs]).tobytes()
+    # the objective lives on the svec columns; the reference's free-scalar
+    # part is all zero
+    assert new.c.tobytes() == cx.tobytes()
+    assert not cs.any()
     # the same entries in each row, explicit zeros included
     where = {bid: (sl.start, n) for bid, n, sl, _, _ in layout}
     sidx = {name: nx + k for k, name in enumerate(ref.free_scalars)}

@@ -43,6 +43,12 @@ def test_malformed_json_reports_location(tmp_path):
     lambda d: d["box"].__setitem__(0, [1.0, -1.0]),        # lo >= hi
     lambda d: d["dynamics"].__setitem__("9", [["-x1"]]),   # unknown region
     lambda d: d["dynamics"].pop("1"),                      # region w/o field
+    lambda d: d["regions"][0].__setitem__("witness", [0.5, 0.0]),  # 2 entries
+    lambda d: d["dynamics"].__setitem__("1", [["-x1", "x1"]]),     # 2 components
+    lambda d: d.update(                                    # 2-entry boundary witness
+        regions=d["regions"] + [{"id": 2, "chi": "0", "xi": [], "witness": [-0.5]}],
+        boundaries=[{"i": 1, "j": 2, "chi_ij": "x1", "witness": [0.0, 0.0]}],
+        dynamics={"1": [["-x1"]], "2": [["-x1"]]}),
 ])
 def test_malformed_documents_rejected(mutate):
     doc = _minimal_doc()
