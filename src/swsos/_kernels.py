@@ -9,15 +9,20 @@ multiplies and adds.  The two RK4 segment kernels, one for a smooth
 stretch inside a region and one for a Filippov sliding stretch on a
 boundary variety, are generated from the term lists each `Polynomial`
 caches: `smooth_kernel` and `sliding_kernel` emit the whole segment loop
-as straight-line Python source, unrolled over the dimension, and compile
-it; `rk4_smooth_run` and `rk4_sliding_run` run a compiled kernel.  The
-emitted arithmetic is `eval_terms`' and `sliding_field`'s, in the same
-order, so the values are those of interpreting the term lists, bit for
-bit.
+as straight-line Python source, unrolled over the dimension, with each
+coefficient a parameter name.  The source depends only on the terms'
+exponents, so it is compiled once per exponent structure into a
+module-level dict, and each call binds its term lists' coefficients to a
+copy of that code as parameter defaults; the dict grows with the number
+of distinct field shapes, not with theta or coefficient values.
+`rk4_smooth_run` and `rk4_sliding_run` run a kernel.  The emitted
+arithmetic is `eval_terms`' and `sliding_field`'s, in the same order, so
+the values are those of interpreting the term lists, bit for bit.
 """
 from __future__ import annotations
 
 import math
+from types import FunctionType
 
 import numpy as np
 
@@ -70,24 +75,42 @@ def eval_terms(terms, x):
 
 # -- generated RK4 segment kernels ---------------------------------------------
 
-# The names generated source reads besides its own locals.  repr(float)
-# writes non-finite coefficients as inf, -inf and nan.
-_NAMESPACE = {"sqrt": math.sqrt, "isfinite": math.isfinite,
-              "inf": math.inf, "nan": math.nan}
+# The globals of every kernel: the names generated source reads besides its
+# own locals and parameters.
+_NAMESPACE = {"sqrt": math.sqrt, "isfinite": math.isfinite}
+
+# (generator name, dimension, exponent structure) -> code object of the
+# generated kernel, whose trailing parameters c0, c1, ... are the coefficients
+_CODES = {}
 
 
-def _expr(terms, var) -> str:
+def _layout(term_lists):
+    """(exponent structure, coefficients, index of each list's first one).
+
+    The structure is one tuple of variable-index tuples per term list; the
+    coefficients run over all term lists in order, and generated source
+    names coefficient k as c<k>.
+    """
+    shape, coeffs, first = [], [], []
+    for terms in term_lists:
+        first.append(len(coeffs))
+        shape.append(tuple(idx for _, idx in terms))
+        coeffs += [float(c) for c, _ in terms]
+    return tuple(shape), tuple(coeffs), first
+
+
+def _expr(idxs, var, first=0) -> str:
     """Source of eval_terms(terms, [var0, var1, ...]) as one expression.
 
-    ((c, (0, 0, 1)), (d, (1,))) with var "x" -> "0.0 + c*x0*x0*x1 + d*x1",
-    with c and d written by repr(float): the same multiplications and
-    additions in the same order as eval_terms.  The source holds only float
-    literals, integer indices and `var`.  The compiler nests one level per
-    term, so a list of several thousand terms does not compile.
+    idxs: the terms' variable-index tuples; term k's coefficient is the
+    name c<first + k>.  ((0, 0, 1), (1,)) with var "x" -> "0.0 +
+    c0*x0*x0*x1 + c1*x1": the same multiplications and additions in the
+    same order as eval_terms.  The compiler nests one level per term, so a
+    list of several thousand terms does not compile.
     """
     return "0.0" + "".join(
-        " + " + "*".join([repr(float(c))] + ["%s%d" % (var, k) for k in idx])
-        for c, idx in terms)
+        " + " + "*".join([f"c{first + t}"] + ["%s%d" % (var, k) for k in idx])
+        for t, idx in enumerate(idxs))
 
 
 def _names(var, n) -> str:
@@ -100,10 +123,31 @@ def _dot(template, n) -> str:
 
 
 def _compile(lines):
-    namespace = dict(_NAMESPACE)
+    """The code object of the function `kernel` that lines define."""
+    defined = {}
     exec(compile("\n".join(lines) + "\n", "<swsos rk4 kernel>", "exec"),
-         namespace)
-    return namespace["kernel"]
+         _NAMESPACE, defined)
+    return defined["kernel"].__code__
+
+
+def _bind(generate, n, term_lists):
+    """The kernel of term_lists in n variables, compiled once per shape.
+
+    generate(n, shape, first) gives the kernel's source lines, whose
+    trailing parameters are the coefficient names; the returned function
+    has this field's coefficients as their defaults, so calls pass only
+    the rest.
+    """
+    shape, coeffs, first = _layout(term_lists)
+    key = (generate.__name__, n, shape)
+    code = _CODES.get(key)
+    if code is None:
+        code = _CODES[key] = _compile(generate(n, shape, first))
+    return FunctionType(code, _NAMESPACE, "kernel", coeffs)
+
+
+def _params(shape) -> str:
+    return "".join(f", c{k}" for k in range(sum(map(len, shape))))
 
 
 def _rk4_lines(n, stage, h):
@@ -126,46 +170,51 @@ def _indent(lines, depth):
 
 
 def smooth_kernel(fields, chis):
-    """Compile the smooth RK4 segment loop of xdot = F(x) for rk4_smooth_run.
+    """The smooth RK4 segment loop of xdot = F(x) for rk4_smooth_run.
 
     fields: one term list per component of F; chis: one term list per
     boundary variety.  The kernel is
     kernel(x, h, max_steps, ball_stop, lo, hi, band) -> (flat, code, b), with
     x, lo and hi lists of floats and flat the accepted states row after row;
-    see rk4_smooth_run for the rules.
+    see rk4_smooth_run for the rules.  Its code is compiled once per
+    exponent structure of fields and chis.
     """
-    n = len(fields)
+    return _bind(_smooth_lines, len(fields), (*fields, *chis))
+
+
+def _smooth_lines(n, shape, first):
     X, Y = _names("x", n), _names("y", n)
+    fields = list(zip(shape[:n], first[:n]))
+    chis = list(zip(shape[n:], first[n:]))
 
     def stage(var, s):
-        return [f"k{s}_{k} = {_expr(f, var)}" for k, f in enumerate(fields)]
+        return [f"k{s}_{k} = {_expr(f, var, c)}" for k, (f, c) in enumerate(fields)]
 
     step = _rk4_lines(n, stage, "h") + [f"flat += [{Y}]"]
     for k in range(n):
         step += [f"if not (isfinite(y{k}) and lo{k} <= y{k} <= hi{k}):",
                  f"    return flat, {STOP_ESCAPED}, -1"]
-    for b, chi in enumerate(chis):
-        step += [f"q = {_expr(chi, 'y')}",
+    for b, (chi, c) in enumerate(chis):
+        step += [f"q = {_expr(chi, 'y', c)}",
                  f"if q * p{b} < 0.0 or abs(q) <= band:",
                  f"    return flat, {STOP_BOUNDARY}, {b}",
                  f"p{b} = q"]
     step += [f"[{X}] = [{Y}]"]
-    lines = [
-        "def kernel(x, h, max_steps, ball_stop, lo, hi, band):",
+    return [
+        f"def kernel(x, h, max_steps, ball_stop, lo, hi, band{_params(shape)}):",
         f"    [{X}] = x",
         f"    [{_names('lo', n)}] = lo",
         f"    [{_names('hi', n)}] = hi",
         "    hh = 0.5 * h",
         "    h6 = h / 6.0",
         f"    flat = [{X}]",
-        *(f"    p{b} = {_expr(chi, 'x')}" for b, chi in enumerate(chis)),
+        *(f"    p{b} = {_expr(chi, 'x', c)}" for b, (chi, c) in enumerate(chis)),
         "    for _ in range(max_steps):",
         f"        if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
         f"            return flat, {STOP_CONVERGED}, -1",
         *_indent(step, 2),
         f"    return flat, {STOP_MAXSTEPS}, -1",
     ]
-    return _compile(lines)
 
 
 def rk4_smooth_run(kernel, x0, h, max_steps, ball_stop, box_lo, box_hi, band):
@@ -210,18 +259,24 @@ def sliding_field(n, fi, fj):
 
 
 def sliding_kernel(grad, fi, fj, chi):
-    """Compile the sliding RK4 segment loop on {chi = 0} for rk4_sliding_run.
+    """The sliding RK4 segment loop on {chi = 0} for rk4_sliding_run.
 
     grad, fi, fj: one term list per component of the variety's gradient,
     F_i and F_j; chi: the variety's term list.  The kernel is
     kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band)
     -> (flat, times, alphas, x, t, code), with x, lo and hi lists of floats
     and flat the accepted states row after row; see rk4_sliding_run for the
-    rules.
+    rules.  Its code is compiled once per exponent structure of the four.
     """
-    n = len(fi)
+    return _bind(_sliding_lines, len(fi), (*grad, *fi, *fj, chi))
+
+
+def _sliding_lines(n, shape, first):
     cols = range(n)
     X, Y = _names("x", n), _names("y", n)
+    terms = list(zip(shape, first))
+    grad, fi, fj = terms[:n], terms[n:2 * n], terms[2 * n:3 * n]
+    chi, chi_first = terms[3 * n]
 
     def stop(code):
         return f"    return flat, times, alphas, [{X}], t, {code}"
@@ -229,9 +284,9 @@ def sliding_kernel(grad, fi, fj, chi):
     def stage(var, s):
         # sliding_field at var0..: tangency exits the run; the first stage's
         # weight is the step's alpha, and outside [0, 1] it exits too
-        lines = [f"{name}{k} = {_expr(p, var)}"
+        lines = [f"{name}{k} = {_expr(p, var, c)}"
                  for name, vec in (("n", grad), ("u", fi), ("v", fj))
-                 for k, p in enumerate(vec)]
+                 for k, (p, c) in enumerate(vec)]
         lines += [f"den = {_dot('n{k} * (v{k} - u{k})', n)}",
                   f"if abs(den) < {TANGENCY_TOL!r}:", stop(STOP_TANGENCY),
                   f"a = ({_dot('n{k} * v{k}', n)}) / den"]
@@ -240,10 +295,10 @@ def sliding_kernel(grad, fi, fj, chi):
         return lines + ["w = 1.0 - a"] + [f"k{s}_{k} = a * u{k} + w * v{k}"
                                          for k in cols]
 
-    project = [f"c = {_expr(chi, 'y')}",
+    project = [f"c = {_expr(chi, 'y', chi_first)}",
                "if abs(c) <= event_tol:",
                "    break",
-               *(f"g{k} = {_expr(p, 'y')}" for k, p in enumerate(grad)),
+               *(f"g{k} = {_expr(p, 'y', c)}" for k, (p, c) in enumerate(grad)),
                f"nn = {_dot('g{k} * g{k}', n)}",
                "if nn == 0.0:",
                "    break",
@@ -251,7 +306,7 @@ def sliding_kernel(grad, fi, fj, chi):
                *(f"y{k} = y{k} - s * g{k}" for k in cols)]
     step = [
         f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:", stop(STOP_CONVERGED),
-        f"if abs({_expr(chi, 'x')}) > band:", stop(STOP_OFF_VARIETY),
+        f"if abs({_expr(chi, 'x', chi_first)}) > band:", stop(STOP_OFF_VARIETY),
         "dt = t_end - t",
         "hs = dt if dt < h else h",
         "hh = 0.5 * hs",
@@ -267,8 +322,9 @@ def sliding_kernel(grad, fi, fj, chi):
         "times.append(t)",
         "alphas.append(alpha)",
     ]
-    lines = [
-        "def kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band):",
+    return [
+        "def kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band"
+        f"{_params(shape)}):",
         f"    [{X}] = x",
         f"    [{_names('lo', n)}] = lo",
         f"    [{_names('hi', n)}] = hi",
@@ -278,7 +334,6 @@ def sliding_kernel(grad, fi, fj, chi):
         *_indent(step, 2),
         stop(STOP_MAXSTEPS),
     ]
-    return _compile(lines)
 
 
 def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,

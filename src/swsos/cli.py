@@ -31,7 +31,7 @@ from .certify import (CERTIFIED, NO_CERTIFICATE, CertificationConfig,
 from .oracle import OracleConfig, verify_certificate
 from .poly import PolynomialParseError, parse_polynomial
 from .sim import SimConfig, simulate, write_trajectory
-from .system import SIMPLEX_TOL, SystemFormatError, load_system
+from .system import SystemFormatError, load_system, on_simplex
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
     elif args.theta:
         weights = _parse_floats(args.theta, "--theta")
         # field_at's own test, so an accepted theta is never refused later
-        if any(w < 0 for w in weights) or abs(np.sum(weights) - 1.0) > SIMPLEX_TOL:
+        if not on_simplex(weights):
             raise InputError(f"--theta {weights} is not on the simplex")
         table = {rid: tuple(weights) for rid, dyn in sys_.dynamics.items()
                  if dyn.count == len(weights)}
@@ -239,9 +239,8 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kernels = {}            # compiled once per call, shared by its theta runs
     for label, cfg in configs:
-        traj = simulate(sys_, x0, cfg, certificate=certificate, kernels=kernels)
+        traj = simulate(sys_, x0, cfg, certificate=certificate)
         name = f"{Path(args.system).stem}__{label}.trajectory.tsv"
         with open(out_dir / name, "w") as fh:
             write_trajectory(traj, fh, manifest_hash=manifest["hash"])

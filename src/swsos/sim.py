@@ -8,17 +8,20 @@ components point at each other.  Codimension >= 2 strata stop the run
 
 Both inner loops run in RK4 segment kernels that _kernels generates from
 the term lists each field and boundary polynomial caches: rk4_smooth_run
-inside a region, rk4_sliding_run along a boundary variety.  A kernel is a
-pure function of the term lists it was generated from, so simulate looks
-it up by those term lists in a dict its caller may own and share: the
-theta runs of one `swsos simulate` call compile each distinct field and
-boundary once (a region with a single vertex once per call), and without
-a dict each run compiles its own, on first use.  The small nudge off a
+inside a region, rk4_sliding_run along a boundary variety.  _kernels
+compiles a kernel once per field shape and binds each field's
+coefficients to it, so the theta runs of one sweep, whose interior values
+give a region one shape, share a compile; simulate builds each region's
+and boundary's kernel once per run, on first use.  The small nudge off a
 boundary after an event is one step of the region's smooth kernel.
 Event handling, the decisions between crossing and sliding, the
 chattering guard and the switched Lyapunov value (one batch evaluation
-per segment) live here.  No point or event lies past t_end: a smooth step
-that would record one is taken again as one step onto t_end.
+per non-empty segment) live here.  Between segments the state is a list
+of floats, and every event step (the ball test, region location, the
+sliding weight, the transversal probe, crossing localisation and psi at
+one point) evaluates the term lists with _kernels.eval_terms on it.  No
+point or event lies past t_end: a smooth step that would record one is
+taken again as one step onto t_end.
 
 A Trajectory stores what the kernels return, one chunk per segment or
 single point: the times, the states as one (m, n) array, the mode, and
@@ -29,7 +32,10 @@ something reads `points`.
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from sys import intern
 
@@ -141,6 +147,24 @@ def _rk4_step(F: PolyVector, x, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _terms(vec) -> tuple:
+    """The term list of each component of a PolyVector."""
+    return tuple(p._term_list() for p in vec)
+
+
+def _values(terms, x) -> list:
+    """Each term list of `terms` evaluated at the list of floats x."""
+    return [_kernels.eval_terms(t, x) for t in terms]
+
+
+def _dot(u, v) -> float:
+    """Sum of u[k] * v[k] in k order, from 0.0."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
 def _sign(v):
     """np.sign of a float: -1, 0 or 1, and nan for nan."""
     return (v > 0.0) - (v < 0.0) if v == v else v
@@ -158,14 +182,12 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
     the 2-vector form bit for bit.  Raises StratumStop when several
     boundaries change sign at an unseparable fraction (codimension >= 2).
     """
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
-    if not (np.all(np.isfinite(x_prev)) and np.all(np.isfinite(x_next))):
+    x0, x1 = [float(v) for v in x_prev], [float(v) for v in x_next]
+    if not all(map(math.isfinite, x0 + x1)):
         raise ValueError("states must be finite")
-    x0, x1 = x_prev.tolist(), x_next.tolist()
     if field is not None:
-        f0 = [_kernels.eval_terms(p._term_list(), x0) for p in field]
-        f1 = [_kernels.eval_terms(p._term_list(), x1) for p in field]
+        terms = _terms(field)
+        f0, f1 = _values(terms, x0), _values(terms, x1)
         # the cubic through (x0, f0) and (x1, f1) over a step of h
         cubic = [(2 * (u - v) + h * (fu + fv), -3 * (u - v) - h * (2 * fu + fv),
                   h * fu, u) for u, v, fu, fv in zip(x0, x1, f0, f1)]
@@ -226,21 +248,24 @@ def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None) -> 
     b = sys.boundary(i, j)
     th_i = theta_i if theta_i is not None else _theta_for(sys, SimConfig(), i)
     th_j = theta_j if theta_j is not None else _theta_for(sys, SimConfig(), j)
-    return _sliding_weight(b, pair, b.chi.gradient(),
-                           sys.field_at(i, th_i), sys.field_at(j, th_j), x)
+    x = [float(v) for v in x]
+    if len(x) != sys.dimension:
+        raise ValueError(f"point has {len(x)} coordinates, expected {sys.dimension}")
+    return _sliding_weight(b, pair, _terms(b.chi.gradient()),
+                           _terms(sys.field_at(i, th_i)),
+                           _terms(sys.field_at(j, th_j)), x)
 
 
-def _sliding_weight(b, pair, grad: PolyVector, Fi: PolyVector, Fj: PolyVector,
-                    x) -> float:
-    """sliding_weight with the boundary gradient and both fields prebuilt."""
+def _sliding_weight(b, pair, grad, fi, fj, x) -> float:
+    """sliding_weight on plain floats: the boundary gradient and both
+    fields as term lists per component, x a list of floats."""
     i, j = pair
-    x = np.asarray(x, dtype=float)
-    if abs(b.chi(x)) > SLIDING_BAND * EVENT_TOL:
+    if abs(_kernels.eval_terms(b.chi._term_list(), x)) > SLIDING_BAND * EVENT_TOL:
         raise ValueError(f"point is not on boundary ({i},{j})")
-    n = grad(x)
-    if np.linalg.norm(n) == 0.0:
+    n = _values(grad, x)
+    if _dot(n, n) == 0.0:
         raise StratumStop(f"singular boundary point of ({i},{j}): zero normal")
-    slide = _kernels.sliding_field(n.tolist(), Fi(x).tolist(), Fj(x).tolist())
+    slide = _kernels.sliding_field(n, _values(fi, x), _values(fj, x))
     if slide is None:
         raise Tangency(f"fields tangent to boundary ({i},{j})")
     return slide[1]
@@ -255,71 +280,57 @@ _SLIDING_EXIT_NOTE = {_kernels.STOP_OFF_VARIETY: " [off variety]",
 # -- full trajectory ----------------------------------------------------------
 
 def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
-             certificate: dict = None, kernels: dict = None) -> Trajectory:
+             certificate: dict = None) -> Trajectory:
     """Integrate a Filippov solution from x0 until convergence, escape,
     t_end, or a stratum stop.
 
     certificate: optional rid -> Polynomial family; when present, the
     switched Lyapunov value is recorded on every accepted point.
-    kernels: optional dict owned by the caller that holds the compiled RK4
-    kernels, keyed by the term lists they were generated from, so that runs
-    sharing a field or a boundary (the theta runs of one sweep) compile it
-    once; None uses a fresh dict for this run.
     """
     cfg = cfg or SimConfig()
     x = np.asarray(x0, dtype=float)
     if not sys.in_box(x):
         raise ValueError(f"x0 {x.tolist()} is outside the system box")
+    x = x.tolist()          # the state is a list of floats between segments
     box_lo, box_hi = (v.tolist() for v in sys.box)
     traj = Trajectory()
-    kernels = {} if kernels is None else kernels
-    # built once per run, on first use
-    fields = {}             # rid -> field at its theta
-    grads = {}              # boundary pair -> chi gradient
-    smooth_kernels = {}     # rid -> _kernels.smooth_kernel of its field
-    sliding_kernels = {}    # boundary pair -> _kernels.sliding_kernel
     chis = tuple(b.chi._term_list() for b in sys.boundaries)
 
+    # built once per run, on first use
+    @cache
     def field_of(rid):
-        if rid not in fields:
-            fields[rid] = sys.field_at(rid, _theta_for(sys, cfg, rid))
-        return fields[rid]
+        """The region's field at its theta, and that field's term lists."""
+        F = sys.field_at(rid, _theta_for(sys, cfg, rid))
+        return F, _terms(F)
 
-    def grad_of(b):
-        if b.pair not in grads:
-            grads[b.pair] = b.chi.gradient()
-        return grads[b.pair]
-
+    @cache
     def smooth_kernel_of(rid):
-        if rid not in smooth_kernels:
-            key = (tuple(p._term_list() for p in field_of(rid)), chis)
-            if key not in kernels:
-                kernels[key] = _kernels.smooth_kernel(*key)
-            smooth_kernels[rid] = kernels[key]
-        return smooth_kernels[rid]
+        return _kernels.smooth_kernel(field_of(rid)[1], chis)
 
-    def sliding_kernel_of(b):
-        if b.pair not in sliding_kernels:
-            i, j = b.pair
-            key = (*(tuple(p._term_list() for p in v)
-                     for v in (grad_of(b), field_of(i), field_of(j))),
-                   b.chi._term_list())
-            if key not in kernels:
-                kernels[key] = _kernels.sliding_kernel(*key)
-            sliding_kernels[b.pair] = kernels[key]
-        return sliding_kernels[b.pair]
+    @cache
+    def grad_of(pair):
+        return _terms(sys.boundary(*pair).chi.gradient())
+
+    @cache
+    def sliding_kernel_of(pair):
+        i, j = pair
+        return _kernels.sliding_kernel(grad_of(pair), field_of(i)[1],
+                                       field_of(j)[1],
+                                       sys.boundary(i, j).chi._term_list())
 
     def add_point(t, xx, mode, rid=None):
         psi = None
         if certificate is not None and rid is not None:
-            psi = [float(certificate[rid](xx))]
+            psi = [_kernels.eval_terms(certificate[rid]._term_list(), xx)]
         traj.add([float(t)], np.array([xx], dtype=float), mode, psi=psi)
 
     def add_segment(times, states, mode, rid, alphas=None):
-        """The accepted points of one kernel run, psi from one eval_many."""
-        psi = (None if certificate is None
-               else certificate[rid].eval_many(states).tolist())
-        traj.add(times, states, mode, alphas, psi)
+        """The accepted points of one kernel run, psi from one eval_many;
+        a run that accepted no row adds nothing and evaluates nothing."""
+        if times:
+            psi = (None if certificate is None
+                   else certificate[rid].eval_many(states).tolist())
+            traj.add(times, states, mode, alphas, psi)
 
     def stop(t, xx, kind, detail=""):
         # interned: the stopped points of one kind share one mode string
@@ -341,12 +352,14 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             except KeyError:
                 raise StratumStop(f"regions {members} meet without a declared boundary")
             return None, (b.i, b.j)
-        raise StratumStop(f"{len(members)} regions meet at {xx.tolist()}")
+        raise StratumStop(f"{len(members)} regions meet at {xx}")
 
     h = cfg.step
     halvings = 0
     t = 0.0
-    recent_crossings = []   # (step index counter, pair) for the chattering guard
+    # chattering guard: boundary pair -> step counters of its crossings
+    # within the last CHATTER_WINDOW accepted steps, oldest first
+    recent_crossings = defaultdict(deque)
     step_counter = 0
 
     state = "decide"        # decide | smooth | sliding
@@ -356,7 +369,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     t_stop = cfg.t_end - 1e-15
     while t < t_stop:
-        if np.linalg.norm(x) <= cfg.ball_stop:
+        if math.sqrt(_dot(x, x)) <= cfg.ball_stop:
             return stop(t, x, "converged")
 
         if state == "decide":
@@ -369,15 +382,15 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             else:
                 i, j = p
                 b = sys.boundary(i, j)
+                grad, fi, fj = grad_of(p), field_of(i)[1], field_of(j)[1]
                 try:
-                    alpha = _sliding_weight(b, (i, j), grad_of(b),
-                                            field_of(i), field_of(j), x)
+                    alpha = _sliding_weight(b, p, grad, fi, fj, x)
                 except Tangency:
                     alpha = None
                 except StratumStop as exc:
                     return stop(t, x, "stratum_stop", str(exc))
                 if alpha is not None and 0.0 <= alpha <= 1.0:
-                    pair, state = (i, j), "sliding"
+                    pair, state = p, "sliding"
                     # sliding dynamics are smooth; undo any chattering halvings
                     h, halvings = cfg.step, 0
                     recent_crossings.clear()
@@ -385,45 +398,45 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 else:
                     # transversal crossing: both fields push chi the same
                     # way; continue in the region owning that side
-                    n = grad_of(b)(x)
-                    dchi = float(np.dot(n, field_of(i)(x)))
+                    n = _values(grad, x)
+                    dchi = _dot(n, _values(fi, x))
                     if dchi == 0.0:
-                        dchi = float(np.dot(n, field_of(j)(x)))
-                    nn = np.linalg.norm(n)
+                        dchi = _dot(n, _values(fj, x))
+                    nn = math.sqrt(_dot(n, n))
                     if nn == 0.0 or dchi == 0.0:
                         return stop(t, x, "stratum_stop",
                                     f"degenerate crossing of ({i},{j})")
-                    probe = x + np.sign(dchi) * (1e-3 * (1.0 + np.linalg.norm(x)) / nn) * n
-                    rid = i if all(xi(probe) >= 0.0 for xi in sys.regions[i].xi) else j
+                    s = _sign(dchi) * (1e-3 * (1.0 + math.sqrt(_dot(x, x))) / nn)
+                    probe = [u + s * v for u, v in zip(x, n)]
+                    rid = i if all(_kernels.eval_terms(xi._term_list(), probe) >= 0.0
+                                   for xi in sys.regions[i].xi) else j
                     state = "smooth"
             continue
 
         if state == "smooth":
-            F = field_of(rid)
+            F = field_of(rid)[0]
             kernel = smooth_kernel_of(rid)
             # nudge off the boundary if the previous event left us on it:
             # one step of the region's kernel, called directly because a
             # nudge is not a segment (the stepped state is the last row);
             # no nudge goes past t_end, and none precedes the last step
-            xs = x.tolist()
             guard = 0
             while not final and any(
-                    abs(_kernels.eval_terms(chi, xs)) <= 2 * EVENT_TOL
+                    abs(_kernels.eval_terms(chi, x)) <= 2 * EVENT_TOL
                     for chi in chis) and guard < 8 and t < t_stop:
                 hn = min(h * 1e-3, cfg.t_end - t)
-                flat = kernel(xs, hn, 1, -1.0, box_lo, box_hi, EVENT_TOL)[0]
-                xs = flat[-len(xs):]
+                flat = kernel(x, hn, 1, -1.0, box_lo, box_hi, EVENT_TOL)[0]
+                x = flat[-len(x):]
                 t += hn
                 guard += 1
-            x = np.array(xs)
             if t >= t_stop:
                 continue
             if final:
                 hs, max_steps = cfg.t_end - t, 1
             else:
-                hs, max_steps = h, max(int(np.ceil((cfg.t_end - t) / h)), 1)
+                hs, max_steps = h, max(math.ceil((cfg.t_end - t) / h), 1)
             states, code, bidx = _kernels.rk4_smooth_run(
-                kernel, x, hs, max_steps, cfg.ball_stop, box_lo, box_hi,
+                kernel, np.array(x), hs, max_steps, cfg.ball_stop, box_lo, box_hi,
                 EVENT_TOL)
             n = states.shape[0]
             past = not final and t + (n - 1) * hs > cfg.t_end
@@ -436,8 +449,8 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             hit = None
             if code == _kernels.STOP_BOUNDARY:
                 # boundary event: localize on the last step
-                x_prev = states[-2]
-                x_next = states[-1]
+                x_prev = states[-2].tolist()
+                x_next = states[-1].tolist()
                 t_prev = t + (n - 2) * hs
                 try:
                     hit = detect_crossing(sys, x_prev, x_next, field=F, h=hs)
@@ -447,11 +460,11 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             if past:
                 # the last step ends past t_end, and no crossing before t_end
                 # ends it first: take it again as one step onto t_end
-                t, x, final = t + (n - 2) * hs, states[-2], True
+                t, x, final = t + (n - 2) * hs, states[-2].tolist(), True
                 continue
             if code != _kernels.STOP_BOUNDARY:
                 t = t + (n - 1) * hs
-                x = states[-1]
+                x = states[-1].tolist()
                 if code == _kernels.STOP_CONVERGED:
                     return stop(t, x, "converged")
                 if code == _kernels.STOP_ESCAPED:
@@ -466,6 +479,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 state = "decide"
                 continue
             b, s, xc = hit
+            xc = xc.tolist()
             t = t_prev + s * hs
             add_point(t, xc, f"smooth:{rid}", rid=rid)
             traj.events.append((t, "crossing", f"({b.i},{b.j})"))
@@ -474,12 +488,13 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 # reported and the run ends at the stepped state
                 t, x = t_prev + hs, x_next
                 continue
-            recent_crossings.append((step_counter, b.pair))
             x = xc
             # chattering guard
-            recent_crossings = [(sc, p) for (sc, p) in recent_crossings
-                                if step_counter - sc <= CHATTER_WINDOW]
-            if sum(1 for _, p in recent_crossings if p == b.pair) > CHATTER_CROSSINGS:
+            recent = recent_crossings[b.pair]
+            recent.append(step_counter)
+            while step_counter - recent[0] > CHATTER_WINDOW:
+                recent.popleft()
+            if len(recent) > CHATTER_CROSSINGS:
                 if halvings < CHATTER_MAX_HALVINGS:
                     h *= 0.5
                     halvings += 1
@@ -496,11 +511,9 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
         if state == "sliding":
             i, j = pair
-            b = sys.boundary(i, j)
             states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
-                sliding_kernel_of(b), x, t, cfg.t_end, h, cfg.ball_stop,
+                sliding_kernel_of(pair), x, t, cfg.t_end, h, cfg.ball_stop,
                 box_lo, box_hi, EVENT_TOL, SLIDING_BAND * EVENT_TOL)
-            x = np.array(x)
             add_segment(times, states, f"sliding:{i},{j}", i, alphas)
             step_counter += len(times)
             if code == _kernels.STOP_CONVERGED:

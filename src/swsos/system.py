@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import eval_terms
 from .poly import Polynomial, PolyVector, parse_polynomial, parse_vector
 
 WITNESS_TOL = 1e-9
@@ -22,6 +23,15 @@ class SystemFormatError(ValueError):
     pass
 
 
+def on_simplex(weights) -> bool:
+    """Every weight >= 0 and their sum within SIMPLEX_TOL of 1.
+
+    Written so that a nan or infinite weight fails both tests.
+    """
+    weights = np.asarray(weights, dtype=float)
+    return bool(np.all(weights >= 0) and abs(weights.sum() - 1.0) <= SIMPLEX_TOL)
+
+
 @dataclass
 class SemiAlgebraicRegion:
     rid: int
@@ -30,7 +40,12 @@ class SemiAlgebraicRegion:
     witness: np.ndarray
 
     def contains(self, x, tol: float) -> bool:
-        return abs(self.chi(x)) <= tol and all(g(x) >= -tol for g in self.xi)
+        """|chi(x)| <= tol and every xi(x) >= -tol; x has one float per
+        variable (a list of floats is fastest)."""
+        if len(x) != self.chi.dim:
+            raise ValueError(f"point has {len(x)} coordinates, expected {self.chi.dim}")
+        return (abs(eval_terms(self.chi._term_list(), x)) <= tol
+                and all(eval_terms(g._term_list(), x) >= -tol for g in self.xi))
 
     def contains_many(self, X, tol: float) -> np.ndarray:
         mask = np.abs(self.chi.eval_many(X)) <= tol
@@ -130,7 +145,7 @@ class SwitchedSystem:
         """Region ids whose tol-relaxed membership test passes at x."""
         if tol <= 0:
             raise ValueError("tol must be > 0")
-        x = np.asarray(x, dtype=float)
+        x = [float(v) for v in x]
         return {rid for rid, r in self.regions.items() if r.contains(x, tol)}
 
     def field_at(self, rid: int, theta) -> PolyVector:
@@ -139,7 +154,7 @@ class SwitchedSystem:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (dyn.count,):
             raise ValueError(f"theta must have length {dyn.count}")
-        if np.any(theta < 0) or abs(theta.sum() - 1.0) > SIMPLEX_TOL:
+        if not on_simplex(theta):
             raise ValueError(f"theta {theta.tolist()} is not on the simplex")
         comps = [Polynomial.zero(self.dimension) for _ in range(self.dimension)]
         for w, v in zip(theta, dyn.vertices):

@@ -67,26 +67,43 @@ def test_simulate_off_simplex_theta(tmp_path):
 
 
 def test_simulate_sweep_compiles_region_2_kernel_once(tmp_path, monkeypatch):
-    # region 2 has one vertex, so every theta run of one call steps the same
-    # field; the call compiles its kernel once and the runs share it
+    # kernels are compiled once per field shape: region 2 has one vertex, so
+    # every theta run steps the same field, and the three interior theta give
+    # region 1 one shape with different coefficients; counted in _compile
+    # with the shape cache emptied
     from swsos import _kernels
     from swsos.system import load_system
-    region_2 = tuple(p._term_list()
-                     for p in load_system(QUAD).field_at(2, (1.0,)))
+    sys_ = load_system(QUAD)
+    chis = [b.chi._term_list() for b in sys_.boundaries]
+
+    def smooth_kernel(rid, theta):
+        return _kernels.smooth_kernel(
+            [p._term_list() for p in sys_.field_at(rid, theta)], chis)
+
     compiled = []
-    smooth_kernel = _kernels.smooth_kernel
+    compile_lines = _kernels._compile
 
-    def counting(fields, chis):
-        compiled.append(fields)
-        return smooth_kernel(fields, chis)
+    def counting(lines):
+        compiled.append(lines)
+        return compile_lines(lines)
 
-    monkeypatch.setattr(_kernels, "smooth_kernel", counting)
+    monkeypatch.setattr(_kernels, "_CODES", {})
+    monkeypatch.setattr(_kernels, "_compile", counting)
     assert run(["simulate", QUAD, "--x0", "2,-2", "--t-end", "0.5",
                 "--theta-sweep", "0,0.25,0.5,0.75,1"], tmp_path) == 0
-    files = sorted(tmp_path.glob("*.trajectory.tsv"))
-    assert len(files) == 5
-    assert all("\tsmooth:2\t" in f.read_text() for f in files)
-    assert compiled.count(region_2) == 1
+    text = {f.name.split("__")[1]: f.read_text()
+            for f in tmp_path.glob("*.trajectory.tsv")}
+    assert len(text) == 5 and all("\tsmooth:2\t" in t for t in text.values())
+    assert all("\tsmooth:1\t" in text[f"theta{v:g}.trajectory.tsv"]
+               for v in (0, 0.25, 0.5, 0.75))
+    # region 2, region 1 at theta 0 and at the interior theta, and the
+    # sliding kernel of the theta = 1 run: one compile each
+    assert len(compiled) == len(_kernels._CODES) == 4
+    region_2 = smooth_kernel(2, (1.0,))
+    interior = [smooth_kernel(1, (v, 1.0 - v)) for v in (0.25, 0.5, 0.75)]
+    assert len(compiled) == 4           # the sweep compiled these already
+    assert len({k.__code__ for k in interior}) == 1
+    assert region_2.__code__ is not interior[0].__code__
 
 
 def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
@@ -108,6 +125,8 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     ["simulate", QUAD, "--x0", "1,1", "--t-end", "inf"],
     ["simulate", QUAD, "--x0", "1,1", "--theta-sweep", "1.5"],
     ["simulate", QUAD, "--x0", "1,1", "--theta", "0.5,0.5000000001"],
+    ["simulate", QUAD, "--x0", "1,1", "--theta", "nan,0.5"],
+    ["simulate", QUAD, "--x0", "1,1", "--theta", "inf,-inf"],
     ["certify", QUAD, "--degree", "5"],
     ["--tolerance", "0", "certify", QUAD],
     ["--tolerance", "nan", "verify", QUAD, PUBLISHED_V],
@@ -116,7 +135,8 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     ["--seed", "-1", "validate", QUAD],
     ["--seed", "-1", "certify", QUAD],
 ], ids=["step-0", "t-end-negative", "step-nan", "t-end-inf",
-        "sweep-off-simplex", "theta-near-simplex", "odd-degree", "tolerance-0",
+        "sweep-off-simplex", "theta-near-simplex", "theta-nan", "theta-inf",
+        "odd-degree", "tolerance-0",
         "tolerance-nan", "tolerance-inf",
         "verify-seed-negative", "validate-seed-negative", "certify-seed-negative"])
 def test_rejected_option_values_are_input_errors(tmp_path, capsys, args):

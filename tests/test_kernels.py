@@ -5,16 +5,18 @@ runs match the numpy expressions to rounding (tolerances below absorb the
 difference); on columns it equals the one-point evaluation bit for bit.
 The generated RK4 kernels and the emitted expressions match the term-list
 interpreters they replaced bit for bit: those interpreters are kept here
-as references.
+as references.  Kernels of one exponent structure share one code object
+and match the coefficient-literal source they replaced.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from swsos import _kernels
-from swsos.poly import Polynomial, monomial_basis
+from swsos.poly import Polynomial, PolyVector, monomial_basis
 
 
 def _random_packed(rng, dim=2, deg=6, nterms=12):
@@ -720,13 +722,66 @@ def test_expr_matches_eval_terms():
         (2, ()),                        # an empty component
     ]
     for dim, terms in polys:
-        src = _kernels._expr(terms, "x")
+        src = _kernels._expr([idx for _, idx in terms], "x", 2)
         for x in [rng.uniform(-2, 2, size=dim).tolist(), [0.0] * dim,
                   [-0.0] * dim]:
-            env = {**_kernels._NAMESPACE,
+            env = {**{f"c{k + 2}": c for k, (c, _) in enumerate(terms)},
                    **{f"x{k}": v for k, v in enumerate(x)}}
             # repr tells every float apart, -0.0 from 0.0 included
             assert repr(eval(src, env)) == repr(_kernels.eval_terms(terms, x))
     assert _kernels._expr((), "x") == "0.0"
-    assert _kernels._expr(((2.5, (0, 0, 1)), (-1.0, ())), "y") == (
-        "0.0 + 2.5*y0*y0*y1 + -1.0")
+    assert _kernels._expr(((0, 0, 1), ()), "y") == "0.0 + c0*y0*y0*y1 + c1"
+    assert _kernels._expr(((0, 0, 1), ()), "y", 3) == "0.0 + c3*y0*y0*y1 + c4"
+
+
+def _literal_form(lines, coeffs):
+    # the kernel source as generated before kernels were shared by shape:
+    # no coefficient parameters, each coefficient written by repr(float)
+    src = "\n".join([re.sub(r", c\d+", "", lines[0]), *lines[1:]])
+    src = re.sub(r"\bc(\d+)\b", lambda m: repr(coeffs[int(m.group(1))]), src)
+    namespace = {**_kernels._NAMESPACE, "inf": math.inf, "nan": math.nan}
+    exec(src, namespace)
+    return namespace["kernel"]
+
+
+def test_kernels_of_one_shape_share_one_code_object(quadrant_system,
+                                                    monkeypatch):
+    # one shape, two coefficient sets: region 1 at two interior theta for
+    # the smooth kernel, its first vertex field and half of it for sliding
+    sources = []
+    compile_lines = _kernels._compile
+
+    def counting(lines):
+        sources.append(lines)
+        return compile_lines(lines)
+
+    monkeypatch.setattr(_kernels, "_CODES", {})
+    monkeypatch.setattr(_kernels, "_compile", counting)
+    b = quadrant_system.boundaries[0]
+    chi, grad = b.chi._term_list(), _terms(b.chi.gradient())
+    F2 = _terms(quadrant_system.field_at(2, (1.0,)))
+    fields = [_terms(quadrant_system.field_at(1, (v, 1.0 - v)))
+              for v in (0.25, 0.7)]
+    smooth = [_kernels.smooth_kernel(F, [chi]) for F in fields]
+    vertex = quadrant_system.field_at(1, (1.0, 0.0))
+    sliding = [_kernels.sliding_kernel(
+        grad, _terms(PolyVector([p * c for p in vertex])), F2, chi)
+        for c in (1.0, 0.5)]
+    assert len(sources) == len(_kernels._CODES) == 2
+    lo, hi = (v.tolist() for v in quadrant_system.box)
+    for kernels, lines, runs in (
+            (smooth, sources[0],
+             [([0.3, -2.0], 1e-3, 3000, 1e-4, lo, hi, 1e-9),
+              ([1.5, 0.2], 1e-2, 3000, 1e-4, lo, hi, 1e-9)]),
+            (sliding, sources[1],
+             [([-1.0, 0.0], 0.0, 2.0, 1e-3, 1e-4, lo, hi, 1e-9, 1e-8),
+              ([0.0, 1.2], 0.0, 2.0, 1e-3, 1e-4, lo, hi, 1e-9, 1e-8)])):
+        first, second = kernels
+        assert first.__code__ is second.__code__
+        assert first.__defaults__ != second.__defaults__
+        for kernel in kernels:
+            literal = _literal_form(lines, kernel.__defaults__)
+            for args in runs:
+                got = kernel(*args)
+                assert repr(got) == repr(literal(*args))
+                assert len(got[0]) > 300        # over a hundred steps each

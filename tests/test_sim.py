@@ -9,6 +9,7 @@ from swsos.sim import (SimConfig, StratumStop, Tangency, Trajectory,
                        _rk4_step, detect_crossing, simulate, sliding_weight,
                        step_smooth, write_trajectory)
 from swsos.system import parse_system
+from trajectory_corpus import digests
 
 
 def _scalar_decay():
@@ -205,6 +206,8 @@ def test_sliding_weight_formula_direct():
 def test_sliding_weight_rejects_off_boundary(opposing_system):
     with pytest.raises(ValueError):
         sliding_weight(opposing_system, (1, 2), (0.0, 0.5))
+    with pytest.raises(ValueError):
+        sliding_weight(opposing_system, (1, 2), (0.0,))
 
 
 def test_sliding_weight_tangency():
@@ -484,3 +487,30 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
         write_trajectory(t, got, manifest_hash=manifest)
         _per_row_writer(t, ref, manifest_hash=manifest)
         assert got.getvalue() == ref.getvalue()
+
+
+# sha256 of each corpus run's TSV (tests/trajectory_corpus.py); a change
+# that alters trajectories on purpose prints the new ones with that module
+PINNED_DIGESTS = {
+    'sweep 2,2 theta0': '3dc06d3a1f816c896aae57d5180000b244e248ee4e7db200f8b669b674fec50c',
+    'sweep 2,2 theta0.5': 'c8c2be2468c6303abcc89fd35228e3884b28419798efbe974815febcf29578d3',
+    'sweep 2,2 theta1': 'a750169aa149629bd3f7b352af21eed83482181fb0ed6892f92bc458c6a0091d',
+    'sweep -2,2 theta0': '432f1413c544bcd0344fc7c2dceacb91d764c8aa20ab4f44b860603886812232',
+    'sweep -2,2 theta0.5': '677743361d7a849a9561338e14b71480bfadfa80302293385d600116ed6a5c6c',
+    'sweep -2,2 theta1': 'e264f5389113eefaad39ccc930229bf28b9d7e2e7db5e8b69f9116a81c3a94b7',
+    'sweep -2,-2 theta0': '9e6e57e04a32e78b3136649dc33cd26b6556f83a18be75db99091153b84a172e',
+    'sweep -2,-2 theta0.5': 'a76f0b9b42791e53639f5c46eba938153cfe382064eaa7e4db5e8f1e17af22f3',
+    'sweep -2,-2 theta1': '80a24d622e2db4e125002c34d978a6b4d371d21409e43ef4f51381610651ed60',
+    'sweep 2,-2 theta0': '8f88db72575ab62c3494f25a4482b488b2bb53a762c4194ded7c1d0ff1f176ad',
+    'sweep 2,-2 theta0.5': '95f33b8ee3520c7660b37192fdfeff77fed6900ba9c43ab869a25b5711bd574d',
+    'sweep 2,-2 theta1': 'fd18c80711852dfdd7817ad298c047125eb6fb07ce0abe4571de808dd4107e26',
+    'sweep 0.3,-2 theta0': '37a04cd6d9fed64ba37ffa4cfdcf14ca2952266bb0a3da27ff2f1f3fba132f4a',
+    'sweep 0.3,-2 theta0.5': '0f607d4a7e9dd35ec2c5b2d11e29b69488c807f4b18d04a0131893228d9d83b9',
+    'sweep 0.3,-2 theta1': '15a7603bb92cf0b1a9eb476638fa88f65f68732dba1b1286f2e46612083482a7',
+    'sliding 0,0.5 t_end1': '71e7567e82b29b8117ab6e872572a3ff697165c402257d7f516e29f531dea438',
+    'sliding 0.37,0.81 t_end2.81': '332ed438b63545b9ec78d546613f49e079ac3e76a2431e037ff1ca76b77aa98e',
+}
+
+
+def test_trajectory_bytes_are_pinned():
+    assert digests() == PINNED_DIGESTS

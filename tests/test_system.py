@@ -69,6 +69,8 @@ def test_locate_quadrants(quadrant_system):
     assert quadrant_system.locate((1.0, -1.0), tol=1e-9) == {2}
     # the axes belong to both closures
     assert quadrant_system.locate((1.0, 0.0), tol=1e-9) == {1, 2}
+    with pytest.raises(ValueError):
+        quadrant_system.locate((1.0, 1.0, 1.0), tol=1e-9)
 
 
 def test_field_at_convex_combination(quadrant_system):
@@ -86,6 +88,11 @@ def test_field_at_rejects_off_simplex(quadrant_system):
         quadrant_system.field_at(1, (-0.1, 1.1))
     with pytest.raises(ValueError):
         quadrant_system.field_at(1, (1.0,))  # wrong vertex count
+    # non-finite weights fail both simplex tests
+    for theta in ((np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5), (np.inf, -np.inf),
+                  (np.nan, np.nan)):
+        with pytest.raises(ValueError):
+            quadrant_system.field_at(1, theta)
 
 
 def test_in_box(quadrant_system):

@@ -1,0 +1,56 @@
+"""The trajectory corpus whose TSV bytes tests/test_sim.py pins.
+
+The five perfbench `sweep` starts at theta 0, 0.5 and 1 to t = 2 with the
+published certificate (the chattering start (0.3, -2) included), and two
+Filippov sliding runs on opposing-fields.sys.  Each run is written by
+write_trajectory with an empty manifest hash and digested with sha256.
+A change that alters trajectories on purpose prints the new digests with
+
+    PYTHONPATH=src python tests/trajectory_corpus.py
+
+and pastes them into PINNED_DIGESTS in tests/test_sim.py.
+"""
+from __future__ import annotations
+
+import hashlib
+import io
+from pathlib import Path
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+
+SWEEP_STARTS = ((2.0, 2.0), (-2.0, 2.0), (-2.0, -2.0), (2.0, -2.0), (0.3, -2.0))
+SWEEP_THETAS = (0.0, 0.5, 1.0)
+SWEEP_T_END = 2.0
+SLIDING_RUNS = (((0.0, 0.5), 1.0), ((0.37, 0.81), 2.81))   # (x0, t_end)
+
+
+def digests() -> dict:
+    """Run name -> sha256 hex digest of its TSV."""
+    from swsos.cli import _theta_table, load_lyapunov
+    from swsos.sim import SimConfig, simulate, write_trajectory
+    from swsos.system import load_system
+
+    def digest(traj):
+        buf = io.StringIO()
+        write_trajectory(traj, buf, manifest_hash="")
+        return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+    quadrant = load_system(SYSTEMS / "quadrant-cubic.sys")
+    certificate = load_lyapunov(str(SYSTEMS / "quadrant-cubic-V-stripped.lyap"),
+                                quadrant)
+    out = {}
+    for x0 in SWEEP_STARTS:
+        for v in SWEEP_THETAS:
+            cfg = SimConfig(t_end=SWEEP_T_END, theta=_theta_table(quadrant, v))
+            out[f"sweep {x0[0]:g},{x0[1]:g} theta{v:g}"] = digest(
+                simulate(quadrant, x0, cfg, certificate=certificate))
+    opposing = load_system(SYSTEMS / "opposing-fields.sys")
+    for x0, t_end in SLIDING_RUNS:
+        out[f"sliding {x0[0]:g},{x0[1]:g} t_end{t_end:g}"] = digest(
+            simulate(opposing, x0, SimConfig(t_end=t_end)))
+    return out
+
+
+if __name__ == "__main__":
+    for name, hexdigest in digests().items():
+        print(f"    {name!r}: {hexdigest!r},")
