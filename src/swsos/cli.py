@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys as _sys
 import time
 from pathlib import Path
@@ -64,10 +65,22 @@ def make_manifest(command: str, inputs, overrides: dict, seed: int,
     return manifest
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by "nan", "inf" or "-inf",
+    which strict JSON has no number for."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, doc: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
+        json.dump(_strict(doc), fh, indent=2, sort_keys=False, allow_nan=False)
         fh.write("\n")
 
 

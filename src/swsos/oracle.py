@@ -14,10 +14,20 @@ The oracle refutes, it does not prove: the verdict vocabulary is
 "no-violation-found" / "violated-at(x)".  Strict inequalities are tested
 against a scaled tolerance on closed samples minus a small ball around the
 origin, since strictness cannot be sampled literally.
+
+Points travel as columns: an (n, m) array with one contiguous row per
+variable, which `Polynomial.eval_columns` evaluates without a copy.  The
+grid-plus-random candidates are built once, their norms taken on rows,
+and then held only as columns; each region's survivors are gathered with
+`take`.  Boundary points come from random segments drawn in rounds and
+bisected in one pass after the last round.  A value that overflows to
+inf or turns nan fails its condition, nan ranking as the worst
+violation, and raises no floating-point warning.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +47,10 @@ class OracleConfig:
     box: tuple = None         # (lo, hi) override; None = sample the system box
 
     def __post_init__(self):
+        for name in ("grid_per_dim", "random_samples", "boundary_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"OracleConfig.{name} must be an integer")
         for name in ("grid_per_dim", "random_samples", "exclusion_radius",
                      "tolerance", "boundary_samples"):
             if not 0 < getattr(self, name) < np.inf:
@@ -76,11 +90,12 @@ class OracleReport:
         if self.passed:
             return "no-violation-found"
         worst = max((r for r in self.records if not r.passed),
-                    key=lambda r: r.worst_violation)
+                    key=lambda r: _rank(r.worst_violation))
         return f"violated-at{worst.worst_point}"
 
     def worst(self) -> float:
-        return max((r.worst_violation for r in self.records), default=0.0)
+        return max((r.worst_violation for r in self.records), key=_rank,
+                   default=0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -131,14 +146,15 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     pts = (points if points is not None
            else _candidate_points(_sampling_box(sys, cfg), cfg, rng))
-    keep, warns = _region_keep(region, pts, np.linalg.norm(pts, axis=1), cfg)
+    keep, warns = _region_keep(region, pts.T, np.linalg.norm(pts, axis=1), cfg)
     return pts[keep], warns
 
 
-def _region_keep(region: SemiAlgebraicRegion, pts, norms, cfg: OracleConfig):
-    """(mask, warnings) of sample_region, given the norms of the points."""
+def _region_keep(region: SemiAlgebraicRegion, cols, norms, cfg: OracleConfig):
+    """(mask, warnings) of sample_region at the points cols (n, m), given
+    their norms."""
     keep = norms >= cfg.exclusion_radius
-    keep &= region.contains_many(pts, cfg.tolerance)
+    keep &= region.contains_many(cols, cfg.tolerance)
     count = int(keep.sum())
     warns = []
     if count == 0:
@@ -156,56 +172,67 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
     50 failed draws per requested point a warning is emitted and sampling
     stops early.
 
-    Segments are drawn and bisected in rounds, all of a round's segments at
-    once.  A round draws k = min(points still needed, misses still allowed)
-    segments in one (k, 2, n) call, the same stream as drawing each
-    segment's a then b, and no round can overshoot either limit, so the
-    points and the generator's final state are those of drawing and
-    bisecting one segment at a time.
+    Segments are drawn in rounds and bisected in one pass after the last
+    round.  A round draws k = min(points still needed, misses still
+    allowed) segments in one (k, 2, n) call, the same stream as drawing
+    each segment's a then b, keeps those whose a is an exact zero or whose
+    ends straddle a sign change, and no round can overshoot either limit.
+    Whether a segment is kept depends only on chi at its ends, so the rounds
+    never wait on a bisection, and bisecting every kept segment at once, on
+    one column per variable, gives the points and the generator's final
+    state of drawing and bisecting one segment at a time.  Returns rows
+    (points, n) and the warnings.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     lo, hi = _sampling_box(sys, cfg)
     n = len(lo)
-    chi = boundary.chi.eval_many
+    chi = boundary.chi.eval_columns
 
     need = cfg.boundary_samples
     allowed = 50 * cfg.boundary_samples
-    found = []
+    kept, kept_signs = [], []
     warns = []
     npts = misses = 0
     while npts < need and misses < allowed:
         seg = rng.uniform(lo, hi, size=(min(need - npts, allowed - misses), 2, n))
-        out = seg[:, 0].copy()
-        fa, fb = chi(out), chi(seg[:, 1])
-        zero = fa == 0.0
-        miss = ~zero & (np.sign(fa) == np.sign(fb))
-        idx = np.flatnonzero(~zero & ~miss)
-        a, b = out[idx], seg[idx, 1]
-        # a only ever takes a midpoint of its own sign, so sign(fa) is fixed
-        sa = np.sign(fa[idx])
-        for _ in range(200):
-            if idx.size == 0:
-                break
-            m = 0.5 * (a + b)
-            fm = chi(m)
-            stop = np.abs(fm) <= 1e-12
-            if stop.any():
-                out[idx[stop]] = m[stop]
-                go = ~stop
-                a, b, m, fm, sa, idx = a[go], b[go], m[go], fm[go], sa[go], idx[go]
-            same = (np.sign(fm) == sa)[:, None]
-            a = np.where(same, m, a)
-            b = np.where(same, b, m)
-        out[idx] = 0.5 * (a + b)
-        out = out[~miss]
-        found.append(out)
-        npts += out.shape[0]
-        misses += int(miss.sum())
+        ends = np.ascontiguousarray(seg.transpose(1, 2, 0))   # (2, n, k): a, b
+        fa = chi(ends[0])
+        sa = np.sign(fa)
+        keep = (fa == 0.0) | (sa != np.sign(chi(ends[1])))
+        kept.append(ends[:, :, keep])
+        kept_signs.append(sa[keep])
+        hits = int(keep.sum())
+        npts += hits
+        misses += keep.size - hits
     if npts < need:
         warns.append(
             f"boundary ({boundary.i},{boundary.j}): no sign straddle "
             f"after {misses} segment draws; {npts} points found")
-    pts = np.concatenate(found)
+
+    ends = np.concatenate(kept, axis=2)
+    out = ends[0]                       # an exact zero a is its own point
+    sa = np.concatenate(kept_signs)
+    idx = np.flatnonzero(sa != 0.0)
+    # a only ever takes a midpoint of its own sign, so sign(fa) is fixed
+    a, b, sa = ends[0][:, idx], ends[1][:, idx], sa[idx]
+    for _ in range(200):
+        if idx.size == 0:
+            break
+        m = 0.5 * (a + b)
+        fm = chi(m)
+        stop = np.abs(fm) <= 1e-12
+        if stop.any():
+            out[:, idx[stop]] = m[:, stop]
+            go = ~stop
+            a, b, m, fm, sa, idx = a[:, go], b[:, go], m[:, go], fm[go], sa[go], idx[go]
+        same = np.sign(fm) == sa
+        a = np.where(same, m, a)
+        b = np.where(same, b, m)
+    out[:, idx] = 0.5 * (a + b)
+
+    # np.linalg.norm's bits depend on the layout for n >= 8; verify_certificate
+    # takes them on contiguous rows, as the exclusion test does here
+    pts = np.ascontiguousarray(out.T)
     if pts.shape[0]:
         pts = pts[np.linalg.norm(pts, axis=1) >= cfg.exclusion_radius]
     if pts.shape[0] == 0 and not warns:
@@ -219,11 +246,25 @@ def _scale(norms: np.ndarray, deg: int) -> np.ndarray:
     return 1.0 + norms ** max(deg, 1)
 
 
+def _rank(value: float):
+    """Sort key that ranks nan above every number."""
+    return (value != value, value)
+
+
 def _worst(values: np.ndarray, pts: np.ndarray):
+    """(largest value, its point); np.argmax ranks nan above every number,
+    as _rank does.  pts is indexed by point (rows, or cols.T)."""
     if values.size == 0:
         return 0.0, ()
     k = int(np.argmax(values))
     return float(values[k]), tuple(float(c) for c in pts[k])
+
+
+def _record(report: OracleReport, condition: str, subject: str, viol, cols):
+    """Append the worst case of one condition sampled at cols (n, m)."""
+    w, at = _worst(viol, cols.T)
+    report.records.append(ConditionRecord(
+        condition, subject, cols.shape[1], w, at, w <= report.config.tolerance))
 
 
 def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
@@ -235,6 +276,11 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     attractive_pairs: if given, lie_boundary is only checked for ordered
     pairs in this collection (the attractivity pre-filter's output); None
     checks every boundary pair in both orders.
+
+    Points are held as columns (n, m), one contiguous row per variable;
+    norms are taken on rows first, whose bits a column sum of squares does
+    not reproduce for n >= 8.  inf and nan values make a condition fail
+    (nan ranks worst) without a RuntimeWarning.
     """
     cfg = cfg or OracleConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -243,57 +289,54 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     if missing:
         raise ValueError(f"no Lyapunov polynomial for regions {missing}")
 
-    shared = _candidate_points(_sampling_box(sys, cfg), cfg, rng)
-    shared_norms = np.linalg.norm(shared, axis=1)
+    rows = _candidate_points(_sampling_box(sys, cfg), cfg, rng)
+    shared_norms = np.linalg.norm(rows, axis=1)
+    shared = np.ascontiguousarray(rows.T)
+    del rows                            # only the columns stay alive
 
-    for rid, region in sorted(sys.regions.items()):
-        keep, warns = _region_keep(region, shared, shared_norms, cfg)
-        pts, norms = shared[keep], shared_norms[keep]
-        report.warnings.extend(warns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rid, region in sorted(sys.regions.items()):
+            keep, warns = _region_keep(region, shared, shared_norms, cfg)
+            idx = np.flatnonzero(keep)
+            cols, norms = shared.take(idx, axis=1), shared_norms.take(idx)
+            report.warnings.extend(warns)
 
-        V = lyapunov[region.rid]
-        sc = _scale(norms, V.degree())
-        # positivity: V must dominate a tolerance-sized quadratic
-        viol = (cfg.tolerance * norms ** 2 - V.eval_many(pts)) / sc
-        w, at = _worst(viol, pts)
-        report.records.append(ConditionRecord(
-            "positivity", f"region {region.rid}", pts.shape[0], w, at,
-            w <= cfg.tolerance))
+            V = lyapunov[rid]
+            # positivity: V must dominate a tolerance-sized quadratic
+            viol = (cfg.tolerance * norms ** 2 - V.eval_columns(cols)) \
+                / _scale(norms, V.degree())
+            _record(report, "positivity", f"region {rid}", viol, cols)
 
-        for l, f in enumerate(sys.dynamics[region.rid].vertices):
-            lie = lie_derivative(V, f)
-            viol = lie.eval_many(pts) / _scale(norms, lie.degree())
-            w, at = _worst(viol, pts)
-            report.records.append(ConditionRecord(
-                "lie_region", f"region {region.rid}, vertex {l}",
-                pts.shape[0], w, at, w <= cfg.tolerance))
-
-    for bnd in sys.boundaries:
-        pts, warns = sample_boundary(sys, bnd, cfg, rng)
-        report.warnings.extend(warns)
-        if pts.shape[0] == 0:
-            continue
-        norms = np.linalg.norm(pts, axis=1)
-        Vi, Vj = lyapunov[bnd.i], lyapunov[bnd.j]
-        deg = max(Vi.degree(), Vj.degree())
-        viol = np.abs(Vi.eval_many(pts) - Vj.eval_many(pts)) / _scale(norms, deg)
-        w, at = _worst(viol, pts)
-        report.records.append(ConditionRecord(
-            "continuity", f"boundary ({bnd.i},{bnd.j})", pts.shape[0], w, at,
-            w <= cfg.tolerance))
-
-        for (i, j) in ((bnd.i, bnd.j), (bnd.j, bnd.i)):
-            if attractive_pairs is not None and (i, j) not in attractive_pairs \
-                    and (j, i) not in attractive_pairs:
-                continue
-            V = lyapunov[i]
-            for l, f in enumerate(sys.dynamics[j].vertices):
+            for l, f in enumerate(sys.dynamics[rid].vertices):
                 lie = lie_derivative(V, f)
-                viol = lie.eval_many(pts) / _scale(norms, lie.degree())
-                w, at = _worst(viol, pts)
-                report.records.append(ConditionRecord(
-                    "lie_boundary", f"boundary ({i},{j}), vertex {l}",
-                    pts.shape[0], w, at, w <= cfg.tolerance))
+                viol = lie.eval_columns(cols) / _scale(norms, lie.degree())
+                _record(report, "lie_region", f"region {rid}, vertex {l}",
+                        viol, cols)
+
+        for bnd in sys.boundaries:
+            pts, warns = sample_boundary(sys, bnd, cfg, rng)
+            report.warnings.extend(warns)
+            if pts.shape[0] == 0:
+                continue
+            norms = np.linalg.norm(pts, axis=1)
+            cols = np.ascontiguousarray(pts.T)
+            Vi, Vj = lyapunov[bnd.i], lyapunov[bnd.j]
+            deg = max(Vi.degree(), Vj.degree())
+            viol = np.abs(Vi.eval_columns(cols) - Vj.eval_columns(cols)) \
+                / _scale(norms, deg)
+            _record(report, "continuity", f"boundary ({bnd.i},{bnd.j})",
+                    viol, cols)
+
+            for (i, j) in ((bnd.i, bnd.j), (bnd.j, bnd.i)):
+                if attractive_pairs is not None and (i, j) not in attractive_pairs \
+                        and (j, i) not in attractive_pairs:
+                    continue
+                V = lyapunov[i]
+                for l, f in enumerate(sys.dynamics[j].vertices):
+                    lie = lie_derivative(V, f)
+                    viol = lie.eval_columns(cols) / _scale(norms, lie.degree())
+                    _record(report, "lie_boundary", f"boundary ({i},{j}), vertex {l}",
+                            viol, cols)
 
     return report
 

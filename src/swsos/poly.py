@@ -170,20 +170,29 @@ class Polynomial:
             raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
         return _kernels.eval_terms(self._term_list(), x.tolist())
 
-    def eval_many(self, X) -> np.ndarray:
-        """Evaluate at every row of X (m, n).
+    def eval_columns(self, cols) -> np.ndarray:
+        """Evaluate at the m points whose coordinates are the rows of
+        cols (n, m), one row per variable (contiguous rows are fastest).
 
-        The term list runs on one contiguous column per variable, so every
-        value is the scalar call's, bit for bit: eval_many(X)[k] == self(X[k]).
+        Every value is the scalar call's, bit for bit: eval_columns(X.T)[k]
+        == self(X[k]).
         """
+        cols = np.asarray(cols, dtype=np.float64)
+        if cols.ndim != 2 or cols.shape[0] != self.dim:
+            raise ValueError(f"columns have shape {cols.shape}, expected ({self.dim}, m)")
+        # inf and nan come out as in the scalar call, which does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _kernels.eval_terms(self._term_list(), list(cols))
+        # a constant or zero polynomial never touches a column
+        return v if isinstance(v, np.ndarray) else np.full(cols.shape[1], v)
+
+    def eval_many(self, X) -> np.ndarray:
+        """Evaluate at every row of X (m, n): eval_columns on one
+        contiguous copy of its columns, so eval_many(X)[k] == self(X[k])."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points have shape {X.shape}, expected (m, {self.dim})")
-        # inf and nan come out as in the scalar call, which does not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = _kernels.eval_terms(self._term_list(), list(X.T.copy()))
-        # a constant or zero polynomial never touches a column
-        return v if isinstance(v, np.ndarray) else np.full(X.shape[0], v)
+        return self.eval_columns(X.T.copy())
 
     # -- calculus ------------------------------------------------------
     def diff(self, k: int) -> "Polynomial":

@@ -47,10 +47,11 @@ class SemiAlgebraicRegion:
         return (abs(eval_terms(self.chi._term_list(), x)) <= tol
                 and all(eval_terms(g._term_list(), x) >= -tol for g in self.xi))
 
-    def contains_many(self, X, tol: float) -> np.ndarray:
-        mask = np.abs(self.chi.eval_many(X)) <= tol
+    def contains_many(self, cols, tol: float) -> np.ndarray:
+        """contains at each point of cols (n, m), one row per variable."""
+        mask = np.abs(self.chi.eval_columns(cols)) <= tol
         for g in self.xi:
-            mask &= g.eval_many(X) >= -tol
+            mask &= g.eval_columns(cols) >= -tol
         return mask
 
 

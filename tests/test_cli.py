@@ -2,6 +2,7 @@
 certify 0/2/3/1, verify 0/4/1, everything else 0/1."""
 
 import json
+import warnings
 
 import pytest
 
@@ -49,6 +50,28 @@ def test_verify_negative_definite_exit_4(tmp_path, capsys):
         "1": "-x1^2 - x2^2", "2": "-x1^2 - x2^2"}}))
     assert run(["verify", QUAD, str(bad)], tmp_path) == 4
     assert "violated-at(" in capsys.readouterr().out
+
+
+def test_verify_non_finite_values_write_strict_json(tmp_path, capsys):
+    # V overflows to inf near the box edge, so its lie derivatives give nan
+    # and the continuity difference inf - inf
+    big = tmp_path / "big.lyap"
+    big.write_text(json.dumps({"lyapunov": {
+        "1": "1e308*x1^6 + x2^2", "2": "1e308*x1^6 + x2^2"}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", QUAD, str(big)], tmp_path) == 4
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads((tmp_path / "quadrant-cubic.oracle.json").read_text(),
+                        parse_constant=reject)
+    worst = [r["worst_violation"] for r in report["conditions"]]
+    assert "nan" in worst and "inf" in worst and "-inf" in worst
+    nan_record = next(r for r in report["conditions"]
+                      if r["worst_violation"] == "nan")
+    assert report["verdict"] == f"violated-at{tuple(nan_record['worst_point'])}"
 
 
 def test_verify_wrong_region_count(tmp_path):

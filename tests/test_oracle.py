@@ -5,6 +5,8 @@ from swsos.oracle import (OracleConfig, sample_boundary, sample_region,
                           verify_certificate, vertex_convexity_check)
 from swsos.poly import parse_polynomial
 
+from oracle_corpus import digests
+
 
 def small_cfg(**kw):
     defaults = dict(grid_per_dim=21, random_samples=2000, boundary_samples=100)
@@ -22,6 +24,28 @@ def test_config_rejects_nonpositive_fields():
             OracleConfig(tolerance=bad)
         with pytest.raises(ValueError, match="positive and finite"):
             OracleConfig(exclusion_radius=bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("grid_per_dim", 2.5), ("random_samples", True), ("boundary_samples", 0.5),
+    ("grid_per_dim", np.float64(3.0)), ("boundary_samples", False),
+])
+def test_config_rejects_non_integer_counts(field, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        OracleConfig(**{field: bad})
+    assert OracleConfig(**{field: np.int64(3)})
+
+
+def test_nan_ranks_as_the_worst_violation():
+    from swsos.oracle import ConditionRecord, OracleReport, _worst
+    nan = float("nan")
+    assert _worst(np.array([1.0, 5.0, nan, 9.0]), np.eye(4))[1] == (0, 0, 1, 0)
+    records = [ConditionRecord("positivity", "region 1", 3, 5.0, (1.0,), False),
+               ConditionRecord("continuity", "boundary (1,2)", 3, nan, (2.0,), False),
+               ConditionRecord("lie_region", "region 2", 3, 7.0, (3.0,), False)]
+    report = OracleReport(records=records)
+    assert report.verdict == "violated-at(2.0,)"
+    assert np.isnan(report.worst())
 
 
 def test_sample_region_respects_quadrant_sign(quadrant_system):
@@ -231,3 +255,27 @@ def test_region_records_match_sample_region(quadrant_system, published_lyapunov,
     expected = [ConditionRecord(*e, e[3] <= cfg.tolerance) for e in expected]
     assert repr(report.records[:len(expected)]) == repr(expected)
     assert report.warnings[:len(warnings)] == warnings
+
+
+# sha256 of each corpus report's JSON (tests/oracle_corpus.py); a change
+# that alters oracle reports on purpose prints the new ones with that module
+PINNED_REPORT_DIGESTS = {
+    'published seed0': 'b91898d81b1dd532b7246604a5fb0bb80c0375cc01bc815d0b966f2176622816',
+    'published seed5': '4a8668a9c3b59baeef709dad97b89842fcb81398edc9d1de53889d97d29f3ee5',
+    'published seed11': 'f39d91f29c1b8be2aa4b2b2ee8d1522ff805de82d01537407e52e8cf60456ef2',
+    'flip x1^6 seed0': 'b84e19b4dd7356ba4594311c0f14758a1af83fd362bcc42e7fe6f3c0fdb852eb',
+    'flip x1^6 seed5': '11efd03809fcafe2bc44bd397d3b3eb4dd065c6722f1b67e1280c10c8d73ce9e',
+    'flip x1^6 seed11': '49f6320eba3123689db626e7d34413ea333113d7df9f12286fd763a2347b3ff1',
+    'flip x2^4 seed0': '5fec8b173d053e5d54354159516832cc15d57bef310a9f6228fc6053fc4ad11b',
+    'flip x2^4 seed5': '3ccd2cfa09adf29d76b9c8278e903943b46c9f9454d54309071e4b1fc7808e7d',
+    'flip x2^4 seed11': 'aacf37ed3a61abe6ad3fb66894de494ca9a4b5c33f276eab0a03092098b3e615',
+    'published no pairs': 'd7da11dfe597cf6bb0858f7f5058abf20827910a1935ef9d628977697ddf1416',
+    'published small box': 'd0809ced4d422fc27817b0456a72f7ce204bfad3f3416661fde7b0095f879307',
+    'published boundary_samples7': '3e19d1a4a1722ee9118b84f668002df8b8ff37a8d8fbbfd88227752a4c89f03a',
+    'opposing-fields x1^2 + x2^2': 'c8660bba31e955395af6ac87e3a94be7f379f333224d297fb39443be63e22091',
+    'aligned-fields x1^2 + x2^2': 'b69fe4fde033f508bd9713c5e5da8e6f84a982e2e90e9d7073f87d5980a6d119',
+}
+
+
+def test_oracle_reports_are_pinned():
+    assert digests() == PINNED_REPORT_DIGESTS
