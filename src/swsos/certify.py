@@ -24,13 +24,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .poly import DISPLAY_CLEANUP, Polynomial, PolyVector, lie_derivative, \
+from .poly import DISPLAY_CLEANUP, Polynomial, lie_derivative, \
     monomial_basis, coefficients_equal
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
 from .backend import FEASIBLE, INFEASIBLE, solve, svec_layout
 from .system import SwitchedSystem
-from .oracle import OracleConfig, verify_certificate
+from .oracle import OracleConfig, OracleReport, verify_certificate
 
 CERTIFIED = "CERTIFIED"
 NO_CERTIFICATE = "no-certificate-at-degree"
@@ -68,7 +68,7 @@ class Certificate:
     gluing: dict = field(default_factory=dict)         # (i,j) -> Polynomial
     sos_evidence: SosCertificate = None
     config: CertificationConfig = None
-    oracle_report = None
+    oracle_report: OracleReport = None
     attractive_pairs: list = None                      # None = filter off
     glue_residuals: dict = field(default_factory=dict)
     system_hash: str = ""
@@ -221,14 +221,14 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
         for l, f in enumerate(sys.dynamics[rid].vertices):
             constraints.append(PositivityConstraint(
                 cid=f"lie{rid}v{l}",
-                target=V[rid].lie(f).scale(-1.0) - margin,
+                target=lie_derivative(V[rid], f).scale(-1.0) - margin,
                 equality_generators=eq, inequality_generators=ineq))
     for (i, j) in cross_pairs:
         chi_ij = sys.boundary(i, j).chi
         for l, f in enumerate(sys.dynamics[j].vertices):
             constraints.append(PositivityConstraint(
                 cid=f"cross{i}_{j}v{l}",
-                target=V[i].lie(f).scale(-1.0) - margin,
+                target=lie_derivative(V[i], f).scale(-1.0) - margin,
                 equality_generators=[chi_ij],
                 inequality_generators=list(box_gens)))
 
@@ -277,19 +277,17 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
     problem, plan = build_feasibility(sys, cfg, cross_pairs=cross_pairs)
     sol = solve(problem)
 
-    if sol.status == INFEASIBLE:
-        return Certificate(
-            status=NO_CERTIFICATE, config=cfg,
-            attractive_pairs=attractive, system_hash=sys.source_hash,
-            solve_seconds=time.time() - t0,
-            detail=f"no certificate at degree {cfg.lyapunov_degree} "
-                   f"({sol.solver_status})")
     if sol.status != FEASIBLE:
+        if sol.status == INFEASIBLE:
+            status = NO_CERTIFICATE
+            detail = (f"no certificate at degree {cfg.lyapunov_degree} "
+                      f"({sol.solver_status})")
+        else:
+            status, detail = SUSPECT, f"solver failure: {sol.solver_status}"
         return Certificate(
-            status=SUSPECT, config=cfg,
-            attractive_pairs=attractive, system_hash=sys.source_hash,
-            solve_seconds=time.time() - t0,
-            detail=f"solver failure: {sol.solver_status}")
+            status=status, config=cfg, attractive_pairs=attractive,
+            system_hash=sys.source_hash, solve_seconds=time.time() - t0,
+            detail=detail)
 
     evidence = certificate_from_solution(problem, sol, sys.dimension)
     lyapunov = {rid: lp.instantiate(sol.scalar_values)

@@ -161,19 +161,12 @@ def _parse_floats(text: str, what: str):
 def _theta_table(sys_, th11: float) -> dict:
     """Per-region simplex weights for a scalar sweep value.
 
-    Two-vertex regions get (v, 1-v); everything else keeps its first
-    vertex.  This is how a one-parameter uncertainty sweep is applied to a
-    mixed system.
+    Two-vertex regions get (v, 1-v); every other region is left out of
+    the table, so it keeps its first vertex.  This is how a one-parameter
+    uncertainty sweep is applied to a mixed system.
     """
-    table = {}
-    for rid, dyn in sys_.dynamics.items():
-        if dyn.count == 2:
-            table[rid] = (th11, 1.0 - th11)
-        else:
-            w = np.zeros(dyn.count)
-            w[0] = 1.0
-            table[rid] = tuple(w)
-    return table
+    return {rid: (th11, 1.0 - th11)
+            for rid, dyn in sys_.dynamics.items() if dyn.count == 2}
 
 
 # -- commands ------------------------------------------------------------------

@@ -55,6 +55,17 @@ class OracleConfig:
                      "tolerance", "boundary_samples"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"OracleConfig.{name} must be positive and finite")
+        if self.box is not None:
+            try:
+                lo, hi = (np.asarray(b, dtype=float) for b in self.box)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"OracleConfig.box must be a pair (lo, hi): {exc}") from exc
+            if lo.ndim != 1 or lo.shape != hi.shape or not lo.size:
+                raise ValueError("OracleConfig.box must be two 1-D arrays of equal length")
+            # lo == hi is a face of the box: every draw takes that coordinate
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
+                raise ValueError("OracleConfig.box needs finite bounds with lo <= hi")
+            self.box = (lo, hi)
 
 
 @dataclass
@@ -121,7 +132,12 @@ class OracleReport:
 # -- samplers ---------------------------------------------------------------
 
 def _sampling_box(sys: SwitchedSystem, cfg: OracleConfig):
-    return cfg.box if cfg.box is not None else sys.box
+    if cfg.box is None:
+        return sys.box
+    if len(cfg.box[0]) != sys.dimension:
+        raise ValueError(f"OracleConfig.box has {len(cfg.box[0])} coordinates, "
+                         f"the system {sys.dimension}")
+    return cfg.box
 
 
 def _candidate_points(box, cfg: OracleConfig, rng) -> np.ndarray:

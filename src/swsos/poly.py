@@ -83,11 +83,6 @@ class Polynomial:
             return 0
         return max(sum(m) for m in self.terms)
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return min(sum(m) for m in self.terms)
-
     def coefficient(self, mono: Monomial) -> float:
         return self.terms.get(tuple(mono), 0.0)
 
@@ -289,12 +284,13 @@ class PolyVector:
 
 # -- core operations -----------------------------------------------------
 
-def lie_derivative(V: Polynomial, F: PolyVector) -> Polynomial:
-    """Directional derivative <grad V, F> as a polynomial."""
+def lie_derivative(V, F: PolyVector):
+    """Directional derivative <grad V, F>, summed in k order, of a
+    Polynomial or an `sos.LinPoly` V; the result has V's type."""
     if V.dim != F.dim:
         raise ValueError(f"dimension mismatch: {V.dim} vs {F.dim}")
-    out = Polynomial.zero(V.dim)
-    for k in range(V.dim):
+    out = V.diff(0) * F[0]
+    for k in range(1, V.dim):
         out = out + V.diff(k) * F[k]
     return out
 

@@ -8,20 +8,25 @@ components point at each other.  Codimension >= 2 strata stop the run
 
 Both inner loops run in RK4 segment kernels that _kernels generates from
 the term lists each field and boundary polynomial caches: rk4_smooth_run
-inside a region, rk4_sliding_run along a boundary variety.  _kernels
-compiles a kernel once per field shape and binds each field's
-coefficients to it, so the theta runs of one sweep, whose interior values
-give a region one shape, share a compile; simulate builds each region's
-and boundary's kernel once per run, on first use.  The small nudge off a
-boundary after an event is one step of the region's smooth kernel.
-Event handling, the decisions between crossing and sliding, the
-chattering guard and the switched Lyapunov value (one batch evaluation
-per non-empty segment) live here.  Between segments the state is a list
-of floats, and every event step (the ball test, region location, the
-sliding weight, the transversal probe, crossing localisation and psi at
-one point) evaluates the term lists with _kernels.eval_terms on it.  No
-point or event lies past t_end: a smooth step that would record one is
-taken again as one step onto t_end.
+inside a region, rk4_sliding_run along a boundary variety.  They are the
+one RK4 integrator; there is no per-step Python path.  _kernels compiles
+a kernel once per field shape and binds each field's coefficients to it,
+so the theta runs of one sweep, whose interior values give a region one
+shape, share a compile; simulate builds each region's and boundary's
+kernel once per run, on first use.  The small nudge off a boundary after
+an event is one step of the region's smooth kernel.  Event handling, the
+decisions between crossing and sliding, the chattering guard and the
+switched Lyapunov value (one batch evaluation per non-empty segment) live
+here.  A region missing from SimConfig.theta runs at its first vertex,
+field_at's default.  When both regions of a boundary hold the state but
+chi_ij is off the sliding band, the decide step takes one Newton step
+onto chi_ij = 0, as the sliding kernel does, or stops the run
+(stratum_stop) if that does not reach the band.  Between segments the
+state is a list of floats, and every event step (the ball test, region
+location, the sliding weight, the transversal probe, crossing
+localisation and psi at one point) evaluates the term lists with
+_kernels.eval_terms on it.  No point or event lies past t_end: a smooth
+step that would record one is taken again as one step onto t_end.
 
 A Trajectory stores what the kernels return, one chunk per segment or
 single point: the times, the states as one (m, n) array, the mode, and
@@ -42,7 +47,6 @@ from sys import intern
 import numpy as np
 
 from . import _kernels
-from .poly import PolyVector
 from .system import SwitchedSystem
 
 EVENT_TOL = 1e-9             # |chi| at which an event is localized
@@ -120,32 +124,7 @@ class Trajectory:
         return "converged" in self.event_kinds()
 
 
-def _theta_for(sys: SwitchedSystem, cfg: SimConfig, rid: int):
-    count = sys.dynamics[rid].count
-    if cfg.theta and rid in cfg.theta:
-        return np.asarray(cfg.theta[rid], dtype=float)
-    th = np.zeros(count)
-    th[0] = 1.0
-    return th
-
-
 # -- elementary operations ----------------------------------------------------
-
-def step_smooth(sys: SwitchedSystem, rid: int, x, h: float, theta) -> np.ndarray:
-    """One classical RK4 step of xdot = F_rid(x, theta)."""
-    if h <= 0:
-        raise ValueError("h must be > 0")
-    return _rk4_step(sys.field_at(rid, theta), x, h)
-
-
-def _rk4_step(F: PolyVector, x, h: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    k1 = F(x)
-    k2 = F(x + 0.5 * h * k1)
-    k3 = F(x + 0.5 * h * k2)
-    k4 = F(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
 
 def _terms(vec) -> tuple:
     """The term list of each component of a PolyVector."""
@@ -243,17 +222,16 @@ def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None) -> 
     alpha = <n, F_j> / <n, F_j - F_i> with n the boundary normal at x;
     the resulting F_s is tangent to {chi_ij = 0}.  A denominator under
     1e-12 is a tangency; a vanishing normal is a singular boundary point.
+    A theta left as None takes the region's first vertex.
     """
     i, j = pair
     b = sys.boundary(i, j)
-    th_i = theta_i if theta_i is not None else _theta_for(sys, SimConfig(), i)
-    th_j = theta_j if theta_j is not None else _theta_for(sys, SimConfig(), j)
     x = [float(v) for v in x]
     if len(x) != sys.dimension:
         raise ValueError(f"point has {len(x)} coordinates, expected {sys.dimension}")
     return _sliding_weight(b, pair, _terms(b.chi.gradient()),
-                           _terms(sys.field_at(i, th_i)),
-                           _terms(sys.field_at(j, th_j)), x)
+                           _terms(sys.field_at(i, theta_i)),
+                           _terms(sys.field_at(j, theta_j)), x)
 
 
 def _sliding_weight(b, pair, grad, fi, fj, x) -> float:
@@ -300,7 +278,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     @cache
     def field_of(rid):
         """The region's field at its theta, and that field's term lists."""
-        F = sys.field_at(rid, _theta_for(sys, cfg, rid))
+        F = sys.field_at(rid, (cfg.theta or {}).get(rid))
         return F, _terms(F)
 
     @cache
@@ -383,6 +361,22 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 i, j = p
                 b = sys.boundary(i, j)
                 grad, fi, fj = grad_of(p), field_of(i)[1], field_of(j)[1]
+                chi = b.chi._term_list()
+                c = _kernels.eval_terms(chi, x)
+                if abs(c) > SLIDING_BAND * EVENT_TOL:
+                    # both regions hold x, but chi_ij is off the band (chi_ij
+                    # and the regions' xi differ in scale): one Newton step
+                    # onto chi_ij = 0, as the sliding kernel projects
+                    n = _values(grad, x)
+                    nn = _dot(n, n)
+                    xp = ([u - (c / nn) * g for u, g in zip(x, n)]
+                          if nn != 0.0 else x)
+                    if not (abs(_kernels.eval_terms(chi, xp))
+                            <= SLIDING_BAND * EVENT_TOL):
+                        return stop(t, x, "stratum_stop",
+                                    f"({i},{j}) off its variety where both "
+                                    f"regions meet")
+                    x = xp
                 try:
                     alpha = _sliding_weight(b, p, grad, fi, fj, x)
                 except Tangency:

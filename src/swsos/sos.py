@@ -5,7 +5,9 @@ free-multiplier combinations of equality generators, minus SOS-multiplier
 combinations of inequality generators must equal one master SOS form.
 Everything is flattened coefficient-wise, one row per monomial in grlex
 order, into one block-PSD program in array form (`backend.SdpProblem`),
-which `solve` (imported from `backend`) solves.
+which `solve` (imported from `backend`) solves.  Decision polynomials are
+`LinPoly`s; `LinPoly * Polynomial` is `mul_poly`, so `poly.lie_derivative`
+takes the Lie derivative of a LinPoly as of a Polynomial.
 
 A Gram block's coefficients depend only on its basis and its generator, and
 the same pair recurs across constraints (the box generators sit in all of
@@ -24,7 +26,6 @@ import numpy as np
 from .backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve, svec_layout
 from .poly import Monomial, Polynomial, grlex_key, monomial_basis
 
-GRAM_SYM_TOL = 1e-9
 GRAM_EIG_TOL = 1e-7
 RESIDUAL_OK = 1e-7
 RESIDUAL_MARGINAL = 1e-5
@@ -117,6 +118,8 @@ class LinPoly:
                     acc[k] = acc.get(k, 0.0) + v * c
         return LinPoly._clean(self.dim, t)
 
+    __mul__ = mul_poly
+
     def diff(self, k: int) -> "LinPoly":
         # m -> m - e_k is one-to-one, so nothing is summed
         t = {}
@@ -125,13 +128,6 @@ class LinPoly:
             if e:
                 t[m[:k] + (e - 1,) + m[k + 1:]] = {key: v * e for key, v in expr.items()}
         return LinPoly._clean(self.dim, t)
-
-    def lie(self, F) -> "LinPoly":
-        """<grad self, F> for a fixed PolyVector F."""
-        out = LinPoly(self.dim)
-        for k in range(self.dim):
-            out = out + self.diff(k).mul_poly(F[k])
-        return out
 
     def instantiate(self, values: dict) -> Polynomial:
         terms = {}
@@ -167,18 +163,6 @@ class GramRepresentation:
                 w = Q[i, j] if i == j else 2.0 * Q[i, j]
                 terms[m] = terms.get(m, 0.0) + w
         return Polynomial(dim, terms)
-
-    def check(self) -> dict:
-        Q = self.gram
-        sym = float(np.abs(Q - Q.T).max()) if Q.size else 0.0
-        scale = float(np.linalg.norm(Q)) if Q.size else 0.0
-        mineig = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) if Q.size else 0.0
-        return {
-            "symmetry_defect": sym,
-            "min_eigenvalue": mineig,
-            "norm": scale,
-            "psd_ok": mineig >= -GRAM_EIG_TOL * max(1.0, scale),
-        }
 
 
 def gram_basis(dim: int, max_half_deg: int, min_half_deg: int = 0) -> list:

@@ -117,11 +117,15 @@ class SwitchedSystem:
     source_hash: str = ""
 
     def __post_init__(self):
+        pairs = set()
         for b in self.boundaries:
             if b.i == b.j:
                 raise SystemFormatError(f"boundary ({b.i},{b.j}) must join distinct regions")
             if b.i not in self.regions or b.j not in self.regions:
                 raise SystemFormatError(f"boundary ({b.i},{b.j}) references unknown region")
+            if frozenset(b.pair) in pairs:
+                raise SystemFormatError(f"boundary ({b.i},{b.j}) is declared twice")
+            pairs.add(frozenset(b.pair))
         for rid in self.dynamics:
             if rid not in self.regions:
                 raise SystemFormatError(f"dynamics for unknown region {rid}")
@@ -149,9 +153,12 @@ class SwitchedSystem:
         x = [float(v) for v in x]
         return {rid for rid, r in self.regions.items() if r.contains(x, tol)}
 
-    def field_at(self, rid: int, theta) -> PolyVector:
-        """Convex combination of the region's vertex fields."""
+    def field_at(self, rid: int, theta=None) -> PolyVector:
+        """Convex combination of the region's vertex fields; theta None
+        takes the first vertex."""
         dyn = self.dynamics[rid]
+        if theta is None:
+            theta = [1.0] + [0.0] * (dyn.count - 1)
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (dyn.count,):
             raise ValueError(f"theta must have length {dyn.count}")
@@ -239,6 +246,8 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
         regions = {}
         for rdoc in doc["regions"]:
             rid = int(rdoc["id"])
+            if rid in regions:
+                raise SystemFormatError(f"region id {rid} appears twice")
             regions[rid] = SemiAlgebraicRegion(
                 rid=rid,
                 chi=parse_polynomial(rdoc["chi"], n),
@@ -256,7 +265,11 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
             ))
         dynamics = {}
         for rid_s, vertices in doc["dynamics"].items():
-            dynamics[int(rid_s)] = SubsystemDynamics(
+            rid = int(rid_s)
+            if rid in dynamics:
+                raise SystemFormatError(f"dynamics for region {rid} appear "
+                                        f"twice (key {rid_s!r})")
+            dynamics[rid] = SubsystemDynamics(
                 vertices=[parse_vector(v, n) for v in vertices]
             )
         origin = {int(r) for r in doc.get("origin_regions", [])}

@@ -15,7 +15,7 @@ from swsos.certify import CertificationConfig, certify
 from swsos.cli import _theta_table
 from swsos.oracle import OracleConfig, verify_certificate, vertex_convexity_check
 from swsos.poly import Polynomial, monomial_basis, parse_polynomial
-from swsos.sim import SimConfig, simulate, step_smooth
+from swsos.sim import SimConfig, simulate
 from swsos.sos import (INFEASIBLE, GramRepresentation, SosCertificate,
                        extract_sos_split, sos_decompose)
 
@@ -149,14 +149,13 @@ def test_criterion_7_integrator_is_fourth_order():
         "regions": [{"id": 1, "chi": "0", "xi": [], "witness": [1.0]}],
         "boundaries": [], "dynamics": {"1": [["-x1"]]}, "origin_regions": [1],
     })
-    errors = []
+    errors, ends = [], []
     for h in (0.1, 0.05, 0.025):
-        x = np.array([1.0])
-        for _ in range(round(1.0 / h)):
-            x = step_smooth(sys_, 1, x, h, (1.0,))
-        errors.append(abs(x[0] - np.exp(-1.0)))
+        traj = simulate(sys_, (1.0,), SimConfig(step=h, t_end=1.0))
+        ends.append(traj.final_time)
+        errors.append(abs(traj.final_state[0] - np.exp(-1.0)))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
-    ok = all(12.0 <= r <= 20.0 for r in ratios)
+    ok = all(12.0 <= r <= 20.0 for r in ratios) and ends == [1.0] * 3
     _report(7, ok, "halving ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
 

@@ -5,16 +5,18 @@ the pipeline is exercised end to end on 1-D systems and the pre-filter and
 assembly logic on the shipped 2-D examples.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from importlib import import_module
 
 import numpy as np
 import pytest
 
-from swsos.backend import svec_layout
+from swsos.backend import NUMERICAL_ERROR, SdpSolution, svec_layout
 from swsos.certify import (ATTRACTIVE, CERTIFIED, NO_CERTIFICATE,
-                           NOT_ATTRACTIVE, CertificationConfig,
-                           build_feasibility, certify, check_attractivity)
-from swsos.oracle import OracleConfig
+                           NOT_ATTRACTIVE, SUSPECT, Certificate,
+                           CertificationConfig, build_feasibility, certify,
+                           check_attractivity)
+from swsos.oracle import OracleConfig, OracleReport
 from swsos.poly import lie_derivative
 from swsos.system import load_system, parse_system
 
@@ -65,6 +67,23 @@ def test_certify_unstable_scalar_no_certificate(unstable_system, degree):
     assert cert.status == NO_CERTIFICATE
     assert not cert.certified
     assert str(degree) in cert.detail
+
+
+def test_solver_failure_is_suspect(monkeypatch):
+    certify_module = import_module("swsos.certify")   # the attribute is the function
+    monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
+        status=NUMERICAL_ERROR, solver_status="native:stalled:7"))
+    cert = certify(_scalar_system("-x1"), CertificationConfig(lyapunov_degree=2),
+                   oracle_cfg=FAST_ORACLE)
+    assert cert.status == SUSPECT
+    assert cert.detail == "solver failure: native:stalled:7"
+    assert cert.lyapunov == {} and cert.oracle_report is None
+
+
+def test_oracle_report_is_a_field():
+    report = OracleReport()
+    cert = Certificate(status=SUSPECT, oracle_report=report)
+    assert replace(cert, status=CERTIFIED).oracle_report is report
 
 
 def test_certify_raises_on_invalid_system():

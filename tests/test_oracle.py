@@ -36,6 +36,28 @@ def test_config_rejects_non_integer_counts(field, bad):
     assert OracleConfig(**{field: np.int64(3)})
 
 
+@pytest.mark.parametrize("box", [
+    (np.array([1.0, -1.0]), np.array([-1.0, 1.0])),    # lo > hi
+    (np.array([-1.0, np.nan]), np.array([1.0, 1.0])),  # nan bound
+    (np.array([-1.0, -1.0]), np.array([1.0, np.inf])),  # infinite bound
+    (np.array([-1.0, -1.0]), np.array([1.0])),          # unequal lengths
+    (np.array([[-1.0]]), np.array([[1.0]])),            # not 1-D
+    (np.array([-1.0]),),                                # not a pair
+    (["a"], ["b"]),                                     # not numbers
+])
+def test_config_rejects_bad_box(box):
+    with pytest.raises(ValueError, match=r"OracleConfig\.box"):
+        OracleConfig(box=box)
+
+
+def test_box_must_match_the_system_dimension(quadrant_system):
+    # a 1-D box on the 2-D system used to fail deep inside the sampler
+    cfg = small_cfg(box=(np.array([-1.0]), np.array([1.0])))
+    with pytest.raises(ValueError, match=r"OracleConfig\.box has 1 coordinates"):
+        verify_certificate(quadrant_system, {1: parse_polynomial("x1^2", 2),
+                                             2: parse_polynomial("x1^2", 2)}, cfg)
+
+
 def test_nan_ranks_as_the_worst_violation():
     from swsos.oracle import ConditionRecord, OracleReport, _worst
     nan = float("nan")

@@ -58,7 +58,6 @@ def test_immutability():
 def test_degree_conventions():
     assert Polynomial.zero(2).degree() == 0
     assert parse_polynomial("x1*x2^3 + x1", 2).degree() == 4
-    assert parse_polynomial("x1*x2^3 + x1", 2).min_degree() == 1
 
 
 def test_zero_coefficients_dropped():

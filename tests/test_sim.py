@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from swsos import _kernels, sim
 from swsos.poly import parse_polynomial
 from swsos.sim import (SimConfig, StratumStop, Tangency, Trajectory,
-                       _rk4_step, detect_crossing, simulate, sliding_weight,
-                       step_smooth, write_trajectory)
+                       detect_crossing, simulate, sliding_weight,
+                       write_trajectory)
 from swsos.system import parse_system
 from trajectory_corpus import digests
 
@@ -23,6 +24,17 @@ def _scalar_decay():
     })
 
 
+def _rk4_step(F, x, h):
+    # one classical RK4 step of xdot = F(x) on numpy arrays: the reference
+    # for the region kernel's single (nudge) step
+    x = np.asarray(x, dtype=float)
+    k1 = F(x)
+    k2 = F(x + 0.5 * h * k1)
+    k3 = F(x + 0.5 * h * k2)
+    k4 = F(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(step=0.0)
@@ -35,10 +47,8 @@ def test_config_validation():
 def test_step_smooth_rk4_accuracy():
     # exact flow of xdot = -x from 1 over t=1 is e^-1
     sys_ = _scalar_decay()
-    x = np.array([1.0])
-    for _ in range(10):
-        x = step_smooth(sys_, 1, x, 0.1, (1.0,))
-    assert abs(x[0] - np.exp(-1.0)) < 1e-6
+    traj = simulate(sys_, (1.0,), SimConfig(step=0.1, t_end=1.0))
+    assert abs(traj.final_state[0] - np.exp(-1.0)) < 1e-6
 
 
 def test_step_smooth_zero_field_fixed_point():
@@ -47,8 +57,8 @@ def test_step_smooth_zero_field_fixed_point():
         "regions": [{"id": 1, "chi": "0", "xi": [], "witness": [0.5]}],
         "boundaries": [], "dynamics": {"1": [["0"]]}, "origin_regions": [],
     })
-    x = step_smooth(sys_, 1, np.array([0.3]), 0.5, (1.0,))
-    assert x[0] == 0.3
+    traj = simulate(sys_, (0.3,), SimConfig(step=0.5, t_end=0.5))
+    assert traj.final_state[0] == 0.3
 
 
 def test_detect_crossing_linear(opposing_system):
@@ -381,6 +391,36 @@ def test_stratum_stop_at_higher_codimension():
     traj = simulate(sys_, (0.0, 0.0 + 1e-12), SimConfig(step=1e-3, t_end=1.0,
                                                         ball_stop=1e-15))
     assert "stratum_stop" in traj.event_kinds()
+
+
+def _opposing_with_chi(systems_dir, chi):
+    doc = json.loads((systems_dir / "opposing-fields.sys").read_text())
+    doc["boundaries"][0]["chi_ij"] = chi
+    return parse_system(doc)
+
+
+def test_decide_projects_onto_a_variety_off_the_band(systems_dir):
+    # both regions hold x2 = 5e-9 (their xi are within 1e-8), but
+    # chi_ij = 100*x2 is 5e-7 there, off the sliding band: one Newton step
+    # puts the state on the variety, where the fields slide with alpha 1/2
+    sys_ = _opposing_with_chi(systems_dir, "100*x2")
+    traj = simulate(sys_, (0.3, 5e-9), SimConfig(t_end=1.0))
+    assert traj.event_kinds() == ["sliding_entry", "t_end"]
+    assert traj.final_time == 1.0
+    alphas = [a for chunk in traj.chunks for a in chunk[3] or ()]
+    assert len(alphas) == 1000 and set(alphas) == {0.5}
+
+
+@pytest.mark.parametrize("x0", [
+    (0.3, 0.0),       # zero gradient of chi_ij: no Newton step
+    (0.3, 5e-9),      # the step lands at x2 = -100, far off the band
+])
+def test_decide_stops_when_the_variety_is_out_of_reach(systems_dir, x0):
+    sys_ = _opposing_with_chi(systems_dir, "x2^2 + 1e-6")
+    traj = simulate(sys_, x0, SimConfig(t_end=1.0))
+    assert traj.event_kinds() == ["stratum_stop"]
+    assert traj.events[0][2] == "(1,2) off its variety where both regions meet"
+    assert traj.final_state.tolist() == list(x0)
 
 
 def test_write_trajectory_format(tmp_path, opposing_system):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from swsos.backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpSolution, svec_layout
-from swsos.poly import Polynomial, monomial_basis, parse_polynomial, parse_vector
+from swsos.poly import (Polynomial, lie_derivative, monomial_basis,
+                        parse_polynomial, parse_vector)
 from swsos.sos import (DegreeBookkeepingError, LinPoly, PositivityConstraint,
                        assemble, certificate_from_solution, extract_sos_split,
                        gram_basis, mono_from_tag, solve, sos_decompose)
@@ -29,10 +30,10 @@ def test_linpoly_decision_and_instantiate():
 
 
 def test_linpoly_lie_matches_polynomial_lie():
-    from swsos.poly import lie_derivative
     V = parse_polynomial("x1^2 + 3*x2^2", 2)
     F = parse_vector(["-x2", "x1^3"], 2)
-    lp = LinPoly.from_poly(V).lie(F)
+    lp = lie_derivative(LinPoly.from_poly(V), F)
+    assert isinstance(lp, LinPoly)
     assert lp.instantiate({}) == lie_derivative(V, F)
 
 
@@ -215,10 +216,14 @@ def _ref_diff(self, k):
     return LinPoly(self.dim, t)
 
 
-def _ref_lie(self, F):
-    out = LinPoly(self.dim)
-    for k in range(self.dim):
-        out = out + self.diff(k).mul_poly(F[k])
+def _ref_lie(V, F):
+    # the LinPoly.lie loop that lie_derivative replaced, a sum from the
+    # empty LinPoly; a Polynomial V goes to lie_derivative, as it did
+    if isinstance(V, Polynomial):
+        return lie_derivative(V, F)
+    out = LinPoly(V.dim)
+    for k in range(V.dim):
+        out = out + V.diff(k).mul_poly(F[k])
     return out
 
 
@@ -365,9 +370,10 @@ def _use_reference(mp):
     """Swap the reference assembly and LinPoly arithmetic in on mp."""
     for name, fn in (("__add__", _ref_add), ("__sub__", _ref_sub),
                      ("scale", _ref_scale), ("mul_poly", _ref_mul_poly),
-                     ("diff", _ref_diff), ("lie", _ref_lie),
+                     ("diff", _ref_diff),
                      ("from_poly", staticmethod(_ref_from_poly))):
         mp.setattr(LinPoly, name, fn)
+    mp.setattr(certify_module, "lie_derivative", _ref_lie)
     mp.setattr(sos_module, "assemble", _ref_assemble)
     mp.setattr(certify_module, "assemble", _ref_assemble)
 
@@ -531,12 +537,14 @@ def test_linpoly_arithmetic_matches_reference(monkeypatch):
     b = rand_linpoly([None, "b", "c", "d"])
     p = Polynomial(2, {m: float(rng.normal()) for m in monos[:6]})
     F = parse_vector(["-x1 + 0.5*x2^2", "x1^3 - x2"], 2)
+    # the name build_feasibility calls, which the reference run swaps
+    lie = lambda V: certify_module.lie_derivative(V, F)
     cases = [
         lambda: a + b, lambda: a - b, lambda: a - a, lambda: a + p, lambda: a - p,
         lambda: a.scale(-1.5), lambda: a.scale(0.0), lambda: a.scale(1e-320),
         lambda: a.mul_poly(p), lambda: a.diff(0), lambda: a.diff(1),
-        lambda: a.lie(F), lambda: (a - b).lie(F) + b.mul_poly(p),
-        lambda: LinPoly.from_poly(p), lambda: LinPoly(2).lie(F),
+        lambda: lie(a), lambda: lie(a - b) + b.mul_poly(p),
+        lambda: LinPoly.from_poly(p), lambda: lie(LinPoly(2)),
     ]
     for k, case in enumerate(cases):
         new, ref = _both(monkeypatch, case)

@@ -64,6 +64,40 @@ def test_boundary_must_join_known_distinct_regions():
         parse_system(doc)
 
 
+def _two_region_doc():
+    doc = _minimal_doc()
+    doc["regions"][0]["xi"] = ["x1"]
+    doc["regions"].append({"id": 2, "chi": "0", "xi": ["-x1"], "witness": [-0.5]})
+    doc["boundaries"] = [{"i": 1, "j": 2, "chi_ij": "x1"}]
+    doc["dynamics"]["2"] = [["-x1"]]
+    return doc
+
+
+@pytest.mark.parametrize("mutate, message", [
+    # a second region 2 used to replace the first
+    (lambda d: d["regions"].append(
+        {"id": 2, "chi": "0", "xi": ["x2 - 5"], "witness": [-0.5]}),
+     "region id 2 appears twice"),
+    # "1" and "01" used to collapse into one entry
+    (lambda d: d["dynamics"].__setitem__("01", [["x1"]]),
+     "dynamics for region 1 appear twice"),
+    # (2,1) used to be kept, but boundary(1, 2) returned only (1,2)
+    (lambda d: d["boundaries"].append({"i": 2, "j": 1, "chi_ij": "2*x1"}),
+     r"boundary \(2,1\) is declared twice"),
+])
+def test_duplicate_ids_rejected(tmp_path, capsys, mutate, message):
+    from swsos.cli import EXIT_INPUT, main
+    doc = _two_region_doc()
+    parse_system(doc)
+    mutate(doc)
+    with pytest.raises(SystemFormatError, match=message):
+        parse_system(doc)
+    f = tmp_path / "dup.sys"
+    f.write_text(json.dumps(doc))
+    assert main(["validate", str(f)]) == EXIT_INPUT
+    assert "twice" in capsys.readouterr().err
+
+
 def test_locate_quadrants(quadrant_system):
     assert quadrant_system.locate((1.0, 1.0), tol=1e-9) == {1}
     assert quadrant_system.locate((1.0, -1.0), tol=1e-9) == {2}
@@ -79,6 +113,8 @@ def test_field_at_convex_combination(quadrant_system):
     f1 = quadrant_system.field_at(1, (0.0, 1.0))(x)
     mix = quadrant_system.field_at(1, (0.25, 0.75))(x)
     assert np.allclose(mix, 0.25 * f0 + 0.75 * f1, atol=1e-12)
+    # theta left out takes the first vertex
+    assert quadrant_system.field_at(1)(x).tobytes() == f0.tobytes()
 
 
 def test_field_at_rejects_off_simplex(quadrant_system):
