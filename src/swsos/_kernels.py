@@ -14,7 +14,14 @@ coefficient a parameter name.  The source depends only on the terms'
 exponents, so it is compiled once per exponent structure into a
 module-level dict, and each call binds its term lists' coefficients to a
 copy of that code as parameter defaults; the dict grows with the number
-of distinct field shapes, not with theta or coefficient values.
+of distinct field shapes, not with theta or coefficient values.  The
+structure also tells which term lists are constant (no term reads a
+variable, as for a hyperplane's gradient or a relay's field): the source
+binds those once, before the segment loop, together with every value that
+depends only on them (the sliding normal and its squared norm; with two
+constant fields also sliding_field's denominator, weight and slope, so
+all four RK4 slopes are one), and leaves out the stage points no stage
+reads.  Every exit test stays in the loop, in its place and order.
 `rk4_smooth_run` and `rk4_sliding_run` run a kernel.  The emitted
 arithmetic is `eval_terms`' and `sliding_field`'s, in the same order, so
 the values are those of interpreting the term lists, bit for bit.
@@ -150,19 +157,40 @@ def _params(shape) -> str:
     return "".join(f", c{k}" for k in range(sum(map(len, shape))))
 
 
-def _rk4_lines(n, stage, h):
+def _constant(idxs) -> bool:
+    """Whether a term list of these variable-index tuples reads no variable."""
+    return not any(idxs)
+
+
+def _reads(idx_lists) -> list:
+    """The variables, in index order, that any of these term lists reads."""
+    return sorted({k for idxs in idx_lists for idx in idxs for k in idx})
+
+
+def _rk4_lines(n, stage, h, reads, fixed):
     """Lines of one RK4 step from x0.. to y0.. with step `h` (a name).
 
-    stage(var, s) gives the lines that set ks_0.. to the field at var0..;
-    hh = h/2 and h6 = h/6 must be bound.
+    stage(var, s) gives the lines that set ks_k to the field at var0.. for
+    each component k not in `fixed`.  A component in `fixed` has the one
+    slope k1_k at every stage, bound before the loop with its stage sum
+    r<k> = k1 + 2*k1 + 2*k1 + k1.  Stage points are set only for the
+    variables in `reads`, the ones the stages read.  hh = h/2 and h6 = h/6
+    must be bound.
     """
-    cols = range(n)
     lines = stage("x", 1)
     for s, hk in ((2, "hh"), (3, "hh"), (4, h)):
-        lines += [f"y{k} = x{k} + {hk} * k{s - 1}_{k}" for k in cols]
+        lines += [f"y{k} = x{k} + {hk} * k{1 if k in fixed else s - 1}_{k}"
+                  for k in reads]
         lines += stage("y", s)
-    return lines + [f"y{k} = x{k} + h6 * (k1_{k} + 2 * k2_{k} + 2 * k3_{k}"
-                    f" + k4_{k})" for k in cols]
+    return lines + [f"y{k} = x{k} + h6 * r{k}" if k in fixed else
+                    f"y{k} = x{k} + h6 * ({_stage_sum(k, 2, 3, 4)})"
+                    for k in range(n)]
+
+
+def _stage_sum(k, s2, s3, s4) -> str:
+    """RK4's k1 + 2*k2 + 2*k3 + k4 of component k, with slopes s2, s3 and
+    s4 in place of k2, k3 and k4."""
+    return f"k1_{k} + 2 * k{s2}_{k} + 2 * k{s3}_{k} + k{s4}_{k}"
 
 
 def _indent(lines, depth):
@@ -186,11 +214,18 @@ def _smooth_lines(n, shape, first):
     X, Y = _names("x", n), _names("y", n)
     fields = list(zip(shape[:n], first[:n]))
     chis = list(zip(shape[n:], first[n:]))
+    # a constant component's slope is one value at every stage: bound once
+    fixed = [k for k, (f, _) in enumerate(fields) if _constant(f)]
+    hoisted = [f"k1_{k} = {_expr(f, 'x', c)}" for k, (f, c) in enumerate(fields)
+               if k in fixed]
+    hoisted += [f"r{k} = {_stage_sum(k, 1, 1, 1)}" for k in fixed]
 
     def stage(var, s):
-        return [f"k{s}_{k} = {_expr(f, var, c)}" for k, (f, c) in enumerate(fields)]
+        return [f"k{s}_{k} = {_expr(f, var, c)}"
+                for k, (f, c) in enumerate(fields) if k not in fixed]
 
-    step = _rk4_lines(n, stage, "h") + [f"flat += [{Y}]"]
+    reads = _reads(f for f, _ in fields)
+    step = _rk4_lines(n, stage, "h", reads, fixed) + [f"flat += [{Y}]"]
     for k in range(n):
         step += [f"if not (isfinite(y{k}) and lo{k} <= y{k} <= hi{k}):",
                  f"    return flat, {STOP_ESCAPED}, -1"]
@@ -209,6 +244,7 @@ def _smooth_lines(n, shape, first):
         "    h6 = h / 6.0",
         f"    flat = [{X}]",
         *(f"    p{b} = {_expr(chi, 'x', c)}" for b, (chi, c) in enumerate(chis)),
+        *_indent(hoisted, 1),
         "    for _ in range(max_steps):",
         f"        if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
         f"            return flat, {STOP_CONVERGED}, -1",
@@ -277,41 +313,65 @@ def _sliding_lines(n, shape, first):
     terms = list(zip(shape, first))
     grad, fi, fj = terms[:n], terms[n:2 * n], terms[2 * n:3 * n]
     chi, chi_first = terms[3 * n]
+    vectors = (("n", grad), ("u", fi), ("v", fj))
+    # constant term lists are bound once, before the loop; when all of them
+    # are, so are sliding_field's denominator, weight and slope, with the
+    # weight guarded by the negation of the in-loop tangency test, so a
+    # tangency (or a nan) still exits at the same place in the loop
+    hoisted = [f"{name}{k} = {_expr(p, 'x', c)}" for name, vec in vectors
+               for k, (p, c) in enumerate(vec) if _constant(p)]
+    whole = all(_constant(p) for _, vec in vectors for p, _ in vec)
+    fixed_normal = all(_constant(p) for p, _ in grad)
 
     def stop(code):
         return f"    return flat, times, alphas, [{X}], t, {code}"
 
+    den = f"den = {_dot('n{k} * (v{k} - u{k})', n)}"
+    tangency = [f"if abs(den) < {TANGENCY_TOL!r}:", stop(STOP_TANGENCY)]
+    weight = f"a = ({_dot('n{k} * v{k}', n)}) / den"
+    alpha = ["if not 0.0 <= a <= 1.0:", stop(STOP_ALPHA), "alpha = a"]
+
+    def slope(s):
+        return ["w = 1.0 - a"] + [f"k{s}_{k} = a * u{k} + w * v{k}" for k in cols]
+
     def stage(var, s):
         # sliding_field at var0..: tangency exits the run; the first stage's
-        # weight is the step's alpha, and outside [0, 1] it exits too
-        lines = [f"{name}{k} = {_expr(p, var, c)}"
-                 for name, vec in (("n", grad), ("u", fi), ("v", fj))
-                 for k, (p, c) in enumerate(vec)]
-        lines += [f"den = {_dot('n{k} * (v{k} - u{k})', n)}",
-                  f"if abs(den) < {TANGENCY_TOL!r}:", stop(STOP_TANGENCY),
-                  f"a = ({_dot('n{k} * v{k}', n)}) / den"]
-        if s == 1:
-            lines += ["if not 0.0 <= a <= 1.0:", stop(STOP_ALPHA), "alpha = a"]
-        return lines + ["w = 1.0 - a"] + [f"k{s}_{k} = a * u{k} + w * v{k}"
-                                         for k in cols]
+        # weight is the step's alpha, and outside [0, 1] it exits too.  When
+        # every value is bound before the loop, only the first stage's exits
+        # are left: the later stages would repeat them.
+        if whole:
+            return tangency + alpha if s == 1 else []
+        return [*(f"{name}{k} = {_expr(p, var, c)}" for name, vec in vectors
+                  for k, (p, c) in enumerate(vec) if not _constant(p)),
+                den, *tangency, weight, *(alpha if s == 1 else ()), *slope(s)]
 
+    if whole:
+        hoisted += [den, f"if not abs(den) < {TANGENCY_TOL!r}:",
+                    *_indent([weight, *slope(1)], 1),
+                    *(f"    r{k} = {_stage_sum(k, 1, 1, 1)}" for k in cols)]
+    hoisted += [f"g{k} = {_expr(p, 'x', c)}" for k, (p, c) in enumerate(grad)
+                if _constant(p)]
+    nn = f"nn = {_dot('g{k} * g{k}', n)}"
+    hoisted += [nn] if fixed_normal else []
     project = [f"c = {_expr(chi, 'y', chi_first)}",
                "if abs(c) <= event_tol:",
                "    break",
-               *(f"g{k} = {_expr(p, 'y', c)}" for k, (p, c) in enumerate(grad)),
-               f"nn = {_dot('g{k} * g{k}', n)}",
+               *(f"g{k} = {_expr(p, 'y', c)}" for k, (p, c) in enumerate(grad)
+                 if not _constant(p)),
+               *([] if fixed_normal else [nn]),
                "if nn == 0.0:",
                "    break",
                "s = c / nn",
                *(f"y{k} = y{k} - s * g{k}" for k in cols)]
+    reads = _reads(p for _, vec in vectors for p, _ in vec)
     step = [
         f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:", stop(STOP_CONVERGED),
         f"if abs({_expr(chi, 'x', chi_first)}) > band:", stop(STOP_OFF_VARIETY),
         "dt = t_end - t",
         "hs = dt if dt < h else h",
-        "hh = 0.5 * hs",
+        *(["hh = 0.5 * hs"] if reads else []),
         "h6 = hs / 6.0",
-        *_rk4_lines(n, stage, "hs"),
+        *_rk4_lines(n, stage, "hs", reads, cols if whole else ()),
         "for _ in range(3):",
         *_indent(project, 1),
         "t += hs",
@@ -328,6 +388,7 @@ def _sliding_lines(n, shape, first):
         f"    [{X}] = x",
         f"    [{_names('lo', n)}] = lo",
         f"    [{_names('hi', n)}] = hi",
+        *_indent(hoisted, 1),
         "    t_stop = t_end - 1e-15",
         "    flat, times, alphas = [], [], []",
         "    while t < t_stop:",

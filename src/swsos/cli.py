@@ -22,6 +22,7 @@ import json
 import math
 import sys as _sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -370,9 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one parser of a process, built by the first main() call rather than
+# at import; parse_args leaves it as it was, so later calls reuse it
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise InputError(f"--seed {args.seed} is negative")

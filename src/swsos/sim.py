@@ -18,14 +18,15 @@ an event is one step of the region's smooth kernel.  Event handling, the
 decisions between crossing and sliding, the chattering guard and the
 switched Lyapunov value (one batch evaluation per non-empty segment) live
 here.  A region missing from SimConfig.theta runs at its first vertex,
-field_at's default.  When both regions of a boundary hold the state but
-chi_ij is off the sliding band, the decide step takes one Newton step
-onto chi_ij = 0, as the sliding kernel does, or stops the run
-(stratum_stop) if that does not reach the band.  Between segments the
-state is a list of floats, and every event step (the ball test, region
-location, the sliding weight, the transversal probe, crossing
-localisation and psi at one point) evaluates the term lists with
-_kernels.eval_terms on it.  No point or event lies past t_end: a smooth
+field_at's default; a theta key that names no region, or weights that
+field_at refuses, raise ValueError before the run starts.  When both
+regions of a boundary hold the state but chi_ij is off the sliding band,
+the decide step takes one Newton step onto chi_ij = 0, as the sliding
+kernel does, or stops the run (stratum_stop) if that does not reach the
+band.  Between segments the state is a list of floats, and every event
+step (the ball test, region location, the sliding weight, the transversal
+probe, crossing localisation and psi at one point) evaluates the term
+lists with _kernels.eval_terms on it.  No point or event lies past t_end: a smooth
 step that would record one is taken again as one step onto t_end.
 
 A Trajectory stores what the kernels return, one chunk per segment or
@@ -280,6 +281,16 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         """The region's field at its theta, and that field's term lists."""
         F = sys.field_at(rid, (cfg.theta or {}).get(rid))
         return F, _terms(F)
+
+    # every theta entry is checked before the run, not when its region is
+    # first entered
+    for rid in cfg.theta or {}:
+        if rid not in sys.regions:
+            raise ValueError(f"theta key {rid!r} names no region")
+        try:
+            field_of(rid)
+        except ValueError as exc:
+            raise ValueError(f"theta for region {rid!r}: {exc}") from None
 
     @cache
     def smooth_kernel_of(rid):

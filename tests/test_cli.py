@@ -274,3 +274,29 @@ def test_import_loads_neither_scipy_nor_cvxpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
+    # a verify and then a simulate in one process print what each prints in
+    # a fresh process, and an argparse error after them is unchanged too
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    calls = [["--out-dir", str(tmp_path), "verify", QUAD, PUBLISHED_V],
+             ["--out-dir", str(tmp_path), "simulate", QUAD, "--x0=1,1",
+              "--t-end", "0.5"],
+             ["simulate", QUAD]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = [subprocess.run([sys.executable, "-m", "swsos.cli", *argv],
+                            capture_output=True, text=True, env=env)
+             for argv in calls]
+    for argv, ref in zip(calls[:2], fresh):
+        assert main(argv) == ref.returncode == 0
+        assert capsys.readouterr().out == ref.stdout
+    with pytest.raises(SystemExit) as exc:
+        main(calls[2])
+    assert exc.value.code == fresh[2].returncode == 2
+    assert capsys.readouterr().err == fresh[2].stderr

@@ -785,3 +785,122 @@ def test_kernels_of_one_shape_share_one_code_object(quadrant_system,
                 got = kernel(*args)
                 assert repr(got) == repr(literal(*args))
                 assert len(got[0]) > 300        # over a hundred steps each
+
+
+# -- kernels specialised on constant term lists ---------------------------------
+
+# a term list that reads no variable is bound once, before the segment loop;
+# these cases hold every exit of such kernels to the interpreters above
+_TILT_CHI = ((1.0, (1,)), (-0.1, (0,)))                  # x2 - 0.1*x1
+_TILT_GRAD = [_const(-0.1), _const(1.0)]
+
+
+@pytest.mark.parametrize("grad, fi, fj, chi, x0, kw, code", [
+    # all constant, on a tilted line: the state moves and is projected back
+    (_TILT_GRAD, [_const(0.5), _const(-1)], [_const(0.3), _const(2)],
+     _TILT_CHI, (-1.0, -0.1), {}, _kernels.STOP_MAXSTEPS),
+    # all constant, sliding until the box edge
+    (_TILT_GRAD, [_const(1), _const(-1)], [_const(1), _const(1)],
+     _TILT_CHI, (1.5, 0.15), {}, _kernels.STOP_ESCAPED),
+    # a linear chi between non-constant fields (tilted-relay.sys)
+    (_TILT_GRAD, [((-1.0, (0,)),), ((-1.0, ()), (-1.0, (0, 0)))],
+     [_const(1), ((1.0, ()), (0.5, (0,)))], _TILT_CHI, (0.5, 0.05),
+     {"h": 1e-3}, _kernels.STOP_MAXSTEPS),
+    # one field constant, the other not
+    (_GRAD, [_const(1), _const(-1)], [_const(1), ((1.0, (0,)),)], _CHI,
+     (0.5, 0.0), {"t_end": 0.3}, _kernels.STOP_MAXSTEPS),
+    # equal constant fields: tangent at the first step
+    (_TILT_GRAD, [_const(1), _const(-1)], [_const(1), _const(-1)],
+     _TILT_CHI, (0.5, 0.05), {}, _kernels.STOP_TANGENCY),
+    # both constant fields point down: alpha = 2
+    (_GRAD, [(), _const(-1)], [(), _const(-2)], _CHI, (0.5, 0.0), {},
+     _kernels.STOP_ALPHA),
+    # a nan coefficient: the weight is nan, which is outside [0, 1]
+    (_GRAD, [_const(1), _const(math.nan)], [_const(-1), _const(1)], _CHI,
+     (0.5, 0.0), {}, _kernels.STOP_ALPHA),
+])
+def test_hoisted_sliding_kernel_bit_identical_to_interpreter(grad, fi, fj, chi,
+                                                             x0, kw, code):
+    args = {"t_end": 1.0, "h": 0.01, **kw}
+    result = _kernels.rk4_sliding_run(
+        _kernels.sliding_kernel(grad, fi, fj, chi), np.array(x0), 0.0,
+        args["t_end"], args["h"], 1e-6, *_BOX, 1e-9, 1e-8)
+    assert _assert_sliding_exact(
+        result, grad, fi, fj, chi, np.array(x0), 0.0, args["t_end"],
+        args["h"], 1e-6, *_BOX, 1e-9, 1e-8) == code
+    states, times, alphas, x, t, _ = result
+    if code in (_kernels.STOP_TANGENCY, _kernels.STOP_ALPHA):
+        # both exit at the first step, at t0, with no row
+        assert states.shape == (0, 2) and times == alphas == []
+        assert x == list(x0) and t == 0.0
+    else:
+        assert len(times) > 20
+
+
+@pytest.mark.parametrize("fields, chis, x0, code", [
+    # all constant: straight down onto x2 = 0
+    ([_const(1), _const(-1)], [_CHI], (0.0, 0.5), _kernels.STOP_BOUNDARY),
+    # a constant second component
+    ([((-1.0, (0,)),), _const(-1)], [_CHI], (1.0, 1.5),
+     _kernels.STOP_BOUNDARY),
+    # a constant first component, the second reads x1 only
+    ([_const(0.5), ((-1.0, (0,)), (1.0, (0, 0)))], [], (-1.0, 0.0),
+     _kernels.STOP_ESCAPED),
+    # an infinite constant escapes at the first step
+    ([_const(math.inf), _const(1)], [_CHI], (0.0, 0.5),
+     _kernels.STOP_ESCAPED),
+])
+def test_hoisted_smooth_kernel_bit_identical_to_interpreter(fields, chis, x0,
+                                                            code):
+    assert _smooth_exact(fields, chis, np.array(x0), 0.01, 5000, 1e-6,
+                         *_BOX, 1e-9) == code
+
+
+def _loop_lines(lines):
+    # the generated lines from the segment loop's header on
+    return lines[next(k for k, line in enumerate(lines)
+                      if line.startswith(("    while", "    for"))):]
+
+
+def test_constant_term_lists_leave_the_loop():
+    # opposing constant fields on x2 = 0: nothing but the exits, the update
+    # and the projection is left in the loop
+    layout = _kernels._layout([*_GRAD, _const(1), _const(-1), _const(-1),
+                               _const(1), _CHI])
+    loop = [line.strip() for line in
+            _loop_lines(_kernels._sliding_lines(2, layout[0], layout[2]))]
+    assert not any(line.startswith(("den =", "a =", "w =", "k1_", "k2_", "hh",
+                                    "g0 =", "nn =", "n0 =", "u0 ="))
+                   for line in loop)
+    # every exit is still there: ball, off variety, tangency, alpha and
+    # escape in the loop, t_end after it
+    assert sum(line.startswith("return") for line in loop) == 6
+    assert loop.index("if abs(den) < 1e-12:") < loop.index(
+        "if not 0.0 <= a <= 1.0:")
+    layout = _kernels._layout([_const(1), ((1.0, (1,)),), _CHI])
+    loop = _loop_lines(_kernels._smooth_lines(2, layout[0], layout[2]))
+    # k1_0 is bound before the loop, and no stage reads x0's stage points
+    assert not any(line.strip().startswith(("k1_0", "k2_0", "y0 = x0 + hh",
+                                            "y0 = x0 + h *"))
+                   for line in loop)
+    assert "y0 = x0 + h6 * r0" in "\n".join(loop)
+
+
+# sha256 of each kernel source of tests/kernel_corpus.py: quadrant-cubic.sys
+# has no constant term list, so its kernels are the unspecialised ones
+PINNED_KERNEL_DIGESTS = {
+    'smooth 1 theta0': '94cdf8bda2de6ed6271154c32c9543a9b5179b99e83b5cf4751b002ffe26daef',
+    'smooth 2 theta0': '5b293dcec2d3714ba827d1763fd19696d2f11a2b4d0508d5d43528fe98188baf',
+    'sliding 1,2 theta0': '610e06b3872ee698fd6dc48dda0f8b064ec4ac8dc909f150d1cb0e51352294c5',
+    'smooth 1 theta0.5': '5145a3c28a433dfbc7578c487cfb016966b7c2e4aa846bea85eb608845a05549',
+    'smooth 2 theta0.5': '5b293dcec2d3714ba827d1763fd19696d2f11a2b4d0508d5d43528fe98188baf',
+    'sliding 1,2 theta0.5': 'fc485fc9bfc022d8aeadc70403d2ecf2b0198d1bda2ce7e50dc76fa4e29d8782',
+    'smooth 1 theta1': '66e13a04deee4378b677eb6d90d817d2d4fe22946c417a9c4a2424d153efe80f',
+    'smooth 2 theta1': '5b293dcec2d3714ba827d1763fd19696d2f11a2b4d0508d5d43528fe98188baf',
+    'sliding 1,2 theta1': 'c7850f9cbe0d5a583fb149be102cf290ef7b30c37a68c1ca4d2c5a42c23690cd',
+}
+
+
+def test_kernel_sources_are_pinned():
+    from kernel_corpus import digests
+    assert digests() == PINNED_KERNEL_DIGESTS

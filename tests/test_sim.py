@@ -549,8 +549,31 @@ PINNED_DIGESTS = {
     'sweep 0.3,-2 theta1': '15a7603bb92cf0b1a9eb476638fa88f65f68732dba1b1286f2e46612083482a7',
     'sliding 0,0.5 t_end1': '71e7567e82b29b8117ab6e872572a3ff697165c402257d7f516e29f531dea438',
     'sliding 0.37,0.81 t_end2.81': '332ed438b63545b9ec78d546613f49e079ac3e76a2431e037ff1ca76b77aa98e',
+    'tilted-relay -0.8,-0.3 t_end3': 'fe1b444ef0686e4aee6f4e8c5914f66e6b244bb6a357d422f5a4d834907e1b32',
+    'tilted-relay 0.9,-1.3 t_end4': 'afd54048e038fc8b20180db9bd32de78e8f137f27b8f54dfcc791c87d2ae6467',
 }
 
 
 def test_trajectory_bytes_are_pinned():
     assert digests() == PINNED_DIGESTS
+
+
+def test_theta_key_naming_no_region_is_refused(quadrant_system):
+    # 9 is no region id, and the string "1" is not the region id 1: before,
+    # both were ignored and the run went at the default theta
+    cfg = SimConfig(t_end=0.01, theta={9: (0.5, 0.5), "1": (0.0, 1.0)})
+    with pytest.raises(ValueError, match="theta key 9 names no region"):
+        simulate(quadrant_system, (1.0, 1.0), cfg)
+    with pytest.raises(ValueError, match="theta key '1' names no region"):
+        simulate(quadrant_system, (1.0, 1.0),
+                 SimConfig(t_end=0.01, theta={"1": (0.0, 1.0)}))
+
+
+@pytest.mark.parametrize("x0", [(1.0, 1.0), (1.0, -1.0)])
+def test_theta_of_wrong_length_is_refused_before_the_run(quadrant_system, x0):
+    # region 2 has one vertex: before, (0.5, 0.5) was accepted from (1, 1),
+    # which never enters region 2, and raised mid-run from (1, -1)
+    cfg = SimConfig(t_end=0.01, theta={2: (0.5, 0.5)})
+    with pytest.raises(ValueError,
+                       match="theta for region 2: theta must have length 1"):
+        simulate(quadrant_system, x0, cfg)

@@ -1,9 +1,12 @@
 """The trajectory corpus whose TSV bytes tests/test_sim.py pins.
 
 The five perfbench `sweep` starts at theta 0, 0.5 and 1 to t = 2 with the
-published certificate (the chattering start (0.3, -2) included), and two
-Filippov sliding runs on opposing-fields.sys.  Each run is written by
-write_trajectory with an empty manifest hash and digested with sha256.
+published certificate (the chattering start (0.3, -2) included), two
+Filippov sliding runs on opposing-fields.sys (constant fields and normal)
+and two on tilted-relay.sys (a constant normal between non-constant
+fields; the second run slides until it leaves the box).  Each run is
+written by write_trajectory with an empty manifest hash and digested with
+sha256.
 A change that alters trajectories on purpose prints the new digests with
 
     PYTHONPATH=src python tests/trajectory_corpus.py
@@ -22,6 +25,7 @@ SWEEP_STARTS = ((2.0, 2.0), (-2.0, 2.0), (-2.0, -2.0), (2.0, -2.0), (0.3, -2.0))
 SWEEP_THETAS = (0.0, 0.5, 1.0)
 SWEEP_T_END = 2.0
 SLIDING_RUNS = (((0.0, 0.5), 1.0), ((0.37, 0.81), 2.81))   # (x0, t_end)
+TILTED_RUNS = (((-0.8, -0.3), 3.0), ((0.9, -1.3), 4.0))
 
 
 def digests() -> dict:
@@ -44,10 +48,12 @@ def digests() -> dict:
             cfg = SimConfig(t_end=SWEEP_T_END, theta=_theta_table(quadrant, v))
             out[f"sweep {x0[0]:g},{x0[1]:g} theta{v:g}"] = digest(
                 simulate(quadrant, x0, cfg, certificate=certificate))
-    opposing = load_system(SYSTEMS / "opposing-fields.sys")
-    for x0, t_end in SLIDING_RUNS:
-        out[f"sliding {x0[0]:g},{x0[1]:g} t_end{t_end:g}"] = digest(
-            simulate(opposing, x0, SimConfig(t_end=t_end)))
+    for name, prefix, runs in (("opposing-fields", "sliding", SLIDING_RUNS),
+                               ("tilted-relay", "tilted-relay", TILTED_RUNS)):
+        system = load_system(SYSTEMS / f"{name}.sys")
+        for x0, t_end in runs:
+            out[f"{prefix} {x0[0]:g},{x0[1]:g} t_end{t_end:g}"] = digest(
+                simulate(system, x0, SimConfig(t_end=t_end)))
     return out
 
 
