@@ -22,9 +22,10 @@ depends only on them (the sliding normal and its squared norm; with two
 constant fields also sliding_field's denominator, weight and slope, so
 all four RK4 slopes are one), and leaves out the stage points no stage
 reads.  Every exit test stays in the loop, in its place and order.
-`rk4_smooth_run` and `rk4_sliding_run` run a kernel.  The emitted
-arithmetic is `eval_terms`' and `sliding_field`'s, in the same order, so
-the values are those of interpreting the term lists, bit for bit.
+`rk4_smooth_run` and `rk4_sliding_run` run a kernel up to t_end, onto
+which both shorten their last step.  The emitted arithmetic is
+`eval_terms`' and `sliding_field`'s, in the same order, so the values are
+those of interpreting the term lists, bit for bit.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 USE_NUMBA = False
 
 # termination codes of rk4_smooth_run and rk4_sliding_run
-STOP_MAXSTEPS = 0           # step budget used up (sliding: t_end reached)
+STOP_MAXSTEPS = 0           # t_end reached
 STOP_CONVERGED = 1
 STOP_ESCAPED = 2
 STOP_BOUNDARY = 3
@@ -202,10 +203,10 @@ def smooth_kernel(fields, chis):
 
     fields: one term list per component of F; chis: one term list per
     boundary variety.  The kernel is
-    kernel(x, h, max_steps, ball_stop, lo, hi, band) -> (flat, code, b), with
-    x, lo and hi lists of floats and flat the accepted states row after row;
-    see rk4_smooth_run for the rules.  Its code is compiled once per
-    exponent structure of fields and chis.
+    kernel(x, t, t_end, h, ball_stop, lo, hi, band) -> (flat, times, hs,
+    code), with x, lo and hi lists of floats and flat the accepted states
+    row after row; see rk4_smooth_run for the rules.  Its code is compiled
+    once per exponent structure of fields and chis.
     """
     return _bind(_smooth_lines, len(fields), (*fields, *chis))
 
@@ -225,51 +226,71 @@ def _smooth_lines(n, shape, first):
                 for k, (f, c) in enumerate(fields) if k not in fixed]
 
     reads = _reads(f for f, _ in fields)
-    step = _rk4_lines(n, stage, "h", reads, fixed) + [f"flat += [{Y}]"]
+    step = [
+        f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
+        f"    return flat, times, hs, {STOP_CONVERGED}",
+        # step i ends at t0 + i*h; a step that would end past t_end ends on it
+        "i += 1",
+        "tn = t0 + i * h",
+        "if tn > t_end:",
+        "    hs = t_end - t",
+        "    hh = 0.5 * hs",
+        "    h6 = hs / 6.0",
+        "    tn = t + hs",
+        *_rk4_lines(n, stage, "hs", reads, fixed),
+        "t = tn",
+        f"flat += [{Y}]",
+        "times.append(t)",
+    ]
     for k in range(n):
         step += [f"if not (isfinite(y{k}) and lo{k} <= y{k} <= hi{k}):",
-                 f"    return flat, {STOP_ESCAPED}, -1"]
+                 f"    return flat, times, hs, {STOP_ESCAPED}"]
     for b, (chi, c) in enumerate(chis):
         step += [f"q = {_expr(chi, 'y', c)}",
                  f"if q * p{b} < 0.0 or abs(q) <= band:",
-                 f"    return flat, {STOP_BOUNDARY}, {b}",
+                 f"    return flat, times, hs, {STOP_BOUNDARY}",
                  f"p{b} = q"]
     step += [f"[{X}] = [{Y}]"]
     return [
-        f"def kernel(x, h, max_steps, ball_stop, lo, hi, band{_params(shape)}):",
+        f"def kernel(x, t, t_end, h, ball_stop, lo, hi, band{_params(shape)}):",
         f"    [{X}] = x",
         f"    [{_names('lo', n)}] = lo",
         f"    [{_names('hi', n)}] = hi",
+        "    t0 = t",
+        "    i = 0",
+        "    hs = h",
         "    hh = 0.5 * h",
         "    h6 = h / 6.0",
         f"    flat = [{X}]",
+        "    times = [t]",
         *(f"    p{b} = {_expr(chi, 'x', c)}" for b, (chi, c) in enumerate(chis)),
         *_indent(hoisted, 1),
-        "    for _ in range(max_steps):",
-        f"        if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
-        f"            return flat, {STOP_CONVERGED}, -1",
+        "    t_stop = t_end - 1e-15",
+        "    while t < t_stop:",
         *_indent(step, 2),
-        f"    return flat, {STOP_MAXSTEPS}, -1",
+        f"    return flat, times, hs, {STOP_MAXSTEPS}",
     ]
 
 
-def rk4_smooth_run(kernel, x0, h, max_steps, ball_stop, box_lo, box_hi, band):
-    """Fixed-step RK4 on xdot = F(x) until something stops the segment.
+def rk4_smooth_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi, band):
+    """Fixed-step RK4 on xdot = F(x) from (x0, t0) until the segment stops.
 
     kernel: smooth_kernel(fields, chis) of F and the boundary varieties.
-    Each step starts with |x| <= ball_stop (STOP_CONVERGED); the new state
-    is accepted, and a non-finite or out-of-box one is STOP_ESCAPED; a
-    boundary whose chi changed sign or came within `band` of zero is
-    STOP_BOUNDARY; max_steps steps are STOP_MAXSTEPS.  Returns (states,
-    code, boundary index): the accepted states from x0 on, one row each,
-    the STOP_* code and the boundary's index (-1 for the other codes).  The
-    escaping or boundary-flagged state is the last row.
+    Step k ends at t0 + k*h, or, if that is past t_end, takes hs = t_end -
+    t and ends at t + hs.  Each step starts with |x| <= ball_stop
+    (STOP_CONVERGED); the new state is accepted, and a non-finite or
+    out-of-box one is STOP_ESCAPED; a boundary whose chi changed sign or
+    came within `band` of zero is STOP_BOUNDARY; reaching t_end is
+    STOP_MAXSTEPS.  Returns (states, times, hs, code): the accepted states
+    from x0 on, one row each, and their times, the last step's size and
+    the STOP_* code.  The escaping or boundary-flagged state is the last
+    row.
     """
-    flat, code, b = kernel(np.asarray(x0, dtype=np.float64).tolist(), float(h),
-                           max_steps, ball_stop,
-                           np.asarray(box_lo, dtype=np.float64).tolist(),
-                           np.asarray(box_hi, dtype=np.float64).tolist(), band)
-    return np.array(flat).reshape(-1, len(x0)), code, b
+    flat, times, hs, code = kernel(
+        np.asarray(x0, dtype=np.float64).tolist(), float(t0), float(t_end),
+        float(h), ball_stop, np.asarray(box_lo, dtype=np.float64).tolist(),
+        np.asarray(box_hi, dtype=np.float64).tolist(), band)
+    return np.array(flat).reshape(-1, len(x0)), times, hs, code
 
 
 # -- RK4 sliding segment --------------------------------------------------------

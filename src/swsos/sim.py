@@ -26,8 +26,8 @@ kernel does, or stops the run (stratum_stop) if that does not reach the
 band.  Between segments the state is a list of floats, and every event
 step (the ball test, region location, the sliding weight, the transversal
 probe, crossing localisation and psi at one point) evaluates the term
-lists with _kernels.eval_terms on it.  No point or event lies past t_end: a smooth
-step that would record one is taken again as one step onto t_end.
+lists with _kernels.eval_terms on it.  No point or event lies past t_end,
+on which both kernels end their last step.
 
 A Trajectory stores what the kernels return, one chunk per segment or
 single point: the times, the states as one (m, n) array, the mode, and
@@ -352,7 +352,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     step_counter = 0
 
     state = "decide"        # decide | smooth | sliding
-    final = False           # the next smooth step is the last, onto t_end
     rid = None
     pair = None
 
@@ -421,65 +420,44 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         if state == "smooth":
             F = field_of(rid)[0]
             kernel = smooth_kernel_of(rid)
-            # nudge off the boundary if the previous event left us on it:
-            # one step of the region's kernel, called directly because a
-            # nudge is not a segment (the stepped state is the last row);
-            # no nudge goes past t_end, and none precedes the last step
+            # nudge off the boundary if the previous event left us on it: one
+            # step of the region's kernel, called directly because a nudge is
+            # not a segment (the stepped state is the last row), up to t_end
             guard = 0
-            while not final and any(
-                    abs(_kernels.eval_terms(chi, x)) <= 2 * EVENT_TOL
-                    for chi in chis) and guard < 8 and t < t_stop:
+            while any(abs(_kernels.eval_terms(chi, x)) <= 2 * EVENT_TOL
+                      for chi in chis) and guard < 8 and t < t_stop:
                 hn = min(h * 1e-3, cfg.t_end - t)
-                flat = kernel(x, hn, 1, -1.0, box_lo, box_hi, EVENT_TOL)[0]
+                flat = kernel(x, t, t + hn, hn, -1.0, box_lo, box_hi, EVENT_TOL)[0]
                 x = flat[-len(x):]
                 t += hn
                 guard += 1
             if t >= t_stop:
                 continue
-            if final:
-                hs, max_steps = cfg.t_end - t, 1
-            else:
-                hs, max_steps = h, max(math.ceil((cfg.t_end - t) / h), 1)
-            states, code, bidx = _kernels.rk4_smooth_run(
-                kernel, np.array(x), hs, max_steps, cfg.ball_stop, box_lo, box_hi,
+            states, times, hs, code = _kernels.rk4_smooth_run(
+                kernel, x, t, cfg.t_end, h, cfg.ball_stop, box_lo, box_hi,
                 EVENT_TOL)
-            n = states.shape[0]
-            past = not final and t + (n - 1) * hs > cfg.t_end
-            accepted = states[1:n - (1 if past or code in
-                              (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else 0)]
-            add_segment([t + k * hs for k in range(1, accepted.shape[0] + 1)],
-                        accepted, f"smooth:{rid}", rid)
-            step_counter += n - 1
-
-            hit = None
-            if code == _kernels.STOP_BOUNDARY:
-                # boundary event: localize on the last step
-                x_prev = states[-2].tolist()
-                x_next = states[-1].tolist()
-                t_prev = t + (n - 2) * hs
-                try:
-                    hit = detect_crossing(sys, x_prev, x_next, field=F, h=hs)
-                except StratumStop as exc:
-                    return stop(t_prev, x_prev, "stratum_stop", str(exc))
-                past = past and (hit is None or t_prev + hit[1] * hs > cfg.t_end)
-            if past:
-                # the last step ends past t_end, and no crossing before t_end
-                # ends it first: take it again as one step onto t_end
-                t, x, final = t + (n - 2) * hs, states[-2].tolist(), True
-                continue
+            # the escaping or boundary-flagged state is not accepted
+            end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
+            add_segment(times[1:end], states[1:end], f"smooth:{rid}", rid)
+            step_counter += len(times) - 1
             if code != _kernels.STOP_BOUNDARY:
-                t = t + (n - 1) * hs
-                x = states[-1].tolist()
+                t, x = times[-1], states[-1].tolist()
                 if code == _kernels.STOP_CONVERGED:
                     return stop(t, x, "converged")
                 if code == _kernels.STOP_ESCAPED:
                     return stop(t, x, "escaped")
                 continue
+            # boundary event: localize on the last step
+            x_prev, x_next = states[-2:].tolist()
+            t_prev = times[-2]
+            try:
+                hit = detect_crossing(sys, x_prev, x_next, field=F, h=hs)
+            except StratumStop as exc:
+                return stop(t_prev, x_prev, "stratum_stop", str(exc))
             if hit is None:
                 # the kernel flagged proximity without a sign change; accept
                 # the step and continue from x_next
-                t = t_prev + hs
-                x = x_next
+                t, x = t_prev + hs, x_next
                 add_point(t, x, f"smooth:{rid}", rid=rid)
                 state = "decide"
                 continue
@@ -488,11 +466,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             t = t_prev + s * hs
             add_point(t, xc, f"smooth:{rid}", rid=rid)
             traj.events.append((t, "crossing", f"({b.i},{b.j})"))
-            if final:
-                # the step onto t_end is taken whole: its crossing is
-                # reported and the run ends at the stepped state
-                t, x = t_prev + hs, x_next
-                continue
             x = xc
             # chattering guard
             recent = recent_crossings[b.pair]

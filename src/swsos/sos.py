@@ -198,6 +198,11 @@ def _even_up(d: int) -> int:
     return d if d % 2 == 0 else d + 1
 
 
+def gram_psd(min_eigenvalue: float, gram) -> bool:
+    """Whether a Gram block is PSD: min eig >= -GRAM_EIG_TOL * max(1, ||Q||_F)."""
+    return min_eigenvalue >= -GRAM_EIG_TOL * max(1.0, float(np.linalg.norm(gram)))
+
+
 @dataclass
 class SosCertificate:
     gram_blocks: dict = field(default_factory=dict)       # id -> GramRepresentation
@@ -213,7 +218,8 @@ class SosCertificate:
 
     def quality(self) -> str:
         if self.residual_norm <= RESIDUAL_OK and all(
-            e >= -GRAM_EIG_TOL for e in self.min_eigenvalues.values()
+            gram_psd(e, self.gram_blocks[bid].gram)
+            for bid, e in self.min_eigenvalues.items()
         ):
             return "ok"
         if self.residual_norm <= RESIDUAL_MARGINAL:
@@ -400,9 +406,8 @@ def extract_sos_split(cert: SosCertificate, block: str) -> list:
         raise KeyError(f"no Gram block {block!r}")
     rep = cert.gram_blocks[block]
     Q = 0.5 * (rep.gram + rep.gram.T)
-    scale = max(1.0, float(np.linalg.norm(Q)))
     w, V = np.linalg.eigh(Q)
-    if w.min() < -GRAM_EIG_TOL * scale:
+    if not gram_psd(w.min(), Q):
         raise NumericalInfeasibility(
             f"block {block!r} has eigenvalue {w.min():.3e} below tolerance"
         )

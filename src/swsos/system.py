@@ -215,10 +215,9 @@ class SwitchedSystem:
                     if not self.regions[side].contains(w, tol):
                         rep.add(f"{name}.adjacency[{side}]", "warn",
                                 f"boundary witness not in closure of region {side}")
-        zero = np.zeros(self.dimension)
+        zero = [0.0] * self.dimension
         for rid in sorted(self.origin_regions):
-            r = self.regions[rid]
-            ok = abs(r.chi(zero)) <= WITNESS_TOL and all(g(zero) >= -WITNESS_TOL for g in r.xi)
+            ok = self.regions[rid].contains(zero, WITNESS_TOL)
             rep.add(f"origin_region[{rid}]", "pass" if ok else "fail",
                     "origin satisfies region membership" if ok else
                     "origin violates region membership")
@@ -241,8 +240,8 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
         box_raw = doc["box"]
         lo = np.array([float(b[0]) for b in box_raw])
         hi = np.array([float(b[1]) for b in box_raw])
-        if lo.shape != (n,) or np.any(lo >= hi):
-            raise SystemFormatError("box must be n pairs [lo, hi] with lo < hi")
+        if lo.shape != (n,) or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise SystemFormatError("box must be n finite pairs [lo, hi] with lo < hi")
         regions = {}
         for rdoc in doc["regions"]:
             rid = int(rdoc["id"])

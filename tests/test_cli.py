@@ -169,6 +169,34 @@ def test_rejected_option_values_are_input_errors(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())     # nothing was written
 
 
+@pytest.mark.parametrize("box", [
+    [[float("nan"), 2.0], [-2.0, 2.0]],
+    [[-2.0, float("inf")], [-2.0, 2.0]],
+], ids=["nan-lo", "inf-hi"])
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["certify", "--degree", "2"],
+    ["verify"],
+    ["simulate", "--x0=0.3,0.5", "--t-end", "1"],
+], ids=["validate", "certify", "verify", "simulate"])
+def test_non_finite_box_is_input_error(tmp_path, capsys, box, command):
+    doc = json.loads(open("systems/opposing-fields.sys").read())
+    doc["box"] = box
+    bad = tmp_path / "in" / "bad.sys"
+    bad.parent.mkdir()
+    bad.write_text(json.dumps(doc))
+    lyap = tmp_path / "in" / "v.lyap"
+    lyap.write_text(json.dumps({"lyapunov": {"1": "x1^2 + x2^2",
+                                             "2": "x1^2 + x2^2"}}))
+    args = [*command[:1], str(bad), *command[1:]]
+    if command[0] == "verify":
+        args.append(str(lyap))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), *args]) == 1
+    assert capsys.readouterr().err.startswith("error: box must be ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"lyapunov": {"1": 5, "2": "x1^2 + x2^2"}},

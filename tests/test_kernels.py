@@ -30,33 +30,63 @@ def _random_packed(rng, dim=2, deg=6, nterms=12):
 def test_rk4_run_converges_on_linear_decay():
     # xdot = -x with no boundaries
     x0 = np.array([1.0])
-    states, code, bidx = _kernels.rk4_smooth_run(
-        _kernels.smooth_kernel([((-1.0, (0,)),)], []), x0, 0.01, 2000, 1e-4,
-        np.array([-2.0]), np.array([2.0]), 1e-9)
+    states, times, _, code = _kernels.rk4_smooth_run(
+        _kernels.smooth_kernel([((-1.0, (0,)),)], []), x0, 0.0, 20.0, 0.01,
+        1e-4, np.array([-2.0]), np.array([2.0]), 1e-9)
     assert code == _kernels.STOP_CONVERGED
-    assert bidx == -1
+    assert len(times) == states.shape[0]
     # ||x|| <= 1e-4 happens at t ~= ln(1e4) ~= 9.21
     assert abs((states.shape[0] - 1) * 0.01 - np.log(1e4)) < 0.05
 
 
 def test_rk4_run_escape_detection():
     # xdot = +x blows out of the box
-    states, code, _ = _kernels.rk4_smooth_run(
-        _kernels.smooth_kernel([((1.0, (0,)),)], []), np.array([1.0]), 0.01,
-        10000, 1e-6, np.array([-2.0]), np.array([2.0]), 1e-9)
+    states, _, _, code = _kernels.rk4_smooth_run(
+        _kernels.smooth_kernel([((1.0, (0,)),)], []), np.array([1.0]), 0.0,
+        100.0, 0.01, 1e-6, np.array([-2.0]), np.array([2.0]), 1e-9)
     assert code == _kernels.STOP_ESCAPED
     assert states[-1, 0] > 2.0
 
 
 def test_rk4_run_boundary_flag():
     # xdot = (1, 0) crossing the chi = x1 variety from the left
-    states, code, bidx = _kernels.rk4_smooth_run(
+    states, _, _, code = _kernels.rk4_smooth_run(
         _kernels.smooth_kernel([((1.0, ()),), ()], [((1.0, (0,)),)]),
-        np.array([-0.05, 0.0]), 0.01, 100, 1e-9, np.array([-2.0, -2.0]),
+        np.array([-0.05, 0.0]), 0.0, 1.0, 0.01, 1e-9, np.array([-2.0, -2.0]),
         np.array([2.0, 2.0]), 1e-9)
     assert code == _kernels.STOP_BOUNDARY
-    assert bidx == 0
     assert states[-2, 0] < 0.0 <= states[-1, 0] + 1e-9
+
+
+_DECAY = [((-1.0, (0,)),)]                  # xdot = -x
+
+
+def test_rk4_run_times_start_at_t0():
+    # step k of a run started at t0 ends at t0 + k*h, as the plain-float
+    # interpreter below has it
+    tail = (np.array([1.0]), 0.75, 1.25, 0.01, 1e-4, np.array([-2.0]),
+            np.array([2.0]), 1e-9)
+    result = _kernels.rk4_smooth_run(_kernels.smooth_kernel(_DECAY, []), *tail)
+    assert _assert_smooth_exact(result, _DECAY, [], *tail) == \
+        _kernels.STOP_MAXSTEPS
+    states, times, hs, _ = result
+    assert len(times) == states.shape[0] == 51
+    assert times == [0.75 + k * 0.01 for k in range(51)]
+    assert hs == 0.01
+
+
+def test_rk4_run_ends_on_an_off_grid_t_end():
+    # 0.123 is not on the 0.01 grid: the last step is the remainder
+    tail = (np.array([1.0]), 0.0, 0.123, 0.01, 1e-4, np.array([-2.0]),
+            np.array([2.0]), 1e-9)
+    result = _kernels.rk4_smooth_run(_kernels.smooth_kernel(_DECAY, []), *tail)
+    assert _assert_smooth_exact(result, _DECAY, [], *tail) == \
+        _kernels.STOP_MAXSTEPS
+    states, times, hs, _ = result
+    assert times[:-1] == [k * 0.01 for k in range(13)]
+    assert hs == 0.123 - times[-2]
+    assert times[-1] == times[-2] + hs == 0.123
+    assert states.shape[0] == 14
 
 
 # -- term-list evaluator against the numpy expressions it replaced ------------
@@ -160,13 +190,13 @@ def _pack(polys):
             np.vstack([e for _, e in packed]), off)
 
 
-def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
+def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, t0, t_end, h,
                         ball_stop, box_lo, box_hi, band):
-    # the array-per-step numpy loop the term-list kernel replaced
+    # the array-per-step numpy loop the term-list kernel replaced, with the
+    # kernel's time rule: step i ends at t0 + i*h, or on t_end if that passes
     n = x0.shape[0]
     nb = len(coff) - 1
-    states = np.empty((max_steps + 1, n))
-    states[0] = x0
+    states, times = [x0], [t0]
     chi_prev = np.empty(nb)
     for b in range(nb):
         chi_prev[b] = _ref_eval(cc[coff[b]:coff[b + 1]], ce[coff[b]:coff[b + 1]], x0)
@@ -177,25 +207,32 @@ def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, h, max_steps,
             out[k] = _ref_eval(fc[foff[k]:foff[k + 1]], fe[foff[k]:foff[k + 1]], x)
         return out
 
-    for step in range(max_steps):
-        x = states[step]
+    t, hs, step = t0, h, 0
+    while t < t_end - 1e-15:
+        x = states[-1]
         if np.sqrt(np.dot(x, x)) <= ball_stop:
-            return states[: step + 1], _kernels.STOP_CONVERGED, -1
+            return np.array(states), times, hs, _kernels.STOP_CONVERGED
+        step += 1
+        t_next = t0 + step * h
+        if t_next > t_end:
+            hs = t_end - t
+            t_next = t + hs
         k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        xn = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = field(x + 0.5 * hs * k1)
+        k3 = field(x + 0.5 * hs * k2)
+        k4 = field(x + hs * k3)
+        xn = x + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t_next
+        states.append(xn)
+        times.append(t)
         if not np.all(np.isfinite(xn)) or np.any(xn < box_lo) or np.any(xn > box_hi):
-            states[step + 1] = xn
-            return states[: step + 2], _kernels.STOP_ESCAPED, -1
-        states[step + 1] = xn
+            return np.array(states), times, hs, _kernels.STOP_ESCAPED
         for b in range(nb):
             chi = _ref_eval(cc[coff[b]:coff[b + 1]], ce[coff[b]:coff[b + 1]], xn)
             if chi * chi_prev[b] < 0.0 or abs(chi) <= band:
-                return states[: step + 2], _kernels.STOP_BOUNDARY, b
+                return np.array(states), times, hs, _kernels.STOP_BOUNDARY
             chi_prev[b] = chi
-    return states, _kernels.STOP_MAXSTEPS, -1
+    return np.array(states), times, hs, _kernels.STOP_MAXSTEPS
 
 
 _SMOOTH_CASES = [
@@ -210,11 +247,11 @@ def test_rk4_term_list_matches_numpy_reference(quadrant_system, rid, theta, x0):
     F = quadrant_system.field_at(rid, theta)
     chis = [b.chi for b in quadrant_system.boundaries]
     lo, hi = quadrant_system.box
-    tail = (np.array(x0), 1e-3, 500, 1e-4, lo, hi, 1e-9)
-    s1, c1, b1 = _kernels.rk4_smooth_run(_kernels.smooth_kernel(
+    tail = (np.array(x0), 0.0, 0.5, 1e-3, 1e-4, lo, hi, 1e-9)
+    s1, t1, h1, c1 = _kernels.rk4_smooth_run(_kernels.smooth_kernel(
         [p._term_list() for p in F], [c._term_list() for c in chis]), *tail)
-    s2, c2, b2 = _ref_rk4_smooth_run(*_pack(F), *_pack(chis), *tail)
-    assert (c1, b1) == (c2, b2)
+    s2, t2, h2, c2 = _ref_rk4_smooth_run(*_pack(F), *_pack(chis), *tail)
+    assert (c1, t1, h1) == (c2, t2, h2)
     assert s1.shape == s2.shape
     assert np.allclose(s1, s2, rtol=1e-12, atol=0.0)
 
@@ -222,11 +259,13 @@ def test_rk4_term_list_matches_numpy_reference(quadrant_system, rid, theta, x0):
 def test_rk4_term_list_escape_matches_numpy_reference():
     # xdot = x^3 blows up in finite time and leaves the box
     F = [Polynomial.monomial(1, (3,))]
-    tail = (np.array([1.5]), 1e-2, 500, 1e-6, np.array([-4.0]), np.array([4.0]), 1e-9)
-    s1, c1, _ = _kernels.rk4_smooth_run(
+    tail = (np.array([1.5]), 0.0, 5.0, 1e-2, 1e-6, np.array([-4.0]),
+            np.array([4.0]), 1e-9)
+    s1, t1, _, c1 = _kernels.rk4_smooth_run(
         _kernels.smooth_kernel([p._term_list() for p in F], []), *tail)
-    s2, c2, _ = _ref_rk4_smooth_run(*_pack(F), *_pack([]), *tail)
+    s2, t2, _, c2 = _ref_rk4_smooth_run(*_pack(F), *_pack([]), *tail)
     assert c1 == c2 == _kernels.STOP_ESCAPED
+    assert t1 == t2
     assert np.allclose(s1, s2, rtol=1e-12, atol=0.0)
 
 
@@ -453,49 +492,59 @@ def test_rk4_sliding_run_matches_numpy_reference(chi, fi, fj, x0, t_end, code):
 
 # -- generated kernels against the term-list interpreters they replaced -------
 
-def _interp_rk4_smooth_run(fields, chis, x0, h, max_steps, ball_stop, box_lo,
+def _interp_rk4_smooth_run(fields, chis, x0, t0, t_end, h, ball_stop, box_lo,
                            box_hi, band):
-    # the interpreted smooth segment loop, term list by term list
-    n = x0.shape[0]
+    # the interpreted smooth segment loop, term list by term list; step i
+    # ends at t0 + i*h, and a step that would pass t_end ends on it
+    n = len(x0)
     nb = len(chis)
     lo = np.asarray(box_lo, dtype=np.float64).tolist()
     hi = np.asarray(box_hi, dtype=np.float64).tolist()
-    h = float(h)
-    hh = 0.5 * h
-    h6 = h / 6.0
+    h = hs = float(h)
+    t0 = t = float(t0)
     cols = range(n)
     eval_terms = _kernels.eval_terms
 
     x = np.asarray(x0, dtype=np.float64).tolist()
-    flat = list(x)
+    flat, times = list(x), [t]
 
-    def states():
-        return np.array(flat).reshape(-1, n)
+    def result(code):
+        return np.array(flat).reshape(-1, n), times, hs, code
 
-    chi_prev = [eval_terms(t, x) for t in chis]
-    for step in range(max_steps):
+    chi_prev = [eval_terms(c, x) for c in chis]
+    step = 0
+    while t < t_end - 1e-15:
         if math.sqrt(sum(v * v for v in x)) <= ball_stop:
-            return states(), _kernels.STOP_CONVERGED, -1
-        k1 = [eval_terms(t, x) for t in fields]
+            return result(_kernels.STOP_CONVERGED)
+        step += 1
+        t_next = t0 + step * h
+        if t_next > t_end:
+            hs = t_end - t
+            t_next = t + hs
+        hh = 0.5 * hs
+        k1 = [eval_terms(f, x) for f in fields]
         xs = [x[k] + hh * k1[k] for k in cols]
-        k2 = [eval_terms(t, xs) for t in fields]
+        k2 = [eval_terms(f, xs) for f in fields]
         xs = [x[k] + hh * k2[k] for k in cols]
-        k3 = [eval_terms(t, xs) for t in fields]
-        xs = [x[k] + h * k3[k] for k in cols]
-        k4 = [eval_terms(t, xs) for t in fields]
+        k3 = [eval_terms(f, xs) for f in fields]
+        xs = [x[k] + hs * k3[k] for k in cols]
+        k4 = [eval_terms(f, xs) for f in fields]
+        h6 = hs / 6.0
         xn = [x[k] + h6 * (k1[k] + 2 * k2[k] + 2 * k3[k] + k4[k]) for k in cols]
+        t = t_next
         flat.extend(xn)
+        times.append(t)
         for k in cols:
             v = xn[k]
             if not math.isfinite(v) or v < lo[k] or v > hi[k]:
-                return states(), _kernels.STOP_ESCAPED, -1
+                return result(_kernels.STOP_ESCAPED)
         for b in range(nb):
             chi = eval_terms(chis[b], xn)
             if chi * chi_prev[b] < 0.0 or abs(chi) <= band:
-                return states(), _kernels.STOP_BOUNDARY, b
+                return result(_kernels.STOP_BOUNDARY)
             chi_prev[b] = chi
         x = xn
-    return states(), _kernels.STOP_MAXSTEPS, -1
+    return result(_kernels.STOP_MAXSTEPS)
 
 
 def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
@@ -570,10 +619,11 @@ def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
 
 def _assert_smooth_exact(result, fields, chis, *tail):
     # result: rk4_smooth_run on the kernel of fields and chis, with tail
-    s1, c1, b1 = result
-    s2, c2, b2 = _interp_rk4_smooth_run(fields, chis, *tail)
-    assert (c1, b1) == (c2, b2)
+    s1, t1, h1, c1 = result
+    s2, t2, h2, c2 = _interp_rk4_smooth_run(fields, chis, *tail)
+    assert c1 == c2
     assert s1.shape == s2.shape and np.array_equal(s1, s2)
+    assert t1 == t2 and h1 == h2
     return c1
 
 
@@ -608,11 +658,11 @@ def test_smooth_kernel_bit_identical_to_interpreter(quadrant_system, rid,
     F = quadrant_system.field_at(rid, theta)
     chis = [b.chi._term_list() for b in quadrant_system.boundaries]
     lo, hi = quadrant_system.box
-    _smooth_exact(_terms(F), chis, np.array(x0), 1e-3, 500, 1e-4,
-                         lo, hi, 1e-9)
+    _smooth_exact(_terms(F), chis, np.array(x0), 0.0, 0.5, 1e-3, 1e-4, lo, hi,
+                  1e-9)
 
 
-@pytest.mark.parametrize("fields, chis, x0, h, max_steps, ball_stop, box, code", [
+@pytest.mark.parametrize("fields, chis, x0, h, steps, ball_stop, box, code", [
     # the cases of the tests above: decay, blow-up, x1 = 0 crossing, x^3
     ([((-1.0, (0,)),)], [], (1.0,), 0.01, 2000, 1e-4, 2.0,
      _kernels.STOP_CONVERGED),
@@ -623,12 +673,13 @@ def test_smooth_kernel_bit_identical_to_interpreter(quadrant_system, rid,
     ([((1.0, (0, 0, 0)),)], [], (1.5,), 1e-2, 500, 1e-6, 4.0,
      _kernels.STOP_ESCAPED),
 ])
-def test_smooth_kernel_bit_identical_on_unit_cases(fields, chis, x0, h,
-                                                   max_steps, ball_stop, box,
-                                                   code):
+def test_smooth_kernel_bit_identical_on_unit_cases(fields, chis, x0, h, steps,
+                                                   ball_stop, box, code):
+    # a horizon of `steps` steps from t0 = 0
     n = len(x0)
-    assert _smooth_exact(fields, chis, np.array(x0), h, max_steps, ball_stop,
-                         np.full(n, -box), np.full(n, box), 1e-9) == code
+    assert _smooth_exact(fields, chis, np.array(x0), 0.0, steps * h, h,
+                         ball_stop, np.full(n, -box), np.full(n, box),
+                         1e-9) == code
 
 
 @pytest.mark.parametrize("chi, fi, fj, x0, t_end, code", _SLIDING_CASES)
@@ -771,8 +822,8 @@ def test_kernels_of_one_shape_share_one_code_object(quadrant_system,
     lo, hi = (v.tolist() for v in quadrant_system.box)
     for kernels, lines, runs in (
             (smooth, sources[0],
-             [([0.3, -2.0], 1e-3, 3000, 1e-4, lo, hi, 1e-9),
-              ([1.5, 0.2], 1e-2, 3000, 1e-4, lo, hi, 1e-9)]),
+             [([0.3, -2.0], 0.0, 3.0, 1e-3, 1e-4, lo, hi, 1e-9),
+              ([1.5, 0.2], 0.0, 30.0, 1e-2, 1e-4, lo, hi, 1e-9)]),
             (sliding, sources[1],
              [([-1.0, 0.0], 0.0, 2.0, 1e-3, 1e-4, lo, hi, 1e-9, 1e-8),
               ([0.0, 1.2], 0.0, 2.0, 1e-3, 1e-4, lo, hi, 1e-9, 1e-8)])):
@@ -852,7 +903,7 @@ def test_hoisted_sliding_kernel_bit_identical_to_interpreter(grad, fi, fj, chi,
 ])
 def test_hoisted_smooth_kernel_bit_identical_to_interpreter(fields, chis, x0,
                                                             code):
-    assert _smooth_exact(fields, chis, np.array(x0), 0.01, 5000, 1e-6,
+    assert _smooth_exact(fields, chis, np.array(x0), 0.0, 50.0, 0.01, 1e-6,
                          *_BOX, 1e-9) == code
 
 
@@ -889,14 +940,14 @@ def test_constant_term_lists_leave_the_loop():
 # sha256 of each kernel source of tests/kernel_corpus.py: quadrant-cubic.sys
 # has no constant term list, so its kernels are the unspecialised ones
 PINNED_KERNEL_DIGESTS = {
-    'smooth 1 theta0': '94cdf8bda2de6ed6271154c32c9543a9b5179b99e83b5cf4751b002ffe26daef',
-    'smooth 2 theta0': '5b293dcec2d3714ba827d1763fd19696d2f11a2b4d0508d5d43528fe98188baf',
+    'smooth 1 theta0': 'd737192e336488fcb4d1edfdfe3a59a4709a1eda5cb3785b638323a38ee9283e',
+    'smooth 2 theta0': '8ebdb589a36f48fc4c885f142378fd2ad9686eae7d995d968994d0ec5b9fa646',
     'sliding 1,2 theta0': '610e06b3872ee698fd6dc48dda0f8b064ec4ac8dc909f150d1cb0e51352294c5',
-    'smooth 1 theta0.5': '5145a3c28a433dfbc7578c487cfb016966b7c2e4aa846bea85eb608845a05549',
-    'smooth 2 theta0.5': '5b293dcec2d3714ba827d1763fd19696d2f11a2b4d0508d5d43528fe98188baf',
+    'smooth 1 theta0.5': 'fd99bd4687e08c88ddecd1802d055562766910197265f0d37f2b8d929526bdb9',
+    'smooth 2 theta0.5': '8ebdb589a36f48fc4c885f142378fd2ad9686eae7d995d968994d0ec5b9fa646',
     'sliding 1,2 theta0.5': 'fc485fc9bfc022d8aeadc70403d2ecf2b0198d1bda2ce7e50dc76fa4e29d8782',
-    'smooth 1 theta1': '66e13a04deee4378b677eb6d90d817d2d4fe22946c417a9c4a2424d153efe80f',
-    'smooth 2 theta1': '5b293dcec2d3714ba827d1763fd19696d2f11a2b4d0508d5d43528fe98188baf',
+    'smooth 1 theta1': '792e05634581e5228c6284acfd44140b90b39c1100d6dffb027eecdfc42f22ba',
+    'smooth 2 theta1': '8ebdb589a36f48fc4c885f142378fd2ad9686eae7d995d968994d0ec5b9fa646',
     'sliding 1,2 theta1': 'c7850f9cbe0d5a583fb149be102cf290ef7b30c37a68c1ca4d2c5a42c23690cd',
 }
 

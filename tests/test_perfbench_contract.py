@@ -53,3 +53,22 @@ def test_untraced_names_exist(systems_dir):
         sys_, CertificationConfig(lyapunov_degree=4), cross_pairs=None)
     assert len(problem.equality_rows) == len(problem.b)
     assert problem.psd_blocks and problem.free_scalars
+
+
+def test_traced_simulate_counts_smooth_kernel_steps(systems_dir, tmp_path,
+                                                    capsys):
+    # the traced benchmark reads rk4_smooth_run's states as its first return
+    # value: a change of that shape shows here as a crash or a zero count
+    from swsos import cli
+
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["--out-dir", str(tmp_path), "simulate",
+                         str(systems_dir / "opposing-fields.sys"),
+                         "--x0=0.3,0.5", "--t-end", "1"]) == 0
+        collected = tracer.collect()
+    finally:
+        tracer.uninstall()
+    assert collected["calls"]["kernels.rk4"] > 0
+    assert collected["counts"]["kernels.rk4_steps"] > 0

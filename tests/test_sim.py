@@ -364,7 +364,7 @@ def test_chattering_run_pins_event_counts(quadrant_system):
     traj = simulate(quadrant_system, (0.3, -2.0), cfg)
     kinds = traj.event_kinds()
     assert {k: kinds.count(k) for k in set(kinds)} == {
-        "crossing": 401, "step_halved": 21, "sliding_entry": 7,
+        "crossing": 405, "step_halved": 21, "sliding_entry": 7,
         "sliding_exit": 7, "t_end": 1}
     assert any(kind == "sliding_entry" and detail.endswith("[chattering]")
                for _, kind, detail in traj.events)
@@ -448,7 +448,7 @@ def test_nudge_step_is_one_rk4_step(quadrant_system, rid, theta, x):
         [b.chi._term_list() for b in quadrant_system.boundaries])
     lo, hi = (v.tolist() for v in quadrant_system.box)
     h = 1e-3
-    flat = kernel(list(x), h * 1e-3, 1, -1.0, lo, hi, 1e-9)[0]
+    flat = kernel(list(x), 0.0, h * 1e-3, h * 1e-3, -1.0, lo, hi, 1e-9)[0]
     assert np.array_equal(np.array(flat[-2:]), _rk4_step(F, x, h * 1e-3))
 
 
@@ -458,8 +458,8 @@ def test_nudge_step_row_is_last_on_escape():
     F = sys_.field_at(1, (1.0,))
     kernel = _kernels.smooth_kernel([p._term_list() for p in F],
                                     [b.chi._term_list() for b in sys_.boundaries])
-    flat, code, _ = kernel([2.0, 0.0], 1e-3, 1, -1.0, [-2.0, -2.0], [2.0, 2.0],
-                           1e-9)
+    flat, _, _, code = kernel([2.0, 0.0], 0.0, 1e-3, 1e-3, -1.0, [-2.0, -2.0],
+                              [2.0, 2.0], 1e-9)
     assert code == _kernels.STOP_ESCAPED
     assert np.array_equal(np.array(flat[-2:]), _rk4_step(F, (2.0, 0.0), 1e-3))
 
@@ -514,7 +514,7 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
                        certificate=published_lyapunov)
     crossings = [c for c in chatter.chunks
                  if len(c[0]) == 1 and c[2].startswith("smooth:")]
-    assert len(crossings) == chatter.event_kinds().count("crossing") == 401
+    assert len(crossings) == chatter.event_kinds().count("crossing") == 405
     for t in (traj, bare, chatter):
         rows = _chunk_rows(t)
         assert len(t.points) == len(rows) == t.count
@@ -546,7 +546,7 @@ PINNED_DIGESTS = {
     'sweep 2,-2 theta1': 'fd18c80711852dfdd7817ad298c047125eb6fb07ce0abe4571de808dd4107e26',
     'sweep 0.3,-2 theta0': '37a04cd6d9fed64ba37ffa4cfdcf14ca2952266bb0a3da27ff2f1f3fba132f4a',
     'sweep 0.3,-2 theta0.5': '0f607d4a7e9dd35ec2c5b2d11e29b69488c807f4b18d04a0131893228d9d83b9',
-    'sweep 0.3,-2 theta1': '15a7603bb92cf0b1a9eb476638fa88f65f68732dba1b1286f2e46612083482a7',
+    'sweep 0.3,-2 theta1': '077f724a3d88a60f0e4ed89cf2b705886ae41d241f281a7fd0c878555c6c7279',
     'sliding 0,0.5 t_end1': '71e7567e82b29b8117ab6e872572a3ff697165c402257d7f516e29f531dea438',
     'sliding 0.37,0.81 t_end2.81': '332ed438b63545b9ec78d546613f49e079ac3e76a2431e037ff1ca76b77aa98e',
     'tilted-relay -0.8,-0.3 t_end3': 'fe1b444ef0686e4aee6f4e8c5914f66e6b244bb6a357d422f5a4d834907e1b32',

@@ -7,9 +7,11 @@ import pytest
 from swsos.backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpSolution, svec_layout
 from swsos.poly import (Polynomial, lie_derivative, monomial_basis,
                         parse_polynomial, parse_vector)
-from swsos.sos import (DegreeBookkeepingError, LinPoly, PositivityConstraint,
-                       assemble, certificate_from_solution, extract_sos_split,
-                       gram_basis, mono_from_tag, solve, sos_decompose)
+from swsos.sos import (DegreeBookkeepingError, GramRepresentation, LinPoly,
+                       NumericalInfeasibility, PositivityConstraint,
+                       SosCertificate, assemble, certificate_from_solution,
+                       extract_sos_split, gram_basis, mono_from_tag, solve,
+                       sos_decompose)
 
 # swsos.certify the attribute is the function; these are the modules
 certify_module = import_module("swsos.certify")
@@ -67,6 +69,22 @@ def test_extract_sos_split_roundtrip():
     for q in squares:
         recon = recon + q * q
     assert (recon - p).coeff_norm() < 1e-6
+
+
+@pytest.mark.parametrize("min_eig, psd", [(-1e-6, True), (-2e-5, False)])
+def test_quality_and_split_share_one_gram_psd_rule(min_eig, psd):
+    # ||Q||_F = 100 (to rounding): the tolerance is 1e-7 * 100 = 1e-5, so
+    # -1e-6 is PSD for both and -2e-5 for neither
+    Q = np.diag([100.0, min_eig])
+    cert = SosCertificate(
+        gram_blocks={"b": GramRepresentation(basis=[(1, 0), (0, 1)], gram=Q)},
+        residual_norm=0.0, min_eigenvalues={"b": min_eig})
+    assert cert.quality() == ("ok" if psd else "marginal")
+    if psd:
+        assert len(extract_sos_split(cert, "b")) == 1
+    else:
+        with pytest.raises(NumericalInfeasibility):
+            extract_sos_split(cert, "b")
 
 
 def test_extract_sos_split_unknown_block():
