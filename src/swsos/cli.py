@@ -126,15 +126,20 @@ def _lyapunov_table(path: str, doc: dict, sys_) -> dict:
     table = doc.get("lyapunov_full") or doc.get("lyapunov")
     if not isinstance(table, dict):
         raise InputError(f"{path}: missing 'lyapunov' table")
-    out = {}
+    out, keys = {}, {}
     for rid_s, text in table.items():
         if not isinstance(text, str):
             raise InputError(f"{path}: entry {rid_s!r}: expected a polynomial string")
         try:
             rid = int(rid_s)
-            out[rid] = parse_polynomial(text, sys_.dimension)
+            poly = parse_polynomial(text, sys_.dimension)
         except (ValueError, PolynomialParseError) as exc:
             raise InputError(f"{path}: entry {rid_s!r}: {exc}") from exc
+        # "1" and "01" name one region: the later entry must not replace the first
+        if rid in keys:
+            raise InputError(f"{path}: entries {keys[rid]!r} and {rid_s!r} "
+                             f"both name region {rid}")
+        out[rid], keys[rid] = poly, rid_s
     missing = set(sys_.regions) - set(out)
     extra = set(out) - set(sys_.regions)
     if missing or extra:

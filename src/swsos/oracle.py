@@ -17,9 +17,11 @@ origin, since strictness cannot be sampled literally.
 
 Points travel as columns: an (n, m) array with one contiguous row per
 variable, which `Polynomial.eval_columns` evaluates without a copy.  The
-grid-plus-random candidates are built once, their norms taken on rows,
-and then held only as columns; each region's survivors are gathered with
-`take`.  Boundary points come from random segments drawn in rounds and
+grid-plus-random candidates are never held at once: `verify_certificate`
+streams them in chunks of at most CHUNK points, masks and gathers each
+region's survivors in a chunk with `take`, and folds every condition's
+worst case into a running record, so its memory does not grow with the
+grid.  Boundary points come from random segments drawn in rounds and
 bisected in one pass after the last round.  A value that overflows to
 inf or turns nan fails its condition, nan ranking as the worst
 violation, and raises no floating-point warning.
@@ -34,6 +36,9 @@ import numpy as np
 
 from .poly import Polynomial, lie_derivative
 from .system import SwitchedSystem, SemiAlgebraicRegion, BoundaryVariety
+
+# Candidate points per chunk of verify_certificate's streaming pass
+CHUNK = 2 ** 14
 
 
 @dataclass
@@ -140,15 +145,67 @@ def _sampling_box(sys: SwitchedSystem, cfg: OracleConfig):
     return cfg.box
 
 
-def _candidate_points(box, cfg: OracleConfig, rng) -> np.ndarray:
-    """Grid plus uniform random points covering the box."""
+def _candidate_chunks(box, cfg: OracleConfig, rng):
+    """Grid plus uniform random points covering the box, as contiguous
+    columns (n, <= CHUNK): the grid in meshgrid "ij" order, then
+    random_samples uniform draws.
+
+    Grid points come from their flat index, one base-grid_per_dim digit per
+    axis.  The random chunks are consecutive (k, n) draws, which give the
+    values of one (random_samples, n) draw and leave the generator in its
+    state.
+    """
     lo, hi = box
     n = len(lo)
-    axes = [np.linspace(lo[k], hi[k], cfg.grid_per_dim) for k in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
-    rand = rng.uniform(lo, hi, size=(cfg.random_samples, n))
-    return np.vstack([grid, rand])
+    g = cfg.grid_per_dim
+    axes = [np.linspace(lo[k], hi[k], g) for k in range(n)]
+    total = g ** n
+    for start in range(0, total, CHUNK):
+        rest = np.arange(start, min(start + CHUNK, total))
+        cols = np.empty((n, rest.size))
+        for k in reversed(range(n)):
+            rest, digit = np.divmod(rest, g)
+            axes[k].take(digit, out=cols[k])
+        yield cols
+    for start in range(0, cfg.random_samples, CHUNK):
+        k = min(CHUNK, cfg.random_samples - start)
+        yield np.ascontiguousarray(rng.uniform(lo, hi, size=(k, n)).T)
+
+
+def _candidate_points(box, cfg: OracleConfig, rng) -> np.ndarray:
+    """Every candidate of _candidate_chunks, as rows (m, n)."""
+    return np.concatenate(list(_candidate_chunks(box, cfg, rng)), axis=1).T.copy()
+
+
+def _pairwise_sum(terms):
+    """Sum of equal-shape arrays in numpy's pairwise order: a sequential
+    sum below 8 terms, eight partial sums up to 128, a halving split above."""
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return total
+    if n <= 128:
+        stop = n - n % 8
+        r = terms[:8]
+        for i in range(8, stop, 8):
+            r = [a + b for a, b in zip(r, terms[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[stop:]:
+            total = total + t
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _norms(cols) -> np.ndarray:
+    """Euclidean norm of each point of cols (n, m), bit for bit
+    np.linalg.norm(rows, axis=1) on the C-contiguous rows (m, n), which
+    sums each row's squares pairwise; a plain column sum would add them
+    sequentially and round differently for n >= 8."""
+    return np.sqrt(_pairwise_sum([c * c for c in cols]))
 
 
 def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
@@ -162,22 +219,25 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     pts = (points if points is not None
            else _candidate_points(_sampling_box(sys, cfg), cfg, rng))
-    keep, warns = _region_keep(region, pts.T, np.linalg.norm(pts, axis=1), cfg)
-    return pts[keep], warns
+    cols = np.ascontiguousarray(pts.T)
+    keep = _region_keep(region, cols, _norms(cols), cfg)
+    return pts[keep], _survivor_warnings(region, int(keep.sum()))
 
 
 def _region_keep(region: SemiAlgebraicRegion, cols, norms, cfg: OracleConfig):
-    """(mask, warnings) of sample_region at the points cols (n, m), given
-    their norms."""
+    """Mask of the points of cols (n, m), given their norms, that
+    sample_region keeps."""
     keep = norms >= cfg.exclusion_radius
     keep &= region.contains_many(cols, cfg.tolerance)
-    count = int(keep.sum())
-    warns = []
+    return keep
+
+
+def _survivor_warnings(region: SemiAlgebraicRegion, count: int) -> list:
     if count == 0:
-        warns.append(f"region {region.rid}: zero sample survivors")
-    elif count < 100:
-        warns.append(f"region {region.rid}: only {count} sample survivors")
-    return keep, warns
+        return [f"region {region.rid}: zero sample survivors"]
+    if count < 100:
+        return [f"region {region.rid}: only {count} sample survivors"]
+    return []
 
 
 def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
@@ -246,11 +306,7 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
         b = np.where(same, b, m)
     out[:, idx] = 0.5 * (a + b)
 
-    # np.linalg.norm's bits depend on the layout for n >= 8; verify_certificate
-    # takes them on contiguous rows, as the exclusion test does here
-    pts = np.ascontiguousarray(out.T)
-    if pts.shape[0]:
-        pts = pts[np.linalg.norm(pts, axis=1) >= cfg.exclusion_radius]
+    pts = np.ascontiguousarray(out[:, _norms(out) >= cfg.exclusion_radius].T)
     if pts.shape[0] == 0 and not warns:
         warns.append(f"boundary ({boundary.i},{boundary.j}): no boundary witness found")
     return pts, warns
@@ -276,11 +332,35 @@ def _worst(values: np.ndarray, pts: np.ndarray):
     return float(values[k]), tuple(float(c) for c in pts[k])
 
 
+class _Worst:
+    """One condition's worst case folded over chunks of its samples, as
+    np.argmax takes it over their concatenation: the first largest value
+    wins, and nan ranks above every number, the first nan winning."""
+
+    def __init__(self, condition: str, subject: str):
+        self.condition, self.subject = condition, subject
+        self.samples, self.value, self.point = 0, None, ()
+
+    def fold(self, values: np.ndarray, cols):
+        """Fold in the values at the points cols (n, m)."""
+        self.samples += values.size
+        if values.size == 0 or self.value != self.value:   # a nan stays
+            return
+        v, at = _worst(values, cols.T)
+        if self.value is None or v != v or v > self.value:
+            self.value, self.point = v, at
+
+    def record(self, tolerance: float) -> ConditionRecord:
+        w = 0.0 if self.value is None else self.value
+        return ConditionRecord(self.condition, self.subject, self.samples,
+                               w, self.point, w <= tolerance)
+
+
 def _record(report: OracleReport, condition: str, subject: str, viol, cols):
     """Append the worst case of one condition sampled at cols (n, m)."""
-    w, at = _worst(viol, cols.T)
-    report.records.append(ConditionRecord(
-        condition, subject, cols.shape[1], w, at, w <= report.config.tolerance))
+    worst = _Worst(condition, subject)
+    worst.fold(viol, cols)
+    report.records.append(worst.record(report.config.tolerance))
 
 
 def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
@@ -293,10 +373,11 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     pairs in this collection (the attractivity pre-filter's output); None
     checks every boundary pair in both orders.
 
-    Points are held as columns (n, m), one contiguous row per variable;
-    norms are taken on rows first, whose bits a column sum of squares does
-    not reproduce for n >= 8.  inf and nan values make a condition fail
-    (nan ranks worst) without a RuntimeWarning.
+    The region conditions are checked in one pass over the candidate
+    chunks, each region's survivors gathered per chunk, and give the
+    records and warnings of checking every candidate at once.  inf and nan
+    values make a condition fail (nan ranks worst) without a
+    RuntimeWarning.
     """
     cfg = cfg or OracleConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -304,38 +385,42 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     missing = [rid for rid in sys.regions if rid not in lyapunov]
     if missing:
         raise ValueError(f"no Lyapunov polynomial for regions {missing}")
+    box = _sampling_box(sys, cfg)
 
-    rows = _candidate_points(_sampling_box(sys, cfg), cfg, rng)
-    shared_norms = np.linalg.norm(rows, axis=1)
-    shared = np.ascontiguousarray(rows.T)
-    del rows                            # only the columns stay alive
+    # per region: positivity's (V, degree, worst case), then one
+    # (Lie derivative, degree, worst case) per vertex
+    checks = []
+    for rid, region in sorted(sys.regions.items()):
+        V = lyapunov[rid]
+        positivity = (V, V.degree(), _Worst("positivity", f"region {rid}"))
+        lies = [(lie, lie.degree(), _Worst("lie_region", f"region {rid}, vertex {l}"))
+                for l, lie in enumerate(lie_derivative(V, f)
+                                        for f in sys.dynamics[rid].vertices)]
+        checks.append((region, positivity, lies))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for rid, region in sorted(sys.regions.items()):
-            keep, warns = _region_keep(region, shared, shared_norms, cfg)
-            idx = np.flatnonzero(keep)
-            cols, norms = shared.take(idx, axis=1), shared_norms.take(idx)
-            report.warnings.extend(warns)
-
-            V = lyapunov[rid]
-            # positivity: V must dominate a tolerance-sized quadratic
-            viol = (cfg.tolerance * norms ** 2 - V.eval_columns(cols)) \
-                / _scale(norms, V.degree())
-            _record(report, "positivity", f"region {rid}", viol, cols)
-
-            for l, f in enumerate(sys.dynamics[rid].vertices):
-                lie = lie_derivative(V, f)
-                viol = lie.eval_columns(cols) / _scale(norms, lie.degree())
-                _record(report, "lie_region", f"region {rid}, vertex {l}",
-                        viol, cols)
+        for chunk in _candidate_chunks(box, cfg, rng):
+            chunk_norms = _norms(chunk)
+            for region, (V, deg, worst), lies in checks:
+                idx = np.flatnonzero(_region_keep(region, chunk, chunk_norms, cfg))
+                cols, norms = chunk.take(idx, axis=1), chunk_norms.take(idx)
+                # positivity: V must dominate a tolerance-sized quadratic
+                worst.fold((cfg.tolerance * norms ** 2 - V.eval_columns(cols))
+                           / _scale(norms, deg), cols)
+                for lie, deg, worst in lies:
+                    worst.fold(lie.eval_columns(cols) / _scale(norms, deg), cols)
+        for region, (_, _, positivity), lies in checks:
+            report.warnings.extend(_survivor_warnings(region, positivity.samples))
+            report.records.append(positivity.record(cfg.tolerance))
+            report.records.extend(worst.record(cfg.tolerance) for *_, worst in lies)
 
         for bnd in sys.boundaries:
             pts, warns = sample_boundary(sys, bnd, cfg, rng)
             report.warnings.extend(warns)
             if pts.shape[0] == 0:
                 continue
-            norms = np.linalg.norm(pts, axis=1)
             cols = np.ascontiguousarray(pts.T)
+            norms = _norms(cols)
             Vi, Vj = lyapunov[bnd.i], lyapunov[bnd.j]
             deg = max(Vi.degree(), Vj.degree())
             viol = np.abs(Vi.eval_columns(cols) - Vj.eval_columns(cols)) \

@@ -217,6 +217,26 @@ def test_verify_malformed_lyapunov_file_is_input_error(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+@pytest.mark.parametrize("order", [("1", "01"), ("01", "1")])
+@pytest.mark.parametrize("command", [
+    ["verify", QUAD],
+    ["simulate", QUAD, "--x0", "1,1", "--t-end", "0.5", "--certificate"],
+], ids=["verify", "simulate"])
+def test_duplicate_region_keys_are_input_errors(tmp_path, capsys, command, order):
+    # "1" and "01" both name region 1: whichever came later used to replace
+    # the other, so swapping them changed verify's verdict
+    table = {"1": "-x1^2 - x2^2", "01": "x1^2 + x2^2"}
+    lyap = tmp_path / "dup.lyap"
+    lyap.write_text(json.dumps({"lyapunov": {
+        **{k: table[k] for k in order}, "2": "x1^2 + x2^2"}}))
+    assert run([*command, str(lyap)], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lyap}: entries {order[0]!r} and "
+                          f"{order[1]!r} both name region 1")
+    assert not list(tmp_path.glob("*.oracle.json"))
+    assert not list(tmp_path.glob("*.trajectory.tsv"))
+
+
 @pytest.mark.parametrize("pairs, lie_boundary", [([[2, 1]], 3), ([], 0)],
                          ids=["reversed-pair", "no-pairs"])
 def test_verify_accepts_declared_pairs(tmp_path, capsys, pairs, lie_boundary):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from swsos.oracle import (OracleConfig, sample_boundary, sample_region,
                           verify_certificate, vertex_convexity_check)
 from swsos.poly import parse_polynomial
 
-from oracle_corpus import digests
+from oracle_corpus import digest, digests, half_spaces_3d, quadrant_families
 
 
 def small_cfg(**kw):
@@ -301,3 +303,73 @@ PINNED_REPORT_DIGESTS = {
 
 def test_oracle_reports_are_pinned():
     assert digests() == PINNED_REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 64, 127, 128, 129, 200, 300, 517])
+def test_norms_match_linalg_norm_on_rows(n):
+    # numpy sums each row pairwise; a column sum rounds differently for
+    # n >= 8 on these points, so only the mirrored order gives the same bits
+    from swsos.oracle import _norms
+    rows = np.random.default_rng(n).uniform(-2.0, 2.0, size=(1000, n))
+    expected = np.linalg.norm(rows, axis=1)
+    got = _norms(np.ascontiguousarray(rows.T))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # every worst case is folded across chunk edges: first-max ties, and
+    # the first nan of the overflowing family, must land where one
+    # np.argmax over all candidates puts them
+    from swsos import oracle
+    quadrant, families = quadrant_families()
+    big = parse_polynomial("1e308*x1^6 + x2^2", 2)
+    runs = [families["published"], families["flip x1^6"],
+            {rid: big for rid in quadrant.regions}]
+    cfg = small_cfg()
+    # through json: the nan values of two reports never compare equal
+    expected = [json.dumps(verify_certificate(quadrant, f, cfg).to_dict())
+                for f in runs]
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    assert [json.dumps(verify_certificate(quadrant, f, cfg).to_dict())
+            for f in runs] == expected
+
+
+def test_candidate_chunks_concatenate_to_the_meshgrid(quadrant_system, monkeypatch):
+    from swsos import oracle
+    cfg = small_cfg(grid_per_dim=5, random_samples=11)
+    lo, hi = quadrant_system.box
+    monkeypatch.setattr(oracle, "CHUNK", 4)
+    rng = np.random.default_rng(3)
+    chunks = list(oracle._candidate_chunks((lo, hi), cfg, rng))
+    assert [c.shape[1] for c in chunks] == [4] * 6 + [1] + [4, 4, 3]
+    assert all(c.flags.c_contiguous for c in chunks)
+    axes = [np.linspace(lo[k], hi[k], 5) for k in range(2)]
+    grid = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    ref_rng = np.random.default_rng(3)
+    expected = np.vstack([grid, ref_rng.uniform(lo, hi, size=(11, 2))])
+    assert np.array_equal(np.concatenate(chunks, axis=1).T, expected)
+    assert rng.random() == ref_rng.random()
+
+
+# sha256 of the 3-D half-space report at the default OracleConfig, computed
+# with every candidate held at once: the streaming pass must reproduce it
+PINNED_3D_DIGEST = 'f8fee148381140be90c80466f5ddf96c37e349b0856bb1cf9ed6ae7a86ea0643'
+
+
+def test_3d_report_is_pinned():
+    assert digest(verify_certificate(*half_spaces_3d())) == PINNED_3D_DIGEST
+
+
+def test_3d_verify_memory_does_not_grow_with_the_grid():
+    # 101^3 grid points plus 100k random ones are 27 MB as one (3, m)
+    # array, so the bound holds only if no copy of them all is ever made
+    import tracemalloc
+    sys_, family = half_spaces_3d()
+    tracemalloc.start()
+    try:
+        verify_certificate(sys_, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
