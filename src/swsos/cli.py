@@ -9,6 +9,8 @@ Exit codes are the machine contract:
     simulate / attractivity / validate
                0 success, 1 input error (validate returns 1 when any check
                fails)
+A usage error (an unknown option, a missing or malformed argument) is an
+input error too: every command exits 1 on it, and -h exits 0.
 
 Every output file records the hash of the run manifest (command, inputs,
 config, seed) so reports can be traced back to the exact invocation.
@@ -220,11 +222,24 @@ def cmd_simulate(args) -> int:
     if args.certificate:
         certificate = load_lyapunov(args.certificate, sys_)
 
+    if args.theta is not None and args.theta_sweep is not None:
+        raise InputError("--theta and --theta-sweep cannot be given together")
     if args.theta_sweep:
         sweep = _parse_floats(args.theta_sweep, "--theta-sweep")
         if not all(0.0 <= v <= 1.0 for v in sweep):
             raise InputError(f"--theta-sweep {sweep} has a value outside [0, 1]")
-        thetas = [(f"theta{v:g}", _theta_table(sys_, v)) for v in sweep]
+        if not any(dyn.count == 2 for dyn in sys_.dynamics.values()):
+            raise InputError("--theta-sweep sets two-vertex regions, but no "
+                             "region has two vertices")
+        # one file per value: two values with one label would share it
+        labels = {}
+        for text, v in zip(args.theta_sweep.split(","), sweep):
+            label = f"theta{v:g}"
+            if label in labels:
+                raise InputError(f"--theta-sweep values {labels[label]!r} and "
+                                 f"{text!r} both write the file label {label}")
+            labels[label] = text
+        thetas = [(label, _theta_table(sys_, v)) for label, v in zip(labels, sweep)]
     elif args.theta:
         weights = _parse_floats(args.theta, "--theta")
         # field_at's own test, so an accepted theta is never refused later
@@ -322,8 +337,18 @@ def cmd_validate(args) -> int:
     return EXIT_INPUT if report.has_fail else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit EXIT_INPUT, not 2, which
+    certify reserves for "no certificate at the degree"; its subcommand
+    parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swsos",
         description="SOS certification and Filippov simulation for "
                     "polynomial switched systems")

@@ -13,7 +13,8 @@ the defining conditions
 The oracle refutes, it does not prove: the verdict vocabulary is
 "no-violation-found" / "violated-at(x)".  Strict inequalities are tested
 against a scaled tolerance on closed samples minus a small ball around the
-origin, since strictness cannot be sampled literally.
+origin, since strictness cannot be sampled literally.  Every sample lies
+in the system's box, the compact set the certificate is stated on.
 
 Points travel as columns: an (n, m) array with one contiguous row per
 variable, which `Polynomial.eval_columns` evaluates without a copy.  The
@@ -29,7 +30,6 @@ violation, and raises no floating-point warning.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,38 +39,21 @@ from .system import SwitchedSystem, SemiAlgebraicRegion, BoundaryVariety
 
 # Candidate points per chunk of verify_certificate's streaming pass
 CHUNK = 2 ** 14
+# Sampling sizes, read at call time
+GRID_PER_DIM = 101          # grid points per axis of the system box
+RANDOM_SAMPLES = 100_000    # uniform draws after the grid
+EXCLUSION_RADIUS = 1e-3     # the ball around the origin left out
+BOUNDARY_SAMPLES = 1000     # points sought on each boundary variety
 
 
 @dataclass
 class OracleConfig:
-    grid_per_dim: int = 101
-    random_samples: int = 100_000
-    exclusion_radius: float = 1e-3
-    tolerance: float = 1e-6
     seed: int = 0
-    boundary_samples: int = 1000
-    box: tuple = None         # (lo, hi) override; None = sample the system box
+    tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name in ("grid_per_dim", "random_samples", "boundary_samples"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"OracleConfig.{name} must be an integer")
-        for name in ("grid_per_dim", "random_samples", "exclusion_radius",
-                     "tolerance", "boundary_samples"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"OracleConfig.{name} must be positive and finite")
-        if self.box is not None:
-            try:
-                lo, hi = (np.asarray(b, dtype=float) for b in self.box)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"OracleConfig.box must be a pair (lo, hi): {exc}") from exc
-            if lo.ndim != 1 or lo.shape != hi.shape or not lo.size:
-                raise ValueError("OracleConfig.box must be two 1-D arrays of equal length")
-            # lo == hi is a face of the box: every draw takes that coordinate
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
-                raise ValueError("OracleConfig.box needs finite bounds with lo <= hi")
-            self.box = (lo, hi)
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("OracleConfig.tolerance must be positive and finite")
 
 
 @dataclass
@@ -136,28 +119,19 @@ class OracleReport:
 
 # -- samplers ---------------------------------------------------------------
 
-def _sampling_box(sys: SwitchedSystem, cfg: OracleConfig):
-    if cfg.box is None:
-        return sys.box
-    if len(cfg.box[0]) != sys.dimension:
-        raise ValueError(f"OracleConfig.box has {len(cfg.box[0])} coordinates, "
-                         f"the system {sys.dimension}")
-    return cfg.box
-
-
-def _candidate_chunks(box, cfg: OracleConfig, rng):
+def _candidate_chunks(box, rng):
     """Grid plus uniform random points covering the box, as contiguous
     columns (n, <= CHUNK): the grid in meshgrid "ij" order, then
-    random_samples uniform draws.
+    RANDOM_SAMPLES uniform draws.
 
-    Grid points come from their flat index, one base-grid_per_dim digit per
+    Grid points come from their flat index, one base-GRID_PER_DIM digit per
     axis.  The random chunks are consecutive (k, n) draws, which give the
-    values of one (random_samples, n) draw and leave the generator in its
+    values of one (RANDOM_SAMPLES, n) draw and leave the generator in its
     state.
     """
     lo, hi = box
     n = len(lo)
-    g = cfg.grid_per_dim
+    g, samples = GRID_PER_DIM, RANDOM_SAMPLES
     axes = [np.linspace(lo[k], hi[k], g) for k in range(n)]
     total = g ** n
     for start in range(0, total, CHUNK):
@@ -167,14 +141,14 @@ def _candidate_chunks(box, cfg: OracleConfig, rng):
             rest, digit = np.divmod(rest, g)
             axes[k].take(digit, out=cols[k])
         yield cols
-    for start in range(0, cfg.random_samples, CHUNK):
-        k = min(CHUNK, cfg.random_samples - start)
+    for start in range(0, samples, CHUNK):
+        k = min(CHUNK, samples - start)
         yield np.ascontiguousarray(rng.uniform(lo, hi, size=(k, n)).T)
 
 
-def _candidate_points(box, cfg: OracleConfig, rng) -> np.ndarray:
+def _candidate_points(box, rng) -> np.ndarray:
     """Every candidate of _candidate_chunks, as rows (m, n)."""
-    return np.concatenate(list(_candidate_chunks(box, cfg, rng)), axis=1).T.copy()
+    return np.concatenate(list(_candidate_chunks(box, rng)), axis=1).T.copy()
 
 
 def _pairwise_sum(terms):
@@ -217,8 +191,7 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
     origin is removed.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    pts = (points if points is not None
-           else _candidate_points(_sampling_box(sys, cfg), cfg, rng))
+    pts = points if points is not None else _candidate_points(sys.box, rng)
     cols = np.ascontiguousarray(pts.T)
     keep = _region_keep(region, cols, _norms(cols), cfg)
     return pts[keep], _survivor_warnings(region, int(keep.sum()))
@@ -227,7 +200,7 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
 def _region_keep(region: SemiAlgebraicRegion, cols, norms, cfg: OracleConfig):
     """Mask of the points of cols (n, m), given their norms, that
     sample_region keeps."""
-    keep = norms >= cfg.exclusion_radius
+    keep = norms >= EXCLUSION_RADIUS
     keep &= region.contains_many(cols, cfg.tolerance)
     return keep
 
@@ -260,12 +233,12 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
     (points, n) and the warnings.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    lo, hi = _sampling_box(sys, cfg)
+    lo, hi = sys.box
     n = len(lo)
     chi = boundary.chi.eval_columns
 
-    need = cfg.boundary_samples
-    allowed = 50 * cfg.boundary_samples
+    need = BOUNDARY_SAMPLES
+    allowed = 50 * need
     kept, kept_signs = [], []
     warns = []
     npts = misses = 0
@@ -306,7 +279,7 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
         b = np.where(same, b, m)
     out[:, idx] = 0.5 * (a + b)
 
-    pts = np.ascontiguousarray(out[:, _norms(out) >= cfg.exclusion_radius].T)
+    pts = np.ascontiguousarray(out[:, _norms(out) >= EXCLUSION_RADIUS].T)
     if pts.shape[0] == 0 and not warns:
         warns.append(f"boundary ({boundary.i},{boundary.j}): no boundary witness found")
     return pts, warns
@@ -385,7 +358,6 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     missing = [rid for rid in sys.regions if rid not in lyapunov]
     if missing:
         raise ValueError(f"no Lyapunov polynomial for regions {missing}")
-    box = _sampling_box(sys, cfg)
 
     # per region: positivity's (V, degree, worst case), then one
     # (Lie derivative, degree, worst case) per vertex
@@ -399,7 +371,7 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
         checks.append((region, positivity, lies))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in _candidate_chunks(box, cfg, rng):
+        for chunk in _candidate_chunks(sys.box, rng):
             chunk_norms = _norms(chunk)
             for region, (V, deg, worst), lies in checks:
                 idx = np.flatnonzero(_region_keep(region, chunk, chunk_norms, cfg))

@@ -55,6 +55,7 @@ SLIDING_BAND = 10.0          # sliding keeps |chi| <= SLIDING_BAND * EVENT_TOL
 CHATTER_CROSSINGS = 50       # crossings of one boundary ...
 CHATTER_WINDOW = 100         # ... within this many accepted steps
 CHATTER_MAX_HALVINGS = 3
+BALL_STOP = 1e-4             # |x| at which a run has converged
 
 
 @dataclass
@@ -62,7 +63,6 @@ class SimConfig:
     step: float = 1e-3
     t_end: float = 50.0
     theta: dict = None           # rid -> simplex weights; None = first vertex
-    ball_stop: float = 1e-4
 
     def __post_init__(self):
         if not all(v > 0 and np.isfinite(v) for v in (self.step, self.t_end)):
@@ -150,13 +150,11 @@ def _sign(v):
     return (v > 0.0) - (v < 0.0) if v == v else v
 
 
-def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
-                    h: float = 1.0):
-    """Earliest boundary sign change across a step, or None.
+def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float):
+    """Earliest boundary sign change across a step of h under field, or None.
 
     Returns (boundary, s, x_cross) with s the step fraction, localized by
-    bisection; the dense cubic (Hermite) interpolant is used when the
-    step's vector field is supplied, straight-line interpolation otherwise.
+    bisection on the dense cubic (Hermite) interpolant of the step.
     The bisection runs in plain floats on the term lists, with numpy's
     elementwise operations in the same order, so its values are those of
     the 2-vector form bit for bit.  Raises StratumStop when several
@@ -165,16 +163,13 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field=None,
     x0, x1 = [float(v) for v in x_prev], [float(v) for v in x_next]
     if not all(map(math.isfinite, x0 + x1)):
         raise ValueError("states must be finite")
-    if field is not None:
-        terms = _terms(field)
-        f0, f1 = _values(terms, x0), _values(terms, x1)
-        # the cubic through (x0, f0) and (x1, f1) over a step of h
-        cubic = [(2 * (u - v) + h * (fu + fv), -3 * (u - v) - h * (2 * fu + fv),
-                  h * fu, u) for u, v, fu, fv in zip(x0, x1, f0, f1)]
-        interp = lambda s: [((k3 * s + k2) * s + k1) * s + k0
-                            for k3, k2, k1, k0 in cubic]
-    else:
-        interp = lambda s: [u + s * (v - u) for u, v in zip(x0, x1)]
+    terms = _terms(field)
+    f0, f1 = _values(terms, x0), _values(terms, x1)
+    # the cubic through (x0, f0) and (x1, f1) over a step of h
+    cubic = [(2 * (u - v) + h * (fu + fv), -3 * (u - v) - h * (2 * fu + fv),
+              h * fu, u) for u, v, fu, fv in zip(x0, x1, f0, f1)]
+    interp = lambda s: [((k3 * s + k2) * s + k1) * s + k0
+                        for k3, k2, k1, k0 in cubic]
 
     hits = []
     for b in sys.boundaries:
@@ -217,13 +212,13 @@ class Tangency(RuntimeError):
     """Both fields are tangent to the boundary; sliding weight undefined."""
 
 
-def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None) -> float:
+def sliding_weight(sys: SwitchedSystem, pair, x) -> float:
     """Filippov convex weight alpha with F_s = alpha*F_i + (1-alpha)*F_j.
 
-    alpha = <n, F_j> / <n, F_j - F_i> with n the boundary normal at x;
-    the resulting F_s is tangent to {chi_ij = 0}.  A denominator under
-    1e-12 is a tangency; a vanishing normal is a singular boundary point.
-    A theta left as None takes the region's first vertex.
+    alpha = <n, F_j> / <n, F_j - F_i> with n the boundary normal at x and
+    each region's field at its first vertex; the resulting F_s is tangent
+    to {chi_ij = 0}.  A denominator under 1e-12 is a tangency; a vanishing
+    normal is a singular boundary point.
     """
     i, j = pair
     b = sys.boundary(i, j)
@@ -231,8 +226,7 @@ def sliding_weight(sys: SwitchedSystem, pair, x, theta_i=None, theta_j=None) -> 
     if len(x) != sys.dimension:
         raise ValueError(f"point has {len(x)} coordinates, expected {sys.dimension}")
     return _sliding_weight(b, pair, _terms(b.chi.gradient()),
-                           _terms(sys.field_at(i, theta_i)),
-                           _terms(sys.field_at(j, theta_j)), x)
+                           _terms(sys.field_at(i)), _terms(sys.field_at(j)), x)
 
 
 def _sliding_weight(b, pair, grad, fi, fj, x) -> float:
@@ -357,7 +351,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     t_stop = cfg.t_end - 1e-15
     while t < t_stop:
-        if math.sqrt(_dot(x, x)) <= cfg.ball_stop:
+        if math.sqrt(_dot(x, x)) <= BALL_STOP:
             return stop(t, x, "converged")
 
         if state == "decide":
@@ -434,7 +428,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             if t >= t_stop:
                 continue
             states, times, hs, code = _kernels.rk4_smooth_run(
-                kernel, x, t, cfg.t_end, h, cfg.ball_stop, box_lo, box_hi,
+                kernel, x, t, cfg.t_end, h, BALL_STOP, box_lo, box_hi,
                 EVENT_TOL)
             # the escaping or boundary-flagged state is not accepted
             end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
@@ -451,7 +445,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             x_prev, x_next = states[-2:].tolist()
             t_prev = times[-2]
             try:
-                hit = detect_crossing(sys, x_prev, x_next, field=F, h=hs)
+                hit = detect_crossing(sys, x_prev, x_next, F, hs)
             except StratumStop as exc:
                 return stop(t_prev, x_prev, "stratum_stop", str(exc))
             if hit is None:
@@ -490,7 +484,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         if state == "sliding":
             i, j = pair
             states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
-                sliding_kernel_of(pair), x, t, cfg.t_end, h, cfg.ball_stop,
+                sliding_kernel_of(pair), x, t, cfg.t_end, h, BALL_STOP,
                 box_lo, box_hi, EVENT_TOL, SLIDING_BAND * EVENT_TOL)
             add_segment(times, states, f"sliding:{i},{j}", i, alphas)
             step_counter += len(times)

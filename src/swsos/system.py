@@ -17,6 +17,7 @@ from .poly import Polynomial, PolyVector, parse_polynomial, parse_vector
 
 WITNESS_TOL = 1e-9
 SIMPLEX_TOL = 1e-12
+VALIDATE_SAMPLES = 100_000   # draws that look for a boundary zero without a witness
 
 
 class SystemFormatError(ValueError):
@@ -184,7 +185,7 @@ class SwitchedSystem:
         return bool(np.all(x >= lo) and np.all(x <= hi))
 
     # -- validation -----------------------------------------------------
-    def validate(self, rng=None, samples: int = 100000) -> ValidationReport:
+    def validate(self, rng=None) -> ValidationReport:
         rep = ValidationReport()
         rng = rng or np.random.default_rng(0)
         lo, hi = self.box
@@ -199,7 +200,7 @@ class SwitchedSystem:
                 w = b.witness
             else:
                 # no usable witness: sample for a sign change / near-zero
-                X = rng.uniform(lo, hi, size=(samples, self.dimension))
+                X = rng.uniform(lo, hi, size=(VALIDATE_SAMPLES, self.dimension))
                 vals = b.chi.eval_many(X)
                 if vals.min() < 0 < vals.max() or np.abs(vals).min() <= WITNESS_TOL:
                     rep.add(f"{name}.witness", "pass", "zero located by sampling")
@@ -207,7 +208,7 @@ class SwitchedSystem:
                     w = X[k]
                 else:
                     rep.add(f"{name}.witness", "warn",
-                            f"no boundary witness found among {samples} samples")
+                            f"no boundary witness found among {len(X)} samples")
                     w = None
             if w is not None:
                 tol = 1e-6

@@ -35,3 +35,13 @@ def opposing_system():
 @pytest.fixture(scope="session")
 def unstable_system():
     return load_system(SYSTEMS / "unstable-scalar.sys")
+
+
+@pytest.fixture
+def small_oracle(monkeypatch):
+    """Shrink the oracle's sampling sizes, for tests that need a sampled
+    check rather than the full one."""
+    from swsos import oracle
+    monkeypatch.setattr(oracle, "GRID_PER_DIM", 21)
+    monkeypatch.setattr(oracle, "RANDOM_SAMPLES", 2000)
+    monkeypatch.setattr(oracle, "BOUNDARY_SAMPLES", 100)

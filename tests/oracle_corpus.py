@@ -2,15 +2,16 @@
 
 The published family on quadrant-cubic.sys and two copies with the sign of
 one pure-power term flipped (x1^6 of piece 1, x2^4 of piece 2) at oracle
-seeds 0, 5 and 11; the published family with no attractive pairs; two
-OracleConfig variants (a small box whose x2 side is the single value 0,
-so every boundary draw is an exact zero, and boundary_samples=7); and
-x1^2 + x2^2 on opposing-fields.sys and aligned-fields.sys.  Each report
-is digested as the sha256 of json.dumps(report.to_dict()).
+seeds 0, 5 and 11; the published family with no attractive pairs; the
+published family on a copy of the system with a small box, whose x2 side
+is the single value 0, so every boundary draw is an exact zero; the
+published family with oracle.BOUNDARY_SAMPLES set to 7; and x1^2 + x2^2
+on opposing-fields.sys and aligned-fields.sys.  Each report is digested
+as the sha256 of json.dumps(report.to_dict()).
 
 Apart from those, `half_spaces_3d` is a 3-D system, two half-spaces split
 by x3 = 0 on the box [-2, 2]^3, with x1^2 + x2^2 + x3^2 as the family:
-at the default OracleConfig its grid alone is 101^3 points.  Its second
+at the default sampling sizes its grid alone is 101^3 points.  Its second
 vertex field rotates about the x3 axis, so its Lie derivative is 0 on the
 whole plane x3 = 0 and the worst case of lie_region is a tie of many
 points.
@@ -85,7 +86,10 @@ def half_spaces_3d():
 
 def digests() -> dict:
     """Run name -> sha256 hex digest of its report."""
+    from dataclasses import replace
+
     import numpy as np
+    from swsos import oracle
     from swsos.oracle import OracleConfig, verify_certificate
     from swsos.poly import parse_polynomial
     from swsos.system import load_system
@@ -103,10 +107,14 @@ def digests() -> dict:
                                             OracleConfig(seed=seed))
     out["published no pairs"] = run(quadrant, published, OracleConfig(),
                                     attractive_pairs=[])
-    box = tuple(np.array(side) for side in SMALL_BOX)
-    out["published small box"] = run(quadrant, published, OracleConfig(box=box))
-    out["published boundary_samples7"] = run(
-        quadrant, published, OracleConfig(boundary_samples=7))
+    small = replace(quadrant, box=tuple(np.array(side) for side in SMALL_BOX))
+    out["published small box"] = run(small, published, OracleConfig())
+    saved, oracle.BOUNDARY_SAMPLES = oracle.BOUNDARY_SAMPLES, 7
+    try:
+        out["published boundary_samples7"] = run(quadrant, published,
+                                                 OracleConfig())
+    finally:
+        oracle.BOUNDARY_SAMPLES = saved
     for stem in ("opposing-fields", "aligned-fields"):
         sys_ = load_system(SYSTEMS / f"{stem}.sys")
         family = {rid: parse_polynomial("x1^2 + x2^2", 2) for rid in sys_.regions}

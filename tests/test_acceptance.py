@@ -7,10 +7,12 @@ slower than the unit suites.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from swsos import sim
 from swsos.certify import CertificationConfig, certify
 from swsos.cli import _theta_table
 from swsos.oracle import OracleConfig, verify_certificate, vertex_convexity_check
@@ -44,9 +46,10 @@ def theta_sweep(quadrant_system, published_lyapunov):
 def test_criterion_1_published_certificate_validates(quadrant_system,
                                                      published_lyapunov):
     # the published pair was fitted on [-2,2]^2, so the oracle samples there
-    cfg = OracleConfig(box=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])))
+    fitted = replace(quadrant_system,
+                     box=(np.array([-2.0, -2.0]), np.array([2.0, 2.0])))
     t0 = time.perf_counter()
-    report = verify_certificate(quadrant_system, published_lyapunov, cfg)
+    report = verify_certificate(fitted, published_lyapunov, OracleConfig())
     elapsed = time.perf_counter() - t0
     ok = report.passed and elapsed < 30.0
     _report(1, ok, f"verdict {report.verdict}, {elapsed:.1f}s")
@@ -126,12 +129,13 @@ def test_criterion_5_sos_engine_properties():
                      f"{worst_b:.1e} / {worst_c:.1e}")
 
 
-def test_criterion_6_sliding_against_exact_solution(opposing_system):
+def test_criterion_6_sliding_against_exact_solution(opposing_system,
+                                                     monkeypatch):
     # fields (1,-1) above and (-1,1) below the x1-axis: the start (0, 0.5)
     # falls onto the axis at t = 0.5 with x1 = 0.5, then slides with the
     # zero convex combination, so x1(1) = 0.5 exactly
-    traj = simulate(opposing_system, (0.0, 0.5),
-                    SimConfig(t_end=1.0, ball_stop=1e-12))
+    monkeypatch.setattr(sim, "BALL_STOP", 1e-12)
+    traj = simulate(opposing_system, (0.0, 0.5), SimConfig(t_end=1.0))
     entry = [t for t, kind, _ in traj.events if kind == "sliding_entry"]
     alphas = [p.alpha for p in traj.points if p.alpha is not None]
     ok = (len(entry) == 1 and abs(entry[0] - 0.5) <= 1e-3

@@ -16,7 +16,7 @@ from swsos.certify import (ATTRACTIVE, CERTIFIED, NO_CERTIFICATE,
                            NOT_ATTRACTIVE, SUSPECT, Certificate,
                            CertificationConfig, build_feasibility, certify,
                            check_attractivity)
-from swsos.oracle import OracleConfig, OracleReport
+from swsos.oracle import OracleReport
 from swsos.poly import lie_derivative
 from swsos.system import load_system, parse_system
 
@@ -32,10 +32,6 @@ def _scalar_system(field_expr):
     })
 
 
-FAST_ORACLE = OracleConfig(grid_per_dim=21, random_samples=2000,
-                           boundary_samples=100)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         CertificationConfig(lyapunov_degree=3)
@@ -46,10 +42,9 @@ def test_config_validation():
         "lyapunov_degree", "use_attractivity_filter"]
 
 
-def test_certify_stable_scalar_degree2():
+def test_certify_stable_scalar_degree2(small_oracle):
     cert = certify(_scalar_system("-x1"),
-                   CertificationConfig(lyapunov_degree=2),
-                   oracle_cfg=FAST_ORACLE)
+                   CertificationConfig(lyapunov_degree=2))
     assert cert.status == CERTIFIED
     assert cert.certified
     V = cert.lyapunov[1]
@@ -61,9 +56,9 @@ def test_certify_stable_scalar_degree2():
 
 
 @pytest.mark.parametrize("degree", [2, 4, 6])
-def test_certify_unstable_scalar_no_certificate(unstable_system, degree):
-    cert = certify(unstable_system, CertificationConfig(lyapunov_degree=degree),
-                   oracle_cfg=FAST_ORACLE)
+def test_certify_unstable_scalar_no_certificate(unstable_system, small_oracle,
+                                                degree):
+    cert = certify(unstable_system, CertificationConfig(lyapunov_degree=degree))
     assert cert.status == NO_CERTIFICATE
     assert not cert.certified
     assert str(degree) in cert.detail
@@ -73,8 +68,7 @@ def test_solver_failure_is_suspect(monkeypatch):
     certify_module = import_module("swsos.certify")   # the attribute is the function
     monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
         status=NUMERICAL_ERROR, solver_status="native:stalled:7"))
-    cert = certify(_scalar_system("-x1"), CertificationConfig(lyapunov_degree=2),
-                   oracle_cfg=FAST_ORACLE)
+    cert = certify(_scalar_system("-x1"), CertificationConfig(lyapunov_degree=2))
     assert cert.status == SUSPECT
     assert cert.detail == "solver failure: native:stalled:7"
     assert cert.lyapunov == {} and cert.oracle_report is None
@@ -150,10 +144,10 @@ def test_build_feasibility_filtered_cross_pairs(quadrant_system):
     assert not any(c.cid.startswith("cross") for c in plan["constraints"])
 
 
-def test_gluing_identity_holds_for_quadrant_certificate(quadrant_system):
+def test_gluing_identity_holds_for_quadrant_certificate(quadrant_system,
+                                                        small_oracle):
     # degree-4 joint solve is quick enough for the unit suite
-    cert = certify(quadrant_system, CertificationConfig(lyapunov_degree=4),
-                   oracle_cfg=FAST_ORACLE)
+    cert = certify(quadrant_system, CertificationConfig(lyapunov_degree=4))
     assert cert.status == CERTIFIED
     assert max(cert.glue_residuals.values()) <= 1e-7
     b = quadrant_system.boundary(1, 2)
@@ -162,9 +156,8 @@ def test_gluing_identity_holds_for_quadrant_certificate(quadrant_system):
     assert abs(v1 - v2) < 1e-9
 
 
-def test_certificate_to_dict_round_trip_keys(quadrant_system):
-    cert = certify(quadrant_system, CertificationConfig(lyapunov_degree=4),
-                   oracle_cfg=FAST_ORACLE)
+def test_certificate_to_dict_round_trip_keys(quadrant_system, small_oracle):
+    cert = certify(quadrant_system, CertificationConfig(lyapunov_degree=4))
     doc = cert.to_dict()
     for key in ("status", "lyapunov", "lyapunov_full", "gluing",
                 "glue_residuals", "sos_evidence", "oracle_report"):

@@ -10,6 +10,7 @@ from swsos.cli import main
 
 QUAD = "systems/quadrant-cubic.sys"
 PUBLISHED_V = "systems/quadrant-cubic-V-stripped.lyap"
+OPPOSING = "systems/opposing-fields.sys"
 
 
 def run(args, tmp_path):
@@ -139,6 +140,23 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     head = files[0].read_text().splitlines()
     assert head[0].startswith("# manifest ")
     assert "psi" in head[1].split("\t")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", QUAD, "--x0", "1,1", "--theta", "1,0",
+      "--theta-sweep", "0.5"],
+     "--theta and --theta-sweep cannot be given together"),
+    (["simulate", QUAD, "--x0", "1,1", "--theta-sweep", "0,0.5,0.50"],
+     "--theta-sweep values '0.5' and '0.50' both write the file label theta0.5"),
+    (["simulate", OPPOSING, "--x0", "0.3,0.5", "--theta-sweep", "0,1"],
+     "no region has two vertices"),
+], ids=["theta-and-sweep", "sweep-shared-label", "sweep-no-two-vertex-region"])
+def test_simulate_theta_flag_misuse_is_input_error(tmp_path, capsys, args,
+                                                   message):
+    assert run(args, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())     # nothing was written
 
 
 @pytest.mark.parametrize("args", [
@@ -346,5 +364,25 @@ def test_main_reuses_its_parser_across_calls(tmp_path, capsys):
         assert capsys.readouterr().out == ref.stdout
     with pytest.raises(SystemExit) as exc:
         main(calls[2])
-    assert exc.value.code == fresh[2].returncode == 2
+    assert exc.value.code == fresh[2].returncode == 1
     assert capsys.readouterr().err == fresh[2].stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", QUAD, "--degree", "abc"],
+    ["certify"],
+    ["frobnicate"],
+], ids=["degree-abc", "no-system", "unknown-command"])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 is certify's "no certificate at the degree", not a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: swsos certify")

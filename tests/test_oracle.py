@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from swsos import oracle
 from swsos.oracle import (OracleConfig, sample_boundary, sample_region,
                           verify_certificate, vertex_convexity_check)
 from swsos.poly import parse_polynomial
@@ -10,54 +12,14 @@ from swsos.poly import parse_polynomial
 from oracle_corpus import digest, digests, half_spaces_3d, quadrant_families
 
 
-def small_cfg(**kw):
-    defaults = dict(grid_per_dim=21, random_samples=2000, boundary_samples=100)
-    defaults.update(kw)
-    return OracleConfig(**defaults)
-
-
 def test_config_rejects_nonpositive_fields():
     with pytest.raises(ValueError):
         OracleConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(random_samples=-1)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="positive and finite"):
             OracleConfig(tolerance=bad)
-        with pytest.raises(ValueError, match="positive and finite"):
-            OracleConfig(exclusion_radius=bad)
-
-
-@pytest.mark.parametrize("field, bad", [
-    ("grid_per_dim", 2.5), ("random_samples", True), ("boundary_samples", 0.5),
-    ("grid_per_dim", np.float64(3.0)), ("boundary_samples", False),
-])
-def test_config_rejects_non_integer_counts(field, bad):
-    with pytest.raises(ValueError, match="must be an integer"):
-        OracleConfig(**{field: bad})
-    assert OracleConfig(**{field: np.int64(3)})
-
-
-@pytest.mark.parametrize("box", [
-    (np.array([1.0, -1.0]), np.array([-1.0, 1.0])),    # lo > hi
-    (np.array([-1.0, np.nan]), np.array([1.0, 1.0])),  # nan bound
-    (np.array([-1.0, -1.0]), np.array([1.0, np.inf])),  # infinite bound
-    (np.array([-1.0, -1.0]), np.array([1.0])),          # unequal lengths
-    (np.array([[-1.0]]), np.array([[1.0]])),            # not 1-D
-    (np.array([-1.0]),),                                # not a pair
-    (["a"], ["b"]),                                     # not numbers
-])
-def test_config_rejects_bad_box(box):
-    with pytest.raises(ValueError, match=r"OracleConfig\.box"):
-        OracleConfig(box=box)
-
-
-def test_box_must_match_the_system_dimension(quadrant_system):
-    # a 1-D box on the 2-D system used to fail deep inside the sampler
-    cfg = small_cfg(box=(np.array([-1.0]), np.array([1.0])))
-    with pytest.raises(ValueError, match=r"OracleConfig\.box has 1 coordinates"):
-        verify_certificate(quadrant_system, {1: parse_polynomial("x1^2", 2),
-                                             2: parse_polynomial("x1^2", 2)}, cfg)
+    # the sampling sizes are module constants, and the box is the system's
+    assert [f.name for f in fields(OracleConfig)] == ["seed", "tolerance"]
 
 
 def test_nan_ranks_as_the_worst_violation():
@@ -72,66 +34,69 @@ def test_nan_ranks_as_the_worst_violation():
     assert np.isnan(report.worst())
 
 
-def test_sample_region_respects_quadrant_sign(quadrant_system):
+def test_sample_region_respects_quadrant_sign(quadrant_system, small_oracle):
     pts, warns = sample_region(quadrant_system, quadrant_system.regions[1],
-                               small_cfg())
+                               OracleConfig())
     assert not warns
     assert len(pts) >= 100
     # region 1 is x1*x2 >= 0: products may only dip below zero by the tol
     assert (pts[:, 0] * pts[:, 1]).min() >= -1e-6
 
 
-def test_sample_region_excludes_origin_ball(quadrant_system):
-    cfg = small_cfg(exclusion_radius=0.5)
-    pts, _ = sample_region(quadrant_system, quadrant_system.regions[2], cfg)
+def test_sample_region_excludes_origin_ball(quadrant_system, small_oracle,
+                                            monkeypatch):
+    monkeypatch.setattr(oracle, "EXCLUSION_RADIUS", 0.5)
+    pts, _ = sample_region(quadrant_system, quadrant_system.regions[2],
+                           OracleConfig())
     assert np.linalg.norm(pts, axis=1).min() >= 0.5
 
 
-def test_sample_region_zero_survivors_warns(quadrant_system):
+def test_sample_region_zero_survivors_warns(quadrant_system, small_oracle):
     from swsos.system import SemiAlgebraicRegion
     # chi = x1^2 + x2^2 vanishes only at the origin, inside the exclusion ball
     degenerate = SemiAlgebraicRegion(
         rid=9, chi=parse_polynomial("x1^2 + x2^2", 2), xi=[],
         witness=np.zeros(2))
-    pts, warns = sample_region(quadrant_system, degenerate, small_cfg())
+    pts, warns = sample_region(quadrant_system, degenerate, OracleConfig())
     assert pts.shape[0] == 0
     assert warns
 
 
-def test_sample_boundary_finds_axes(quadrant_system):
+def test_sample_boundary_finds_axes(quadrant_system, small_oracle):
     bnd = quadrant_system.boundary(1, 2)
-    pts, warns = sample_boundary(quadrant_system, bnd, small_cfg())
+    pts, warns = sample_boundary(quadrant_system, bnd, OracleConfig())
     assert not warns
     assert len(pts) > 0
     chi_vals = np.abs(bnd.chi.eval_many(pts))
     assert chi_vals.max() < 1e-9
 
 
-def test_sample_boundary_warns_without_zeros(quadrant_system):
+def test_sample_boundary_warns_without_zeros(quadrant_system, small_oracle):
     from swsos.system import BoundaryVariety
     bnd = BoundaryVariety(i=1, j=2, chi=parse_polynomial("x1^2 + 1", 2))
-    pts, warns = sample_boundary(quadrant_system, bnd, small_cfg())
+    pts, warns = sample_boundary(quadrant_system, bnd, OracleConfig())
     assert warns
 
 
-def test_box_override_narrows_sampling(quadrant_system):
+def test_box_override_narrows_sampling(quadrant_system, small_oracle):
+    # the oracle samples the system's box: a narrower copy narrows it
     box = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    pts, _ = sample_region(quadrant_system, quadrant_system.regions[1],
-                           small_cfg(box=box))
+    narrow = replace(quadrant_system, box=box)
+    pts, _ = sample_region(narrow, narrow.regions[1], OracleConfig())
     assert np.abs(pts).max() <= 1.0
 
 
-def test_verify_accepts_published_family(quadrant_system, published_lyapunov):
+def test_verify_accepts_published_family(quadrant_system, published_lyapunov, small_oracle):
     report = verify_certificate(quadrant_system, published_lyapunov,
-                                small_cfg(), attractive_pairs=[])
+                                OracleConfig(), attractive_pairs=[])
     assert report.passed
     assert report.verdict == "no-violation-found"
 
 
-def test_verify_refutes_negative_definite_candidate(quadrant_system):
+def test_verify_refutes_negative_definite_candidate(quadrant_system, small_oracle):
     bad = {rid: parse_polynomial("-x1^2 - x2^2", 2)
            for rid in quadrant_system.regions}
-    report = verify_certificate(quadrant_system, bad, small_cfg())
+    report = verify_certificate(quadrant_system, bad, OracleConfig())
     assert not report.passed
     assert report.verdict.startswith("violated-at(")
     assert any(r.condition == "positivity" and not r.passed
@@ -139,28 +104,28 @@ def test_verify_refutes_negative_definite_candidate(quadrant_system):
 
 
 def test_verify_refutes_discontinuous_family(quadrant_system,
-                                             published_lyapunov):
+                                             published_lyapunov, small_oracle):
     broken = dict(published_lyapunov)
     broken[2] = broken[2] + 1.0  # constant offset breaks gluing
-    report = verify_certificate(quadrant_system, broken, small_cfg())
+    report = verify_certificate(quadrant_system, broken, OracleConfig())
     assert any(r.condition == "continuity" and not r.passed
                for r in report.records)
 
 
 def test_attractive_pairs_restrict_boundary_conditions(
-        quadrant_system, published_lyapunov):
+        quadrant_system, published_lyapunov, small_oracle):
     full = verify_certificate(quadrant_system, published_lyapunov,
-                              small_cfg(), attractive_pairs=None)
+                              OracleConfig(), attractive_pairs=None)
     none = verify_certificate(quadrant_system, published_lyapunov,
-                              small_cfg(), attractive_pairs=[])
+                              OracleConfig(), attractive_pairs=[])
     n_full = sum(1 for r in full.records if r.condition == "lie_boundary")
     n_none = sum(1 for r in none.records if r.condition == "lie_boundary")
     assert n_full > 0 and n_none == 0
 
 
-def test_report_serializes(quadrant_system, published_lyapunov):
+def test_report_serializes(quadrant_system, published_lyapunov, small_oracle):
     report = verify_certificate(quadrant_system, published_lyapunov,
-                                small_cfg(), attractive_pairs=[])
+                                OracleConfig(), attractive_pairs=[])
     doc = report.to_dict()
     assert doc["verdict"] == "no-violation-found"
     assert all("worst_violation" in r for r in doc["conditions"])
@@ -173,23 +138,24 @@ def test_vertex_convexity_defect_is_rounding_level(quadrant_system,
     assert defect < 1e-10
 
 
-def test_deterministic_given_seed(quadrant_system, published_lyapunov):
+def test_deterministic_given_seed(quadrant_system, published_lyapunov, small_oracle):
     a = verify_certificate(quadrant_system, published_lyapunov,
-                           small_cfg(seed=7), attractive_pairs=[])
+                           OracleConfig(seed=7), attractive_pairs=[])
     b = verify_certificate(quadrant_system, published_lyapunov,
-                           small_cfg(seed=7), attractive_pairs=[])
+                           OracleConfig(seed=7), attractive_pairs=[])
     assert a.to_dict() == b.to_dict()
 
 
-def _sample_boundary_one_at_a_time(box, boundary, cfg, rng):
+def _sample_boundary_one_at_a_time(box, boundary, rng):
     """The segment-at-a-time sampler that sample_boundary must reproduce."""
+    need = oracle.BOUNDARY_SAMPLES
     lo, hi = box
     n = len(lo)
     chi = boundary.chi
     pts = []
     warns = []
     misses = 0
-    while len(pts) < cfg.boundary_samples:
+    while len(pts) < need:
         a = rng.uniform(lo, hi, size=n)
         b = rng.uniform(lo, hi, size=n)
         fa, fb = chi(a), chi(b)
@@ -198,7 +164,7 @@ def _sample_boundary_one_at_a_time(box, boundary, cfg, rng):
             continue
         if np.sign(fa) == np.sign(fb):
             misses += 1
-            if misses >= 50 * cfg.boundary_samples:
+            if misses >= 50 * need:
                 warns.append(
                     f"boundary ({boundary.i},{boundary.j}): no sign straddle "
                     f"after {misses} segment draws; {len(pts)} points found")
@@ -216,7 +182,7 @@ def _sample_boundary_one_at_a_time(box, boundary, cfg, rng):
         pts.append(0.5 * (a + b))
     pts = np.asarray(pts).reshape(-1, n)
     if pts.shape[0]:
-        pts = pts[np.linalg.norm(pts, axis=1) >= cfg.exclusion_radius]
+        pts = pts[np.linalg.norm(pts, axis=1) >= oracle.EXCLUSION_RADIUS]
     if pts.shape[0] == 0 and not warns:
         warns.append(f"boundary ({boundary.i},{boundary.j}): no boundary witness found")
     return pts, warns
@@ -225,26 +191,26 @@ def _sample_boundary_one_at_a_time(box, boundary, cfg, rng):
 _X2_ZERO_BOX = (np.array([-2.0, 0.0]), np.array([2.0, 0.0]))
 
 
-@pytest.mark.parametrize("chi, cfg_kw", [
-    *[("x1*x2", dict(seed=s)) for s in range(5)],
-    ("x1^2 + 1", dict(boundary_samples=100)),            # never straddles
-    ("100000000*x1 - 10000000", dict()),                 # 200-step cap
-    ("x1*x2", dict(box=_X2_ZERO_BOX)),                   # chi(a) == 0 exactly
-    ("x1^2 - 15.21", dict()),                            # rare hits, many rounds
-    ("x1^2 - 15.9", dict()),                             # misses run out mid-round
-    ("1e60*x1", dict()),                                 # still bisecting at the cap
+@pytest.mark.parametrize("chi, seed, box", [
+    *[("x1*x2", s, None) for s in range(5)],
+    ("x1^2 + 1", 0, None),                       # never straddles
+    ("100000000*x1 - 10000000", 0, None),        # 200-step cap
+    ("x1*x2", 0, _X2_ZERO_BOX),                  # chi(a) == 0 exactly
+    ("x1^2 - 15.21", 0, None),                   # rare hits, many rounds
+    ("x1^2 - 15.9", 0, None),                    # misses run out mid-round
+    ("1e60*x1", 0, None),                        # still bisecting at the cap
 ], ids=["xy-seed0", "xy-seed1", "xy-seed2", "xy-seed3", "xy-seed4",
         "no-straddle", "step-cap", "exact-zeros", "rare-hits",
         "misses-run-out", "cap-binds"])
-def test_sample_boundary_matches_one_at_a_time(quadrant_system, chi, cfg_kw):
+def test_sample_boundary_matches_one_at_a_time(quadrant_system, small_oracle,
+                                               chi, seed, box):
     from swsos.system import BoundaryVariety
     bnd = BoundaryVariety(i=1, j=2, chi=parse_polynomial(chi, 2))
-    cfg = small_cfg(**cfg_kw)
-    box = cfg.box if cfg.box is not None else quadrant_system.box
-    rng_ref = np.random.default_rng(cfg.seed)
-    rng_new = np.random.default_rng(cfg.seed)
-    ref_pts, ref_warns = _sample_boundary_one_at_a_time(box, bnd, cfg, rng_ref)
-    pts, warns = sample_boundary(quadrant_system, bnd, cfg, rng_new)
+    sys_ = quadrant_system if box is None else replace(quadrant_system, box=box)
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    ref_pts, ref_warns = _sample_boundary_one_at_a_time(sys_.box, bnd, rng_ref)
+    pts, warns = sample_boundary(sys_, bnd, OracleConfig(seed=seed), rng_new)
     assert np.array_equal(pts, ref_pts)
     assert warns == ref_warns
     assert rng_new.random() == rng_ref.random()
@@ -263,7 +229,7 @@ def test_region_records_match_sample_region(quadrant_system, published_lyapunov,
     report = verify_certificate(quadrant_system, family, cfg)
 
     rng = np.random.default_rng(seed)
-    shared = _candidate_points(quadrant_system.box, cfg, rng)
+    shared = _candidate_points(quadrant_system.box, rng)
     expected, warnings = [], []
     for rid, region in sorted(quadrant_system.regions.items()):
         pts, warns = sample_region(quadrant_system, region, cfg, rng, points=shared)
@@ -317,16 +283,15 @@ def test_norms_match_linalg_norm_on_rows(n):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, small_oracle, chunk):
     # every worst case is folded across chunk edges: first-max ties, and
     # the first nan of the overflowing family, must land where one
     # np.argmax over all candidates puts them
-    from swsos import oracle
     quadrant, families = quadrant_families()
     big = parse_polynomial("1e308*x1^6 + x2^2", 2)
     runs = [families["published"], families["flip x1^6"],
             {rid: big for rid in quadrant.regions}]
-    cfg = small_cfg()
+    cfg = OracleConfig()
     # through json: the nan values of two reports never compare equal
     expected = [json.dumps(verify_certificate(quadrant, f, cfg).to_dict())
                 for f in runs]
@@ -336,12 +301,12 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
 
 
 def test_candidate_chunks_concatenate_to_the_meshgrid(quadrant_system, monkeypatch):
-    from swsos import oracle
-    cfg = small_cfg(grid_per_dim=5, random_samples=11)
     lo, hi = quadrant_system.box
+    monkeypatch.setattr(oracle, "GRID_PER_DIM", 5)
+    monkeypatch.setattr(oracle, "RANDOM_SAMPLES", 11)
     monkeypatch.setattr(oracle, "CHUNK", 4)
     rng = np.random.default_rng(3)
-    chunks = list(oracle._candidate_chunks((lo, hi), cfg, rng))
+    chunks = list(oracle._candidate_chunks((lo, hi), rng))
     assert [c.shape[1] for c in chunks] == [4] * 6 + [1] + [4, 4, 3]
     assert all(c.flags.c_contiguous for c in chunks)
     axes = [np.linspace(lo[k], hi[k], 5) for k in range(2)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swsos import _kernels, sim
-from swsos.poly import parse_polynomial
+from swsos.poly import parse_polynomial, parse_vector
 from swsos.sim import (SimConfig, StratumStop, Tangency, Trajectory,
                        detect_crossing, simulate, sliding_weight,
                        write_trajectory)
@@ -40,8 +40,8 @@ def test_config_validation():
         SimConfig(step=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_end=-1.0)
-    # the event tolerance is the constant sim.EVENT_TOL
-    assert [f.name for f in fields(SimConfig)] == ["step", "t_end", "theta", "ball_stop"]
+    # the event tolerance and the ball stop are sim.EVENT_TOL and sim.BALL_STOP
+    assert [f.name for f in fields(SimConfig)] == ["step", "t_end", "theta"]
 
 
 def test_step_smooth_rk4_accuracy():
@@ -61,9 +61,15 @@ def test_step_smooth_zero_field_fixed_point():
     assert traj.final_state[0] == 0.3
 
 
+def _constant_field(*values):
+    return parse_vector([repr(v) for v in values], len(values))
+
+
 def test_detect_crossing_linear(opposing_system):
-    # straight-line interpolation: chi = x2 crosses at s = 0.5
-    hit = detect_crossing(opposing_system, (0.0, 0.1), (0.0, -0.1))
+    # a constant field makes the Hermite cubic the straight line of the
+    # step: chi = x2 crosses at s = 0.5
+    hit = detect_crossing(opposing_system, (0.0, 0.1), (0.0, -0.1),
+                          _constant_field(0.0, -0.2), 1.0)
     assert hit is not None
     b, s, xc = hit
     assert b.pair == (1, 2)
@@ -77,16 +83,12 @@ def _ref_hermite(x0, f0, x1, f1, h, s):
     return ((a * s + b) * s + h * f0) * s + x0
 
 
-def _ref_detect_crossing(sys, x_prev, x_next, field=None, event_tol=1e-9,
-                         h=1.0):
+def _ref_detect_crossing(sys, x_prev, x_next, field, h, event_tol=1e-9):
     # the numpy 2-vector bisection detect_crossing replaced
     x_prev = np.asarray(x_prev, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
-    if field is not None:
-        f0, f1 = field(x_prev), field(x_next)
-        interp = lambda s: _ref_hermite(x_prev, f0, x_next, f1, h, s)
-    else:
-        interp = lambda s: x_prev + s * (x_next - x_prev)
+    f0, f1 = field(x_prev), field(x_next)
+    interp = lambda s: _ref_hermite(x_prev, f0, x_next, f1, h, s)
     hits = []
     for b in sys.boundaries:
         c0, c1 = b.chi(x_prev), b.chi(x_next)
@@ -125,8 +127,7 @@ def _assert_same_crossing(got, ref):
 
 
 def test_detect_crossing_matches_numpy_reference(quadrant_system, monkeypatch):
-    # every step the chattering run from (0.3, -2) at theta = 1 localizes,
-    # on the Hermite interpolant it uses and on the straight line
+    # every step the chattering run from (0.3, -2) at theta = 1 localizes
     from swsos.cli import _theta_table
     steps = []
     detect = sim.detect_crossing
@@ -142,12 +143,10 @@ def test_detect_crossing_matches_numpy_reference(quadrant_system, monkeypatch):
     assert len(steps) > 400
     hits = 0
     for args, kwargs in steps:
-        linear = dict(kwargs, field=None)
-        for kw in (kwargs, linear):
-            ref = _ref_detect_crossing(*args, **kw)
-            _assert_same_crossing(detect_crossing(*args, **kw), ref)
-            hits += ref is not None
-    assert hits > 700
+        ref = _ref_detect_crossing(*args, **kwargs)
+        _assert_same_crossing(detect_crossing(*args, **kwargs), ref)
+        hits += ref is not None
+    assert hits > 400
 
 
 @pytest.mark.parametrize("x_prev, x_next", [((0.0, -1.0), (0.0, 1.0)),
@@ -175,18 +174,20 @@ def test_detect_crossing_nan_chi_mid_step(x_prev, x_next):
     mid = _ref_hermite(np.array(x_prev), F(x_prev), np.array(x_next),
                        F(x_next), 1.0, 0.5)
     assert np.isnan(b.chi(mid))
-    ref = _ref_detect_crossing(sys_, x_prev, x_next, field=F)
+    ref = _ref_detect_crossing(sys_, x_prev, x_next, F, 1.0)
     assert ref[1] == 2.0 ** -201
-    _assert_same_crossing(detect_crossing(sys_, x_prev, x_next, field=F), ref)
+    _assert_same_crossing(detect_crossing(sys_, x_prev, x_next, F, 1.0), ref)
 
 
 def test_detect_crossing_none_without_sign_change(opposing_system):
-    assert detect_crossing(opposing_system, (0.0, 0.2), (0.0, 0.1)) is None
+    assert detect_crossing(opposing_system, (0.0, 0.2), (0.0, 0.1),
+                           _constant_field(0.0, -0.1), 1.0) is None
 
 
 def test_detect_crossing_rejects_nonfinite(opposing_system):
     with pytest.raises(ValueError):
-        detect_crossing(opposing_system, (0.0, np.nan), (0.0, -0.1))
+        detect_crossing(opposing_system, (0.0, np.nan), (0.0, -0.1),
+                        _constant_field(0.0, -0.2), 1.0)
 
 
 def test_sliding_weight_reference_values(opposing_system):
@@ -236,7 +237,7 @@ def test_sliding_weight_tangency():
 
 
 def test_simulate_scalar_convergence_time():
-    # converged event at t ~= ln(1/ball_stop) = ln(1e4) ~= 9.21, within 1%
+    # converged event at t ~= ln(1/BALL_STOP) = ln(1e4) ~= 9.21, within 1%
     traj = simulate(_scalar_decay(), (1.0,), SimConfig(step=1e-3))
     assert traj.converged()
     t_conv = [t for t, kind, _ in traj.events if kind == "converged"][0]
@@ -370,7 +371,7 @@ def test_chattering_run_pins_event_counts(quadrant_system):
                for _, kind, detail in traj.events)
 
 
-def test_stratum_stop_at_higher_codimension():
+def test_stratum_stop_at_higher_codimension(monkeypatch):
     # three regions meeting at a point with no pairwise selection rule
     sys_ = parse_system({
         "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
@@ -388,8 +389,8 @@ def test_stratum_stop_at_higher_codimension():
                      "3": [["-x1", "-x2"]]},
         "origin_regions": [],
     })
-    traj = simulate(sys_, (0.0, 0.0 + 1e-12), SimConfig(step=1e-3, t_end=1.0,
-                                                        ball_stop=1e-15))
+    monkeypatch.setattr(sim, "BALL_STOP", 1e-15)
+    traj = simulate(sys_, (0.0, 0.0 + 1e-12), SimConfig(step=1e-3, t_end=1.0))
     assert "stratum_stop" in traj.event_kinds()
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from swsos import system
 from swsos.system import (SystemFormatError, load_system, parse_system,
                           system_to_dict)
 
@@ -143,13 +144,14 @@ def test_validate_passes_on_shipped_system(quadrant_system):
     assert report.caveats  # sampling-only caveat always present
 
 
-def test_validate_warns_when_boundary_has_no_zero():
+def test_validate_warns_when_boundary_has_no_zero(monkeypatch):
     doc = _minimal_doc()
     doc["regions"].append({"id": 2, "chi": "0", "xi": [], "witness": [0.0]})
     doc["dynamics"]["2"] = [["-x1"]]
     # chi = x1^2 + 1 has no real zero in the box
     doc["boundaries"] = [{"i": 1, "j": 2, "chi_ij": "x1^2 + 1"}]
-    report = parse_system(doc).validate(samples=2000)
+    monkeypatch.setattr(system, "VALIDATE_SAMPLES", 2000)
+    report = parse_system(doc).validate()
     assert report.has_warn
     assert any("witness" in name and status == "warn"
                for name, status, _ in report.checks)
