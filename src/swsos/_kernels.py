@@ -204,8 +204,9 @@ def smooth_kernel(fields, chis):
     fields: one term list per component of F; chis: one term list per
     boundary variety.  The kernel is
     kernel(x, t, t_end, h, ball_stop, lo, hi, band) -> (flat, times, hs,
-    code), with x, lo and hi lists of floats and flat the accepted states
-    row after row; see rk4_smooth_run for the rules.  Its code is compiled
+    code), with x, lo and hi lists of floats, band the |chi| under which a
+    boundary has no side at the start, and flat the accepted states row
+    after row; see rk4_smooth_run for the rules.  Its code is compiled
     once per exponent structure of fields and chis.
     """
     return _bind(_smooth_lines, len(fields), (*fields, *chis))
@@ -247,10 +248,15 @@ def _smooth_lines(n, shape, first):
                  f"    return flat, times, hs, {STOP_ESCAPED}"]
     for b, (chi, c) in enumerate(chis):
         step += [f"q = {_expr(chi, 'y', c)}",
-                 f"if q * p{b} < 0.0 or abs(q) <= band:",
+                 f"if q * p{b} < 0.0 or q == 0.0 != p{b}:",
                  f"    return flat, times, hs, {STOP_BOUNDARY}",
                  f"p{b} = q"]
     step += [f"[{X}] = [{Y}]"]
+    # a boundary within `band` of the start has no side yet: sign 0
+    start = []
+    for b, (chi, c) in enumerate(chis):
+        start += [f"q = {_expr(chi, 'x', c)}",
+                  f"p{b} = 0.0 if abs(q) <= band else q"]
     return [
         f"def kernel(x, t, t_end, h, ball_stop, lo, hi, band{_params(shape)}):",
         f"    [{X}] = x",
@@ -263,7 +269,7 @@ def _smooth_lines(n, shape, first):
         "    h6 = h / 6.0",
         f"    flat = [{X}]",
         "    times = [t]",
-        *(f"    p{b} = {_expr(chi, 'x', c)}" for b, (chi, c) in enumerate(chis)),
+        *_indent(start, 1),
         *_indent(hoisted, 1),
         "    t_stop = t_end - 1e-15",
         "    while t < t_stop:",
@@ -279,12 +285,14 @@ def rk4_smooth_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi, band):
     Step k ends at t0 + k*h, or, if that is past t_end, takes hs = t_end -
     t and ends at t + hs.  Each step starts with |x| <= ball_stop
     (STOP_CONVERGED); the new state is accepted, and a non-finite or
-    out-of-box one is STOP_ESCAPED; a boundary whose chi changed sign or
-    came within `band` of zero is STOP_BOUNDARY; reaching t_end is
-    STOP_MAXSTEPS.  Returns (states, times, hs, code): the accepted states
-    from x0 on, one row each, and their times, the last step's size and
-    the STOP_* code.  The escaping or boundary-flagged state is the last
-    row.
+    out-of-box one is STOP_ESCAPED; a step over which some boundary's chi
+    changes sign, chi(x_prev) * chi(x_next) < 0, or reaches 0 from a
+    nonzero value is STOP_BOUNDARY; reaching t_end is STOP_MAXSTEPS.  A
+    boundary with |chi(x0)| <= band has no side at the start: its sign
+    memory starts at 0, so the first step cannot flag it.  Returns
+    (states, times, hs, code): the accepted states from x0 on, one row
+    each, and their times, the last step's size and the STOP_* code.  The
+    escaping or boundary-flagged state is the last row.
     """
     flat, times, hs, code = kernel(
         np.asarray(x0, dtype=np.float64).tolist(), float(t0), float(t_end),

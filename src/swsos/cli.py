@@ -97,6 +97,8 @@ def _load_system(path: str):
         return load_system(p)
     except SystemFormatError as exc:
         raise InputError(str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
 
 
 def load_lyapunov(path: str, sys_) -> dict:
@@ -118,6 +120,8 @@ def _read_lyapunov_doc(path: str) -> dict:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return doc
@@ -219,12 +223,12 @@ def cmd_simulate(args) -> int:
         raise InputError(f"--x0 {x0.tolist()} is outside the system box")
 
     certificate = None
-    if args.certificate:
+    if args.certificate is not None:
         certificate = load_lyapunov(args.certificate, sys_)
 
     if args.theta is not None and args.theta_sweep is not None:
         raise InputError("--theta and --theta-sweep cannot be given together")
-    if args.theta_sweep:
+    if args.theta_sweep is not None:
         sweep = _parse_floats(args.theta_sweep, "--theta-sweep")
         if not all(0.0 <= v <= 1.0 for v in sweep):
             raise InputError(f"--theta-sweep {sweep} has a value outside [0, 1]")
@@ -240,7 +244,7 @@ def cmd_simulate(args) -> int:
                                  f"{text!r} both write the file label {label}")
             labels[label] = text
         thetas = [(label, _theta_table(sys_, v)) for label, v in zip(labels, sweep)]
-    elif args.theta:
+    elif args.theta is not None:
         weights = _parse_floats(args.theta, "--theta")
         # field_at's own test, so an accepted theta is never refused later
         if not on_simplex(weights):
@@ -259,7 +263,8 @@ def cmd_simulate(args) -> int:
                for label, table in thetas]
 
     manifest = make_manifest(
-        "simulate", [args.system] + ([args.certificate] if args.certificate else []),
+        "simulate",
+        [args.system] + ([] if args.certificate is None else [args.certificate]),
         {"x0": args.x0, "theta": args.theta, "theta_sweep": args.theta_sweep,
          "t_end": args.t_end, "step": args.step},
         args.seed, args.out_dir)

@@ -6,6 +6,15 @@ sliding dynamics from the convexified inclusion when the adjacent normal
 components point at each other.  Codimension >= 2 strata stop the run
 (stratum_stop) instead of guessing a selection from the convex hull.
 
+One rule decides every event: a step from x_prev to x_next crosses a
+boundary iff chi(x_prev) * chi(x_next) < 0, or chi(x_next) == 0 !=
+chi(x_prev).  The smooth kernel flags such a step and detect_crossing
+localizes it on the same floats, leaving the state past the boundary or
+on it.  A smooth segment that starts within the sliding band of a
+boundary (after an event, or a sliding exit) gives that boundary no side
+until its first step leaves the band, so the step off a boundary is not a
+crossing.
+
 Both inner loops run in RK4 segment kernels that _kernels generates from
 the term lists each field and boundary polynomial caches: rk4_smooth_run
 inside a region, rk4_sliding_run along a boundary variety.  They are the
@@ -13,17 +22,15 @@ one RK4 integrator; there is no per-step Python path.  _kernels compiles
 a kernel once per field shape and binds each field's coefficients to it,
 so the theta runs of one sweep, whose interior values give a region one
 shape, share a compile; simulate builds each region's and boundary's
-kernel once per run, on first use.  The small nudge off a boundary after
-an event is one step of the region's smooth kernel.  Event handling, the
-decisions between crossing and sliding, the chattering guard and the
-switched Lyapunov value (one batch evaluation per non-empty segment) live
-here.  A region missing from SimConfig.theta runs at its first vertex,
-field_at's default; a theta key that names no region, or weights that
-field_at refuses, raise ValueError before the run starts.  When both
-regions of a boundary hold the state but chi_ij is off the sliding band,
-the decide step takes one Newton step onto chi_ij = 0, as the sliding
-kernel does, or stops the run (stratum_stop) if that does not reach the
-band.  Between segments the state is a list of floats, and every event
+kernel once per run, on first use.  Event handling, the decisions
+between crossing and sliding and the switched Lyapunov value (one batch
+evaluation per non-empty segment) live here.  A region missing from
+SimConfig.theta runs at its first vertex, field_at's default; a theta
+key that names no region, or weights that field_at refuses, raise
+ValueError before the run starts.  When both regions of a boundary hold
+the state but chi_ij is off the sliding band, the decide step takes one
+Newton step onto chi_ij = 0, as the sliding kernel does, or stops the
+run (stratum_stop) if that does not reach the band.  Between segments the state is a list of floats, and every event
 step (the ball test, region location, the sliding weight, the transversal
 probe, crossing localisation and psi at one point) evaluates the term
 lists with _kernels.eval_terms on it.  No point or event lies past t_end,
@@ -39,7 +46,6 @@ something reads `points`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -52,9 +58,6 @@ from .system import SwitchedSystem
 
 EVENT_TOL = 1e-9             # |chi| at which an event is localized
 SLIDING_BAND = 10.0          # sliding keeps |chi| <= SLIDING_BAND * EVENT_TOL
-CHATTER_CROSSINGS = 50       # crossings of one boundary ...
-CHATTER_WINDOW = 100         # ... within this many accepted steps
-CHATTER_MAX_HALVINGS = 3
 BALL_STOP = 1e-4             # |x| at which a run has converged
 
 
@@ -151,14 +154,19 @@ def _sign(v):
 
 
 def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float):
-    """Earliest boundary sign change across a step of h under field, or None.
+    """Earliest boundary event across a step of h under field, or None.
 
-    Returns (boundary, s, x_cross) with s the step fraction, localized by
-    bisection on the dense cubic (Hermite) interpolant of the step.
-    The bisection runs in plain floats on the term lists, with numpy's
-    elementwise operations in the same order, so its values are those of
-    the 2-vector form bit for bit.  Raises StratumStop when several
-    boundaries change sign at an unseparable fraction (codimension >= 2).
+    A boundary has an event on the step when chi(x_prev) * chi(x_next) < 0,
+    or chi(x_next) == 0 != chi(x_prev): the smooth kernel's rule, on the
+    same floats.  Returns (boundary, s, x_cross) with s the step fraction,
+    localized by bisection on the dense cubic (Hermite) interpolant of the
+    step.  The bracket end hi stays on the far side of chi; the bisection
+    stops once |chi(interp(hi))| <= EVENT_TOL and returns s = hi, so
+    x_cross is past the boundary or on it.  It runs in plain floats on the
+    term lists, with numpy's elementwise operations in the same order, so
+    its values are those of the 2-vector form bit for bit.  Raises
+    StratumStop when several boundaries change sign at an unseparable
+    fraction (codimension >= 2).
     """
     x0, x1 = [float(v) for v in x_prev], [float(v) for v in x_next]
     if not all(map(math.isfinite, x0 + x1)):
@@ -175,24 +183,19 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float):
     for b in sys.boundaries:
         chi = b.chi._term_list()
         c0, c1 = _kernels.eval_terms(chi, x0), _kernels.eval_terms(chi, x1)
-        if c0 == 0.0 and c1 == 0.0:
-            continue
-        if _sign(c0) * _sign(c1) < 0 or (c0 != 0.0 and abs(c1) <= EVENT_TOL):
+        if c0 * c1 < 0.0 or c1 == 0.0 != c0:
             lo, hi = 0.0, 1.0
-            flo = c0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 fm = _kernels.eval_terms(chi, interp(mid))
-                if abs(fm) <= EVENT_TOL:
-                    lo = hi = mid
-                    break
                 # a nan on either side compares unequal: hi = mid
-                if _sign(fm) == _sign(flo):
+                if _sign(fm) == _sign(c0):
                     lo = mid
                 else:
                     hi = mid
-            s = 0.5 * (lo + hi)
-            hits.append((s, b))
+                    if abs(fm) <= EVENT_TOL:
+                        break
+            hits.append((hi, b))
     if not hits:
         return None
     hits.sort(key=lambda t: t[0])
@@ -337,14 +340,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             return None, (b.i, b.j)
         raise StratumStop(f"{len(members)} regions meet at {xx}")
 
-    h = cfg.step
-    halvings = 0
     t = 0.0
-    # chattering guard: boundary pair -> step counters of its crossings
-    # within the last CHATTER_WINDOW accepted steps, oldest first
-    recent_crossings = defaultdict(deque)
-    step_counter = 0
-
     state = "decide"        # decide | smooth | sliding
     rid = None
     pair = None
@@ -389,9 +385,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                     return stop(t, x, "stratum_stop", str(exc))
                 if alpha is not None and 0.0 <= alpha <= 1.0:
                     pair, state = p, "sliding"
-                    # sliding dynamics are smooth; undo any chattering halvings
-                    h, halvings = cfg.step, 0
-                    recent_crossings.clear()
                     traj.events.append((t, "sliding_entry", f"({i},{j})"))
                 else:
                     # transversal crossing: both fields push chi the same
@@ -412,28 +405,14 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             continue
 
         if state == "smooth":
-            F = field_of(rid)[0]
-            kernel = smooth_kernel_of(rid)
-            # nudge off the boundary if the previous event left us on it: one
-            # step of the region's kernel, called directly because a nudge is
-            # not a segment (the stepped state is the last row), up to t_end
-            guard = 0
-            while any(abs(_kernels.eval_terms(chi, x)) <= 2 * EVENT_TOL
-                      for chi in chis) and guard < 8 and t < t_stop:
-                hn = min(h * 1e-3, cfg.t_end - t)
-                flat = kernel(x, t, t + hn, hn, -1.0, box_lo, box_hi, EVENT_TOL)[0]
-                x = flat[-len(x):]
-                t += hn
-                guard += 1
-            if t >= t_stop:
-                continue
+            # a boundary the state sits on (the last event's) has no side
+            # until the first step leaves it
             states, times, hs, code = _kernels.rk4_smooth_run(
-                kernel, x, t, cfg.t_end, h, BALL_STOP, box_lo, box_hi,
-                EVENT_TOL)
+                smooth_kernel_of(rid), x, t, cfg.t_end, cfg.step, BALL_STOP,
+                box_lo, box_hi, SLIDING_BAND * EVENT_TOL)
             # the escaping or boundary-flagged state is not accepted
             end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
             add_segment(times[1:end], states[1:end], f"smooth:{rid}", rid)
-            step_counter += len(times) - 1
             if code != _kernels.STOP_BOUNDARY:
                 t, x = times[-1], states[-1].tolist()
                 if code == _kernels.STOP_CONVERGED:
@@ -441,53 +420,27 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 if code == _kernels.STOP_ESCAPED:
                     return stop(t, x, "escaped")
                 continue
-            # boundary event: localize on the last step
+            # boundary event on the last step: the kernel and detect_crossing
+            # apply one rule to the same floats, so there is a hit
             x_prev, x_next = states[-2:].tolist()
             t_prev = times[-2]
             try:
-                hit = detect_crossing(sys, x_prev, x_next, F, hs)
+                b, s, xc = detect_crossing(sys, x_prev, x_next,
+                                           field_of(rid)[0], hs)
             except StratumStop as exc:
                 return stop(t_prev, x_prev, "stratum_stop", str(exc))
-            if hit is None:
-                # the kernel flagged proximity without a sign change; accept
-                # the step and continue from x_next
-                t, x = t_prev + hs, x_next
-                add_point(t, x, f"smooth:{rid}", rid=rid)
-                state = "decide"
-                continue
-            b, s, xc = hit
-            xc = xc.tolist()
-            t = t_prev + s * hs
-            add_point(t, xc, f"smooth:{rid}", rid=rid)
+            t, x = t_prev + s * hs, xc.tolist()
+            add_point(t, x, f"smooth:{rid}", rid=rid)
             traj.events.append((t, "crossing", f"({b.i},{b.j})"))
-            x = xc
-            # chattering guard
-            recent = recent_crossings[b.pair]
-            recent.append(step_counter)
-            while step_counter - recent[0] > CHATTER_WINDOW:
-                recent.popleft()
-            if len(recent) > CHATTER_CROSSINGS:
-                if halvings < CHATTER_MAX_HALVINGS:
-                    h *= 0.5
-                    halvings += 1
-                    traj.events.append((t, "step_halved", f"h={h:g}"))
-                else:
-                    pair, state = b.pair, "sliding"
-                    h, halvings = cfg.step, 0
-                    recent_crossings.clear()
-                    traj.events.append((t, "sliding_entry",
-                                        f"({b.pair[0]},{b.pair[1]}) [chattering]"))
-                    continue
             state = "decide"
             continue
 
         if state == "sliding":
             i, j = pair
             states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
-                sliding_kernel_of(pair), x, t, cfg.t_end, h, BALL_STOP,
+                sliding_kernel_of(pair), x, t, cfg.t_end, cfg.step, BALL_STOP,
                 box_lo, box_hi, EVENT_TOL, SLIDING_BAND * EVENT_TOL)
             add_segment(times, states, f"sliding:{i},{j}", i, alphas)
-            step_counter += len(times)
             if code == _kernels.STOP_CONVERGED:
                 return stop(t, x, "converged")
             if code == _kernels.STOP_ESCAPED:

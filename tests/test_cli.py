@@ -187,6 +187,37 @@ def test_rejected_option_values_are_input_errors(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())     # nothing was written
 
 
+@pytest.mark.parametrize("flag", ["--theta", "--theta-sweep", "--certificate"])
+def test_simulate_empty_flag_value_is_input_error(tmp_path, capsys, flag):
+    # an empty value used to count as an absent flag: the run went at the
+    # default theta, without a certificate, and exited 0
+    assert run(["simulate", QUAD, "--x0", "1,1", "--t-end", "0.01", flag, ""],
+               tmp_path) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, bad", [
+    (["validate"], "dir"),
+    (["validate"], "latin1"),
+    (["verify", QUAD], "dir"),
+    (["verify", QUAD], "latin1"),
+], ids=["validate-directory", "validate-not-utf8", "verify-directory",
+        "verify-not-utf8"])
+def test_unreadable_input_file_is_input_error(tmp_path, capsys, command, bad):
+    # a directory or a file that is not UTF-8 used to end in a traceback
+    # (IsADirectoryError, UnicodeDecodeError)
+    path = tmp_path / "in"
+    if bad == "dir":
+        path.mkdir()
+    else:
+        path.write_bytes('{"lyapunov": "\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), *command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: cannot read: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("box", [
     [[float("nan"), 2.0], [-2.0, 2.0]],
     [[-2.0, float("inf")], [-2.0, 2.0]],

@@ -193,13 +193,17 @@ def _pack(polys):
 def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, t0, t_end, h,
                         ball_stop, box_lo, box_hi, band):
     # the array-per-step numpy loop the term-list kernel replaced, with the
-    # kernel's time rule: step i ends at t0 + i*h, or on t_end if that passes
+    # kernel's time rule (step i ends at t0 + i*h, or on t_end if that
+    # passes) and event rule (a sign change of chi, or a landing on zero; a
+    # boundary within band of x0 starts with sign 0)
     n = x0.shape[0]
     nb = len(coff) - 1
     states, times = [x0], [t0]
     chi_prev = np.empty(nb)
     for b in range(nb):
         chi_prev[b] = _ref_eval(cc[coff[b]:coff[b + 1]], ce[coff[b]:coff[b + 1]], x0)
+        if abs(chi_prev[b]) <= band:
+            chi_prev[b] = 0.0
 
     def field(x):
         out = np.empty(n)
@@ -229,7 +233,7 @@ def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, t0, t_end, h,
             return np.array(states), times, hs, _kernels.STOP_ESCAPED
         for b in range(nb):
             chi = _ref_eval(cc[coff[b]:coff[b + 1]], ce[coff[b]:coff[b + 1]], xn)
-            if chi * chi_prev[b] < 0.0 or abs(chi) <= band:
+            if chi * chi_prev[b] < 0.0 or (chi == 0.0 and chi_prev[b] != 0.0):
                 return np.array(states), times, hs, _kernels.STOP_BOUNDARY
             chi_prev[b] = chi
     return np.array(states), times, hs, _kernels.STOP_MAXSTEPS
@@ -511,7 +515,9 @@ def _interp_rk4_smooth_run(fields, chis, x0, t0, t_end, h, ball_stop, box_lo,
     def result(code):
         return np.array(flat).reshape(-1, n), times, hs, code
 
-    chi_prev = [eval_terms(c, x) for c in chis]
+    # a boundary within band of x0 has no side yet: sign 0
+    chi_prev = [0.0 if abs(c) <= band else c
+                for c in (eval_terms(c, x) for c in chis)]
     step = 0
     while t < t_end - 1e-15:
         if math.sqrt(sum(v * v for v in x)) <= ball_stop:
@@ -540,7 +546,7 @@ def _interp_rk4_smooth_run(fields, chis, x0, t0, t_end, h, ball_stop, box_lo,
                 return result(_kernels.STOP_ESCAPED)
         for b in range(nb):
             chi = eval_terms(chis[b], xn)
-            if chi * chi_prev[b] < 0.0 or abs(chi) <= band:
+            if chi * chi_prev[b] < 0.0 or (chi == 0.0 and chi_prev[b] != 0.0):
                 return result(_kernels.STOP_BOUNDARY)
             chi_prev[b] = chi
         x = xn
@@ -682,6 +688,27 @@ def test_smooth_kernel_bit_identical_on_unit_cases(fields, chis, x0, h, steps,
                          1e-9) == code
 
 
+@pytest.mark.parametrize("x0, band, code, rows", [
+    # 1e-10 is within the band: no side at the start, so the sign change of
+    # the first step is no event
+    ((1e-10, 0.0), 1e-9, _kernels.STOP_MAXSTEPS, 5),
+    # outside the band, the same step is one
+    ((1e-10, 0.0), 1e-11, _kernels.STOP_BOUNDARY, 2),
+    # landing on chi = 0 from a side is an event
+    ((0.5, 0.0), 1e-9, _kernels.STOP_BOUNDARY, 3),
+    # leaving chi = 0 is none, whatever the band
+    ((0.0, 0.0), 0.0, _kernels.STOP_MAXSTEPS, 5),
+])
+def test_smooth_kernel_event_rule(x0, band, code, rows):
+    # xdot = (-1, 0) across chi = x1 in steps of 0.25 to t = 1
+    fields, chis = [_const(-1), ()], [((1.0, (0,)),)]
+    tail = (np.array(x0), 0.0, 1.0, 0.25, -1.0, *_BOX, band)
+    assert _smooth_exact(fields, chis, *tail) == code
+    states = _kernels.rk4_smooth_run(_kernels.smooth_kernel(fields, chis),
+                                     *tail)[0]
+    assert len(states) == rows
+
+
 @pytest.mark.parametrize("chi, fi, fj, x0, t_end, code", _SLIDING_CASES)
 def test_sliding_kernel_bit_identical_to_interpreter(chi, fi, fj, x0, t_end,
                                                      code):
@@ -721,8 +748,8 @@ def test_sliding_kernel_bit_identical_on_unit_cases(fi, fj, x0, kw, code):
 
 
 def test_kernels_bit_identical_on_chattering_run(quadrant_system, monkeypatch):
-    # every segment simulate runs from (0.3, -2) at theta = 1: chattering
-    # smooth segments at halved steps and [chattering] sliding stretches
+    # every segment simulate runs from (0.3, -2) at theta = 1: a smooth
+    # segment up to its crossing of x1*x2 = 0, and sliding on it to t_end
     from swsos.cli import _theta_table
     from swsos.sim import SimConfig, simulate
 
@@ -755,9 +782,9 @@ def test_kernels_bit_identical_on_chattering_run(quadrant_system, monkeypatch):
     monkeypatch.setattr(_kernels, "rk4_sliding_run", sliding_run)
     cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
     traj = simulate(quadrant_system, (0.3, -2.0), cfg)
-    assert traj.event_kinds().count("sliding_entry") == 7
-    assert codes.count(_kernels.STOP_BOUNDARY) > 400
-    assert codes.count(_kernels.STOP_ALPHA) == 7
+    assert traj.event_kinds().count("sliding_entry") == 1
+    assert codes.count(_kernels.STOP_BOUNDARY) == 1
+    assert codes.count(_kernels.STOP_ALPHA) == 0
 
 
 def test_expr_matches_eval_terms():
@@ -940,14 +967,14 @@ def test_constant_term_lists_leave_the_loop():
 # sha256 of each kernel source of tests/kernel_corpus.py: quadrant-cubic.sys
 # has no constant term list, so its kernels are the unspecialised ones
 PINNED_KERNEL_DIGESTS = {
-    'smooth 1 theta0': 'd737192e336488fcb4d1edfdfe3a59a4709a1eda5cb3785b638323a38ee9283e',
-    'smooth 2 theta0': '8ebdb589a36f48fc4c885f142378fd2ad9686eae7d995d968994d0ec5b9fa646',
+    'smooth 1 theta0': 'c4d789b1f17c47e7d85a6d914e38055b14381c4fd1173fb061c60dbfec91340d',
+    'smooth 2 theta0': '16ff7cd2a00e5bb980415dfe4d88b67738939d9622840671f784c5949c5d4ad5',
     'sliding 1,2 theta0': '610e06b3872ee698fd6dc48dda0f8b064ec4ac8dc909f150d1cb0e51352294c5',
-    'smooth 1 theta0.5': 'fd99bd4687e08c88ddecd1802d055562766910197265f0d37f2b8d929526bdb9',
-    'smooth 2 theta0.5': '8ebdb589a36f48fc4c885f142378fd2ad9686eae7d995d968994d0ec5b9fa646',
+    'smooth 1 theta0.5': '5acfc51f8864b2ddc9280818365d92b2f8d7bea8974f71febb29c7a163aa7dbf',
+    'smooth 2 theta0.5': '16ff7cd2a00e5bb980415dfe4d88b67738939d9622840671f784c5949c5d4ad5',
     'sliding 1,2 theta0.5': 'fc485fc9bfc022d8aeadc70403d2ecf2b0198d1bda2ce7e50dc76fa4e29d8782',
-    'smooth 1 theta1': '792e05634581e5228c6284acfd44140b90b39c1100d6dffb027eecdfc42f22ba',
-    'smooth 2 theta1': '8ebdb589a36f48fc4c885f142378fd2ad9686eae7d995d968994d0ec5b9fa646',
+    'smooth 1 theta1': '696839a391e3dc213e80bb88e24505fec22a498bd59ff0919baeac889f6cfaee',
+    'smooth 2 theta1': '16ff7cd2a00e5bb980415dfe4d88b67738939d9622840671f784c5949c5d4ad5',
     'sliding 1,2 theta1': 'c7850f9cbe0d5a583fb149be102cf290ef7b30c37a68c1ca4d2c5a42c23690cd',
 }
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ from swsos.poly import parse_polynomial, parse_vector
 from swsos.sim import (SimConfig, StratumStop, Tangency, Trajectory,
                        detect_crossing, simulate, sliding_weight,
                        write_trajectory)
-from swsos.system import parse_system
+from swsos.system import load_system, parse_system
 from trajectory_corpus import digests
 
 
@@ -26,7 +27,7 @@ def _scalar_decay():
 
 def _rk4_step(F, x, h):
     # one classical RK4 step of xdot = F(x) on numpy arrays: the reference
-    # for the region kernel's single (nudge) step
+    # for the region kernel's single step
     x = np.asarray(x, dtype=float)
     k1 = F(x)
     k2 = F(x + 0.5 * h * k1)
@@ -84,7 +85,9 @@ def _ref_hermite(x0, f0, x1, f1, h, s):
 
 
 def _ref_detect_crossing(sys, x_prev, x_next, field, h, event_tol=1e-9):
-    # the numpy 2-vector bisection detect_crossing replaced
+    # the numpy 2-vector bisection detect_crossing replaced, with its event
+    # rule: a sign change, or a landing on zero, of chi over the step, and
+    # the bracket end hi on the far side as the crossing
     x_prev = np.asarray(x_prev, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     f0, f1 = field(x_prev), field(x_next)
@@ -92,22 +95,18 @@ def _ref_detect_crossing(sys, x_prev, x_next, field, h, event_tol=1e-9):
     hits = []
     for b in sys.boundaries:
         c0, c1 = b.chi(x_prev), b.chi(x_next)
-        if c0 == 0.0 and c1 == 0.0:
-            continue
-        if np.sign(c0) * np.sign(c1) < 0 or (c0 != 0.0 and abs(c1) <= event_tol):
+        if c0 * c1 < 0.0 or (c1 == 0.0 and c0 != 0.0):
             lo, hi = 0.0, 1.0
-            flo = c0
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 fm = b.chi(interp(mid))
-                if abs(fm) <= event_tol:
-                    lo = hi = mid
-                    break
-                if np.sign(fm) == np.sign(flo):
+                if np.sign(fm) == np.sign(c0):
                     lo = mid
                 else:
                     hi = mid
-            hits.append((0.5 * (lo + hi), b))
+                    if abs(fm) <= event_tol:
+                        break
+            hits.append((hi, b))
     if not hits:
         return None
     hits.sort(key=lambda t: t[0])
@@ -126,9 +125,8 @@ def _assert_same_crossing(got, ref):
     assert got[2].dtype == ref[2].dtype and got[2].tobytes() == ref[2].tobytes()
 
 
-def test_detect_crossing_matches_numpy_reference(quadrant_system, monkeypatch):
-    # every step the chattering run from (0.3, -2) at theta = 1 localizes
-    from swsos.cli import _theta_table
+def test_detect_crossing_matches_numpy_reference(monkeypatch):
+    # every step the trajectory corpus localizes
     steps = []
     detect = sim.detect_crossing
 
@@ -137,16 +135,13 @@ def test_detect_crossing_matches_numpy_reference(quadrant_system, monkeypatch):
         return detect(*args, **kwargs)
 
     monkeypatch.setattr(sim, "detect_crossing", record)
-    simulate(quadrant_system, (0.3, -2.0),
-             SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0)))
+    digests()
     monkeypatch.undo()
-    assert len(steps) > 400
-    hits = 0
+    assert len(steps) > 20
     for args, kwargs in steps:
         ref = _ref_detect_crossing(*args, **kwargs)
+        assert ref is not None
         _assert_same_crossing(detect_crossing(*args, **kwargs), ref)
-        hits += ref is not None
-    assert hits > 400
 
 
 @pytest.mark.parametrize("x_prev, x_next", [((0.0, -1.0), (0.0, 1.0)),
@@ -155,7 +150,8 @@ def test_detect_crossing_nan_chi_mid_step(x_prev, x_next):
     # chi = x2 at both ends (x1 = 0), but the Hermite bulge in x1 (the field
     # is about 2e160 there) makes 1e300*x1^2 - 1e300*x1^3 = inf - inf = nan at
     # every midpoint down to 2^-200: a nan never matches a side, so each
-    # bisection step keeps the lower half, from either crossing direction
+    # bisection step keeps the lower half, from either crossing direction,
+    # and the crossing is the bracket end hi = 2^-200
     sys_ = parse_system({
         "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
         "regions": [
@@ -175,13 +171,30 @@ def test_detect_crossing_nan_chi_mid_step(x_prev, x_next):
                        F(x_next), 1.0, 0.5)
     assert np.isnan(b.chi(mid))
     ref = _ref_detect_crossing(sys_, x_prev, x_next, F, 1.0)
-    assert ref[1] == 2.0 ** -201
+    assert ref[1] == 2.0 ** -200
     _assert_same_crossing(detect_crossing(sys_, x_prev, x_next, F, 1.0), ref)
 
 
 def test_detect_crossing_none_without_sign_change(opposing_system):
     assert detect_crossing(opposing_system, (0.0, 0.2), (0.0, 0.1),
                            _constant_field(0.0, -0.1), 1.0) is None
+    # near zero, or leaving zero, is no event either: only a sign change or
+    # a landing on zero is
+    for x_prev, x_next in (((0.0, 2e-10), (0.0, 1e-10)),
+                           ((0.0, 0.0), (0.0, -1e-10))):
+        assert detect_crossing(opposing_system, x_prev, x_next,
+                               _constant_field(0.0, -1e-10), 1.0) is None
+
+
+def test_detect_crossing_lands_past_the_boundary(opposing_system):
+    # the state after a crossing is on the far side of chi, or on chi = 0
+    for x_prev, x_next, v in (((0.0, 0.1), (0.0, -0.1), -0.2),
+                              ((0.0, -0.3), (0.0, 0.7), 1.0),
+                              ((0.0, 0.1), (0.0, 0.0), -0.1)):
+        _, s, xc = detect_crossing(opposing_system, x_prev, x_next,
+                                   _constant_field(0.0, v), 1.0)
+        assert 0.0 < s <= 1.0
+        assert xc[1] * x_prev[1] <= 0.0 and abs(xc[1]) <= 1e-9
 
 
 def test_detect_crossing_rejects_nonfinite(opposing_system):
@@ -254,16 +267,18 @@ def test_simulate_smooth_run_ends_at_t_end():
     assert abs(traj.final_state[0] - np.exp(-1.2345)) < 1e-9
 
 
-def test_chattering_run_ends_at_t_end(quadrant_system):
-    # the step that would cross x1*x2 = 0 past t_end is taken again onto
-    # t_end, whole: its crossing is reported and nothing lies past t_end
-    from swsos.cli import _theta_table
-    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
-    traj = simulate(quadrant_system, (0.3, -2.0), cfg)
-    assert traj.final_time == 2.0
-    assert max(t for t, _, _ in traj.events) == 2.0
-    assert traj.events[-2][1] == "crossing" and traj.events[-2][0] < 2.0
-    assert traj.points[-1].mode == "stopped:t_end"
+def test_chattering_run_ends_at_t_end(opposing_system):
+    # the step from t = 0.5 would end at 0.501, past t_end = 0.5005, so it
+    # ends on t_end; the crossing of x2 = 0 at t = 0.5002 inside that
+    # clamped step is localized, the sliding that follows ends on t_end too,
+    # and nothing lies past t_end
+    traj = simulate(opposing_system, (0.0, 0.5002), SimConfig(t_end=0.5005))
+    assert traj.final_time == 0.5005
+    assert max(t for t, _, _ in traj.events) == 0.5005
+    assert traj.event_kinds() == ["crossing", "sliding_entry", "t_end"]
+    assert 0.5 < traj.events[0][0] < 0.5005
+    assert abs(traj.events[0][0] - 0.5002) < 1e-9
+    assert traj.points[-1].mode == "sliding:1,2"
 
 
 def test_simulate_rejects_x0_outside_box():
@@ -357,18 +372,103 @@ def test_simulate_escapes_while_sliding():
 
 
 def test_chattering_run_pins_event_counts(quadrant_system):
-    # at theta = 1 the run from (0.3, -2) chatters across x1*x2 = 0: the
-    # guard halves the step, then enters sliding [chattering]; each sliding
-    # stretch ends when alpha leaves [0, 1]
+    # at theta = 1 the run from (0.3, -2) reaches x1*x2 = 0 at t ~= 1.80 and
+    # slides on it to t_end.  An event band of |chi| <= 1e-9 with no sign
+    # test counted 405 crossings there, with 21 step halvings and 7 forced
+    # sliding entries that exited at once; the final state is the same to 5
+    # digits
     from swsos.cli import _theta_table
     cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
     traj = simulate(quadrant_system, (0.3, -2.0), cfg)
-    kinds = traj.event_kinds()
-    assert {k: kinds.count(k) for k in set(kinds)} == {
-        "crossing": 405, "step_halved": 21, "sliding_entry": 7,
-        "sliding_exit": 7, "t_end": 1}
-    assert any(kind == "sliding_entry" and detail.endswith("[chattering]")
-               for _, kind, detail in traj.events)
+    assert [(kind, detail) for _, kind, detail in traj.events] == [
+        ("crossing", "(1,2)"), ("sliding_entry", "(1,2)"), ("t_end", "")]
+    assert abs(traj.events[0][0] - 1.8045) < 1e-4
+    assert abs(np.linalg.norm(traj.final_state) - 0.72588) < 1e-5
+
+
+def test_theta1_run_from_2_2_matches_closed_form(quadrant_system):
+    # at theta = 1 region 1 runs (-x1, -x2^3): from (2, 2) the solution
+    # x1 = 2e^-t, x2 = 2/sqrt(1 + 8t) stays in the open first quadrant.  An
+    # event band of |chi| <= 1e-9 logged a crossing at t = 19.58, where
+    # x1*x2 entered it, and ended the run in the third quadrant
+    from swsos.cli import _theta_table
+    cfg = SimConfig(t_end=50.0, theta=_theta_table(quadrant_system, 1.0))
+    traj = simulate(quadrant_system, (2.0, 2.0), cfg)
+    assert traj.event_kinds() == ["t_end"]
+    x1, x2 = traj.final_state
+    assert x1 > 0.0
+    assert abs(x2 - 2 / math.sqrt(401)) <= 1e-9 * (2 / math.sqrt(401))
+
+
+def _branicky_a_exact(x, ball=1e-4):
+    # the exact crossing times and ball time of branicky-a.sys, quadrant by
+    # quadrant: both matrices are -I/10 + B with B^2 = -10 I, so the flow
+    # is e^(-t/10) (cos(wt) x + sin(wt)/w B x) with w = sqrt(10); each
+    # event is bracketed on a 1e-4 grid, then bisected
+    w = math.sqrt(10.0)
+    B = {1: np.array([[0.0, 1.0], [-10.0, 0.0]]),
+         2: np.array([[0.0, 10.0], [-1.0, 0.0]])}
+    times, t = [], 0.0
+    while True:
+        Bx = B[1 if x[0] * x[1] > 0 else 2] @ x
+        flow = lambda s: math.exp(-0.1 * s) * (math.cos(w * s) * x
+                                               + math.sin(w * s) / w * Bx)
+        inside = lambda s: (flow(s)[0] * flow(s)[1] * x[0] * x[1] > 0
+                            and np.linalg.norm(flow(s)) > ball)
+        hi = 1e-4
+        while inside(hi):
+            hi += 1e-4
+        lo = hi - 1e-4
+        for _ in range(60):
+            lo, hi = ((0.5 * (lo + hi), hi) if inside(0.5 * (lo + hi))
+                      else (lo, 0.5 * (lo + hi)))
+        x, t = flow(hi), t + hi
+        times.append(t)
+        if np.linalg.norm(x) <= ball:
+            return times
+
+
+def test_branicky_a_crosses_six_times_then_converges(systems_dir):
+    # a stable switched pair of spirals on the quadrants of x1*x2 (Branicky,
+    # IEEE TAC 1998): the exact flow crosses six times, each closer to the
+    # origin where the gradient of chi vanishes, then reaches the ball.  An
+    # event band of |chi| <= 1e-9 counted 266 crossings there
+    sys_ = load_system(systems_dir / "branicky-a.sys")
+    traj = simulate(sys_, (0.05, 0.05), SimConfig(t_end=5.0))
+    assert traj.event_kinds() == ["crossing"] * 6 + ["converged"]
+    exact = _branicky_a_exact(np.array([0.05, 0.05]))
+    assert len(exact) == 7
+    for (t, _, _), t_exact in zip(traj.events[:6], exact):
+        assert abs(t - t_exact) < 5e-4
+    assert abs(traj.events[-1][0] - exact[-1]) < 2e-3
+
+
+def test_sliding_exit_by_alpha_logs_no_crossing():
+    # chi = x2 - 1 with F_1 = (1, x1 - 1) above and F_2 = (1, 1) below: from
+    # (-1, 1.5) the state reaches the line at t = 2 - sqrt(3), slides with
+    # alpha = 1/(2 - x1) until x1 = 1 at t = 2, and leaves upwards.  The step
+    # off the line is no crossing
+    sys_ = parse_system({
+        "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "regions": [
+            {"id": 1, "chi": "0", "xi": ["x2 - 1"], "witness": [0.0, 1.5]},
+            {"id": 2, "chi": "0", "xi": ["1 - x2"], "witness": [0.0, 0.5]},
+        ],
+        "boundaries": [{"i": 1, "j": 2, "chi_ij": "x2 - 1",
+                        "witness": [0.0, 1.0]}],
+        "dynamics": {"1": [["1", "x1 - 1"]], "2": [["1", "1"]]},
+        "origin_regions": [],
+    })
+    traj = simulate(sys_, (-1.0, 1.5), SimConfig(t_end=2.5))
+    assert [(kind, detail) for _, kind, detail in traj.events] == [
+        ("crossing", "(1,2)"), ("sliding_entry", "(1,2)"),
+        ("sliding_exit", "(1,2)"), ("t_end", "")]
+    assert abs(traj.events[0][0] - (2 - math.sqrt(3))) < 1e-9
+    assert abs(traj.events[2][0] - 2.0) <= 1e-3
+    # past the exit, x2 = 1 + (x1 - 1)^2 / 2
+    x1, x2 = traj.final_state
+    assert traj.points[-1].mode == "smooth:1"
+    assert abs(x2 - (1 + (x1 - 1) ** 2 / 2)) < 1e-5
 
 
 def test_stratum_stop_at_higher_codimension(monkeypatch):
@@ -442,7 +542,8 @@ def test_write_trajectory_format(tmp_path, opposing_system):
     (1, (1.0, 0.0), (0.0, 0.0)),        # at the origin: no ball stop
 ])
 def test_nudge_step_is_one_rk4_step(quadrant_system, rid, theta, x):
-    # simulate nudges off x1*x2 = 0 with one step of the region's kernel
+    # a kernel run whose t_end is one step away takes one RK4 step, with no
+    # ball stop (ball_stop -1) and no event from a start on x1*x2 = 0
     F = quadrant_system.field_at(rid, theta)
     kernel = _kernels.smooth_kernel(
         [p._term_list() for p in F],
@@ -454,7 +555,8 @@ def test_nudge_step_is_one_rk4_step(quadrant_system, rid, theta, x):
 
 
 def test_nudge_step_row_is_last_on_escape():
-    # F = (1, -1) from the box edge x1 = 2: the stepped state escapes
+    # F = (1, -1) from the box edge x1 = 2: the one stepped state escapes
+    # and is the last row
     sys_ = _two_sided(["1", "-1"], ["1", "1"])
     F = sys_.field_at(1, (1.0,))
     kernel = _kernels.smooth_kernel([p._term_list() for p in F],
@@ -496,8 +598,7 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
                                                  opposing_system):
     # smooth points (psi, no alpha), sliding points (alpha and psi) and the
     # stopped point (neither); sliding points without psi; the one-row
-    # crossing chunks of the chattering run (its sliding stretches end at
-    # their first step, so it stores no sliding row)
+    # crossing chunk of the run from (0.3, -2), which then slides to t_end
     import io
     from swsos.cli import _theta_table
     v = parse_polynomial("x1^2 + 3*x2^2 + 0.1*x1*x2", 2)
@@ -515,7 +616,7 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
                        certificate=published_lyapunov)
     crossings = [c for c in chatter.chunks
                  if len(c[0]) == 1 and c[2].startswith("smooth:")]
-    assert len(crossings) == chatter.event_kinds().count("crossing") == 405
+    assert len(crossings) == chatter.event_kinds().count("crossing") == 1
     for t in (traj, bare, chatter):
         rows = _chunk_rows(t)
         assert len(t.points) == len(rows) == t.count
@@ -533,25 +634,26 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
 # sha256 of each corpus run's TSV (tests/trajectory_corpus.py); a change
 # that alters trajectories on purpose prints the new ones with that module
 PINNED_DIGESTS = {
-    'sweep 2,2 theta0': '3dc06d3a1f816c896aae57d5180000b244e248ee4e7db200f8b669b674fec50c',
+    'sweep 2,2 theta0': '3cf16e9f76f0d47e8340075e69e54b7c6c16be8b3683b9ed0ceae5a56af7f7d6',
     'sweep 2,2 theta0.5': 'c8c2be2468c6303abcc89fd35228e3884b28419798efbe974815febcf29578d3',
     'sweep 2,2 theta1': 'a750169aa149629bd3f7b352af21eed83482181fb0ed6892f92bc458c6a0091d',
-    'sweep -2,2 theta0': '432f1413c544bcd0344fc7c2dceacb91d764c8aa20ab4f44b860603886812232',
-    'sweep -2,2 theta0.5': '677743361d7a849a9561338e14b71480bfadfa80302293385d600116ed6a5c6c',
+    'sweep -2,2 theta0': '17b051db3f2d470a92c748b2fdc37d73785c2a55377b20ca36ed1ea5dc18e4b8',
+    'sweep -2,2 theta0.5': '8fa63b026ec78e275c2a3e4db37009e924e9f85bc85658d266a1ba4141640ecd',
     'sweep -2,2 theta1': 'e264f5389113eefaad39ccc930229bf28b9d7e2e7db5e8b69f9116a81c3a94b7',
-    'sweep -2,-2 theta0': '9e6e57e04a32e78b3136649dc33cd26b6556f83a18be75db99091153b84a172e',
+    'sweep -2,-2 theta0': '83357e94d519f8e39b3541328b0f76fb4ec1d1f3959847ab218d1a904cdfc459',
     'sweep -2,-2 theta0.5': 'a76f0b9b42791e53639f5c46eba938153cfe382064eaa7e4db5e8f1e17af22f3',
     'sweep -2,-2 theta1': '80a24d622e2db4e125002c34d978a6b4d371d21409e43ef4f51381610651ed60',
-    'sweep 2,-2 theta0': '8f88db72575ab62c3494f25a4482b488b2bb53a762c4194ded7c1d0ff1f176ad',
-    'sweep 2,-2 theta0.5': '95f33b8ee3520c7660b37192fdfeff77fed6900ba9c43ab869a25b5711bd574d',
+    'sweep 2,-2 theta0': '0677ca292cf856eec3b8e20daa312bbc2591dad8feb4a447d5cec097ee4219aa',
+    'sweep 2,-2 theta0.5': 'a9f190cc7eee850152ed83de4fd7ab2f936a4264c11de990deaead497a6ea9b5',
     'sweep 2,-2 theta1': 'fd18c80711852dfdd7817ad298c047125eb6fb07ce0abe4571de808dd4107e26',
-    'sweep 0.3,-2 theta0': '37a04cd6d9fed64ba37ffa4cfdcf14ca2952266bb0a3da27ff2f1f3fba132f4a',
-    'sweep 0.3,-2 theta0.5': '0f607d4a7e9dd35ec2c5b2d11e29b69488c807f4b18d04a0131893228d9d83b9',
-    'sweep 0.3,-2 theta1': '077f724a3d88a60f0e4ed89cf2b705886ae41d241f281a7fd0c878555c6c7279',
-    'sliding 0,0.5 t_end1': '71e7567e82b29b8117ab6e872572a3ff697165c402257d7f516e29f531dea438',
-    'sliding 0.37,0.81 t_end2.81': '332ed438b63545b9ec78d546613f49e079ac3e76a2431e037ff1ca76b77aa98e',
+    'sweep 0.3,-2 theta0': '9f7ccb5ec8e4cad2bf3e40da791b232832361a6fe90e9fcdf7c7cdc767029c2a',
+    'sweep 0.3,-2 theta0.5': 'dadea60296878a510c3230a8530809a6bf5fc8b90a5881017371b3e181fabab9',
+    'sweep 0.3,-2 theta1': 'ac4f608d812c1984d9b809f2653373f8f6faf74b3a329a5aeab32034dc2f5c7b',
+    'sliding 0,0.5 t_end1': '47cc5f0101f9106c7580ef5e67170bc290feca2da8ec42be9c336433dbc0c0f6',
+    'sliding 0.37,0.81 t_end2.81': 'bf5da8d2595eecff5e97ce498fdfb9af8803135e2deaad527067f17aa20fffb3',
     'tilted-relay -0.8,-0.3 t_end3': 'fe1b444ef0686e4aee6f4e8c5914f66e6b244bb6a357d422f5a4d834907e1b32',
     'tilted-relay 0.9,-1.3 t_end4': 'afd54048e038fc8b20180db9bd32de78e8f137f27b8f54dfcc791c87d2ae6467',
+    'branicky-a 0.05,0.05 t_end5': 'b87be4f28e0afb199e2ad4705df727000b0eaea17545111fd43bab9c82ed807e',
 }
 
 

@@ -1,10 +1,13 @@
 """The trajectory corpus whose TSV bytes tests/test_sim.py pins.
 
 The five perfbench `sweep` starts at theta 0, 0.5 and 1 to t = 2 with the
-published certificate (the chattering start (0.3, -2) included), two
-Filippov sliding runs on opposing-fields.sys (constant fields and normal)
-and two on tilted-relay.sys (a constant normal between non-constant
-fields; the second run slides until it leaves the box).  Each run is
+published certificate (the start (0.3, -2), which slides along x2 = 0 at
+theta 1, included), two Filippov sliding runs on opposing-fields.sys
+(constant fields and normal), two on tilted-relay.sys (a constant normal
+between non-constant fields; the second run slides until it leaves the
+box) and the branicky-a.sys run from (0.05, 0.05), whose six crossings of
+x1*x2 = 0 close in on the origin, where the gradient of chi vanishes.
+Each run is
 written by write_trajectory with an empty manifest hash and digested with
 sha256.
 A change that alters trajectories on purpose prints the new digests with
@@ -26,6 +29,7 @@ SWEEP_THETAS = (0.0, 0.5, 1.0)
 SWEEP_T_END = 2.0
 SLIDING_RUNS = (((0.0, 0.5), 1.0), ((0.37, 0.81), 2.81))   # (x0, t_end)
 TILTED_RUNS = (((-0.8, -0.3), 3.0), ((0.9, -1.3), 4.0))
+BRANICKY_RUNS = (((0.05, 0.05), 5.0),)
 
 
 def digests() -> dict:
@@ -49,7 +53,8 @@ def digests() -> dict:
             out[f"sweep {x0[0]:g},{x0[1]:g} theta{v:g}"] = digest(
                 simulate(quadrant, x0, cfg, certificate=certificate))
     for name, prefix, runs in (("opposing-fields", "sliding", SLIDING_RUNS),
-                               ("tilted-relay", "tilted-relay", TILTED_RUNS)):
+                               ("tilted-relay", "tilted-relay", TILTED_RUNS),
+                               ("branicky-a", "branicky-a", BRANICKY_RUNS)):
         system = load_system(SYSTEMS / f"{name}.sys")
         for x0, t_end in runs:
             out[f"{prefix} {x0[0]:g},{x0[1]:g} t_end{t_end:g}"] = digest(
