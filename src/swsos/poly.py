@@ -404,6 +404,9 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
             raise PolynomialParseError("empty term")
         mono = tuple(expo)
         terms[mono] = terms.get(mono, 0.0) + coeff
+    bad = [c for c in terms.values() if not math.isfinite(c)]
+    if bad:
+        raise PolynomialParseError(f"coefficient {bad[0]} is not finite")
     return Polynomial(dim, terms)
 
 

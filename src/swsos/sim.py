@@ -22,19 +22,28 @@ one RK4 integrator; there is no per-step Python path.  _kernels compiles
 a kernel once per field shape and binds each field's coefficients to it,
 so the theta runs of one sweep, whose interior values give a region one
 shape, share a compile; simulate builds each region's and boundary's
-kernel once per run, on first use.  Event handling, the decisions
-between crossing and sliding and the switched Lyapunov value (one batch
+kernel once per run, on first use.  Event handling, the choice between
+crossing and sliding and the switched Lyapunov value (one batch
 evaluation per non-empty segment) live here.  A region missing from
 SimConfig.theta runs at its first vertex, field_at's default; a theta
 key that names no region, or weights that field_at refuses, raise
-ValueError before the run starts.  When both regions of a boundary hold
-the state but chi_ij is off the sliding band, the decide step takes one
-Newton step onto chi_ij = 0, as the sliding kernel does, or stops the
-run (stratum_stop) if that does not reach the band.  Between segments the state is a list of floats, and every event
-step (the ball test, region location, the sliding weight, the transversal
-probe, crossing localisation and psi at one point) evaluates the term
-lists with _kernels.eval_terms on it.  No point or event lies past t_end,
-on which both kernels end their last step.
+ValueError before the run starts.
+
+Each pass of simulate's loop handles one visit: the ball test, the
+region, and on a boundary the choice, then the smooth kernel.  When both
+regions of a boundary hold the state but chi_ij is off the sliding band,
+the pass takes one Newton step onto chi_ij = 0, as the sliding kernel
+does, or stops the run (stratum_stop) if that does not reach the band.
+It then evaluates the normal and both fields once: a zero normal stops
+the run, an alpha in [0, 1] runs the sliding kernel, and otherwise the
+transversal probe picks a side.  A sliding run that ends with tangency
+before it accepts a row leaves by the transversal rule, since sliding
+again from the same point would end the same way.  Between segments the
+state is a list of floats, and every event step (the ball test, region
+location, the sliding weight, the transversal probe, crossing
+localisation and psi at one point) evaluates the term lists with
+_kernels.eval_terms on it.  No point or event lies past t_end, on which
+both kernels end their last step.
 
 A Trajectory stores what the kernels return, one chunk per segment or
 single point: the times, the states as one (m, n) array, the mode, and
@@ -228,20 +237,13 @@ def sliding_weight(sys: SwitchedSystem, pair, x) -> float:
     x = [float(v) for v in x]
     if len(x) != sys.dimension:
         raise ValueError(f"point has {len(x)} coordinates, expected {sys.dimension}")
-    return _sliding_weight(b, pair, _terms(b.chi.gradient()),
-                           _terms(sys.field_at(i)), _terms(sys.field_at(j)), x)
-
-
-def _sliding_weight(b, pair, grad, fi, fj, x) -> float:
-    """sliding_weight on plain floats: the boundary gradient and both
-    fields as term lists per component, x a list of floats."""
-    i, j = pair
     if abs(_kernels.eval_terms(b.chi._term_list(), x)) > SLIDING_BAND * EVENT_TOL:
         raise ValueError(f"point is not on boundary ({i},{j})")
-    n = _values(grad, x)
+    n = _values(_terms(b.chi.gradient()), x)
     if _dot(n, n) == 0.0:
         raise StratumStop(f"singular boundary point of ({i},{j}): zero normal")
-    slide = _kernels.sliding_field(n, _values(fi, x), _values(fj, x))
+    slide = _kernels.sliding_field(n, _values(_terms(sys.field_at(i)), x),
+                                   _values(_terms(sys.field_at(j)), x))
     if slide is None:
         raise Tangency(f"fields tangent to boundary ({i},{j})")
     return slide[1]
@@ -271,6 +273,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     box_lo, box_hi = (v.tolist() for v in sys.box)
     traj = Trajectory()
     chis = tuple(b.chi._term_list() for b in sys.boundaries)
+    band = SLIDING_BAND * EVENT_TOL
 
     # built once per run, on first use
     @cache
@@ -326,7 +329,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     def pick_region(xx):
         """Region whose (theta-combined) field keeps xx in its closure."""
-        members = sorted(sys.locate(xx, tol=SLIDING_BAND * EVENT_TOL))
+        members = sorted(sys.locate(xx, tol=band))
         if len(members) == 1:
             return members[0], None
         # on a boundary: if exactly two adjacent regions, decide between
@@ -341,115 +344,99 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         raise StratumStop(f"{len(members)} regions meet at {xx}")
 
     t = 0.0
-    state = "decide"        # decide | smooth | sliding
-    rid = None
-    pair = None
-
     t_stop = cfg.t_end - 1e-15
     while t < t_stop:
+        # one pass per visit: the ball test, the region, on a boundary the
+        # choice between sliding and a side, then the smooth kernel
         if math.sqrt(_dot(x, x)) <= BALL_STOP:
             return stop(t, x, "converged")
-
-        if state == "decide":
-            try:
-                r, p = pick_region(x)
-            except StratumStop as exc:
-                return stop(t, x, "stratum_stop", str(exc))
-            if r is not None:
-                rid, state = r, "smooth"
-            else:
-                i, j = p
-                b = sys.boundary(i, j)
-                grad, fi, fj = grad_of(p), field_of(i)[1], field_of(j)[1]
-                chi = b.chi._term_list()
-                c = _kernels.eval_terms(chi, x)
-                if abs(c) > SLIDING_BAND * EVENT_TOL:
-                    # both regions hold x, but chi_ij is off the band (chi_ij
-                    # and the regions' xi differ in scale): one Newton step
-                    # onto chi_ij = 0, as the sliding kernel projects
-                    n = _values(grad, x)
-                    nn = _dot(n, n)
-                    xp = ([u - (c / nn) * g for u, g in zip(x, n)]
-                          if nn != 0.0 else x)
-                    if not (abs(_kernels.eval_terms(chi, xp))
-                            <= SLIDING_BAND * EVENT_TOL):
-                        return stop(t, x, "stratum_stop",
-                                    f"({i},{j}) off its variety where both "
-                                    f"regions meet")
-                    x = xp
-                try:
-                    alpha = _sliding_weight(b, p, grad, fi, fj, x)
-                except Tangency:
-                    alpha = None
-                except StratumStop as exc:
-                    return stop(t, x, "stratum_stop", str(exc))
-                if alpha is not None and 0.0 <= alpha <= 1.0:
-                    pair, state = p, "sliding"
-                    traj.events.append((t, "sliding_entry", f"({i},{j})"))
-                else:
-                    # transversal crossing: both fields push chi the same
-                    # way; continue in the region owning that side
-                    n = _values(grad, x)
-                    dchi = _dot(n, _values(fi, x))
-                    if dchi == 0.0:
-                        dchi = _dot(n, _values(fj, x))
-                    nn = math.sqrt(_dot(n, n))
-                    if nn == 0.0 or dchi == 0.0:
-                        return stop(t, x, "stratum_stop",
-                                    f"degenerate crossing of ({i},{j})")
-                    s = _sign(dchi) * (1e-3 * (1.0 + math.sqrt(_dot(x, x))) / nn)
-                    probe = [u + s * v for u, v in zip(x, n)]
-                    rid = i if all(_kernels.eval_terms(xi._term_list(), probe) >= 0.0
-                                   for xi in sys.regions[i].xi) else j
-                    state = "smooth"
-            continue
-
-        if state == "smooth":
-            # a boundary the state sits on (the last event's) has no side
-            # until the first step leaves it
-            states, times, hs, code = _kernels.rk4_smooth_run(
-                smooth_kernel_of(rid), x, t, cfg.t_end, cfg.step, BALL_STOP,
-                box_lo, box_hi, SLIDING_BAND * EVENT_TOL)
-            # the escaping or boundary-flagged state is not accepted
-            end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
-            add_segment(times[1:end], states[1:end], f"smooth:{rid}", rid)
-            if code != _kernels.STOP_BOUNDARY:
-                t, x = times[-1], states[-1].tolist()
+        try:
+            rid, pair = pick_region(x)
+        except StratumStop as exc:
+            return stop(t, x, "stratum_stop", str(exc))
+        if pair is not None:
+            i, j = pair
+            grad = grad_of(pair)
+            chi = sys.boundary(i, j).chi._term_list()
+            c = _kernels.eval_terms(chi, x)
+            if abs(c) > band:
+                # both regions hold x, but chi_ij is off the band (chi_ij
+                # and the regions' xi differ in scale): one Newton step
+                # onto chi_ij = 0, as the sliding kernel projects
+                n = _values(grad, x)
+                nn = _dot(n, n)
+                xp = ([u - (c / nn) * g for u, g in zip(x, n)]
+                      if nn != 0.0 else x)
+                if not abs(_kernels.eval_terms(chi, xp)) <= band:
+                    return stop(t, x, "stratum_stop",
+                                f"({i},{j}) off its variety where both "
+                                f"regions meet")
+                x = xp
+            # the normal and both fields at x, for the sliding weight and
+            # the transversal probe alike
+            n = _values(grad, x)
+            nn = _dot(n, n)
+            if nn == 0.0:
+                return stop(t, x, "stratum_stop",
+                            f"singular boundary point of ({i},{j}): zero normal")
+            fi, fj = _values(field_of(i)[1], x), _values(field_of(j)[1], x)
+            slide = _kernels.sliding_field(n, fi, fj)
+            if slide is not None and 0.0 <= slide[1] <= 1.0:
+                traj.events.append((t, "sliding_entry", f"({i},{j})"))
+                states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
+                    sliding_kernel_of(pair), x, t, cfg.t_end, cfg.step,
+                    BALL_STOP, box_lo, box_hi, EVENT_TOL, band)
+                add_segment(times, states, f"sliding:{i},{j}", i, alphas)
                 if code == _kernels.STOP_CONVERGED:
                     return stop(t, x, "converged")
                 if code == _kernels.STOP_ESCAPED:
                     return stop(t, x, "escaped")
-                continue
-            # boundary event on the last step: the kernel and detect_crossing
-            # apply one rule to the same floats, so there is a hit
-            x_prev, x_next = states[-2:].tolist()
-            t_prev = times[-2]
-            try:
-                b, s, xc = detect_crossing(sys, x_prev, x_next,
-                                           field_of(rid)[0], hs)
-            except StratumStop as exc:
-                return stop(t_prev, x_prev, "stratum_stop", str(exc))
-            t, x = t_prev + s * hs, xc.tolist()
-            add_point(t, x, f"smooth:{rid}", rid=rid)
-            traj.events.append((t, "crossing", f"({b.i},{b.j})"))
-            state = "decide"
-            continue
+                if code != _kernels.STOP_MAXSTEPS:
+                    traj.events.append(
+                        (t, "sliding_exit", f"({i},{j}){_SLIDING_EXIT_NOTE[code]}"))
+                # a tangency before the first accepted step leaves x, n and
+                # the fields as they were: leave by the transversal rule, or
+                # the next pass would slide again from the same point
+                if times or code != _kernels.STOP_TANGENCY:
+                    continue
+            # transversal crossing: both fields push chi the same way;
+            # continue in the region owning that side
+            dchi = _dot(n, fi) or _dot(n, fj)
+            if dchi == 0.0:
+                return stop(t, x, "stratum_stop",
+                            f"degenerate crossing of ({i},{j})")
+            s = _sign(dchi) * (1e-3 * (1.0 + math.sqrt(_dot(x, x)))
+                               / math.sqrt(nn))
+            probe = [u + s * v for u, v in zip(x, n)]
+            rid = i if all(_kernels.eval_terms(xi._term_list(), probe) >= 0.0
+                           for xi in sys.regions[i].xi) else j
 
-        if state == "sliding":
-            i, j = pair
-            states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
-                sliding_kernel_of(pair), x, t, cfg.t_end, cfg.step, BALL_STOP,
-                box_lo, box_hi, EVENT_TOL, SLIDING_BAND * EVENT_TOL)
-            add_segment(times, states, f"sliding:{i},{j}", i, alphas)
+        # a boundary the state sits on (the last event's) has no side until
+        # the first step leaves it
+        states, times, hs, code = _kernels.rk4_smooth_run(
+            smooth_kernel_of(rid), x, t, cfg.t_end, cfg.step, BALL_STOP,
+            box_lo, box_hi, band)
+        # the escaping or boundary-flagged state is not accepted
+        end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
+        add_segment(times[1:end], states[1:end], f"smooth:{rid}", rid)
+        if code != _kernels.STOP_BOUNDARY:
+            t, x = times[-1], states[-1].tolist()
             if code == _kernels.STOP_CONVERGED:
                 return stop(t, x, "converged")
             if code == _kernels.STOP_ESCAPED:
                 return stop(t, x, "escaped")
-            if code != _kernels.STOP_MAXSTEPS:
-                traj.events.append(
-                    (t, "sliding_exit", f"({i},{j}){_SLIDING_EXIT_NOTE[code]}"))
-                state = "decide"
             continue
+        # boundary event on the last step: the kernel and detect_crossing
+        # apply one rule to the same floats, so there is a hit
+        x_prev, x_next = states[-2:].tolist()
+        t_prev = times[-2]
+        try:
+            b, s, xc = detect_crossing(sys, x_prev, x_next, field_of(rid)[0], hs)
+        except StratumStop as exc:
+            return stop(t_prev, x_prev, "stratum_stop", str(exc))
+        t, x = t_prev + s * hs, xc.tolist()
+        add_point(t, x, f"smooth:{rid}", rid=rid)
+        traj.events.append((t, "crossing", f"({b.i},{b.j})"))
 
     if not traj.count or t - traj.final_time > 1e-15:
         add_point(t, x, "stopped:t_end")

@@ -235,9 +235,16 @@ class SwitchedSystem:
 
 # -- serialization -----------------------------------------------------------
 
+def _integer(v, what):
+    """v if it is a JSON integer; a float or a bool is a format error."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SystemFormatError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
 def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
     try:
-        n = int(doc["dimension"])
+        n = _integer(doc["dimension"], "dimension")
         box_raw = doc["box"]
         lo = np.array([float(b[0]) for b in box_raw])
         hi = np.array([float(b[1]) for b in box_raw])
@@ -245,7 +252,7 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
             raise SystemFormatError("box must be n finite pairs [lo, hi] with lo < hi")
         regions = {}
         for rdoc in doc["regions"]:
-            rid = int(rdoc["id"])
+            rid = _integer(rdoc["id"], "region id")
             if rid in regions:
                 raise SystemFormatError(f"region id {rid} appears twice")
             regions[rid] = SemiAlgebraicRegion(
@@ -257,8 +264,8 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
         boundaries = []
         for bdoc in doc.get("boundaries", []):
             boundaries.append(BoundaryVariety(
-                i=int(bdoc["i"]),
-                j=int(bdoc["j"]),
+                i=_integer(bdoc["i"], "boundary i"),
+                j=_integer(bdoc["j"], "boundary j"),
                 chi=parse_polynomial(bdoc["chi_ij"], n),
                 witness=(np.array([float(v) for v in bdoc["witness"]])
                          if "witness" in bdoc else None),
@@ -272,7 +279,8 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
             dynamics[rid] = SubsystemDynamics(
                 vertices=[parse_vector(v, n) for v in vertices]
             )
-        origin = {int(r) for r in doc.get("origin_regions", [])}
+        origin = {_integer(r, "origin region")
+                  for r in doc.get("origin_regions", [])}
     except SystemFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -3,6 +3,7 @@ certify 0/2/3/1, verify 0/4/1, everything else 0/1."""
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from swsos.cli import main
 QUAD = "systems/quadrant-cubic.sys"
 PUBLISHED_V = "systems/quadrant-cubic-V-stripped.lyap"
 OPPOSING = "systems/opposing-fields.sys"
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "systems").glob("*.sys"))
 
 
 def run(args, tmp_path):
@@ -34,6 +36,46 @@ def test_validate_fail_exit_code(tmp_path):
     doc["regions"][0]["witness"] = [-1.0, 1.0]  # violates x1*x2 >= 0
     bad.write_text(json.dumps(doc))
     assert run(["validate", str(bad)], tmp_path) == 1
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_every_shipped_system_validates(tmp_path, path):
+    assert run(["validate", str(path)], tmp_path) == 0
+
+
+NON_FINITE = pytest.mark.parametrize("text, value", [
+    ("1e400*x1", "inf"),
+    ("1e400*x1 - 1e400*x1", "nan"),
+], ids=["inf", "nan"])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("command", [["validate"], ["certify", "--degree", "2"]],
+                         ids=["validate", "certify"])
+def test_non_finite_coefficient_in_system_is_input_error(tmp_path, capsys, text,
+                                                         value, command):
+    # a non-finite coefficient is a format error, not a certify traceback
+    doc = json.loads(open(OPPOSING).read())
+    doc["dynamics"]["1"][0][0] = text
+    bad = tmp_path / "bad.sys"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), command[0], str(bad), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"coefficient {value} is not finite" in err
+
+
+@NON_FINITE
+def test_non_finite_coefficient_in_lyapunov_is_input_error(tmp_path, capsys,
+                                                           text, value):
+    bad = tmp_path / "bad.lyap"
+    bad.write_text(json.dumps({"lyapunov": {"1": f"x1^2 + x2^2 + {text}",
+                                            "2": "x1^2 + x2^2"}}))
+    assert run(["verify", OPPOSING, str(bad)], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: entry '1': ")
+    assert f"coefficient {value} is not finite" in err
 
 
 def test_verify_published_family_exit_0(tmp_path, capsys):

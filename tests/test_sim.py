@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -324,9 +327,9 @@ def test_simulate_escape(quadrant_system):
     assert not traj.converged()
 
 
-def _two_sided(f1, f2):
+def _two_sided_doc(f1, f2):
     # x2 >= 0 runs F_1, x2 <= 0 runs F_2, boundary x2 = 0
-    return parse_system({
+    return {
         "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
         "regions": [
             {"id": 1, "chi": "0", "xi": ["x2"], "witness": [0.0, 1.0]},
@@ -335,7 +338,11 @@ def _two_sided(f1, f2):
         "boundaries": [{"i": 1, "j": 2, "chi_ij": "x2", "witness": [1.0, 0.0]}],
         "dynamics": {"1": [f1], "2": [f2]},
         "origin_regions": [1, 2],
-    })
+    }
+
+
+def _two_sided(f1, f2):
+    return parse_system(_two_sided_doc(f1, f2))
 
 
 def test_simulate_converges_while_sliding():
@@ -492,6 +499,38 @@ def test_stratum_stop_at_higher_codimension(monkeypatch):
     monkeypatch.setattr(sim, "BALL_STOP", 1e-15)
     traj = simulate(sys_, (0.0, 0.0 + 1e-12), SimConfig(step=1e-3, t_end=1.0))
     assert "stratum_stop" in traj.event_kinds()
+
+
+# prints the events of a run of the system document argv[1] from argv[2]
+_EVENTS_OF_RUN = """
+import json, sys
+from swsos.sim import SimConfig, simulate
+from swsos.system import parse_system
+traj = simulate(parse_system(json.loads(sys.argv[1])), json.loads(sys.argv[2]),
+                SimConfig(step=1e-3, t_end=1.0))
+print(json.dumps(traj.events))
+"""
+
+
+@pytest.mark.parametrize("x1", [0.3, 0.4995, 0.5, 0.0005])
+def test_sliding_tangency_before_a_step_does_not_loop(x1):
+    # alpha is 1/2 all along x2 = 0 but at x1 = 1, where both normal
+    # components vanish.  From (0.3, 0) a sliding step's last stage lands
+    # on x1 = 1 at t = 0.699 and the kernel exits with tangency.  Sliding
+    # again from there exits with no row, and the run must then leave by
+    # the transversal rule: re-entering would repeat forever, so the run is
+    # a subprocess with a timeout.
+    doc = _two_sided_doc(["1", "-1 + x1"], ["1", "1 - x1"])
+    src = os.path.dirname(os.path.dirname(sim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVENTS_OF_RUN, json.dumps(doc),
+         json.dumps([x1, 0.0])],
+        capture_output=True, text=True, timeout=20, env=env, check=True)
+    events = [tuple(e) for e in json.loads(proc.stdout)]
+    assert events[-1] == (1.0, "t_end", "")
+    assert all(a[:2] != b[:2] for a, b in zip(events, events[1:]))
 
 
 def _opposing_with_chi(systems_dir, chi):

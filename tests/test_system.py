@@ -39,6 +39,20 @@ def test_malformed_json_reports_location(tmp_path):
         load_system(f)
 
 
+def _with_boundary(i, j):
+    """A mutation adding region 2 and the boundary (i, j) between them."""
+    return lambda d: d.update(
+        regions=d["regions"] + [{"id": 2, "chi": "0", "xi": [], "witness": [-0.5]}],
+        boundaries=[{"i": i, "j": j, "chi_ij": "x1"}],
+        dynamics={"1": [["-x1"]], "2": [["-x1"]]})
+
+
+def test_two_region_mutation_is_well_formed():
+    doc = _minimal_doc()
+    _with_boundary(1, 2)(doc)
+    assert parse_system(doc).boundary(1, 2).pair == (1, 2)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.pop("dimension"),
     lambda d: d["box"].__setitem__(0, [1.0, -1.0]),        # lo >= hi
@@ -50,6 +64,16 @@ def test_malformed_json_reports_location(tmp_path):
         regions=d["regions"] + [{"id": 2, "chi": "0", "xi": [], "witness": [-0.5]}],
         boundaries=[{"i": 1, "j": 2, "chi_ij": "x1", "witness": [0.0, 0.0]}],
         dynamics={"1": [["-x1"]], "2": [["-x1"]]}),
+    # ids, the dimension and region references are JSON integers: a float
+    # is not truncated and a bool is not 0 or 1
+    lambda d: d.update(dimension=1.9),
+    lambda d: d.update(dimension=True),
+    lambda d: d["regions"][0].__setitem__("id", 1.6),
+    lambda d: d.update(origin_regions=[1.0]),
+    lambda d: d.update(origin_regions=[True]),
+    _with_boundary(i=1.2, j=2),
+    _with_boundary(i=True, j=2),
+    _with_boundary(i=1, j=2.0),
 ])
 def test_malformed_documents_rejected(mutate):
     doc = _minimal_doc()
