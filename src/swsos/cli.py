@@ -82,9 +82,9 @@ def _strict(obj):
 
 def _write_json(path: Path, doc: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(_strict(doc), indent=2, sort_keys=False, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_strict(doc), fh, indent=2, sort_keys=False, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- input loading ------------------------------------------------------------

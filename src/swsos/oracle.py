@@ -22,10 +22,15 @@ grid-plus-random candidates are never held at once: `verify_certificate`
 streams them in chunks of at most CHUNK points, masks and gathers each
 region's survivors in a chunk with `take`, and folds every condition's
 worst case into a running record, so its memory does not grow with the
-grid.  Boundary points come from random segments drawn in rounds and
-bisected in one pass after the last round.  A value that overflows to
-inf or turns nan fails its condition, nan ranking as the worst
-violation, and raises no floating-point warning.
+grid.  A random chunk is one rng.random draw scaled in place to
+lo + (hi - lo) * d, the formula of numpy's uniform.  Per chunk the norms
+and the exclusion-ball mask are taken once, and per region the scale
+1 + |x|^d once for each distinct degree d of its conditions.  Boundary
+points come from random segments drawn in rounds with rng.uniform and
+bisected in one pass after the last round; the bisection works in place
+on all kept segments, a stopped segment frozen rather than removed.  A
+value that overflows to inf or turns nan fails its condition, nan
+ranking as the worst violation, and raises no floating-point warning.
 """
 
 from __future__ import annotations
@@ -127,7 +132,12 @@ def _candidate_chunks(box, rng):
     Grid points come from their flat index, one base-GRID_PER_DIM digit per
     axis.  The random chunks are consecutive (k, n) draws, which give the
     values of one (RANDOM_SAMPLES, n) draw and leave the generator in its
-    state.
+    state.  Each is rng.random((k, n)) turned into columns and scaled in
+    place, lo + (hi - lo) * d: the formula of numpy's random_uniform,
+    lower + range * next_double, behind rng.uniform(lo, hi, size=(k, n)),
+    on the same doubles.  Rounded twice here on any build, it gives that
+    call's values wherever numpy does not fuse the line into a
+    multiply-add, as on the builds the tests run on.
     """
     lo, hi = box
     n = len(lo)
@@ -141,9 +151,13 @@ def _candidate_chunks(box, rng):
             rest, digit = np.divmod(rest, g)
             axes[k].take(digit, out=cols[k])
         yield cols
+    span, lo = (hi - lo)[:, None], lo[:, None]
     for start in range(0, samples, CHUNK):
         k = min(CHUNK, samples - start)
-        yield np.ascontiguousarray(rng.uniform(lo, hi, size=(k, n)).T)
+        cols = np.ascontiguousarray(rng.random((k, n)).T)
+        cols *= span
+        cols += lo
+        yield cols
 
 
 def _candidate_points(box, rng) -> np.ndarray:
@@ -193,16 +207,14 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     pts = points if points is not None else _candidate_points(sys.box, rng)
     cols = np.ascontiguousarray(pts.T)
-    keep = _region_keep(region, cols, _norms(cols), cfg)
+    keep = _region_keep(region, cols, _norms(cols) >= EXCLUSION_RADIUS, cfg)
     return pts[keep], _survivor_warnings(region, int(keep.sum()))
 
 
-def _region_keep(region: SemiAlgebraicRegion, cols, norms, cfg: OracleConfig):
-    """Mask of the points of cols (n, m), given their norms, that
-    sample_region keeps."""
-    keep = norms >= EXCLUSION_RADIUS
-    keep &= region.contains_many(cols, cfg.tolerance)
-    return keep
+def _region_keep(region: SemiAlgebraicRegion, cols, outside, cfg: OracleConfig):
+    """Mask of the points of cols (n, m) that sample_region keeps, given
+    outside, the mask of those outside the exclusion ball."""
+    return outside & region.contains_many(cols, cfg.tolerance)
 
 
 def _survivor_warnings(region: SemiAlgebraicRegion, count: int) -> list:
@@ -262,22 +274,25 @@ def sample_boundary(sys: SwitchedSystem, boundary: BoundaryVariety,
     out = ends[0]                       # an exact zero a is its own point
     sa = np.concatenate(kept_signs)
     idx = np.flatnonzero(sa != 0.0)
-    # a only ever takes a midpoint of its own sign, so sign(fa) is fixed
+    # a only ever takes a midpoint of its own sign, so sign(fa) is fixed.
+    # A segment stops where |chi(m)| <= 1e-12 and is then frozen: its a
+    # and b no longer move, so its midpoint, and so its stop, repeat.
     a, b, sa = ends[0][:, idx], ends[1][:, idx], sa[idx]
+    m = np.empty_like(a)
     for _ in range(200):
-        if idx.size == 0:
-            break
-        m = 0.5 * (a + b)
+        np.add(a, b, out=m)
+        m *= 0.5
         fm = chi(m)
-        stop = np.abs(fm) <= 1e-12
-        if stop.any():
-            out[:, idx[stop]] = m[:, stop]
-            go = ~stop
-            a, b, m, fm, sa, idx = a[:, go], b[:, go], m[:, go], fm[go], sa[go], idx[go]
-        same = np.sign(fm) == sa
-        a = np.where(same, m, a)
-        b = np.where(same, b, m)
-    out[:, idx] = 0.5 * (a + b)
+        go = ~(np.abs(fm) <= 1e-12)     # nan goes on
+        if not go.any():
+            break
+        # sa is +-1 (or nan, never same), so this is sign(fm) == sa
+        same = fm * sa > 0.0
+        np.copyto(a, m, where=go & same)
+        np.copyto(b, m, where=go & ~same)
+    np.add(a, b, out=m)
+    m *= 0.5
+    out[:, idx] = m
 
     pts = np.ascontiguousarray(out[:, _norms(out) >= EXCLUSION_RADIUS].T)
     if pts.shape[0] == 0 and not warns:
@@ -359,8 +374,8 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     if missing:
         raise ValueError(f"no Lyapunov polynomial for regions {missing}")
 
-    # per region: positivity's (V, degree, worst case), then one
-    # (Lie derivative, degree, worst case) per vertex
+    # per region: its distinct degrees, positivity's (V, degree, worst
+    # case), then one (Lie derivative, degree, worst case) per vertex
     checks = []
     for rid, region in sorted(sys.regions.items()):
         V = lyapunov[rid]
@@ -368,20 +383,23 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
         lies = [(lie, lie.degree(), _Worst("lie_region", f"region {rid}, vertex {l}"))
                 for l, lie in enumerate(lie_derivative(V, f)
                                         for f in sys.dynamics[rid].vertices)]
-        checks.append((region, positivity, lies))
+        degrees = {deg for _, deg, _ in [positivity, *lies]}
+        checks.append((region, degrees, positivity, lies))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in _candidate_chunks(sys.box, rng):
             chunk_norms = _norms(chunk)
-            for region, (V, deg, worst), lies in checks:
-                idx = np.flatnonzero(_region_keep(region, chunk, chunk_norms, cfg))
+            outside = chunk_norms >= EXCLUSION_RADIUS
+            for region, degrees, (V, deg, worst), lies in checks:
+                idx = np.flatnonzero(_region_keep(region, chunk, outside, cfg))
                 cols, norms = chunk.take(idx, axis=1), chunk_norms.take(idx)
+                scale = {d: _scale(norms, d) for d in degrees}
                 # positivity: V must dominate a tolerance-sized quadratic
                 worst.fold((cfg.tolerance * norms ** 2 - V.eval_columns(cols))
-                           / _scale(norms, deg), cols)
+                           / scale[deg], cols)
                 for lie, deg, worst in lies:
-                    worst.fold(lie.eval_columns(cols) / _scale(norms, deg), cols)
-        for region, (_, _, positivity), lies in checks:
+                    worst.fold(lie.eval_columns(cols) / scale[deg], cols)
+        for region, _, (_, _, positivity), lies in checks:
             report.warnings.extend(_survivor_warnings(region, positivity.samples))
             report.records.append(positivity.record(cfg.tolerance))
             report.records.extend(worst.record(cfg.tolerance) for *_, worst in lies)

@@ -49,8 +49,14 @@ class SemiAlgebraicRegion:
                 and all(eval_terms(g._term_list(), x) >= -tol for g in self.xi))
 
     def contains_many(self, cols, tol: float) -> np.ndarray:
-        """contains at each point of cols (n, m), one row per variable."""
-        mask = np.abs(self.chi.eval_columns(cols)) <= tol
+        """contains at each point of cols (n, m), one row per variable.
+
+        A zero chi is 0 at every point, nan and inf included, so its test
+        is 0.0 <= tol everywhere and is not evaluated."""
+        if self.chi.is_zero():
+            mask = np.full(np.shape(cols)[1], 0.0 <= tol)
+        else:
+            mask = np.abs(self.chi.eval_columns(cols)) <= tol
         for g in self.xi:
             mask &= g.eval_columns(cols) >= -tol
         return mask
@@ -248,8 +254,12 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
         box_raw = doc["box"]
         lo = np.array([float(b[0]) for b in box_raw])
         hi = np.array([float(b[1]) for b in box_raw])
-        if lo.shape != (n,) or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
-            raise SystemFormatError("box must be n finite pairs [lo, hi] with lo < hi")
+        # the oracle draws lo + (hi - lo) * d, so the width must be finite too
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo
+        if lo.shape != (n,) or not np.all(np.isfinite(width) & (lo < hi)):
+            raise SystemFormatError("box must be n finite pairs [lo, hi] with lo < hi "
+                                    "and a finite width hi - lo")
         regions = {}
         for rdoc in doc["regions"]:
             rid = _integer(rdoc["id"], "region id")

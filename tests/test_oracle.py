@@ -216,6 +216,23 @@ def test_sample_boundary_matches_one_at_a_time(quadrant_system, small_oracle,
     assert rng_new.random() == rng_ref.random()
 
 
+@pytest.mark.parametrize("chi", ["1e308*x1^3 + x2", "1e308*x1^3 - 1e308*x2^3"],
+                         ids=["inf", "nan"])
+def test_sample_boundary_bisects_inf_and_nan_as_one_at_a_time(
+        quadrant_system, small_oracle, chi):
+    # chi overflows to inf at some midpoints, and to inf - inf = nan at
+    # some ends and midpoints: a nan never has a's sign, so b takes it
+    from swsos.system import BoundaryVariety
+    bnd = BoundaryVariety(i=1, j=2, chi=parse_polynomial(chi, 2))
+    rng_ref, rng_new = np.random.default_rng(4), np.random.default_rng(4)
+    ref_pts, ref_warns = _sample_boundary_one_at_a_time(quadrant_system.box,
+                                                        bnd, rng_ref)
+    pts, warns = sample_boundary(quadrant_system, bnd, OracleConfig(seed=4), rng_new)
+    assert np.array_equal(pts, ref_pts)
+    assert warns == ref_warns
+    assert rng_new.random() == rng_ref.random()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_region_records_match_sample_region(quadrant_system, published_lyapunov,
@@ -315,6 +332,64 @@ def test_candidate_chunks_concatenate_to_the_meshgrid(quadrant_system, monkeypat
     expected = np.vstack([grid, ref_rng.uniform(lo, hi, size=(11, 2))])
     assert np.array_equal(np.concatenate(chunks, axis=1).T, expected)
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([0.25], [0.75]),
+    ([-4.0, -4.0], [4.0, 4.0]),
+    ([-0.3, 1e-3], [7.1, 2e-3]),
+    ([-1e-300, 5.0], [3e-300, 1e10]),
+    ([-2.0, -0.1, 3.0], [2.0, 0.7, 3.3]),
+], ids=["n1", "n2-square", "n2-lopsided", "n2-tiny-and-huge", "n3-lopsided"])
+def test_candidate_chunks_draw_as_uniform(monkeypatch, lo, hi):
+    # the random chunks scale rng.random draws in place, lo + (hi - lo) * d,
+    # the formula of numpy's random_uniform (lower + range * next_double)
+    # behind rng.uniform; spans that are not powers of two round in the
+    # multiply, so a different order of operations would show here
+    lo, hi = np.array(lo), np.array(hi)
+    n = len(lo)
+    monkeypatch.setattr(oracle, "GRID_PER_DIM", 2)
+    monkeypatch.setattr(oracle, "RANDOM_SAMPLES", 5000)
+    monkeypatch.setattr(oracle, "CHUNK", 1024)
+    rng = np.random.default_rng(17)
+    chunks = list(oracle._candidate_chunks((lo, hi), rng))
+    assert all(c.flags.c_contiguous for c in chunks)
+    ref_rng = np.random.default_rng(17)
+    expected = ref_rng.uniform(lo, hi, size=(oracle.RANDOM_SAMPLES, n))
+    got = np.concatenate(chunks, axis=1).T[2 ** n:]
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert rng.random() == ref_rng.random()
+
+
+def test_scale_is_taken_once_per_chunk_region_and_degree(monkeypatch, quadrant_system,
+                                                        published_lyapunov):
+    # positivity and every lie_region condition of a region share the
+    # scale of their degree within a chunk: on the published family all
+    # five conditions have degree 6, so 2 scales per chunk, not 5
+    from swsos.poly import lie_derivative
+    calls = {"region": 0}
+    scale, boundary = oracle._scale, oracle.sample_boundary
+
+    def counted_scale(norms, deg):
+        calls["region"] += "boundary" not in calls
+        return scale(norms, deg)
+
+    def marked_boundary(*args, **kwargs):
+        calls["boundary"] = True
+        return boundary(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_scale", counted_scale)
+    monkeypatch.setattr(oracle, "sample_boundary", marked_boundary)
+    report = verify_certificate(quadrant_system, published_lyapunov)
+    assert report.passed
+    chunks = sum(1 for _ in oracle._candidate_chunks(
+        quadrant_system.box, np.random.default_rng(0)))
+    degrees = sum(
+        len({V.degree()} | {lie_derivative(V, f).degree()
+                            for f in quadrant_system.dynamics[rid].vertices})
+        for rid, V in published_lyapunov.items())
+    assert chunks == 8 and degrees == 2
+    assert calls["region"] == chunks * degrees
 
 
 # sha256 of the 3-D half-space report at the default OracleConfig, computed

@@ -82,6 +82,16 @@ def test_malformed_documents_rejected(mutate):
         parse_system(doc)
 
 
+@pytest.mark.parametrize("side", [[-1e308, 1e308], [-float("inf"), 1.0],
+                                  [0.0, float("nan")]])
+def test_box_width_must_be_finite(side):
+    # a width that overflows would make every sampled point inf or nan
+    doc = _minimal_doc()
+    doc["box"] = [side]
+    with pytest.raises(SystemFormatError, match="finite width"):
+        parse_system(doc)
+
+
 def test_boundary_must_join_known_distinct_regions():
     doc = _minimal_doc()
     doc["boundaries"] = [{"i": 1, "j": 1, "chi_ij": "x1"}]
@@ -130,6 +140,27 @@ def test_locate_quadrants(quadrant_system):
     assert quadrant_system.locate((1.0, 0.0), tol=1e-9) == {1, 2}
     with pytest.raises(ValueError):
         quadrant_system.locate((1.0, 1.0, 1.0), tol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.0, -1e-6])
+def test_contains_many_with_zero_chi_matches_contains(tol):
+    # a zero chi is not evaluated: its test is 0.0 <= tol at every point,
+    # nan and inf included, as the pointwise contains finds
+    from swsos.poly import parse_polynomial
+    from swsos.system import SemiAlgebraicRegion
+    region = SemiAlgebraicRegion(
+        rid=1, chi=parse_polynomial("0", 2),
+        xi=[parse_polynomial("x1", 2), parse_polynomial("x2 - 1", 2)],
+        witness=np.array([1.0, 2.0]))
+    assert region.chi.is_zero()
+    nan, inf = float("nan"), float("inf")
+    points = [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0), (-0.0, 1.0), (2.0, 3.0),
+              (-1e-7, 1.0), (1.0, 1.0 - 1e-7), (-1.0, 2.0), (1.0, 0.0),
+              (nan, 2.0), (1.0, nan), (nan, nan), (inf, 2.0), (-inf, 2.0),
+              (1.0, inf), (1.0, -inf), (inf, -inf)]
+    cols = np.ascontiguousarray(np.array(points).T)
+    expected = [region.contains(list(p), tol) for p in points]
+    assert region.contains_many(cols, tol).tolist() == expected
 
 
 def test_field_at_convex_combination(quadrant_system):
