@@ -14,6 +14,22 @@ input error too: every command exits 1 on it, and -h exits 0.
 
 Every output file records the hash of the run manifest (command, inputs,
 config, seed) so reports can be traced back to the exact invocation.
+
+simulate runs the values of a --theta-sweep on W = min(number of values,
+usable CPUs) workers: the process forks W - 1 children, runs every W-th
+value from the first itself, and child k runs every W-th value from the
+k-th.  Each run calls simulate and write_trajectory and writes its own
+file; a child pickles its summary lines, or the exception its run raised,
+to a pipe and leaves with os._exit.  The parent reads every pipe to EOF,
+reaps every child, prints the lines in sweep order and re-raises the
+first failing run's exception.  --theta, the default theta, a one-value
+sweep, one usable CPU, or a platform without os.fork and
+os.sched_getaffinity give W = 1: nothing forks, and the one stripe is the
+whole run list.  The generated RK4 kernels are therefore shared within a
+worker, not across a whole sweep.  The fork happens while numpy's
+OpenBLAS holds a worker thread: Python 3.11 forks silently, but Python
+3.12 and later warn (DeprecationWarning) about fork in a multi-threaded
+process.
 """
 
 from __future__ import annotations
@@ -22,6 +38,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import pickle
 import sys as _sys
 import time
 from functools import cache
@@ -32,7 +50,7 @@ import numpy as np
 from . import __version__
 from .certify import (CERTIFIED, NO_CERTIFICATE, CertificationConfig,
                       certify, check_attractivity)
-from .oracle import OracleConfig, verify_certificate
+from .oracle import OracleConfig, origin_values, verify_certificate
 from .poly import PolynomialParseError, parse_polynomial
 from .sim import SimConfig, simulate, write_trajectory
 from .system import SystemFormatError, load_system, on_simplex
@@ -271,21 +289,119 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label, cfg in configs:
+
+    def run(label, cfg) -> str:
+        """Simulate and write one run; its summary line."""
         traj = simulate(sys_, x0, cfg, certificate=certificate)
         name = f"{Path(args.system).stem}__{label}.trajectory.tsv"
         with open(out_dir / name, "w") as fh:
             write_trajectory(traj, fh, manifest_hash=manifest["hash"])
         last = traj.events[-1] if traj.events else (traj.final_time, "t_end", "")
-        print(f"{name}: {traj.count} points, final event {last[1]} "
-              f"at t={last[0]:.4g}, ||x||={np.linalg.norm(traj.final_state):.3e}")
+        return (f"{name}: {traj.count} points, final event {last[1]} "
+                f"at t={last[0]:.4g}, ||x||={np.linalg.norm(traj.final_state):.3e}")
+
+    lines, exc = _run_striped(configs, run)
+    for line in lines:
+        print(line)
+    if exc is not None:
+        raise exc
     return EXIT_OK
+
+
+# -- sweep workers -------------------------------------------------------------
+
+def _workers(n_runs: int) -> int:
+    """One worker per usable CPU, at most one per run; 1 where os.fork or
+    os.sched_getaffinity does not exist."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(n_runs, len(os.sched_getaffinity(0)))
+
+
+def _stripe(runs, work) -> tuple:
+    """(results, exception): work(*run) for each run in order, up to the
+    first that raises, and its exception (None when none raised)."""
+    results = []
+    for run in runs:
+        try:
+            results.append(work(*run))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _fork_stripe(runs, work) -> tuple:
+    """(pid, read end of its pipe) of a child that pickles _stripe(runs,
+    work) to the pipe and leaves with os._exit, whatever happens."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            results, exc = _stripe(runs, work)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(repr(exc))
+            with open(w, "wb") as fh:
+                pickle.dump((results, exc), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid: int, r: int, runs) -> tuple:
+    """A forked stripe's (results, exception): its pipe read to EOF, then
+    the child reaped; a child that left no payload is a RuntimeError."""
+    with open(r, "rb") as fh:
+        data = fh.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        return pickle.loads(data)
+    except Exception:
+        return [], RuntimeError(
+            f"worker for {[label for label, _ in runs]} exited with status "
+            f"{status} and no result")
+
+
+def _run_striped(runs, work) -> tuple:
+    """_stripe(runs, work) computed on _workers(len(runs)) processes.
+
+    Child k runs runs[k::W] while this process runs runs[0::W]; results
+    come back in run order, up to the first run that raised, with its
+    exception.  Every child is reaped, also when this process's stripe or
+    a fork raises."""
+    W = _workers(len(runs))
+    outcomes, children = [None], []
+    try:
+        for k in range(1, W):
+            children.append(_fork_stripe(runs[k::W], work))
+        outcomes[0] = _stripe(runs[0::W], work)
+    finally:
+        outcomes += [_reap(pid, r, runs[k::W])
+                     for k, (pid, r) in enumerate(children, 1)]
+    results = []
+    for idx in range(len(runs)):
+        done, exc = outcomes[idx % W]
+        if idx // W == len(done):
+            return results, exc
+        results.append(done[idx // W])
+    return results, None
 
 
 def cmd_verify(args) -> int:
     sys_ = _load_system(args.system)
     doc = _read_lyapunov_doc(args.lyapunov)
     lyapunov = _lyapunov_table(args.lyapunov, doc, sys_)
+    # positivity tests V - V(0): the origin regions must agree on V(0)
+    values = list(origin_values(sys_, lyapunov).items())
+    for (ri, vi), (rj, vj) in zip(values, values[1:]):
+        if vi != vj:
+            raise InputError(f"{args.lyapunov}: origin regions {ri} and {rj} "
+                             f"disagree on V(0): {vi!r} and {vj!r}")
     # certificate files record which boundaries can host sliding; cross-Lie
     # conditions only apply there.  Plain Lyapunov files check every pair.
     pairs = doc.get("attractive_pairs")

@@ -5,7 +5,7 @@ SDP layer are never trusted on their own.  A certificate (whether computed
 by this package or supplied externally) is re-checked by dense sampling of
 the defining conditions
 
-    positivity      V_i(x) > 0                      on X_i \\ {0}
+    positivity      V_i(x) > V(0)                   on X_i \\ {0}
     lie_region      <dV_i/dx, f_il(x)> < 0          on X_i \\ {0}, every vertex l
     lie_boundary    <dV_i/dx, f_jl(x)> < 0          on X_i ∩ X_j \\ {0}
     continuity      V_i(x) = V_j(x)                 on X_i ∩ X_j
@@ -14,7 +14,11 @@ The oracle refutes, it does not prove: the verdict vocabulary is
 "no-violation-found" / "violated-at(x)".  Strict inequalities are tested
 against a scaled tolerance on closed samples minus a small ball around the
 origin, since strictness cannot be sampled literally.  Every sample lies
-in the system's box, the compact set the certificate is stated on.
+in the system's box, the compact set the certificate is stated on.  V(0)
+is the common value V_r(0) of the origin regions r (0.0 if there are
+none).  Where they disagree, which the CLI refuses as an input error,
+V(0) is the largest, so positivity fails beside the origin in a region
+whose own value is lower.
 
 Points travel as columns: an (n, m) array with one contiguous row per
 variable, which `Polynomial.eval_columns` evaluates without a copy.  The
@@ -351,6 +355,13 @@ def _record(report: OracleReport, condition: str, subject: str, viol, cols):
     report.records.append(worst.record(report.config.tolerance))
 
 
+def origin_values(sys: SwitchedSystem, lyapunov: dict) -> dict:
+    """Origin region id -> V_r(0), in id order."""
+    zero = (0,) * sys.dimension
+    return {rid: lyapunov[rid].coefficient(zero)
+            for rid in sorted(sys.origin_regions)}
+
+
 def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
                        cfg: OracleConfig = None,
                        attractive_pairs=None) -> OracleReport:
@@ -365,7 +376,8 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     chunks, each region's survivors gathered per chunk, and give the
     records and warnings of checking every candidate at once.  inf and nan
     values make a condition fail (nan ranks worst) without a
-    RuntimeWarning.
+    RuntimeWarning.  Positivity tests V_i - V(0), V(0) the largest of
+    origin_values (0.0 without origin regions).
     """
     cfg = cfg or OracleConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -374,6 +386,7 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     if missing:
         raise ValueError(f"no Lyapunov polynomial for regions {missing}")
 
+    v0 = max(origin_values(sys, lyapunov).values(), default=0.0)
     # per region: its distinct degrees, positivity's (V, degree, worst
     # case), then one (Lie derivative, degree, worst case) per vertex
     checks = []
@@ -394,9 +407,10 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
                 idx = np.flatnonzero(_region_keep(region, chunk, outside, cfg))
                 cols, norms = chunk.take(idx, axis=1), chunk_norms.take(idx)
                 scale = {d: _scale(norms, d) for d in degrees}
-                # positivity: V must dominate a tolerance-sized quadratic
-                worst.fold((cfg.tolerance * norms ** 2 - V.eval_columns(cols))
-                           / scale[deg], cols)
+                # positivity: V - V(0) must dominate a tolerance-sized
+                # quadratic
+                worst.fold((cfg.tolerance * norms ** 2
+                            - (V.eval_columns(cols) - v0)) / scale[deg], cols)
                 for lie, deg, worst in lies:
                     worst.fold(lie.eval_columns(cols) / scale[deg], cols)
         for region, _, (_, _, positivity), lies in checks:

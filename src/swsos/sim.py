@@ -20,9 +20,11 @@ the term lists each field and boundary polynomial caches: rk4_smooth_run
 inside a region, rk4_sliding_run along a boundary variety.  They are the
 one RK4 integrator; there is no per-step Python path.  _kernels compiles
 a kernel once per field shape and binds each field's coefficients to it,
-so the theta runs of one sweep, whose interior values give a region one
-shape, share a compile; simulate builds each region's and boundary's
-kernel once per run, on first use.  Event handling, the choice between
+so the theta runs of one process, whose interior values give a region
+one shape, share a compile (the CLI runs a sweep's values on one worker
+process per usable CPU, so kernels are shared within a worker, not across
+a whole sweep); simulate builds each region's and boundary's kernel once
+per run, on first use.  Event handling, the choice between
 crossing and sliding and the switched Lyapunov value (one batch
 evaluation per non-empty segment) live here.  A region missing from
 SimConfig.theta runs at its first vertex, field_at's default; a theta
@@ -35,10 +37,14 @@ regions of a boundary hold the state but chi_ij is off the sliding band,
 the pass takes one Newton step onto chi_ij = 0, as the sliding kernel
 does, or stops the run (stratum_stop) if that does not reach the band.
 It then evaluates the normal and both fields once: a zero normal stops
-the run, an alpha in [0, 1] runs the sliding kernel, and otherwise the
-transversal probe picks a side.  A sliding run that ends with tangency
-before it accepts a row leaves by the transversal rule, since sliding
-again from the same point would end the same way.  Between segments the
+the run.  The boundary slides only if it attracts: with region i on the
++n side (its xi hold at the transversal probe's point a short step along
++n), n.F_i <= 0 <= n.F_j, or the mirror inequalities with i on the -n
+side.  Then an alpha in [0, 1] runs the sliding kernel; in every other
+case, repelling boundaries included, the transversal probe picks a side.
+A sliding run that ends with tangency before it accepts a row leaves by
+the transversal rule, since sliding again from the same point would end
+the same way.  Between segments the
 state is a list of floats, and every event step (the ball test, region
 location, the sliding weight, the transversal probe, crossing
 localisation and psi at one point) evaluates the term lists with
@@ -327,6 +333,12 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         traj.events.append((t, kind, detail))
         return traj
 
+    def holds(rid, xx, s, n):
+        """Whether region rid's xi hold at the probe xx + s*n."""
+        probe = [u + s * v for u, v in zip(xx, n)]
+        return all(_kernels.eval_terms(xi._term_list(), probe) >= 0.0
+                   for xi in sys.regions[rid].xi)
+
     def pick_region(xx):
         """Region whose (theta-combined) field keeps xx in its closure."""
         members = sorted(sys.locate(xx, tol=band))
@@ -380,7 +392,15 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 return stop(t, x, "stratum_stop",
                             f"singular boundary point of ({i},{j}): zero normal")
             fi, fj = _values(field_of(i)[1], x), _values(field_of(j)[1], x)
-            slide = _kernels.sliding_field(n, fi, fj)
+            ni, nj = _dot(n, fi), _dot(n, fj)
+            # sliding needs both fields to point at chi_ij = 0; region i is
+            # on the +n side iff it holds the probe a step d along +n
+            d = 1e-3 * (1.0 + math.sqrt(_dot(x, x))) / math.sqrt(nn)
+            if holds(i, x, d, n):
+                attracting = ni <= 0.0 <= nj
+            else:
+                attracting = nj <= 0.0 <= ni
+            slide = _kernels.sliding_field(n, fi, fj) if attracting else None
             if slide is not None and 0.0 <= slide[1] <= 1.0:
                 traj.events.append((t, "sliding_entry", f"({i},{j})"))
                 states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
@@ -399,17 +419,13 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 # the next pass would slide again from the same point
                 if times or code != _kernels.STOP_TANGENCY:
                     continue
-            # transversal crossing: both fields push chi the same way;
-            # continue in the region owning that side
-            dchi = _dot(n, fi) or _dot(n, fj)
+            # transversal rule: continue in the region on the side F_i
+            # pushes chi towards (F_j's, if <n, F_i> = 0)
+            dchi = ni or nj
             if dchi == 0.0:
                 return stop(t, x, "stratum_stop",
                             f"degenerate crossing of ({i},{j})")
-            s = _sign(dchi) * (1e-3 * (1.0 + math.sqrt(_dot(x, x)))
-                               / math.sqrt(nn))
-            probe = [u + s * v for u, v in zip(x, n)]
-            rid = i if all(_kernels.eval_terms(xi._term_list(), probe) >= 0.0
-                           for xi in sys.regions[i].xi) else j
+            rid = i if holds(i, x, _sign(dchi) * d, n) else j
 
         # a boundary the state sits on (the last event's) has no side until
         # the first step leaves it

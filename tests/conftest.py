@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,15 @@ def small_oracle(monkeypatch):
     monkeypatch.setattr(oracle, "GRID_PER_DIM", 21)
     monkeypatch.setattr(oracle, "RANDOM_SAMPLES", 2000)
     monkeypatch.setattr(oracle, "BOUNDARY_SAMPLES", 100)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process "
+                + ("running" if pid == 0 else f"{pid} unreaped"))

@@ -2,6 +2,7 @@
 certify 0/2/3/1, verify 0/4/1, everything else 0/1."""
 
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -117,6 +118,31 @@ def test_verify_non_finite_values_write_strict_json(tmp_path, capsys):
     assert report["verdict"] == f"violated-at{tuple(nan_record['worst_point'])}"
 
 
+def test_verify_positivity_is_against_v_at_the_origin(tmp_path, capsys):
+    # 5 - x1^2 >= 4 on [-1, 1] but falls below V(0) = 5 off the origin
+    lyap = tmp_path / "five.lyap"
+    lyap.write_text(json.dumps({"lyapunov": {"1": "5 - x1^2"}}))
+    assert run(["verify", "systems/unstable-scalar.sys", str(lyap)],
+               tmp_path) == 4
+    assert "[FAIL] positivity   region 1" in capsys.readouterr().out
+    # a constant V(0) alone is no violation: 5 + x1^2 - 5 is positive
+    lyap.write_text(json.dumps({"lyapunov": {"1": "5 + x1^2"}}))
+    run(["verify", "systems/unstable-scalar.sys", str(lyap)], tmp_path)
+    assert "[pass] positivity   region 1" in capsys.readouterr().out
+
+
+def test_verify_origin_regions_must_agree_on_v0(tmp_path, capsys):
+    lyap = tmp_path / "split.lyap"
+    lyap.write_text(json.dumps({"lyapunov": {
+        "1": "x1^2 + x2^2", "2": "0.5 + x1^2 + x2^2"}}))
+    out = tmp_path / "out"
+    assert run(["verify", QUAD, str(lyap)], out) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {lyap}: origin regions 1 and 2 disagree on V(0): "
+                   f"0.0 and 0.5\n")
+    assert not out.exists()
+
+
 def test_verify_wrong_region_count(tmp_path):
     bad = tmp_path / "short.lyap"
     bad.write_text(json.dumps({"lyapunov": {"1": "x1^2"}}))
@@ -136,8 +162,10 @@ def test_simulate_sweep_compiles_region_2_kernel_once(tmp_path, monkeypatch):
     # kernels are compiled once per field shape: region 2 has one vertex, so
     # every theta run steps the same field, and the three interior theta give
     # region 1 one shape with different coefficients; counted in _compile
-    # with the shape cache emptied
+    # with the shape cache emptied.  Kernels are shared within a process, so
+    # the sweep runs on one worker.
     from swsos import _kernels
+    one_cpu(monkeypatch)
     from swsos.system import load_system
     sys_ = load_system(QUAD)
     chis = [b.chi._term_list() for b in sys_.boundaries]
@@ -170,6 +198,137 @@ def test_simulate_sweep_compiles_region_2_kernel_once(tmp_path, monkeypatch):
     assert len(compiled) == 4           # the sweep compiled these already
     assert len({k.__code__ for k in interior}) == 1
     assert region_2.__code__ is not interior[0].__code__
+
+
+def one_cpu(monkeypatch, cpus=1):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SWEEP5 = ["simulate", QUAD, "--x0", "2,-2", "--t-end", "0.5",
+          "--theta-sweep", "0,0.25,0.5,0.75,1", "--certificate", PUBLISHED_V]
+
+
+class SweepRunFailed(Exception):
+    pass
+
+
+class TwoArgError(Exception):
+    # pickles, but cannot be unpickled: args holds one value, __init__ wants two
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def fail_at(monkeypatch, failures):
+    """Make cli.simulate call failures[v]() for the sweep value v."""
+    from swsos import cli
+    real = cli.simulate
+
+    def simulate(sys_, x0, cfg, certificate=None):
+        v = cfg.theta[1][0]
+        if v in failures:
+            failures[v]()
+        return real(sys_, x0, cfg, certificate=certificate)
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+
+
+def raiser(exc):
+    def go():
+        raise exc
+    return go
+
+
+def test_sweep_workers_write_what_one_worker_writes(tmp_path, monkeypatch,
+                                                    capsys):
+    # 5 values on 1 and on 3 workers: the same file bytes and the same stdout,
+    # and 3 workers fork twice
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out = {}
+    for cpus in (1, 3):
+        # one out dir for both: it is part of the manifest hash
+        one_cpu(monkeypatch, cpus)
+        assert run(SWEEP5, tmp_path) == 0
+        files = sorted(tmp_path.glob("*.trajectory.tsv"))
+        out[cpus] = (capsys.readouterr().out,
+                     [(f.name, f.read_bytes()) for f in files])
+        for f in files:
+            f.unlink()
+    assert len(forks) == 2
+    assert out[1] == out[3] and len(out[1][1]) == 5
+    lines = out[1][0].splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"quadrant-cubic__theta{v}.trajectory.tsv"
+        for v in ("0", "0.25", "0.5", "0.75", "1")]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweep_failure_in_a_worker_reaches_the_caller(tmp_path, monkeypatch,
+                                                      capsys, cpus):
+    # on 3 workers theta 0.25 runs in the first child and theta 0.75 in this
+    # process: the first failing value in sweep order wins, with its type and
+    # message, after the lines of the values before it
+    one_cpu(monkeypatch, cpus)
+    fail_at(monkeypatch, {0.25: raiser(SweepRunFailed("theta 0.25 failed")),
+                          0.75: raiser(KeyError("theta 0.75"))})
+    with pytest.raises(SweepRunFailed, match="^theta 0.25 failed$"):
+        run(SWEEP5, tmp_path)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "quadrant-cubic__theta0.trajectory.tsv"]
+    assert_no_child_left()
+
+
+def test_sweep_failure_that_does_not_unpickle_is_a_runtime_error(
+        tmp_path, monkeypatch):
+    one_cpu(monkeypatch, 3)
+    fail_at(monkeypatch, {0.5: raiser(TwoArgError("theta", 0.5))})
+    with pytest.raises(RuntimeError, match=r"^TwoArgError\('theta 0.5'\)$"):
+        run(SWEEP5, tmp_path)
+    assert_no_child_left()
+
+
+def test_sweep_worker_that_dies_is_a_runtime_error(tmp_path, monkeypatch):
+    # the second child runs theta 0.5 alone and exits 7 without a payload
+    one_cpu(monkeypatch, 3)
+    parent = os.getpid()
+
+    def die():
+        assert os.getpid() != parent
+        os._exit(7)
+
+    fail_at(monkeypatch, {0.5: die})
+    with pytest.raises(RuntimeError, match=r"\['theta0.5'\] exited with "
+                                           r"status 7 and no result"):
+        run(SWEEP5, tmp_path)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("args", [
+    ["--theta", "0.5,0.5"], [], ["--theta-sweep", "0.5"]],
+    ids=["theta", "default-theta", "one-value-sweep"])
+def test_single_runs_never_fork(tmp_path, monkeypatch, args):
+    one_cpu(monkeypatch, 3)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(["simulate", QUAD, "--x0", "2,-2", "--t-end", "0.2", *args],
+               tmp_path) == 0
+    assert len(list(tmp_path.glob("*.trajectory.tsv"))) == 1
 
 
 def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):

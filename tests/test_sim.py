@@ -529,8 +529,30 @@ def test_sliding_tangency_before_a_step_does_not_loop(x1):
          json.dumps([x1, 0.0])],
         capture_output=True, text=True, timeout=20, env=env, check=True)
     events = [tuple(e) for e in json.loads(proc.stdout)]
-    assert events[-1] == (1.0, "t_end", "")
+    # both kernels end a run once t >= t_end - 1e-15: from 0.5 the run ends
+    # on a smooth step from the crossing at t = 0.501, at 1 - 1.1e-16
+    assert events[-1][1:] == ("t_end", "")
+    assert 1.0 - 1e-15 <= events[-1][0] <= 1.0
     assert all(a[:2] != b[:2] for a, b in zip(events, events[1:]))
+
+
+@pytest.mark.parametrize("chi", ["x2", "-x2"])
+def test_no_sliding_on_a_repelling_boundary(chi):
+    # past x1 = 1, n.F_1 = -1 + x1 > 0 > n.F_2 = 1 - x1 for n = (0, 1), with
+    # region 1 on the +n side: both fields point away from x2 = 0, so after
+    # the crossing at t = 0.701 the run must not slide there.  chi = -x2
+    # puts region 1 on the -n side, where the mirror inequalities apply.
+    doc = _two_sided_doc(["1", "-1 + x1"], ["1", "1 - x1"])
+    doc["boundaries"][0]["chi_ij"] = chi
+    traj = simulate(parse_system(doc), (0.3, 0.0),
+                    SimConfig(step=1e-3, t_end=1.0))
+    crossing = [t for t, kind, _ in traj.events if kind == "crossing"]
+    assert len(crossing) == 1 and abs(crossing[0] - 0.701) < 1e-3
+    assert not [t for t, kind, _ in traj.events
+                if kind == "sliding_entry" and t >= crossing[0]]
+    assert traj.events[-1] == (1.0, "t_end", "")
+    # the sliding stretch from t = 0 is attracting (x1 < 1) and stays
+    assert traj.events[0] == (0.0, "sliding_entry", "(1,2)")
 
 
 def _opposing_with_chi(systems_dir, chi):
