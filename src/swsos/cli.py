@@ -19,10 +19,12 @@ simulate runs the values of a --theta-sweep on W = min(number of values,
 usable CPUs) workers: the process forks W - 1 children, runs every W-th
 value from the first itself, and child k runs every W-th value from the
 k-th.  Each run calls simulate and write_trajectory and writes its own
-file; a child pickles its summary lines, or the exception its run raised,
-to a pipe and leaves with os._exit.  The parent reads every pipe to EOF,
+file; a child pickles each run's file name and summary line, or the
+exception its run raised, to a pipe and leaves with os._exit.  The parent reads every pipe to EOF,
 reaps every child, prints the lines in sweep order and re-raises the
-first failing run's exception.  --theta, the default theta, a one-value
+first failing run's exception.  Before it does, it removes the files that
+other workers wrote for values after the failing one, so the files left
+are those of a serial sweep.  --theta, the default theta, a one-value
 sweep, one usable CPU, or a platform without os.fork and
 os.sched_getaffinity give W = 1: nothing forks, and the one stripe is the
 whole run list.  The generated RK4 kernels are therefore shared within a
@@ -290,20 +292,25 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run(label, cfg) -> str:
-        """Simulate and write one run; its summary line."""
+    def run(label, cfg) -> tuple:
+        """Simulate and write one run; (file name, summary line)."""
         traj = simulate(sys_, x0, cfg, certificate=certificate)
         name = f"{Path(args.system).stem}__{label}.trajectory.tsv"
         with open(out_dir / name, "w") as fh:
             write_trajectory(traj, fh, manifest_hash=manifest["hash"])
         last = traj.events[-1] if traj.events else (traj.final_time, "t_end", "")
-        return (f"{name}: {traj.count} points, final event {last[1]} "
-                f"at t={last[0]:.4g}, ||x||={np.linalg.norm(traj.final_state):.3e}")
+        return name, (f"{name}: {traj.count} points, final event {last[1]} "
+                      f"at t={last[0]:.4g}, "
+                      f"||x||={np.linalg.norm(traj.final_state):.3e}")
 
-    lines, exc = _run_striped(configs, run)
-    for line in lines:
+    done, exc, later = _run_striped(configs, run)
+    for _, line in done:
         print(line)
     if exc is not None:
+        # a serial sweep stops at the failing value: remove the files other
+        # workers wrote for values after it
+        for name, _ in later:
+            (out_dir / name).unlink()
         raise exc
     return EXIT_OK
 
@@ -368,7 +375,9 @@ def _reap(pid: int, r: int, runs) -> tuple:
 
 
 def _run_striped(runs, work) -> tuple:
-    """_stripe(runs, work) computed on _workers(len(runs)) processes.
+    """_stripe(runs, work) computed on _workers(len(runs)) processes, and
+    the results of the runs after the first failing one that other workers
+    finished: (results, exception, later).
 
     Child k runs runs[k::W] while this process runs runs[0::W]; results
     come back in run order, up to the first run that raised, with its
@@ -383,13 +392,15 @@ def _run_striped(runs, work) -> tuple:
     finally:
         outcomes += [_reap(pid, r, runs[k::W])
                      for k, (pid, r) in enumerate(children, 1)]
-    results = []
-    for idx in range(len(runs)):
-        done, exc = outcomes[idx % W]
-        if idx // W == len(done):
-            return results, exc
-        results.append(done[idx // W])
-    return results, None
+    finished = {k + m * W: result for k, (done, _) in enumerate(outcomes)
+                for m, result in enumerate(done)}
+    # a stripe stops at its first failing run: the first run missing from
+    # `finished` is the first failing one in run order
+    failed = next((i for i in range(len(runs)) if i not in finished), None)
+    if failed is None:
+        return [finished[i] for i in range(len(runs))], None, []
+    return ([finished[i] for i in range(failed)], outcomes[failed % W][1],
+            [finished[i] for i in range(failed + 1, len(runs)) if i in finished])
 
 
 def cmd_verify(args) -> int:

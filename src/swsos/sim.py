@@ -48,8 +48,11 @@ the same way.  Between segments the
 state is a list of floats, and every event step (the ball test, region
 location, the sliding weight, the transversal probe, crossing
 localisation and psi at one point) evaluates the term lists with
-_kernels.eval_terms on it.  No point or event lies past t_end, on which
-both kernels end their last step.
+_kernels.eval_terms on it.  No point or event lies past t_end.  Both
+kernels stop once t >= t_end - 1e-15, which a run that an event moved
+off the step grid can reach just short of t_end (a smooth run from a
+crossing at t = 0.501 stops at 0.9999999999999999 for t_end 1); simulate
+records such a last row at t_end, so a run that reaches t_end ends on it.
 
 A Trajectory stores what the kernels return, one chunk per segment or
 single point: the times, the states as one (m, n) array, the mode, and
@@ -396,16 +399,16 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             # sliding needs both fields to point at chi_ij = 0; region i is
             # on the +n side iff it holds the probe a step d along +n
             d = 1e-3 * (1.0 + math.sqrt(_dot(x, x))) / math.sqrt(nn)
-            if holds(i, x, d, n):
-                attracting = ni <= 0.0 <= nj
-            else:
-                attracting = nj <= 0.0 <= ni
+            i_plus = holds(i, x, d, n)
+            attracting = (ni <= 0.0 <= nj) if i_plus else (nj <= 0.0 <= ni)
             slide = _kernels.sliding_field(n, fi, fj) if attracting else None
             if slide is not None and 0.0 <= slide[1] <= 1.0:
                 traj.events.append((t, "sliding_entry", f"({i},{j})"))
                 states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
                     sliding_kernel_of(pair), x, t, cfg.t_end, cfg.step,
                     BALL_STOP, box_lo, box_hi, EVENT_TOL, band)
+                if code == _kernels.STOP_MAXSTEPS:
+                    t = times[-1] = cfg.t_end
                 add_segment(times, states, f"sliding:{i},{j}", i, alphas)
                 if code == _kernels.STOP_CONVERGED:
                     return stop(t, x, "converged")
@@ -425,13 +428,16 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             if dchi == 0.0:
                 return stop(t, x, "stratum_stop",
                             f"degenerate crossing of ({i},{j})")
-            rid = i if holds(i, x, _sign(dchi) * d, n) else j
+            rid = i if (i_plus if dchi > 0.0 else holds(i, x, -d, n)) else j
 
         # a boundary the state sits on (the last event's) has no side until
         # the first step leaves it
         states, times, hs, code = _kernels.rk4_smooth_run(
             smooth_kernel_of(rid), x, t, cfg.t_end, cfg.step, BALL_STOP,
             box_lo, box_hi, band)
+        if code == _kernels.STOP_MAXSTEPS:
+            # within 1e-15 of t_end, maybe short of it: the run is at t_end
+            times[-1] = cfg.t_end
         # the escaping or boundary-flagged state is not accepted
         end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
         add_segment(times[1:end], states[1:end], f"smooth:{rid}", rid)

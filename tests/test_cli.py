@@ -277,9 +277,11 @@ def test_sweep_workers_write_what_one_worker_writes(tmp_path, monkeypatch,
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_sweep_failure_in_a_worker_reaches_the_caller(tmp_path, monkeypatch,
                                                       capsys, cpus):
-    # on 3 workers theta 0.25 runs in the first child and theta 0.75 in this
-    # process: the first failing value in sweep order wins, with its type and
-    # message, after the lines of the values before it
+    # on 3 workers theta 0.25 runs in the first child, theta 0.5 in the
+    # second and theta 0.75 in this process: the first failing value in sweep
+    # order wins, with its type and message, after the lines of the values
+    # before it, and the files left are those of a serial sweep (theta 0.5's,
+    # written by the second child, is removed)
     one_cpu(monkeypatch, cpus)
     fail_at(monkeypatch, {0.25: raiser(SweepRunFailed("theta 0.25 failed")),
                           0.75: raiser(KeyError("theta 0.75"))})
@@ -287,6 +289,8 @@ def test_sweep_failure_in_a_worker_reaches_the_caller(tmp_path, monkeypatch,
         run(SWEEP5, tmp_path)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
+        "quadrant-cubic__theta0.trajectory.tsv"]
+    assert sorted(f.name for f in tmp_path.glob("*.tsv")) == [
         "quadrant-cubic__theta0.trajectory.tsv"]
     assert_no_child_left()
 

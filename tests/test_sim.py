@@ -508,7 +508,7 @@ from swsos.sim import SimConfig, simulate
 from swsos.system import parse_system
 traj = simulate(parse_system(json.loads(sys.argv[1])), json.loads(sys.argv[2]),
                 SimConfig(step=1e-3, t_end=1.0))
-print(json.dumps(traj.events))
+print(json.dumps([traj.events, traj.final_time]))
 """
 
 
@@ -519,7 +519,9 @@ def test_sliding_tangency_before_a_step_does_not_loop(x1):
     # on x1 = 1 at t = 0.699 and the kernel exits with tangency.  Sliding
     # again from there exits with no row, and the run must then leave by
     # the transversal rule: re-entering would repeat forever, so the run is
-    # a subprocess with a timeout.
+    # a subprocess with a timeout.  From 0.5 the run crosses at t = 0.501
+    # and steps on to 0.501 + 499 * 1e-3 = 1 - 1.1e-16, within the kernels'
+    # 1e-15 of t_end: its last row and event are at t_end all the same.
     doc = _two_sided_doc(["1", "-1 + x1"], ["1", "1 - x1"])
     src = os.path.dirname(os.path.dirname(sim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -528,11 +530,9 @@ def test_sliding_tangency_before_a_step_does_not_loop(x1):
         [sys.executable, "-c", _EVENTS_OF_RUN, json.dumps(doc),
          json.dumps([x1, 0.0])],
         capture_output=True, text=True, timeout=20, env=env, check=True)
-    events = [tuple(e) for e in json.loads(proc.stdout)]
-    # both kernels end a run once t >= t_end - 1e-15: from 0.5 the run ends
-    # on a smooth step from the crossing at t = 0.501, at 1 - 1.1e-16
-    assert events[-1][1:] == ("t_end", "")
-    assert 1.0 - 1e-15 <= events[-1][0] <= 1.0
+    events, final_time = json.loads(proc.stdout)
+    events = [tuple(e) for e in events]
+    assert events[-1] == (1.0, "t_end", "") and final_time == 1.0
     assert all(a[:2] != b[:2] for a, b in zip(events, events[1:]))
 
 
