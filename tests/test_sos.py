@@ -540,6 +540,28 @@ def test_motzkin_programs_match_reference(monkeypatch):
     _assert_same_problem(new, ref)
 
 
+@pytest.mark.parametrize("degree", [4, 6])
+def test_three_variable_programs_match_reference(monkeypatch, degree):
+    # every shipped system is planar; this keeps the row numbering honest
+    # in three variables, with the box generators and an equality generator
+    box = [parse_polynomial(f"16 - x{k}^2", 3) for k in (1, 2, 3)]
+    eq = parse_polynomial("x1*x2 - x3", 3)
+
+    def build():
+        target = LinPoly.decision(3, "v", monomial_basis(3, degree)[1:]) - \
+            parse_polynomial("x1^2 + x2*x3 - 0.5*x3^3", 3)
+        return sos_module.assemble([PositivityConstraint(
+            cid="c3", target=target, equality_generators=[eq],
+            inequality_generators=box)])
+
+    new, ref = _both(monkeypatch, build)
+    _assert_same_problem(new, ref)
+    # the identity has no constant term, so every basis leaves out 1 and
+    # the constant monomial has no row
+    assert len(new.psd_blocks) == 4
+    assert len(new.b) == len(monomial_basis(3, degree)) - 1
+
+
 def test_linpoly_arithmetic_matches_reference(monkeypatch):
     rng = np.random.default_rng(7)
     monos = monomial_basis(2, 3)
@@ -574,3 +596,44 @@ def test_linpoly_arithmetic_matches_reference(monkeypatch):
 def test_sos_decompose_rejects_non_finite_coefficients(bad):
     with pytest.raises(ValueError, match="non-finite"):
         sos_decompose(Polynomial(2, {(2, 0): bad, (0, 2): 1.0}))
+
+
+# -- the certify program, pinned byte for byte --------------------------------
+#
+# _assert_same_problem densifies, so it cannot see the order of the
+# triplets; these digests cover the arrays as they are built.
+
+def _problem_digest(problem) -> str:
+    import hashlib
+    h = hashlib.sha256()
+    for arr in (*problem.A, *problem.F, problem.b, problem.c):
+        h.update(str(arr.dtype).encode())
+        h.update(arr.tobytes())
+    h.update(repr((problem.psd_blocks, problem.free_scalars,
+                   sorted(problem.gram_layout.items()))).encode())
+    return h.hexdigest()
+
+
+QUADRANT_CUBIC_DIGESTS = {
+    4: "4e3022e19400af70897370c3a30a7c0beccb1f3b9aa8905ab265cb015f543019",
+    10: "406aba9b23fc92fa52d767d7b1ef20d02c12353ad008870a7840c434b56010da",
+}
+QUADRANT_CUBIC_ATTRACTIVITY_DIGEST = (
+    "8e9a2ab21e40a40d9703c033cd377d15b8eada5feebf6b37b108f190a47bdd1d")
+
+
+@pytest.mark.parametrize("degree", sorted(QUADRANT_CUBIC_DIGESTS))
+def test_quadrant_cubic_certify_program_digest(systems_dir, degree):
+    problem, _ = _feasibility(systems_dir, "quadrant-cubic", degree, None)
+    assert _problem_digest(problem) == QUADRANT_CUBIC_DIGESTS[degree]
+
+
+def test_quadrant_cubic_attractivity_program_digest(monkeypatch, systems_dir):
+    from swsos.system import load_system
+    sys_ = load_system(systems_dir / "quadrant-cubic.sys")
+    seen = []
+    monkeypatch.setattr(certify_module, "solve",
+                        lambda pr: seen.append(pr) or SdpSolution(FEASIBLE))
+    certify_module.check_attractivity(sys_, (1, 2))
+    assert len(seen) == 1
+    assert _problem_digest(seen[0]) == QUADRANT_CUBIC_ATTRACTIVITY_DIGEST
