@@ -311,6 +311,33 @@ def monomial_basis(n: int, d: int, include_constant: bool = True) -> list:
     return monos
 
 
+def grlex_rank(exponents) -> np.ndarray:
+    """Position of each exponent row in `monomial_basis(n, d)`, the same for
+    every d at least its degree.
+
+    The basis lists lower degrees first and, within one degree, decreasing
+    lexicographic order.  So the position of e with |e| = d counts the
+    C(d - 1 + n, n) monomials of lower degree, then for each k < n the
+    monomials of degree d that agree with e before x_k and exceed it at
+    x_k: one per monomial in the n - k later variables of degree below
+    r_k = d - e_1 - ... - e_k, C(r_k - 1 + n - k, n - k) of them.
+    """
+    E = np.asarray(exponents, dtype=np.intp)
+    n = E.shape[1]
+    rest = E.sum(axis=1)
+    rank = np.zeros_like(rest)
+    for k in range(n - 1):
+        m = n - k
+        c = rest + (m - 1)             # C(rest + m - 1, m), one factor at a time
+        for i in range(1, m):
+            c *= rest + (m - 1 - i)
+            c //= i + 1
+        rank += c
+        rest -= E[:, k]
+    rank += rest                       # m = 1: C(rest, 1)
+    return rank
+
+
 def coefficients_equal(p: Polynomial, q: Polynomial) -> dict:
     """Per-monomial coefficient differences p - q; empty iff p == q."""
     if p.dim != q.dim:

@@ -9,22 +9,32 @@ which `solve` (imported from `backend`) solves.  Decision polynomials are
 `LinPoly`s; `LinPoly * Polynomial` is `mul_poly`, so `poly.lie_derivative`
 takes the Lie derivative of a LinPoly as of a Polynomial.
 
-A Gram block's coefficients depend only on its basis and its generator, and
-the same pair recurs across constraints (the box generators sit in all of
-them), so `assemble` builds one entry table per pair and call and reuses it;
-a block only maps the table's monomials to rows and shifts its svec
-columns.  Nothing outlives the call.
+Rows are numbered by grlex rank, a monomial's position in `monomial_basis`
+order (`poly.grlex_rank`, computed from the exponents alone).  A
+constraint's rows are the sorted union of the ranks that its target, its
+equality multipliers and its Gram blocks use; a mask over the ranks and
+its cumulative sum give each rank its row.  A Gram block's coefficients
+depend only on its basis and its generator, so `assemble` builds one pair
+table per (dimension, half degree, minimum degree) and call (the basis,
+the exponents of b_i * b_j in svec order and the diagonal mask) and
+derives one entry table per generator from it: the rank of each entry's
+monomial, its svec column and its scaled coefficient.  The same basis and
+generator recur across constraints (the box generators sit in all of
+them), so a block mostly appends a table it finds.  Nothing outlives the
+call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add
 
 import numpy as np
 
 # INFEASIBLE is re-exported for callers that import it from here
 from .backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve, svec_layout
-from .poly import Monomial, Polynomial, grlex_key, monomial_basis
+from .poly import Monomial, Polynomial, grlex_rank, monomial_basis
 
 GRAM_EIG_TOL = 1e-7
 RESIDUAL_OK = 1e-7
@@ -100,9 +110,20 @@ class LinPoly:
         return LinPoly._clean(self.dim, t)
 
     def __sub__(self, other):
+        # one pass; x - v is x + (-v) bit for bit, signed zeros included
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        t = {m: dict(e) for m, e in self.terms.items()}
         if isinstance(other, Polynomial):
-            other = LinPoly.from_poly(other)
-        return self + other.scale(-1.0)
+            for m, c in other.terms.items():
+                acc = t.setdefault(m, {})
+                acc[None] = acc.get(None, 0.0) - c
+        else:
+            for m, expr in other.terms.items():
+                acc = t.setdefault(m, {})
+                for k, v in expr.items():
+                    acc[k] = acc.get(k, 0.0) - v
+        return LinPoly._clean(self.dim, t)
 
     def scale(self, c: float) -> "LinPoly":
         c = float(c)
@@ -238,51 +259,64 @@ def assemble(constraints, identities=()) -> SdpProblem:
     scalars = {}       # name -> column of F
     psd_blocks, gram_layout = [], {}
     b, F, gram_parts = [], [], []   # F: (row, column, value) entries
-    sort_keys = {}     # monomial -> grlex_key, computed once per call
-    # (dim, half degree, min degree, generator terms) -> (basis, row monomials,
-    # per entry: monomial index, svec column in the block, scaled coefficient)
+    # (dim, half degree, min degree) -> (basis, exponents of b_i + b_j in
+    # svec order (backend.svec_layout), diagonal mask)
+    pairs = {}
+    # pairs key + generator terms -> (basis, per entry: grlex rank, svec
+    # column in the block, scaled coefficient)
     tables = {}
 
     def declare_scalar(name):
         return scalars.setdefault(name, len(scalars))
 
-    def add_gram_block(rows, grams, bid, dim, half, lo, gen_terms):
+    def add_gram_block(grams, used, bid, dim, half, lo, gen_terms):
         key = (dim, half, lo, gen_terms)
         if key not in tables:
-            basis = gram_basis(dim, half, min_half_deg=lo)
-            monos, entries = {}, []
-            ij = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
-            for col, (i, j) in enumerate(ij):    # svec order (backend.svec_layout)
-                z = tuple(map(add, basis[i], basis[j]))
-                for mono_g, c in gen_terms:
-                    m = monos.setdefault(tuple(map(add, z, mono_g)), len(monos))
-                    entries.append((m, col, -c if i == j else -2.0 * c / _SQRT2))
-            which, cols, vals = np.array(entries).T
-            tables[key] = (basis, list(monos), which.astype(np.intp), cols.astype(np.intp), vals)
+            if key[:3] not in pairs:
+                basis = gram_basis(dim, half, min_half_deg=lo)
+                z = _exponents(basis, dim)
+                # svec order (backend.svec_layout): the upper triangle row by row
+                i, j = np.nonzero(np.tri(len(basis), dtype=bool).T)
+                pairs[key[:3]] = (basis, z[i] + z[j], i == j)
+            basis, z, diag = pairs[key[:3]]
+            monos, coeffs = zip(*gen_terms)
+            c = np.array(coeffs)
+            # entries run over the svec columns, then over the generator's terms
+            ranks = grlex_rank((z[:, None] + _exponents(monos, dim)).reshape(-1, dim))
+            cols = np.repeat(np.arange(len(z)), len(c))
+            vals = np.where(diag[:, None], -c, -2.0 * c / _SQRT2).ravel()
+            tables[key] = (basis, ranks, cols, vals)
         table = tables[key]
         gram_layout[bid] = list(table[0])
         grams.append((len(psd_blocks), table))
         psd_blocks.append((bid, len(table[0])))
-        for m in table[1]:
-            rows.setdefault(m, {})
+        used.append(table[1])
 
-    def add_rows(rows, rhs, grams=()):
-        # rows[mono]: free-scalar column -> coefficient; rhs[mono]: rhs
-        new = [m for m in rows if m not in sort_keys]
-        sort_keys.update(zip(new, map(grlex_key, new)))
-        pos = {}
-        for r, mono in enumerate(sorted(rows, key=sort_keys.__getitem__), len(b)):
-            pos[mono] = r
-            b.append(rhs.get(mono, 0.0))
-            F.extend((r, col, v) for col, v in rows[mono].items())
-        for k, (_, monos, which, cols, vals) in grams:
-            gram_parts.append((k, np.array([pos[m] for m in monos], dtype=np.intp)[which],
-                               cols, vals))
+    def add_rows(used, frows, rhs, grams=()):
+        # used: arrays of the grlex ranks that have a row; frows[rank]:
+        # free-scalar column -> coefficient; rhs[rank]: right-hand side
+        used = np.concatenate(used)
+        mask = np.zeros(used.max(initial=-1) + 1, dtype=bool)
+        mask[used] = True
+        row = np.cumsum(mask) + (len(b) - 1)     # row of each used rank
+        b.extend(rhs.get(r, 0.0) for r in np.flatnonzero(mask).tolist())
+        rows = row.tolist()
+        F.extend([(rows[r], col, v) for r in sorted(frows) for col, v in frows[r].items()])
+        for k, (_, ranks, cols, vals) in grams:
+            gram_parts.append((k, row[ranks], cols, vals))
+
+    def scalar_rows(lp):
+        # (ranks, free-scalar rows, right-hand sides) of a LinPoly's terms
+        ranks = grlex_rank(_exponents(lp.terms, lp.dim))
+        exprs = list(zip(ranks.tolist(), lp.terms.values()))
+        frows = {r: {scalars[k]: v for k, v in e.items() if k is not None} for r, e in exprs}
+        return ranks, frows, exprs
 
     for cons in constraints:
         dim = cons.dim
         target = cons.as_linpoly()
-        for v in sorted(target.variables()):
+        # declaring a known name does nothing, so only new names are sorted
+        for v in sorted(target.variables() - scalars.keys()):
             declare_scalar(v)
 
         d_t = target.degree()
@@ -290,9 +324,9 @@ def assemble(constraints, identities=()) -> SdpProblem:
 
         # identity target - sum r a - sum s b - s0 = 0 coefficient-wise,
         # the known value of each monomial moved to the right-hand side
-        rows = {m: {scalars[k]: v for k, v in e.items() if k is not None}
-                for m, e in target.terms.items()}
-        rhs = {m: -e[None] for m, e in target.terms.items() if None in e}
+        ranks, frows, exprs = scalar_rows(target)
+        rhs = {r: -e[None] for r, e in exprs if None in e}
+        used = [ranks]
 
         # free multipliers r_i on equality generators
         for idx, a in enumerate(cons.equality_generators):
@@ -301,10 +335,15 @@ def assemble(constraints, identities=()) -> SdpProblem:
                 # generator degree exceeds the target's: the only multiplier
                 # that keeps the identity balanced is zero, so drop it
                 continue
-            for mono_r in monomial_basis(dim, cap):
+            basis_r = monomial_basis(dim, cap)
+            ranks = grlex_rank((_exponents(basis_r, dim)[:, None]
+                                + _exponents(a.terms, dim)).reshape(-1, dim))
+            used.append(ranks)
+            ranks = iter(ranks.tolist())
+            for mono_r in basis_r:
                 col = declare_scalar(f"{cons.cid}:r{idx}[{_mono_tag(mono_r)}]")
-                for mono_a, ca in a.terms.items():
-                    row = rows.setdefault(tuple(map(add, mono_r, mono_a)), {})
+                for ca in a.terms.values():
+                    row = frows.setdefault(next(ranks), {})
                     # summed: a target scalar may carry the same name
                     row[col] = row.get(col, 0.0) - ca
 
@@ -316,7 +355,7 @@ def assemble(constraints, identities=()) -> SdpProblem:
         # would otherwise have no strictly feasible point).
         zero_mono = (0,) * dim
         origin_forced = (
-            not rows.get(zero_mono) and rhs.get(zero_mono, 0.0) == 0.0
+            not frows.get(0) and rhs.get(0, 0.0) == 0.0
             and all(a.terms.get(zero_mono, 0.0) == 0.0 for a in cons.equality_generators)
             and all(g.terms.get(zero_mono, 0.0) >= 0.0 for g in cons.inequality_generators)
         )
@@ -332,22 +371,25 @@ def assemble(constraints, identities=()) -> SdpProblem:
                     f"exceeds the target degree {d_t}"
                 )
             lo_j = 1 if (origin_forced and g.terms.get(zero_mono, 0.0) > 0.0) else 0
-            add_gram_block(rows, grams, f"{cons.cid}:s{idx + 1}", dim, sdeg // 2,
+            add_gram_block(grams, used, f"{cons.cid}:s{idx + 1}", dim, sdeg // 2,
                            min(lo_j, sdeg // 2), tuple(g.terms.items()))
 
-        # master SOS block s0 (generator 1): parity filter on total degree only
-        support_min = min((sum(m) for m in rows), default=0)
+        # master SOS block s0 (generator 1): parity filter on total degree
+        # only; ranks are graded, so the lowest rank has the lowest degree
+        first = min((int(r.min()) for r in used if r.size), default=0)
+        support_min = 0
+        while math.comb(support_min + dim, dim) <= first:
+            support_min += 1
         lo = (support_min + 1) // 2
-        add_gram_block(rows, grams, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
+        add_gram_block(grams, used, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
                        ((zero_mono, 1.0),))
-        add_rows(rows, rhs, grams)
+        add_rows(used, frows, rhs, grams)
 
     for ident in identities:
-        for v in sorted(ident.variables()):
+        for v in sorted(ident.variables() - scalars.keys()):
             declare_scalar(v)
-        add_rows({m: {scalars[k]: v for k, v in e.items() if k is not None}
-                  for m, e in ident.terms.items()},
-                 {m: -e.get(None, 0.0) for m, e in ident.terms.items()})
+        ranks, frows, exprs = scalar_rows(ident)
+        add_rows([ranks], frows, {r: -e.get(None, 0.0) for r, e in exprs})
 
     layout, nx = svec_layout(psd_blocks)
     A = [np.concatenate(part) for part in
@@ -357,6 +399,12 @@ def assemble(constraints, identities=()) -> SdpProblem:
                          gram_layout)
     problem.validate()
     return problem
+
+
+def _exponents(monos, dim: int) -> np.ndarray:
+    """Monomials (a terms dict or a sequence) as the rows of an (m, dim) int array."""
+    return np.fromiter(chain.from_iterable(monos), dtype=np.intp,
+                       count=len(monos) * dim).reshape(-1, dim)
 
 
 def certificate_from_solution(problem: SdpProblem, sol: SdpSolution, dim: int) -> SosCertificate:
