@@ -6,14 +6,15 @@ sliding dynamics from the convexified inclusion when the adjacent normal
 components point at each other.  Codimension >= 2 strata stop the run
 (stratum_stop) instead of guessing a selection from the convex hull.
 
-One rule decides every event: a step from x_prev to x_next crosses a
-boundary iff chi(x_prev) * chi(x_next) < 0, or chi(x_next) == 0 !=
-chi(x_prev).  The smooth kernel flags such a step and detect_crossing
-localizes it on the same floats, leaving the state past the boundary or
-on it.  A smooth segment that starts within the sliding band of a
-boundary (after an event, or a sliding exit) gives that boundary no side
-until its first step leaves the band, so the step off a boundary is not a
-crossing.
+One rule decides every event: a step from x_prev to x_next in region i
+crosses a boundary (i, j) iff chi(x_prev) * chi(x_next) < 0, or
+chi(x_next) == 0 != chi(x_prev).  The smooth kernel flags such a step and
+detect_crossing localizes it on the same floats, leaving the state past
+the boundary or on it.  Only region i's boundaries are watched: a variety
+is a global zero set, and another pair's can pass through region i.  A
+smooth segment that starts within the sliding band of a boundary (after
+an event, or a sliding exit) gives that boundary no side until its first
+step leaves the band, so the step off a boundary is not a crossing.
 
 Both inner loops run in RK4 segment kernels that _kernels generates from
 the term lists each field and boundary polynomial caches: rk4_smooth_run
@@ -171,8 +172,14 @@ def _sign(v):
     return (v > 0.0) - (v < 0.0) if v == v else v
 
 
-def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float):
+def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid=None):
     """Earliest boundary event across a step of h under field, or None.
+
+    rid: the region the step runs in; only its boundaries (rid, .) are
+    watched, the ones its smooth kernel watches.  A variety is a global
+    zero set, so another pair's variety can pass through the region (two
+    pairs of a four-cone partition share x2 = 0).  None watches every
+    boundary.
 
     A boundary has an event on the step when chi(x_prev) * chi(x_next) < 0,
     or chi(x_next) == 0 != chi(x_prev): the smooth kernel's rule, on the
@@ -199,6 +206,8 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float):
 
     hits = []
     for b in sys.boundaries:
+        if rid is not None and rid not in b.pair:
+            continue
         chi = b.chi._term_list()
         c0, c1 = _kernels.eval_terms(chi, x0), _kernels.eval_terms(chi, x1)
         if c0 * c1 < 0.0 or c1 == 0.0 != c0:
@@ -281,7 +290,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     x = x.tolist()          # the state is a list of floats between segments
     box_lo, box_hi = (v.tolist() for v in sys.box)
     traj = Trajectory()
-    chis = tuple(b.chi._term_list() for b in sys.boundaries)
     band = SLIDING_BAND * EVENT_TOL
 
     # built once per run, on first use
@@ -303,6 +311,8 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     @cache
     def smooth_kernel_of(rid):
+        # the region's own boundaries, as detect_crossing(..., rid) reads them
+        chis = tuple(b.chi._term_list() for b in sys.boundaries if rid in b.pair)
         return _kernels.smooth_kernel(field_of(rid)[1], chis)
 
     @cache
@@ -453,7 +463,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         x_prev, x_next = states[-2:].tolist()
         t_prev = times[-2]
         try:
-            b, s, xc = detect_crossing(sys, x_prev, x_next, field_of(rid)[0], hs)
+            b, s, xc = detect_crossing(sys, x_prev, x_next, field_of(rid)[0], hs, rid=rid)
         except StratumStop as exc:
             return stop(t_prev, x_prev, "stratum_stop", str(exc))
         t, x = t_prev + s * hs, xc.tolist()

@@ -87,16 +87,19 @@ def _ref_hermite(x0, f0, x1, f1, h, s):
     return ((a * s + b) * s + h * f0) * s + x0
 
 
-def _ref_detect_crossing(sys, x_prev, x_next, field, h, event_tol=1e-9):
+def _ref_detect_crossing(sys, x_prev, x_next, field, h, event_tol=1e-9, rid=None):
     # the numpy 2-vector bisection detect_crossing replaced, with its event
     # rule: a sign change, or a landing on zero, of chi over the step, and
-    # the bracket end hi on the far side as the crossing
+    # the bracket end hi on the far side as the crossing; a step in region
+    # rid watches only rid's boundaries
     x_prev = np.asarray(x_prev, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     f0, f1 = field(x_prev), field(x_next)
     interp = lambda s: _ref_hermite(x_prev, f0, x_next, f1, h, s)
     hits = []
     for b in sys.boundaries:
+        if rid is not None and rid not in b.pair:
+            continue
         c0, c1 = b.chi(x_prev), b.chi(x_next)
         if c0 * c1 < 0.0 or (c1 == 0.0 and c0 != 0.0):
             lo, hi = 0.0, 1.0
@@ -448,6 +451,25 @@ def test_branicky_a_crosses_six_times_then_converges(systems_dir):
     for (t, _, _), t_exact in zip(traj.events[:6], exact):
         assert abs(t - t_exact) < 5e-4
     assert abs(traj.events[-1][0] - exact[-1]) < 2e-3
+
+
+def test_twisting_crosses_at_the_closed_form_times_then_converges(systems_dir):
+    # x1'' = -2 sign(x1) - sign(x2) (Levant, Int. J. Control 1993) on four
+    # quadrants: constant accelerations -3, 1, 3, -1 make each arc a
+    # parabola, so the event times have a closed form.  The pairs (1,4) and
+    # (2,3) share x2 = 0: a run that watched every boundary from every
+    # region stopped at the first crossing with a stratum stop
+    sys_ = load_system(systems_dir / "twisting.sys")
+    traj = simulate(sys_, (1.0, 0.5), SimConfig(t_end=6.0))
+    kinds = traj.event_kinds()
+    assert set(kinds[:-1]) == {"crossing"} and kinds[-1] == "converged"
+    exact = [(0.166667, "(1,4)"), (1.610042, "(3,4)"), (2.091168, "(2,3)"),
+             (2.924501, "(1,2)"), (3.202279, "(1,4)"), (3.683404, "(3,4)")]
+    for (t, _, detail), (t_exact, pair) in zip(traj.events, exact):
+        assert abs(t - t_exact) < 1e-6 and detail == pair
+    # the first crossing inside the ball of radius BALL_STOP, before the
+    # Zeno time 4.71999 at which infinitely many switches end
+    assert abs(traj.events[-1][0] - 4.68763) < 1e-5
 
 
 def test_sliding_exit_by_alpha_logs_no_crossing():
