@@ -75,10 +75,6 @@ class Certificate:
     solve_seconds: float = 0.0
     detail: str = ""
 
-    @property
-    def certified(self) -> bool:
-        return self.status == CERTIFIED
-
     def to_dict(self) -> dict:
         out = {
             "status": self.status,

@@ -102,10 +102,6 @@ class ValidationReport:
     def has_fail(self) -> bool:
         return any(s == "fail" for _, s, _ in self.checks)
 
-    @property
-    def has_warn(self) -> bool:
-        return any(s == "warn" for _, s, _ in self.checks)
-
     def to_dict(self):
         return {
             "checks": [{"name": n, "status": s, "detail": d} for n, s, d in self.checks],
@@ -317,6 +313,12 @@ def load_system(path) -> SwitchedSystem:
 
 
 def system_to_dict(sys: SwitchedSystem) -> dict:
+    """The .sys document of a system, the inverse of parse_system.
+
+    Nothing in the package writes a system file; this stays as the one way
+    to save a SwitchedSystem built in code, and the round trip
+    parse_system(system_to_dict(s)) is what tests pin the parser against.
+    """
     lo, hi = sys.box
     return {
         "dimension": sys.dimension,

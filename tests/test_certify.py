@@ -46,7 +46,6 @@ def test_certify_stable_scalar_degree2(small_oracle):
     cert = certify(_scalar_system("-x1"),
                    CertificationConfig(lyapunov_degree=2))
     assert cert.status == CERTIFIED
-    assert cert.certified
     V = cert.lyapunov[1]
     assert V((0.5,)) > 0
     assert cert.sos_evidence is not None
@@ -60,7 +59,6 @@ def test_certify_unstable_scalar_no_certificate(unstable_system, small_oracle,
                                                 degree):
     cert = certify(unstable_system, CertificationConfig(lyapunov_degree=degree))
     assert cert.status == NO_CERTIFICATE
-    assert not cert.certified
     assert str(degree) in cert.detail
 
 

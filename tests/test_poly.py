@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from swsos.poly import (Polynomial, PolyVector, PolynomialParseError,
-                        coefficients_equal, grlex_key, lie_derivative,
-                        monomial_basis, parse_polynomial, parse_vector)
+                        coefficients_equal, grlex_key, grlex_rank,
+                        lie_derivative, monomial_basis, parse_polynomial,
+                        parse_vector)
 
 
 def test_parse_basic():
@@ -124,6 +125,17 @@ def test_grlex_order_is_graded():
             for include_constant in (True, False):
                 basis = monomial_basis(n, d, include_constant)
                 assert sorted(set(basis), key=grlex_key) == basis
+
+
+def test_grlex_rank_is_the_position_in_the_basis():
+    # the same rank in every basis that holds the monomial, up to dimension
+    # 6, and no rows for no monomials
+    for n in range(1, 7):
+        basis = monomial_basis(n, 6)
+        assert grlex_rank(basis).tolist() == list(range(len(basis)))
+        assert grlex_rank(basis[::-1]).tolist() == list(range(len(basis)))[::-1]
+        assert grlex_rank(np.zeros((0, n), dtype=int)).shape == (0,)
+    assert grlex_rank([(0, 20, 0)]).tolist() == [monomial_basis(3, 20).index((0, 20, 0))]
 
 
 def test_coefficients_equal():
