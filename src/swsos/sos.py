@@ -260,7 +260,7 @@ def assemble(constraints, identities=()) -> SdpProblem:
     psd_blocks, gram_layout = [], {}
     b, F, gram_parts = [], [], []   # F: (row, column, value) entries
     # (dim, half degree, min degree) -> (basis, exponents of b_i + b_j in
-    # svec order (backend.svec_layout), diagonal mask)
+    # svec order, diagonal mask)
     pairs = {}
     # pairs key + generator terms -> (basis, per entry: grlex rank, svec
     # column in the block, scaled coefficient)
@@ -300,13 +300,13 @@ def assemble(constraints, identities=()) -> SdpProblem:
         mask[used] = True
         row = np.cumsum(mask) + (len(b) - 1)     # row of each used rank
         b.extend(rhs.get(r, 0.0) for r in np.flatnonzero(mask).tolist())
-        rows = row.tolist()
-        F.extend([(rows[r], col, v) for r in sorted(frows) for col, v in frows[r].items()])
+        row_of = row.tolist()
+        F.extend([(row_of[r], col, v) for r in sorted(frows) for col, v in frows[r].items()])
         for k, (_, ranks, cols, vals) in grams:
             gram_parts.append((k, row[ranks], cols, vals))
 
     def scalar_rows(lp):
-        # (ranks, free-scalar rows, right-hand sides) of a LinPoly's terms
+        # a LinPoly's ranks, its free-scalar rows, and (rank, expression) pairs
         ranks = grlex_rank(_exponents(lp.terms, lp.dim))
         exprs = list(zip(ranks.tolist(), lp.terms.values()))
         frows = {r: {scalars[k]: v for k, v in e.items() if k is not None} for r, e in exprs}
