@@ -172,14 +172,13 @@ def _sign(v):
     return (v > 0.0) - (v < 0.0) if v == v else v
 
 
-def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid=None):
+def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid):
     """Earliest boundary event across a step of h under field, or None.
 
     rid: the region the step runs in; only its boundaries (rid, .) are
     watched, the ones its smooth kernel watches.  A variety is a global
     zero set, so another pair's variety can pass through the region (two
-    pairs of a four-cone partition share x2 = 0).  None watches every
-    boundary.
+    pairs of a four-cone partition share x2 = 0).
 
     A boundary has an event on the step when chi(x_prev) * chi(x_next) < 0,
     or chi(x_next) == 0 != chi(x_prev): the smooth kernel's rule, on the
@@ -206,7 +205,7 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid=No
 
     hits = []
     for b in sys.boundaries:
-        if rid is not None and rid not in b.pair:
+        if rid not in b.pair:
             continue
         chi = b.chi._term_list()
         c0, c1 = _kernels.eval_terms(chi, x0), _kernels.eval_terms(chi, x1)
@@ -463,7 +462,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         x_prev, x_next = states[-2:].tolist()
         t_prev = times[-2]
         try:
-            b, s, xc = detect_crossing(sys, x_prev, x_next, field_of(rid)[0], hs, rid=rid)
+            b, s, xc = detect_crossing(sys, x_prev, x_next, field_of(rid)[0], hs, rid)
         except StratumStop as exc:
             return stop(t_prev, x_prev, "stratum_stop", str(exc))
         t, x = t_prev + s * hs, xc.tolist()
