@@ -22,8 +22,10 @@ depends only on them (the sliding normal and its squared norm; with two
 constant fields also sliding_field's denominator, weight and slope, so
 all four RK4 slopes are one), and leaves out the stage points no stage
 reads.  Every exit test stays in the loop, in its place and order.
-`rk4_smooth_run` and `rk4_sliding_run` run a kernel up to t_end, onto
-which both shorten their last step.  The emitted arithmetic is
+Both kernels keep `_clock`'s one time grid: step i of a run from t0 ends
+at t0 + i*h; a step that would end past t_end ends on it; a run that
+stops within 1e-15 of t_end has its last row and stop time on t_end.
+The emitted arithmetic is
 `eval_terms`' and `sliding_field`'s, in the same order, so the values are
 those of interpreting the term lists, bit for bit.
 """
@@ -198,6 +200,22 @@ def _indent(lines, depth):
     return ["    " * depth + line for line in lines]
 
 
+def _clock(reads):
+    """(set-up, step, end) lines of the one time grid of both kernels.
+
+    Step i ends at tn = t0 + i*h, or, if that would pass t_end, takes
+    hs = t_end - t and ends at tn = t + hs; the kernel sets t = tn after
+    it.  hh = hs/2 is bound only if some stage `reads` a stage point.  A
+    run stops once t >= t_end - 1e-15; the end lines put it on t_end.
+    """
+    hh = ["hh = 0.5 * hs"] if reads else []
+    setup = ["t0 = t", "i = 0", "hs = h", *hh, "h6 = hs / 6.0",
+             "t_stop = t_end - 1e-15"]
+    step = ["i += 1", "tn = t0 + i * h", "if tn > t_end:",
+            *_indent(["hs = t_end - t", *hh, "h6 = hs / 6.0", "tn = t + hs"], 1)]
+    return setup, step, ["t = t_end", "if times:", "    times[-1] = t"]
+
+
 def smooth_kernel(fields, chis):
     """The smooth RK4 segment loop of xdot = F(x) for rk4_smooth_run.
 
@@ -227,17 +245,11 @@ def _smooth_lines(n, shape, first):
                 for k, (f, c) in enumerate(fields) if k not in fixed]
 
     reads = _reads(f for f, _ in fields)
+    setup, clock, end = _clock(reads)
     step = [
         f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
         f"    return flat, times, hs, {STOP_CONVERGED}",
-        # step i ends at t0 + i*h; a step that would end past t_end ends on it
-        "i += 1",
-        "tn = t0 + i * h",
-        "if tn > t_end:",
-        "    hs = t_end - t",
-        "    hh = 0.5 * hs",
-        "    h6 = hs / 6.0",
-        "    tn = t + hs",
+        *clock,
         *_rk4_lines(n, stage, "hs", reads, fixed),
         "t = tn",
         f"flat += [{Y}]",
@@ -262,18 +274,14 @@ def _smooth_lines(n, shape, first):
         f"    [{X}] = x",
         f"    [{_names('lo', n)}] = lo",
         f"    [{_names('hi', n)}] = hi",
-        "    t0 = t",
-        "    i = 0",
-        "    hs = h",
-        "    hh = 0.5 * h",
-        "    h6 = h / 6.0",
         f"    flat = [{X}]",
         "    times = [t]",
         *_indent(start, 1),
         *_indent(hoisted, 1),
-        "    t_stop = t_end - 1e-15",
+        *_indent(setup, 1),
         "    while t < t_stop:",
         *_indent(step, 2),
+        *_indent(end, 1),
         f"    return flat, times, hs, {STOP_MAXSTEPS}",
     ]
 
@@ -282,8 +290,9 @@ def rk4_smooth_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi, band):
     """Fixed-step RK4 on xdot = F(x) from (x0, t0) until the segment stops.
 
     kernel: smooth_kernel(fields, chis) of F and the boundary varieties.
-    Step k ends at t0 + k*h, or, if that is past t_end, takes hs = t_end -
-    t and ends at t + hs.  Each step starts with |x| <= ball_stop
+    Step i ends at t0 + i*h; a step that would end past t_end ends on it;
+    a run that stops within 1e-15 of t_end has its last row on t_end.
+    Each step starts with |x| <= ball_stop
     (STOP_CONVERGED); the new state is accepted, and a non-finite or
     out-of-box one is STOP_ESCAPED; a step over which some boundary's chi
     changes sign, chi(x_prev) * chi(x_next) < 0, or reaches 0 from a
@@ -393,17 +402,15 @@ def _sliding_lines(n, shape, first):
                "s = c / nn",
                *(f"y{k} = y{k} - s * g{k}" for k in cols)]
     reads = _reads(p for _, vec in vectors for p, _ in vec)
+    setup, clock, end = _clock(reads)
     step = [
         f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:", stop(STOP_CONVERGED),
         f"if abs({_expr(chi, 'x', chi_first)}) > band:", stop(STOP_OFF_VARIETY),
-        "dt = t_end - t",
-        "hs = dt if dt < h else h",
-        *(["hh = 0.5 * hs"] if reads else []),
-        "h6 = hs / 6.0",
+        *clock,
         *_rk4_lines(n, stage, "hs", reads, cols if whole else ()),
         "for _ in range(3):",
         *_indent(project, 1),
-        "t += hs",
+        "t = tn",
         f"[{X}] = [{Y}]",
         f"if not ({' and '.join(f'lo{k} <= x{k} <= hi{k}' for k in cols)}):",
         stop(STOP_ESCAPED),
@@ -418,10 +425,11 @@ def _sliding_lines(n, shape, first):
         f"    [{_names('lo', n)}] = lo",
         f"    [{_names('hi', n)}] = hi",
         *_indent(hoisted, 1),
-        "    t_stop = t_end - 1e-15",
+        *_indent(setup, 1),
         "    flat, times, alphas = [], [], []",
         "    while t < t_stop:",
         *_indent(step, 2),
+        *_indent(end, 1),
         stop(STOP_MAXSTEPS),
     ]
 
@@ -434,11 +442,12 @@ def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
     fields.  Each step starts at (x, t) with the exits, in this order:
     |x| <= ball_stop (STOP_CONVERGED), |chi(x)| > band (STOP_OFF_VARIETY),
     tangency at x (STOP_TANGENCY) and alpha outside [0, 1] (STOP_ALPHA).
-    It then takes hs = min(h, t_end - t) (tangency at a later stage is
-    STOP_TANGENCY too), makes up to three Newton steps back onto chi = 0,
-    stopping once |chi| <= event_tol or the gradient vanishes, and sets
-    t += hs.  A non-finite or out-of-box state ends the run (STOP_ESCAPED);
-    reaching t_end is STOP_MAXSTEPS.
+    Step i then ends at t0 + i*h; a step that would end past t_end ends
+    on it; a run that stops within 1e-15 of t_end has its last row and
+    stop time on t_end.  Tangency at a later stage is STOP_TANGENCY too.
+    Up to three Newton steps go back onto chi = 0, stopping once |chi| <=
+    event_tol or the gradient vanishes.  A non-finite or out-of-box state
+    ends the run (STOP_ESCAPED); reaching t_end is STOP_MAXSTEPS.
 
     Returns (states, times, alphas, x, t, code): the accepted states
     (m, n) with their times and the alpha of each step's start, and the

@@ -110,10 +110,6 @@ class SdpSolution:
     min_eigenvalues: dict = field(default_factory=dict)
     solver_status: str = ""
 
-    @property
-    def feasible(self) -> bool:
-        return self.status == FEASIBLE
-
 
 # -- interior-point solver -----------------------------------------------------
 

@@ -210,7 +210,7 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     for rid in sorted(sys.regions):
         region = sys.regions[rid]
         eq = [] if region.chi.is_zero() else [region.chi]
-        ineq = list(region.xi) + box_gens
+        ineq = [g for g in region.xi if not g.is_zero()] + box_gens
         constraints.append(PositivityConstraint(
             cid=f"pd{rid}", target=V[rid] - phi,
             equality_generators=eq, inequality_generators=ineq))

@@ -101,10 +101,6 @@ class OracleReport:
                     key=lambda r: _rank(r.worst_violation))
         return f"violated-at{worst.worst_point}"
 
-    def worst(self) -> float:
-        return max((r.worst_violation for r in self.records), key=_rank,
-                   default=0.0)
-
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -452,7 +448,9 @@ def vertex_convexity_check(sys: SwitchedSystem, lyapunov: dict,
 
     Sanity check of the convexity argument that lets the certifier test
     only simplex vertices; exact up to rounding, so the returned defect
-    should sit at the 1e-10 level or below.
+    should sit at the 1e-10 level or below.  Only acceptance criterion 9
+    calls it; it stays public so that the vertex-only argument certify
+    rests on can be re-checked for any system and family.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -69,10 +69,6 @@ class Polynomial:
         e[k] = 1
         return Polynomial(dim, {tuple(e): 1.0})
 
-    @staticmethod
-    def monomial(dim: int, mono: Monomial, c: float = 1.0) -> "Polynomial":
-        return Polynomial(dim, {tuple(mono): c})
-
     # -- basic queries -------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms

@@ -50,10 +50,9 @@ state is a list of floats, and every event step (the ball test, region
 location, the sliding weight, the transversal probe, crossing
 localisation and psi at one point) evaluates the term lists with
 _kernels.eval_terms on it.  No point or event lies past t_end.  Both
-kernels stop once t >= t_end - 1e-15, which a run that an event moved
-off the step grid can reach just short of t_end (a smooth run from a
-crossing at t = 0.501 stops at 0.9999999999999999 for t_end 1); simulate
-records such a last row at t_end, so a run that reaches t_end ends on it.
+kernels keep one time grid: step i of a run from t0 ends at t0 + i*h; a
+step that would end past t_end ends on it; a run that stops within 1e-15
+of t_end has its last row and stop time on t_end.
 
 A Trajectory stores what the kernels return, one chunk per segment or
 single point: the times, the states as one (m, n) array, the mode, and
@@ -142,9 +141,6 @@ class Trajectory:
 
     def event_kinds(self):
         return [kind for _, kind, _ in self.events]
-
-    def converged(self) -> bool:
-        return "converged" in self.event_kinds()
 
 
 # -- elementary operations ----------------------------------------------------
@@ -247,7 +243,9 @@ def sliding_weight(sys: SwitchedSystem, pair, x) -> float:
     alpha = <n, F_j> / <n, F_j - F_i> with n the boundary normal at x and
     each region's field at its first vertex; the resulting F_s is tangent
     to {chi_ij = 0}.  A denominator under 1e-12 is a tangency; a vanishing
-    normal is a singular boundary point.
+    normal is a singular boundary point.  simulate does not call it (it
+    slides by _kernels.sliding_field at its theta); it stays because the
+    benchmark's tracer wraps it by name, until that tracer is replaced.
     """
     i, j = pair
     b = sys.boundary(i, j)
@@ -416,8 +414,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
                     sliding_kernel_of(pair), x, t, cfg.t_end, cfg.step,
                     BALL_STOP, box_lo, box_hi, EVENT_TOL, band)
-                if code == _kernels.STOP_MAXSTEPS:
-                    t = times[-1] = cfg.t_end
                 add_segment(times, states, f"sliding:{i},{j}", i, alphas)
                 if code == _kernels.STOP_CONVERGED:
                     return stop(t, x, "converged")
@@ -444,9 +440,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         states, times, hs, code = _kernels.rk4_smooth_run(
             smooth_kernel_of(rid), x, t, cfg.t_end, cfg.step, BALL_STOP,
             box_lo, box_hi, band)
-        if code == _kernels.STOP_MAXSTEPS:
-            # within 1e-15 of t_end, maybe short of it: the run is at t_end
-            times[-1] = cfg.t_end
         # the escaping or boundary-flagged state is not accepted
         end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
         add_segment(times[1:end], states[1:end], f"smooth:{rid}", rid)

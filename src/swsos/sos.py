@@ -226,16 +226,19 @@ def gram_psd(min_eigenvalue: float, gram) -> bool:
 
 @dataclass
 class SosCertificate:
+    """A solved SOS program read back as polynomials.
+
+    free_multipliers holds the free multiplier polynomial of each
+    equality generator.  The pipeline reads only the Gram blocks, but the
+    Positivstellensatz identity target = s0 + sum r_k * g_k is checkable
+    only with the r_k, so they stay with the certificate.
+    """
     gram_blocks: dict = field(default_factory=dict)       # id -> GramRepresentation
     free_multipliers: dict = field(default_factory=dict)  # id -> Polynomial
     residual_norm: float = float("nan")
     min_eigenvalues: dict = field(default_factory=dict)
     status: str = FEASIBLE
     solver_status: str = ""
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == FEASIBLE
 
     def quality(self) -> str:
         if self.residual_norm <= RESIDUAL_OK and all(

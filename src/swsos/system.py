@@ -102,12 +102,6 @@ class ValidationReport:
     def has_fail(self) -> bool:
         return any(s == "fail" for _, s, _ in self.checks)
 
-    def to_dict(self):
-        return {
-            "checks": [{"name": n, "status": s, "detail": d} for n, s, d in self.checks],
-            "caveats": list(self.caveats),
-        }
-
 
 @dataclass
 class SwitchedSystem:
@@ -132,6 +126,9 @@ class SwitchedSystem:
         for rid in self.dynamics:
             if rid not in self.regions:
                 raise SystemFormatError(f"dynamics for unknown region {rid}")
+        for rid in self.origin_regions:
+            if rid not in self.regions:
+                raise SystemFormatError(f"origin region {rid} is not a region")
         for rid in self.regions:
             if rid not in self.dynamics:
                 raise SystemFormatError(f"region {rid} has no dynamics")

@@ -18,8 +18,8 @@ from swsos.cli import _theta_table
 from swsos.oracle import OracleConfig, verify_certificate, vertex_convexity_check
 from swsos.poly import Polynomial, monomial_basis, parse_polynomial
 from swsos.sim import SimConfig, simulate
-from swsos.sos import (INFEASIBLE, GramRepresentation, SosCertificate,
-                       extract_sos_split, sos_decompose)
+from swsos.sos import (FEASIBLE, INFEASIBLE, GramRepresentation,
+                       SosCertificate, extract_sos_split, sos_decompose)
 
 SWEEP_THETAS = (0.0, 0.3, 0.5, 0.7, 1.0)
 SWEEP_STARTS = ((2.0, 2.0), (-2.0, 2.0), (-2.0, -2.0), (2.0, -2.0))
@@ -67,7 +67,8 @@ def test_criterion_2_end_to_end_certification(quadrant_system):
 
 def test_criterion_3_sweep_convergence(theta_sweep):
     misses = [(th, x0, float(np.linalg.norm(traj.final_state)))
-              for th, x0, traj in theta_sweep if not traj.converged()]
+              for th, x0, traj in theta_sweep
+              if "converged" not in traj.event_kinds()]
     ok = not misses
     worst = max((m[2] for m in misses), default=0.0)
     _report(3, ok, f"{20 - len(misses)}/20 runs inside 1e-4 by t=50, "
@@ -106,7 +107,7 @@ def test_criterion_5_sos_engine_properties():
                                zip(basis, rng.uniform(-1.0, 1.0, len(basis)))})
             p = p + q * q
         cert = sos_decompose(p)
-        assert cert.feasible
+        assert cert.status == FEASIBLE
         recon = Polynomial.zero(n)
         for q in extract_sos_split(cert, "sos:s0"):
             recon = recon + q * q

@@ -28,13 +28,11 @@ def test_feasible_scalar_block():
     sol = solve(_problem_psd_scalar(2.0))
     assert sol.status == FEASIBLE
     assert abs(sol.block_values["Q"][0, 0] - 2.0) < 1e-6
-    assert sol.feasible
 
 
 def test_infeasible_scalar_block():
     sol = solve(_problem_psd_scalar(-1.0))
     assert sol.status == INFEASIBLE
-    assert not sol.feasible
 
 
 def test_free_scalar_equality():

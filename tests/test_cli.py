@@ -451,6 +451,28 @@ def test_non_finite_box_is_input_error(tmp_path, capsys, box, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["certify", "--degree", "4"],
+    ["verify", PUBLISHED_V],
+    ["simulate", "--x0=1,1", "--t-end", "0.5"],
+], ids=["validate", "certify", "verify", "simulate"])
+def test_origin_region_that_names_no_region_is_input_error(tmp_path, capsys,
+                                                           command):
+    # origin region 3 of a two-region system used to end validate, certify
+    # and verify in a KeyError traceback
+    doc = json.loads(open(QUAD).read())
+    doc["origin_regions"] = [1, 2, 3]
+    bad = tmp_path / "in" / "bad.sys"
+    bad.parent.mkdir()
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), command[0], str(bad),
+                 *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: origin region 3 is not a region\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"lyapunov": {"1": 5, "2": "x1^2 + x2^2"}},

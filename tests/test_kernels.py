@@ -163,7 +163,7 @@ def test_compile_terms_expands_exponents():
 
 
 def test_term_list_overflows_to_inf():
-    cubic = Polynomial.monomial(2, (3, 0), 1.0) + Polynomial.variable(2, 1)
+    cubic = Polynomial(2, {(3, 0): 1.0}) + Polynomial.variable(2, 1)
     assert cubic(np.array([1e200, 0.0])) == np.inf
 
 
@@ -194,8 +194,9 @@ def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, t0, t_end, h,
                         ball_stop, box_lo, box_hi, band):
     # the array-per-step numpy loop the term-list kernel replaced, with the
     # kernel's time rule (step i ends at t0 + i*h, or on t_end if that
-    # passes) and event rule (a sign change of chi, or a landing on zero; a
-    # boundary within band of x0 starts with sign 0)
+    # passes; a run that stops within 1e-15 of t_end ends on it) and event
+    # rule (a sign change of chi, or a landing on zero; a boundary within
+    # band of x0 starts with sign 0)
     n = x0.shape[0]
     nb = len(coff) - 1
     states, times = [x0], [t0]
@@ -236,6 +237,7 @@ def _ref_rk4_smooth_run(fc, fe, foff, cc, ce, coff, x0, t0, t_end, h,
             if chi * chi_prev[b] < 0.0 or (chi == 0.0 and chi_prev[b] != 0.0):
                 return np.array(states), times, hs, _kernels.STOP_BOUNDARY
             chi_prev[b] = chi
+    times[-1] = t_end
     return np.array(states), times, hs, _kernels.STOP_MAXSTEPS
 
 
@@ -262,7 +264,7 @@ def test_rk4_term_list_matches_numpy_reference(quadrant_system, rid, theta, x0):
 
 def test_rk4_term_list_escape_matches_numpy_reference():
     # xdot = x^3 blows up in finite time and leaves the box
-    F = [Polynomial.monomial(1, (3,))]
+    F = [Polynomial(1, {(3,): 1.0})]
     tail = (np.array([1.5]), 0.0, 5.0, 1e-2, 1e-6, np.array([-4.0]),
             np.array([4.0]), 1e-9)
     s1, t1, _, c1 = _kernels.rk4_smooth_run(
@@ -310,12 +312,8 @@ def test_sliding_run_reaches_t_end():
         [_const(1), _const(-1)], [_const(-1), _const(1)], (0.5, 0.0),
         t_end=0.105)
     assert code == _kernels.STOP_MAXSTEPS
-    # the time rule: t += min(h, t_end - t) until t_end - 1e-15
-    ref, tt = [], 0.0
-    while tt < 0.105 - 1e-15:
-        tt += min(0.01, 0.105 - tt)
-        ref.append(tt)
-    assert times == ref and len(times) == 11
+    # the time rule: step k ends at k*h, the last one on t_end
+    assert times == [k * 0.01 for k in range(1, 11)] + [0.105]
     assert t == times[-1] and x == states[-1].tolist()
     assert alphas == [0.5] * 11
     assert np.array_equal(states, np.tile([0.5, 0.0], (11, 1)))
@@ -408,7 +406,8 @@ def test_sliding_run_alpha_outside_unit_interval():
 
 def _ref_rk4_sliding_run(grad, Fi, Fj, chi, x0, t0, t_end, h, ball_stop,
                          box_lo, box_hi, event_tol, band):
-    # the numpy-vector loop simulate ran per sliding step before the kernel
+    # the numpy-vector loop simulate ran per sliding step before the kernel,
+    # with the smooth references' time rule
     def f_slide(x):
         n, fi, fj = grad(x), Fi(x), Fj(x)
         den = float(np.dot(n, fj - fi))
@@ -419,6 +418,7 @@ def _ref_rk4_sliding_run(grad, Fi, Fj, chi, x0, t0, t_end, h, ball_stop,
 
     x, t = np.asarray(x0, dtype=float), t0
     states, times, alphas = [], [], []
+    step = 0
 
     def done(code):
         return np.array(states).reshape(-1, x.shape[0]), times, alphas, x, t, code
@@ -434,7 +434,11 @@ def _ref_rk4_sliding_run(grad, Fi, Fj, chi, x0, t0, t_end, h, ball_stop,
         k1, alpha = r
         if not 0.0 <= alpha <= 1.0:
             return done(_kernels.STOP_ALPHA)
-        hs = min(h, t_end - t)
+        step += 1
+        t_next, hs = t0 + step * h, h
+        if t_next > t_end:
+            hs = t_end - t
+            t_next = t + hs
         r2 = f_slide(x + 0.5 * hs * k1)
         r3 = r2 and f_slide(x + 0.5 * hs * r2[0])
         r4 = r3 and f_slide(x + hs * r3[0])
@@ -450,13 +454,16 @@ def _ref_rk4_sliding_run(grad, Fi, Fj, chi, x0, t0, t_end, h, ball_stop,
             if nn == 0.0:
                 break
             xn = xn - (c / nn) * n
-        t += hs
+        t = t_next
         x = xn
         if not (np.all(x >= box_lo) and np.all(x <= box_hi)):
             return done(_kernels.STOP_ESCAPED)
         states.append(x)
         times.append(t)
         alphas.append(alpha)
+    t = t_end
+    if times:
+        times[-1] = t
     return done(_kernels.STOP_MAXSTEPS)
 
 
@@ -499,7 +506,8 @@ def test_rk4_sliding_run_matches_numpy_reference(chi, fi, fj, x0, t_end, code):
 def _interp_rk4_smooth_run(fields, chis, x0, t0, t_end, h, ball_stop, box_lo,
                            box_hi, band):
     # the interpreted smooth segment loop, term list by term list; step i
-    # ends at t0 + i*h, and a step that would pass t_end ends on it
+    # ends at t0 + i*h, a step that would pass t_end ends on it, and a run
+    # that stops within 1e-15 of t_end ends on it
     n = len(x0)
     nb = len(chis)
     lo = np.asarray(box_lo, dtype=np.float64).tolist()
@@ -550,18 +558,20 @@ def _interp_rk4_smooth_run(fields, chis, x0, t0, t_end, h, ball_stop, box_lo,
                 return result(_kernels.STOP_BOUNDARY)
             chi_prev[b] = chi
         x = xn
+    times[-1] = t_end
     return result(_kernels.STOP_MAXSTEPS)
 
 
 def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
                             box_lo, box_hi, event_tol, band):
-    # the interpreted sliding segment loop, term list by term list
+    # the interpreted sliding segment loop, term list by term list, on the
+    # smooth interpreter's time rule
     n = len(x0)
     cols = range(n)
     lo = np.asarray(box_lo, dtype=np.float64).tolist()
     hi = np.asarray(box_hi, dtype=np.float64).tolist()
     h = float(h)
-    t = float(t0)
+    t0 = t = float(t0)
     t_stop = t_end - 1e-15
     x = np.asarray(x0, dtype=np.float64).tolist()
     flat, times, alphas = [], [], []
@@ -573,6 +583,7 @@ def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
                                       [eval_terms(p, xs) for p in fj])
 
     code = _kernels.STOP_MAXSTEPS
+    step = 0
     while t < t_stop:
         if math.sqrt(sum(v * v for v in x)) <= ball_stop:
             code = _kernels.STOP_CONVERGED
@@ -588,7 +599,11 @@ def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
         if not 0.0 <= alpha <= 1.0:
             code = _kernels.STOP_ALPHA
             break
-        hs = min(h, t_end - t)
+        step += 1
+        t_next, hs = t0 + step * h, h
+        if t_next > t_end:
+            hs = t_end - t
+            t_next = t + hs
         hh = 0.5 * hs
         ks = [k1]
         for hk in (hh, hh, hs):
@@ -612,7 +627,7 @@ def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
                 break
             s = c / nn
             xn = [xn[k] - s * g[k] for k in cols]
-        t += hs
+        t = t_next
         x = xn
         if not all(lo[k] <= x[k] <= hi[k] for k in cols):
             code = _kernels.STOP_ESCAPED
@@ -620,6 +635,10 @@ def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
         flat.extend(x)
         times.append(t)
         alphas.append(alpha)
+    if code == _kernels.STOP_MAXSTEPS:
+        t = t_end
+        if times:
+            times[-1] = t
     return np.array(flat).reshape(-1, n), times, alphas, x, t, code
 
 
@@ -964,18 +983,52 @@ def test_constant_term_lists_leave_the_loop():
     assert "y0 = x0 + h6 * r0" in "\n".join(loop)
 
 
+def test_both_kernels_step_on_one_time_grid():
+    # the smooth and the sliding kernel take their clock lines from _clock
+    layout = _kernels._layout([*_GRAD, _const(1), ((1.0, (0,)),), _const(-1),
+                               _const(1), _CHI])
+    sliding = _kernels._sliding_lines(2, layout[0], layout[2])
+    layout = _kernels._layout([_const(1), ((1.0, (1,)),), _CHI])
+    smooth = _kernels._smooth_lines(2, layout[0], layout[2])
+    setup, step, end = _kernels._clock([0])
+    for lines in (smooth, sliding):
+        text = "\n".join(line.strip() for line in lines)
+        for block in (setup, step, end):
+            assert "\n".join(line.strip() for line in block) in text
+    assert not any(("t += hs" in line or "dt < h" in line) for line in sliding)
+
+
+def test_runs_that_stop_just_short_of_t_end_end_on_it():
+    # from t0 = 0.7809999999999999 (a crossing off the grid), step 219 of
+    # h = 1e-3 ends at 0.9999999999999999, within 1e-15 of t_end = 1: both
+    # kernels record that row at t_end
+    t0 = 0.7809999999999999
+    assert 1.0 - 1e-15 < t0 + 219 * 1e-3 < 1.0
+    _, times, _, _ = _kernels.rk4_smooth_run(
+        _kernels.smooth_kernel(_DECAY, []), [1.0], t0, 1.0, 1e-3, 1e-4,
+        [-2.0], [2.0], 1e-9)
+    assert times[-2:] == [t0 + 218 * 1e-3, 1.0] and len(times) == 220
+    _, times, _, _, t, code = _kernels.rk4_sliding_run(
+        _kernels.sliding_kernel(_GRAD, [_const(1), _const(-1)],
+                                [_const(-1), _const(1)], _CHI),
+        [0.5, 0.0], t0, 1.0, 1e-3, 1e-6, *_BOX, 1e-9, 1e-8)
+    assert code == _kernels.STOP_MAXSTEPS
+    assert times[-2:] == [t0 + 218 * 1e-3, 1.0] and len(times) == 219
+    assert t == 1.0
+
+
 # sha256 of each kernel source of tests/kernel_corpus.py: quadrant-cubic.sys
 # has no constant term list, so its kernels are the unspecialised ones
 PINNED_KERNEL_DIGESTS = {
-    'smooth 1 theta0': 'c4d789b1f17c47e7d85a6d914e38055b14381c4fd1173fb061c60dbfec91340d',
-    'smooth 2 theta0': '16ff7cd2a00e5bb980415dfe4d88b67738939d9622840671f784c5949c5d4ad5',
-    'sliding 1,2 theta0': '610e06b3872ee698fd6dc48dda0f8b064ec4ac8dc909f150d1cb0e51352294c5',
-    'smooth 1 theta0.5': '5acfc51f8864b2ddc9280818365d92b2f8d7bea8974f71febb29c7a163aa7dbf',
-    'smooth 2 theta0.5': '16ff7cd2a00e5bb980415dfe4d88b67738939d9622840671f784c5949c5d4ad5',
-    'sliding 1,2 theta0.5': 'fc485fc9bfc022d8aeadc70403d2ecf2b0198d1bda2ce7e50dc76fa4e29d8782',
-    'smooth 1 theta1': '696839a391e3dc213e80bb88e24505fec22a498bd59ff0919baeac889f6cfaee',
-    'smooth 2 theta1': '16ff7cd2a00e5bb980415dfe4d88b67738939d9622840671f784c5949c5d4ad5',
-    'sliding 1,2 theta1': 'c7850f9cbe0d5a583fb149be102cf290ef7b30c37a68c1ca4d2c5a42c23690cd',
+    'smooth 1 theta0': 'd94ad507600bb8066ce8706c05ac0f8f30f73f297229f41d39b4c34c9989c6cd',
+    'smooth 2 theta0': '409df4ba6f3faac411ba72c108c884e759df4b62c57cc395631337f504ecf350',
+    'sliding 1,2 theta0': '815bee05a280c5e16bff99e530dd4fa659cfc8f4802eaa2eac3e9276b9c58506',
+    'smooth 1 theta0.5': '3301d0762286c691ca3235aabb47f1e6ef596eaa802b5624d5d2734e0f77fc04',
+    'smooth 2 theta0.5': '409df4ba6f3faac411ba72c108c884e759df4b62c57cc395631337f504ecf350',
+    'sliding 1,2 theta0.5': 'c157f7d715f3a7d1b3beddf56d2c766119c11cdc9febb515cd79c8245d187963',
+    'smooth 1 theta1': '8437254e5d8c1c856086391137d243b0284f9f4b613ca64f4e6badc11c987df9',
+    'smooth 2 theta1': '409df4ba6f3faac411ba72c108c884e759df4b62c57cc395631337f504ecf350',
+    'sliding 1,2 theta1': '20b01dfd94d098c4097d15aec0f10ddf9845218f47499d19d77a4754a6d0bf15',
 }
 
 

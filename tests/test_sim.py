@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from swsos.sim import (SimConfig, StratumStop, Tangency, Trajectory,
                        detect_crossing, simulate, sliding_weight,
                        write_trajectory)
 from swsos.system import load_system, parse_system
-from trajectory_corpus import digests
+from trajectory_corpus import digests, tsvs
 
 
 def _scalar_decay():
@@ -258,7 +259,7 @@ def test_sliding_weight_tangency():
 def test_simulate_scalar_convergence_time():
     # converged event at t ~= ln(1/BALL_STOP) = ln(1e4) ~= 9.21, within 1%
     traj = simulate(_scalar_decay(), (1.0,), SimConfig(step=1e-3))
-    assert traj.converged()
+    assert "converged" in traj.event_kinds()
     t_conv = [t for t, kind, _ in traj.events if kind == "converged"][0]
     assert abs(t_conv - np.log(1e4)) / np.log(1e4) < 0.01
 
@@ -327,7 +328,7 @@ def test_simulate_escape(quadrant_system):
     })
     traj = simulate(blow_up, (1.0,), SimConfig(step=1e-2, t_end=10.0))
     assert "escaped" in traj.event_kinds()
-    assert not traj.converged()
+    assert "converged" not in traj.event_kinds()
 
 
 def _two_sided_doc(f1, f2):
@@ -682,7 +683,6 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
     # smooth points (psi, no alpha), sliding points (alpha and psi) and the
     # stopped point (neither); sliding points without psi; the one-row
     # crossing chunk of the run from (0.3, -2), which then slides to t_end
-    import io
     from swsos.cli import _theta_table
     v = parse_polynomial("x1^2 + 3*x2^2 + 0.1*x1*x2", 2)
     traj = simulate(_two_sided(["-x1", "-1"], ["-x1", "1"]), (1.0, 0.5),
@@ -733,7 +733,7 @@ PINNED_DIGESTS = {
     'sweep 0.3,-2 theta0.5': 'dadea60296878a510c3230a8530809a6bf5fc8b90a5881017371b3e181fabab9',
     'sweep 0.3,-2 theta1': 'ac4f608d812c1984d9b809f2653373f8f6faf74b3a329a5aeab32034dc2f5c7b',
     'sliding 0,0.5 t_end1': '47cc5f0101f9106c7580ef5e67170bc290feca2da8ec42be9c336433dbc0c0f6',
-    'sliding 0.37,0.81 t_end2.81': 'bf5da8d2595eecff5e97ce498fdfb9af8803135e2deaad527067f17aa20fffb3',
+    'sliding 0.37,0.81 t_end2.81': '9ef541f8b2bf4cc4689c2f8cc88611deabfeaaf327b9bc016eaf28ac677890e0',
     'tilted-relay -0.8,-0.3 t_end3': 'fe1b444ef0686e4aee6f4e8c5914f66e6b244bb6a357d422f5a4d834907e1b32',
     'tilted-relay 0.9,-1.3 t_end4': 'afd54048e038fc8b20180db9bd32de78e8f137f27b8f54dfcc791c87d2ae6467',
     'branicky-a 0.05,0.05 t_end5': 'b87be4f28e0afb199e2ad4705df727000b0eaea17545111fd43bab9c82ed807e',
@@ -742,6 +742,36 @@ PINNED_DIGESTS = {
 
 def test_trajectory_bytes_are_pinned():
     assert digests() == PINNED_DIGESTS
+
+
+def _printed_rows(tsv):
+    """(t, mode) of each row of a TSV with no manifest line, t as printed."""
+    rows = [r.split("\t") for r in tsv.split("\n\n# events")[0].splitlines()[1:]]
+    return [(float(r[0]), r[-3]) for r in rows]
+
+
+def test_corpus_row_times_strictly_increase():
+    # a smooth or sliding row prints a later time than the row before it; a
+    # stopped row may repeat the time of the state it stopped at, as the
+    # converged branicky-a run's does
+    for name, tsv in tsvs().items():
+        rows = _printed_rows(tsv)
+        for (t_prev, _), (t, mode) in zip(rows, rows[1:]):
+            assert t > t_prev or (t == t_prev and mode.startswith("stopped:")), \
+                (name, t, mode)
+
+
+def test_sliding_run_to_t_end_prints_t_end_once(opposing_system):
+    # sliding from (0.3, 0.5) to t_end = 2.5: steps end on t0 + i*h, so
+    # the last step is a whole one that ends on 2.5, not a 1.6e-13 s sliver
+    # after a row that already prints as 2.5
+    buf = io.StringIO()
+    write_trajectory(simulate(opposing_system, (0.3, 0.5),
+                              SimConfig(t_end=2.5)), buf)
+    times = [t for t, _ in _printed_rows(buf.getvalue())]
+    assert len(times) == 2500
+    assert times[-3:] == [2.498, 2.499, 2.5]
+    assert times.count(2.5) == 1
 
 
 def test_theta_key_naming_no_region_is_refused(quadrant_system):

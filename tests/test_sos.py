@@ -1,3 +1,4 @@
+import json
 from importlib import import_module
 from types import SimpleNamespace
 
@@ -42,7 +43,7 @@ def test_linpoly_lie_matches_polynomial_lie():
 def test_sos_decompose_perfect_square():
     p = parse_polynomial("x1^2 + 2*x1*x2 + x2^2", 2)  # (x1 + x2)^2
     cert = sos_decompose(p)
-    assert cert.feasible
+    assert cert.status == FEASIBLE
     assert cert.residual_norm < 1e-6
 
 
@@ -63,7 +64,7 @@ def test_sos_decompose_rejects_odd_degree():
 def test_extract_sos_split_roundtrip():
     p = parse_polynomial("2*x1^4 + 2*x1^3*x2 - x1^2*x2^2 + 5*x2^4", 2)
     cert = sos_decompose(p)
-    assert cert.feasible
+    assert cert.status == FEASIBLE
     squares = extract_sos_split(cert, "sos:s0")
     recon = Polynomial.zero(2)
     for q in squares:
@@ -626,6 +627,22 @@ QUADRANT_CUBIC_ATTRACTIVITY_DIGEST = (
 def test_quadrant_cubic_certify_program_digest(systems_dir, degree):
     problem, _ = _feasibility(systems_dir, "quadrant-cubic", degree, None)
     assert _problem_digest(problem) == QUADRANT_CUBIC_DIGESTS[degree]
+
+
+def test_vacuous_xi_leaves_the_certify_program_as_it_was(systems_dir,
+                                                         small_oracle):
+    # xi = 0 holds everywhere: build_feasibility leaves it out of the
+    # generators, as it leaves out a zero chi (assemble used to fail on a
+    # generator with no terms)
+    from swsos.certify import CERTIFIED, CertificationConfig, certify
+    from swsos.system import parse_system
+    doc = json.loads((systems_dir / "quadrant-cubic.sys").read_text())
+    doc["regions"][0]["xi"] = ["x1*x2", "0"]
+    sys_ = parse_system(doc)
+    cfg = CertificationConfig(lyapunov_degree=4)
+    problem, _ = certify_module.build_feasibility(sys_, cfg)
+    assert _problem_digest(problem) == QUADRANT_CUBIC_DIGESTS[4]
+    assert certify(sys_, cfg).status == CERTIFIED
 
 
 def test_quadrant_cubic_attractivity_program_digest(monkeypatch, systems_dir):

@@ -74,6 +74,7 @@ def test_two_region_mutation_is_well_formed():
     _with_boundary(i=1.2, j=2),
     _with_boundary(i=True, j=2),
     _with_boundary(i=1, j=2.0),
+    lambda d: d.update(origin_regions=[1, 9]),             # unknown region
 ])
 def test_malformed_documents_rejected(mutate):
     doc = _minimal_doc()

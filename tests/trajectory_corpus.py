@@ -8,8 +8,8 @@ between non-constant fields; the second run slides until it leaves the
 box) and the branicky-a.sys run from (0.05, 0.05), whose six crossings of
 x1*x2 = 0 close in on the origin, where the gradient of chi vanishes.
 Each run is
-written by write_trajectory with an empty manifest hash and digested with
-sha256.
+written by write_trajectory with an empty manifest hash (`tsvs`) and
+digested with sha256 (`digests`).
 A change that alters trajectories on purpose prints the new digests with
 
     PYTHONPATH=src python tests/trajectory_corpus.py
@@ -32,16 +32,16 @@ TILTED_RUNS = (((-0.8, -0.3), 3.0), ((0.9, -1.3), 4.0))
 BRANICKY_RUNS = (((0.05, 0.05), 5.0),)
 
 
-def digests() -> dict:
-    """Run name -> sha256 hex digest of its TSV."""
+def tsvs() -> dict:
+    """Run name -> its TSV."""
     from swsos.cli import _theta_table, load_lyapunov
     from swsos.sim import SimConfig, simulate, write_trajectory
     from swsos.system import load_system
 
-    def digest(traj):
+    def tsv(traj):
         buf = io.StringIO()
         write_trajectory(traj, buf, manifest_hash="")
-        return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        return buf.getvalue()
 
     quadrant = load_system(SYSTEMS / "quadrant-cubic.sys")
     certificate = load_lyapunov(str(SYSTEMS / "quadrant-cubic-V-stripped.lyap"),
@@ -50,16 +50,22 @@ def digests() -> dict:
     for x0 in SWEEP_STARTS:
         for v in SWEEP_THETAS:
             cfg = SimConfig(t_end=SWEEP_T_END, theta=_theta_table(quadrant, v))
-            out[f"sweep {x0[0]:g},{x0[1]:g} theta{v:g}"] = digest(
+            out[f"sweep {x0[0]:g},{x0[1]:g} theta{v:g}"] = tsv(
                 simulate(quadrant, x0, cfg, certificate=certificate))
     for name, prefix, runs in (("opposing-fields", "sliding", SLIDING_RUNS),
                                ("tilted-relay", "tilted-relay", TILTED_RUNS),
                                ("branicky-a", "branicky-a", BRANICKY_RUNS)):
         system = load_system(SYSTEMS / f"{name}.sys")
         for x0, t_end in runs:
-            out[f"{prefix} {x0[0]:g},{x0[1]:g} t_end{t_end:g}"] = digest(
+            out[f"{prefix} {x0[0]:g},{x0[1]:g} t_end{t_end:g}"] = tsv(
                 simulate(system, x0, SimConfig(t_end=t_end)))
     return out
+
+
+def digests() -> dict:
+    """Run name -> sha256 hex digest of its TSV."""
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in tsvs().items()}
 
 
 if __name__ == "__main__":
