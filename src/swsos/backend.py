@@ -24,17 +24,43 @@ NUMERICAL_ERROR = "numerical_error"
 _SQRT2 = float(np.sqrt(2.0))
 
 
+def svec_offsets(sizes) -> np.ndarray:
+    """First svec column of each block of the given sizes, then the svec
+    length: an n-block has n(n + 1)/2 columns."""
+    n = np.asarray(sizes, dtype=np.intp)
+    out = np.zeros(len(n) + 1, dtype=np.intp)
+    np.cumsum(n * (n + 1) // 2, out=out[1:])
+    return out
+
+
+def svec_diagonal(sizes) -> np.ndarray:
+    """svec columns of the diagonal entries of blocks of the given sizes."""
+    n = np.asarray(sizes, dtype=np.intp)
+    i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)   # index within the block
+    # row i of an n-block's upper triangle starts i*n - i(i - 1)/2 columns in
+    return np.repeat(svec_offsets(n)[:-1], n) + i * np.repeat(n, n) - i * (i - 1) // 2
+
+
+def svec_triangle(n: int):
+    """(i, j, scale) of an n-block's svec columns: the upper triangle row
+    by row, and the factor, sqrt(2) off the diagonal and 1 on it, by which
+    Q[i, j] is the column's value and a coefficient of Q[i, j] + Q[j, i]
+    (of Q[i, i] on the diagonal) is divided to be the column's."""
+    i, j = np.nonzero(np.tri(n, dtype=bool).T)
+    return i, j, np.where(i == j, 1.0, _SQRT2)
+
+
 def svec_layout(psd_blocks):
     """[(block_id, n, slice, i, j)] with slice the block's svec columns and
-    (i, j) its upper-triangle indices in svec order (row by row), and the
-    total svec length.  Column k of a block stands for Q[i[k], j[k]], scaled
-    by sqrt(2) off the diagonal so that dot products are trace products."""
-    layout, off, triu = [], 0, {}    # blocks of one size share (i, j)
-    for bid, n in psd_blocks:
-        i, j = triu[n] = triu.get(n) or np.triu_indices(n)
-        layout.append((bid, n, slice(off, off + len(i)), i, j))
-        off += len(i)
-    return layout, off
+    (i, j) its upper-triangle indices in svec order (`svec_triangle`), and
+    the total svec length."""
+    sizes = [n for _, n in psd_blocks]
+    off = svec_offsets(sizes).tolist()
+    layout, triu = [], {}    # blocks of one size share (i, j)
+    for k, (bid, n) in enumerate(psd_blocks):
+        i, j = triu[n] = triu.get(n) or svec_triangle(n)[:2]
+        layout.append((bid, n, slice(off[k], off[k + 1]), i, j))
+    return layout, off[-1]
 
 
 @dataclass
@@ -68,7 +94,7 @@ class SdpProblem:
         # columns, then free scalar k as column nx + k.  It exists for
         # perfbench until ROADMAP item 1 moves those reads behind accessors;
         # nothing in the package reads it.
-        rows, nx = [{} for _ in self.b], svec_layout(self.psd_blocks)[1]
+        rows, nx = [{} for _ in self.b], svec_offsets([n for _, n in self.psd_blocks])[-1]
         for (r, k, v), shift in ((self.A, 0), (self.F, nx)):
             for row, col, value in zip(r.tolist(), (k + shift).tolist(), v.tolist()):
                 rows[row][col] = value
@@ -83,7 +109,8 @@ class SdpProblem:
             raise ValueError(f"duplicate PSD block ids {dup}")
         if any(n < 1 for _, n in self.psd_blocks):
             raise ValueError("PSD block sizes must be >= 1")
-        m, nx, nf = len(self.b), svec_layout(self.psd_blocks)[1], len(self.free_scalars)
+        nx = int(svec_offsets([n for _, n in self.psd_blocks])[-1])
+        m, nf = len(self.b), len(self.free_scalars)
         for name, (r, k, v), ncol in (("A", self.A, nx), ("F", self.F, nf)):
             if not r.shape == k.shape == v.shape:
                 raise ValueError(f"{name} triplet arrays differ in shape")

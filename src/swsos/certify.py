@@ -28,7 +28,7 @@ from .poly import DISPLAY_CLEANUP, Polynomial, lie_derivative, \
     monomial_basis, coefficients_equal
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
-from .backend import FEASIBLE, INFEASIBLE, solve, svec_layout
+from .backend import FEASIBLE, INFEASIBLE, solve, svec_diagonal
 from .system import SwitchedSystem
 from .oracle import OracleConfig, OracleReport, verify_certificate
 
@@ -206,6 +206,8 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
                                include_constant=rid not in sys.origin_regions)
         V[rid] = LinPoly.decision(n, f"V{rid}", basis)
 
+    # lie_derivative(-V, f) is -lie_derivative(V, f) bit for bit
+    neg_V = {rid: lp.scale(-1.0) for rid, lp in V.items()}
     constraints = []
     for rid in sorted(sys.regions):
         region = sys.regions[rid]
@@ -217,14 +219,14 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
         for l, f in enumerate(sys.dynamics[rid].vertices):
             constraints.append(PositivityConstraint(
                 cid=f"lie{rid}v{l}",
-                target=lie_derivative(V[rid], f).scale(-1.0) - margin,
+                target=lie_derivative(neg_V[rid], f) - margin,
                 equality_generators=eq, inequality_generators=ineq))
     for (i, j) in cross_pairs:
         chi_ij = sys.boundary(i, j).chi
         for l, f in enumerate(sys.dynamics[j].vertices):
             constraints.append(PositivityConstraint(
                 cid=f"cross{i}_{j}v{l}",
-                target=lie_derivative(V[i], f).scale(-1.0) - margin,
+                target=lie_derivative(neg_V[i], f) - margin,
                 equality_generators=[chi_ij],
                 inequality_generators=list(box_gens)))
 
@@ -239,8 +241,7 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     problem = assemble(constraints, identities=identities)
     # Minimizing total Gram trace keeps the returned certificate at a sane
     # coefficient scale (the feasible set is unbounded upward).
-    for _, _, sl, i, j in svec_layout(problem.psd_blocks)[0]:
-        problem.c[sl][i == j] = 1.0
+    problem.c[svec_diagonal([n for _, n in problem.psd_blocks])] = 1.0
     plan = {"V": V, "glue": glue, "constraints": constraints,
             "cross_pairs": list(cross_pairs)}
     return problem, plan

@@ -7,33 +7,39 @@ Everything is flattened coefficient-wise, one row per monomial in grlex
 order, into one block-PSD program in array form (`backend.SdpProblem`),
 which `solve` (imported from `backend`) solves.  Decision polynomials are
 `LinPoly`s; `LinPoly * Polynomial` is `mul_poly`, so `poly.lie_derivative`
-takes the Lie derivative of a LinPoly as of a Polynomial.
+takes the Lie derivative of a LinPoly as of a Polynomial.  A LinPoly is
+held as arrays of (monomial, scalar, coefficient) entries that are summed
+only where rounding requires it (see `LinPoly`), and `assemble` sums each
+target once.
 
 Rows are numbered by grlex rank, a monomial's position in `monomial_basis`
 order (`poly.grlex_rank`, computed from the exponents alone).  A
 constraint's rows are the sorted union of the ranks that its target, its
 equality multipliers and its Gram blocks use; a mask over the ranks and
-its cumulative sum give each rank its row.  A Gram block's coefficients
-depend only on its basis and its generator, so `assemble` builds one pair
-table per (dimension, half degree, minimum degree) and call (the basis,
-the exponents of b_i * b_j in svec order and the diagonal mask) and
-derives one entry table per generator from it: the rank of each entry's
-monomial, its svec column and its scaled coefficient.  The same basis and
-generator recur across constraints (the box generators sit in all of
-them), so a block mostly appends a table it finds.  Nothing outlives the
-call.
+its cumulative sum give each rank its row.  The free-scalar entries of
+the target and the equality multipliers are arrays, stable-sorted by rank
+into row order, and the right-hand sides one array per constraint.  A
+Gram block's coefficients depend only on its basis and its generator, so
+`assemble` builds one pair table per (dimension, half degree, minimum
+degree) and call (the basis, the exponents of b_i * b_j in svec order and
+the weight and svec scale of each column, from `backend.svec_triangle`)
+and derives one entry table per generator from it: the rank of each
+entry's monomial, its svec column and its scaled coefficient.  The same
+basis and generator recur across constraints (the box generators sit in
+all of them), so a block mostly appends a table it finds.  Nothing
+outlives the call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import add
 
 import numpy as np
 
 # INFEASIBLE is re-exported for callers that import it from here
-from .backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve, svec_layout
+from .backend import (FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve, svec_offsets,
+                      svec_triangle)
 from .poly import Monomial, Polynomial, grlex_rank, monomial_basis
 
 GRAM_EIG_TOL = 1e-7
@@ -55,100 +61,157 @@ class NumericalInfeasibility(RuntimeError):
 class LinPoly:
     """Polynomial whose coefficients are affine expressions in named scalars.
 
-    terms maps monomial -> {None: constant, var_name: coefficient}.
+    Held as parallel arrays with one entry per term: `exps` the exponent
+    rows, `idx` an index into the tuple `names`, whose entry 0 is None (the
+    constant part), and `vals` the coefficients.  Entries that share a
+    monomial and a scalar add up.  `terms` is the dict view, monomial ->
+    {None: constant, var_name: coefficient}.
+
+    `+`, `-`, `scale`, `diff` and `mul_poly` append or map entries.  The
+    entries of one (monomial, scalar) pair are summed, in entry order, only
+    where the dict-of-dicts form, which summed after every operation, would
+    round otherwise:
+
+    - before `diff`, `scale` or `mul_poly` of an unsummed polynomial;
+    - for the right operand of `+` and `-`, never for the left one;
+    - for the dict view, `variables`, `degree` and `instantiate`;
+    - once per target in `assemble`.
+
+    A sum drops exact zeros and lists monomials, then the scalars of each,
+    in first-appearance order, so values and orders are those of the dict
+    form.  (Were a left operand's own entries to cancel exactly and a later
+    operand bring the term back, the dict form would have listed it last.)
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "exps", "idx", "vals", "names", "summed")
 
     def __init__(self, dim: int, terms: dict | None = None):
-        self.dim = dim
-        self.terms = {}
+        names = {None: 0}
+        exps, idx, vals = [], [], []
         for mono, expr in (terms or {}).items():
-            cleaned = {k: float(v) for k, v in expr.items() if v != 0.0}
-            if cleaned:
-                self.terms[tuple(mono)] = cleaned
+            for k, v in expr.items():
+                if v != 0.0:
+                    exps.append(tuple(mono))
+                    idx.append(names.setdefault(k, len(names)))
+                    vals.append(float(v))
+        self._set(dim, _exponents(exps, dim), np.array(idx, dtype=np.intp),
+                  np.array(vals, dtype=float), tuple(names), True)
 
-    @staticmethod
-    def _clean(dim: int, terms: dict) -> "LinPoly":
-        """__init__ without the copy: drop exact zeros of fresh float terms."""
-        for m in [m for m, e in terms.items() if 0.0 in e.values()]:
-            terms[m] = {k: v for k, v in terms[m].items() if v != 0.0}
-            if not terms[m]:
-                del terms[m]
-        out = object.__new__(LinPoly)
-        out.dim, out.terms = dim, terms
-        return out
+    def _set(self, dim, exps, idx, vals, names, summed):
+        self.dim, self.exps, self.idx, self.vals = dim, exps, idx, vals
+        self.names, self.summed = names, summed
+        return self
+
+    def _new(self, exps, idx, vals, names=None, summed=True) -> "LinPoly":
+        return object.__new__(LinPoly)._set(
+            self.dim, exps, idx, vals, self.names if names is None else names, summed)
 
     @staticmethod
     def from_poly(p: Polynomial) -> "LinPoly":
-        return LinPoly._clean(p.dim, {m: {None: c} for m, c in p.terms.items()})
+        vals = np.fromiter(p.terms.values(), dtype=float, count=len(p.terms))
+        return object.__new__(LinPoly)._set(
+            p.dim, _exponents(p.terms, p.dim), np.zeros(len(vals), dtype=np.intp),
+            vals, _CONSTANT, True)
 
     @staticmethod
     def decision(dim: int, name: str, monomials) -> "LinPoly":
         """Fresh decision polynomial with one scalar per basis monomial."""
-        return LinPoly(dim, {m: {f"{name}[{_mono_tag(m)}]": 1.0} for m in monomials})
+        return object.__new__(LinPoly)._set(
+            dim, _exponents(monomials, dim), np.arange(1, len(monomials) + 1),
+            np.ones(len(monomials)),
+            (None, *(f"{name}[{_mono_tag(m)}]" for m in monomials)), True)
 
-    def variables(self):
-        out = set()
-        for expr in self.terms.values():
-            out.update(k for k in expr if k is not None)
+    def collect(self) -> "LinPoly":
+        """This polynomial with like terms summed: one entry per (monomial,
+        scalar) pair and no exact zeros; itself when it is summed already."""
+        if self.summed:
+            return self
+        if not self.vals.size:
+            return self._new(self.exps, self.idx, self.vals)
+        E = self.exps
+        base = int(E.max()) + 1
+        if base ** self.dim * len(self.names) < 2 ** 62:
+            mono = E[:, 0]              # exponents as digits in base `base`
+            for k in range(1, self.dim):
+                mono = mono * base + E[:, k]
+        else:
+            mono = grlex_rank(E)        # dense, so it fits where the monomials do
+        first, sums = _sum_entries(mono * len(self.names) + self.idx,
+                                   len(self.names), self.vals)
+        keep = sums != 0.0
+        first = first[keep]
+        return self._new(E[first], self.idx[first], sums[keep])
+
+    @property
+    def terms(self) -> dict:
+        s = self.collect()
+        out = {}
+        for m, k, v in zip(map(tuple, s.exps.tolist()), s.idx.tolist(), s.vals.tolist()):
+            out.setdefault(m, {})[s.names[k]] = v
         return out
 
+    def variables(self):
+        s = self.collect()
+        return {s.names[k] for k in set(s.idx.tolist())} - {None}
+
     def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return int(self.collect().exps.sum(axis=1).max(initial=0))
+
+    def _append(self, other: "LinPoly", negate: bool) -> "LinPoly":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        other = other.collect()
+        names, idx = self.names, other.idx
+        if names[:len(other.names)] != other.names:
+            if other.names[:len(names)] == names:
+                names = other.names
+            else:
+                pos = {k: i for i, k in enumerate(names)}
+                for k in other.names:
+                    pos.setdefault(k, len(pos))
+                idx = np.array([pos[k] for k in other.names], dtype=np.intp)[idx]
+                names = tuple(pos)
+        return self._new(np.concatenate([self.exps, other.exps]),
+                         np.concatenate([self.idx, idx]),
+                         np.concatenate([self.vals, -other.vals if negate else other.vals]),
+                         names, summed=False)
 
     def __add__(self, other):
         if isinstance(other, Polynomial):
             other = LinPoly.from_poly(other)
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        t = {m: dict(e) for m, e in self.terms.items()}
-        for m, expr in other.terms.items():
-            acc = t.setdefault(m, {})
-            for k, v in expr.items():
-                acc[k] = acc.get(k, 0.0) + v
-        return LinPoly._clean(self.dim, t)
+        return self._append(other, False)
 
     def __sub__(self, other):
-        # one pass; x - v is x + (-v) bit for bit, signed zeros included
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        t = {m: dict(e) for m, e in self.terms.items()}
+        # x - v is x + (-v) bit for bit, signed zeros included
         if isinstance(other, Polynomial):
-            for m, c in other.terms.items():
-                acc = t.setdefault(m, {})
-                acc[None] = acc.get(None, 0.0) - c
-        else:
-            for m, expr in other.terms.items():
-                acc = t.setdefault(m, {})
-                for k, v in expr.items():
-                    acc[k] = acc.get(k, 0.0) - v
-        return LinPoly._clean(self.dim, t)
+            other = LinPoly.from_poly(other)
+        return self._append(other, True)
 
     def scale(self, c: float) -> "LinPoly":
-        c = float(c)
-        return LinPoly._clean(self.dim, {m: {k: v * c for k, v in e.items()}
-                                         for m, e in self.terms.items()})
+        s = self.collect()
+        vals = s.vals * float(c)
+        keep = vals != 0.0
+        return s._new(s.exps[keep], s.idx[keep], vals[keep])
 
     def mul_poly(self, p: Polynomial) -> "LinPoly":
-        t = {}
-        for m1, expr in self.terms.items():
-            for m2, c in p.terms.items():
-                acc = t.setdefault(tuple(map(add, m1, m2)), {})
-                for k, v in expr.items():
-                    acc[k] = acc.get(k, 0.0) + v * c
-        return LinPoly._clean(self.dim, t)
+        # entry by entry, each times p's terms in order: the order in which
+        # the dict form added up each product
+        s = self.collect()
+        c = np.fromiter(p.terms.values(), dtype=float, count=len(p.terms))
+        exps = (s.exps[:, None] + _exponents(p.terms, self.dim)).reshape(-1, self.dim)
+        return s._new(exps, np.repeat(s.idx, len(c)), (s.vals[:, None] * c).ravel(),
+                      summed=False)
 
     __mul__ = mul_poly
 
     def diff(self, k: int) -> "LinPoly":
-        # m -> m - e_k is one-to-one, so nothing is summed
-        t = {}
-        for m, expr in self.terms.items():
-            e = m[k]
-            if e:
-                t[m[:k] + (e - 1,) + m[k + 1:]] = {key: v * e for key, v in expr.items()}
-        return LinPoly._clean(self.dim, t)
+        # m -> m - e_k is one-to-one, so nothing is summed, and v * e != 0
+        s = self.collect()
+        e = s.exps[:, k]
+        keep = e > 0
+        exps = s.exps[keep]
+        exps[:, k] -= 1
+        return s._new(exps, s.idx[keep], s.vals[keep] * e[keep])
 
     def instantiate(self, values: dict) -> Polynomial:
         terms = {}
@@ -157,6 +220,32 @@ class LinPoly:
             if c != 0.0:
                 terms[m] = c
         return Polynomial(self.dim, terms)
+
+
+_CONSTANT = (None,)     # the names of a LinPoly with constant coefficients
+
+
+def _sum_entries(key, per_group: int, vals):
+    """Sum the entries that share a key, each key's in entry order.
+
+    Returns the index of each key's first entry and its sum, keys grouped
+    by key // per_group: groups in the order of their first entries, keys
+    within a group in the order of theirs.
+    """
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = k[1:] != k[:-1]
+    inverse = np.empty(len(k), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    sums = np.bincount(inverse, weights=vals)   # adds in entry order
+    first = order[new]
+    g = k[new] // per_group                     # sorted, so groups are runs
+    new_group = np.ones(len(g), dtype=bool)
+    new_group[1:] = g[1:] != g[:-1]
+    group_first = np.minimum.reduceat(first, np.flatnonzero(new_group))
+    by_appearance = np.lexsort((first, group_first[np.cumsum(new_group) - 1]))
+    return first[by_appearance], sums[by_appearance]
 
 
 def _mono_tag(m: Monomial) -> str:
@@ -261,9 +350,10 @@ def assemble(constraints, identities=()) -> SdpProblem:
     """
     scalars = {}       # name -> column of F
     psd_blocks, gram_layout = [], {}
-    b, F, gram_parts = [], [], []   # F: (row, column, value) entries
+    # b: one array per constraint or identity; F: (rows, columns, values)
+    b, F, gram_parts = [], [], []
     # (dim, half degree, min degree) -> (basis, exponents of b_i + b_j in
-    # svec order, diagonal mask)
+    # svec order, weight and svec scale of each column)
     pairs = {}
     # pairs key + generator terms -> (basis, per entry: grlex rank, svec
     # column in the block, scaled coefficient)
@@ -278,16 +368,16 @@ def assemble(constraints, identities=()) -> SdpProblem:
             if key[:3] not in pairs:
                 basis = gram_basis(dim, half, min_half_deg=lo)
                 z = _exponents(basis, dim)
-                # svec order (backend.svec_layout): the upper triangle row by row
-                i, j = np.nonzero(np.tri(len(basis), dtype=bool).T)
-                pairs[key[:3]] = (basis, z[i] + z[j], i == j)
-            basis, z, diag = pairs[key[:3]]
+                i, j, scale = svec_triangle(len(basis))
+                # b_i b_j carries Q[i, j] + Q[j, i]: weight 2 off the diagonal
+                pairs[key[:3]] = (basis, z[i] + z[j], 1.0 + (i != j), scale)
+            basis, z, weight, scale = pairs[key[:3]]
             monos, coeffs = zip(*gen_terms)
             c = np.array(coeffs)
             # entries run over the svec columns, then over the generator's terms
             ranks = grlex_rank((z[:, None] + _exponents(monos, dim)).reshape(-1, dim))
             cols = np.repeat(np.arange(len(z)), len(c))
-            vals = np.where(diag[:, None], -c, -2.0 * c / _SQRT2).ravel()
+            vals = (-(weight[:, None] * c) / scale[:, None]).ravel()
             tables[key] = (basis, ranks, cols, vals)
         table = tables[key]
         gram_layout[bid] = list(table[0])
@@ -295,43 +385,48 @@ def assemble(constraints, identities=()) -> SdpProblem:
         psd_blocks.append((bid, len(table[0])))
         used.append(table[1])
 
-    def add_rows(used, frows, rhs, grams=()):
-        # used: arrays of the grlex ranks that have a row; frows[rank]:
-        # free-scalar column -> coefficient; rhs[rank]: right-hand side
+    def add_rows(used, free, known, fill, grams=()):
+        # used: arrays of the grlex ranks that have a row; free: (ranks,
+        # columns, values) of the free-scalar entries; known: (ranks,
+        # values) of the right-hand side, which is fill elsewhere
         used = np.concatenate(used)
         mask = np.zeros(used.max(initial=-1) + 1, dtype=bool)
         mask[used] = True
-        row = np.cumsum(mask) + (len(b) - 1)     # row of each used rank
-        b.extend(rhs.get(r, 0.0) for r in np.flatnonzero(mask).tolist())
-        row_of = row.tolist()
-        F.extend([(row_of[r], col, v) for r in sorted(frows) for col, v in frows[r].items()])
+        first_row = sum(map(len, b))
+        row = np.cumsum(mask) + (first_row - 1)     # row of each used rank
+        rhs = np.full(np.count_nonzero(mask), fill)
+        rhs[row[known[0]] - first_row] = known[1]
+        b.append(rhs)
+        ranks, cols, vals = free
+        by_row = np.argsort(ranks, kind="stable")   # entry order within a row
+        F.append((row[ranks[by_row]], cols[by_row], vals[by_row]))
         for k, (_, ranks, cols, vals) in grams:
             gram_parts.append((k, row[ranks], cols, vals))
 
-    def scalar_rows(lp):
-        # a LinPoly's ranks, its free-scalar rows, and (rank, expression) pairs
-        ranks = grlex_rank(_exponents(lp.terms, lp.dim))
-        exprs = list(zip(ranks.tolist(), lp.terms.values()))
-        frows = {r: {scalars[k]: v for k, v in e.items() if k is not None} for r, e in exprs}
-        return ranks, frows, exprs
+    def target_rows(lp):
+        # lp summed once: its ranks, its free-scalar entries (rank, column,
+        # value) and its right-hand side (rank, value); new names declared
+        lp = lp.collect()
+        for v in sorted(lp.variables() - scalars.keys()):
+            declare_scalar(v)
+        ranks = grlex_rank(lp.exps)
+        column = np.array([scalars.get(k, -1) for k in lp.names], dtype=np.intp)
+        free = lp.idx != 0
+        return (lp, ranks, (ranks[free], column[lp.idx[free]], lp.vals[free]),
+                (ranks[~free], -lp.vals[~free]))
 
     for cons in constraints:
         dim = cons.dim
-        target = cons.as_linpoly()
-        # declaring a known name does nothing, so only new names are sorted
-        for v in sorted(target.variables() - scalars.keys()):
-            declare_scalar(v)
-
+        target, ranks, target_free, known = target_rows(cons.as_linpoly())
         d_t = target.degree()
         d0 = _even_up(d_t)
 
         # identity target - sum r a - sum s b - s0 = 0 coefficient-wise,
         # the known value of each monomial moved to the right-hand side
-        ranks, frows, exprs = scalar_rows(target)
-        rhs = {r: -e[None] for r, e in exprs if None in e}
-        used = [ranks]
+        used, free = [ranks], [target_free]
 
         # free multipliers r_i on equality generators
+        shared = False
         for idx, a in enumerate(cons.equality_generators):
             cap = d_t - a.degree()
             if cap < 0:
@@ -342,23 +437,29 @@ def assemble(constraints, identities=()) -> SdpProblem:
             ranks = grlex_rank((_exponents(basis_r, dim)[:, None]
                                 + _exponents(a.terms, dim)).reshape(-1, dim))
             used.append(ranks)
-            ranks = iter(ranks.tolist())
-            for mono_r in basis_r:
-                col = declare_scalar(f"{cons.cid}:r{idx}[{_mono_tag(mono_r)}]")
-                for ca in a.terms.values():
-                    row = frows.setdefault(next(ranks), {})
-                    # summed: a target scalar may carry the same name
-                    row[col] = row.get(col, 0.0) - ca
+            declared = len(scalars)
+            cols = [declare_scalar(f"{cons.cid}:r{idx}[{_mono_tag(m)}]") for m in basis_r]
+            shared |= len(scalars) - declared < len(cols)
+            ca = np.fromiter(a.terms.values(), dtype=float, count=len(a.terms))
+            free.append((ranks, np.repeat(cols, len(ca)), np.tile(-ca, len(cols))))
+        free = tuple(map(np.concatenate, zip(*free)))
+        if shared:
+            # a name declared before may be a target scalar's: its entries
+            # in a row add up, in place of the first, zeros kept
+            first, sums = _sum_entries(free[0] * len(scalars) + free[1], 1,
+                                       free[2])
+            free = (free[0][first], free[1][first], sums)
 
         # When the identity has no constant term and every generator is
         # nonnegative at the origin, each SOS multiplier attached to a
         # generator that is strictly positive there is forced to vanish at 0.
         # Dropping the constant monomial from those Gram bases is then
         # lossless and removes a structurally singular row (the problem
-        # would otherwise have no strictly feasible point).
+        # would otherwise have no strictly feasible point).  Rank 0 is the
+        # constant monomial; every target entry there is nonzero.
         zero_mono = (0,) * dim
         origin_forced = (
-            not frows.get(0) and rhs.get(0, 0.0) == 0.0
+            not (known[0] == 0).any() and not (free[0] == 0).any()
             and all(a.terms.get(zero_mono, 0.0) == 0.0 for a in cons.equality_generators)
             and all(g.terms.get(zero_mono, 0.0) >= 0.0 for g in cons.inequality_generators)
         )
@@ -386,19 +487,20 @@ def assemble(constraints, identities=()) -> SdpProblem:
         lo = (support_min + 1) // 2
         add_gram_block(grams, used, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
                        ((zero_mono, 1.0),))
-        add_rows(used, frows, rhs, grams)
+        add_rows(used, free, known, 0.0, grams)
 
     for ident in identities:
-        for v in sorted(ident.variables() - scalars.keys()):
-            declare_scalar(v)
-        ranks, frows, exprs = scalar_rows(ident)
-        add_rows([ranks], frows, {r: -e.get(None, 0.0) for r, e in exprs})
+        _, ranks, free, known = target_rows(ident)
+        # a monomial with no constant has right-hand side -0.0, the
+        # negated 0.0 of an absent constant
+        add_rows([ranks], free, known, -0.0)
 
-    layout, nx = svec_layout(psd_blocks)
+    offsets = svec_offsets([n for _, n in psd_blocks])
     A = [np.concatenate(part) for part in
-         zip(*((r, cols + layout[k][2].start, vals) for k, r, cols, vals in gram_parts))]
+         zip(*((r, cols + offsets[k], vals) for k, r, cols, vals in gram_parts))]
     problem = SdpProblem(psd_blocks, list(scalars), A or ([], [], []),
-                         list(zip(*F)) or ([], [], []), b, np.zeros(nx),
+                         [np.concatenate(part) for part in zip(*F)] or ([], [], []),
+                         np.concatenate(b) if b else [], np.zeros(offsets[-1]),
                          gram_layout)
     problem.validate()
     return problem

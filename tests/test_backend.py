@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from swsos.backend import FEASIBLE, INFEASIBLE, UNBOUNDED, SdpProblem, solve
+from swsos.backend import (_SQRT2, FEASIBLE, INFEASIBLE, UNBOUNDED, SdpProblem, solve,
+                           svec_diagonal, svec_offsets, svec_triangle)
 
 
 def _problem(blocks, scalars, rows, c=None):
@@ -141,3 +142,18 @@ def test_validate_names_the_first_undeclared_key():
     with pytest.raises(ValueError, match="row 0 has a non-finite"):
         problem(["a", "b"]).validate()
 
+
+
+def test_svec_arithmetic_matches_the_triangle():
+    # offsets, diagonal columns and length by block-size arithmetic agree
+    # with the blocks' upper triangles laid out one after the other
+    sizes = [3, 1, 4, 3]
+    i, j, scale = map(np.concatenate, zip(*map(svec_triangle, sizes)))
+    assert svec_offsets(sizes).tolist() == [0, 6, 7, 17, 23]
+    assert svec_offsets([]).tolist() == [0]
+    assert svec_diagonal(sizes).tolist() == np.flatnonzero(i == j).tolist()
+    assert scale.tolist() == np.where(i == j, 1.0, _SQRT2).tolist()
+    assert (i <= j).all()
+    # validate takes its svec length from the offsets
+    SdpProblem([(k, n) for k, n in enumerate(sizes)], [], ([], [], []),
+               ([], [], []), [], np.zeros(23)).validate()

@@ -557,10 +557,26 @@ def test_three_variable_programs_match_reference(monkeypatch, degree):
 
     new, ref = _both(monkeypatch, build)
     _assert_same_problem(new, ref)
+    assert _problem_digest(new) == THREE_VARIABLE_DIGESTS[degree]
     # the identity has no constant term, so every basis leaves out 1 and
     # the constant monomial has no row
     assert len(new.psd_blocks) == 4
     assert len(new.b) == len(monomial_basis(3, degree)) - 1
+
+
+def test_target_scalar_named_like_a_multiplier_matches_reference(monkeypatch):
+    # the target's scalars c:r0[0] and c:r0[1] are also the names of the
+    # free multiplier of x1 - 1: their entries in a row add up
+    def build():
+        target = LinPoly.decision(1, "c:r0", [(0,), (1,), (2,)]) - \
+            parse_polynomial("x1^2 + 1", 1)
+        return sos_module.assemble([PositivityConstraint(
+            cid="c", target=target, equality_generators=[parse_polynomial("x1 - 1", 1)],
+            inequality_generators=[parse_polynomial("4 - x1^2", 1)])])
+
+    new, ref = _both(monkeypatch, build)
+    _assert_same_problem(new, ref)
+    assert new.F[2].tolist() == [2.0, 2.0, -1.0, 1.0, -1.0]
 
 
 def test_linpoly_arithmetic_matches_reference(monkeypatch):
@@ -586,11 +602,18 @@ def test_linpoly_arithmetic_matches_reference(monkeypatch):
         lambda: a.mul_poly(p), lambda: a.diff(0), lambda: a.diff(1),
         lambda: lie(a), lambda: lie(a - b) + b.mul_poly(p),
         lambda: LinPoly.from_poly(p), lambda: lie(LinPoly(2)),
+        # one case per summing rule: an unsummed polynomial is summed before
+        # mul_poly, diff and scale, and a right operand before + and -
+        lambda: (a - b).mul_poly(p), lambda: (a + b).diff(0),
+        lambda: (a - b).scale(3.0), lambda: a + b.mul_poly(p),
+        lambda: (a + b.mul_poly(p)).scale(-1.0),
     ]
     for k, case in enumerate(cases):
         new, ref = _both(monkeypatch, case)
         _assert_same_linpoly(new, ref)
     assert (a - a).terms == {}
+    assert (a - a).degree() == 0
+    assert (a - a).variables() == set()
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
@@ -621,6 +644,12 @@ QUADRANT_CUBIC_DIGESTS = {
 }
 QUADRANT_CUBIC_ATTRACTIVITY_DIGEST = (
     "8e9a2ab21e40a40d9703c033cd377d15b8eada5feebf6b37b108f190a47bdd1d")
+# test_three_variable_programs_match_reference's programs, as the
+# dict-of-dicts LinPoly and per-row dict assembly built them
+THREE_VARIABLE_DIGESTS = {
+    4: "f1765b7a3df82e606532ea07281b8acb958cc68677d757a82e1477833f5cfd8f",
+    6: "5800f6bfb105d2f1f04fdf738a8abd8b1b8b18ac9b1b78b355f1bc67b58173ff",
+}
 
 
 @pytest.mark.parametrize("degree", sorted(QUADRANT_CUBIC_DIGESTS))
