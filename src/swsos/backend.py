@@ -43,9 +43,9 @@ def svec_diagonal(sizes) -> np.ndarray:
 
 def svec_triangle(n: int):
     """(i, j, scale) of an n-block's svec columns: the upper triangle row
-    by row, and the factor, sqrt(2) off the diagonal and 1 on it, by which
-    Q[i, j] is the column's value and a coefficient of Q[i, j] + Q[j, i]
-    (of Q[i, i] on the diagonal) is divided to be the column's."""
+    by row, and scale, sqrt(2) off the diagonal and 1 on it.  A column's
+    value is scale * Q[i, j]; its coefficient in a row is the coefficient
+    of Q[i, j] + Q[j, i] (of Q[i, i] on the diagonal) divided by scale."""
     i, j = np.nonzero(np.tri(n, dtype=bool).T)
     return i, j, np.where(i == j, 1.0, _SQRT2)
 
@@ -54,8 +54,7 @@ def svec_layout(psd_blocks):
     """[(block_id, n, slice, i, j)] with slice the block's svec columns and
     (i, j) its upper-triangle indices in svec order (`svec_triangle`), and
     the total svec length."""
-    sizes = [n for _, n in psd_blocks]
-    off = svec_offsets(sizes).tolist()
+    off = svec_offsets([n for _, n in psd_blocks]).tolist()
     layout, triu = [], {}    # blocks of one size share (i, j)
     for k, (bid, n) in enumerate(psd_blocks):
         i, j = triu[n] = triu.get(n) or svec_triangle(n)[:2]

@@ -143,7 +143,6 @@ def test_validate_names_the_first_undeclared_key():
         problem(["a", "b"]).validate()
 
 
-
 def test_svec_arithmetic_matches_the_triangle():
     # offsets, diagonal columns and length by block-size arithmetic agree
     # with the blocks' upper triangles laid out one after the other
