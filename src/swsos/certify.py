@@ -21,6 +21,8 @@ certificate must first pass the sampling oracle.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -135,18 +137,26 @@ def _box_generators(sys: SwitchedSystem) -> list:
 
 
 def _pd_floor(n: int, deg: int) -> Polynomial:
-    p = Polynomial.zero(n)
+    """MARGIN*(sum x_k^2 + sum x_k^deg), terms in the order x_1^2,
+    x_1^deg, x_2^2, ... of summing it up."""
+    terms = {}
     for k in range(n):
-        xk = Polynomial.variable(n, k)
-        p = p + xk ** 2 + xk ** deg
-    return p * MARGIN
+        for e in (2, deg):
+            mono = (0,) * k + (e,) + (0,) * (n - 1 - k)
+            terms[mono] = terms.get(mono, 0.0) + MARGIN
+    return Polynomial(n, terms)
 
 
 def _margin(n: int, deg: int) -> Polynomial:
-    q = Polynomial.zero(n)
-    for k in range(n):
-        q = q + Polynomial.variable(n, k) ** 2
-    return (q ** (deg // 2)) * MARGIN
+    """MARGIN*(sum x_k^2)^(deg/2) from its multinomial coefficients, terms
+    in decreasing lexicographic order, the order of multiplying it out."""
+    h = deg // 2
+    terms = {}
+    for combo in itertools.combinations_with_replacement(range(n), h):
+        a = [combo.count(k) for k in range(n)]
+        coeff = math.factorial(h) // math.prod(math.factorial(e) for e in a)
+        terms[tuple(2 * e for e in a)] = coeff * MARGIN
+    return Polynomial(n, terms)
 
 
 def check_attractivity(sys: SwitchedSystem, pair) -> str:

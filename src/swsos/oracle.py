@@ -23,13 +23,15 @@ whose own value is lower.
 Points travel as columns: an (n, m) array with one contiguous row per
 variable, which `Polynomial.eval_columns` evaluates without a copy.  The
 grid-plus-random candidates are never held at once: `verify_certificate`
-streams them in chunks of at most CHUNK points, masks and gathers each
-region's survivors in a chunk with `take`, and folds every condition's
-worst case into a running record, so its memory does not grow with the
-grid.  A random chunk is one rng.random draw scaled in place to
-lo + (hi - lo) * d, the formula of numpy's uniform.  Per chunk the norms
-and the exclusion-ball mask are taken once, and per region the scale
-1 + |x|^d once for each distinct degree d of its conditions.  Boundary
+streams them in chunks of at most CHUNK points, masks each region's
+survivors in a chunk with `SemiAlgebraicRegion.contains`, gathers them
+with `take`, and folds every condition's worst case into a running
+record, so its memory does not grow with the grid; `sample_region`
+streams the same chunks and keeps only the survivors.  A random chunk is
+one rng.random draw scaled in place to lo + (hi - lo) * d, the formula of
+numpy's uniform.  Per chunk the norms and the exclusion-ball mask are
+taken once, and per region the scale 1 + |x|^d once for each distinct
+degree d of its conditions.  Boundary
 points come from random segments drawn in rounds with rng.uniform and
 bisected in one pass after the last round; the bisection works in place
 on all kept segments, a stopped segment frozen rather than removed.  A
@@ -39,7 +41,7 @@ ranking as the worst violation, and raises no floating-point warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,17 +110,7 @@ class OracleReport:
             "seed": self.config.seed if self.config else None,
             "tolerance": self.config.tolerance if self.config else None,
             "warnings": list(self.warnings),
-            "conditions": [
-                {
-                    "condition": r.condition,
-                    "subject": r.subject,
-                    "samples": r.samples,
-                    "worst_violation": r.worst_violation,
-                    "worst_point": list(r.worst_point),
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
+            "conditions": [asdict(r) for r in self.records],
         }
 
 
@@ -160,11 +152,6 @@ def _candidate_chunks(box, rng):
         yield cols
 
 
-def _candidate_points(box, rng) -> np.ndarray:
-    """Every candidate of _candidate_chunks, as rows (m, n)."""
-    return np.concatenate(list(_candidate_chunks(box, rng)), axis=1).T.copy()
-
-
 def _pairwise_sum(terms):
     """Sum of equal-shape arrays in numpy's pairwise order: a sequential
     sum below 8 terms, eight partial sums up to 128, a halving split above."""
@@ -197,24 +184,28 @@ def _norms(cols) -> np.ndarray:
 
 
 def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
-                  cfg: OracleConfig, rng=None, points=None):
+                  cfg: OracleConfig, rng=None):
     """Candidate points restricted to one semi-algebraic region.
 
-    Returns (points, warnings).  Membership is tested with the oracle
-    tolerance (|chi| <= tol, xi >= -tol) and the exclusion ball around the
-    origin is removed.
+    Returns (points, warnings), the points as C-contiguous rows (m, n).
+    Membership is tested with the oracle tolerance (|chi| <= tol,
+    xi >= -tol) and the exclusion ball around the origin is removed.  The
+    candidates stream in chunks, as in verify_certificate (whose candidates
+    rng=None draws), and only each chunk's survivors are kept.
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    pts = points if points is not None else _candidate_points(sys.box, rng)
-    cols = np.ascontiguousarray(pts.T)
-    keep = _region_keep(region, cols, _norms(cols) >= EXCLUSION_RADIUS, cfg)
-    return pts[keep], _survivor_warnings(region, int(keep.sum()))
+    kept = []
+    for chunk in _candidate_chunks(sys.box, rng):
+        keep = _region_keep(region, chunk, _norms(chunk) >= EXCLUSION_RADIUS, cfg)
+        kept.append(chunk[:, keep].T)
+    pts = np.concatenate(kept)          # C-contiguous
+    return pts, _survivor_warnings(region, pts.shape[0])
 
 
 def _region_keep(region: SemiAlgebraicRegion, cols, outside, cfg: OracleConfig):
     """Mask of the points of cols (n, m) that sample_region keeps, given
     outside, the mask of those outside the exclusion ball."""
-    return outside & region.contains_many(cols, cfg.tolerance)
+    return outside & region.contains(cols, cfg.tolerance)
 
 
 def _survivor_warnings(region: SemiAlgebraicRegion, count: int) -> list:

@@ -400,6 +400,10 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
             if kind == "sign":
                 break
             if kind == "mul":
+                # a factor before it, and a number or variable right after
+                after = tokens[i + 1][0] if i + 1 < len(tokens) else None
+                if expect_factor or after not in ("num", "var"):
+                    raise PolynomialParseError("'*' must stand between two factors")
                 expect_factor = True
                 i += 1
                 continue

@@ -17,7 +17,6 @@ from .poly import Polynomial, PolyVector, parse_polynomial, parse_vector
 
 WITNESS_TOL = 1e-9
 SIMPLEX_TOL = 1e-12
-VALIDATE_SAMPLES = 100_000   # draws that look for a boundary zero without a witness
 
 
 class SystemFormatError(ValueError):
@@ -40,26 +39,20 @@ class SemiAlgebraicRegion:
     xi: list                 # list[Polynomial]
     witness: np.ndarray
 
-    def contains(self, x, tol: float) -> bool:
-        """|chi(x)| <= tol and every xi(x) >= -tol; x has one float per
-        variable (a list of floats is fastest)."""
+    def contains(self, x, tol: float):
+        """|chi(x)| <= tol and every xi(x) >= -tol, at one point x with one
+        float per variable (a list of floats is fastest) as a bool, or at
+        each point of columns x (n, m) as a mask of length m, also where
+        chi and every xi are constant."""
         if len(x) != self.chi.dim:
             raise ValueError(f"point has {len(x)} coordinates, expected {self.chi.dim}")
+        if isinstance(x, np.ndarray) and x.ndim == 2:
+            mask = np.abs(self.chi.eval_columns(x)) <= tol
+            for g in self.xi:
+                mask &= g.eval_columns(x) >= -tol
+            return mask
         return (abs(eval_terms(self.chi._term_list(), x)) <= tol
                 and all(eval_terms(g._term_list(), x) >= -tol for g in self.xi))
-
-    def contains_many(self, cols, tol: float) -> np.ndarray:
-        """contains at each point of cols (n, m), one row per variable.
-
-        A zero chi is 0 at every point, nan and inf included, so its test
-        is 0.0 <= tol everywhere and is not evaluated."""
-        if self.chi.is_zero():
-            mask = np.full(np.shape(cols)[1], 0.0 <= tol)
-        else:
-            mask = np.abs(self.chi.eval_columns(cols)) <= tol
-        for g in self.xi:
-            mask &= g.eval_columns(cols) >= -tol
-        return mask
 
 
 @dataclass
@@ -187,30 +180,26 @@ class SwitchedSystem:
     def validate(self, rng=None) -> ValidationReport:
         rep = ValidationReport()
         rng = rng or np.random.default_rng(0)
-        lo, hi = self.box
         for rid, r in sorted(self.regions.items()):
             ok = r.contains(r.witness, WITNESS_TOL)
             rep.add(f"region[{rid}].witness", "pass" if ok else "fail",
                     f"witness {r.witness.tolist()}")
+        tol = 1e-6    # closure tolerance of the adjacency test
         for b in self.boundaries:
             name = f"boundary[{b.i},{b.j}]"
             if b.witness is not None and abs(b.chi(b.witness)) <= WITNESS_TOL:
                 rep.add(f"{name}.witness", "pass", f"witness {b.witness.tolist()}")
                 w = b.witness
             else:
-                # no usable witness: sample for a sign change / near-zero
-                X = rng.uniform(lo, hi, size=(VALIDATE_SAMPLES, self.dimension))
-                vals = b.chi.eval_many(X)
-                if vals.min() < 0 < vals.max() or np.abs(vals).min() <= WITNESS_TOL:
-                    rep.add(f"{name}.witness", "pass", "zero located by sampling")
-                    k = int(np.abs(vals).argmin())
-                    w = X[k]
-                else:
-                    rep.add(f"{name}.witness", "warn",
-                            f"no boundary witness found among {len(X)} samples")
-                    w = None
+                # no usable witness: the first zero the oracle's bisection
+                # finds in the closure of both regions
+                from .oracle import OracleConfig, sample_boundary
+                pts = sample_boundary(self, b, OracleConfig(), rng)[0].tolist()
+                w = next((p for p in pts if all(self.regions[side].contains(p, tol)
+                                                for side in b.pair)), None)
+                rep.add(f"{name}.witness", "pass" if w else "warn",
+                        "zero located by sampling" if w else "no boundary witness found")
             if w is not None:
-                tol = 1e-6
                 for side in (b.i, b.j):
                     if not self.regions[side].contains(w, tol):
                         rep.add(f"{name}.adjacency[{side}]", "warn",

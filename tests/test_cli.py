@@ -33,7 +33,7 @@ def test_validate_ok(tmp_path, capsys):
 
 def test_validate_fail_exit_code(tmp_path):
     bad = tmp_path / "bad.sys"
-    doc = json.loads(open(QUAD).read())
+    doc = json.loads(Path(QUAD).read_text())
     doc["regions"][0]["witness"] = [-1.0, 1.0]  # violates x1*x2 >= 0
     bad.write_text(json.dumps(doc))
     assert run(["validate", str(bad)], tmp_path) == 1
@@ -56,7 +56,7 @@ NON_FINITE = pytest.mark.parametrize("text, value", [
 def test_non_finite_coefficient_in_system_is_input_error(tmp_path, capsys, text,
                                                          value, command):
     # a non-finite coefficient is a format error, not a certify traceback
-    doc = json.loads(open(OPPOSING).read())
+    doc = json.loads(Path(OPPOSING).read_text())
     doc["dynamics"]["1"][0][0] = text
     bad = tmp_path / "bad.sys"
     bad.write_text(json.dumps(doc))
@@ -434,7 +434,7 @@ def test_unreadable_input_file_is_input_error(tmp_path, capsys, command, bad):
     ["simulate", "--x0=0.3,0.5", "--t-end", "1"],
 ], ids=["validate", "certify", "verify", "simulate"])
 def test_non_finite_box_is_input_error(tmp_path, capsys, box, command):
-    doc = json.loads(open("systems/opposing-fields.sys").read())
+    doc = json.loads(Path("systems/opposing-fields.sys").read_text())
     doc["box"] = box
     bad = tmp_path / "in" / "bad.sys"
     bad.parent.mkdir()
@@ -461,7 +461,7 @@ def test_origin_region_that_names_no_region_is_input_error(tmp_path, capsys,
                                                            command):
     # origin region 3 of a two-region system used to end validate, certify
     # and verify in a KeyError traceback
-    doc = json.loads(open(QUAD).read())
+    doc = json.loads(Path(QUAD).read_text())
     doc["origin_regions"] = [1, 2, 3]
     bad = tmp_path / "in" / "bad.sys"
     bad.parent.mkdir()
@@ -516,7 +516,7 @@ def test_duplicate_region_keys_are_input_errors(tmp_path, capsys, command, order
 @pytest.mark.parametrize("pairs, lie_boundary", [([[2, 1]], 3), ([], 0)],
                          ids=["reversed-pair", "no-pairs"])
 def test_verify_accepts_declared_pairs(tmp_path, capsys, pairs, lie_boundary):
-    doc = json.loads(open(PUBLISHED_V).read())
+    doc = json.loads(Path(PUBLISHED_V).read_text())
     doc["attractive_pairs"] = pairs
     lyap = tmp_path / "pairs.lyap"
     lyap.write_text(json.dumps(doc))
@@ -526,7 +526,7 @@ def test_verify_accepts_declared_pairs(tmp_path, capsys, pairs, lie_boundary):
 
 def test_verify_reads_the_lyapunov_file_once(tmp_path, monkeypatch, capsys):
     from pathlib import Path
-    doc = json.loads(open(PUBLISHED_V).read())
+    doc = json.loads(Path(PUBLISHED_V).read_text())
     doc["attractive_pairs"] = [[1, 2]]
     lyap = tmp_path / "pairs.lyap"
     lyap.write_text(json.dumps(doc))

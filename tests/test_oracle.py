@@ -232,23 +232,39 @@ def test_sample_boundary_bisects_inf_and_nan_as_one_at_a_time(
     assert rng_new.random() == rng_ref.random()
 
 
+def test_sample_region_never_holds_every_candidate():
+    # the candidates stream in chunks, so the peak is the survivors and
+    # their gathered copy, not the whole grid plus random draws
+    import tracemalloc
+    sys_, _ = half_spaces_3d()
+    region = sys_.regions[min(sys_.regions)]
+    tracemalloc.start()
+    try:
+        pts, _ = sample_region(sys_, region, OracleConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.flags.c_contiguous and pts.shape[1] == 3
+    assert peak < 4 * pts.nbytes
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_region_records_match_sample_region(quadrant_system, published_lyapunov,
                                             seed, sign):
     # verify_certificate takes the candidates' norms once; the records must
     # be those of sample_region and the norms of its survivors
-    from swsos.oracle import ConditionRecord, _candidate_points, _scale, _worst
+    from swsos.oracle import ConditionRecord, _scale, _worst
     from swsos.poly import lie_derivative
     family = {rid: V * sign for rid, V in published_lyapunov.items()}
     cfg = OracleConfig(seed=seed)
     report = verify_certificate(quadrant_system, family, cfg)
 
-    rng = np.random.default_rng(seed)
-    shared = _candidate_points(quadrant_system.box, rng)
     expected, warnings = [], []
     for rid, region in sorted(quadrant_system.regions.items()):
-        pts, warns = sample_region(quadrant_system, region, cfg, rng, points=shared)
+        # each call draws the candidates anew from the seed, as
+        # verify_certificate draws them once for every region
+        pts, warns = sample_region(quadrant_system, region, cfg)
         warnings += warns
         norms = np.linalg.norm(pts, axis=1)
         V = family[rid]

@@ -28,7 +28,8 @@ def test_parse_scientific_notation():
     assert p.coefficient((0,)) == 250.0
 
 
-@pytest.mark.parametrize("bad", ["", "x0", "x3", "^2", "x1 +", "1..2*x1", "y1"])
+@pytest.mark.parametrize("bad", ["", "x0", "x3", "^2", "x1 +", "1..2*x1", "y1",
+                                 "x1**2", "2*-3", "x1*", "*x1", "x1*+x2"])
 def test_parse_rejects(bad):
     with pytest.raises(PolynomialParseError):
         parse_polynomial(bad, 2)

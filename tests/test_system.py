@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from swsos import system
 from swsos.system import (SystemFormatError, load_system, parse_system,
                           system_to_dict)
 
@@ -145,23 +144,24 @@ def test_locate_quadrants(quadrant_system):
 
 @pytest.mark.parametrize("tol", [1e-6, 0.0, -1e-6])
 def test_contains_many_with_zero_chi_matches_contains(tol):
-    # a zero chi is not evaluated: its test is 0.0 <= tol at every point,
-    # nan and inf included, as the pointwise contains finds
+    # on columns, a zero chi's test is 0.0 <= tol at every point, nan and
+    # inf included, as the pointwise contains finds; with no xi either (as
+    # in unstable-scalar.sys) columns still get a mask
     from swsos.poly import parse_polynomial
     from swsos.system import SemiAlgebraicRegion
-    region = SemiAlgebraicRegion(
-        rid=1, chi=parse_polynomial("0", 2),
-        xi=[parse_polynomial("x1", 2), parse_polynomial("x2 - 1", 2)],
-        witness=np.array([1.0, 2.0]))
-    assert region.chi.is_zero()
     nan, inf = float("nan"), float("inf")
     points = [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0), (-0.0, 1.0), (2.0, 3.0),
               (-1e-7, 1.0), (1.0, 1.0 - 1e-7), (-1.0, 2.0), (1.0, 0.0),
               (nan, 2.0), (1.0, nan), (nan, nan), (inf, 2.0), (-inf, 2.0),
               (1.0, inf), (1.0, -inf), (inf, -inf)]
     cols = np.ascontiguousarray(np.array(points).T)
-    expected = [region.contains(list(p), tol) for p in points]
-    assert region.contains_many(cols, tol).tolist() == expected
+    for xi in (["x1", "x2 - 1"], []):
+        region = SemiAlgebraicRegion(
+            rid=1, chi=parse_polynomial("0", 2),
+            xi=[parse_polynomial(g, 2) for g in xi], witness=np.array([1.0, 2.0]))
+        assert region.chi.is_zero()
+        expected = [region.contains(list(p), tol) for p in points]
+        assert region.contains(cols, tol).tolist() == expected
 
 
 def test_field_at_convex_combination(quadrant_system):
@@ -200,16 +200,29 @@ def test_validate_passes_on_shipped_system(quadrant_system):
     assert report.caveats  # sampling-only caveat always present
 
 
-def test_validate_warns_when_boundary_has_no_zero(monkeypatch):
+def test_validate_warns_when_boundary_has_no_zero():
     doc = _minimal_doc()
     doc["regions"].append({"id": 2, "chi": "0", "xi": [], "witness": [0.0]})
     doc["dynamics"]["2"] = [["-x1"]]
     # chi = x1^2 + 1 has no real zero in the box
     doc["boundaries"] = [{"i": 1, "j": 2, "chi_ij": "x1^2 + 1"}]
-    monkeypatch.setattr(system, "VALIDATE_SAMPLES", 2000)
     report = parse_system(doc).validate()
     assert any("witness" in name and status == "warn"
                for name, status, _ in report.checks)
+
+
+@pytest.mark.parametrize("name", ["aligned-fields", "branicky-a", "opposing-fields",
+                                  "quadrant-cubic", "tilted-relay", "twisting"])
+def test_validate_finds_boundary_zeros_without_witnesses(systems_dir, name):
+    # the zeros that stand in for the witnesses lie on chi_ij = 0 and in
+    # the closure of both regions, so no adjacency check warns
+    sys_ = load_system(systems_dir / f"{name}.sys")
+    for b in sys_.boundaries:
+        b.witness = None
+    report = sys_.validate()
+    assert [c for c in report.checks if c[1] != "pass"] == []
+    assert sum(detail == "zero located by sampling"
+               for _, _, detail in report.checks) == len(sys_.boundaries)
 
 
 def test_validate_fails_bad_origin_region():
