@@ -22,12 +22,12 @@ depends only on them (the sliding normal and its squared norm; with two
 constant fields also sliding_field's denominator, weight and slope, so
 all four RK4 slopes are one), and leaves out the stage points no stage
 reads.  Every exit test stays in the loop, in its place and order.
-Both kernels keep `_clock`'s one time grid: step i of a run from t0 ends
-at t0 + i*h; a step that would end past t_end ends on it; a run that
-stops within 1e-15 of t_end has its last row and stop time on t_end.
-The emitted arithmetic is
-`eval_terms`' and `sliding_field`'s, in the same order, so the values are
-those of interpreting the term lists, bit for bit.
+Both kernels take their header, ball exit and box exit from `_frame` and
+their time grid from `_clock`.  The box exit is one chained comparison,
+lo0 <= y0 <= hi0 and ...; a parsed box is finite, so nan and +-inf fail
+it and need no isfinite.  The emitted arithmetic is `eval_terms`' and
+`sliding_field`'s, in the same order, so the values are those of
+interpreting the term lists, bit for bit.
 """
 from __future__ import annotations
 
@@ -51,6 +51,7 @@ STOP_TANGENCY = 5           # |<n, F_j - F_i>| under TANGENCY_TOL
 STOP_ALPHA = 6              # the sliding weight left [0, 1]
 
 TANGENCY_TOL = 1e-12
+T_END_SLACK = 1e-15         # a run this close to t_end ends on it; see _clock
 
 
 # -- term lists: the one polynomial evaluator --------------------------------
@@ -87,7 +88,7 @@ def eval_terms(terms, x):
 
 # The globals of every kernel: the names generated source reads besides its
 # own locals and parameters.
-_NAMESPACE = {"sqrt": math.sqrt, "isfinite": math.isfinite}
+_NAMESPACE = {"sqrt": math.sqrt}
 
 # (generator name, dimension, exponent structure) -> code object of the
 # generated kernel, whose trailing parameters c0, c1, ... are the coefficients
@@ -206,14 +207,25 @@ def _clock(reads):
     Step i ends at tn = t0 + i*h, or, if that would pass t_end, takes
     hs = t_end - t and ends at tn = t + hs; the kernel sets t = tn after
     it.  hh = hs/2 is bound only if some stage `reads` a stage point.  A
-    run stops once t >= t_end - 1e-15; the end lines put it on t_end.
+    run stops once t >= t_end - T_END_SLACK; the end lines put it on t_end.
     """
     hh = ["hh = 0.5 * hs"] if reads else []
     setup = ["t0 = t", "i = 0", "hs = h", *hh, "h6 = hs / 6.0",
-             "t_stop = t_end - 1e-15"]
+             f"t_stop = t_end - {T_END_SLACK!r}"]
     step = ["i += 1", "tn = t0 + i * h", "if tn > t_end:",
             *_indent(["hs = t_end - t", *hh, "h6 = hs / 6.0", "tn = t + hs"], 1)]
     return setup, step, ["t = t_end", "if times:", "    times[-1] = t"]
+
+
+def _frame(n, var, stop):
+    """(header, ball exit, box exit) lines of both kernels: unpack x, lo
+    and hi; stop(STOP_CONVERGED) once |x| <= ball_stop; stop(STOP_ESCAPED)
+    unless var0.. is in the box."""
+    inside = " and ".join(f"lo{k} <= {var}{k} <= hi{k}" for k in range(n))
+    return ([f"[{_names(v, n)}] = {v}" for v in ("x", "lo", "hi")],
+            [f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
+             stop(STOP_CONVERGED)],
+            [f"if not ({inside}):", stop(STOP_ESCAPED)])
 
 
 def smooth_kernel(fields, chis):
@@ -244,24 +256,25 @@ def _smooth_lines(n, shape, first):
         return [f"k{s}_{k} = {_expr(f, var, c)}"
                 for k, (f, c) in enumerate(fields) if k not in fixed]
 
+    def stop(code):
+        return f"    return flat, times, hs, {code}"
+
     reads = _reads(f for f, _ in fields)
     setup, clock, end = _clock(reads)
+    header, ball, box = _frame(n, "y", stop)
     step = [
-        f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
-        f"    return flat, times, hs, {STOP_CONVERGED}",
+        *ball,
         *clock,
         *_rk4_lines(n, stage, "hs", reads, fixed),
         "t = tn",
         f"flat += [{Y}]",
         "times.append(t)",
+        *box,
     ]
-    for k in range(n):
-        step += [f"if not (isfinite(y{k}) and lo{k} <= y{k} <= hi{k}):",
-                 f"    return flat, times, hs, {STOP_ESCAPED}"]
     for b, (chi, c) in enumerate(chis):
         step += [f"q = {_expr(chi, 'y', c)}",
                  f"if q * p{b} < 0.0 or q == 0.0 != p{b}:",
-                 f"    return flat, times, hs, {STOP_BOUNDARY}",
+                 stop(STOP_BOUNDARY),
                  f"p{b} = q"]
     step += [f"[{X}] = [{Y}]"]
     # a boundary within `band` of the start has no side yet: sign 0
@@ -271,9 +284,7 @@ def _smooth_lines(n, shape, first):
                   f"p{b} = 0.0 if abs(q) <= band else q"]
     return [
         f"def kernel(x, t, t_end, h, ball_stop, lo, hi, band{_params(shape)}):",
-        f"    [{X}] = x",
-        f"    [{_names('lo', n)}] = lo",
-        f"    [{_names('hi', n)}] = hi",
+        *_indent(header, 1),
         f"    flat = [{X}]",
         "    times = [t]",
         *_indent(start, 1),
@@ -282,8 +293,17 @@ def _smooth_lines(n, shape, first):
         "    while t < t_stop:",
         *_indent(step, 2),
         *_indent(end, 1),
-        f"    return flat, times, hs, {STOP_MAXSTEPS}",
+        stop(STOP_MAXSTEPS),
     ]
+
+
+def _run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi, *rest):
+    """kernel on float lists and floats, its flat states reshaped (m, n)."""
+    flat, *out = kernel(
+        np.asarray(x0, dtype=np.float64).tolist(), float(t0), float(t_end),
+        float(h), ball_stop, np.asarray(box_lo, dtype=np.float64).tolist(),
+        np.asarray(box_hi, dtype=np.float64).tolist(), *rest)
+    return np.array(flat).reshape(-1, len(x0)), *out
 
 
 def rk4_smooth_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi, band):
@@ -291,23 +311,20 @@ def rk4_smooth_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi, band):
 
     kernel: smooth_kernel(fields, chis) of F and the boundary varieties.
     Step i ends at t0 + i*h; a step that would end past t_end ends on it;
-    a run that stops within 1e-15 of t_end has its last row on t_end.
+    a run that stops within T_END_SLACK of t_end has its last row on t_end.
     Each step starts with |x| <= ball_stop
     (STOP_CONVERGED); the new state is accepted, and a non-finite or
-    out-of-box one is STOP_ESCAPED; a step over which some boundary's chi
-    changes sign, chi(x_prev) * chi(x_next) < 0, or reaches 0 from a
-    nonzero value is STOP_BOUNDARY; reaching t_end is STOP_MAXSTEPS.  A
+    out-of-box one is STOP_ESCAPED (box_lo and box_hi are finite); a step
+    over which some boundary's chi changes sign, chi(x_prev) *
+    chi(x_next) < 0, or reaches 0 from a nonzero value is STOP_BOUNDARY;
+    reaching t_end is STOP_MAXSTEPS.  A
     boundary with |chi(x0)| <= band has no side at the start: its sign
     memory starts at 0, so the first step cannot flag it.  Returns
     (states, times, hs, code): the accepted states from x0 on, one row
     each, and their times, the last step's size and the STOP_* code.  The
     escaping or boundary-flagged state is the last row.
     """
-    flat, times, hs, code = kernel(
-        np.asarray(x0, dtype=np.float64).tolist(), float(t0), float(t_end),
-        float(h), ball_stop, np.asarray(box_lo, dtype=np.float64).tolist(),
-        np.asarray(box_hi, dtype=np.float64).tolist(), band)
-    return np.array(flat).reshape(-1, len(x0)), times, hs, code
+    return _run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi, band)
 
 
 # -- RK4 sliding segment --------------------------------------------------------
@@ -403,8 +420,9 @@ def _sliding_lines(n, shape, first):
                *(f"y{k} = y{k} - s * g{k}" for k in cols)]
     reads = _reads(p for _, vec in vectors for p, _ in vec)
     setup, clock, end = _clock(reads)
+    header, ball, box = _frame(n, "x", stop)
     step = [
-        f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:", stop(STOP_CONVERGED),
+        *ball,
         f"if abs({_expr(chi, 'x', chi_first)}) > band:", stop(STOP_OFF_VARIETY),
         *clock,
         *_rk4_lines(n, stage, "hs", reads, cols if whole else ()),
@@ -412,8 +430,7 @@ def _sliding_lines(n, shape, first):
         *_indent(project, 1),
         "t = tn",
         f"[{X}] = [{Y}]",
-        f"if not ({' and '.join(f'lo{k} <= x{k} <= hi{k}' for k in cols)}):",
-        stop(STOP_ESCAPED),
+        *box,
         f"flat += [{X}]",
         "times.append(t)",
         "alphas.append(alpha)",
@@ -421,9 +438,7 @@ def _sliding_lines(n, shape, first):
     return [
         "def kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band"
         f"{_params(shape)}):",
-        f"    [{X}] = x",
-        f"    [{_names('lo', n)}] = lo",
-        f"    [{_names('hi', n)}] = hi",
+        *_indent(header, 1),
         *_indent(hoisted, 1),
         *_indent(setup, 1),
         "    flat, times, alphas = [], [], []",
@@ -443,19 +458,17 @@ def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
     |x| <= ball_stop (STOP_CONVERGED), |chi(x)| > band (STOP_OFF_VARIETY),
     tangency at x (STOP_TANGENCY) and alpha outside [0, 1] (STOP_ALPHA).
     Step i then ends at t0 + i*h; a step that would end past t_end ends
-    on it; a run that stops within 1e-15 of t_end has its last row and
-    stop time on t_end.  Tangency at a later stage is STOP_TANGENCY too.
+    on it; a run that stops within T_END_SLACK of t_end has its last row
+    and stop time on t_end.  Tangency at a later stage is STOP_TANGENCY too.
     Up to three Newton steps go back onto chi = 0, stopping once |chi| <=
     event_tol or the gradient vanishes.  A non-finite or out-of-box state
-    ends the run (STOP_ESCAPED); reaching t_end is STOP_MAXSTEPS.
+    (box_lo and box_hi are finite) ends the run (STOP_ESCAPED); reaching
+    t_end is STOP_MAXSTEPS.
 
     Returns (states, times, alphas, x, t, code): the accepted states
     (m, n) with their times and the alpha of each step's start, and the
     state and time the run stopped at.  The escaping state is that stop
     state and not an accepted row.
     """
-    flat, times, alphas, x, t, code = kernel(
-        np.asarray(x0, dtype=np.float64).tolist(), float(t0), float(t_end),
-        float(h), ball_stop, np.asarray(box_lo, dtype=np.float64).tolist(),
-        np.asarray(box_hi, dtype=np.float64).tolist(), event_tol, band)
-    return np.array(flat).reshape(-1, len(x0)), times, alphas, x, t, code
+    return _run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
+                event_tol, band)

@@ -31,7 +31,7 @@ from .poly import DISPLAY_CLEANUP, Polynomial, lie_derivative, \
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
 from .backend import FEASIBLE, INFEASIBLE, solve, svec_diagonal
-from .system import SwitchedSystem
+from .system import SwitchedSystem, SystemFormatError
 from .oracle import OracleConfig, OracleReport, verify_certificate
 
 CERTIFIED = "CERTIFIED"
@@ -266,7 +266,7 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
     validation = sys.validate()
     if validation.has_fail:
         bad = [n for n, s, _ in validation.checks if s == "fail"]
-        raise ValueError(f"system validation failed: {bad}")
+        raise SystemFormatError(f"system validation failed: {bad}")
 
     cross_pairs = None
     attractive = None

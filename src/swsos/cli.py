@@ -100,8 +100,16 @@ def _strict(obj):
     return obj
 
 
+def _out_dir(path: str) -> Path:
+    """--out-dir, created with its parents before a command's work."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out-dir {path}: cannot create: {exc}") from exc
+    return Path(path)
+
+
 def _write_json(path: Path, doc: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(_strict(doc), indent=2, sort_keys=False, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
@@ -215,12 +223,15 @@ def cmd_certify(args) -> int:
          "no_attractivity_filter": args.no_attractivity_filter,
          "tolerance": args.tolerance},
         args.seed, args.out_dir)
+    out = _out_dir(args.out_dir) / f"{Path(args.system).stem}.certificate.json"
 
-    cert = certify(sys_, cfg, oracle_cfg=oracle_cfg)
+    try:
+        cert = certify(sys_, cfg, oracle_cfg=oracle_cfg)
+    except SystemFormatError as exc:
+        raise InputError(str(exc)) from exc
     doc = cert.to_dict()
     doc["manifest"] = manifest
 
-    out = Path(args.out_dir) / f"{Path(args.system).stem}.certificate.json"
     _write_json(out, doc)
     print(f"{cert.status}: {cert.detail or 'see ' + str(out)}")
     if cert.lyapunov:
@@ -289,8 +300,7 @@ def cmd_simulate(args) -> int:
          "t_end": args.t_end, "step": args.step},
         args.seed, args.out_dir)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
 
     def run(label, cfg) -> tuple:
         """Simulate and write one run; (file name, summary line)."""
@@ -430,10 +440,10 @@ def cmd_verify(args) -> int:
     manifest = make_manifest("verify", [args.system, args.lyapunov],
                              {"tolerance": args.tolerance},
                              args.seed, args.out_dir)
+    out = _out_dir(args.out_dir) / f"{Path(args.system).stem}.oracle.json"
     report = verify_certificate(sys_, lyapunov, cfg, attractive_pairs=pairs)
     doc = report.to_dict()
     doc["manifest"] = manifest
-    out = Path(args.out_dir) / f"{Path(args.system).stem}.oracle.json"
     _write_json(out, doc)
     for rec in report.records:
         print(rec.summary())

@@ -47,18 +47,17 @@ A sliding run that ends with tangency before it accepts a row leaves by
 the transversal rule, since sliding again from the same point would end
 the same way.  Between segments the
 state is a list of floats, and every event step (the ball test, region
-location, the sliding weight, the transversal probe, crossing
-localisation and psi at one point) evaluates the term lists with
-_kernels.eval_terms on it.  No point or event lies past t_end.  Both
-kernels keep one time grid: step i of a run from t0 ends at t0 + i*h; a
-step that would end past t_end ends on it; a run that stops within 1e-15
-of t_end has its last row and stop time on t_end.
+location, the sliding weight, the transversal probe and crossing
+localisation) evaluates the term lists with _kernels.eval_terms on it.
+No point or event lies past t_end: both kernels keep _kernels' one time
+grid, and simulate ends within _kernels.T_END_SLACK of t_end as they do.
 
-A Trajectory stores what the kernels return, one chunk per segment or
-single point: the times, the states as one (m, n) array, the mode, and
-the alpha and psi columns when present.  write_trajectory formats the
-chunks column-wise; the per-point TrajectoryPoint view is built only when
-something reads `points`.
+A Trajectory stores what the kernels return, one chunk per segment (a
+crossing, a stop and the t_end point are one-row segments): the times,
+the states as one (m, n) array, the mode, and the alpha and psi columns
+when present.  write_trajectory formats the chunks column-wise; the
+per-point TrajectoryPoint view is built only when something reads
+`points`.
 """
 
 from __future__ import annotations
@@ -264,6 +263,10 @@ def sliding_weight(sys: SwitchedSystem, pair, x) -> float:
     return slide[1]
 
 
+# the stop event of each kernel exit code that ends the run
+_STOP_EVENT = {_kernels.STOP_CONVERGED: "converged",
+               _kernels.STOP_ESCAPED: "escaped"}
+
 # sliding_exit detail suffix per rk4_sliding_run exit code
 _SLIDING_EXIT_NOTE = {_kernels.STOP_OFF_VARIETY: " [off variety]",
                       _kernels.STOP_TANGENCY: " [tangency]",
@@ -285,7 +288,6 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     if not sys.in_box(x):
         raise ValueError(f"x0 {x.tolist()} is outside the system box")
     x = x.tolist()          # the state is a list of floats between segments
-    box_lo, box_hi = (v.tolist() for v in sys.box)
     traj = Trajectory()
     band = SLIDING_BAND * EVENT_TOL
 
@@ -323,23 +325,17 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                                        field_of(j)[1],
                                        sys.boundary(i, j).chi._term_list())
 
-    def add_point(t, xx, mode, rid=None):
-        psi = None
-        if certificate is not None and rid is not None:
-            psi = [_kernels.eval_terms(certificate[rid]._term_list(), xx)]
-        traj.add([float(t)], np.array([xx], dtype=float), mode, psi=psi)
-
-    def add_segment(times, states, mode, rid, alphas=None):
-        """The accepted points of one kernel run, psi from one eval_many;
-        a run that accepted no row adds nothing and evaluates nothing."""
+    def add_segment(times, states, mode, rid=None, alphas=None):
+        """The accepted points of one kernel run or one event point, psi
+        from one eval_many when rid is given; no row adds nothing."""
         if times:
-            psi = (None if certificate is None
+            psi = (None if certificate is None or rid is None
                    else certificate[rid].eval_many(states).tolist())
             traj.add(times, states, mode, alphas, psi)
 
     def stop(t, xx, kind, detail=""):
         # interned: the stopped points of one kind share one mode string
-        add_point(t, xx, intern(f"stopped:{kind}"))
+        add_segment([t], np.array([xx]), intern(f"stopped:{kind}"))
         traj.events.append((t, kind, detail))
         return traj
 
@@ -366,7 +362,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         raise StratumStop(f"{len(members)} regions meet at {xx}")
 
     t = 0.0
-    t_stop = cfg.t_end - 1e-15
+    t_stop = cfg.t_end - _kernels.T_END_SLACK
     while t < t_stop:
         # one pass per visit: the ball test, the region, on a boundary the
         # choice between sliding and a side, then the smooth kernel
@@ -413,12 +409,10 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 traj.events.append((t, "sliding_entry", f"({i},{j})"))
                 states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
                     sliding_kernel_of(pair), x, t, cfg.t_end, cfg.step,
-                    BALL_STOP, box_lo, box_hi, EVENT_TOL, band)
+                    BALL_STOP, *sys.box, EVENT_TOL, band)
                 add_segment(times, states, f"sliding:{i},{j}", i, alphas)
-                if code == _kernels.STOP_CONVERGED:
-                    return stop(t, x, "converged")
-                if code == _kernels.STOP_ESCAPED:
-                    return stop(t, x, "escaped")
+                if code in _STOP_EVENT:
+                    return stop(t, x, _STOP_EVENT[code])
                 if code != _kernels.STOP_MAXSTEPS:
                     traj.events.append(
                         (t, "sliding_exit", f"({i},{j}){_SLIDING_EXIT_NOTE[code]}"))
@@ -439,16 +433,14 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         # the first step leaves it
         states, times, hs, code = _kernels.rk4_smooth_run(
             smooth_kernel_of(rid), x, t, cfg.t_end, cfg.step, BALL_STOP,
-            box_lo, box_hi, band)
+            *sys.box, band)
         # the escaping or boundary-flagged state is not accepted
         end = -1 if code in (_kernels.STOP_BOUNDARY, _kernels.STOP_ESCAPED) else None
         add_segment(times[1:end], states[1:end], f"smooth:{rid}", rid)
         if code != _kernels.STOP_BOUNDARY:
             t, x = times[-1], states[-1].tolist()
-            if code == _kernels.STOP_CONVERGED:
-                return stop(t, x, "converged")
-            if code == _kernels.STOP_ESCAPED:
-                return stop(t, x, "escaped")
+            if code in _STOP_EVENT:
+                return stop(t, x, _STOP_EVENT[code])
             continue
         # boundary event on the last step: the kernel and detect_crossing
         # apply one rule to the same floats, so there is a hit
@@ -459,11 +451,11 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         except StratumStop as exc:
             return stop(t_prev, x_prev, "stratum_stop", str(exc))
         t, x = t_prev + s * hs, xc.tolist()
-        add_point(t, x, f"smooth:{rid}", rid=rid)
+        add_segment([t], np.array([x]), f"smooth:{rid}", rid)
         traj.events.append((t, "crossing", f"({b.i},{b.j})"))
 
-    if not traj.count or t - traj.final_time > 1e-15:
-        add_point(t, x, "stopped:t_end")
+    if not traj.count or t - traj.final_time > _kernels.T_END_SLACK:
+        add_segment([t], np.array([x]), "stopped:t_end")
     traj.events.append((t, "t_end", ""))
     return traj
 

@@ -38,13 +38,12 @@ from itertools import chain
 import numpy as np
 
 # INFEASIBLE is re-exported for callers that import it from here
-from .backend import (FEASIBLE, INFEASIBLE, SdpProblem, SdpSolution, solve, svec_offsets,
-                      svec_triangle)
+from .backend import (FEASIBLE, INACCURATE_TOL, INFEASIBLE, SdpProblem, SdpSolution,
+                      solve, svec_offsets, svec_triangle)
 from .poly import Monomial, Polynomial, grlex_rank, monomial_basis
 
 GRAM_EIG_TOL = 1e-7
 RESIDUAL_OK = 1e-7
-RESIDUAL_MARGINAL = 1e-5
 
 
 class DegreeBookkeepingError(ValueError):
@@ -335,7 +334,7 @@ class SosCertificate:
             for bid, e in self.min_eigenvalues.items()
         ):
             return "ok"
-        if self.residual_norm <= RESIDUAL_MARGINAL:
+        if self.residual_norm <= INACCURATE_TOL:
             return "marginal"
         return "poor"
 

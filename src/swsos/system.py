@@ -236,7 +236,8 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
         box_raw = doc["box"]
         lo = np.array([float(b[0]) for b in box_raw])
         hi = np.array([float(b[1]) for b in box_raw])
-        # the oracle draws lo + (hi - lo) * d, so the width must be finite too
+        # the oracle draws lo + (hi - lo) * d, so the width must be finite
+        # too; the RK4 kernels' box test relies on finite bounds as well
         with np.errstate(over="ignore", invalid="ignore"):
             width = hi - lo
         if lo.shape != (n,) or not np.all(np.isfinite(width) & (lo < hi)):

@@ -29,18 +29,14 @@ def _source(generate, n, term_lists) -> str:
     return "\n".join(generate(n, shape, first)) + "\n"
 
 
-def digests() -> dict:
-    """Kernel name -> sha256 hex digest of its generated source."""
+def sources() -> dict:
+    """Kernel name -> its generated source."""
     from swsos import _kernels
     from swsos.cli import _theta_table
     from swsos.system import load_system
 
     def terms(vec):
         return tuple(p._term_list() for p in vec)
-
-    def digest(generate, n, term_lists):
-        return hashlib.sha256(
-            _source(generate, n, term_lists).encode()).hexdigest()
 
     quadrant = load_system(SYSTEMS / "quadrant-cubic.sys")
     n = quadrant.dimension
@@ -51,14 +47,20 @@ def digests() -> dict:
         fields = {rid: terms(quadrant.field_at(rid, table.get(rid)))
                   for rid in sorted(quadrant.regions)}
         for rid, field in fields.items():
-            out[f"smooth {rid} theta{v:g}"] = digest(
+            out[f"smooth {rid} theta{v:g}"] = _source(
                 _kernels._smooth_lines, n, (*field, *chis))
         for b in quadrant.boundaries:
-            out[f"sliding {b.i},{b.j} theta{v:g}"] = digest(
+            out[f"sliding {b.i},{b.j} theta{v:g}"] = _source(
                 _kernels._sliding_lines, n,
                 (*terms(b.chi.gradient()), *fields[b.i], *fields[b.j],
                  b.chi._term_list()))
     return out
+
+
+def digests() -> dict:
+    """Kernel name -> sha256 hex digest of its generated source."""
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in sources().items()}
 
 
 if __name__ == "__main__":

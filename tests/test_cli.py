@@ -473,6 +473,34 @@ def test_origin_region_that_names_no_region_is_input_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["certify", QUAD, "--degree", "2"],
+    ["verify", QUAD, PUBLISHED_V],
+    ["simulate", QUAD, "--x0=1,1", "--t-end", "0.5"],
+], ids=["certify", "verify", "simulate"])
+def test_out_dir_that_is_a_file_is_input_error(tmp_path, capsys, command):
+    # a regular file as --out-dir used to end in a FileExistsError
+    # traceback, after certify and verify had run their whole pipeline
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert main(["--out-dir", str(out), *command]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: --out-dir {out}: cannot create: ")
+    assert out.read_text() == "not a directory\n"
+
+
+def test_certify_system_failing_validation_is_input_error(tmp_path, capsys):
+    # a region witness outside its region used to end certify in a
+    # ValueError traceback
+    doc = json.loads(Path(OPPOSING).read_text())
+    doc["regions"][0]["witness"] = [0.0, -1.0]
+    bad = tmp_path / "bad.sys"
+    bad.write_text(json.dumps(doc))
+    assert run(["certify", str(bad), "--degree", "2"], tmp_path) == 1
+    assert capsys.readouterr().err == (
+        "error: system validation failed: ['region[1].witness']\n")
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"lyapunov": {"1": 5, "2": "x1^2 + x2^2"}},

@@ -9,8 +9,11 @@ as references.  Kernels of one exponent structure share one code object
 and match the coefficient-literal source they replaced.
 """
 
+import builtins
+import dis
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -647,7 +650,8 @@ def _assert_smooth_exact(result, fields, chis, *tail):
     s1, t1, h1, c1 = result
     s2, t2, h2, c2 = _interp_rk4_smooth_run(fields, chis, *tail)
     assert c1 == c2
-    assert s1.shape == s2.shape and np.array_equal(s1, s2)
+    # a nan state escapes as the last row of both
+    assert s1.shape == s2.shape and np.array_equal(s1, s2, equal_nan=True)
     assert t1 == t2 and h1 == h2
     return c1
 
@@ -892,7 +896,7 @@ _TILT_CHI = ((1.0, (1,)), (-0.1, (0,)))                  # x2 - 0.1*x1
 _TILT_GRAD = [_const(-0.1), _const(1.0)]
 
 
-@pytest.mark.parametrize("grad, fi, fj, chi, x0, kw, code", [
+_HOISTED_SLIDING_CASES = [
     # all constant, on a tilted line: the state moves and is projected back
     (_TILT_GRAD, [_const(0.5), _const(-1)], [_const(0.3), _const(2)],
      _TILT_CHI, (-1.0, -0.1), {}, _kernels.STOP_MAXSTEPS),
@@ -915,7 +919,11 @@ _TILT_GRAD = [_const(-0.1), _const(1.0)]
     # a nan coefficient: the weight is nan, which is outside [0, 1]
     (_GRAD, [_const(1), _const(math.nan)], [_const(-1), _const(1)], _CHI,
      (0.5, 0.0), {}, _kernels.STOP_ALPHA),
-])
+]
+
+
+@pytest.mark.parametrize("grad, fi, fj, chi, x0, kw, code",
+                         _HOISTED_SLIDING_CASES)
 def test_hoisted_sliding_kernel_bit_identical_to_interpreter(grad, fi, fj, chi,
                                                              x0, kw, code):
     args = {"t_end": 1.0, "h": 0.01, **kw}
@@ -934,7 +942,7 @@ def test_hoisted_sliding_kernel_bit_identical_to_interpreter(grad, fi, fj, chi,
         assert len(times) > 20
 
 
-@pytest.mark.parametrize("fields, chis, x0, code", [
+_HOISTED_SMOOTH_CASES = [
     # all constant: straight down onto x2 = 0
     ([_const(1), _const(-1)], [_CHI], (0.0, 0.5), _kernels.STOP_BOUNDARY),
     # a constant second component
@@ -943,14 +951,27 @@ def test_hoisted_sliding_kernel_bit_identical_to_interpreter(grad, fi, fj, chi,
     # a constant first component, the second reads x1 only
     ([_const(0.5), ((-1.0, (0,)), (1.0, (0, 0)))], [], (-1.0, 0.0),
      _kernels.STOP_ESCAPED),
-    # an infinite constant escapes at the first step
+    # an infinite or nan constant escapes at the first step: the box is
+    # finite, so the chained box comparison fails on +-inf and nan
     ([_const(math.inf), _const(1)], [_CHI], (0.0, 0.5),
      _kernels.STOP_ESCAPED),
-])
+    ([_const(-math.inf), _const(1)], [_CHI], (0.0, 0.5),
+     _kernels.STOP_ESCAPED),
+    ([_const(1), _const(math.nan)], [_CHI], (0.0, 0.5),
+     _kernels.STOP_ESCAPED),
+]
+
+
+@pytest.mark.parametrize("fields, chis, x0, code", _HOISTED_SMOOTH_CASES)
 def test_hoisted_smooth_kernel_bit_identical_to_interpreter(fields, chis, x0,
                                                             code):
-    assert _smooth_exact(fields, chis, np.array(x0), 0.0, 50.0, 0.01, 1e-6,
-                         *_BOX, 1e-9) == code
+    tail = (np.array(x0), 0.0, 50.0, 0.01, 1e-6, *_BOX, 1e-9)
+    result = _kernels.rk4_smooth_run(_kernels.smooth_kernel(fields, chis),
+                                     *tail)
+    assert _assert_smooth_exact(result, fields, chis, *tail) == code
+    if not all(math.isfinite(c) for f in fields for c, _ in f):
+        # the escaping state, the first step's, is the last row
+        assert len(result[1]) == 2
 
 
 def _loop_lines(lines):
@@ -991,11 +1012,47 @@ def test_both_kernels_step_on_one_time_grid():
     layout = _kernels._layout([_const(1), ((1.0, (1,)),), _CHI])
     smooth = _kernels._smooth_lines(2, layout[0], layout[2])
     setup, step, end = _kernels._clock([0])
-    for lines in (smooth, sliding):
+    # and their header, ball exit and box exit from _frame; the smooth
+    # kernel tests the new state y, the sliding kernel x after
+    # [x0, x1] = [y0, y1]
+    for lines, var in ((smooth, "y"), (sliding, "x")):
         text = "\n".join(line.strip() for line in lines)
-        for block in (setup, step, end):
+        header, ball, box = _kernels._frame(2, var, "stop {}".format)
+        for block in (setup, step, end, header, ball[:1], box[:1]):
             assert "\n".join(line.strip() for line in block) in text
+        assert header == ["[x0, x1] = x", "[lo0, lo1] = lo", "[hi0, hi1] = hi"]
+        assert ball == ["if sqrt(0.0 + x0 * x0 + x1 * x1) <= ball_stop:",
+                        f"stop {_kernels.STOP_CONVERGED}"]
+        assert box == [f"if not (lo0 <= {var}0 <= hi0 and lo1 <= {var}1 <= hi1):",
+                       f"stop {_kernels.STOP_ESCAPED}"]
+        assert "isfinite" not in text
     assert not any(("t += hs" in line or "dt < h" in line) for line in sliding)
+
+
+def _global_loads(code) -> set:
+    """The names code and the code objects nested in it load as globals."""
+    names = {ins.argval for ins in dis.get_instructions(code)
+             if ins.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_loads(const)
+    return names
+
+
+def test_kernels_load_only_their_namespace():
+    # over the pinned corpus and the hoisted cases, the globals the kernels
+    # read besides builtins (abs, range) are exactly _NAMESPACE's names
+    from kernel_corpus import sources
+    codes = [_kernels._compile(text.splitlines())
+             for text in sources().values()]
+    codes += [_kernels.smooth_kernel(fields, chis).__code__
+              for fields, chis, *_ in _HOISTED_SMOOTH_CASES]
+    codes += [_kernels.sliding_kernel(grad, fi, fj, chi).__code__
+              for grad, fi, fj, chi, *_ in _HOISTED_SLIDING_CASES]
+    loads = set().union(*map(_global_loads, codes))
+    # exec adds __builtins__ to the globals dict it runs in
+    names = set(_kernels._NAMESPACE) - {"__builtins__"}
+    assert loads - set(dir(builtins)) == names == {"sqrt"}
 
 
 def test_runs_that_stop_just_short_of_t_end_end_on_it():
@@ -1020,14 +1077,14 @@ def test_runs_that_stop_just_short_of_t_end_end_on_it():
 # sha256 of each kernel source of tests/kernel_corpus.py: quadrant-cubic.sys
 # has no constant term list, so its kernels are the unspecialised ones
 PINNED_KERNEL_DIGESTS = {
-    'smooth 1 theta0': 'd94ad507600bb8066ce8706c05ac0f8f30f73f297229f41d39b4c34c9989c6cd',
-    'smooth 2 theta0': '409df4ba6f3faac411ba72c108c884e759df4b62c57cc395631337f504ecf350',
+    'smooth 1 theta0': 'acd041fd0a766c0e4cf156d5aa26deebb574e3792e6cd1038e11b56b6b3bfeac',
+    'smooth 2 theta0': 'a18a5a7991c5bc8f0976edb17c6f59721cbaaf99c2ddf4268ae1c4c70337b73c',
     'sliding 1,2 theta0': '815bee05a280c5e16bff99e530dd4fa659cfc8f4802eaa2eac3e9276b9c58506',
-    'smooth 1 theta0.5': '3301d0762286c691ca3235aabb47f1e6ef596eaa802b5624d5d2734e0f77fc04',
-    'smooth 2 theta0.5': '409df4ba6f3faac411ba72c108c884e759df4b62c57cc395631337f504ecf350',
+    'smooth 1 theta0.5': '55a748b794c8ba89997d138a0ce115c6c89ef6f7d05464124b08bc8743135707',
+    'smooth 2 theta0.5': 'a18a5a7991c5bc8f0976edb17c6f59721cbaaf99c2ddf4268ae1c4c70337b73c',
     'sliding 1,2 theta0.5': 'c157f7d715f3a7d1b3beddf56d2c766119c11cdc9febb515cd79c8245d187963',
-    'smooth 1 theta1': '8437254e5d8c1c856086391137d243b0284f9f4b613ca64f4e6badc11c987df9',
-    'smooth 2 theta1': '409df4ba6f3faac411ba72c108c884e759df4b62c57cc395631337f504ecf350',
+    'smooth 1 theta1': 'e78930cdbe8cbd5152dc0eb34026e30b577eac5c0f4550f4140d038360c6ea52',
+    'smooth 2 theta1': 'a18a5a7991c5bc8f0976edb17c6f59721cbaaf99c2ddf4268ae1c4c70337b73c',
     'sliding 1,2 theta1': '20b01dfd94d098c4097d15aec0f10ddf9845218f47499d19d77a4754a6d0bf15',
 }
 
