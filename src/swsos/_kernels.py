@@ -25,7 +25,11 @@ reads.  Every exit test stays in the loop, in its place and order.
 Both kernels take their header, ball exit and box exit from `_frame` and
 their time grid from `_clock`.  The box exit is one chained comparison,
 lo0 <= y0 <= hi0 and ...; a parsed box is finite, so nan and +-inf fail
-it and need no isfinite.  The emitted arithmetic is `eval_terms`' and
+it and need no isfinite.  A step runs no inner loop and builds no list:
+the sliding projection's three Newton steps are unrolled into nested
+`if not ...` blocks, the step's end is rebound one name at a time
+(x0 = y0), and a row is added with one flat.append per coordinate.  The
+emitted arithmetic is `eval_terms`' and
 `sliding_field`'s, in the same order, so the values are those of
 interpreting the term lists, bit for bit.
 """
@@ -197,6 +201,17 @@ def _stage_sum(k, s2, s3, s4) -> str:
     return f"k1_{k} + 2 * k{s2}_{k} + 2 * k{s3}_{k} + k{s4}_{k}"
 
 
+def _rebind(n) -> list:
+    """x0 = y0, x1 = y1, ...: the step's end becomes its start, one name at
+    a time, with no list built."""
+    return [f"x{k} = y{k}" for k in range(n)]
+
+
+def _append(var, n) -> list:
+    """flat.append(var0), ...: one accepted row added to the flat states."""
+    return [f"flat.append({var}{k})" for k in range(n)]
+
+
 def _indent(lines, depth):
     return ["    " * depth + line for line in lines]
 
@@ -243,7 +258,7 @@ def smooth_kernel(fields, chis):
 
 
 def _smooth_lines(n, shape, first):
-    X, Y = _names("x", n), _names("y", n)
+    X = _names("x", n)
     fields = list(zip(shape[:n], first[:n]))
     chis = list(zip(shape[n:], first[n:]))
     # a constant component's slope is one value at every stage: bound once
@@ -267,7 +282,7 @@ def _smooth_lines(n, shape, first):
         *clock,
         *_rk4_lines(n, stage, "hs", reads, fixed),
         "t = tn",
-        f"flat += [{Y}]",
+        *_append("y", n),
         "times.append(t)",
         *box,
     ]
@@ -276,7 +291,7 @@ def _smooth_lines(n, shape, first):
                  f"if q * p{b} < 0.0 or q == 0.0 != p{b}:",
                  stop(STOP_BOUNDARY),
                  f"p{b} = q"]
-    step += [f"[{X}] = [{Y}]"]
+    step += _rebind(n)
     # a boundary within `band` of the start has no side yet: sign 0
     start = []
     for b, (chi, c) in enumerate(chis):
@@ -364,7 +379,7 @@ def sliding_kernel(grad, fi, fj, chi):
 
 def _sliding_lines(n, shape, first):
     cols = range(n)
-    X, Y = _names("x", n), _names("y", n)
+    X = _names("x", n)
     terms = list(zip(shape, first))
     grad, fi, fj = terms[:n], terms[n:2 * n], terms[2 * n:3 * n]
     chi, chi_first = terms[3 * n]
@@ -408,16 +423,21 @@ def _sliding_lines(n, shape, first):
                 if _constant(p)]
     nn = f"nn = {_dot('g{k} * g{k}', n)}"
     hoisted += [nn] if fixed_normal else []
-    project = [f"c = {_expr(chi, 'y', chi_first)}",
-               "if abs(c) <= event_tol:",
-               "    break",
-               *(f"g{k} = {_expr(p, 'y', c)}" for k, (p, c) in enumerate(grad)
-                 if not _constant(p)),
-               *([] if fixed_normal else [nn]),
-               "if nn == 0.0:",
-               "    break",
-               "s = c / nn",
-               *(f"y{k} = y{k} - s * g{k}" for k in cols)]
+    # up to three Newton steps onto chi = 0, each nested in the branch of
+    # the one before: a step is taken while not |c| <= event_tol and not
+    # nn == 0.0, the negations, so a nan c or nn takes it as well
+    project = []
+    for _ in range(3):
+        project = [
+            f"c = {_expr(chi, 'y', chi_first)}",
+            "if not abs(c) <= event_tol:",
+            *_indent([*(f"g{k} = {_expr(p, 'y', c)}"
+                        for k, (p, c) in enumerate(grad) if not _constant(p)),
+                      *([] if fixed_normal else [nn]),
+                      "if not nn == 0.0:",
+                      *_indent(["s = c / nn",
+                                *(f"y{k} = y{k} - s * g{k}" for k in cols),
+                                *project], 1)], 1)]
     reads = _reads(p for _, vec in vectors for p, _ in vec)
     setup, clock, end = _clock(reads)
     header, ball, box = _frame(n, "x", stop)
@@ -426,12 +446,11 @@ def _sliding_lines(n, shape, first):
         f"if abs({_expr(chi, 'x', chi_first)}) > band:", stop(STOP_OFF_VARIETY),
         *clock,
         *_rk4_lines(n, stage, "hs", reads, cols if whole else ()),
-        "for _ in range(3):",
-        *_indent(project, 1),
+        *project,
         "t = tn",
-        f"[{X}] = [{Y}]",
+        *_rebind(n),
         *box,
-        f"flat += [{X}]",
+        *_append("x", n),
         "times.append(t)",
         "alphas.append(alpha)",
     ]
@@ -461,7 +480,8 @@ def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
     on it; a run that stops within T_END_SLACK of t_end has its last row
     and stop time on t_end.  Tangency at a later stage is STOP_TANGENCY too.
     Up to three Newton steps go back onto chi = 0, stopping once |chi| <=
-    event_tol or the gradient vanishes.  A non-finite or out-of-box state
+    event_tol or the gradient vanishes; a nan chi or gradient norm takes
+    the step.  A non-finite or out-of-box state
     (box_lo and box_hi are finite) ends the run (STOP_ESCAPED); reaching
     t_end is STOP_MAXSTEPS.
 

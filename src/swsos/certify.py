@@ -40,7 +40,6 @@ SUSPECT = "numerically-suspect"
 
 ATTRACTIVE = "attractive_possible"
 NOT_ATTRACTIVE = "not_attractive"
-UNKNOWN = "unknown"
 
 GLUE_RESIDUAL_TOL = 1e-7
 
@@ -49,8 +48,6 @@ GLUE_RESIDUAL_TOL = 1e-7
 # (margin_mu) and cross (margin_nu) conditions, as the certificate's config
 # block records them.
 MARGIN = 1e-4
-# check_attractivity's strict-positivity offset
-ATTRACTIVITY_KAPPA = 1e-4
 
 
 @dataclass
@@ -160,33 +157,32 @@ def _margin(n: int, deg: int) -> Polynomial:
 
 
 def check_attractivity(sys: SwitchedSystem, pair) -> str:
-    """SOS test for whether a boundary can host a sliding mode.
+    """SOS test for whether a boundary cannot host a sliding mode.
 
-    For each vertex pair (f, g) of the adjacent regions, tests whether
-    -<dchi, f><dchi, g> - l*chi - ATTRACTIVITY_KAPPA is SOS for some
-    polynomial l.
-    Feasibility for any vertex pair means the normal components can have
-    opposite signs somewhere on the boundary, so sliding cannot be ruled
-    out and cross-Lie conditions must be enforced for the pair.
+    NOT_ATTRACTIVE only when, for every vertex pair (f, g) of the adjacent
+    regions, <dchi, f><dchi, g> - l*chi is SOS for some polynomial l and
+    the solve ends native:optimal: the product of the normal components is
+    then nonnegative on the variety, so the fields never point at it from
+    both sides.  A product of theta-mixtures of the vertex fields expands
+    into vertex products with nonnegative weights, so this covers the
+    whole simplex.  Any other outcome, an inaccurate or stalled solve
+    included, is ATTRACTIVE: sliding is not ruled out, and the cross-Lie
+    conditions stay for the pair.
     """
     i, j = pair
     bnd = sys.boundary(i, j)   # raises KeyError for unknown pairs
     chi = bnd.chi
-    any_unknown = False
     for f in sys.dynamics[i].vertices:
         lf = lie_derivative(chi, f)
         for g in sys.dynamics[j].vertices:
             lg = lie_derivative(chi, g)
-            target = (lf * lg) * (-1.0) - ATTRACTIVITY_KAPPA
             cons = PositivityConstraint(
-                cid="attract", target=LinPoly.from_poly(target),
+                cid="attract", target=LinPoly.from_poly(lf * lg),
                 equality_generators=[chi])
             sol = solve(assemble([cons]))
-            if sol.status == FEASIBLE:
+            if not sol.solver_status.startswith("native:optimal:"):
                 return ATTRACTIVE
-            if sol.status != INFEASIBLE:
-                any_unknown = True
-    return UNKNOWN if any_unknown else NOT_ATTRACTIVE
+    return NOT_ATTRACTIVE
 
 
 def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
@@ -257,16 +253,21 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     return problem, plan
 
 
+def require_valid(sys: SwitchedSystem):
+    """Raise SystemFormatError naming every check of sys.validate() that
+    fails."""
+    validation = sys.validate()
+    if validation.has_fail:
+        bad = [n for n, s, _ in validation.checks if s == "fail"]
+        raise SystemFormatError(f"system validation failed: {bad}")
+
+
 def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
             oracle_cfg: OracleConfig = None) -> Certificate:
     """Run the full pipeline: pre-filter, SDP, extraction, oracle gate."""
     cfg = cfg or CertificationConfig()
     t0 = time.time()
-
-    validation = sys.validate()
-    if validation.has_fail:
-        bad = [n for n, s, _ in validation.checks if s == "fail"]
-        raise SystemFormatError(f"system validation failed: {bad}")
+    require_valid(sys)
 
     cross_pairs = None
     attractive = None

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .certify import (CERTIFIED, NO_CERTIFICATE, CertificationConfig,
-                      certify, check_attractivity)
+                      certify, check_attractivity, require_valid)
 from .oracle import OracleConfig, origin_values, verify_certificate
 from .poly import PolynomialParseError, parse_polynomial
 from .sim import SimConfig, simulate, write_trajectory
@@ -213,6 +213,12 @@ def _theta_table(sys_, th11: float) -> dict:
 
 def cmd_certify(args) -> int:
     sys_ = _load_system(args.system)
+    # a system that fails validation is an input error, found before
+    # --out-dir is created
+    try:
+        require_valid(sys_)
+    except SystemFormatError as exc:
+        raise InputError(str(exc)) from exc
     cfg = _config(CertificationConfig,
                   lyapunov_degree=args.degree,
                   use_attractivity_filter=not args.no_attractivity_filter)
@@ -225,10 +231,7 @@ def cmd_certify(args) -> int:
         args.seed, args.out_dir)
     out = _out_dir(args.out_dir) / f"{Path(args.system).stem}.certificate.json"
 
-    try:
-        cert = certify(sys_, cfg, oracle_cfg=oracle_cfg)
-    except SystemFormatError as exc:
-        raise InputError(str(exc)) from exc
+    cert = certify(sys_, cfg, oracle_cfg=oracle_cfg)
     doc = cert.to_dict()
     doc["manifest"] = manifest
 

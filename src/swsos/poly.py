@@ -179,10 +179,14 @@ class Polynomial:
 
     def eval_many(self, X) -> np.ndarray:
         """Evaluate at every row of X (m, n): eval_columns on one
-        contiguous copy of its columns, so eval_many(X)[k] == self(X[k])."""
+        contiguous copy of its columns, so eval_many(X)[k] == self(X[k]).
+        A single row is the scalar call on its floats, the same multiplies
+        and adds without the per-column array overhead."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"points have shape {X.shape}, expected (m, {self.dim})")
+        if len(X) == 1:
+            return np.array([_kernels.eval_terms(self._term_list(), X[0].tolist())])
         return self.eval_columns(X.T.copy())
 
     # -- calculus ------------------------------------------------------

@@ -55,9 +55,9 @@ grid, and simulate ends within _kernels.T_END_SLACK of t_end as they do.
 A Trajectory stores what the kernels return, one chunk per segment (a
 crossing, a stop and the t_end point are one-row segments): the times,
 the states as one (m, n) array, the mode, and the alpha and psi columns
-when present.  write_trajectory formats the chunks column-wise; the
-per-point TrajectoryPoint view is built only when something reads
-`points`.
+when present.  write_trajectory interleaves each chunk's columns into
+one row-major list and formats the chunk with one %; the per-point
+TrajectoryPoint view is built only when something reads `points`.
 """
 
 from __future__ import annotations
@@ -464,13 +464,15 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
 def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
     """Delimiter-separated rows (t, x..., mode, alpha, psi) plus an events
-    table, directly plottable by external tools."""
+    table, directly plottable by external tools.  Each chunk is one %
+    of its row template repeated once per row, with the same bytes as
+    one % per row."""
     if manifest_hash:
         fh.write(f"# manifest {manifest_hash}\n")
     dim = traj.chunks[0][1].shape[1] if traj.chunks else 0
     cols = ["t"] + [f"x{k + 1}" for k in range(dim)] + ["mode", "alpha", "psi"]
     fh.write("\t".join(cols) + "\n")
-    rows = []
+    text = []
     for times, states, mode, alphas, psi in traj.chunks:
         # one template per chunk: a missing alpha is the bare "\t\t", a
         # missing psi the bare "\n"
@@ -479,8 +481,14 @@ def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
                + ("%.12g\n" if psi is not None else "\n"))
         columns = [times, *states.T.tolist()]
         columns += [c for c in (alphas, psi) if c is not None]
-        rows += map(row.__mod__, zip(*columns))
-    fh.write("".join(rows))
+        # the chunk's values row after row, column j at j, j + k, ...: one
+        # % formats the whole chunk
+        k, m = len(columns), len(times)
+        values = [None] * (k * m)
+        for j, column in enumerate(columns):
+            values[j::k] = column
+        text.append((row * m) % tuple(values))
+    fh.write("".join(text))
     fh.write("\n# events\n# t\tkind\tdetail\n")
     for (t, kind, detail) in traj.events:
         fh.write(f"{t:.9g}\t{kind}\t{detail}\n")

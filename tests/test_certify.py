@@ -11,7 +11,8 @@ from importlib import import_module
 import numpy as np
 import pytest
 
-from swsos.backend import NUMERICAL_ERROR, SdpSolution, svec_layout
+from swsos.backend import (FEASIBLE, INFEASIBLE, NUMERICAL_ERROR, SdpSolution,
+                           svec_layout)
 from swsos.certify import (ATTRACTIVE, CERTIFIED, NO_CERTIFICATE,
                            NOT_ATTRACTIVE, SUSPECT, Certificate,
                            CertificationConfig, build_feasibility, certify,
@@ -98,6 +99,65 @@ def test_attractivity_statuses(quadrant_system, opposing_system, systems_dir):
     # the quadrant system's axes cannot host sliding: the normal component
     # product vanishes identically on the variety
     assert check_attractivity(quadrant_system, (1, 2)) == NOT_ATTRACTIVE
+    # on x2 = 0.1*x1 the normal components have opposite signs for
+    # x1 > -1.8 and the same sign below: the boundary attracts on part of
+    # the variety, so sliding is not ruled out
+    tilted = load_system(systems_dir / "tilted-relay.sys")
+    assert check_attractivity(tilted, (1, 2)) == ATTRACTIVE
+
+
+@pytest.mark.parametrize("status, solver_status", [
+    (FEASIBLE, "native:inaccurate:40"),
+    (NUMERICAL_ERROR, "native:stalled:9:primal 1.0e-03 dual 1.0e-09"),
+    (INFEASIBLE, "native:infeasible:12"),
+], ids=["inaccurate", "stalled", "infeasible"])
+def test_attractivity_needs_an_optimal_solve(monkeypatch, quadrant_system,
+                                             status, solver_status):
+    # only a clean optimal solve rules sliding out; an inaccurate one may be
+    # a nearly feasible program of a boundary that does attract
+    certify_module = import_module("swsos.certify")
+    monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
+        status=status, solver_status=solver_status))
+    assert check_attractivity(quadrant_system, (1, 2)) == ATTRACTIVE
+    monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
+        status=FEASIBLE, solver_status="native:optimal:9"))
+    assert check_attractivity(quadrant_system, (1, 2)) == NOT_ATTRACTIVE
+
+
+# certify's verdict on every shipped system at degrees 2, 4 and 6.
+# tilted-relay is unstable (its sliding motion leaves the origin); it was
+# CERTIFIED at every degree while the attractivity test dropped the cross
+# conditions of its attracting boundary.
+VERDICTS = {
+    "aligned-fields": (CERTIFIED, CERTIFIED, CERTIFIED),
+    "branicky-a": (CERTIFIED, CERTIFIED, CERTIFIED),
+    "opposing-fields": (NO_CERTIFICATE, NO_CERTIFICATE, NO_CERTIFICATE),
+    "quadrant-cubic": (NO_CERTIFICATE, CERTIFIED, CERTIFIED),
+    "tilted-relay": (NO_CERTIFICATE, SUSPECT, SUSPECT),
+    "twisting": (NO_CERTIFICATE, CERTIFIED, CERTIFIED),
+    "unstable-scalar": (NO_CERTIFICATE, NO_CERTIFICATE, NO_CERTIFICATE),
+}
+
+
+def test_verdicts_cover_every_shipped_system(systems_dir):
+    assert sorted(VERDICTS) == sorted(p.stem for p in systems_dir.glob("*.sys"))
+
+
+@pytest.mark.parametrize("name, degree, verdict", [
+    (name, degree, verdict) for name, row in VERDICTS.items()
+    for degree, verdict in zip((2, 4, 6), row)])
+def test_shipped_system_verdicts(systems_dir, small_oracle, name, degree,
+                                 verdict):
+    sys_ = load_system(systems_dir / f"{name}.sys")
+    cert = certify(sys_, CertificationConfig(lyapunov_degree=degree))
+    assert cert.status == verdict, cert.detail
+
+
+def test_tilted_relay_is_not_certified_at_degree_8(systems_dir, small_oracle):
+    sys_ = load_system(systems_dir / "tilted-relay.sys")
+    cert = certify(sys_, CertificationConfig(lyapunov_degree=8))
+    assert cert.status != CERTIFIED
+    assert cert.attractive_pairs == [(1, 2)]
 
 
 def test_attractivity_unknown_pair(quadrant_system):

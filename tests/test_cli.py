@@ -496,9 +496,12 @@ def test_certify_system_failing_validation_is_input_error(tmp_path, capsys):
     doc["regions"][0]["witness"] = [0.0, -1.0]
     bad = tmp_path / "bad.sys"
     bad.write_text(json.dumps(doc))
-    assert run(["certify", str(bad), "--degree", "2"], tmp_path) == 1
+    out = tmp_path / "out"
+    assert run(["certify", str(bad), "--degree", "2"], out) == 1
     assert capsys.readouterr().err == (
         "error: system validation failed: ['region[1].witness']\n")
+    # found before --out-dir is created, as the input errors of loading are
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [

@@ -142,6 +142,10 @@ def test_eval_many_equals_scalar_call_bit_for_bit():
             assert got.shape == (pts.shape[0],)
             # repr tells every float apart, -0.0 from 0.0 and nan included
             assert [repr(v) for v in got.tolist()] == [repr(p(x)) for x in pts]
+        # one row takes eval_terms on its floats, with the same bits
+        for x in X:
+            got = p.eval_many(x[None])
+            assert got.shape == (1,) and repr(got.tolist()) == repr([p(x)])
         assert p.eval_many(np.zeros((0, p.dim))).shape == (0,)
 
 
@@ -566,9 +570,12 @@ def _interp_rk4_smooth_run(fields, chis, x0, t0, t_end, h, ball_stop, box_lo,
 
 
 def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
-                            box_lo, box_hi, event_tol, band):
+                            box_lo, box_hi, event_tol, band, exits=None):
     # the interpreted sliding segment loop, term list by term list, on the
-    # smooth interpreter's time rule
+    # smooth interpreter's time rule, with the projection as the loop it
+    # was before the kernel unrolled it; exits, when a list, gets each
+    # step's projection exit: the Newton steps taken (0 to 3), or
+    # "zero normal"
     n = len(x0)
     cols = range(n)
     lo = np.asarray(box_lo, dtype=np.float64).tolist()
@@ -620,16 +627,21 @@ def _interp_rk4_sliding_run(grad, fi, fj, chi, x0, t0, t_end, h, ball_stop,
         k1, k2, k3, k4 = ks
         h6 = hs / 6.0
         xn = [x[k] + h6 * (k1[k] + 2 * k2[k] + 2 * k3[k] + k4[k]) for k in cols]
-        for _ in range(3):
+        taken = 3
+        for newton in range(3):
             c = eval_terms(chi, xn)
             if abs(c) <= event_tol:
+                taken = newton
                 break
             g = [eval_terms(p, xn) for p in grad]
             nn = sum(v * v for v in g)
             if nn == 0.0:
+                taken = "zero normal"
                 break
             s = c / nn
             xn = [xn[k] - s * g[k] for k in cols]
+        if exits is not None:
+            exits.append(taken)
         t = t_next
         x = xn
         if not all(lo[k] <= x[k] <= hi[k] for k in cols):
@@ -768,6 +780,56 @@ def test_sliding_kernel_bit_identical_on_unit_cases(fi, fj, x0, kw, code):
     assert _sliding_exact(
         args["grad"], fi, fj, args["chi"], np.array(x0), 0.0, args["t_end"],
         args["h"], args["ball_stop"], *_BOX, 1e-9, args["band"]) == code
+
+
+# the unit circle x1^2 + x2^2 - 1 = 0 between F_i = rotation - x and
+# F_j = rotation + x: alpha = 1/2 and the sliding field is the rotation
+# (-x2, x1), which coarse RK4 steps leave the circle by about h^6 / 144
+_CIRCLE = ((1.0, (0, 0)), (1.0, (1, 1)), (-1.0, ()))
+_CIRCLE_GRAD = [((2.0, (0,)),), ((2.0, (1,)),)]
+_SPIRAL_IN = [((-1.0, (1,)), (-1.0, (0,))), ((1.0, (0,)), (-1.0, (1,)))]
+_SPIRAL_OUT = [((-1.0, (1,)), (1.0, (0,))), ((1.0, (0,)), (1.0, (1,)))]
+# x2^2 + 2^-30, whose gradient (0, 2*x2) vanishes at x2 = 0, where the
+# value is 2^-30: from x2 = 2^-15 one Newton step lands there exactly
+_OFFSET_PARABOLA = ((1.0, (1, 1)), (2.0 ** -30, ()))
+_PARABOLA_GRAD = [(), ((2.0, (1,)),)]
+
+
+@pytest.mark.parametrize("grad, fi, fj, chi, x0, h, event_tol, exits, code", [
+    # one, two and up to three Newton steps
+    (_CIRCLE_GRAD, _SPIRAL_IN, _SPIRAL_OUT, _CIRCLE, (1.0, 0.0), 0.5, 1e-6,
+     {1}, _kernels.STOP_MAXSTEPS),
+    (_CIRCLE_GRAD, _SPIRAL_IN, _SPIRAL_OUT, _CIRCLE, (1.0, 0.0), 0.5, 1e-9,
+     {2}, _kernels.STOP_MAXSTEPS),
+    (_CIRCLE_GRAD, _SPIRAL_IN, _SPIRAL_OUT, _CIRCLE, (1.0, 0.0), 0.05, 0.0,
+     {1, 2, 3}, _kernels.STOP_MAXSTEPS),
+    # the gradient vanishes after one step: the projection stops there, and
+    # the next step starts tangent
+    (_PARABOLA_GRAD, [_const(1), _const(-1)], [_const(1), _const(1)],
+     _OFFSET_PARABOLA, (0.5, 2.0 ** -15), 0.25, 1e-10, {"zero normal"},
+     _kernels.STOP_TANGENCY),
+    # a nan chi is not within event_tol: all three steps are taken, the
+    # state turns nan and escapes
+    (_GRAD, [_const(1), _const(-1)], [_const(-1), _const(1)],
+     ((1.0, (1,)), (math.nan, (0, 0))), (0.5, 0.0), 0.25, 1e-9, {3},
+     _kernels.STOP_ESCAPED),
+], ids=["one-step", "two-steps", "three-steps", "zero-normal", "nan-chi"])
+def test_unrolled_projection_matches_the_loop(grad, fi, fj, chi, x0, h,
+                                              event_tol, exits, code):
+    # the kernel's nested Newton steps against the loop form the
+    # interpreter keeps, on the exits no corpus run reaches
+    tail = (np.array(x0), 0.0, 3.0, h, 1e-6, np.array([-3.0, -3.0]),
+            np.array([3.0, 3.0]), event_tol, 1e-3)
+    seen = []
+    s2, t2, a2, x2, end2, c2 = _interp_rk4_sliding_run(grad, fi, fj, chi,
+                                                       *tail, seen)
+    assert set(seen) == exits and c2 == code
+    s1, t1, a1, x1, end1, c1 = _kernels.rk4_sliding_run(
+        _kernels.sliding_kernel(grad, fi, fj, chi), *tail)
+    assert c1 == c2
+    assert s1.shape == s2.shape and np.array_equal(s1, s2, equal_nan=True)
+    assert t1 == t2 and a1 == a2 and end1 == end2
+    assert repr(x1) == repr(x2)
 
 
 def test_kernels_bit_identical_on_chattering_run(quadrant_system, monkeypatch):
@@ -1014,7 +1076,7 @@ def test_both_kernels_step_on_one_time_grid():
     setup, step, end = _kernels._clock([0])
     # and their header, ball exit and box exit from _frame; the smooth
     # kernel tests the new state y, the sliding kernel x after
-    # [x0, x1] = [y0, y1]
+    # x0 = y0, x1 = y1
     for lines, var in ((smooth, "y"), (sliding, "x")):
         text = "\n".join(line.strip() for line in lines)
         header, ball, box = _kernels._frame(2, var, "stop {}".format)
@@ -1055,6 +1117,36 @@ def test_kernels_load_only_their_namespace():
     assert loads - set(dir(builtins)) == names == {"sqrt"}
 
 
+_JUMPS = set(dis.hasjrel) | set(dis.hasjabs)
+
+
+def test_kernel_steps_have_no_loop_and_build_no_list():
+    # over the pinned corpus and the hoisted cases, a kernel's one loop is
+    # its loop over steps: a step runs no inner loop (the projection's
+    # Newton steps are nested ifs), and the only list it builds is the
+    # state an exit returns
+    from kernel_corpus import sources
+    codes = [_kernels._compile(text.splitlines())
+             for text in sources().values()]
+    codes += [_kernels.smooth_kernel(fields, chis).__code__
+              for fields, chis, *_ in _HOISTED_SMOOTH_CASES]
+    codes += [_kernels.sliding_kernel(grad, fi, fj, chi).__code__
+              for grad, fi, fj, chi, *_ in _HOISTED_SLIDING_CASES]
+    for code in codes:
+        assert not any(isinstance(c, types.CodeType) for c in code.co_consts)
+        ins = list(dis.get_instructions(code))
+        assert not any(i.opname in ("GET_ITER", "FOR_ITER") for i in ins)
+        back = [i for i in ins if i.opcode in _JUMPS and i.argval < i.offset]
+        assert len(back) == 1
+        step = [i for i in ins if back[0].argval <= i.offset <= back[0].offset]
+        for k, i in enumerate(step):
+            if i.opname in ("BUILD_LIST", "LIST_APPEND", "LIST_EXTEND"):
+                # no jump between the build and the return
+                after = next(j for j in step[k:] if j.opcode in _JUMPS
+                             or j.opname == "RETURN_VALUE")
+                assert after.opname == "RETURN_VALUE", (code, i)
+
+
 def test_runs_that_stop_just_short_of_t_end_end_on_it():
     # from t0 = 0.7809999999999999 (a crossing off the grid), step 219 of
     # h = 1e-3 ends at 0.9999999999999999, within 1e-15 of t_end = 1: both
@@ -1077,15 +1169,15 @@ def test_runs_that_stop_just_short_of_t_end_end_on_it():
 # sha256 of each kernel source of tests/kernel_corpus.py: quadrant-cubic.sys
 # has no constant term list, so its kernels are the unspecialised ones
 PINNED_KERNEL_DIGESTS = {
-    'smooth 1 theta0': 'acd041fd0a766c0e4cf156d5aa26deebb574e3792e6cd1038e11b56b6b3bfeac',
-    'smooth 2 theta0': 'a18a5a7991c5bc8f0976edb17c6f59721cbaaf99c2ddf4268ae1c4c70337b73c',
-    'sliding 1,2 theta0': '815bee05a280c5e16bff99e530dd4fa659cfc8f4802eaa2eac3e9276b9c58506',
-    'smooth 1 theta0.5': '55a748b794c8ba89997d138a0ce115c6c89ef6f7d05464124b08bc8743135707',
-    'smooth 2 theta0.5': 'a18a5a7991c5bc8f0976edb17c6f59721cbaaf99c2ddf4268ae1c4c70337b73c',
-    'sliding 1,2 theta0.5': 'c157f7d715f3a7d1b3beddf56d2c766119c11cdc9febb515cd79c8245d187963',
-    'smooth 1 theta1': 'e78930cdbe8cbd5152dc0eb34026e30b577eac5c0f4550f4140d038360c6ea52',
-    'smooth 2 theta1': 'a18a5a7991c5bc8f0976edb17c6f59721cbaaf99c2ddf4268ae1c4c70337b73c',
-    'sliding 1,2 theta1': '20b01dfd94d098c4097d15aec0f10ddf9845218f47499d19d77a4754a6d0bf15',
+    'smooth 1 theta0': '8c78fcec339a4f5b9269f7a35a3ee97dc4c6179a64cc087bdb0ff1dca388359e',
+    'smooth 2 theta0': '9421b0706d839a31f612767e7bf3273b832f94006009b748732a6e0b0682543e',
+    'sliding 1,2 theta0': '6d6dc58016f3d05a6af0c8315af2f2b2001b232dbb553fb8693123b5e50daa56',
+    'smooth 1 theta0.5': '89e91b16fd4b4fce013b740b16d7cf816635c646a2f1267d2579d416f89612e5',
+    'smooth 2 theta0.5': '9421b0706d839a31f612767e7bf3273b832f94006009b748732a6e0b0682543e',
+    'sliding 1,2 theta0.5': '374214b50f11e25f2f0c9ffd3c270c1113114d259000d0021c825729012b664b',
+    'smooth 1 theta1': 'e7f49fc40d6aeccbe809a4e4347ac5ff10964a4ce2b3b4263868b0aa9b61e651',
+    'smooth 2 theta1': '9421b0706d839a31f612767e7bf3273b832f94006009b748732a6e0b0682543e',
+    'sliding 1,2 theta1': '6bd2df463864b9faec82298a1d18ca7684c1243ce67cd04d6d415d3c1e48494e',
 }
 
 

@@ -167,4 +167,6 @@ def test_eval_many_non_finite_coefficients_do_not_warn(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = p.eval_many(X)
+        rows = [p.eval_many(x[None]).tolist()[0] for x in X]
     assert repr(got.tolist()) == repr([p(x) for x in X])
+    assert repr(rows) == repr([p(x) for x in X])

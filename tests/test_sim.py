@@ -714,6 +714,55 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
         assert got.getvalue() == ref.getvalue()
 
 
+def _per_row_percent_writer(traj, fh):
+    # the one-% per row writer that write_trajectory replaced: one template
+    # per chunk, applied to each row of the chunk's columns
+    dim = traj.chunks[0][1].shape[1] if traj.chunks else 0
+    cols = ["t"] + [f"x{k + 1}" for k in range(dim)] + ["mode", "alpha", "psi"]
+    fh.write("\t".join(cols) + "\n")
+    for times, states, mode, alphas, psi in traj.chunks:
+        row = ("%.9g\t" + "%.12g\t" * dim + mode.replace("%", "%%")
+               + ("\t%.9g\t" if alphas is not None else "\t\t")
+               + ("%.12g\n" if psi is not None else "\n"))
+        columns = [times, *states.T.tolist()]
+        columns += [c for c in (alphas, psi) if c is not None]
+        for values in zip(*columns):
+            fh.write(row % values)
+    fh.write("\n# events\n# t\tkind\tdetail\n")
+    for (t, kind, detail) in traj.events:
+        fh.write(f"{t:.9g}\t{kind}\t{detail}\n")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_write_trajectory_matches_per_row_percent_writer(dim):
+    # chunks with and without alpha and psi, one-row chunks, a % in a mode
+    # and values that print in every %g form: the one % per chunk writes
+    # the bytes of one % per row
+    rng = np.random.default_rng(dim)
+
+    def column(m):
+        return (rng.normal(size=m) * 10.0 ** rng.integers(-12, 12, size=m)).tolist()
+
+    traj = Trajectory()
+    t = 0.0
+    for k, (m, alpha, psi, mode) in enumerate([
+            (40, False, True, "smooth:1"), (1, False, True, "smooth:1"),
+            (25, True, True, "sliding:1,2"), (17, True, False, "sliding:1,2"),
+            (1, True, False, "sliding:1,2"), (3, False, False, "mode 100%s %d"),
+            (1, False, False, "stopped:t_end")]):
+        times = (t + np.cumsum(rng.uniform(0.0, 1e-3, size=m))).tolist()
+        t = times[-1]
+        traj.add(times, rng.normal(size=(m, dim)) * 1e3 ** k, mode,
+                 column(m) if alpha else None, column(m) if psi else None)
+        traj.events.append((t, "crossing", f"({k},{k + 1})"))
+    traj.chunks[2][1][0] = [np.inf, -0.0, np.nan][:dim]
+    for t in (traj, Trajectory()):
+        got, ref = io.StringIO(), io.StringIO()
+        write_trajectory(t, got)
+        _per_row_percent_writer(t, ref)
+        assert got.getvalue() == ref.getvalue()
+
+
 # sha256 of each corpus run's TSV (tests/trajectory_corpus.py); a change
 # that alters trajectories on purpose prints the new ones with that module
 PINNED_DIGESTS = {

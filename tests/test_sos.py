@@ -508,9 +508,10 @@ def test_attractivity_programs_match_reference(monkeypatch, systems_dir, name):
     def programs():
         seen = []
         with monkeypatch.context() as mp:
-            # an infeasible answer makes check_attractivity try every vertex pair
+            # an optimal answer makes check_attractivity try every vertex pair
             mp.setattr(certify_module, "solve",
-                       lambda pr: seen.append(pr) or SdpSolution(INFEASIBLE))
+                       lambda pr: seen.append(pr) or SdpSolution(
+                           FEASIBLE, solver_status="native:optimal:1"))
             for b in sys_.boundaries:
                 certify_module.check_attractivity(sys_, (b.i, b.j))
         return seen
@@ -642,8 +643,9 @@ QUADRANT_CUBIC_DIGESTS = {
     4: "4e3022e19400af70897370c3a30a7c0beccb1f3b9aa8905ab265cb015f543019",
     10: "406aba9b23fc92fa52d767d7b1ef20d02c12353ad008870a7840c434b56010da",
 }
+# the first attractivity program, L_f chi * L_g chi - l*chi SOS
 QUADRANT_CUBIC_ATTRACTIVITY_DIGEST = (
-    "8e9a2ab21e40a40d9703c033cd377d15b8eada5feebf6b37b108f190a47bdd1d")
+    "f504b84b5e1302ec6495798a8ce3df6ee1c05b0ae1001295d0e77bb7ba8b9e96")
 # test_three_variable_programs_match_reference's programs, as the
 # dict-of-dicts LinPoly and per-row dict assembly built them
 THREE_VARIABLE_DIGESTS = {
