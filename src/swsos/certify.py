@@ -53,7 +53,6 @@ MARGIN = 1e-4
 @dataclass
 class CertificationConfig:
     lyapunov_degree: int = 6
-    use_attractivity_filter: bool = True
 
     def __post_init__(self):
         if self.lyapunov_degree < 2 or self.lyapunov_degree % 2 != 0:
@@ -68,7 +67,7 @@ class Certificate:
     sos_evidence: SosCertificate = None
     config: CertificationConfig = None
     oracle_report: OracleReport = None
-    attractive_pairs: list = None                      # None = filter off
+    attractive_pairs: list = field(default_factory=list)  # (i,j) that may slide
     glue_residuals: dict = field(default_factory=dict)
     system_hash: str = ""
     solve_seconds: float = 0.0
@@ -87,7 +86,6 @@ class Certificate:
                 "margin_mu": MARGIN,
                 "margin_nu": MARGIN,
                 "pd_epsilon": MARGIN,
-                "use_attractivity_filter": self.config.use_attractivity_filter,
             }
         if self.lyapunov:
             out["lyapunov"] = {
@@ -103,8 +101,7 @@ class Certificate:
         if self.glue_residuals:
             out["glue_residuals"] = {f"{i},{j}": r
                                      for (i, j), r in sorted(self.glue_residuals.items())}
-        if self.attractive_pairs is not None:
-            out["attractive_pairs"] = [list(p) for p in self.attractive_pairs]
+        out["attractive_pairs"] = [list(p) for p in self.attractive_pairs]
         if self.sos_evidence is not None:
             out["sos_evidence"] = {
                 "solver_status": self.sos_evidence.solver_status,
@@ -189,8 +186,10 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
                       cross_pairs=None):
     """Assemble the joint feasibility SDP.
 
-    cross_pairs: ordered boundary pairs for which the cross-Lie constraint
-    is included; None enforces it for both orders of every boundary.
+    cross_pairs: declared boundary pairs (b.pair) whose boundaries keep
+    their cross-Lie constraints, those of (i, j) then (j, i) for each pair
+    in the order given; None keeps them on every boundary, in
+    sys.boundaries order.
 
     Returns (SdpProblem, plan) where plan carries the decision-variable
     LinPoly objects needed to read the solution back.
@@ -202,9 +201,7 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     margin = _margin(n, deg)
 
     if cross_pairs is None:
-        cross_pairs = []
-        for b in sys.boundaries:
-            cross_pairs.extend([(b.i, b.j), (b.j, b.i)])
+        cross_pairs = [b.pair for b in sys.boundaries]
 
     V = {}
     for rid in sorted(sys.regions):
@@ -227,14 +224,15 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
                 cid=f"lie{rid}v{l}",
                 target=lie_derivative(neg_V[rid], f) - margin,
                 equality_generators=eq, inequality_generators=ineq))
-    for (i, j) in cross_pairs:
-        chi_ij = sys.boundary(i, j).chi
-        for l, f in enumerate(sys.dynamics[j].vertices):
-            constraints.append(PositivityConstraint(
-                cid=f"cross{i}_{j}v{l}",
-                target=lie_derivative(neg_V[i], f) - margin,
-                equality_generators=[chi_ij],
-                inequality_generators=list(box_gens)))
+    for pair in cross_pairs:
+        chi = sys.boundary(*pair).chi
+        for i, j in (pair, pair[::-1]):
+            for l, f in enumerate(sys.dynamics[j].vertices):
+                constraints.append(PositivityConstraint(
+                    cid=f"cross{i}_{j}v{l}",
+                    target=lie_derivative(neg_V[i], f) - margin,
+                    equality_generators=[chi],
+                    inequality_generators=list(box_gens)))
 
     glue = {}
     identities = []
@@ -248,8 +246,7 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     # Minimizing total Gram trace keeps the returned certificate at a sane
     # coefficient scale (the feasible set is unbounded upward).
     problem.c[svec_diagonal([n for _, n in problem.psd_blocks])] = 1.0
-    plan = {"V": V, "glue": glue, "constraints": constraints,
-            "cross_pairs": list(cross_pairs)}
+    plan = {"V": V, "glue": glue, "constraints": constraints}
     return problem, plan
 
 
@@ -264,25 +261,20 @@ def require_valid(sys: SwitchedSystem):
 
 def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
             oracle_cfg: OracleConfig = None) -> Certificate:
-    """Run the full pipeline: pre-filter, SDP, extraction, oracle gate."""
+    """Run the full pipeline: attractivity test, SDP, extraction, oracle
+    gate.
+
+    The boundaries on which check_attractivity does not rule out sliding
+    keep their cross conditions: one list of their declared pairs (b.pair)
+    goes to build_feasibility, to the oracle and to attractive_pairs.
+    """
     cfg = cfg or CertificationConfig()
     t0 = time.time()
     require_valid(sys)
 
-    cross_pairs = None
-    attractive = None
-    if cfg.use_attractivity_filter:
-        cross_pairs = []
-        attractive = []
-        for b in sys.boundaries:
-            status = check_attractivity(sys, (b.i, b.j))
-            if status != NOT_ATTRACTIVE:
-                # sliding not ruled out (or test inconclusive): keep the
-                # cross conditions for both orderings
-                cross_pairs.extend([(b.i, b.j), (b.j, b.i)])
-                attractive.append((b.i, b.j))
-
-    problem, plan = build_feasibility(sys, cfg, cross_pairs=cross_pairs)
+    attractive = [b.pair for b in sys.boundaries
+                  if check_attractivity(sys, b.pair) != NOT_ATTRACTIVE]
+    problem, plan = build_feasibility(sys, cfg, cross_pairs=attractive)
     sol = solve(problem)
 
     if sol.status != FEASIBLE:
@@ -318,11 +310,8 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
         cert.glue_residuals[(b.i, b.j)] = residual
         glue_ok &= residual <= GLUE_RESIDUAL_TOL
 
-    oracle_pairs = None
-    if cfg.use_attractivity_filter:
-        oracle_pairs = set(attractive)
     cert.oracle_report = verify_certificate(sys, lyapunov, oracle_cfg,
-                                            attractive_pairs=oracle_pairs)
+                                            attractive_pairs=attractive)
 
     if cert.oracle_report.passed and glue_ok:
         cert.status = CERTIFIED

@@ -12,6 +12,11 @@ Exit codes are the machine contract:
 A usage error (an unknown option, a missing or malformed argument) is an
 input error too: every command exits 1 on it, and -h exits 0.
 
+certify always runs the attractivity test; a certificate's
+attractive_pairs lists the boundaries that keep cross (sliding)
+conditions, and verify checks lie_boundary only there, a pair in either
+order naming its boundary (everywhere for a file without the key).
+
 Every output file records the hash of the run manifest (command, inputs,
 config, seed) so reports can be traced back to the exact invocation.
 
@@ -219,15 +224,11 @@ def cmd_certify(args) -> int:
         require_valid(sys_)
     except SystemFormatError as exc:
         raise InputError(str(exc)) from exc
-    cfg = _config(CertificationConfig,
-                  lyapunov_degree=args.degree,
-                  use_attractivity_filter=not args.no_attractivity_filter)
+    cfg = _config(CertificationConfig, lyapunov_degree=args.degree)
     oracle_cfg = _config(OracleConfig, seed=args.seed, tolerance=args.tolerance)
     manifest = make_manifest(
         "certify", [args.system],
-        {"degree": args.degree,
-         "no_attractivity_filter": args.no_attractivity_filter,
-         "tolerance": args.tolerance},
+        {"degree": args.degree, "tolerance": args.tolerance},
         args.seed, args.out_dir)
     out = _out_dir(args.out_dir) / f"{Path(args.system).stem}.certificate.json"
 
@@ -429,16 +430,19 @@ def cmd_verify(args) -> int:
     # certificate files record which boundaries can host sliding; cross-Lie
     # conditions only apply there.  Plain Lyapunov files check every pair.
     pairs = doc.get("attractive_pairs")
-    if pairs is not None:
-        known = sorted(b.pair for b in sys_.boundaries)
-        declared = set(known) | {(j, i) for i, j in known}
-        if not (isinstance(pairs, list) and all(
-                isinstance(p, list) and all(type(r) is int for r in p)
-                and tuple(p) in declared for p in pairs)):
-            raise InputError(
-                f"{args.lyapunov}: 'attractive_pairs' must be a list of [i, j] "
-                f"pairs naming declared boundaries {known}")
-        pairs = {tuple(p) for p in pairs}
+    try:
+        # sys_.boundary raises KeyError for a pair naming no boundary and
+        # TypeError for one of other than two entries
+        named = pairs is None or isinstance(pairs, list) and all(
+            isinstance(p, list) and all(type(r) is int for r in p)
+            and sys_.boundary(*p) is not None for p in pairs)
+    except (KeyError, TypeError):
+        named = False
+    if not named:
+        raise InputError(
+            f"{args.lyapunov}: 'attractive_pairs' must be a list of [i, j] "
+            f"pairs naming declared boundaries "
+            f"{sorted(b.pair for b in sys_.boundaries)}")
     cfg = _config(OracleConfig, seed=args.seed, tolerance=args.tolerance)
     manifest = make_manifest("verify", [args.system, args.lyapunov],
                              {"tolerance": args.tolerance},
@@ -509,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("--degree", type=int, default=6,
                    help="Lyapunov polynomial degree (even, default 6)")
-    p.add_argument("--no-attractivity-filter", action="store_true",
-                   help="enforce cross-Lie conditions on every boundary")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="integrate a Filippov trajectory")

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, lie_derivative
+from .poly import lie_derivative
 from .system import SwitchedSystem, SemiAlgebraicRegion, BoundaryVariety
 
 # Candidate points per chunk of verify_certificate's streaming pass
@@ -355,9 +355,10 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     """Refutation-check a Lyapunov family against every sampled condition.
 
     lyapunov: mapping region id -> Polynomial.
-    attractive_pairs: if given, lie_boundary is only checked for ordered
-    pairs in this collection (the attractivity pre-filter's output); None
-    checks every boundary pair in both orders.
+    attractive_pairs: None checks lie_boundary, in both orders, on every
+    boundary; otherwise only on the boundaries these pairs name, a pair in
+    either order (certify's attractive_pairs).  A pair that names no
+    boundary raises KeyError.
 
     The region conditions are checked in one pass over the candidate
     chunks, each region's survivors gathered per chunk, and give the
@@ -367,6 +368,8 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     origin_values (0.0 without origin regions).
     """
     cfg = cfg or OracleConfig()
+    if attractive_pairs is not None:
+        attractive_pairs = {sys.boundary(i, j).pair for i, j in attractive_pairs}
     rng = np.random.default_rng(cfg.seed)
     report = OracleReport(config=cfg)
     missing = [rid for rid in sys.regions if rid not in lyapunov]
@@ -419,10 +422,9 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
             _record(report, "continuity", f"boundary ({bnd.i},{bnd.j})",
                     viol, cols)
 
-            for (i, j) in ((bnd.i, bnd.j), (bnd.j, bnd.i)):
-                if attractive_pairs is not None and (i, j) not in attractive_pairs \
-                        and (j, i) not in attractive_pairs:
-                    continue
+            if attractive_pairs is not None and bnd.pair not in attractive_pairs:
+                continue
+            for (i, j) in (bnd.pair, bnd.pair[::-1]):
                 V = lyapunov[i]
                 for l, f in enumerate(sys.dynamics[j].vertices):
                     lie = lie_derivative(V, f)

@@ -37,9 +37,8 @@ from itertools import chain
 
 import numpy as np
 
-# INFEASIBLE is re-exported for callers that import it from here
-from .backend import (FEASIBLE, INACCURATE_TOL, INFEASIBLE, SdpProblem, SdpSolution,
-                      solve, svec_offsets, svec_triangle)
+from .backend import (FEASIBLE, INACCURATE_TOL, SdpProblem, SdpSolution, solve,
+                      svec_offsets, svec_triangle)
 from .poly import Monomial, Polynomial, grlex_rank, monomial_basis
 
 GRAM_EIG_TOL = 1e-7

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from swsos import sim
+from swsos.backend import INFEASIBLE
 from swsos.certify import CERTIFIED, CertificationConfig, certify
 from swsos.cli import _theta_table
 from swsos.oracle import OracleConfig, verify_certificate, vertex_convexity_check
 from swsos.poly import Polynomial, monomial_basis, parse_polynomial
 from swsos.sim import SimConfig, simulate
-from swsos.sos import (FEASIBLE, INFEASIBLE, GramRepresentation,
-                       SosCertificate, extract_sos_split, sos_decompose)
+from swsos.sos import (FEASIBLE, GramRepresentation, SosCertificate,
+                       extract_sos_split, sos_decompose)
 
 SWEEP_THETAS = (0.0, 0.3, 0.5, 0.7, 1.0)
 SWEEP_STARTS = ((2.0, 2.0), (-2.0, 2.0), (-2.0, -2.0), (2.0, -2.0))

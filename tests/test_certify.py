@@ -5,6 +5,8 @@ the pipeline is exercised end to end on 1-D systems and the pre-filter and
 assembly logic on the shipped 2-D examples.
 """
 
+import json
+import re
 from dataclasses import fields, replace
 from importlib import import_module
 
@@ -17,6 +19,7 @@ from swsos.certify import (ATTRACTIVE, CERTIFIED, NO_CERTIFICATE,
                            NOT_ATTRACTIVE, SUSPECT, Certificate,
                            CertificationConfig, build_feasibility, certify,
                            check_attractivity)
+from swsos.cli import main
 from swsos.oracle import OracleReport
 from swsos.poly import lie_derivative
 from swsos.system import load_system, parse_system
@@ -39,8 +42,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CertificationConfig(lyapunov_degree=0)
     # the margins are the constant certify.MARGIN
-    assert [f.name for f in fields(CertificationConfig)] == [
-        "lyapunov_degree", "use_attractivity_filter"]
+    assert [f.name for f in fields(CertificationConfig)] == ["lyapunov_degree"]
 
 
 def test_certify_stable_scalar_degree2(small_oracle):
@@ -225,4 +227,61 @@ def test_certificate_to_dict_round_trip_keys(quadrant_system, small_oracle):
     # the same order
     assert list(doc["config"].items()) == [
         ("lyapunov_degree", 4), ("margin_mu", 1e-4), ("margin_nu", 1e-4),
-        ("pd_epsilon", 1e-4), ("use_attractivity_filter", True)]
+        ("pd_epsilon", 1e-4)]
+
+
+# one boundary that can slide, (1,2), and two that cannot, (1,3) and (2,3),
+# in one partition: on x2 = 0 region 1's field points down and region 2's
+# up, while region 3's field is tangent to x2 = 0 and every field is tangent
+# to x1 = 0
+MIXED = {
+    "dimension": 2,
+    "box": [[-2.0, 2.0], [-2.0, 2.0]],
+    "regions": [
+        {"id": 1, "chi": "0", "xi": ["x2"], "witness": [0.0, 1.0]},
+        {"id": 2, "chi": "0", "xi": ["-x2", "x1"], "witness": [1.0, -1.0]},
+        {"id": 3, "chi": "0", "xi": ["-x2", "-x1"], "witness": [-1.0, -1.0]},
+    ],
+    "boundaries": [
+        {"i": 1, "j": 2, "chi_ij": "x2", "witness": [1.0, 0.0]},
+        {"i": 1, "j": 3, "chi_ij": "x2", "witness": [-1.0, 0.0]},
+        {"i": 2, "j": 3, "chi_ij": "x1", "witness": [0.0, -1.0]},
+    ],
+    "dynamics": {"1": [["-x1", "-1 - x2"]], "2": [["-x1", "1 - x2"]],
+                 "3": [["-x1", "-x2"]]},
+    "origin_regions": [1, 2, 3],
+}
+
+
+def test_only_the_sliding_boundary_keeps_cross_conditions(
+        tmp_path, monkeypatch, capsys, small_oracle):
+    sys_ = parse_system(MIXED)
+    assert [check_attractivity(sys_, b.pair) for b in sys_.boundaries] == [
+        ATTRACTIVE, NOT_ATTRACTIVE, NOT_ATTRACTIVE]
+    system = tmp_path / "mixed.sys"
+    system.write_text(json.dumps(MIXED))
+    certify_module = import_module("swsos.certify")   # the attribute is the function
+    build, plans = certify_module.build_feasibility, []
+
+    def recording_build(*args, **kwargs):
+        problem, plan = build(*args, **kwargs)
+        plans.append(plan)
+        return problem, plan
+
+    monkeypatch.setattr(certify_module, "build_feasibility", recording_build)
+    assert main(["--out-dir", str(tmp_path), "certify", str(system),
+                 "--degree", "2"]) == 0
+    (plan,) = plans
+    assert {c.cid.split("v")[0] for c in plan["constraints"]
+            if c.cid.startswith("cross")} == {"cross1_2", "cross2_1"}
+    doc = json.loads((tmp_path / "mixed.certificate.json").read_text())
+    assert doc["status"] == CERTIFIED
+    assert doc["attractive_pairs"] == [[1, 2]]
+    subjects = [r["subject"] for r in doc["oracle_report"]["conditions"]
+                if r["condition"] == "lie_boundary"]
+    assert subjects == ["boundary (1,2), vertex 0", "boundary (2,1), vertex 0"]
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "verify", str(system),
+                 str(tmp_path / "mixed.certificate.json")]) == 0
+    assert re.findall(r"lie_boundary +(.*): worst",
+                      capsys.readouterr().out) == subjects

@@ -583,6 +583,42 @@ def test_attractivity_known_pairs(tmp_path, capsys):
     assert "not_attractive" in capsys.readouterr().out
 
 
+def test_certify_has_no_attractivity_filter_option(capsys):
+    # certify always runs the attractivity test: the option that skipped
+    # it is gone, and naming it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", QUAD, "--no-attractivity-filter"])
+    assert exc.value.code == 1
+    assert ("unrecognized arguments: --no-attractivity-filter"
+            in capsys.readouterr().err)
+
+
+def test_readme_command_lines_parse(capsys):
+    # every swsos line of README's sh blocks parses, without running, and
+    # every subcommand shows in one: an option removed from the parser but
+    # left in the docs fails here
+    import argparse
+    import re
+    import shlex
+
+    from swsos.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    parser = build_parser()
+    commands = set()
+    for line in lines:
+        if line.startswith("swsos "):
+            try:
+                commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+            except SystemExit:
+                pytest.fail(f"README: {line}: {capsys.readouterr().err}")
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert commands == set(subparsers.choices)
+
+
 def test_attractivity_unknown_pair(tmp_path):
     assert run(["attractivity", QUAD, "--pair", "1,9"], tmp_path) == 1
     assert run(["attractivity", QUAD, "--pair", "zzz"], tmp_path) == 1

@@ -122,6 +122,20 @@ def test_attractive_pairs_restrict_boundary_conditions(
     assert n_full > 0 and n_none == 0
 
 
+def test_attractive_pairs_name_boundaries_in_either_order(
+        quadrant_system, published_lyapunov, small_oracle):
+    forward, reverse = (
+        verify_certificate(quadrant_system, published_lyapunov,
+                           OracleConfig(), attractive_pairs=[pair])
+        for pair in [(1, 2), (2, 1)])
+    assert forward.to_dict() == reverse.to_dict()
+    assert sum(r.condition == "lie_boundary" for r in forward.records) > 0
+    # a pair that names no boundary is an error, not a pair left out
+    with pytest.raises(KeyError):
+        verify_certificate(quadrant_system, published_lyapunov,
+                           OracleConfig(), attractive_pairs=[(1, 2), (1, 3)])
+
+
 def test_report_serializes(quadrant_system, published_lyapunov, small_oracle):
     report = verify_certificate(quadrant_system, published_lyapunov,
                                 OracleConfig(), attractive_pairs=[])

@@ -5,9 +5,12 @@ untraced benchmark path reads a few more.  A rename in swsos would
 otherwise show up only as a crash of `perfbench/run.py --trace 1`; these
 tests make it fail the unit suite instead.
 """
+import hashlib
 import importlib.util
 from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,6 +56,25 @@ def test_untraced_names_exist(systems_dir):
         sys_, CertificationConfig(lyapunov_degree=4), cross_pairs=None)
     assert len(problem.equality_rows) == len(problem.b)
     assert problem.psd_blocks and problem.free_scalars
+
+
+@pytest.mark.parametrize("name", ["quadrant-cubic", "twisting"])
+def test_assemble_times_the_program_of_every_boundary(systems_dir, name):
+    # the assemble workload passes cross_pairs=None: that is the program of
+    # naming every boundary by its declared pair, triplets, b and c alike
+    from swsos.certify import CertificationConfig, build_feasibility
+    from swsos.system import load_system
+
+    def digest(problem):
+        return hashlib.sha256(b"".join(
+            arr.tobytes() for arr in (*problem.A, *problem.F, problem.b,
+                                      problem.c))).hexdigest()
+
+    sys_ = load_system(systems_dir / f"{name}.sys")
+    cfg = CertificationConfig(lyapunov_degree=4)
+    every = [b.pair for b in sys_.boundaries]
+    assert digest(build_feasibility(sys_, cfg, cross_pairs=None)[0]) == \
+        digest(build_feasibility(sys_, cfg, cross_pairs=every)[0])
 
 
 def test_traced_simulate_counts_smooth_kernel_steps(systems_dir, tmp_path,

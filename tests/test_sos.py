@@ -483,11 +483,9 @@ def test_build_feasibility_matches_reference_on_certify_cross_pairs(
     from swsos.certify import NOT_ATTRACTIVE, check_attractivity
     from swsos.system import load_system
     sys_ = load_system(systems_dir / f"{name}.sys")
-    # the cross pairs certify keeps after its attractivity filter
-    pairs = []
-    for b in sys_.boundaries:
-        if check_attractivity(sys_, (b.i, b.j)) != NOT_ATTRACTIVE:
-            pairs.extend([(b.i, b.j), (b.j, b.i)])
+    # the boundaries certify keeps cross conditions on
+    pairs = [b.pair for b in sys_.boundaries
+             if check_attractivity(sys_, b.pair) != NOT_ATTRACTIVE]
     for degree in (2, 4, 6):
         (new, _), (ref, _) = _both(
             monkeypatch, lambda: _feasibility(systems_dir, name, degree, pairs))
