@@ -203,15 +203,16 @@ def _parse_floats(text: str, what: str):
         raise InputError(f"bad {what} {text!r}: {exc}") from exc
 
 
-def _theta_table(sys_, th11: float) -> dict:
-    """Per-region simplex weights for a scalar sweep value.
+def _theta_table(sys_, weights) -> dict:
+    """Per-region simplex weights for one run.
 
-    Two-vertex regions get (v, 1-v); every other region is left out of
-    the table, so it keeps its first vertex.  This is how a one-parameter
-    uncertainty sweep is applied to a mixed system.
+    Every region with len(weights) vertices gets tuple(weights); every
+    other region is left out of the table, so it keeps its first vertex.
+    A sweep value v is the weights (v, 1 - v): a one-parameter
+    uncertainty sweep applied to the two-vertex regions of a mixed system.
     """
-    return {rid: (th11, 1.0 - th11)
-            for rid, dyn in sys_.dynamics.items() if dyn.count == 2}
+    return {rid: tuple(weights) for rid, dyn in sys_.dynamics.items()
+            if dyn.count == len(weights)}
 
 
 # -- commands ------------------------------------------------------------------
@@ -263,39 +264,34 @@ def cmd_simulate(args) -> int:
 
     if args.theta is not None and args.theta_sweep is not None:
         raise InputError("--theta and --theta-sweep cannot be given together")
+    # one (file label, weights) per run, each checked the same way
     if args.theta_sweep is not None:
-        sweep = _parse_floats(args.theta_sweep, "--theta-sweep")
-        if not all(0.0 <= v <= 1.0 for v in sweep):
-            raise InputError(f"--theta-sweep {sweep} has a value outside [0, 1]")
-        if not any(dyn.count == 2 for dyn in sys_.dynamics.values()):
-            raise InputError("--theta-sweep sets two-vertex regions, but no "
-                             "region has two vertices")
-        # one file per value: two values with one label would share it
-        labels = {}
-        for text, v in zip(args.theta_sweep.split(","), sweep):
-            label = f"theta{v:g}"
-            if label in labels:
-                raise InputError(f"--theta-sweep values {labels[label]!r} and "
-                                 f"{text!r} both write the file label {label}")
-            labels[label] = text
-        thetas = [(label, _theta_table(sys_, v)) for label, v in zip(labels, sweep)]
+        flag, texts = "--theta-sweep", args.theta_sweep.split(",")
+        runs = [(f"theta{v:g}", (v, 1.0 - v))
+                for v in _parse_floats(args.theta_sweep, flag)]
     elif args.theta is not None:
-        weights = _parse_floats(args.theta, "--theta")
-        # field_at's own test, so an accepted theta is never refused later
-        if not on_simplex(weights):
-            raise InputError(f"--theta {weights} is not on the simplex")
-        table = {rid: tuple(weights) for rid, dyn in sys_.dynamics.items()
-                 if dyn.count == len(weights)}
-        if not table:
-            raise InputError(
-                f"--theta has {len(weights)} weights but no region has "
-                f"that many vertices")
-        thetas = [("theta", table)]
+        flag, texts = "--theta", [args.theta]
+        runs = [("theta", _parse_floats(args.theta, flag))]
     else:
-        thetas = [("theta-default", None)]
-    configs = [(label, _config(SimConfig, step=args.step, t_end=args.t_end,
-                               theta=table))
-               for label, table in thetas]
+        flag, texts, runs = None, [None], [("theta-default", None)]
+    configs, labels = [], {}
+    for text, (label, weights) in zip(texts, runs):
+        # one file per run: two values with one label would share it
+        if label in labels:
+            raise InputError(f"{flag} values {labels[label]!r} and {text!r} "
+                             f"both write the file label {label}")
+        labels[label] = text
+        table = None
+        if weights is not None:
+            # field_at's own test, so an accepted theta is never refused later
+            if not on_simplex(weights):
+                raise InputError(f"{flag} {list(weights)} is not on the simplex")
+            table = _theta_table(sys_, weights)
+            if not table:
+                raise InputError(f"{flag} sets {len(weights)}-vertex regions, "
+                                 f"but no region has {len(weights)} vertices")
+        configs.append((label, _config(SimConfig, step=args.step,
+                                       t_end=args.t_end, theta=table)))
 
     manifest = make_manifest(
         "simulate",
@@ -312,7 +308,7 @@ def cmd_simulate(args) -> int:
         name = f"{Path(args.system).stem}__{label}.trajectory.tsv"
         with open(out_dir / name, "w") as fh:
             write_trajectory(traj, fh, manifest_hash=manifest["hash"])
-        last = traj.events[-1] if traj.events else (traj.final_time, "t_end", "")
+        last = traj.events[-1]
         return name, (f"{name}: {traj.count} points, final event {last[1]} "
                       f"at t={last[0]:.4g}, "
                       f"||x||={np.linalg.norm(traj.final_state):.3e}")

@@ -29,7 +29,8 @@ with `take`, and folds every condition's worst case into a running
 record, so its memory does not grow with the grid; `sample_region`
 streams the same chunks and keeps only the survivors.  A random chunk is
 one rng.random draw scaled in place to lo + (hi - lo) * d, the formula of
-numpy's uniform.  Per chunk the norms and the exclusion-ball mask are
+numpy's uniform.  Per chunk the norms (squares summed in variable
+order, the simulator's ball-test rule) and the exclusion-ball mask are
 taken once, and per region the scale 1 + |x|^d once for each distinct
 degree d of its conditions.  Boundary
 points come from random segments drawn in rounds with rng.uniform and
@@ -152,35 +153,14 @@ def _candidate_chunks(box, rng):
         yield cols
 
 
-def _pairwise_sum(terms):
-    """Sum of equal-shape arrays in numpy's pairwise order: a sequential
-    sum below 8 terms, eight partial sums up to 128, a halving split above."""
-    n = len(terms)
-    if n < 8:
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return total
-    if n <= 128:
-        stop = n - n % 8
-        r = terms[:8]
-        for i in range(8, stop, 8):
-            r = [a + b for a, b in zip(r, terms[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for t in terms[stop:]:
-            total = total + t
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 def _norms(cols) -> np.ndarray:
-    """Euclidean norm of each point of cols (n, m), bit for bit
-    np.linalg.norm(rows, axis=1) on the C-contiguous rows (m, n), which
-    sums each row's squares pairwise; a plain column sum would add them
-    sequentially and round differently for n >= 8."""
-    return np.sqrt(_pairwise_sum([c * c for c in cols]))
+    """Euclidean norm of each point of cols (n, m): the squares summed in
+    variable order, sqrt(0.0 + x0*x0 + x1*x1 + ...) at each point, the
+    ball test's arithmetic in the RK4 kernels and in sim.simulate."""
+    total = cols[0] * cols[0]
+    for c in cols[1:]:
+        total += c * c
+    return np.sqrt(total, out=total)
 
 
 def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
@@ -196,16 +176,10 @@ def sample_region(sys: SwitchedSystem, region: SemiAlgebraicRegion,
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     kept = []
     for chunk in _candidate_chunks(sys.box, rng):
-        keep = _region_keep(region, chunk, _norms(chunk) >= EXCLUSION_RADIUS, cfg)
-        kept.append(chunk[:, keep].T)
+        outside = _norms(chunk) >= EXCLUSION_RADIUS
+        kept.append(chunk[:, outside & region.contains(chunk, cfg.tolerance)].T)
     pts = np.concatenate(kept)          # C-contiguous
     return pts, _survivor_warnings(region, pts.shape[0])
-
-
-def _region_keep(region: SemiAlgebraicRegion, cols, outside, cfg: OracleConfig):
-    """Mask of the points of cols (n, m) that sample_region keeps, given
-    outside, the mask of those outside the exclusion ball."""
-    return outside & region.contains(cols, cfg.tolerance)
 
 
 def _survivor_warnings(region: SemiAlgebraicRegion, count: int) -> list:
@@ -394,7 +368,7 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
             chunk_norms = _norms(chunk)
             outside = chunk_norms >= EXCLUSION_RADIUS
             for region, degrees, (V, deg, worst), lies in checks:
-                idx = np.flatnonzero(_region_keep(region, chunk, outside, cfg))
+                idx = np.flatnonzero(outside & region.contains(chunk, cfg.tolerance))
                 cols, norms = chunk.take(idx, axis=1), chunk_norms.take(idx)
                 scale = {d: _scale(norms, d) for d in degrees}
                 # positivity: V - V(0) must dominate a tolerance-sized

@@ -42,14 +42,21 @@ class SemiAlgebraicRegion:
     def contains(self, x, tol: float):
         """|chi(x)| <= tol and every xi(x) >= -tol, at one point x with one
         float per variable (a list of floats is fastest) as a bool, or at
-        each point of columns x (n, m) as a mask of length m, also where
-        chi and every xi are constant."""
+        each point of columns x (n, m) as a fresh bool mask of length m.
+
+        Both evaluate the term lists with eval_terms, so each point's test
+        is the pointwise one and a nan value fails it.  On columns nothing
+        warns, and a constant chi or xi is one float and one comparison,
+        never an m-length array."""
         if len(x) != self.chi.dim:
             raise ValueError(f"point has {len(x)} coordinates, expected {self.chi.dim}")
         if isinstance(x, np.ndarray) and x.ndim == 2:
-            mask = np.abs(self.chi.eval_columns(x)) <= tol
-            for g in self.xi:
-                mask &= g.eval_columns(x) >= -tol
+            cols = list(x)
+            mask = np.ones(x.shape[1], dtype=bool)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mask &= abs(eval_terms(self.chi._term_list(), cols)) <= tol
+                for g in self.xi:
+                    mask &= eval_terms(g._term_list(), cols) >= -tol
             return mask
         return (abs(eval_terms(self.chi._term_list(), x)) <= tol
                 and all(eval_terms(g._term_list(), x) >= -tol for g in self.xi))

@@ -43,7 +43,7 @@ def sources() -> dict:
     chis = tuple(b.chi._term_list() for b in quadrant.boundaries)
     out = {}
     for v in THETAS:
-        table = _theta_table(quadrant, v)
+        table = _theta_table(quadrant, (v, 1.0 - v))
         fields = {rid: terms(quadrant.field_at(rid, table.get(rid)))
                   for rid in sorted(quadrant.regions)}
         for rid, field in fields.items():

@@ -37,7 +37,7 @@ def theta_sweep(quadrant_system, published_lyapunov):
     """All 20 corner-start trajectories, shared by the sweep criteria."""
     runs = []
     for th in SWEEP_THETAS:
-        cfg = SimConfig(t_end=50.0, theta=_theta_table(quadrant_system, th))
+        cfg = SimConfig(t_end=50.0, theta=_theta_table(quadrant_system, (th, 1.0 - th)))
         for x0 in SWEEP_STARTS:
             runs.append((th, x0, simulate(quadrant_system, x0, cfg,
                                           certificate=published_lyapunov)))

@@ -354,7 +354,7 @@ def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     (["simulate", QUAD, "--x0", "1,1", "--theta-sweep", "0,0.5,0.50"],
      "--theta-sweep values '0.5' and '0.50' both write the file label theta0.5"),
     (["simulate", OPPOSING, "--x0", "0.3,0.5", "--theta-sweep", "0,1"],
-     "no region has two vertices"),
+     "no region has 2 vertices"),
 ], ids=["theta-and-sweep", "sweep-shared-label", "sweep-no-two-vertex-region"])
 def test_simulate_theta_flag_misuse_is_input_error(tmp_path, capsys, args,
                                                    message):

@@ -3,8 +3,13 @@
 A name that a module imports and never reads is dead weight at best and a
 second home for a name at worst (a re-export that callers start to rely
 on).  A module that means to re-export a name lists it in `__all__`.
+
+Every function, class and method the package defines is read by the
+package or by perfbench: a name that only tests read is code kept for its
+tests, and each such name that stays on purpose is listed with its reason.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,74 @@ def test_the_check_sees_an_unread_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_level_imports_are_read(module):
     assert _unread_imports((PACKAGE / module).read_text()) == []
+
+
+# -- every package name has a reader -------------------------------------------
+
+ROOT = PACKAGE.parent.parent
+# names that neither the package nor perfbench reads, each kept on purpose
+UNREAD_ON_PURPOSE = {
+    "system_to_dict": "tests pin parse_system against its documents",
+    "vertex_convexity_check": "acceptance criterion 9 calls it",
+}
+
+
+def _defined_names(source: str) -> dict:
+    """Module-level functions and classes and their non-dunder methods,
+    name -> line."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            names[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            names.update((item.name, item.lineno) for item in node.body
+                         if isinstance(item, defs)
+                         and not (item.name.startswith("__") and item.name.endswith("__")))
+    return names
+
+
+def _read_names(source: str) -> set:
+    """Names read as a Name or an Attribute, imported under an alias, or
+    spelled out by a string constant that is a dotted name (as perfbench
+    names its tracer targets); prose such as a docstring is not a reader."""
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.update(n.name.split("."))
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", n.value)):
+            read.update(n.value.split("."))
+    return read
+
+
+def _unread_names(defined: dict, readers) -> list:
+    read = set().union(*(_read_names(s) for s in readers))
+    return sorted(f"{module}:{line}: {name}"
+                  for module, names in defined.items()
+                  for name, line in names.items() if name not in read)
+
+
+def test_the_check_sees_a_name_only_tests_read():
+    defined = {"m.py": _defined_names(
+        "def used(): pass\ndef unread(): pass\n"
+        "class C:\n    def __init__(self): pass\n    def meth(self): pass\n"
+        "def traced(): pass\n")}
+    readers = ["used()\nC().other\n", "TARGETS = ['m.traced']\n",
+               "'''unread is named in this docstring only'''\n"]
+    assert _unread_names(defined, readers) == ["m.py:2: unread", "m.py:5: meth"]
+
+
+def test_every_package_name_is_read_by_the_package_or_perfbench():
+    defined = {p.name: _defined_names(p.read_text()) for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text() for p in [*(ROOT / "src").rglob("*.py"),
+                                       *(ROOT / "perfbench").rglob("*.py")]
+               if not p.name.startswith("test_")]
+    unread = _unread_names(defined, readers)
+    assert [u for u in unread if u.split(": ")[-1] not in UNREAD_ON_PURPOSE] == []
+    # every allowlisted name is still defined and still unread
+    assert sorted(u.split(": ")[-1] for u in unread) == sorted(UNREAD_ON_PURPOSE)

@@ -865,7 +865,7 @@ def test_kernels_bit_identical_on_chattering_run(quadrant_system, monkeypatch):
                         compiled(_kernels.sliding_kernel))
     monkeypatch.setattr(_kernels, "rk4_smooth_run", smooth_run)
     monkeypatch.setattr(_kernels, "rk4_sliding_run", sliding_run)
-    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
+    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, (1.0, 0.0)))
     traj = simulate(quadrant_system, (0.3, -2.0), cfg)
     assert traj.event_kinds().count("sliding_entry") == 1
     assert codes.count(_kernels.STOP_BOUNDARY) == 1

@@ -319,13 +319,18 @@ def test_oracle_reports_are_pinned():
 
 @pytest.mark.parametrize("n", [*range(1, 21), 64, 127, 128, 129, 200, 300, 517])
 def test_norms_match_linalg_norm_on_rows(n):
-    # numpy sums each row pairwise; a column sum rounds differently for
-    # n >= 8 on these points, so only the mirrored order gives the same bits
+    # the one |x| rule at every n: the squares summed in variable order
+    # from 0.0, the ball test of sim.simulate and of the RK4 kernels.
+    # numpy sums each row pairwise, the same order only below 8 terms
+    import math
     from swsos.oracle import _norms
+    from swsos.sim import _dot
     rows = np.random.default_rng(n).uniform(-2.0, 2.0, size=(1000, n))
-    expected = np.linalg.norm(rows, axis=1)
-    got = _norms(np.ascontiguousarray(rows.T))
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    got = _norms(np.ascontiguousarray(rows.T)).view(np.int64)
+    ball = np.array([math.sqrt(_dot(p, p)) for p in rows.tolist()])
+    assert np.array_equal(got, ball.view(np.int64))
+    if n <= 7:
+        assert np.array_equal(got, np.linalg.norm(rows, axis=1).view(np.int64))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])

@@ -389,7 +389,7 @@ def test_chattering_run_pins_event_counts(quadrant_system):
     # sliding entries that exited at once; the final state is the same to 5
     # digits
     from swsos.cli import _theta_table
-    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, 1.0))
+    cfg = SimConfig(t_end=2.0, theta=_theta_table(quadrant_system, (1.0, 0.0)))
     traj = simulate(quadrant_system, (0.3, -2.0), cfg)
     assert [(kind, detail) for _, kind, detail in traj.events] == [
         ("crossing", "(1,2)"), ("sliding_entry", "(1,2)"), ("t_end", "")]
@@ -403,7 +403,7 @@ def test_theta1_run_from_2_2_matches_closed_form(quadrant_system):
     # event band of |chi| <= 1e-9 logged a crossing at t = 19.58, where
     # x1*x2 entered it, and ended the run in the third quadrant
     from swsos.cli import _theta_table
-    cfg = SimConfig(t_end=50.0, theta=_theta_table(quadrant_system, 1.0))
+    cfg = SimConfig(t_end=50.0, theta=_theta_table(quadrant_system, (1.0, 0.0)))
     traj = simulate(quadrant_system, (2.0, 2.0), cfg)
     assert traj.event_kinds() == ["t_end"]
     x1, x2 = traj.final_state
@@ -695,7 +695,7 @@ def test_write_trajectory_matches_per_row_writer(quadrant_system,
     assert any(p.alpha is not None and p.psi is None for p in bare.points)
     chatter = simulate(quadrant_system, (0.3, -2.0),
                        SimConfig(t_end=2.0,
-                                 theta=_theta_table(quadrant_system, 1.0)),
+                                 theta=_theta_table(quadrant_system, (1.0, 0.0))),
                        certificate=published_lyapunov)
     crossings = [c for c in chatter.chunks
                  if len(c[0]) == 1 and c[2].startswith("smooth:")]

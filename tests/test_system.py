@@ -146,7 +146,8 @@ def test_locate_quadrants(quadrant_system):
 def test_contains_many_with_zero_chi_matches_contains(tol):
     # on columns, a zero chi's test is 0.0 <= tol at every point, nan and
     # inf included, as the pointwise contains finds; with no xi either (as
-    # in unstable-scalar.sys) columns still get a mask
+    # in unstable-scalar.sys) columns still get a mask.  So do constant
+    # chi and xi of either sign, and a chi that reads the point
     from swsos.poly import parse_polynomial
     from swsos.system import SemiAlgebraicRegion
     nan, inf = float("nan"), float("inf")
@@ -155,13 +156,17 @@ def test_contains_many_with_zero_chi_matches_contains(tol):
               (nan, 2.0), (1.0, nan), (nan, nan), (inf, 2.0), (-inf, 2.0),
               (1.0, inf), (1.0, -inf), (inf, -inf)]
     cols = np.ascontiguousarray(np.array(points).T)
-    for xi in (["x1", "x2 - 1"], []):
+    for chi, xi in [("0", ["x1", "x2 - 1"]), ("0", []), ("5e-7", ["x1"]),
+                    ("2", []), ("0", ["0.5", "x2"]), ("0", ["-5e-7"]),
+                    ("x1 - x2 + 1", ["x1"])]:
         region = SemiAlgebraicRegion(
-            rid=1, chi=parse_polynomial("0", 2),
+            rid=1, chi=parse_polynomial(chi, 2),
             xi=[parse_polynomial(g, 2) for g in xi], witness=np.array([1.0, 2.0]))
-        assert region.chi.is_zero()
         expected = [region.contains(list(p), tol) for p in points]
-        assert region.contains(cols, tol).tolist() == expected
+        mask = region.contains(cols, tol)
+        assert mask.dtype == bool and mask.shape == (len(points),)
+        assert mask.flags.writeable
+        assert mask.tolist() == expected
 
 
 def test_field_at_convex_combination(quadrant_system):

@@ -49,7 +49,7 @@ def tsvs() -> dict:
     out = {}
     for x0 in SWEEP_STARTS:
         for v in SWEEP_THETAS:
-            cfg = SimConfig(t_end=SWEEP_T_END, theta=_theta_table(quadrant, v))
+            cfg = SimConfig(t_end=SWEEP_T_END, theta=_theta_table(quadrant, (v, 1.0 - v)))
             out[f"sweep {x0[0]:g},{x0[1]:g} theta{v:g}"] = tsv(
                 simulate(quadrant, x0, cfg, certificate=certificate))
     for name, prefix, runs in (("opposing-fields", "sliding", SLIDING_RUNS),
