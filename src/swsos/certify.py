@@ -169,9 +169,9 @@ def check_attractivity(sys: SwitchedSystem, pair) -> str:
     i, j = pair
     bnd = sys.boundary(i, j)   # raises KeyError for unknown pairs
     chi = bnd.chi
-    for f in sys.dynamics[i].vertices:
+    for f in sys.regions[i].vertices:
         lf = lie_derivative(chi, f)
-        for g in sys.dynamics[j].vertices:
+        for g in sys.regions[j].vertices:
             lg = lie_derivative(chi, g)
             cons = PositivityConstraint(
                 cid="attract", target=LinPoly.from_poly(lf * lg),
@@ -219,7 +219,7 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
         constraints.append(PositivityConstraint(
             cid=f"pd{rid}", target=V[rid] - phi,
             equality_generators=eq, inequality_generators=ineq))
-        for l, f in enumerate(sys.dynamics[rid].vertices):
+        for l, f in enumerate(region.vertices):
             constraints.append(PositivityConstraint(
                 cid=f"lie{rid}v{l}",
                 target=lie_derivative(neg_V[rid], f) - margin,
@@ -227,7 +227,7 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     for pair in cross_pairs:
         chi = sys.boundary(*pair).chi
         for i, j in (pair, pair[::-1]):
-            for l, f in enumerate(sys.dynamics[j].vertices):
+            for l, f in enumerate(sys.regions[j].vertices):
                 constraints.append(PositivityConstraint(
                     cid=f"cross{i}_{j}v{l}",
                     target=lie_derivative(neg_V[i], f) - margin,

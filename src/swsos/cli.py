@@ -211,8 +211,8 @@ def _theta_table(sys_, weights) -> dict:
     A sweep value v is the weights (v, 1 - v): a one-parameter
     uncertainty sweep applied to the two-vertex regions of a mixed system.
     """
-    return {rid: tuple(weights) for rid, dyn in sys_.dynamics.items()
-            if dyn.count == len(weights)}
+    return {rid: tuple(weights) for rid, r in sys_.regions.items()
+            if len(r.vertices) == len(weights)}
 
 
 # -- commands ------------------------------------------------------------------

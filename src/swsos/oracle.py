@@ -359,7 +359,7 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
         positivity = (V, V.degree(), _Worst("positivity", f"region {rid}"))
         lies = [(lie, lie.degree(), _Worst("lie_region", f"region {rid}, vertex {l}"))
                 for l, lie in enumerate(lie_derivative(V, f)
-                                        for f in sys.dynamics[rid].vertices)]
+                                        for f in region.vertices)]
         degrees = {deg for _, deg, _ in [positivity, *lies]}
         checks.append((region, degrees, positivity, lies))
 
@@ -400,7 +400,7 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
                 continue
             for (i, j) in (bnd.pair, bnd.pair[::-1]):
                 V = lyapunov[i]
-                for l, f in enumerate(sys.dynamics[j].vertices):
+                for l, f in enumerate(sys.regions[j].vertices):
                     lie = lie_derivative(V, f)
                     viol = lie.eval_columns(cols) / _scale(norms, lie.degree())
                     _record(report, "lie_boundary", f"boundary ({i},{j}), vertex {l}",
@@ -423,7 +423,7 @@ def vertex_convexity_check(sys: SwitchedSystem, lyapunov: dict,
     worst = 0.0
     lo, hi = sys.box
     for rid, region in sorted(sys.regions.items()):
-        verts = sys.dynamics[rid].vertices
+        verts = region.vertices
         V = lyapunov[rid]
         lies = [lie_derivative(V, f) for f in verts]
         pts = rng.uniform(lo, hi, size=(n_pairs, sys.dimension))

@@ -36,17 +36,18 @@ class Polynomial:
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         clean = {}
-        for mono, c in (terms or {}).items():
-            mono = tuple(int(e) for e in mono)
+        for key, c in (terms or {}).items():
+            mono = tuple(int(e) for e in key)
+            if mono != tuple(key):
+                raise ValueError(f"non-integral exponent in {tuple(key)}")
             if len(mono) != dim:
                 raise ValueError(f"monomial {mono} has wrong dimension (expected {dim})")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
+            # integral keys of one dict are distinct monomials: no merging
             c = float(c)
             if c != 0.0:
-                clean[mono] = clean.get(mono, 0.0) + c
-                if clean[mono] == 0.0:
-                    del clean[mono]
+                clean[mono] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_compiled", None)
@@ -274,9 +275,6 @@ class PolyVector:
             raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
         xs = x.tolist()
         return np.array([_kernels.eval_terms(p._term_list(), xs) for p in self.components])
-
-    def degree(self) -> int:
-        return max(p.degree() for p in self.components)
 
     def to_strings(self):
         return [p.to_string() for p in self.components]

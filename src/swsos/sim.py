@@ -39,8 +39,8 @@ the pass takes one Newton step onto chi_ij = 0, as the sliding kernel
 does, or stops the run (stratum_stop) if that does not reach the band.
 It then evaluates the normal and both fields once: a zero normal stops
 the run.  The boundary slides only if it attracts: with region i on the
-+n side (its xi hold at the transversal probe's point a short step along
-+n), n.F_i <= 0 <= n.F_j, or the mirror inequalities with i on the -n
++n side (it contains, at tolerance 0, the transversal probe's point a
+short step along +n), n.F_i <= 0 <= n.F_j, or the mirror inequalities with i on the -n
 side.  Then an alpha in [0, 1] runs the sliding kernel; in every other
 case, repelling boundaries included, the transversal probe picks a side.
 A sliding run that ends with tangency before it accepts a row leaves by
@@ -340,10 +340,8 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         return traj
 
     def holds(rid, xx, s, n):
-        """Whether region rid's xi hold at the probe xx + s*n."""
-        probe = [u + s * v for u, v in zip(xx, n)]
-        return all(_kernels.eval_terms(xi._term_list(), probe) >= 0.0
-                   for xi in sys.regions[rid].xi)
+        """Whether region rid holds the probe xx + s*n."""
+        return sys.regions[rid].contains([u + s * v for u, v in zip(xx, n)], 0.0)
 
     def pick_region(xx):
         """Region whose (theta-combined) field keeps xx in its closure."""

@@ -126,19 +126,12 @@ class LinPoly:
             return self
         if not self.vals.size:
             return self._new(self.exps, self.idx, self.vals)
-        E = self.exps
-        base = int(E.max()) + 1
-        if base ** self.dim * len(self.names) < 2 ** 62:
-            mono = E[:, 0]              # exponents as digits in base `base`
-            for k in range(1, self.dim):
-                mono = mono * base + E[:, k]
-        else:
-            mono = grlex_rank(E)        # dense, so it fits where the monomials do
-        first, sums = _sum_entries(mono * len(self.names) + self.idx,
+        # grlex_rank is dense, so the key fits where the monomials do
+        first, sums = _sum_entries(grlex_rank(self.exps) * len(self.names) + self.idx,
                                    len(self.names), self.vals)
         keep = sums != 0.0
         first = first[keep]
-        return self._new(E[first], self.idx[first], sums[keep])
+        return self._new(self.exps[first], self.idx[first], sums[keep])
 
     @property
     def terms(self) -> dict:
@@ -161,14 +154,11 @@ class LinPoly:
         other = other.collect()
         names, idx = self.names, other.idx
         if names[:len(other.names)] != other.names:
-            if other.names[:len(names)] == names:
-                names = other.names
-            else:
-                pos = {k: i for i, k in enumerate(names)}
-                for k in other.names:
-                    pos.setdefault(k, len(pos))
-                idx = np.array([pos[k] for k in other.names], dtype=np.intp)[idx]
-                names = tuple(pos)
+            pos = {k: i for i, k in enumerate(names)}
+            for k in other.names:
+                pos.setdefault(k, len(pos))
+            idx = np.array([pos[k] for k in other.names], dtype=np.intp)[idx]
+            names = tuple(pos)
         return self._new(np.concatenate([self.exps, other.exps]),
                          np.concatenate([self.idx, idx]),
                          np.concatenate([self.vals, -other.vals if negate else other.vals]),

@@ -1,7 +1,9 @@
 """Polynomial switched systems on semi-algebraic partitions.
 
-A system is a box, a family of regions {chi_i = 0, xi_ik >= 0}, explicit
-boundary varieties chi_ij, and per-region vertex dynamics (simplical
+A system is a box, a family of regions and explicit boundary varieties
+chi_ij.  A region is one record: its set {chi_i = 0, xi_ik >= 0}, which
+answers membership through `SemiAlgebraicRegion.contains`, and its vertex
+fields f_il, whose convex combinations are its uncertain field (simplicial
 uncertainty; a single vertex encodes the certain case).
 """
 from __future__ import annotations
@@ -38,6 +40,7 @@ class SemiAlgebraicRegion:
     chi: Polynomial
     xi: list                 # list[Polynomial]
     witness: np.ndarray
+    vertices: list = field(default_factory=list)   # list[PolyVector] f_il
 
     def contains(self, x, tol: float):
         """|chi(x)| <= tol and every xi(x) >= -tol, at one point x with one
@@ -75,22 +78,6 @@ class BoundaryVariety:
 
 
 @dataclass
-class SubsystemDynamics:
-    vertices: list            # list[PolyVector], length L_i >= 1
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("need at least one vertex field")
-        dims = {v.dim for v in self.vertices}
-        if len(dims) != 1:
-            raise ValueError("vertex fields have mixed dimensions")
-
-    @property
-    def count(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)   # (name, status, detail)
     caveats: list = field(default_factory=list)
@@ -109,7 +96,6 @@ class SwitchedSystem:
     box: tuple               # (lo array, hi array)
     regions: dict            # rid -> SemiAlgebraicRegion
     boundaries: list         # list[BoundaryVariety]
-    dynamics: dict           # rid -> SubsystemDynamics
     origin_regions: set = field(default_factory=set)
     source_hash: str = ""
 
@@ -123,15 +109,9 @@ class SwitchedSystem:
             if frozenset(b.pair) in pairs:
                 raise SystemFormatError(f"boundary ({b.i},{b.j}) is declared twice")
             pairs.add(frozenset(b.pair))
-        for rid in self.dynamics:
-            if rid not in self.regions:
-                raise SystemFormatError(f"dynamics for unknown region {rid}")
         for rid in self.origin_regions:
             if rid not in self.regions:
                 raise SystemFormatError(f"origin region {rid} is not a region")
-        for rid in self.regions:
-            if rid not in self.dynamics:
-                raise SystemFormatError(f"region {rid} has no dynamics")
         n = self.dimension
         witnesses = [(f"region {rid}", r.witness) for rid, r in self.regions.items()]
         witnesses += [(f"boundary ({b.i},{b.j})", b.witness) for b in self.boundaries
@@ -139,11 +119,14 @@ class SwitchedSystem:
         for what, w in witnesses:
             if np.shape(w) != (n,):
                 raise SystemFormatError(f"{what} witness has {np.size(w)} entries, not {n}")
-        for rid, dyn in self.dynamics.items():
-            for l, v in enumerate(dyn.vertices):
-                if len(v) != n:
-                    raise SystemFormatError(f"region {rid} vertex field {l} has "
-                                            f"{len(v)} components, not {n}")
+        for rid, r in self.regions.items():
+            if not r.vertices:
+                raise SystemFormatError(f"region {rid} has no dynamics")
+            for l, v in enumerate(r.vertices):
+                if (len(v), v.dim) != (n, n):
+                    raise SystemFormatError(
+                        f"region {rid} vertex field {l} has {len(v)} components "
+                        f"in {v.dim} variables, not {n} in {n}")
 
     # -- queries ------------------------------------------------------
     def locate(self, x, tol: float) -> set:
@@ -156,16 +139,16 @@ class SwitchedSystem:
     def field_at(self, rid: int, theta=None) -> PolyVector:
         """Convex combination of the region's vertex fields; theta None
         takes the first vertex."""
-        dyn = self.dynamics[rid]
+        vertices = self.regions[rid].vertices
         if theta is None:
-            theta = [1.0] + [0.0] * (dyn.count - 1)
+            theta = [1.0] + [0.0] * (len(vertices) - 1)
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (dyn.count,):
-            raise ValueError(f"theta must have length {dyn.count}")
+        if theta.shape != (len(vertices),):
+            raise ValueError(f"theta must have length {len(vertices)}")
         if not on_simplex(theta):
             raise ValueError(f"theta {theta.tolist()} is not on the simplex")
         comps = [Polynomial.zero(self.dimension) for _ in range(self.dimension)]
-        for w, v in zip(theta, dyn.vertices):
+        for w, v in zip(theta, vertices):
             if w == 0.0:
                 continue
             for k in range(self.dimension):
@@ -270,15 +253,16 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
                 witness=(np.array([float(v) for v in bdoc["witness"]])
                          if "witness" in bdoc else None),
             ))
-        dynamics = {}
+        attached = set()
         for rid_s, vertices in doc["dynamics"].items():
             rid = int(rid_s)
-            if rid in dynamics:
+            if rid in attached:
                 raise SystemFormatError(f"dynamics for region {rid} appear "
                                         f"twice (key {rid_s!r})")
-            dynamics[rid] = SubsystemDynamics(
-                vertices=[parse_vector(v, n) for v in vertices]
-            )
+            if rid not in regions:
+                raise SystemFormatError(f"dynamics for unknown region {rid}")
+            attached.add(rid)
+            regions[rid].vertices = [parse_vector(v, n) for v in vertices]
         origin = {_integer(r, "origin region")
                   for r in doc.get("origin_regions", [])}
     except SystemFormatError:
@@ -290,7 +274,6 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
         box=(lo, hi),
         regions=regions,
         boundaries=boundaries,
-        dynamics=dynamics,
         origin_regions=origin,
         source_hash=source_hash,
     )
@@ -336,8 +319,8 @@ def system_to_dict(sys: SwitchedSystem) -> dict:
             for b in sys.boundaries
         ],
         "dynamics": {
-            str(rid): [v.to_strings() for v in dyn.vertices]
-            for rid, dyn in sorted(sys.dynamics.items())
+            str(rid): [v.to_strings() for v in r.vertices]
+            for rid, r in sorted(sys.regions.items())
         },
         "origin_regions": sorted(sys.origin_regions),
     }

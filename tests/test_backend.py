@@ -36,6 +36,14 @@ def test_infeasible_scalar_block():
     assert sol.status == INFEASIBLE
 
 
+def test_inconsistent_rows_are_infeasible_before_iterating():
+    # q = 1 and 0 = 1: no x reaches the second row, and its unit vector
+    # is a Farkas certificate found before any interior-point iteration
+    sol = solve(_problem([("Q", 1)], [], [({0: 1.0}, {}, 1.0), ({}, {}, 1.0)]))
+    assert sol.status == INFEASIBLE
+    assert sol.solver_status == "native:infeasible:0"
+
+
 def test_free_scalar_equality():
     # t + q = 3 and t - q = 1  =>  t = 2, q = 1
     p = _problem([("Q", 1)], ["t"], [({0: 1.0}, {0: 1.0}, 3.0),

@@ -15,8 +15,8 @@ import pytest
 
 from swsos.backend import (FEASIBLE, INFEASIBLE, NUMERICAL_ERROR, SdpSolution,
                            svec_layout)
-from swsos.certify import (ATTRACTIVE, CERTIFIED, NO_CERTIFICATE,
-                           NOT_ATTRACTIVE, SUSPECT, Certificate,
+from swsos.certify import (ATTRACTIVE, CERTIFIED, GLUE_RESIDUAL_TOL,
+                           NO_CERTIFICATE, NOT_ATTRACTIVE, SUSPECT, Certificate,
                            CertificationConfig, build_feasibility, certify,
                            check_attractivity)
 from swsos.cli import main
@@ -73,6 +73,47 @@ def test_solver_failure_is_suspect(monkeypatch):
     assert cert.status == SUSPECT
     assert cert.detail == "solver failure: native:stalled:7"
     assert cert.lyapunov == {} and cert.oracle_report is None
+
+
+def test_oracle_violation_after_a_feasible_solve_is_suspect(monkeypatch,
+                                                            small_oracle):
+    # the oracle, not the solve, refutes the certificate: here it samples
+    # -V, which is negative everywhere but at the origin
+    certify_module = import_module("swsos.certify")
+    verify = certify_module.verify_certificate
+    monkeypatch.setattr(
+        certify_module, "verify_certificate",
+        lambda sys_, lyapunov, cfg, attractive_pairs: verify(
+            sys_, {rid: -V for rid, V in lyapunov.items()}, cfg,
+            attractive_pairs=attractive_pairs))
+    cert = certify(_scalar_system("-x1"), CertificationConfig(lyapunov_degree=2))
+    assert cert.status == SUSPECT
+    assert not cert.oracle_report.passed
+    assert cert.detail == f"oracle: {cert.oracle_report.verdict}"
+    assert re.fullmatch(r"oracle: violated-at\(\S+,\)", cert.detail)
+    assert max(cert.glue_residuals.values(), default=0.0) <= GLUE_RESIDUAL_TOL
+
+
+def test_glue_residual_above_tolerance_is_suspect(monkeypatch, quadrant_system,
+                                                  small_oracle):
+    # the solve returns gluing multipliers 1e-3 off in every coefficient:
+    # the Lyapunov pieces pass the oracle, but V_i + p_ij chi_ij = V_j fails
+    certify_module = import_module("swsos.certify")
+    real_solve = certify_module.solve
+
+    def solve_off_glue(problem):
+        sol = real_solve(problem)
+        for name in sol.scalar_values:
+            if name.startswith("p"):
+                sol.scalar_values[name] += 1e-3
+        return sol
+
+    monkeypatch.setattr(certify_module, "solve", solve_off_glue)
+    cert = certify(quadrant_system, CertificationConfig(lyapunov_degree=4))
+    assert cert.status == SUSPECT
+    assert cert.detail == "gluing residual above tolerance"
+    assert cert.oracle_report.passed
+    assert min(cert.glue_residuals.values()) > GLUE_RESIDUAL_TOL
 
 
 def test_oracle_report_is_a_field():

@@ -504,6 +504,22 @@ def test_certify_system_failing_validation_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_certify_with_a_stalled_solve_exits_suspect(tmp_path, capsys, monkeypatch):
+    from importlib import import_module
+
+    from swsos.backend import NUMERICAL_ERROR, SdpSolution
+    from swsos.cli import EXIT_SUSPECT
+    certify_module = import_module("swsos.certify")   # the attribute is the function
+    monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
+        status=NUMERICAL_ERROR, solver_status="native:stalled:7"))
+    assert run(["certify", "systems/unstable-scalar.sys", "--degree", "2"],
+               tmp_path) == EXIT_SUSPECT == 3
+    assert capsys.readouterr().out.startswith(
+        "numerically-suspect: solver failure: native:stalled:7\n")
+    doc = json.loads((tmp_path / "unstable-scalar.certificate.json").read_text())
+    assert doc["status"] == "numerically-suspect"
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"lyapunov": {"1": 5, "2": "x1^2 + x2^2"}},

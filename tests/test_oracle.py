@@ -284,7 +284,7 @@ def test_region_records_match_sample_region(quadrant_system, published_lyapunov,
         V = family[rid]
         viol = (cfg.tolerance * norms ** 2 - V.eval_many(pts)) / _scale(norms, V.degree())
         expected.append(("positivity", f"region {rid}", pts.shape[0], *_worst(viol, pts)))
-        for l, f in enumerate(quadrant_system.dynamics[rid].vertices):
+        for l, f in enumerate(quadrant_system.regions[rid].vertices):
             lie = lie_derivative(V, f)
             w = _worst(lie.eval_many(pts) / _scale(norms, lie.degree()), pts)
             expected.append(("lie_region", f"region {rid}, vertex {l}", pts.shape[0], *w))
@@ -420,7 +420,7 @@ def test_scale_is_taken_once_per_chunk_region_and_degree(monkeypatch, quadrant_s
         quadrant_system.box, np.random.default_rng(0)))
     degrees = sum(
         len({V.degree()} | {lie_derivative(V, f).degree()
-                            for f in quadrant_system.dynamics[rid].vertices})
+                            for f in quadrant_system.regions[rid].vertices})
         for rid, V in published_lyapunov.items())
     assert chunks == 8 and degrees == 2
     assert calls["region"] == chunks * degrees

@@ -159,6 +159,18 @@ def test_polyvector_dimension_checks():
         PolyVector([Polynomial.variable(1, 0), Polynomial.variable(2, 0)])
 
 
+@pytest.mark.parametrize("terms", [
+    {(1.5, 0): 1.0},                   # was truncated to x1
+    {(1.9, 0): 2.0, (1.2, 0): 3.0},    # was merged into 5*x1
+    {(-1, 0): 1.0},
+])
+def test_exponents_must_be_nonnegative_integers(terms):
+    with pytest.raises(ValueError, match="exponent"):
+        Polynomial(2, terms)
+    # integral values of any numeric type name the same monomial
+    assert Polynomial(2, {(2.0, np.int64(1)): 3.0}).terms == {(2, 1): 3.0}
+
+
 @pytest.mark.parametrize("bad", [1e400, -1e400, float("nan")])
 def test_eval_many_non_finite_coefficients_do_not_warn(bad):
     # inf * 0.0 and nan are computed silently, as the scalar call does

@@ -608,6 +608,44 @@ def test_decide_stops_when_the_variety_is_out_of_reach(systems_dir, x0):
     assert traj.final_state.tolist() == list(x0)
 
 
+def _four_corners_doc():
+    # four regions meeting at (1, 1), each field (1, 1): from (0.5, 0.5)
+    # the step that reaches the corner crosses x1 = 1 and x2 = 1 at once
+    regions = {1: ["1 - x1", "1 - x2"], 2: ["x1 - 1", "1 - x2"],
+               3: ["x1 - 1", "x2 - 1"], 4: ["1 - x1", "x2 - 1"]}
+    witness = {1: [0.0, 0.0], 2: [1.5, 0.0], 3: [1.5, 1.5], 4: [0.0, 1.5]}
+    return {
+        "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "regions": [{"id": rid, "chi": "0", "xi": xi, "witness": witness[rid]}
+                    for rid, xi in regions.items()],
+        "boundaries": [{"i": i, "j": j, "chi_ij": chi}
+                       for i, j, chi in [(1, 2, "x1 - 1"), (1, 4, "x2 - 1"),
+                                         (2, 3, "x2 - 1"), (3, 4, "x1 - 1")]],
+        "dynamics": {str(rid): [["1", "1"]] for rid in regions},
+        "origin_regions": [],
+    }
+
+
+@pytest.mark.parametrize("doc, x0, detail, t, x", [
+    ({**_two_sided_doc(["1", "0"], ["1", "0"]),
+      "boundaries": [{"i": 1, "j": 2, "chi_ij": "x2^2"}]},
+     (0.3, 0.0), "singular boundary point of (1,2): zero normal", 0.0, (0.3, 0.0)),
+    (_two_sided_doc(["1", "0"], ["1", "0"]),
+     (0.3, 0.0), "degenerate crossing of (1,2)", 0.0, (0.3, 0.0)),
+    ({**_two_sided_doc(["1", "0"], ["1", "0"]), "boundaries": []},
+     (0.3, 0.0), "regions [1, 2] meet without a declared boundary", 0.0, (0.3, 0.0)),
+    (_four_corners_doc(), (0.5, 0.5),
+     "boundaries [(1, 2), (1, 4)] cross within event_tol of the same time",
+     0.499, (0.999, 0.999)),
+], ids=["zero-normal", "degenerate-crossing", "undeclared-boundary",
+        "simultaneous-crossings"])
+def test_stratum_stops(doc, x0, detail, t, x):
+    traj = simulate(parse_system(doc), x0, SimConfig(step=1e-3, t_end=1.0))
+    assert traj.events == [(pytest.approx(t, abs=1e-12), "stratum_stop", detail)]
+    assert traj.final_state.tolist() == pytest.approx(x, abs=1e-12)
+    assert traj.points[-1].mode == "stopped:stratum_stop"
+
+
 def test_write_trajectory_format(tmp_path, opposing_system):
     traj = simulate(opposing_system, (0.0, 0.5), SimConfig(step=1e-3, t_end=1.0))
     out = tmp_path / "t.tsv"

@@ -516,7 +516,7 @@ def test_attractivity_programs_match_reference(monkeypatch, systems_dir, name):
 
     new, ref = _both(monkeypatch, programs)
     assert len(new) == len(ref) == sum(
-        len(sys_.dynamics[b.i].vertices) * len(sys_.dynamics[b.j].vertices)
+        len(sys_.regions[b.i].vertices) * len(sys_.regions[b.j].vertices)
         for b in sys_.boundaries)
     for p, r in zip(new, ref):
         _assert_same_problem(p, r)

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swsos.system import (SystemFormatError, load_system, parse_system,
-                          system_to_dict)
+from swsos.poly import parse_vector
+from swsos.system import (SwitchedSystem, SystemFormatError, load_system,
+                          parse_system, system_to_dict)
 
 
 def _minimal_doc():
@@ -80,6 +82,35 @@ def test_malformed_documents_rejected(mutate):
     mutate(doc)
     with pytest.raises(SystemFormatError):
         parse_system(doc)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["dynamics"].__setitem__("1", []), "region 1 has no dynamics"),
+    (lambda d: d["dynamics"].pop("1"), "region 1 has no dynamics"),
+    (lambda d: d["dynamics"].__setitem__("9", [["-x1"]]),
+     "dynamics for unknown region 9"),
+    (lambda d: d["dynamics"].__setitem__("1", [["-x1"], ["-x1", "x1"]]),
+     r"region 1 vertex field 1 has 2 components in 1 variables, not 1 in 1"),
+], ids=["empty", "missing", "unknown-region", "two-components"])
+def test_region_dynamics_messages(mutate, message):
+    doc = _minimal_doc()
+    mutate(doc)
+    with pytest.raises(SystemFormatError, match=message):
+        parse_system(doc)
+
+
+def test_vertex_field_in_wrong_number_of_variables_refused():
+    # two components, as the dimension asks, but in three variables: this
+    # used to be accepted and fail only at the first Lie derivative
+    doc = _minimal_doc()
+    doc.update(dimension=2, box=[[-1.0, 1.0]] * 2, dynamics={"1": [["-x1", "-x2"]]})
+    doc["regions"][0]["witness"] = [0.5, 0.5]
+    sys_ = parse_system(doc)
+    region = replace(sys_.regions[1], vertices=[parse_vector(["-x1", "-x2"], 3)])
+    with pytest.raises(SystemFormatError,
+                       match="has 2 components in 3 variables, not 2 in 2"):
+        SwitchedSystem(dimension=2, box=sys_.box, regions={1: region},
+                       boundaries=[], origin_regions={1})
 
 
 @pytest.mark.parametrize("side", [[-1e308, 1e308], [-float("inf"), 1.0],
