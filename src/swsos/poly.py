@@ -322,17 +322,19 @@ def grlex_rank(exponents) -> np.ndarray:
     """
     E = np.asarray(exponents, dtype=np.intp)
     n = E.shape[1]
+    rank = E[:, n - 1].copy()          # m = 1: C(r_(n-1), 1) = e_n
     rest = E.sum(axis=1)
-    rank = np.zeros_like(rest)
     for k in range(n - 1):
         m = n - k
         c = rest + (m - 1)             # C(rest + m - 1, m), one factor at a time
-        for i in range(1, m):
+        for i in range(1, m - 1):
             c *= rest + (m - 1 - i)
             c //= i + 1
+        c *= rest
+        c //= m
         rank += c
-        rest -= E[:, k]
-    rank += rest                       # m = 1: C(rest, 1)
+        if m > 2:                      # r_(k+1), unless the next m is 1
+            rest -= E[:, k]
     return rank
 
 

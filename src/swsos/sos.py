@@ -14,9 +14,11 @@ target once.
 
 Rows are numbered by grlex rank, a monomial's position in `monomial_basis`
 order (`poly.grlex_rank`, computed from the exponents alone).  A
-constraint's rows are the sorted union of the ranks that its target, its
-equality multipliers and its Gram blocks use; a mask over the ranks and
-its cumulative sum give each rank its row.  The free-scalar entries of
+target's ranks are the ones that key its sum (`LinPoly._ranked`, which
+`collect` uses too), so no target is ranked twice.  A constraint's rows
+are the sorted union of the ranks that its target, its equality
+multipliers and its Gram blocks use; a mask over the ranks and its
+cumulative sum give each rank its row.  The free-scalar entries of
 the target and the equality multipliers are arrays, stable-sorted by rank
 into row order, and the right-hand sides one array per constraint.  A
 Gram block's coefficients depend only on its basis and its generator, so
@@ -26,12 +28,16 @@ the weight and svec scale of each column, from `backend.svec_triangle`)
 and derives one entry table per generator from it: the rank of each
 entry's monomial, its svec column and its scaled coefficient.  The same
 basis and generator recur across constraints (the box generators sit in
-all of them), so a block mostly appends a table it finds.  Nothing
-outlives the call.
+all of them), so a block mostly appends a table it finds.  Equality
+multipliers get one table per (dimension, degree cap, generator) and
+call in the same way: the ranks of basis times generator, the basis's
+monomial tags and the tiled negated coefficients, so a constraint only
+builds its scalar names.  Nothing outlives the call.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -122,16 +128,22 @@ class LinPoly:
     def collect(self) -> "LinPoly":
         """This polynomial with like terms summed: one entry per (monomial,
         scalar) pair and no exact zeros; itself when it is summed already."""
+        return self if self.summed else self._ranked()[0]
+
+    def _ranked(self):
+        """(this polynomial summed as by `collect`, the grlex rank of each
+        of its entries); the ranks that key the sum are the ones returned."""
+        ranks = grlex_rank(self.exps)
         if self.summed:
-            return self
+            return self, ranks
         if not self.vals.size:
-            return self._new(self.exps, self.idx, self.vals)
+            return self._new(self.exps, self.idx, self.vals), ranks
         # grlex_rank is dense, so the key fits where the monomials do
-        first, sums = _sum_entries(grlex_rank(self.exps) * len(self.names) + self.idx,
+        first, sums = _sum_entries(ranks * len(self.names) + self.idx,
                                    len(self.names), self.vals)
         keep = sums != 0.0
         first = first[keep]
-        return self._new(self.exps[first], self.idx[first], sums[keep])
+        return self._new(self.exps[first], self.idx[first], sums[keep]), ranks[first]
 
     @property
     def terms(self) -> dict:
@@ -222,26 +234,38 @@ def _sum_entries(key, per_group: int, vals):
     """
     order = np.argsort(key, kind="stable")
     k = key[order]
-    new = np.ones(len(k), dtype=bool)
-    new[1:] = k[1:] != k[:-1]
-    inverse = np.empty(len(k), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    sums = np.bincount(inverse, weights=vals)   # adds in entry order
-    first = order[new]
-    g = k[new] // per_group                     # sorted, so groups are runs
-    new_group = np.ones(len(g), dtype=bool)
-    new_group[1:] = g[1:] != g[:-1]
-    group_first = np.minimum.reduceat(first, np.flatnonzero(new_group))
+    new = _changes(k)
+    # a stable order keeps each key's entries in entry order, and bincount
+    # adds them in the order given, from 0.0 (bin 0 stays empty)
+    sums = np.bincount(np.cumsum(new), weights=vals[order])[1:]
+    starts = new.nonzero()[0]
+    first = order[starts]
+    g = k[starts] // per_group                  # sorted, so groups are runs
+    new_group = _changes(g)
+    group_first = np.minimum.reduceat(first, new_group.nonzero()[0])
     by_appearance = np.lexsort((first, group_first[np.cumsum(new_group) - 1]))
     return first[by_appearance], sums[by_appearance]
 
 
+def _changes(a):
+    """Mask of the entries of a 1-d array that differ from the one before
+    (the first one included)."""
+    out = np.empty(len(a), dtype=bool)
+    out[:1] = True
+    np.not_equal(a[1:], a[:-1], out=out[1:])
+    return out
+
+
 def _mono_tag(m: Monomial) -> str:
-    return ",".join(str(e) for e in m)
+    return ",".join(map(str, m))
 
 
 def mono_from_tag(tag: str) -> Monomial:
     return tuple(int(s) for s in tag.split(","))
+
+
+# the name assemble gives scalar k of an equality multiplier: <cid>:r<i>[<tag>]
+_MULTIPLIER_NAME = re.compile(r"(.+:r\d+)\[(\d+(?:,\d+)*)\]")
 
 
 # -- Gram machinery --------------------------------------------------------
@@ -344,13 +368,17 @@ def assemble(constraints, identities=()) -> SdpProblem:
     # svec order, weight and svec scale of each column)
     pairs = {}
     # pairs key + generator terms -> (basis, per entry: grlex rank, svec
-    # column in the block, scaled coefficient)
+    # column in the block, scaled coefficient; [the lowest rank])
     tables = {}
+    # (dim, degree cap, generator terms) -> (the grlex rank of each entry
+    # of basis x generator, the basis's monomial tags, each entry's negated
+    # generator coefficient, [the lowest rank])
+    multipliers = {}
 
     def declare_scalar(name):
         return scalars.setdefault(name, len(scalars))
 
-    def add_gram_block(grams, used, bid, dim, half, lo, gen_terms):
+    def add_gram_block(grams, used, lows, bid, dim, half, lo, gen_terms):
         key = (dim, half, lo, gen_terms)
         if key not in tables:
             if key[:3] not in pairs:
@@ -366,12 +394,13 @@ def assemble(constraints, identities=()) -> SdpProblem:
             ranks = grlex_rank((z[:, None] + _exponents(monos, dim)).reshape(-1, dim))
             cols = np.repeat(np.arange(len(z)), len(c))
             vals = (-(weight[:, None] * c) / scale[:, None]).ravel()
-            tables[key] = (basis, ranks, cols, vals)
+            tables[key] = (basis, ranks, cols, vals, _lowest(ranks))
         table = tables[key]
         gram_layout[bid] = list(table[0])
         grams.append((len(psd_blocks), table))
         psd_blocks.append((bid, len(table[0])))
         used.append(table[1])
+        lows.extend(table[4])
 
     def add_rows(used, free, known, fill, grams=()):
         # used: arrays of the grlex ranks that have a row; free: (ranks,
@@ -388,16 +417,15 @@ def assemble(constraints, identities=()) -> SdpProblem:
         ranks, cols, vals = free
         by_row = np.argsort(ranks, kind="stable")   # entry order within a row
         F.append((row[ranks[by_row]], cols[by_row], vals[by_row]))
-        for k, (_, ranks, cols, vals) in grams:
+        for k, (_, ranks, cols, vals, _) in grams:
             gram_parts.append((k, row[ranks], cols, vals))
 
     def target_rows(lp):
         # lp summed once: its ranks, its free-scalar entries (rank, column,
         # value) and its right-hand side (rank, value); new names declared
-        lp = lp.collect()
+        lp, ranks = lp._ranked()
         for v in sorted(lp.variables() - scalars.keys()):
             declare_scalar(v)
-        ranks = grlex_rank(lp.exps)
         column = np.array([scalars.get(k, -1) for k in lp.names], dtype=np.intp)
         free = lp.idx != 0
         return (lp, ranks, (ranks[free], column[lp.idx[free]], lp.vals[free]),
@@ -410,8 +438,10 @@ def assemble(constraints, identities=()) -> SdpProblem:
         d0 = _even_up(d_t)
 
         # identity target - sum r a - sum s b - s0 = 0 coefficient-wise,
-        # the known value of each monomial moved to the right-hand side
+        # the known value of each monomial moved to the right-hand side;
+        # lows: the lowest rank of each part with entries
         used, free = [ranks], [target_free]
+        lows = _lowest(ranks)
 
         # free multipliers r_i on equality generators
         shared = False
@@ -421,15 +451,22 @@ def assemble(constraints, identities=()) -> SdpProblem:
                 # generator degree exceeds the target's: the only multiplier
                 # that keeps the identity balanced is zero, so drop it
                 continue
-            basis_r = monomial_basis(dim, cap)
-            ranks = grlex_rank((_exponents(basis_r, dim)[:, None]
-                                + _exponents(a.terms, dim)).reshape(-1, dim))
+            key = (dim, cap, tuple(a.terms.items()))
+            if key not in multipliers:
+                basis_r = monomial_basis(dim, cap)
+                ca = np.fromiter(a.terms.values(), dtype=float, count=len(a.terms))
+                ranks = grlex_rank((_exponents(basis_r, dim)[:, None]
+                                    + _exponents(a.terms, dim)).reshape(-1, dim))
+                multipliers[key] = (ranks, [_mono_tag(m) for m in basis_r],
+                                    np.tile(-ca, len(basis_r)), _lowest(ranks))
+            ranks, tags, vals, lowest = multipliers[key]
             used.append(ranks)
+            lows.extend(lowest)
             declared = len(scalars)
-            cols = [declare_scalar(f"{cons.cid}:r{idx}[{_mono_tag(m)}]") for m in basis_r]
+            prefix = f"{cons.cid}:r{idx}["
+            cols = [declare_scalar(prefix + tag + "]") for tag in tags]
             shared |= len(scalars) - declared < len(cols)
-            ca = np.fromiter(a.terms.values(), dtype=float, count=len(a.terms))
-            free.append((ranks, np.repeat(cols, len(ca)), np.tile(-ca, len(cols))))
+            free.append((ranks, np.repeat(cols, len(a.terms)), vals))
         free = tuple(map(np.concatenate, zip(*free)))
         if shared:
             # a name declared before may be a target scalar's: its entries
@@ -447,7 +484,7 @@ def assemble(constraints, identities=()) -> SdpProblem:
         # constant monomial; every target entry there is nonzero.
         zero_mono = (0,) * dim
         origin_forced = (
-            not (known[0] == 0).any() and not (free[0] == 0).any()
+            min(lows, default=1) > 0
             and all(a.terms.get(zero_mono, 0.0) == 0.0 for a in cons.equality_generators)
             and all(g.terms.get(zero_mono, 0.0) >= 0.0 for g in cons.inequality_generators)
         )
@@ -463,17 +500,17 @@ def assemble(constraints, identities=()) -> SdpProblem:
                     f"exceeds the target degree {d_t}"
                 )
             lo_j = 1 if (origin_forced and g.terms.get(zero_mono, 0.0) > 0.0) else 0
-            add_gram_block(grams, used, f"{cons.cid}:s{idx + 1}", dim, sdeg // 2,
+            add_gram_block(grams, used, lows, f"{cons.cid}:s{idx + 1}", dim, sdeg // 2,
                            min(lo_j, sdeg // 2), tuple(g.terms.items()))
 
         # master SOS block s0 (generator 1): parity filter on total degree
         # only; ranks are graded, so the lowest rank has the lowest degree
-        first = min((int(r.min()) for r in used if r.size), default=0)
+        first = min(lows, default=0)
         support_min = 0
         while math.comb(support_min + dim, dim) <= first:
             support_min += 1
         lo = (support_min + 1) // 2
-        add_gram_block(grams, used, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
+        add_gram_block(grams, used, lows, f"{cons.cid}:s0", dim, d0 // 2, min(lo, d0 // 2),
                        ((zero_mono, 1.0),))
         add_rows(used, free, known, 0.0, grams)
 
@@ -494,6 +531,11 @@ def assemble(constraints, identities=()) -> SdpProblem:
     return problem
 
 
+def _lowest(ranks) -> list:
+    """[the lowest of the ranks], or [] when there are none."""
+    return [int(ranks.min())] if ranks.size else []
+
+
 def _exponents(monos, dim: int) -> np.ndarray:
     """Monomials (a terms dict or a sequence) as the rows of an (m, dim) int array."""
     return np.fromiter(chain.from_iterable(monos), dtype=np.intp,
@@ -503,13 +545,13 @@ def _exponents(monos, dim: int) -> np.ndarray:
 def certificate_from_solution(problem: SdpProblem, sol: SdpSolution, dim: int) -> SosCertificate:
     grams = {bid: GramRepresentation(basis=basis, gram=sol.block_values[bid])
              for bid, basis in problem.gram_layout.items() if bid in sol.block_values}
-    # group free scalars back into multiplier polynomials by name prefix
+    # group the scalars of each equality multiplier, <cid>:r<k>[<tag>],
+    # back into its polynomial; the V and glue scalars are no multipliers
     free = {}
     for name, value in sol.scalar_values.items():
-        if "[" not in name or not name.endswith("]"):
-            continue
-        prefix, tag = name[:-1].split("[", 1)
-        free.setdefault(prefix, {})[mono_from_tag(tag)] = value
+        m = _MULTIPLIER_NAME.fullmatch(name)
+        if m:
+            free.setdefault(m[1], {})[mono_from_tag(m[2])] = value
     multipliers = {k: Polynomial(dim, v) for k, v in free.items()}
     return SosCertificate(
         gram_blocks=grams,

@@ -14,6 +14,8 @@ from swsos.sos import (DegreeBookkeepingError, GramRepresentation, LinPoly,
                        extract_sos_split, gram_basis, mono_from_tag, solve,
                        sos_decompose)
 
+from program_corpus import corpus_digest, problem_digest, shipped
+
 # swsos.certify the attribute is the function; these are the modules
 certify_module = import_module("swsos.certify")
 sos_module = import_module("swsos.sos")
@@ -158,7 +160,7 @@ def test_identity_rows_enforced_exactly():
     assert abs(sol.scalar_values["c[1]"] - 2.0) < 1e-6
 
 
-def test_certificate_from_solution_groups_multipliers():
+def test_certificate_from_solution_groups_multipliers(systems_dir):
     g = parse_polynomial("x1", 1)
     target = LinPoly.from_poly(parse_polynomial("x1^2 + x1", 1))
     cons = PositivityConstraint(cid="c", target=target,
@@ -174,6 +176,43 @@ def test_certificate_from_solution_groups_multipliers():
     resid = (s0 + cert.free_multipliers["c:r0"] * g
              - parse_polynomial("x1^2 + x1", 1)).coeff_norm()
     assert resid < 1e-6
+    # the certify program's V and glue scalars are bracketed too, but only
+    # <cid>:r<k>[...] names are multipliers of equality generators
+    problem, _ = _feasibility(systems_dir, "quadrant-cubic", 2, None)
+    sol = SdpSolution(FEASIBLE, scalar_values=dict.fromkeys(problem.free_scalars, 1.0))
+    cert = certificate_from_solution(problem, sol, 2)
+    assert sorted(cert.free_multipliers) == ["cross1_2v0:r0", "cross2_1v0:r0",
+                                             "cross2_1v1:r0"]
+    assert not any(k.startswith(("V", "p")) for k in cert.free_multipliers)
+    assert all(set(p.terms.values()) == {1.0} for p in cert.free_multipliers.values())
+
+
+def _ref_sum_entries(key, per_group, vals):
+    # dicts keep first-appearance order and add in entry order, from 0.0
+    # as the dict-of-dicts LinPoly did (so 0.0 + -0.0 is 0.0)
+    groups = {}
+    for i, (k, v) in enumerate(zip(key.tolist(), vals.tolist())):
+        group = groups.setdefault(k // per_group, {})
+        group.setdefault(k, [i, 0.0])[1] += v
+    first, sums = zip(*(e for group in groups.values() for e in group.values()))
+    return list(first), list(sums)
+
+
+@pytest.mark.parametrize("per_group", [1, 3, 7])
+def test_sum_entries_matches_dict_sums(per_group):
+    rng = np.random.default_rng(per_group)
+    for n in (1, 5, 40, 400):
+        key = rng.integers(0, max(2, n // 3), n) * per_group + rng.integers(0, per_group, n)
+        vals = rng.normal(size=n)
+        vals[rng.random(n) < 0.2] = -0.0
+        # an exact cancellation: a key whose entries add to 0.0
+        if n >= 5:
+            key[:2] = key[-1] + per_group
+            vals[:2] = (0.75, -0.75)
+        first, sums = sos_module._sum_entries(key, per_group, vals)
+        ref_first, ref_sums = _ref_sum_entries(key, per_group, vals)
+        assert first.tolist() == ref_first
+        assert sums.tobytes() == np.array(ref_sums).tobytes()
 
 
 # -- assembly against the straightforward reference --------------------------
@@ -451,7 +490,8 @@ def _assert_same_problem(new, ref):
     assert new.gram_layout == ref.gram_layout
 
 
-SHIPPED = ["quadrant-cubic", "opposing-fields", "aligned-fields", "unstable-scalar"]
+SHIPPED = ["quadrant-cubic", "opposing-fields", "aligned-fields", "unstable-scalar",
+           "twisting", "tilted-relay", "branicky-a"]
 MOTZKIN = "x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2 + 1"
 
 
@@ -491,6 +531,10 @@ def test_build_feasibility_matches_reference_on_certify_cross_pairs(
             monkeypatch, lambda: _feasibility(systems_dir, name, degree, pairs))
         _ref_trace_objective(ref)
         _assert_same_problem(new, ref)
+
+
+def test_shipped_lists_every_system_file():
+    assert sorted(SHIPPED) == shipped()
 
 
 def test_quadrant_cubic_degree_6_certify_program_has_210_rows(systems_dir):
@@ -556,7 +600,7 @@ def test_three_variable_programs_match_reference(monkeypatch, degree):
 
     new, ref = _both(monkeypatch, build)
     _assert_same_problem(new, ref)
-    assert _problem_digest(new) == THREE_VARIABLE_DIGESTS[degree]
+    assert problem_digest(new) == THREE_VARIABLE_DIGESTS[degree]
     # the identity has no constant term, so every basis leaves out 1 and
     # the constant monomial has no row
     assert len(new.psd_blocks) == 4
@@ -626,17 +670,6 @@ def test_sos_decompose_rejects_non_finite_coefficients(bad):
 # _assert_same_problem densifies, so it cannot see the order of the
 # triplets; these digests cover the arrays as they are built.
 
-def _problem_digest(problem) -> str:
-    import hashlib
-    h = hashlib.sha256()
-    for arr in (*problem.A, *problem.F, problem.b, problem.c):
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
-    h.update(repr((problem.psd_blocks, problem.free_scalars,
-                   sorted(problem.gram_layout.items()))).encode())
-    return h.hexdigest()
-
-
 QUADRANT_CUBIC_DIGESTS = {
     4: "4e3022e19400af70897370c3a30a7c0beccb1f3b9aa8905ab265cb015f543019",
     10: "406aba9b23fc92fa52d767d7b1ef20d02c12353ad008870a7840c434b56010da",
@@ -650,12 +683,21 @@ THREE_VARIABLE_DIGESTS = {
     4: "f1765b7a3df82e606532ea07281b8acb958cc68677d757a82e1477833f5cfd8f",
     6: "5800f6bfb105d2f1f04fdf738a8abd8b1b8b18ac9b1b78b355f1bc67b58173ff",
 }
+# tests/program_corpus.py: every shipped system's certify programs at
+# degrees 2-10 with all and with no cross conditions, and every
+# attractivity program
+PINNED_PROGRAM_CORPUS_DIGEST = (
+    "c9e1361af66e86ae9410e37de4377b9750d6190d18fcdc79b07757d6af0a6ead")
+
+
+def test_program_corpus_digest():
+    assert corpus_digest() == PINNED_PROGRAM_CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("degree", sorted(QUADRANT_CUBIC_DIGESTS))
 def test_quadrant_cubic_certify_program_digest(systems_dir, degree):
     problem, _ = _feasibility(systems_dir, "quadrant-cubic", degree, None)
-    assert _problem_digest(problem) == QUADRANT_CUBIC_DIGESTS[degree]
+    assert problem_digest(problem) == QUADRANT_CUBIC_DIGESTS[degree]
 
 
 def test_vacuous_xi_leaves_the_certify_program_as_it_was(systems_dir,
@@ -670,7 +712,7 @@ def test_vacuous_xi_leaves_the_certify_program_as_it_was(systems_dir,
     sys_ = parse_system(doc)
     cfg = CertificationConfig(lyapunov_degree=4)
     problem, _ = certify_module.build_feasibility(sys_, cfg)
-    assert _problem_digest(problem) == QUADRANT_CUBIC_DIGESTS[4]
+    assert problem_digest(problem) == QUADRANT_CUBIC_DIGESTS[4]
     assert certify(sys_, cfg).status == CERTIFIED
 
 
@@ -682,4 +724,4 @@ def test_quadrant_cubic_attractivity_program_digest(monkeypatch, systems_dir):
                         lambda pr: seen.append(pr) or SdpSolution(FEASIBLE))
     certify_module.check_attractivity(sys_, (1, 2))
     assert len(seen) == 1
-    assert _problem_digest(seen[0]) == QUADRANT_CUBIC_ATTRACTIVITY_DIGEST
+    assert problem_digest(seen[0]) == QUADRANT_CUBIC_ATTRACTIVITY_DIGEST
