@@ -26,8 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .poly import DISPLAY_CLEANUP, Polynomial, lie_derivative, \
-    monomial_basis, coefficients_equal
+from .poly import DISPLAY_CLEANUP, Polynomial, lie_derivative, monomial_basis
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
 from .backend import FEASIBLE, INFEASIBLE, solve, svec_diagonal
@@ -303,10 +302,8 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
 
     glue_ok = True
     for b in sys.boundaries:
-        lhs = lyapunov[b.i] + gluing[(b.i, b.j)] * b.chi
-        residual = max((abs(d) for d in
-                        coefficients_equal(lhs, lyapunov[b.j]).values()),
-                       default=0.0)
+        difference = lyapunov[b.i] + gluing[(b.i, b.j)] * b.chi - lyapunov[b.j]
+        residual = max(map(abs, difference.terms.values()), default=0.0)
         cert.glue_residuals[(b.i, b.j)] = residual
         glue_ok &= residual <= GLUE_RESIDUAL_TOL
 

@@ -25,14 +25,16 @@ variable, which `Polynomial.eval_columns` evaluates without a copy.  The
 grid-plus-random candidates are never held at once: `verify_certificate`
 streams them in chunks of at most CHUNK points, masks each region's
 survivors in a chunk with `SemiAlgebraicRegion.contains`, gathers them
-with `take`, and folds every condition's worst case into a running
-record, so its memory does not grow with the grid; `sample_region`
-streams the same chunks and keeps only the survivors.  A random chunk is
-one rng.random draw scaled in place to lo + (hi - lo) * d, the formula of
-numpy's uniform.  Per chunk the norms (squares summed in variable
-order, the simulator's ball-test rule) and the exclusion-ball mask are
-taken once, and per region the scale 1 + |x|^d once for each distinct
-degree d of its conditions.  Boundary
+with `take`, and folds every condition's worst case into its record, so
+its memory does not grow with the grid; `sample_region` streams the same
+chunks and keeps only the survivors.  A random chunk is one rng.random
+draw scaled in place to lo + (hi - lo) * d, the formula of numpy's
+uniform.  Per chunk the norms (squares summed in variable order, the
+simulator's ball-test rule) and the exclusion-ball mask are taken once.
+Each condition has one record, a ConditionRecord that folds its own
+samples, and one loop folds every condition, once per (chunk, region)
+and once per boundary, taking the scale 1 + |x|^d once for each
+distinct degree d of the conditions it folds.  Boundary
 points come from random segments drawn in rounds with rng.uniform and
 bisected in one pass after the last round; the bisection works in place
 on all kept segments, a stopped segment frozen rather than removed.  A
@@ -70,14 +72,35 @@ class OracleConfig:
 
 @dataclass
 class ConditionRecord:
-    """Outcome of one sampled condition (worst case over all samples)."""
+    """Outcome of one sampled condition: its worst case folded over every
+    chunk of its samples, then closed against the tolerance."""
 
     condition: str            # positivity | lie_region | lie_boundary | continuity
     subject: str              # e.g. "region 1, vertex 2" or "boundary (1,2)"
-    samples: int
-    worst_violation: float    # scaled; > tolerance means refuted
-    worst_point: tuple
-    passed: bool
+    samples: int = 0
+    worst_violation: float = None   # scaled; > tolerance means refuted
+    worst_point: tuple = ()
+    passed: bool = None
+
+    def fold(self, values: np.ndarray, cols):
+        """Fold in the values at the points cols (n, m), as np.argmax takes
+        the worst over all values folded: the first largest value wins,
+        and nan ranks above every number, the first nan winning."""
+        self.samples += values.size
+        w = self.worst_violation
+        if values.size == 0 or w != w:     # a nan stays
+            return
+        v, at = _worst(values, cols.T)
+        if w is None or v != v or v > w:
+            self.worst_violation, self.worst_point = v, at
+
+    def close(self, tolerance: float) -> "ConditionRecord":
+        """Set passed, worst <= tolerance; a record that saw no value has
+        worst 0.0 and passes."""
+        if self.worst_violation is None:
+            self.worst_violation = 0.0
+        self.passed = self.worst_violation <= tolerance
+        return self
 
     def summary(self) -> str:
         tag = "pass" if self.passed else "FAIL"
@@ -277,43 +300,11 @@ def _rank(value: float):
 
 
 def _worst(values: np.ndarray, pts: np.ndarray):
-    """(largest value, its point); np.argmax ranks nan above every number,
-    as _rank does.  pts is indexed by point (rows, or cols.T)."""
-    if values.size == 0:
-        return 0.0, ()
+    """(largest value, its point) of non-empty values; np.argmax ranks nan
+    above every number, as _rank does.  pts is indexed by point (rows, or
+    cols.T)."""
     k = int(np.argmax(values))
     return float(values[k]), tuple(float(c) for c in pts[k])
-
-
-class _Worst:
-    """One condition's worst case folded over chunks of its samples, as
-    np.argmax takes it over their concatenation: the first largest value
-    wins, and nan ranks above every number, the first nan winning."""
-
-    def __init__(self, condition: str, subject: str):
-        self.condition, self.subject = condition, subject
-        self.samples, self.value, self.point = 0, None, ()
-
-    def fold(self, values: np.ndarray, cols):
-        """Fold in the values at the points cols (n, m)."""
-        self.samples += values.size
-        if values.size == 0 or self.value != self.value:   # a nan stays
-            return
-        v, at = _worst(values, cols.T)
-        if self.value is None or v != v or v > self.value:
-            self.value, self.point = v, at
-
-    def record(self, tolerance: float) -> ConditionRecord:
-        w = 0.0 if self.value is None else self.value
-        return ConditionRecord(self.condition, self.subject, self.samples,
-                               w, self.point, w <= tolerance)
-
-
-def _record(report: OracleReport, condition: str, subject: str, viol, cols):
-    """Append the worst case of one condition sampled at cols (n, m)."""
-    worst = _Worst(condition, subject)
-    worst.fold(viol, cols)
-    report.records.append(worst.record(report.config.tolerance))
 
 
 def origin_values(sys: SwitchedSystem, lyapunov: dict) -> dict:
@@ -351,60 +342,65 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
         raise ValueError(f"no Lyapunov polynomial for regions {missing}")
 
     v0 = max(origin_values(sys, lyapunov).values(), default=0.0)
-    # per region: its distinct degrees, positivity's (V, degree, worst
-    # case), then one (Lie derivative, degree, worst case) per vertex
-    checks = []
-    for rid, region in sorted(sys.regions.items()):
+
+    # a condition is (record, degree, values at columns and their norms),
+    # the values scaled by 1 + |x|^degree as they are folded in
+    def positivity(rid):
+        # V - V(0) must dominate a tolerance-sized quadratic
         V = lyapunov[rid]
-        positivity = (V, V.degree(), _Worst("positivity", f"region {rid}"))
-        lies = [(lie, lie.degree(), _Worst("lie_region", f"region {rid}, vertex {l}"))
-                for l, lie in enumerate(lie_derivative(V, f)
-                                        for f in region.vertices)]
-        degrees = {deg for _, deg, _ in [positivity, *lies]}
-        checks.append((region, degrees, positivity, lies))
+        return (ConditionRecord("positivity", f"region {rid}"), V.degree(),
+                lambda cols, norms: cfg.tolerance * norms ** 2
+                - (V.eval_columns(cols) - v0))
+
+    def lie(condition, subject, V, f):
+        p = lie_derivative(V, f)
+        return (ConditionRecord(condition, subject), p.degree(),
+                lambda cols, norms: p.eval_columns(cols))
+
+    def continuity(bnd):
+        Vi, Vj = lyapunov[bnd.i], lyapunov[bnd.j]
+        return (ConditionRecord("continuity", f"boundary ({bnd.i},{bnd.j})"),
+                max(Vi.degree(), Vj.degree()),
+                lambda cols, norms: np.abs(Vi.eval_columns(cols) - Vj.eval_columns(cols)))
+
+    def fold(conditions, cols, norms):
+        """Fold every condition in at cols, one scale per distinct degree."""
+        scale = {}
+        for record, deg, values in conditions:
+            if deg not in scale:
+                scale[deg] = _scale(norms, deg)
+            record.fold(values(cols, norms) / scale[deg], cols)
+
+    checks = [(region, [positivity(rid),
+                        *(lie("lie_region", f"region {rid}, vertex {l}", lyapunov[rid], f)
+                          for l, f in enumerate(region.vertices))])
+              for rid, region in sorted(sys.regions.items())]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in _candidate_chunks(sys.box, rng):
             chunk_norms = _norms(chunk)
             outside = chunk_norms >= EXCLUSION_RADIUS
-            for region, degrees, (V, deg, worst), lies in checks:
+            for region, conditions in checks:
                 idx = np.flatnonzero(outside & region.contains(chunk, cfg.tolerance))
-                cols, norms = chunk.take(idx, axis=1), chunk_norms.take(idx)
-                scale = {d: _scale(norms, d) for d in degrees}
-                # positivity: V - V(0) must dominate a tolerance-sized
-                # quadratic
-                worst.fold((cfg.tolerance * norms ** 2
-                            - (V.eval_columns(cols) - v0)) / scale[deg], cols)
-                for lie, deg, worst in lies:
-                    worst.fold(lie.eval_columns(cols) / scale[deg], cols)
-        for region, _, (_, _, positivity), lies in checks:
-            report.warnings.extend(_survivor_warnings(region, positivity.samples))
-            report.records.append(positivity.record(cfg.tolerance))
-            report.records.extend(worst.record(cfg.tolerance) for *_, worst in lies)
+                fold(conditions, chunk.take(idx, axis=1), chunk_norms.take(idx))
+        for region, conditions in checks:
+            report.warnings.extend(_survivor_warnings(region, conditions[0][0].samples))
+            report.records.extend(r.close(cfg.tolerance) for r, *_ in conditions)
 
         for bnd in sys.boundaries:
             pts, warns = sample_boundary(sys, bnd, cfg, rng)
             report.warnings.extend(warns)
             if pts.shape[0] == 0:
                 continue
+            conditions = [continuity(bnd)]
+            if attractive_pairs is None or bnd.pair in attractive_pairs:
+                conditions += [lie("lie_boundary", f"boundary ({i},{j}), vertex {l}",
+                                   lyapunov[i], f)
+                               for i, j in (bnd.pair, bnd.pair[::-1])
+                               for l, f in enumerate(sys.regions[j].vertices)]
             cols = np.ascontiguousarray(pts.T)
-            norms = _norms(cols)
-            Vi, Vj = lyapunov[bnd.i], lyapunov[bnd.j]
-            deg = max(Vi.degree(), Vj.degree())
-            viol = np.abs(Vi.eval_columns(cols) - Vj.eval_columns(cols)) \
-                / _scale(norms, deg)
-            _record(report, "continuity", f"boundary ({bnd.i},{bnd.j})",
-                    viol, cols)
-
-            if attractive_pairs is not None and bnd.pair not in attractive_pairs:
-                continue
-            for (i, j) in (bnd.pair, bnd.pair[::-1]):
-                V = lyapunov[i]
-                for l, f in enumerate(sys.regions[j].vertices):
-                    lie = lie_derivative(V, f)
-                    viol = lie.eval_columns(cols) / _scale(norms, lie.degree())
-                    _record(report, "lie_boundary", f"boundary ({i},{j}), vertex {l}",
-                            viol, cols)
+            fold(conditions, cols, _norms(cols))
+            report.records.extend(r.close(cfg.tolerance) for r, *_ in conditions)
 
     return report
 

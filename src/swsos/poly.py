@@ -338,18 +338,6 @@ def grlex_rank(exponents) -> np.ndarray:
     return rank
 
 
-def coefficients_equal(p: Polynomial, q: Polynomial) -> dict:
-    """Per-monomial coefficient differences p - q; empty iff p == q."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    out = {}
-    for m in set(p.terms) | set(q.terms):
-        r = p.terms.get(m, 0.0) - q.terms.get(m, 0.0)
-        if r != 0.0:
-            out[m] = r
-    return out
-
-
 # -- text grammar ---------------------------------------------------------
 # sum of terms:  coeff * x1^a * x2^b ...   signs between terms, '*' optional
 # between coefficient and variables, '^1' may be omitted.

@@ -134,10 +134,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.chunks[-1][1][-1]
 
-    @property
-    def final_time(self) -> float:
-        return self.chunks[-1][0][-1]
-
     def event_kinds(self):
         return [kind for _, kind, _ in self.events]
 
@@ -452,7 +448,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         add_segment([t], np.array([x]), f"smooth:{rid}", rid)
         traj.events.append((t, "crossing", f"({b.i},{b.j})"))
 
-    if not traj.count or t - traj.final_time > _kernels.T_END_SLACK:
+    if not traj.count:
         add_segment([t], np.array([x]), "stopped:t_end")
     traj.events.append((t, "t_end", ""))
     return traj

@@ -220,12 +220,21 @@ def _integer(v, what):
     return v
 
 
+def _numbers(v, k, what):
+    """v as k floats if it is a JSON list of k numbers; a string, a bool
+    or a list of another length is a format error."""
+    if (not isinstance(v, list) or len(v) != k
+            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
+        raise SystemFormatError(f"{what} must be a list of {k} numbers, not {v!r}")
+    return [float(x) for x in v]
+
+
 def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
     try:
         n = _integer(doc["dimension"], "dimension")
-        box_raw = doc["box"]
-        lo = np.array([float(b[0]) for b in box_raw])
-        hi = np.array([float(b[1]) for b in box_raw])
+        pairs = [_numbers(b, 2, "box pair") for b in doc["box"]]
+        lo = np.array([a for a, _ in pairs])
+        hi = np.array([b for _, b in pairs])
         # the oracle draws lo + (hi - lo) * d, so the width must be finite
         # too; the RK4 kernels' box test relies on finite bounds as well
         with np.errstate(over="ignore", invalid="ignore"):
@@ -242,15 +251,16 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
                 rid=rid,
                 chi=parse_polynomial(rdoc["chi"], n),
                 xi=[parse_polynomial(s, n) for s in rdoc.get("xi", [])],
-                witness=np.array([float(v) for v in rdoc["witness"]]),
+                witness=np.array(_numbers(rdoc["witness"], n, f"region {rid} witness")),
             )
         boundaries = []
         for bdoc in doc.get("boundaries", []):
+            i = _integer(bdoc["i"], "boundary i")
+            j = _integer(bdoc["j"], "boundary j")
             boundaries.append(BoundaryVariety(
-                i=_integer(bdoc["i"], "boundary i"),
-                j=_integer(bdoc["j"], "boundary j"),
-                chi=parse_polynomial(bdoc["chi_ij"], n),
-                witness=(np.array([float(v) for v in bdoc["witness"]])
+                i=i, j=j, chi=parse_polynomial(bdoc["chi_ij"], n),
+                witness=(np.array(_numbers(bdoc["witness"], n,
+                                           f"boundary ({i},{j}) witness"))
                          if "witness" in bdoc else None),
             ))
         attached = set()
@@ -267,7 +277,7 @@ def parse_system(doc: dict, source_hash: str = "") -> SwitchedSystem:
                   for r in doc.get("origin_regions", [])}
     except SystemFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SystemFormatError(f"malformed system description: {exc}") from exc
     return SwitchedSystem(
         dimension=n,

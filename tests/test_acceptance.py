@@ -142,7 +142,7 @@ def test_criterion_6_sliding_against_exact_solution(opposing_system,
     alphas = [p.alpha for p in traj.points if p.alpha is not None]
     ok = (len(entry) == 1 and abs(entry[0] - 0.5) <= 1e-3
           and alphas and max(abs(a - 0.5) for a in alphas) <= 1e-6
-          and abs(traj.final_time - 1.0) <= 1e-9
+          and abs(traj.points[-1].t - 1.0) <= 1e-9
           and abs(traj.final_state[0] - 0.5) <= 1e-3)
     _report(6, ok, f"entry t={entry[0] if entry else None}, "
                    f"x1(1)={traj.final_state[0]:.6f}")
@@ -158,7 +158,7 @@ def test_criterion_7_integrator_is_fourth_order():
     errors, ends = [], []
     for h in (0.1, 0.05, 0.025):
         traj = simulate(sys_, (1.0,), SimConfig(step=h, t_end=1.0))
-        ends.append(traj.final_time)
+        ends.append(traj.points[-1].t)
         errors.append(abs(traj.final_state[0] - np.exp(-1.0)))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     ok = all(12.0 <= r <= 20.0 for r in ratios) and ends == [1.0] * 3

@@ -164,3 +164,9 @@ def test_svec_arithmetic_matches_the_triangle():
     # validate takes its svec length from the offsets
     SdpProblem([(k, n) for k, n in enumerate(sizes)], [], ([], [], []),
                ([], [], []), [], np.zeros(23)).validate()
+
+
+def test_validate_rejects_an_empty_block():
+    p = _problem([("Q", 0)], [], [({}, {}, 0.0)])
+    with pytest.raises(ValueError, match=r"^PSD block sizes must be >= 1$"):
+        p.validate()

@@ -257,6 +257,22 @@ def test_gluing_identity_holds_for_quadrant_certificate(quadrant_system,
     assert abs(v1 - v2) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["quadrant-cubic", "twisting"])
+def test_glue_residuals_match_a_coefficient_by_coefficient_reference(
+        systems_dir, small_oracle, name):
+    # the residual of V_i + p_ij chi_ij = V_j is its largest coefficient
+    # difference over the monomials of either side
+    sys_ = load_system(systems_dir / f"{name}.sys")
+    cert = certify(sys_, CertificationConfig(lyapunov_degree=4))
+    expected = {}
+    for b in sys_.boundaries:
+        lhs = (cert.lyapunov[b.i] + cert.gluing[b.pair] * b.chi).terms
+        rhs = cert.lyapunov[b.j].terms
+        expected[b.pair] = max((abs(lhs.get(m, 0.0) - rhs.get(m, 0.0))
+                                for m in set(lhs) | set(rhs)), default=0.0)
+    assert expected and cert.glue_residuals == expected
+
+
 def test_certificate_to_dict_round_trip_keys(quadrant_system, small_oracle):
     cert = certify(quadrant_system, CertificationConfig(lyapunov_degree=4))
     doc = cert.to_dict()

@@ -727,3 +727,40 @@ def test_help_exits_0(capsys):
         main(["certify", "-h"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: swsos certify")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("missing.json", None, ": no such file"),
+    ("bad.json", '{"lyapunov": }', ":1:14: Expecting value"),
+    ("notable.json", '{"certificate": {}}', ": missing 'lyapunov' table"),
+], ids=["missing", "malformed-json", "no-table"])
+def test_verify_unusable_lyapunov_file_is_input_error(tmp_path, capsys, name,
+                                                      text, message):
+    lyap = tmp_path / name
+    if text is not None:
+        lyap.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "verify", QUAD, str(lyap)]) == 1
+    assert capsys.readouterr().err == f"error: {lyap}{message}\n"
+    assert not out.exists()
+
+
+def test_simulate_x0_of_the_wrong_length_is_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "simulate", QUAD, "--x0=1,1,1"]) == 1
+    assert capsys.readouterr().err == "error: --x0 needs 2 coordinates\n"
+    assert not out.exists()
+
+
+def test_verify_prints_the_oracle_warnings(tmp_path, capsys, monkeypatch):
+    # a ball wider than the box leaves nothing to sample: verify still
+    # passes, and says why on its warning lines
+    from swsos import oracle
+    monkeypatch.setattr(oracle, "EXCLUSION_RADIUS", 10.0)
+    assert run(["verify", QUAD, PUBLISHED_V], tmp_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("warning: ")] == [
+        "warning: region 1: zero sample survivors",
+        "warning: region 2: zero sample survivors",
+        "warning: boundary (1,2): no boundary witness found"]
+    assert "verdict: no-violation-found" in lines

@@ -447,3 +447,41 @@ def test_3d_verify_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_exclusion_ball_over_the_whole_box_leaves_nothing_to_check(
+        monkeypatch, quadrant_system, published_lyapunov):
+    # a ball wider than the box removes every candidate and every boundary
+    # point: each region condition is a record with no samples, and the
+    # boundary gets no record at all
+    monkeypatch.setattr(oracle, "EXCLUSION_RADIUS", 10.0)
+    report = verify_certificate(quadrant_system, published_lyapunov)
+    assert report.warnings == ["region 1: zero sample survivors",
+                               "region 2: zero sample survivors",
+                               "boundary (1,2): no boundary witness found"]
+    assert [(r.condition, r.samples, r.worst_violation, r.worst_point, r.passed)
+            for r in report.records] == [
+        ("positivity", 0, 0.0, (), True),
+        ("lie_region", 0, 0.0, (), True),
+        ("lie_region", 0, 0.0, (), True),
+        ("positivity", 0, 0.0, (), True),
+        ("lie_region", 0, 0.0, (), True)]
+
+
+def test_exclusion_ball_near_the_box_corners_leaves_few_survivors(
+        monkeypatch, quadrant_system, published_lyapunov):
+    # only the box corners lie outside a ball of radius 5.6, and no point
+    # of the axes does
+    monkeypatch.setattr(oracle, "EXCLUSION_RADIUS", 5.6)
+    report = verify_certificate(quadrant_system, published_lyapunov)
+    assert report.warnings == ["region 1: only 14 sample survivors",
+                               "region 2: only 22 sample survivors",
+                               "boundary (1,2): no boundary witness found"]
+    assert [r.samples for r in report.records] == [14, 14, 14, 22, 22]
+    assert report.passed
+
+
+def test_family_missing_a_region_is_refused(quadrant_system, published_lyapunov):
+    family = {1: published_lyapunov[1]}
+    with pytest.raises(ValueError, match=r"^no Lyapunov polynomial for regions \[2\]$"):
+        verify_certificate(quadrant_system, family)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from swsos.poly import (Polynomial, PolyVector, PolynomialParseError,
-                        coefficients_equal, grlex_key, grlex_rank,
-                        lie_derivative, monomial_basis, parse_polynomial,
-                        parse_vector)
+                        grlex_key, grlex_rank, lie_derivative, monomial_basis,
+                        parse_polynomial, parse_vector)
 
 
 def test_parse_basic():
@@ -137,13 +136,6 @@ def test_grlex_rank_is_the_position_in_the_basis():
         assert grlex_rank(basis[::-1]).tolist() == list(range(len(basis)))[::-1]
         assert grlex_rank(np.zeros((0, n), dtype=int)).shape == (0,)
     assert grlex_rank([(0, 20, 0)]).tolist() == [monomial_basis(3, 20).index((0, 20, 0))]
-
-
-def test_coefficients_equal():
-    p = parse_polynomial("x1^2 + x2", 2)
-    q = parse_polynomial("x1^2 + 2*x2", 2)
-    assert coefficients_equal(p, p) == {}
-    assert coefficients_equal(p, q) == {(0, 1): -1.0}
 
 
 def test_cleanup_is_display_only():

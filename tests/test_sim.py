@@ -267,11 +267,20 @@ def test_simulate_scalar_convergence_time():
 def test_simulate_smooth_run_ends_at_t_end():
     # 1234.5 steps of h: the run takes 1234 of them and one of h/2
     traj = simulate(_scalar_decay(), (1.0,), SimConfig(step=1e-3, t_end=1.2345))
-    assert abs(traj.final_time - 1.2345) <= 1e-12
-    assert traj.events == [(traj.final_time, "t_end", "")]
+    assert abs(traj.points[-1].t - 1.2345) <= 1e-12
+    assert traj.events == [(traj.points[-1].t, "t_end", "")]
     times = [p.t for p in traj.points]
     assert times[:-1] == [k * 1e-3 for k in range(1, 1235)]
     assert abs(traj.final_state[0] - np.exp(-1.2345)) < 1e-9
+
+
+def test_run_shorter_than_the_t_end_slack_is_one_stopped_row(quadrant_system):
+    # t_end lies within _kernels.T_END_SLACK of the start, so no step is
+    # taken: the run is the start, stopped at t = 0
+    traj = simulate(quadrant_system, (1.0, 1.0), SimConfig(t_end=1e-16))
+    assert [(p.t, p.x.tolist(), p.mode) for p in traj.points] == [
+        (0.0, [1.0, 1.0], "stopped:t_end")]
+    assert traj.events == [(0.0, "t_end", "")]
 
 
 def test_chattering_run_ends_at_t_end(opposing_system):
@@ -280,7 +289,7 @@ def test_chattering_run_ends_at_t_end(opposing_system):
     # clamped step is localized, the sliding that follows ends on t_end too,
     # and nothing lies past t_end
     traj = simulate(opposing_system, (0.0, 0.5002), SimConfig(t_end=0.5005))
-    assert traj.final_time == 0.5005
+    assert traj.points[-1].t == 0.5005
     assert max(t for t, _, _ in traj.events) == 0.5005
     assert traj.event_kinds() == ["crossing", "sliding_entry", "t_end"]
     assert 0.5 < traj.events[0][0] < 0.5005
@@ -531,7 +540,7 @@ from swsos.sim import SimConfig, simulate
 from swsos.system import parse_system
 traj = simulate(parse_system(json.loads(sys.argv[1])), json.loads(sys.argv[2]),
                 SimConfig(step=1e-3, t_end=1.0))
-print(json.dumps([traj.events, traj.final_time]))
+print(json.dumps([traj.events, traj.points[-1].t]))
 """
 
 
@@ -591,7 +600,7 @@ def test_decide_projects_onto_a_variety_off_the_band(systems_dir):
     sys_ = _opposing_with_chi(systems_dir, "100*x2")
     traj = simulate(sys_, (0.3, 5e-9), SimConfig(t_end=1.0))
     assert traj.event_kinds() == ["sliding_entry", "t_end"]
-    assert traj.final_time == 1.0
+    assert traj.points[-1].t == 1.0
     alphas = [a for chunk in traj.chunks for a in chunk[3] or ()]
     assert len(alphas) == 1000 and set(alphas) == {0.5}
 

@@ -725,3 +725,9 @@ def test_quadrant_cubic_attractivity_program_digest(monkeypatch, systems_dir):
     certify_module.check_attractivity(sys_, (1, 2))
     assert len(seen) == 1
     assert problem_digest(seen[0]) == QUADRANT_CUBIC_ATTRACTIVITY_DIGEST
+
+
+@pytest.mark.parametrize("residual", [2e-5, float("nan")], ids=["above", "nan"])
+def test_quality_is_poor_past_the_marginal_bound(residual):
+    # above INACCURATE_TOL (1e-5), or unknown, no Gram block can save it
+    assert SosCertificate(residual_norm=residual).quality() == "poor"

@@ -76,11 +76,49 @@ def test_two_region_mutation_is_well_formed():
     _with_boundary(i=True, j=2),
     _with_boundary(i=1, j=2.0),
     lambda d: d.update(origin_regions=[1, 9]),             # unknown region
+    # a JSON integer too large for a float: float() raises OverflowError
+    lambda d: d["box"].__setitem__(0, [-1, 2 * 10 ** 400]),
 ])
 def test_malformed_documents_rejected(mutate):
     doc = _minimal_doc()
     mutate(doc)
     with pytest.raises(SystemFormatError):
+        parse_system(doc)
+
+
+def _two_dimensional_doc():
+    doc = _minimal_doc()
+    doc.update(dimension=2, box=[[-2, 2], [-2, 2]], dynamics={"1": [["-x1", "-x2"]]})
+    doc["regions"][0]["witness"] = [0.5, 0.5]
+    return doc
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(box=["24", "24"]), r"box pair must be a list of 2 numbers, not '24'"),
+    (lambda d: d["box"].__setitem__(0, [-2, 2, 99]),
+     r"box pair must be a list of 2 numbers, not \[-2, 2, 99\]"),
+    (lambda d: d["box"].__setitem__(0, ["-2", "2"]),
+     r"box pair must be a list of 2 numbers, not \['-2', '2'\]"),
+    (lambda d: d["box"].__setitem__(0, [True, 2]),
+     r"box pair must be a list of 2 numbers, not \[True, 2\]"),
+    (lambda d: d["regions"][0].__setitem__("witness", "11"),
+     r"region 1 witness must be a list of 2 numbers, not '11'"),
+    (lambda d: d["regions"][0].__setitem__("witness", [True, True]),
+     r"region 1 witness must be a list of 2 numbers, not \[True, True\]"),
+    (lambda d: d.update(
+        regions=d["regions"] + [{"id": 2, "chi": "0", "xi": [], "witness": [-0.5, 0.5]}],
+        boundaries=[{"i": 1, "j": 2, "chi_ij": "x1", "witness": "00"}],
+        dynamics={"1": [["-x1", "-x2"]], "2": [["-x1", "-x2"]]}),
+     r"boundary \(1,2\) witness must be a list of 2 numbers, not '00'"),
+], ids=["box-strings", "box-pair-of-three", "box-pair-of-strings", "box-bool",
+        "region-witness-string", "region-witness-bools", "boundary-witness-string"])
+def test_box_pairs_and_witnesses_are_lists_of_numbers(mutate, message):
+    # strings, booleans and over-long lists used to be read as numbers:
+    # "24" as the pair (2, 4), True as 1, and [-2, 2, 99] as [-2, 2]
+    doc = _two_dimensional_doc()
+    assert parse_system(doc).dimension == 2
+    mutate(doc)
+    with pytest.raises(SystemFormatError, match=f"^{message}$"):
         parse_system(doc)
 
 
@@ -275,3 +313,27 @@ def test_validate_fails_bad_witness():
     doc["regions"][0]["xi"] = ["-x1"]  # witness 0.5 violates -x1 >= 0
     report = parse_system(doc).validate()
     assert report.has_fail
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9])
+def test_locate_needs_a_positive_tolerance(quadrant_system, tol):
+    with pytest.raises(ValueError, match=r"^tol must be > 0$"):
+        quadrant_system.locate((1.0, 1.0), tol=tol)
+
+
+def test_boundary_naming_an_unknown_region_is_refused(systems_dir):
+    doc = json.loads((systems_dir / "quadrant-cubic.sys").read_text())
+    doc["boundaries"][0]["j"] = 7
+    with pytest.raises(SystemFormatError,
+                       match=r"^boundary \(1,7\) references unknown region$"):
+        parse_system(doc)
+
+
+def test_validate_warns_when_the_boundary_witness_leaves_a_region(systems_dir):
+    # (0, 1) lies on chi_ij = x1 and in region 1 (x2 >= 0), not in region 2
+    doc = json.loads((systems_dir / "opposing-fields.sys").read_text())
+    doc["boundaries"][0].update(chi_ij="x1", witness=[0.0, 1.0])
+    report = parse_system(doc).validate()
+    assert [c for c in report.checks if c[1] != "pass"] == [
+        ("boundary[1,2].adjacency[2]", "warn",
+         "boundary witness not in closure of region 2")]
