@@ -22,16 +22,20 @@ depends only on them (the sliding normal and its squared norm; with two
 constant fields also sliding_field's denominator, weight and slope, so
 all four RK4 slopes are one), and leaves out the stage points no stage
 reads.  Every exit test stays in the loop, in its place and order.
-Both kernels take their header, ball exit and box exit from `_frame` and
-their time grid from `_clock`.  The box exit is one chained comparison,
-lo0 <= y0 <= hi0 and ...; a parsed box is finite, so nan and +-inf fail
-it and need no isfinite.  A step runs no inner loop and builds no list:
-the sliding projection's three Newton steps are unrolled into nested
-`if not ...` blocks, the step's end is rebound one name at a time
-(x0 = y0), and a row is added with one flat.append per coordinate.  The
-emitted arithmetic is `eval_terms`' and
-`sliding_field`'s, in the same order, so the values are those of
-interpreting the term lists, bit for bit.
+Both kernels take their header, ball exit and box exit from `_frame`,
+their time grid from `_clock` and their watch of boundary varieties from
+`_watch`.  The smooth kernel watches its region's boundaries; the sliding
+kernel of (i, j) watches the other boundaries of regions i and j, which
+end the piece of its variety between the two regions
+(STOP_OTHER_BOUNDARY + b), and where there are none it emits no watch
+line.  The box exit is one chained comparison, lo0 <= y0 <= hi0 and ...;
+a parsed box is finite, so nan and +-inf fail it and need no isfinite.
+A step runs no inner loop and builds no list: the sliding projection's
+three Newton steps are unrolled into nested `if not ...` blocks, the
+step's end is rebound one name at a time (x0 = y0), and a row is added
+with one flat.append per coordinate.  The emitted arithmetic is
+`eval_terms`' and `sliding_field`'s, in the same order, so the values are
+those of interpreting the term lists, bit for bit.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ STOP_BOUNDARY = 3
 STOP_OFF_VARIETY = 4        # |chi| above the sliding band
 STOP_TANGENCY = 5           # |<n, F_j - F_i>| under TANGENCY_TOL
 STOP_ALPHA = 6              # the sliding weight left [0, 1]
+STOP_OTHER_BOUNDARY = 7     # + b: the b-th watched variety changed sign
 
 TANGENCY_TOL = 1e-12
 T_END_SLACK = 1e-15         # a run this close to t_end ends on it; see _clock
@@ -243,6 +248,26 @@ def _frame(n, var, stop):
             [f"if not ({inside}):", stop(STOP_ESCAPED)])
 
 
+def _watch(chis, var, stop):
+    """(start, step) lines that watch each variety of chis for an event.
+
+    chis: (variety index tuples, first coefficient) pairs.  The start lines
+    set chi b's sign memory p<b> from x0..: 0 within `band` of zero, where
+    the state has no side yet, else chi(x).  The step lines test chi b at
+    var0.. by the one event rule, q * p<b> < 0.0 or q == 0.0 != p<b>, run
+    stop(b) on an event and keep q as the memory otherwise.
+    """
+    start, step = [], []
+    for b, (chi, c) in enumerate(chis):
+        start += [f"q = {_expr(chi, 'x', c)}",
+                  f"p{b} = 0.0 if abs(q) <= band else q"]
+        step += [f"q = {_expr(chi, var, c)}",
+                 f"if q * p{b} < 0.0 or q == 0.0 != p{b}:",
+                 stop(b),
+                 f"p{b} = q"]
+    return start, step
+
+
 def smooth_kernel(fields, chis):
     """The smooth RK4 segment loop of xdot = F(x) for rk4_smooth_run.
 
@@ -277,6 +302,8 @@ def _smooth_lines(n, shape, first):
     reads = _reads(f for f, _ in fields)
     setup, clock, end = _clock(reads)
     header, ball, box = _frame(n, "y", stop)
+    # a boundary within `band` of the start has no side yet: sign 0
+    start, watch = _watch(chis, "y", lambda b: stop(STOP_BOUNDARY))
     step = [
         *ball,
         *clock,
@@ -285,18 +312,9 @@ def _smooth_lines(n, shape, first):
         *_append("y", n),
         "times.append(t)",
         *box,
+        *watch,
+        *_rebind(n),
     ]
-    for b, (chi, c) in enumerate(chis):
-        step += [f"q = {_expr(chi, 'y', c)}",
-                 f"if q * p{b} < 0.0 or q == 0.0 != p{b}:",
-                 stop(STOP_BOUNDARY),
-                 f"p{b} = q"]
-    step += _rebind(n)
-    # a boundary within `band` of the start has no side yet: sign 0
-    start = []
-    for b, (chi, c) in enumerate(chis):
-        start += [f"q = {_expr(chi, 'x', c)}",
-                  f"p{b} = 0.0 if abs(q) <= band else q"]
     return [
         f"def kernel(x, t, t_end, h, ball_stop, lo, hi, band{_params(shape)}):",
         *_indent(header, 1),
@@ -364,17 +382,20 @@ def sliding_field(n, fi, fj):
     return [a * u + b * v for u, v in zip(fi, fj)], a
 
 
-def sliding_kernel(grad, fi, fj, chi):
+def sliding_kernel(grad, fi, fj, chi, *others):
     """The sliding RK4 segment loop on {chi = 0} for rk4_sliding_run.
 
     grad, fi, fj: one term list per component of the variety's gradient,
-    F_i and F_j; chi: the variety's term list.  The kernel is
+    F_i and F_j; chi: the variety's term list; others: the term lists of
+    the varieties that bound the piece of {chi = 0} between the two
+    regions (the regions' other boundaries), none of which the kernel may
+    cross; with no others it emits no watch line.  The kernel is
     kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band)
     -> (flat, times, alphas, x, t, code), with x, lo and hi lists of floats
     and flat the accepted states row after row; see rk4_sliding_run for the
-    rules.  Its code is compiled once per exponent structure of the four.
+    rules.  Its code is compiled once per exponent structure of them all.
     """
-    return _bind(_sliding_lines, len(fi), (*grad, *fi, *fj, chi))
+    return _bind(_sliding_lines, len(fi), (*grad, *fi, *fj, chi, *others))
 
 
 def _sliding_lines(n, shape, first):
@@ -383,6 +404,7 @@ def _sliding_lines(n, shape, first):
     terms = list(zip(shape, first))
     grad, fi, fj = terms[:n], terms[n:2 * n], terms[2 * n:3 * n]
     chi, chi_first = terms[3 * n]
+    others = terms[3 * n + 1:]
     vectors = (("n", grad), ("u", fi), ("v", fj))
     # constant term lists are bound once, before the loop; when all of them
     # are, so are sliding_field's denominator, weight and slope, with the
@@ -441,12 +463,17 @@ def _sliding_lines(n, shape, first):
     reads = _reads(p for _, vec in vectors for p, _ in vec)
     setup, clock, end = _clock(reads)
     header, ball, box = _frame(n, "x", stop)
+    # a step that takes the state across another variety leaves the piece:
+    # the run stops at the step's start
+    start, watch = _watch(others, "y",
+                          lambda b: stop(STOP_OTHER_BOUNDARY + b))
     step = [
         *ball,
         f"if abs({_expr(chi, 'x', chi_first)}) > band:", stop(STOP_OFF_VARIETY),
         *clock,
         *_rk4_lines(n, stage, "hs", reads, cols if whole else ()),
         *project,
+        *watch,
         "t = tn",
         *_rebind(n),
         *box,
@@ -459,6 +486,7 @@ def _sliding_lines(n, shape, first):
         f"{_params(shape)}):",
         *_indent(header, 1),
         *_indent(hoisted, 1),
+        *_indent(start, 1),
         *_indent(setup, 1),
         "    flat, times, alphas = [], [], []",
         "    while t < t_stop:",
@@ -481,7 +509,12 @@ def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
     and stop time on t_end.  Tangency at a later stage is STOP_TANGENCY too.
     Up to three Newton steps go back onto chi = 0, stopping once |chi| <=
     event_tol or the gradient vanishes; a nan chi or gradient norm takes
-    the step.  A non-finite or out-of-box state
+    the step.  A step over which one of the kernel's other varieties
+    changes sign, by the smooth kernel's rule with sign 0 for a variety
+    within band of zero at x0, ends the run at the step's start with
+    STOP_OTHER_BOUNDARY + b, b that variety's index in `others`: the state
+    has reached the end of the piece of {chi = 0} between the two regions.
+    A non-finite or out-of-box state
     (box_lo and box_hi are finite) ends the run (STOP_ESCAPED); reaching
     t_end is STOP_MAXSTEPS.
 

@@ -59,7 +59,7 @@ from .certify import (CERTIFIED, NO_CERTIFICATE, CertificationConfig,
                       certify, check_attractivity, require_valid)
 from .oracle import OracleConfig, origin_values, verify_certificate
 from .poly import PolynomialParseError, parse_polynomial
-from .sim import SimConfig, simulate, write_trajectory
+from .sim import SimConfig, norm, simulate, write_trajectory
 from .system import SystemFormatError, load_system, on_simplex
 
 EXIT_OK = 0
@@ -311,7 +311,7 @@ def cmd_simulate(args) -> int:
         last = traj.events[-1]
         return name, (f"{name}: {traj.count} points, final event {last[1]} "
                       f"at t={last[0]:.4g}, "
-                      f"||x||={np.linalg.norm(traj.final_state):.3e}")
+                      f"||x||={norm(traj.final_state.tolist()):.3e}")
 
     done, exc, later = _run_striped(configs, run)
     for _, line in done:

@@ -45,24 +45,33 @@ side.  Then an alpha in [0, 1] runs the sliding kernel; in every other
 case, repelling boundaries included, the transversal probe picks a side.
 A sliding run that ends with tangency before it accepts a row leaves by
 the transversal rule, since sliding again from the same point would end
-the same way.  Between segments the
-state is a list of floats, and every event step (the ball test, region
-location, the sliding weight, the transversal probe and crossing
-localisation) evaluates the term lists with _kernels.eval_terms on it.
+the same way.  A sliding run stays on its piece of boundary: the sliding
+kernel of (i, j) also watches the other boundaries of regions i and j, by
+the smooth kernel's rule, and a step across one ends the run at the
+step's start with a stratum_stop naming both boundaries.  Between
+segments the state is a list of floats, and every event step (the ball
+test, region location, the sliding weight, the transversal probe and
+crossing localisation) evaluates the term lists with _kernels.eval_terms
+on it.
 No point or event lies past t_end: both kernels keep _kernels' one time
 grid, and simulate ends within _kernels.T_END_SLACK of t_end as they do.
 
 A Trajectory stores what the kernels return, one chunk per segment (a
 crossing, a stop and the t_end point are one-row segments): the times,
 the states as one (m, n) array, the mode, and the alpha and psi columns
-when present.  write_trajectory interleaves each chunk's columns into
-one row-major list and formats the chunk with one %; the per-point
-TrajectoryPoint view is built only when something reads `points`.
+when present.  write_trajectory writes each x_k, alpha or psi column
+that prints one text on every row of a chunk (a relay's alpha, the
+coordinate normal to a straight boundary, a sliding equilibrium) into
+the chunk's row template as that text; it interleaves the time column
+and the other columns into one row-major list and formats the chunk with
+one %.  The per-point TrajectoryPoint view is built only when something
+reads `points`.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -156,6 +165,12 @@ def _dot(u, v) -> float:
     for a, b in zip(u, v):
         total += a * b
     return total
+
+
+def norm(x) -> float:
+    """|x|: the squares summed in index order from 0.0, the arithmetic of
+    the ball test in the RK4 kernels and of the oracle's sampled norms."""
+    return math.sqrt(_dot(x, x))
 
 
 def _sign(v):
@@ -315,11 +330,19 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         return _terms(sys.boundary(*pair).chi.gradient())
 
     @cache
+    def others_of(pair):
+        """The other boundaries of pair's two regions, which end the piece
+        of pair's variety between them."""
+        return tuple(b for b in sys.boundaries
+                     if b.pair != pair and set(b.pair) & set(pair))
+
+    @cache
     def sliding_kernel_of(pair):
         i, j = pair
-        return _kernels.sliding_kernel(grad_of(pair), field_of(i)[1],
-                                       field_of(j)[1],
-                                       sys.boundary(i, j).chi._term_list())
+        return _kernels.sliding_kernel(
+            grad_of(pair), field_of(i)[1], field_of(j)[1],
+            sys.boundary(i, j).chi._term_list(),
+            *(b.chi._term_list() for b in others_of(pair)))
 
     def add_segment(times, states, mode, rid=None, alphas=None):
         """The accepted points of one kernel run or one event point, psi
@@ -360,7 +383,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
     while t < t_stop:
         # one pass per visit: the ball test, the region, on a boundary the
         # choice between sliding and a side, then the smooth kernel
-        if math.sqrt(_dot(x, x)) <= BALL_STOP:
+        if norm(x) <= BALL_STOP:
             return stop(t, x, "converged")
         try:
             rid, pair = pick_region(x)
@@ -395,7 +418,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             ni, nj = _dot(n, fi), _dot(n, fj)
             # sliding needs both fields to point at chi_ij = 0; region i is
             # on the +n side iff it holds the probe a step d along +n
-            d = 1e-3 * (1.0 + math.sqrt(_dot(x, x))) / math.sqrt(nn)
+            d = 1e-3 * (1.0 + norm(x)) / math.sqrt(nn)
             i_plus = holds(i, x, d, n)
             attracting = (ni <= 0.0 <= nj) if i_plus else (nj <= 0.0 <= ni)
             slide = _kernels.sliding_field(n, fi, fj) if attracting else None
@@ -407,6 +430,10 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 add_segment(times, states, f"sliding:{i},{j}", i, alphas)
                 if code in _STOP_EVENT:
                     return stop(t, x, _STOP_EVENT[code])
+                if code >= _kernels.STOP_OTHER_BOUNDARY:
+                    b = others_of(pair)[code - _kernels.STOP_OTHER_BOUNDARY]
+                    return stop(t, x, "stratum_stop",
+                                f"sliding on ({i},{j}) reached ({b.i},{b.j})")
                 if code != _kernels.STOP_MAXSTEPS:
                     traj.events.append(
                         (t, "sliding_exit", f"({i},{j}){_SLIDING_EXIT_NOTE[code]}"))
@@ -456,11 +483,28 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
 # -- plain-text serialization --------------------------------------------------
 
+def _one_text(column) -> bool:
+    """Whether every value of column prints as the first does.
+
+    Values with the first's bits print its text, so every nan of one
+    payload is one text and -0.0 among 0.0 (it prints -0) is not; nan of
+    mixed payloads read as varying, which costs only their formatting.
+    The ends are compared first: a column whose ends differ costs O(1).
+    """
+    first, last = column[0], column[-1]
+    if not (last == first or (first != first and last != last)):
+        return False
+    m = len(column)
+    return struct.pack(f"{m}d", *column) == struct.pack("d", first) * m
+
+
 def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
     """Delimiter-separated rows (t, x..., mode, alpha, psi) plus an events
-    table, directly plottable by external tools.  Each chunk is one %
-    of its row template repeated once per row, with the same bytes as
-    one % per row."""
+    table, directly plottable by external tools.  Each chunk is one % of
+    its row template repeated once per row, with the same bytes as one %
+    per row.  An x_k, alpha or psi column that prints one text on every
+    row of the chunk is that text in the template, formatted once; the
+    time column and the others are the % arguments."""
     if manifest_hash:
         fh.write(f"# manifest {manifest_hash}\n")
     dim = traj.chunks[0][1].shape[1] if traj.chunks else 0
@@ -468,13 +512,19 @@ def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
     fh.write("\t".join(cols) + "\n")
     text = []
     for times, states, mode, alphas, psi in traj.chunks:
-        # one template per chunk: a missing alpha is the bare "\t\t", a
-        # missing psi the bare "\n"
-        row = ("%.9g\t" + "%.12g\t" * dim + mode.replace("%", "%%")
-               + ("\t%.9g\t" if alphas is not None else "\t\t")
-               + ("%.12g\n" if psi is not None else "\n"))
-        columns = [times, *states.T.tolist()]
-        columns += [c for c in (alphas, psi) if c is not None]
+        # one template per chunk: a missing alpha or psi is an empty cell
+        cells, columns = ["%.9g"], [times]
+        for fmt, column in [*zip(repeat("%.12g"), states.T.tolist()),
+                            ("%.9g", alphas), ("%.12g", psi)]:
+            if column is None:
+                cells.append("")
+            elif _one_text(column):
+                cells.append((fmt % column[0]).replace("%", "%%"))
+            else:
+                cells.append(fmt)
+                columns.append(column)
+        cells.insert(dim + 1, mode.replace("%", "%%"))
+        row = "\t".join(cells) + "\n"
         # the chunk's values row after row, column j at j, j + k, ...: one
         # % formats the whole chunk
         k, m = len(columns), len(times)

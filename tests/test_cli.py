@@ -335,6 +335,17 @@ def test_single_runs_never_fork(tmp_path, monkeypatch, args):
     assert len(list(tmp_path.glob("*.trajectory.tsv"))) == 1
 
 
+def test_simulate_summary_of_a_converged_run_is_inside_the_ball(tmp_path,
+                                                               capsys):
+    # the summary's ||x|| is the ball test's norm, so a run that stops as
+    # converged reads at most the ball radius
+    assert run(["simulate", "systems/branicky-a.sys", "--x0", "0.05,0.05",
+                "--t-end", "5"], tmp_path) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert "final event converged" in line
+    assert float(line.rsplit("||x||=", 1)[1]) <= 1.000e-04
+
+
 def test_simulate_sweep_writes_one_file_per_value(tmp_path, capsys):
     code = run(["simulate", QUAD, "--x0", "1,1", "--t-end", "0.5",
                 "--theta-sweep", "0,0.5,1", "--certificate", PUBLISHED_V],

@@ -1184,3 +1184,28 @@ PINNED_KERNEL_DIGESTS = {
 def test_kernel_sources_are_pinned():
     from kernel_corpus import digests
     assert digests() == PINNED_KERNEL_DIGESTS
+
+
+# sha256 of the sliding kernel source simulate compiles for
+# opposing-fields.sys: constant fields and normal, and two regions with no
+# other boundary, as the benchmark's sliding runs execute it
+OPPOSING_SLIDING_DIGEST = 'd480e7aa82d6dde1925a1cce68b7dbed90ed77529b62ac5ea11d129fbe80f105'
+
+
+def test_opposing_fields_sliding_kernel_source_is_pinned(monkeypatch,
+                                                         opposing_system):
+    import hashlib
+
+    from swsos.sim import SimConfig, simulate
+    sources = []
+    generate = _kernels._sliding_lines
+
+    def recording(*args):
+        sources.append("\n".join(generate(*args)) + "\n")
+        return generate(*args)
+
+    monkeypatch.setattr(_kernels, "_CODES", {})
+    monkeypatch.setattr(_kernels, "_sliding_lines", recording)
+    simulate(opposing_system, (0.0, 0.5), SimConfig(t_end=1.0))
+    assert len(sources) == 1
+    assert hashlib.sha256(sources[0].encode()).hexdigest() == OPPOSING_SLIDING_DIGEST

@@ -655,6 +655,28 @@ def test_stratum_stops(doc, x0, detail, t, x):
     assert traj.points[-1].mode == "stopped:stratum_stop"
 
 
+@pytest.mark.parametrize("x0, detail", [
+    ((0.0, 0.5), "sliding on (1,4) reached (1,2)"),
+    ((0.5, 0.0), "sliding on (1,2) reached (1,4)"),
+])
+def test_sliding_stops_where_its_piece_of_boundary_ends(x0, detail):
+    # fields (1, 1), (-1, 1), (-1, -1) and (1, -1) around the corner (1, 1):
+    # the run reaches a side at t = 0.5, slides towards the corner at unit
+    # speed and reaches it at t = 1.0, where the other side's variety ends
+    # the piece between its two regions.  It must stop there, not slide on
+    # past the corner with the two regions' fields until it escapes
+    doc = _four_corners_doc()
+    doc["dynamics"] = {"1": [["1", "1"]], "2": [["-1", "1"]],
+                       "3": [["-1", "-1"]], "4": [["1", "-1"]]}
+    traj = simulate(parse_system(doc), x0, SimConfig(step=1e-3, t_end=3.0))
+    assert traj.event_kinds() == ["crossing", "sliding_entry", "stratum_stop"]
+    assert traj.events[1][0] == pytest.approx(0.5, abs=1e-3)
+    t, _, got = traj.events[-1]
+    assert got == detail and t == pytest.approx(1.0, abs=2e-3)
+    assert traj.final_state.tolist() == pytest.approx([1.0, 1.0], abs=2e-3)
+    assert traj.points[-1].mode == "stopped:stratum_stop"
+
+
 def test_write_trajectory_format(tmp_path, opposing_system):
     traj = simulate(opposing_system, (0.0, 0.5), SimConfig(step=1e-3, t_end=1.0))
     out = tmp_path / "t.tsv"
@@ -803,6 +825,30 @@ def test_write_trajectory_matches_per_row_percent_writer(dim):
                  column(m) if alpha else None, column(m) if psi else None)
         traj.events.append((t, "crossing", f"({k},{k + 1})"))
     traj.chunks[2][1][0] = [np.inf, -0.0, np.nan][:dim]
+    # columns that hold one value on every row: x_k, alpha and psi constant;
+    # a column of 0.0 with one -0.0 inside, one with -0.0 last and one with
+    # -0.0 first; all-nan (with a -nan) and all-inf columns; columns equal
+    # at both ends only; two- and one-row chunks; a % in a mode between
+    # constant columns
+    zeros = [0.0] * 9
+    for mode, xs, alphas, psi in [
+            ("sliding:1,2", [[0.25] * 30] * dim, [0.5] * 30, [7.0] * 30),
+            ("sliding:1,2", [zeros[:4] + [-0.0] + zeros[5:]] + [zeros] * (dim - 1),
+             zeros[:-1] + [-0.0], [-0.0] + zeros[1:]),
+            ("smooth:2", [[np.nan] * 5] + [[np.inf] * 5] * (dim - 1),
+             [np.nan, -np.nan, np.nan, np.nan, np.nan], [-np.inf] * 5),
+            ("sliding:1,2", [[1.5, 2.5, 1.5]] * dim, [0.5, 0.25, 0.5],
+             [3.0, 3.0 + 1e-12, 3.0]),
+            ("sliding:1,2", [[3.0, 3.0]] * dim, [1.0, 1.0], [2.0, 2.0]),
+            ("sliding:1,2", [[3.0, 4.0]] * dim, [1.0, 0.0], None),
+            ("sliding:1,2", [[-2.0]] * dim, [0.0], [1.0]),
+            ("mode 100% %s", [[0.125] * 4] * dim, [0.75] * 4, None),
+            ("%d%%", [[1e300] * 3] * dim, None, [5e-324] * 3)]:
+        m = len(xs[0])
+        times = (t + np.cumsum(rng.uniform(0.0, 1e-3, size=m))).tolist()
+        t = times[-1]
+        traj.add(times, np.array(xs, dtype=float).T, mode, alphas, psi)
+        traj.events.append((t, "crossing", "(1,2)"))
     for t in (traj, Trajectory()):
         got, ref = io.StringIO(), io.StringIO()
         write_trajectory(t, got)
