@@ -24,12 +24,13 @@ all four RK4 slopes are one), and leaves out the stage points no stage
 reads.  Every exit test stays in the loop, in its place and order.
 Both kernels take their header, ball exit and box exit from `_frame`,
 their time grid from `_clock` and their watch of boundary varieties from
-`_watch`.  The smooth kernel watches its region's boundaries; the sliding
-kernel of (i, j) watches the other boundaries of regions i and j, which
-end the piece of its variety between the two regions
-(STOP_OTHER_BOUNDARY + b), and where there are none it emits no watch
-line.  The box exit is one chained comparison, lo0 <= y0 <= hi0 and ...;
-a parsed box is finite, so nan and +-inf fail it and need no isfinite.
+`_watch`.  The smooth kernel watches its region's boundary varieties; the
+sliding kernel of (i, j) watches the varieties of the other boundaries of
+regions i and j but its own, which end the piece of its variety between
+the two regions (STOP_OTHER_BOUNDARY + b), and where there are none it
+emits no watch line.  The caller passes each variety once.  The box
+exit is one chained comparison, lo0 <= y0 <= hi0 and ...; a parsed box
+is finite, so nan and +-inf fail it and need no isfinite.
 A step runs no inner loop and builds no list: the sliding projection's
 three Newton steps are unrolled into nested `if not ...` blocks, the
 step's end is rebound one name at a time (x0 = y0), and a row is added
@@ -388,8 +389,10 @@ def sliding_kernel(grad, fi, fj, chi, *others):
     grad, fi, fj: one term list per component of the variety's gradient,
     F_i and F_j; chi: the variety's term list; others: the term lists of
     the varieties that bound the piece of {chi = 0} between the two
-    regions (the regions' other boundaries), none of which the kernel may
-    cross; with no others it emits no watch line.  The kernel is
+    regions, none of which the kernel may cross: one per distinct variety
+    of the regions' other boundaries, chi itself left out, since a
+    boundary on it continues the piece.  With no others it emits no watch
+    line.  The kernel is
     kernel(x, t, t_end, h, ball_stop, lo, hi, event_tol, band)
     -> (flat, times, alphas, x, t, code), with x, lo and hi lists of floats
     and flat the accepted states row after row; see rk4_sliding_run for the
@@ -500,8 +503,8 @@ def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
                     event_tol, band):
     """Fixed-step RK4 on the sliding field of one boundary until an exit.
 
-    kernel: sliding_kernel(grad, fi, fj, chi) of the variety and both
-    fields.  Each step starts at (x, t) with the exits, in this order:
+    kernel: sliding_kernel(grad, fi, fj, chi, *others) of the variety,
+    both fields and the other varieties it watches.  Each step starts at (x, t) with the exits, in this order:
     |x| <= ball_stop (STOP_CONVERGED), |chi(x)| > band (STOP_OFF_VARIETY),
     tangency at x (STOP_TANGENCY) and alpha outside [0, 1] (STOP_ALPHA).
     Step i then ends at t0 + i*h; a step that would end past t_end ends
@@ -512,7 +515,8 @@ def rk4_sliding_run(kernel, x0, t0, t_end, h, ball_stop, box_lo, box_hi,
     the step.  A step over which one of the kernel's other varieties
     changes sign, by the smooth kernel's rule with sign 0 for a variety
     within band of zero at x0, ends the run at the step's start with
-    STOP_OTHER_BOUNDARY + b, b that variety's index in `others`: the state
+    STOP_OTHER_BOUNDARY + b, b that variety's index in `others` (each
+    distinct variety of the regions' other boundaries but chi): the state
     has reached the end of the piece of {chi = 0} between the two regions.
     A non-finite or out-of-box state
     (box_lo and box_hi are finite) ends the run (STOP_ESCAPED); reaching

@@ -275,30 +275,24 @@ def certify(sys: SwitchedSystem, cfg: CertificationConfig = None,
                   if check_attractivity(sys, b.pair) != NOT_ATTRACTIVE]
     problem, plan = build_feasibility(sys, cfg, cross_pairs=attractive)
     sol = solve(problem)
+    cert = Certificate(status=SUSPECT, config=cfg, attractive_pairs=attractive,
+                       system_hash=sys.source_hash)
 
     if sol.status != FEASIBLE:
         if sol.status == INFEASIBLE:
-            status = NO_CERTIFICATE
-            detail = (f"no certificate at degree {cfg.lyapunov_degree} "
-                      f"({sol.solver_status})")
+            cert.status = NO_CERTIFICATE
+            cert.detail = (f"no certificate at degree {cfg.lyapunov_degree} "
+                           f"({sol.solver_status})")
         else:
-            status, detail = SUSPECT, f"solver failure: {sol.solver_status}"
-        return Certificate(
-            status=status, config=cfg, attractive_pairs=attractive,
-            system_hash=sys.source_hash, solve_seconds=time.time() - t0,
-            detail=detail)
+            cert.detail = f"solver failure: {sol.solver_status}"
+        cert.solve_seconds = time.time() - t0
+        return cert
 
-    evidence = certificate_from_solution(problem, sol, sys.dimension)
-    lyapunov = {rid: lp.instantiate(sol.scalar_values)
-                for rid, lp in plan["V"].items()}
-    gluing = {pair: lp.instantiate(sol.scalar_values)
-              for pair, lp in plan["glue"].items()}
-
-    cert = Certificate(
-        status=SUSPECT, lyapunov=lyapunov, gluing=gluing,
-        sos_evidence=evidence, config=cfg,
-        attractive_pairs=attractive, system_hash=sys.source_hash,
-    )
+    cert.sos_evidence = certificate_from_solution(problem, sol, sys.dimension)
+    lyapunov = cert.lyapunov = {rid: lp.instantiate(sol.scalar_values)
+                                for rid, lp in plan["V"].items()}
+    gluing = cert.gluing = {pair: lp.instantiate(sol.scalar_values)
+                            for pair, lp in plan["glue"].items()}
 
     glue_ok = True
     for b in sys.boundaries:

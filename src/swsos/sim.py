@@ -11,10 +11,13 @@ crosses a boundary (i, j) iff chi(x_prev) * chi(x_next) < 0, or
 chi(x_next) == 0 != chi(x_prev).  The smooth kernel flags such a step and
 detect_crossing localizes it on the same floats, leaving the state past
 the boundary or on it.  Only region i's boundaries are watched: a variety
-is a global zero set, and another pair's can pass through region i.  A
-smooth segment that starts within the sliding band of a boundary (after
-an event, or a sliding exit) gives that boundary no side until its first
-step leaves the band, so the step off a boundary is not a crossing.
+is a global zero set, and another pair's can pass through region i.  Each
+variety is watched once: two boundaries of region i on one chi change
+sign together, and that is one crossing, named for the boundary whose
+other region holds the crossing point.  A smooth segment that starts
+within the sliding band of a boundary (after an event, or a sliding
+exit) gives that boundary no side until its first step leaves the band,
+so the step off a boundary is not a crossing.
 
 Both inner loops run in RK4 segment kernels that _kernels generates from
 the term lists each field and boundary polynomial caches: rk4_smooth_run
@@ -46,9 +49,11 @@ case, repelling boundaries included, the transversal probe picks a side.
 A sliding run that ends with tangency before it accepts a row leaves by
 the transversal rule, since sliding again from the same point would end
 the same way.  A sliding run stays on its piece of boundary: the sliding
-kernel of (i, j) also watches the other boundaries of regions i and j, by
-the smooth kernel's rule, and a step across one ends the run at the
-step's start with a stratum_stop naming both boundaries.  Between
+kernel of (i, j) also watches the varieties of the other boundaries of
+regions i and j, each once and never chi_ij's own (a boundary on it
+continues the piece), by the smooth kernel's rule, and a step across one
+ends the run at the step's start with a stratum_stop naming (i, j) and
+the first boundary on that variety.  Between
 segments the state is a list of floats, and every event step (the ball
 test, region location, the sliding weight, the transversal probe and
 crossing localisation) evaluates the term lists with _kernels.eval_terms
@@ -159,6 +164,16 @@ def _values(terms, x) -> list:
     return [_kernels.eval_terms(t, x) for t in terms]
 
 
+def _varieties(sys: SwitchedSystem, rids) -> dict:
+    """Each distinct chi term list of the boundaries of regions rids -> the
+    boundaries on it, in declared order."""
+    out = {}
+    for b in sys.boundaries:
+        if set(b.pair) & set(rids):
+            out.setdefault(b.chi._term_list(), []).append(b)
+    return out
+
+
 def _dot(u, v) -> float:
     """Sum of u[k] * v[k] in k order, from 0.0."""
     total = 0.0
@@ -184,7 +199,10 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid):
     rid: the region the step runs in; only its boundaries (rid, .) are
     watched, the ones its smooth kernel watches.  A variety is a global
     zero set, so another pair's variety can pass through the region (two
-    pairs of a four-cone partition share x2 = 0).
+    pairs of a four-cone partition share x2 = 0).  Boundaries of rid on
+    one chi polynomial are one variety and change sign together: their
+    crossing names the one whose other region holds x_cross within the
+    sliding band, else the first declared.
 
     A boundary has an event on the step when chi(x_prev) * chi(x_next) < 0,
     or chi(x_next) == 0 != chi(x_prev): the smooth kernel's rule, on the
@@ -195,7 +213,7 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid):
     x_cross is past the boundary or on it.  It runs in plain floats on the
     term lists, with numpy's elementwise operations in the same order, so
     its values are those of the 2-vector form bit for bit.  Raises
-    StratumStop when several boundaries change sign at an unseparable
+    StratumStop when two distinct varieties change sign at an unseparable
     fraction (codimension >= 2).
     """
     x0, x1 = [float(v) for v in x_prev], [float(v) for v in x_next]
@@ -210,10 +228,7 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid):
                         for k3, k2, k1, k0 in cubic]
 
     hits = []
-    for b in sys.boundaries:
-        if rid not in b.pair:
-            continue
-        chi = b.chi._term_list()
+    for chi, named in _varieties(sys, (rid,)).items():
         c0, c1 = _kernels.eval_terms(chi, x0), _kernels.eval_terms(chi, x1)
         if c0 * c1 < 0.0 or c1 == 0.0 != c0:
             lo, hi = 0.0, 1.0
@@ -227,16 +242,21 @@ def detect_crossing(sys: SwitchedSystem, x_prev, x_next, field, h: float, rid):
                     hi = mid
                     if abs(fm) <= EVENT_TOL:
                         break
-            hits.append((hi, b))
+            hits.append((hi, named))
     if not hits:
         return None
     hits.sort(key=lambda t: t[0])
     if len(hits) > 1 and hits[1][0] - hits[0][0] <= EVENT_TOL:
         raise StratumStop(
-            f"boundaries {[h[1].pair for h in hits[:2]]} cross within "
+            f"boundaries {[h[1][0].pair for h in hits[:2]]} cross within "
             f"event_tol of the same time")
-    s, b = hits[0]
-    return b, s, np.array(interp(s))
+    s, named = hits[0]
+    xc = interp(s)
+    # a variety that bounds rid against several regions: the crossing
+    # names the boundary into the one that holds xc, else the first named
+    b = next((b for b in named if sys.regions[b.j if b.i == rid else b.i]
+              .contains(xc, SLIDING_BAND * EVENT_TOL)), named[0])
+    return b, s, np.array(xc)
 
 
 class StratumStop(RuntimeError):
@@ -321,28 +341,25 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 
     @cache
     def smooth_kernel_of(rid):
-        # the region's own boundaries, as detect_crossing(..., rid) reads them
-        chis = tuple(b.chi._term_list() for b in sys.boundaries if rid in b.pair)
-        return _kernels.smooth_kernel(field_of(rid)[1], chis)
+        # the varieties of the region's own boundaries, as
+        # detect_crossing(..., rid) reads them
+        return _kernels.smooth_kernel(field_of(rid)[1],
+                                      tuple(_varieties(sys, (rid,))))
 
     @cache
     def grad_of(pair):
         return _terms(sys.boundary(*pair).chi.gradient())
 
     @cache
-    def others_of(pair):
-        """The other boundaries of pair's two regions, which end the piece
-        of pair's variety between them."""
-        return tuple(b for b in sys.boundaries
-                     if b.pair != pair and set(b.pair) & set(pair))
-
-    @cache
-    def sliding_kernel_of(pair):
+    def sliding_kernel_of(pair, chi):
+        """The sliding kernel of pair's boundary on chi, and the boundaries
+        it watches: the first on each other variety of the two regions."""
+        watched = _varieties(sys, pair)
+        del watched[chi]
         i, j = pair
-        return _kernels.sliding_kernel(
-            grad_of(pair), field_of(i)[1], field_of(j)[1],
-            sys.boundary(i, j).chi._term_list(),
-            *(b.chi._term_list() for b in others_of(pair)))
+        return (_kernels.sliding_kernel(grad_of(pair), field_of(i)[1],
+                                        field_of(j)[1], chi, *watched),
+                tuple(named[0] for named in watched.values()))
 
     def add_segment(times, states, mode, rid=None, alphas=None):
         """The accepted points of one kernel run or one event point, psi
@@ -363,7 +380,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         return sys.regions[rid].contains([u + s * v for u, v in zip(xx, n)], 0.0)
 
     def pick_region(xx):
-        """Region whose (theta-combined) field keeps xx in its closure."""
+        """(rid, None) inside one region, (None, boundary) where two meet."""
         members = sorted(sys.locate(xx, tol=band))
         if len(members) == 1:
             return members[0], None
@@ -375,7 +392,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
                 b = sys.boundary(i, j)
             except KeyError:
                 raise StratumStop(f"regions {members} meet without a declared boundary")
-            return None, (b.i, b.j)
+            return None, b
         raise StratumStop(f"{len(members)} regions meet at {xx}")
 
     t = 0.0
@@ -386,13 +403,13 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         if norm(x) <= BALL_STOP:
             return stop(t, x, "converged")
         try:
-            rid, pair = pick_region(x)
+            rid, b = pick_region(x)
         except StratumStop as exc:
             return stop(t, x, "stratum_stop", str(exc))
-        if pair is not None:
-            i, j = pair
+        if b is not None:
+            i, j = pair = b.pair
             grad = grad_of(pair)
-            chi = sys.boundary(i, j).chi._term_list()
+            chi = b.chi._term_list()
             c = _kernels.eval_terms(chi, x)
             if abs(c) > band:
                 # both regions hold x, but chi_ij is off the band (chi_ij
@@ -424,14 +441,15 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
             slide = _kernels.sliding_field(n, fi, fj) if attracting else None
             if slide is not None and 0.0 <= slide[1] <= 1.0:
                 traj.events.append((t, "sliding_entry", f"({i},{j})"))
+                kernel, watched = sliding_kernel_of(pair, chi)
                 states, times, alphas, x, t, code = _kernels.rk4_sliding_run(
-                    sliding_kernel_of(pair), x, t, cfg.t_end, cfg.step,
+                    kernel, x, t, cfg.t_end, cfg.step,
                     BALL_STOP, *sys.box, EVENT_TOL, band)
                 add_segment(times, states, f"sliding:{i},{j}", i, alphas)
                 if code in _STOP_EVENT:
                     return stop(t, x, _STOP_EVENT[code])
                 if code >= _kernels.STOP_OTHER_BOUNDARY:
-                    b = others_of(pair)[code - _kernels.STOP_OTHER_BOUNDARY]
+                    b = watched[code - _kernels.STOP_OTHER_BOUNDARY]
                     return stop(t, x, "stratum_stop",
                                 f"sliding on ({i},{j}) reached ({b.i},{b.j})")
                 if code != _kernels.STOP_MAXSTEPS:

@@ -677,6 +677,97 @@ def test_sliding_stops_where_its_piece_of_boundary_ends(x0, detail):
     assert traj.points[-1].mode == "stopped:stratum_stop"
 
 
+def _half_plane_doc(f1, f2, f3):
+    # region 1 = {x2 >= 0} meets regions 2 = {x2 <= 0, x1 >= 0} and
+    # 3 = {x2 <= 0, x1 <= 0} along the one variety x2 = 0, declared twice
+    return {
+        "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "regions": [
+            {"id": 1, "chi": "0", "xi": ["x2"], "witness": [0.0, 1.0]},
+            {"id": 2, "chi": "0", "xi": ["-x2", "x1"], "witness": [1.0, -1.0]},
+            {"id": 3, "chi": "0", "xi": ["-x2", "-x1"], "witness": [-1.0, -1.0]},
+        ],
+        "boundaries": [{"i": i, "j": j, "chi_ij": chi, "witness": w}
+                       for i, j, chi, w in [(1, 2, "x2", [1.0, 0.0]),
+                                            (1, 3, "x2", [-1.0, 0.0]),
+                                            (2, 3, "x1", [0.0, -1.0])]],
+        "dynamics": {"1": [f1], "2": [f2], "3": [f3]},
+        "origin_regions": [],
+    }
+
+
+_FALL = (["0", "-1"],) * 3
+_PINCH = (["0.5", "-1"], ["0.5", "1"], ["0.5", "1"])
+
+
+@pytest.mark.parametrize("fields, x0, events, t_stop", [
+    # (1,2) and (1,3) change sign together at t = 1: one crossing, into the
+    # region that holds the crossing point, which carries the state down
+    # to the box edge x2 = -2
+    (_FALL, (0.5, 1.0), [("crossing", "(1,2)"), ("escaped", "")], 3.001),
+    (_FALL, (-0.5, 1.0), [("crossing", "(1,3)"), ("escaped", "")], 3.001),
+    # F_1 = (0.5, -1) and F_2 = F_3 = (0.5, 1) point at x2 = 0 from both
+    # sides, so the state slides at speed 0.5: from (1, 0) out of the box,
+    # and from (-1, 0) on (1,3), which watches x1 and not x2 again through
+    # (1,2), into the ball around the origin
+    (_PINCH, (0.5, 1.0), [("crossing", "(1,2)"), ("sliding_entry", "(1,2)"),
+                          ("escaped", "")], 3.001),
+    (_PINCH, (-1.5, 1.0), [("crossing", "(1,3)"), ("sliding_entry", "(1,3)"),
+                           ("converged", "")], 3.0),
+])
+def test_a_variety_shared_by_two_boundaries(fields, x0, events, t_stop):
+    doc = _half_plane_doc(*fields)
+    traj = simulate(parse_system(doc), x0, SimConfig(step=1e-3, t_end=5.0))
+    assert [(kind, detail) for _, kind, detail in traj.events] == events
+    assert traj.events[0][0] == pytest.approx(1.0, abs=1e-9)
+    assert traj.events[-1][0] == pytest.approx(t_stop, abs=1e-9)
+
+
+def _watched(monkeypatch, doc, x0):
+    """The run from x0, and the varieties each sliding and each smooth
+    kernel it builds watches, in the order it builds them."""
+    sliding, smooth = [], []
+    build_sliding, build_smooth = _kernels.sliding_kernel, _kernels.smooth_kernel
+
+    def record_sliding(grad, fi, fj, chi, *others):
+        sliding.append(others)
+        return build_sliding(grad, fi, fj, chi, *others)
+
+    def record_smooth(fields, chis):
+        smooth.append(chis)
+        return build_smooth(fields, chis)
+
+    monkeypatch.setattr(_kernels, "sliding_kernel", record_sliding)
+    monkeypatch.setattr(_kernels, "smooth_kernel", record_smooth)
+    traj = simulate(parse_system(doc), x0, SimConfig(step=1e-3, t_end=5.0))
+    return traj, sliding, smooth
+
+
+def _chi(text):
+    return parse_polynomial(text, 2)._term_list()
+
+
+def test_sliding_kernel_watches_each_other_variety_once(monkeypatch):
+    # sliding on (1,4) of the four corners: (1,2) and (3,4) both lie on
+    # x1 = 1, which the kernel evaluates once, and the stop names (1,2)
+    doc = _four_corners_doc()
+    doc["dynamics"] = {"1": [["1", "1"]], "2": [["-1", "1"]],
+                       "3": [["-1", "-1"]], "4": [["1", "-1"]]}
+    traj, sliding, _ = _watched(monkeypatch, doc, (0.0, 0.5))
+    assert traj.events[-1][2] == "sliding on (1,4) reached (1,2)"
+    assert sliding == [(_chi("x1 - 1"),)]
+
+
+def test_sliding_kernel_never_watches_its_own_variety(monkeypatch):
+    # sliding on (1,2) of the half-plane system: (1,3) continues x2 = 0,
+    # so only (2,3)'s x1 is watched; region 1's smooth kernel watches x2 once
+    traj, sliding, smooth = _watched(monkeypatch, _half_plane_doc(*_PINCH),
+                                     (0.5, 1.0))
+    assert traj.event_kinds() == ["crossing", "sliding_entry", "escaped"]
+    assert sliding == [(_chi("x1"),)]
+    assert smooth == [(_chi("x2"),)]
+
+
 def test_write_trajectory_format(tmp_path, opposing_system):
     traj = simulate(opposing_system, (0.0, 0.5), SimConfig(step=1e-3, t_end=1.0))
     out = tmp_path / "t.tsv"
