@@ -50,10 +50,10 @@ A sliding run that ends with tangency before it accepts a row leaves by
 the transversal rule, since sliding again from the same point would end
 the same way.  A sliding run stays on its piece of boundary: the sliding
 kernel of (i, j) also watches the varieties of the other boundaries of
-regions i and j, each once and never chi_ij's own (a boundary on it
-continues the piece), by the smooth kernel's rule, and a step across one
-ends the run at the step's start with a stratum_stop naming (i, j) and
-the first boundary on that variety.  Between
+regions i and j, each once and never chi_ij's own (a boundary on it, or
+on -chi_ij, continues the piece), by the smooth kernel's rule, and a
+step across one ends the run at the step's start with a stratum_stop
+naming (i, j) and the first boundary on that variety.  Between
 segments the state is a list of floats, and every event step (the ball
 test, region location, the sliding weight, the transversal probe and
 crossing localisation) evaluates the term lists with _kernels.eval_terms
@@ -165,13 +165,23 @@ def _values(terms, x) -> list:
 
 
 def _varieties(sys: SwitchedSystem, rids) -> dict:
-    """Each distinct chi term list of the boundaries of regions rids -> the
-    boundaries on it, in declared order."""
+    """Each variety of the boundaries of regions rids -> the boundaries on
+    it, in declared order.  A variety is keyed by the chi term list of the
+    first boundary declared on it; a later one joins it when its term list
+    is that list or its exact negation (every coefficient negated), as
+    every watch tests only for a sign change."""
     out = {}
     for b in sys.boundaries:
         if set(b.pair) & set(rids):
-            out.setdefault(b.chi._term_list(), []).append(b)
+            chi = b.chi._term_list()
+            out.setdefault(_key_of(out, chi), []).append(b)
     return out
+
+
+def _key_of(varieties, chi) -> tuple:
+    """The key of varieties that is chi or its negation, else chi."""
+    negated = tuple((-c, k) for c, k in chi)
+    return negated if negated in varieties else chi
 
 
 def _dot(u, v) -> float:
@@ -355,7 +365,7 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
         """The sliding kernel of pair's boundary on chi, and the boundaries
         it watches: the first on each other variety of the two regions."""
         watched = _varieties(sys, pair)
-        del watched[chi]
+        del watched[_key_of(watched, chi)]
         i, j = pair
         return (_kernels.sliding_kernel(grad_of(pair), field_of(i)[1],
                                         field_of(j)[1], chi, *watched),

@@ -9,13 +9,14 @@ which `solve` (imported from `backend`) solves.  Decision polynomials are
 `LinPoly`s; `LinPoly * Polynomial` is `mul_poly`, so `poly.lie_derivative`
 takes the Lie derivative of a LinPoly as of a Polynomial.  A LinPoly is
 held as arrays of (monomial, scalar, coefficient) entries that are summed
-only where rounding requires it (see `LinPoly`), and `assemble` sums each
-target once.
+only where rounding requires it (see `LinPoly`), and `assemble` sums all
+its targets in one pass.
 
 Rows are numbered by grlex rank, a monomial's position in `monomial_basis`
-order (`poly.grlex_rank`, computed from the exponents alone).  A
-target's ranks are the ones that key its sum (`LinPoly._ranked`, which
-`collect` uses too), so no target is ranked twice.  A constraint's rows
+order (`poly.grlex_rank`, computed from the exponents alone).  One
+`grlex_rank` ranks the entries of every target and identity of a call,
+and those ranks key their one sum (`_rank_and_sum`, which `collect` uses
+too), so no target is ranked twice.  A constraint's rows
 are the sorted union of the ranks that its target, its equality
 multipliers and its Gram blocks use; a mask over the ranks and its
 cumulative sum give each rank its row.  The free-scalar entries of
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -76,15 +77,20 @@ class LinPoly:
     where the dict-of-dicts form, which summed after every operation, would
     round otherwise:
 
-    - before `diff`, `scale` or `mul_poly` of an unsummed polynomial;
+    - before `diff`, `scale` or `mul_poly` of an unsummed polynomial, and
+      before `mul_poly` of one that holds a scalar on two monomials;
     - for the right operand of `+` and `-`, never for the left one;
     - for the dict view, `variables`, `degree` and `instantiate`;
-    - once per target in `assemble`.
+    - once per `assemble` call, all its targets in one pass.
 
     A sum drops exact zeros and lists monomials, then the scalars of each,
     in first-appearance order, so values and orders are those of the dict
     form.  (Were a left operand's own entries to cancel exactly and a later
     operand bring the term back, the dict form would have listed it last.)
+    `mul_poly` of a polynomial that holds each scalar once, with no product
+    zero, is summed as built: its (monomial, scalar) pairs are all new, so
+    a sum would only regroup its entries by monomial, an order that only a
+    later `mul_poly` reads, and that one sums it again.
     """
 
     __slots__ = ("dim", "exps", "idx", "vals", "names", "summed")
@@ -128,22 +134,7 @@ class LinPoly:
     def collect(self) -> "LinPoly":
         """This polynomial with like terms summed: one entry per (monomial,
         scalar) pair and no exact zeros; itself when it is summed already."""
-        return self if self.summed else self._ranked()[0]
-
-    def _ranked(self):
-        """(this polynomial summed as by `collect`, the grlex rank of each
-        of its entries); the ranks that key the sum are the ones returned."""
-        ranks = grlex_rank(self.exps)
-        if self.summed:
-            return self, ranks
-        if not self.vals.size:
-            return self._new(self.exps, self.idx, self.vals), ranks
-        # grlex_rank is dense, so the key fits where the monomials do
-        first, sums = _sum_entries(ranks * len(self.names) + self.idx,
-                                   len(self.names), self.vals)
-        keep = sums != 0.0
-        first = first[keep]
-        return self._new(self.exps[first], self.idx[first], sums[keep]), ranks[first]
+        return self if self.summed else _rank_and_sum([self])[0][0]
 
     @property
     def terms(self) -> dict:
@@ -197,10 +188,19 @@ class LinPoly:
         # entry by entry, each times p's terms in order: the order in which
         # the dict form added up each product
         s = self.collect()
+        once = np.bincount(s.idx).max(initial=0) < 2
+        if not once and self.summed:
+            # a scalar on two monomials: the product's sums and monomial
+            # order follow the entry order, which must be a sum's, and a
+            # product built summed below is not grouped by monomial
+            s = s._new(s.exps, s.idx, s.vals, summed=False).collect()
         c = np.fromiter(p.terms.values(), dtype=float, count=len(p.terms))
         exps = (s.exps[:, None] + _exponents(p.terms, self.dim)).reshape(-1, self.dim)
-        return s._new(exps, np.repeat(s.idx, len(c)), (s.vals[:, None] * c).ravel(),
-                      summed=False)
+        vals = (s.vals[:, None] * c).ravel()
+        # each scalar once, times p's distinct monomials: every (monomial,
+        # scalar) pair is new, so with no zero (no underflow) it is summed
+        return s._new(exps, np.repeat(s.idx, len(c)), vals,
+                      summed=bool(once and vals.all()))
 
     __mul__ = mul_poly
 
@@ -223,6 +223,48 @@ class LinPoly:
 
 
 _CONSTANT = (None,)     # the names of a LinPoly with constant coefficients
+
+
+def _rank_and_sum(lps) -> list:
+    """[(lp summed as by `collect`, the grlex rank of each of its entries)]
+    for each LinPoly lp of lps, all of one dimension: one `grlex_rank` over
+    every entry and one `_sum_entries` over the unsummed ones.
+
+    The sum's key is (base + rank) * S + idx, with S the longest names
+    tuple and base the ranks the earlier unsummed polynomials span, so a
+    group is one monomial of one polynomial.  Groups come out in the order
+    of their first entries: polynomial by polynomial, each as its own sum
+    lists them.  grlex_rank is dense, so the keys stay small.
+    """
+    if not lps:
+        return []
+    cut = [0, *accumulate(lp.vals.size for lp in lps)]
+    every = grlex_rank(np.concatenate([lp.exps for lp in lps]))
+    out = []
+    for lp, a, b in zip(lps, cut, cut[1:]):
+        # summed ones as they are, an empty one flagged summed; the others
+        # are replaced below
+        out.append((lp if lp.summed or a < b else
+                    lp._new(lp.exps, lp.idx, lp.vals), every[a:b]))
+    todo = [k for k, lp in enumerate(lps) if not lp.summed and lp.vals.size]
+    if not todo:
+        return out
+    exps, idx, vals, ranks = (
+        np.concatenate(parts) for parts in
+        zip(*((lps[k].exps, lps[k].idx, lps[k].vals, out[k][1]) for k in todo)))
+    sizes = [lps[k].vals.size for k in todo]
+    which = np.repeat(np.arange(len(todo)), sizes)      # each entry's polynomial
+    span = np.maximum.reduceat(ranks, [0, *accumulate(sizes[:-1])]) + 1
+    S = max(len(lps[k].names) for k in todo)
+    first, sums = _sum_entries((ranks + (np.cumsum(span) - span)[which]) * S + idx,
+                               S, vals)
+    keep = sums != 0.0
+    first = first[keep]
+    exps, idx, vals, ranks = exps[first], idx[first], sums[keep], ranks[first]
+    cut = [0, *np.cumsum(np.bincount(which[first], minlength=len(todo))).tolist()]
+    for k, a, b in zip(todo, cut, cut[1:]):
+        out[k] = lps[k]._new(exps[a:b], idx[a:b], vals[a:b]), ranks[a:b]
+    return out
 
 
 def _sum_entries(key, per_group: int, vals):
@@ -420,20 +462,26 @@ def assemble(constraints, identities=()) -> SdpProblem:
         for k, (_, ranks, cols, vals, _) in grams:
             gram_parts.append((k, row[ranks], cols, vals))
 
-    def target_rows(lp):
-        # lp summed once: its ranks, its free-scalar entries (rank, column,
+    def target_rows(lp, ranks):
+        # lp summed, with its ranks: its free-scalar entries (rank, column,
         # value) and its right-hand side (rank, value); new names declared
-        lp, ranks = lp._ranked()
         for v in sorted(lp.variables() - scalars.keys()):
             declare_scalar(v)
         column = np.array([scalars.get(k, -1) for k in lp.names], dtype=np.intp)
         free = lp.idx != 0
-        return (lp, ranks, (ranks[free], column[lp.idx[free]], lp.vals[free]),
+        return ((ranks[free], column[lp.idx[free]], lp.vals[free]),
                 (ranks[~free], -lp.vals[~free]))
 
-    for cons in constraints:
+    # every target and identity ranked and summed in one pass
+    constraints = list(constraints)
+    targets = [cons.as_linpoly() for cons in constraints] + list(identities)
+    if len({lp.dim for lp in targets}) > 1:
+        raise ValueError("all program polynomials must share one dimension")
+    ranked = _rank_and_sum(targets)
+
+    for cons, (target, ranks) in zip(constraints, ranked):
         dim = cons.dim
-        target, ranks, target_free, known = target_rows(cons.as_linpoly())
+        target_free, known = target_rows(target, ranks)
         d_t = target.degree()
         d0 = _even_up(d_t)
 
@@ -514,8 +562,8 @@ def assemble(constraints, identities=()) -> SdpProblem:
                        ((zero_mono, 1.0),))
         add_rows(used, free, known, 0.0, grams)
 
-    for ident in identities:
-        _, ranks, free, known = target_rows(ident)
+    for ident, ranks in ranked[len(constraints):]:
+        free, known = target_rows(ident, ranks)
         # a monomial with no constant has right-hand side -0.0, the
         # negated 0.0 of an absent constant
         add_rows([ranks], free, known, -0.0)

@@ -677,9 +677,10 @@ def test_sliding_stops_where_its_piece_of_boundary_ends(x0, detail):
     assert traj.points[-1].mode == "stopped:stratum_stop"
 
 
-def _half_plane_doc(f1, f2, f3):
+def _half_plane_doc(f1, f2, f3, chi13="x2"):
     # region 1 = {x2 >= 0} meets regions 2 = {x2 <= 0, x1 >= 0} and
     # 3 = {x2 <= 0, x1 <= 0} along the one variety x2 = 0, declared twice
+    # (the second time as chi13)
     return {
         "dimension": 2, "box": [[-2.0, 2.0], [-2.0, 2.0]],
         "regions": [
@@ -689,7 +690,7 @@ def _half_plane_doc(f1, f2, f3):
         ],
         "boundaries": [{"i": i, "j": j, "chi_ij": chi, "witness": w}
                        for i, j, chi, w in [(1, 2, "x2", [1.0, 0.0]),
-                                            (1, 3, "x2", [-1.0, 0.0]),
+                                            (1, 3, chi13, [-1.0, 0.0]),
                                             (2, 3, "x1", [0.0, -1.0])]],
         "dynamics": {"1": [f1], "2": [f2], "3": [f3]},
         "origin_regions": [],
@@ -700,7 +701,7 @@ _FALL = (["0", "-1"],) * 3
 _PINCH = (["0.5", "-1"], ["0.5", "1"], ["0.5", "1"])
 
 
-@pytest.mark.parametrize("fields, x0, events, t_stop", [
+_SHARED_VARIETY_RUNS = [
     # (1,2) and (1,3) change sign together at t = 1: one crossing, into the
     # region that holds the crossing point, which carries the state down
     # to the box edge x2 = -2
@@ -714,12 +715,28 @@ _PINCH = (["0.5", "-1"], ["0.5", "1"], ["0.5", "1"])
                           ("escaped", "")], 3.001),
     (_PINCH, (-1.5, 1.0), [("crossing", "(1,3)"), ("sliding_entry", "(1,3)"),
                            ("converged", "")], 3.0),
-])
+]
+
+
+@pytest.mark.parametrize("fields, x0, events, t_stop", _SHARED_VARIETY_RUNS)
 def test_a_variety_shared_by_two_boundaries(fields, x0, events, t_stop):
     doc = _half_plane_doc(*fields)
     traj = simulate(parse_system(doc), x0, SimConfig(step=1e-3, t_end=5.0))
     assert [(kind, detail) for _, kind, detail in traj.events] == events
     assert traj.events[0][0] == pytest.approx(1.0, abs=1e-9)
+    assert traj.events[-1][0] == pytest.approx(t_stop, abs=1e-9)
+
+
+@pytest.mark.parametrize("fields, x0, events, t_stop", _SHARED_VARIETY_RUNS)
+def test_a_variety_declared_as_chi_and_minus_chi(fields, x0, events, t_stop):
+    # (1,3) on -x2 is the variety of (1,2) on x2: the same events at the
+    # same times as when both declare x2
+    same = simulate(parse_system(_half_plane_doc(*fields)), x0,
+                    SimConfig(step=1e-3, t_end=5.0))
+    traj = simulate(parse_system(_half_plane_doc(*fields, chi13="-x2")), x0,
+                    SimConfig(step=1e-3, t_end=5.0))
+    assert [(kind, detail) for _, kind, detail in traj.events] == events
+    assert [t for t, _, _ in traj.events] == [t for t, _, _ in same.events]
     assert traj.events[-1][0] == pytest.approx(t_stop, abs=1e-9)
 
 
@@ -764,6 +781,17 @@ def test_sliding_kernel_never_watches_its_own_variety(monkeypatch):
     traj, sliding, smooth = _watched(monkeypatch, _half_plane_doc(*_PINCH),
                                      (0.5, 1.0))
     assert traj.event_kinds() == ["crossing", "sliding_entry", "escaped"]
+    assert sliding == [(_chi("x1"),)]
+    assert smooth == [(_chi("x2"),)]
+
+
+def test_sliding_kernel_never_watches_its_own_variety_declared_negated(monkeypatch):
+    # sliding on (1,3), declared on -x2, of the half-plane system: (1,2)'s
+    # x2 is its own variety, so only (2,3)'s x1 is watched, and region 1's
+    # smooth kernel watches x2 once
+    traj, sliding, smooth = _watched(
+        monkeypatch, _half_plane_doc(*_PINCH, chi13="-x2"), (-1.5, 1.0))
+    assert traj.event_kinds() == ["crossing", "sliding_entry", "converged"]
     assert sliding == [(_chi("x1"),)]
     assert smooth == [(_chi("x2"),)]
 

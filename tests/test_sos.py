@@ -148,6 +148,13 @@ def test_assemble_rejects_duplicate_constraint_ids():
         assemble(cons)
 
 
+def test_assemble_rejects_polynomials_of_two_dimensions():
+    # all targets and identities of a call are ranked together
+    cons = PositivityConstraint(cid="c", target=parse_polynomial("x1^2", 1))
+    with pytest.raises(ValueError, match="one dimension"):
+        assemble([cons], identities=[LinPoly.decision(2, "v", [(1, 0)])])
+
+
 def test_identity_rows_enforced_exactly():
     # find c with c*x1 - 2*x1 = 0; solvable only by c = 2
     lp = LinPoly.decision(1, "c", [(1,)]) - LinPoly.from_poly(
@@ -213,6 +220,57 @@ def test_sum_entries_matches_dict_sums(per_group):
         ref_first, ref_sums = _ref_sum_entries(key, per_group, vals)
         assert first.tolist() == ref_first
         assert sums.tobytes() == np.array(ref_sums).tobytes()
+
+
+def _ref_ranked(lp):
+    # one polynomial's own sum, as assemble ran it for each target before
+    # all the targets of a call were summed together
+    ranks = sos_module.grlex_rank(lp.exps)
+    if lp.summed or not lp.vals.size:
+        return lp.exps, lp.idx, lp.vals, ranks
+    first, sums = sos_module._sum_entries(ranks * len(lp.names) + lp.idx,
+                                          len(lp.names), lp.vals)
+    keep = sums != 0.0
+    first = first[keep]
+    return lp.exps[first], lp.idx[first], sums[keep], ranks[first]
+
+
+def test_one_pass_sums_every_polynomial_as_its_own_sum():
+    rng = np.random.default_rng(11)
+
+    def raw(names, n, extra=()):
+        # unsummed entries with repeated keys and -0.0 values, then extra
+        # (monomial, index, value) entries
+        exps = rng.integers(0, 4, (n, 2))
+        idx = rng.integers(0, len(names), n)
+        vals = rng.normal(size=n)
+        vals[rng.random(n) < 0.2] = -0.0
+        for m, k, v in extra:
+            exps = np.vstack([exps, [m]])
+            idx, vals = np.append(idx, k), np.append(vals, v)
+        return LinPoly(2)._new(exps, idx, vals, names, summed=False)
+
+    short, long = (None, "a"), (None, "a", "b", "c", "d", "e")
+    lps = [
+        raw(long, 40, [((5, 0), 1, 0.75), ((5, 0), 1, -0.75)]),  # a cancellation
+        LinPoly.decision(2, "v", monomial_basis(2, 3)),             # summed
+        raw(short, 9),
+        LinPoly(2)._new(np.zeros((0, 2), dtype=np.intp), np.zeros(0, dtype=np.intp),
+                        np.zeros(0), long, summed=False),           # empty
+        raw(short, 0, [((1, 1), 1, 2.5), ((1, 1), 1, -2.5)]),       # all cancel
+        LinPoly.from_poly(Polynomial(2, {(2, 0): 1.5, (0, 0): -1.0})),
+        raw(long, 120),
+        LinPoly(2, {(1, 0): {"a": 2.0, None: -0.5}, (0, 2): {"b": 1.0}}),
+        raw(long, 3),
+    ]
+    for lp, (new, ranks) in zip(lps, sos_module._rank_and_sum(lps)):
+        assert new.summed and new.names == lp.names
+        exps, idx, vals, ref_ranks = _ref_ranked(lp)
+        assert new.exps.tolist() == exps.tolist() == lp.collect().exps.tolist()
+        assert new.idx.tolist() == idx.tolist()
+        assert new.vals.tobytes() == vals.tobytes()
+        assert ranks.tolist() == ref_ranks.tolist()
+    assert not sos_module._rank_and_sum(lps)[4][0].vals.size
 
 
 # -- assembly against the straightforward reference --------------------------
@@ -542,6 +600,17 @@ def test_quadrant_cubic_degree_6_certify_program_has_210_rows(systems_dir):
     assert len(problem.b) == 210
 
 
+def test_build_feasibility_sums_once(monkeypatch, systems_dir):
+    # every target and identity in assemble's one pass: the products of the
+    # Lie derivatives and the glue identities are built summed
+    calls = []
+    sum_entries = sos_module._sum_entries
+    monkeypatch.setattr(sos_module, "_sum_entries",
+                        lambda *args: calls.append(1) or sum_entries(*args))
+    _feasibility(systems_dir, "quadrant-cubic", 6, None)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_attractivity_programs_match_reference(monkeypatch, systems_dir, name):
     from swsos.system import load_system
@@ -657,6 +726,49 @@ def test_linpoly_arithmetic_matches_reference(monkeypatch):
     assert (a - a).terms == {}
     assert (a - a).degree() == 0
     assert (a - a).variables() == set()
+
+
+def test_product_summing_rule_matches_reference(monkeypatch):
+    # one case per product rule: a multiplicand that holds each scalar once
+    # gives a product built summed, unless a product underflows to zero;
+    # each matches the dict form after + and after assemble's target sum
+    rng = np.random.default_rng(5)
+    monos = monomial_basis(2, 3)
+    p = Polynomial(2, {m: float(rng.normal()) for m in monos[:7]})
+    q = Polynomial(2, {m: float(rng.normal()) for m in monos[2:9]})
+    a = LinPoly(2, {m: {k: float(rng.normal()) for k in (None, "d[1,0]", "e")}
+                    for m in monos[:5]})
+    d = LinPoly.decision(2, "d", monos)
+    cases = [
+        (lambda: d.mul_poly(p), True),                      # a decision polynomial
+        (lambda: d.diff(0).mul_poly(q), True),
+        (lambda: d.scale(-1.0).mul_poly(q), True),
+        # one scalar on two monomials
+        (lambda: LinPoly(2, {(1, 0): {"e": 1.5}, (0, 1): {"e": -0.5, "f": 2.0}})
+         .mul_poly(p), False),
+        (lambda: LinPoly.from_poly(q).mul_poly(p), False),  # the constant part
+        # a product built summed, multiplied again
+        (lambda: d.mul_poly(p).mul_poly(q), False),
+        (lambda: d.mul_poly(p).diff(1).mul_poly(q), False),
+    ]
+    # 1e-200 * 1e-200 underflows to 0.0; as a left operand its zero entries
+    # would keep their places where a brings the term back, the one order
+    # the dict form does not share (see LinPoly), so it is checked on the
+    # right and after scale
+    underflow = lambda: d.scale(1e-200).mul_poly(
+        Polynomial(2, {(1, 0): 1e-200, (0, 0): 1.0}))
+    for case, summed in cases + [(underflow, False)]:
+        assert case().summed is summed
+        builds = [lambda: a + case(), lambda: case().scale(2.0) + a]
+        if case is not underflow:
+            builds.append(lambda: case() - a)
+        for build in builds:
+            new, ref = _both(monkeypatch, build)
+            _assert_same_linpoly(new, ref)
+        new, ref = _both(monkeypatch, lambda: sos_module.assemble(
+            [PositivityConstraint(cid="c", target=case())],
+            identities=[a + case(), case().scale(-1.0) - a]))
+        _assert_same_problem(new, ref)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
