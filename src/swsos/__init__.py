@@ -2,19 +2,3 @@
 switched systems on semi-algebraic partitions."""
 
 __version__ = "0.1.0"
-
-from .poly import Polynomial, PolyVector, lie_derivative, monomial_basis
-from .system import SwitchedSystem, load_system, parse_system
-from .sos import sos_decompose, extract_sos_split
-from .certify import certify, CertificationConfig, Certificate
-from .oracle import OracleConfig, verify_certificate
-from .sim import simulate, SimConfig, Trajectory
-
-__all__ = [
-    "Polynomial", "PolyVector", "lie_derivative", "monomial_basis",
-    "SwitchedSystem", "load_system", "parse_system",
-    "sos_decompose", "extract_sos_split",
-    "certify", "CertificationConfig", "Certificate",
-    "OracleConfig", "verify_certificate",
-    "simulate", "SimConfig", "Trajectory",
-]

@@ -17,6 +17,10 @@ attractive_pairs lists the boundaries that keep cross (sliding)
 conditions, and verify checks lie_boundary only there, a pair in either
 order naming its boundary (everywhere for a file without the key).
 
+`import swsos.cli` loads only cli, oracle, poly, sim, system and
+_kernels; certify and attractivity import the certify stack (certify,
+sos, backend) when they run, so the other commands never compile it.
+
 Every output file records the hash of the run manifest (command, inputs,
 config, seed) so reports can be traced back to the exact invocation.
 
@@ -55,8 +59,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certify import (CERTIFIED, NO_CERTIFICATE, CertificationConfig,
-                      certify, check_attractivity, require_valid)
 from .oracle import OracleConfig, origin_values, verify_certificate
 from .poly import PolynomialParseError, parse_polynomial
 from .sim import SimConfig, norm, simulate, write_trajectory
@@ -218,6 +220,8 @@ def _theta_table(sys_, weights) -> dict:
 # -- commands ------------------------------------------------------------------
 
 def cmd_certify(args) -> int:
+    from .certify import (CERTIFIED, NO_CERTIFICATE, CertificationConfig,
+                          certify, require_valid)
     sys_ = _load_system(args.system)
     # a system that fails validation is an input error, found before
     # --out-dir is created
@@ -458,6 +462,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_attractivity(args) -> int:
+    from .certify import check_attractivity
     sys_ = _load_system(args.system)
     try:
         i_s, j_s = args.pair.split(",")

@@ -44,12 +44,10 @@ def problem_digest(problem) -> str:
 
 def programs():
     """(name, SdpProblem) for every program of the corpus, in corpus order."""
-    from importlib import import_module
-
+    import swsos.certify as certify_module
     from swsos.backend import FEASIBLE, SdpSolution
     from swsos.system import load_system
 
-    certify = import_module("swsos.certify")   # swsos.certify is the function
     seen = []
 
     def optimal(problem):
@@ -59,17 +57,17 @@ def programs():
     for name in shipped():
         sys_ = load_system(SYSTEMS / f"{name}.sys")
         for degree in DEGREES:
-            cfg = certify.CertificationConfig(lyapunov_degree=degree)
+            cfg = certify_module.CertificationConfig(lyapunov_degree=degree)
             for label, pairs in (("all", None), ("none", [])):
-                problem, _ = certify.build_feasibility(sys_, cfg, cross_pairs=pairs)
+                problem, _ = certify_module.build_feasibility(sys_, cfg, cross_pairs=pairs)
                 yield f"{name} degree {degree} cross {label}", problem
-        solve = certify.solve
-        certify.solve = optimal
+        solve = certify_module.solve
+        certify_module.solve = optimal
         try:
             for b in sys_.boundaries:
-                certify.check_attractivity(sys_, b.pair)
+                certify_module.check_attractivity(sys_, b.pair)
         finally:
-            certify.solve = solve
+            certify_module.solve = solve
         for k, problem in enumerate(seen):
             yield f"{name} attractivity {k}", problem
         seen.clear()

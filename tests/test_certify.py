@@ -8,11 +8,11 @@ assembly logic on the shipped 2-D examples.
 import json
 import re
 from dataclasses import fields, replace
-from importlib import import_module
 
 import numpy as np
 import pytest
 
+import swsos.certify as certify_module
 from swsos.backend import (FEASIBLE, INFEASIBLE, NUMERICAL_ERROR, SdpSolution,
                            svec_layout)
 from swsos.certify import (ATTRACTIVE, CERTIFIED, GLUE_RESIDUAL_TOL,
@@ -66,7 +66,6 @@ def test_certify_unstable_scalar_no_certificate(unstable_system, small_oracle,
 
 
 def test_solver_failure_is_suspect(monkeypatch):
-    certify_module = import_module("swsos.certify")   # the attribute is the function
     monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
         status=NUMERICAL_ERROR, solver_status="native:stalled:7"))
     cert = certify(_scalar_system("-x1"), CertificationConfig(lyapunov_degree=2))
@@ -79,7 +78,6 @@ def test_oracle_violation_after_a_feasible_solve_is_suspect(monkeypatch,
                                                             small_oracle):
     # the oracle, not the solve, refutes the certificate: here it samples
     # -V, which is negative everywhere but at the origin
-    certify_module = import_module("swsos.certify")
     verify = certify_module.verify_certificate
     monkeypatch.setattr(
         certify_module, "verify_certificate",
@@ -98,7 +96,6 @@ def test_glue_residual_above_tolerance_is_suspect(monkeypatch, quadrant_system,
                                                   small_oracle):
     # the solve returns gluing multipliers 1e-3 off in every coefficient:
     # the Lyapunov pieces pass the oracle, but V_i + p_ij chi_ij = V_j fails
-    certify_module = import_module("swsos.certify")
     real_solve = certify_module.solve
 
     def solve_off_glue(problem):
@@ -158,7 +155,6 @@ def test_attractivity_needs_an_optimal_solve(monkeypatch, quadrant_system,
                                              status, solver_status):
     # only a clean optimal solve rules sliding out; an inaccurate one may be
     # a nearly feasible program of a boundary that does attract
-    certify_module = import_module("swsos.certify")
     monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
         status=status, solver_status=solver_status))
     assert check_attractivity(quadrant_system, (1, 2)) == ATTRACTIVE
@@ -317,7 +313,6 @@ def test_only_the_sliding_boundary_keeps_cross_conditions(
         ATTRACTIVE, NOT_ATTRACTIVE, NOT_ATTRACTIVE]
     system = tmp_path / "mixed.sys"
     system.write_text(json.dumps(MIXED))
-    certify_module = import_module("swsos.certify")   # the attribute is the function
     build, plans = certify_module.build_feasibility, []
 
     def recording_build(*args, **kwargs):

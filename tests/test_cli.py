@@ -516,11 +516,9 @@ def test_certify_system_failing_validation_is_input_error(tmp_path, capsys):
 
 
 def test_certify_with_a_stalled_solve_exits_suspect(tmp_path, capsys, monkeypatch):
-    from importlib import import_module
-
+    import swsos.certify as certify_module
     from swsos.backend import NUMERICAL_ERROR, SdpSolution
     from swsos.cli import EXIT_SUSPECT
-    certify_module = import_module("swsos.certify")   # the attribute is the function
     monkeypatch.setattr(certify_module, "solve", lambda problem: SdpSolution(
         status=NUMERICAL_ERROR, solver_status="native:stalled:7"))
     assert run(["certify", "systems/unstable-scalar.sys", "--degree", "2"],

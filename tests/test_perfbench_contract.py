@@ -7,7 +7,6 @@ tests make it fail the unit suite instead.
 """
 import hashlib
 import importlib.util
-from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -39,6 +38,7 @@ def test_tracer_installs_and_restores_every_target():
 
 
 def test_untraced_names_exist(systems_dir):
+    import swsos.certify as certify_module
     from swsos import _kernels, cli
     from swsos.backend import SdpProblem
     from swsos.certify import CertificationConfig
@@ -50,9 +50,7 @@ def test_untraced_names_exist(systems_dir):
     sys_ = cli._load_system(str(systems_dir / "quadrant-cubic.sys"))
     cli.load_lyapunov(str(systems_dir / "quadrant-cubic-V-stripped.lyap"),
                       sys_)
-    # swsos.certify the package attribute is the function
-    certify = import_module("swsos.certify")
-    problem, _ = certify.build_feasibility(
+    problem, _ = certify_module.build_feasibility(
         sys_, CertificationConfig(lyapunov_degree=4), cross_pairs=None)
     assert len(problem.equality_rows) == len(problem.b)
     assert problem.psd_blocks and problem.free_scalars

@@ -1,10 +1,11 @@
 import json
-from importlib import import_module
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import swsos.certify as certify_module
+import swsos.sos as sos_module
 from swsos.backend import _SQRT2, FEASIBLE, INFEASIBLE, SdpSolution, svec_layout
 from swsos.poly import (Polynomial, lie_derivative, monomial_basis,
                         parse_polynomial, parse_vector)
@@ -15,10 +16,6 @@ from swsos.sos import (DegreeBookkeepingError, GramRepresentation, LinPoly,
                        sos_decompose)
 
 from program_corpus import corpus_digest, problem_digest, shipped
-
-# swsos.certify the attribute is the function; these are the modules
-certify_module = import_module("swsos.certify")
-sos_module = import_module("swsos.sos")
 
 
 def test_gram_basis_half_degree():
