@@ -37,6 +37,15 @@ step's end is rebound one name at a time (x0 = y0), and a row is added
 with one flat.append per coordinate.  The emitted arithmetic is
 `eval_terms`' and `sliding_field`'s, in the same order, so the values are
 those of interpreting the term lists, bit for bit.
+A step keeps to CPython's specialised float operations, with the bits
+of the plain forms: every literal in its arithmetic is a float (2.0 *
+k2_0; an int 2 converts exactly), the step count i is a float (exact
+below 2**53, so t0 + i * h is unchanged), the ball exit takes sqrt only
+behind a guard on the squared norm that no state inside the ball fails
+(see _frame), and no abs() is called: abs(q) > b is q > b or q < nb and
+abs(q) <= b is nb <= q <= b, with nb = -b bound before the loop (a
+literal for TANGENCY_TOL), which agree with abs() on nan, +-inf and
++-0.0.
 """
 from __future__ import annotations
 
@@ -203,8 +212,8 @@ def _rk4_lines(n, stage, h, reads, fixed):
 
 def _stage_sum(k, s2, s3, s4) -> str:
     """RK4's k1 + 2*k2 + 2*k3 + k4 of component k, with slopes s2, s3 and
-    s4 in place of k2, k3 and k4."""
-    return f"k1_{k} + 2 * k{s2}_{k} + 2 * k{s3}_{k} + k{s4}_{k}"
+    s4 in place of k2, k3 and k4; the 2 is the float 2.0."""
+    return f"k1_{k} + 2.0 * k{s2}_{k} + 2.0 * k{s3}_{k} + k{s4}_{k}"
 
 
 def _rebind(n) -> list:
@@ -227,24 +236,40 @@ def _clock(reads):
 
     Step i ends at tn = t0 + i*h, or, if that would pass t_end, takes
     hs = t_end - t and ends at tn = t + hs; the kernel sets t = tn after
-    it.  hh = hs/2 is bound only if some stage `reads` a stage point.  A
-    run stops once t >= t_end - T_END_SLACK; the end lines put it on t_end.
+    it.  The count i is a float, exact below 2**53, so i * h has the bits
+    of the int count's product.  hh = hs/2 is bound only if some stage
+    `reads` a stage point.  A run stops once t >= t_end - T_END_SLACK; the
+    end lines put it on t_end.
     """
     hh = ["hh = 0.5 * hs"] if reads else []
-    setup = ["t0 = t", "i = 0", "hs = h", *hh, "h6 = hs / 6.0",
+    setup = ["t0 = t", "i = 0.0", "hs = h", *hh, "h6 = hs / 6.0",
              f"t_stop = t_end - {T_END_SLACK!r}"]
-    step = ["i += 1", "tn = t0 + i * h", "if tn > t_end:",
+    step = ["i += 1.0", "tn = t0 + i * h", "if tn > t_end:",
             *_indent(["hs = t_end - t", *hh, "h6 = hs / 6.0", "tn = t + hs"], 1)]
     return setup, step, ["t = t_end", "if times:", "    times[-1] = t"]
 
 
 def _frame(n, var, stop):
     """(header, ball exit, box exit) lines of both kernels: unpack x, lo
-    and hi; stop(STOP_CONVERGED) once |x| <= ball_stop; stop(STOP_ESCAPED)
-    unless var0.. is in the box."""
+    and hi and bind ball_lim; stop(STOP_CONVERGED) once |x| <= ball_stop;
+    stop(STOP_ESCAPED) unless var0.. is in the box.
+
+    The ball exit sums the squares ss with no 0.0 seed, as a sum of
+    squares is never -0.0, and takes sqrt(ss) only when ss <= ball_lim =
+    4.0 * ball_stop * ball_stop.  The guard never skips a true exit: sqrt
+    is correctly rounded, so sqrt(ss) <= ball_stop puts ss under
+    ball_stop**2 * (1 + 2**-52)**2 < 4 * ball_stop**2 as reals, and
+    rounding is monotone, so the float ss is at most ball_lim, 4.0 *
+    ball_stop being exact (or inf).  That holds for every ball_stop >= 0,
+    tiny and subnormal ones included, where ball_lim rounds into the
+    subnormals or to 0.0; a nan ss or ball_stop fails both forms.
+    """
     inside = " and ".join(f"lo{k} <= {var}{k} <= hi{k}" for k in range(n))
-    return ([f"[{_names(v, n)}] = {v}" for v in ("x", "lo", "hi")],
-            [f"if sqrt({_dot('x{k} * x{k}', n)}) <= ball_stop:",
+    squares = " + ".join(f"x{k} * x{k}" for k in range(n))
+    return ([*(f"[{_names(v, n)}] = {v}" for v in ("x", "lo", "hi")),
+             "ball_lim = 4.0 * ball_stop * ball_stop"],
+            [f"ss = {squares}",
+             "if ss <= ball_lim and sqrt(ss) <= ball_stop:",
              stop(STOP_CONVERGED)],
             [f"if not ({inside}):", stop(STOP_ESCAPED)])
 
@@ -376,7 +401,7 @@ def sliding_field(n, fi, fj):
     for nk, u, v in zip(n, fi, fj):
         num += nk * v
         den += nk * (v - u)
-    if abs(den) < TANGENCY_TOL:
+    if -TANGENCY_TOL < den < TANGENCY_TOL:
         return None
     a = num / den
     b = 1.0 - a
@@ -422,7 +447,9 @@ def _sliding_lines(n, shape, first):
         return f"    return flat, times, alphas, [{X}], t, {code}"
 
     den = f"den = {_dot('n{k} * (v{k} - u{k})', n)}"
-    tangency = [f"if abs(den) < {TANGENCY_TOL!r}:", stop(STOP_TANGENCY)]
+    # |den| < TANGENCY_TOL, written as sliding_field tests it
+    tangent = f"{-TANGENCY_TOL!r} < den < {TANGENCY_TOL!r}"
+    tangency = [f"if {tangent}:", stop(STOP_TANGENCY)]
     weight = f"a = ({_dot('n{k} * v{k}', n)}) / den"
     alpha = ["if not 0.0 <= a <= 1.0:", stop(STOP_ALPHA), "alpha = a"]
 
@@ -441,7 +468,7 @@ def _sliding_lines(n, shape, first):
                 den, *tangency, weight, *(alpha if s == 1 else ()), *slope(s)]
 
     if whole:
-        hoisted += [den, f"if not abs(den) < {TANGENCY_TOL!r}:",
+        hoisted += [den, f"if not {tangent}:",
                     *_indent([weight, *slope(1)], 1),
                     *(f"    r{k} = {_stage_sum(k, 1, 1, 1)}" for k in cols)]
     hoisted += [f"g{k} = {_expr(p, 'x', c)}" for k, (p, c) in enumerate(grad)
@@ -455,7 +482,7 @@ def _sliding_lines(n, shape, first):
     for _ in range(3):
         project = [
             f"c = {_expr(chi, 'y', chi_first)}",
-            "if not abs(c) <= event_tol:",
+            "if not nevent_tol <= c <= event_tol:",
             *_indent([*(f"g{k} = {_expr(p, 'y', c)}"
                         for k, (p, c) in enumerate(grad) if not _constant(p)),
                       *([] if fixed_normal else [nn]),
@@ -472,7 +499,9 @@ def _sliding_lines(n, shape, first):
                           lambda b: stop(STOP_OTHER_BOUNDARY + b))
     step = [
         *ball,
-        f"if abs({_expr(chi, 'x', chi_first)}) > band:", stop(STOP_OFF_VARIETY),
+        # |chi| > band
+        f"q = {_expr(chi, 'x', chi_first)}",
+        "if q > band or q < nband:", stop(STOP_OFF_VARIETY),
         *clock,
         *_rk4_lines(n, stage, "hs", reads, cols if whole else ()),
         *project,
@@ -491,6 +520,8 @@ def _sliding_lines(n, shape, first):
         *_indent(hoisted, 1),
         *_indent(start, 1),
         *_indent(setup, 1),
+        "    nband = -band",
+        "    nevent_tol = -event_tol",
         "    flat, times, alphas = [], [], []",
         "    while t < t_stop:",
         *_indent(step, 2),

@@ -194,7 +194,11 @@ def _dot(u, v) -> float:
 
 def norm(x) -> float:
     """|x|: the squares summed in index order from 0.0, the arithmetic of
-    the ball test in the RK4 kernels and of the oracle's sampled norms."""
+    the ball test in the RK4 kernels and of the oracle's sampled norms.
+    The kernels sum the squares with no 0.0 seed (a sum of squares is
+    never -0.0, so the sum has the same bits) and take sqrt only once it
+    passes 4.0 * ball_stop * ball_stop, a guard no norm inside the ball
+    fails; their decision, |x| <= ball_stop, stays this one's."""
     return math.sqrt(_dot(x, x))
 
 
@@ -514,16 +518,24 @@ def simulate(sys: SwitchedSystem, x0, cfg: SimConfig = None,
 def _one_text(column) -> bool:
     """Whether every value of column prints as the first does.
 
-    Values with the first's bits print its text, so every nan of one
-    payload is one text and -0.0 among 0.0 (it prints -0) is not; nan of
-    mixed payloads read as varying, which costs only their formatting.
+    column: a float64 array (a row of states.T, strided) or a list of
+    floats.  Values with the first's bits print its text, so every nan of
+    one payload is one text and -0.0 among 0.0 (it prints -0) is not; nan
+    of mixed payloads read as varying, which costs only their formatting.
     The ends are compared first: a column whose ends differ costs O(1).
+    Then the column's bytes, an array's as they are and a list's packed,
+    are one comparison with the first value's bytes repeated; no list is
+    built from an array.
     """
     first, last = column[0], column[-1]
     if not (last == first or (first != first and last != last)):
         return False
     m = len(column)
-    return struct.pack(f"{m}d", *column) == struct.pack("d", first) * m
+    if isinstance(column, np.ndarray):
+        packed = column.tobytes()
+    else:
+        packed = struct.pack(f"{m}d", *column)
+    return packed == packed[:8] * m
 
 
 def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
@@ -532,7 +544,8 @@ def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
     its row template repeated once per row, with the same bytes as one %
     per row.  An x_k, alpha or psi column that prints one text on every
     row of the chunk is that text in the template, formatted once; the
-    time column and the others are the % arguments."""
+    time column and the others are the % arguments; only those state
+    columns become lists."""
     if manifest_hash:
         fh.write(f"# manifest {manifest_hash}\n")
     dim = traj.chunks[0][1].shape[1] if traj.chunks else 0
@@ -542,7 +555,7 @@ def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
     for times, states, mode, alphas, psi in traj.chunks:
         # one template per chunk: a missing alpha or psi is an empty cell
         cells, columns = ["%.9g"], [times]
-        for fmt, column in [*zip(repeat("%.12g"), states.T.tolist()),
+        for fmt, column in [*zip(repeat("%.12g"), states.T),
                             ("%.9g", alphas), ("%.12g", psi)]:
             if column is None:
                 cells.append("")
@@ -550,7 +563,8 @@ def write_trajectory(traj: Trajectory, fh, manifest_hash: str = ""):
                 cells.append((fmt % column[0]).replace("%", "%%"))
             else:
                 cells.append(fmt)
-                columns.append(column)
+                columns.append(column.tolist() if isinstance(column, np.ndarray)
+                               else column)
         cells.insert(dim + 1, mode.replace("%", "%%"))
         row = "\t".join(cells) + "\n"
         # the chunk's values row after row, column j at j, j + k, ...: one

@@ -1055,8 +1055,11 @@ def test_constant_term_lists_leave_the_loop():
     # every exit is still there: ball, off variety, tangency, alpha and
     # escape in the loop, t_end after it
     assert sum(line.startswith("return") for line in loop) == 6
-    assert loop.index("if abs(den) < 1e-12:") < loop.index(
-        "if not 0.0 <= a <= 1.0:")
+    # each |.| test is a chained comparison, with no abs() in the loop
+    assert loop.index("if q > band or q < nband:") < loop.index(
+        "if -1e-12 < den < 1e-12:") < loop.index("if not 0.0 <= a <= 1.0:")
+    assert "if not nevent_tol <= c <= event_tol:" in loop
+    assert not any("abs(" in line for line in loop)
     layout = _kernels._layout([_const(1), ((1.0, (1,)),), _CHI])
     loop = _loop_lines(_kernels._smooth_lines(2, layout[0], layout[2]))
     # k1_0 is bound before the loop, and no stage reads x0's stage points
@@ -1064,6 +1067,8 @@ def test_constant_term_lists_leave_the_loop():
                                             "y0 = x0 + h *"))
                    for line in loop)
     assert "y0 = x0 + h6 * r0" in "\n".join(loop)
+    assert "y1 = x1 + h6 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)" in (
+        "\n".join(loop))
 
 
 def test_both_kernels_step_on_one_time_grid():
@@ -1080,15 +1085,221 @@ def test_both_kernels_step_on_one_time_grid():
     for lines, var in ((smooth, "y"), (sliding, "x")):
         text = "\n".join(line.strip() for line in lines)
         header, ball, box = _kernels._frame(2, var, "stop {}".format)
-        for block in (setup, step, end, header, ball[:1], box[:1]):
+        for block in (setup, step, end, header, ball[:2], box[:1]):
             assert "\n".join(line.strip() for line in block) in text
-        assert header == ["[x0, x1] = x", "[lo0, lo1] = lo", "[hi0, hi1] = hi"]
-        assert ball == ["if sqrt(0.0 + x0 * x0 + x1 * x1) <= ball_stop:",
+        assert header == ["[x0, x1] = x", "[lo0, lo1] = lo", "[hi0, hi1] = hi",
+                          "ball_lim = 4.0 * ball_stop * ball_stop"]
+        # sqrt only once the squared norm passes the guard
+        assert ball == ["ss = x0 * x0 + x1 * x1",
+                        "if ss <= ball_lim and sqrt(ss) <= ball_stop:",
                         f"stop {_kernels.STOP_CONVERGED}"]
         assert box == [f"if not (lo0 <= {var}0 <= hi0 and lo1 <= {var}1 <= hi1):",
                        f"stop {_kernels.STOP_ESCAPED}"]
         assert "isfinite" not in text
     assert not any(("t += hs" in line or "dt < h" in line) for line in sliding)
+    # the step count is a float
+    assert setup[1] == "i = 0.0" and step[:2] == ["i += 1.0", "tn = t0 + i * h"]
+
+
+# -- the step loops keep to CPython's float fast paths ---------------------------
+
+def _system_kernel_lines(system):
+    """The source lines of each kernel simulate builds for system at each
+    region's first vertex: a smooth kernel per region and a sliding kernel
+    per boundary, with the varieties simulate passes them."""
+    from swsos.sim import _key_of, _varieties
+    n = system.dimension
+    fields = {rid: _terms(system.field_at(rid)) for rid in system.regions}
+
+    def lines(generate, term_lists):
+        shape, _, first = _kernels._layout(term_lists)
+        return generate(n, shape, first)
+
+    out = [lines(_kernels._smooth_lines, (*F, *_varieties(system, (rid,))))
+           for rid, F in fields.items()]
+    for b in system.boundaries:
+        chi = b.chi._term_list()
+        watched = _varieties(system, b.pair)
+        del watched[_key_of(watched, chi)]
+        out.append(lines(_kernels._sliding_lines,
+                         (*_terms(b.chi.gradient()), *fields[b.i],
+                          *fields[b.j], chi, *watched)))
+    return out
+
+
+def _guarded_kernel_sources():
+    # kernel_corpus's sources, and those of opposing-fields.sys, a
+    # constant-field system (aligned-fields.sys), a 3-D system and one whose
+    # sliding kernels watch other varieties (twisting.sys)
+    from kernel_corpus import SYSTEMS, sources
+    from oracle_corpus import half_spaces_3d
+    from swsos.system import load_system
+    out = list(sources().values())
+    systems = [load_system(SYSTEMS / f"{name}.sys")
+               for name in ("opposing-fields", "aligned-fields", "twisting")]
+    for system in [*systems, half_spaces_3d()[0]]:
+        out += ["\n".join(lines) + "\n" for lines in _system_kernel_lines(system)]
+    return out
+
+
+def _slow_forms(source):
+    """The generic-path forms in the `while t < t_stop:` body of source."""
+    import io
+    import tokenize
+    lines = source.splitlines()
+    start = lines.index("    while t < t_stop:") + 1
+    body = lines[start:next(k for k in range(start, len(lines))
+                            if not lines[k].startswith("        "))]
+    found = [line.strip() for line in body
+             if "abs(" in line or line.strip() == "i += 1"
+             or line.count("sqrt(") != line.count("ss <= ball_lim and sqrt(")]
+    tokens = [tok for tok in tokenize.generate_tokens(
+        io.StringIO("\n".join(line.strip() for line in body) + "\n").readline)
+        if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT)]
+    for k, tok in enumerate(tokens):
+        if tok.type == tokenize.NUMBER and not re.search(r"[.eEjJ]", tok.string):
+            # an int literal as a factor
+            if any(other.string == "*" for other in (tokens[k - 1],
+                                                     tokens[k + 1])):
+                found.append(tok.line.strip())
+    return found
+
+
+def test_step_loops_keep_to_the_float_fast_paths():
+    # no abs() call, no int factor or step count, and sqrt only behind the
+    # squared norm's guard, in the step loop of every kernel below
+    sources = _guarded_kernel_sources()
+    assert len(sources) == 9 + 3 + 3 + 8 + 3
+    assert any("p0 = q" in text and "return flat, times, alphas" in text
+               for text in sources)              # a sliding watch is read
+    assert any("[x0, x1, x2] = x" in text for text in sources)
+    for text in sources:
+        assert _slow_forms(text) == [], text
+
+
+def test_the_guard_sees_each_slow_form():
+    loop = ["def kernel():", "    while t < t_stop:"]
+    for line, caught in (
+            ("if abs(q) > band:", True),
+            ("y0 = x0 + h6 * (k1_0 + 2 * k2_0 + 2 * k3_0 + k4_0)", True),
+            ("q = 0.0 + c0*x0*3", True),
+            ("i += 1", True),
+            ("if sqrt(0.0 + x0 * x0) <= ball_stop:", True),
+            ("if ss <= ball_stop and sqrt(ss) <= ball_stop:", True),
+            ("y0 = x0 + h6 * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)", False),
+            ("if ss <= ball_lim and sqrt(ss) <= ball_stop:", False),
+            ("i += 1.0", False),
+            ("q = 0.0 + c0*x0 + c12*x1", False),
+            ("x = 1e-12 * x1", False)):
+        source = "\n".join([*loop, "        " + line, "    t = t_end"]) + "\n"
+        assert bool(_slow_forms(source)) is caught, line
+
+
+def _nexts(v):
+    # v and its two neighbours
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def _condition(lines, start):
+    """The condition of the loop lines of lines that start with start."""
+    [line] = {line.strip() for line in _loop_lines(lines)
+              if line.strip().startswith(start)}
+    return compile(line[len("if "):-1], "<condition>", "eval")
+
+
+def _bound(lines, name):
+    """The value the line `name = ...` before the loop binds, as a function
+    of the kernel's parameters."""
+    [line] = [line.strip() for line in lines[:lines.index("    while t < t_stop:")]
+              if line.strip().startswith(f"{name} = ")]
+    return compile(line[len(f"{name} = "):], "<bound>", "eval")
+
+
+def test_comparisons_agree_with_the_abs_forms():
+    # the sliding kernel's |chi| > band, not |c| <= event_tol and
+    # |den| < TANGENCY_TOL as emitted, against abs() on both sides of each
+    # bound, nan, +-inf and +-0.0; and sliding_field's tangency test
+    layout = _kernels._layout([*_CIRCLE_GRAD, *_SPIRAL_IN, *_SPIRAL_OUT,
+                               _CIRCLE])
+    lines = _kernels._sliding_lines(2, layout[0], layout[2])
+    off, project, tangent = (_condition(lines, start) for start in
+                             ("if q >", "if not nevent_tol", "if -1e-12 <"))
+    nband, nevent_tol = _bound(lines, "nband"), _bound(lines, "nevent_tol")
+    tol = _kernels.TANGENCY_TOL
+    assert tol == 1e-12
+    band, event_tol = 10.0 * 1e-9, 1e-9                 # sim's
+    for bound in (band, event_tol, tol, 0.0, 5e-324, math.inf, math.nan):
+        values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                  *_nexts(bound), *_nexts(-bound), *_nexts(tol), *_nexts(-tol)]
+        env = {"band": bound, "event_tol": bound}
+        env["nband"], env["nevent_tol"] = eval(nband, env), eval(nevent_tol, env)
+        for v in values:
+            env |= {"q": v, "c": v, "den": v}
+            assert eval(off, env) is (abs(v) > bound), (bound, v)
+            assert eval(project, env) is (not abs(v) <= bound), (bound, v)
+            assert eval(tangent, env) is (abs(v) < tol), v
+            # den = 0.0 + n0 * (v0 - u0): n = (1, 0), u = 0, v0 = v
+            assert (_kernels.sliding_field([1.0, 0.0], [0.0, 0.0], [v, 0.0])
+                    is None) is (abs(0.0 + 1.0 * (v - 0.0)) < tol), v
+
+
+def test_guarded_ball_exit_agrees_with_sqrt():
+    # the ball exit as emitted (ss with no 0.0 seed, sqrt behind ss <=
+    # ball_lim) against sqrt(0.0 + x0 * x0 + ...) <= ball_stop: at and
+    # around ball_stop**2 and 4 * ball_stop**2, for tiny, subnormal, huge
+    # and non-finite ball_stop, and on states of signed zeros, nan and inf
+    layout = _kernels._layout([_const(1), _const(1), _CHI])
+    lines = _kernels._smooth_lines(2, layout[0], layout[2])
+    squares = _bound(["ss = " + line.strip()[len("ss = "):]
+                      for line in _loop_lines(lines)
+                      if line.strip().startswith("ss = ")][:1]
+                     + ["    while t < t_stop:"], "ss")
+    ball, ball_lim = _condition(lines, "if ss <="), _bound(lines, "ball_lim")
+    rng = np.random.default_rng(5)
+    for ball_stop in (1e-4, 1e-160, 2.0 ** -537, 1e-162, 5e-324, 0.0, 1e-300,
+                      1.0, 1e154, 1e200, math.inf, math.nan):
+        env = {"ball_stop": ball_stop, "sqrt": math.sqrt}
+        env["ball_lim"] = eval(ball_lim, env)
+        square = ball_stop * ball_stop           # ball_stop**2, rounded
+        sss = [0.0, 5e-324, math.inf, math.nan, *_nexts(square),
+               *_nexts(4.0 * square),
+               *(square * u for u in rng.uniform(0.0, 8.0, size=200).tolist())]
+        # a sum of squares is >= 0.0 or nan
+        for ss in (ss for ss in sss if not ss < 0.0):
+            for k in range(3):
+                ss = math.nextafter(ss, math.inf) if k else ss
+                env["ss"] = ss
+                assert eval(ball, env) is (math.sqrt(0.0 + ss) <= ball_stop), (
+                    ball_stop, ss)
+        for x in [(0.0, -0.0), (-0.0, -0.0), (ball_stop, 0.0),
+                  (-ball_stop, -0.0), (math.nan, 0.0), (math.inf, 0.0),
+                  (-math.inf, math.nan), *(rng.uniform(-2, 2, size=(50, 2))
+                                           * ball_stop).tolist()]:
+            env |= {"x0": x[0], "x1": x[1]}
+            env["ss"] = eval(squares, env)
+            assert eval(ball, env) is (
+                math.sqrt(0.0 + x[0] * x[0] + x[1] * x[1]) <= ball_stop), x
+
+
+def test_a_state_on_the_ball_radius_converges_at_the_same_step():
+    # a constant speed of 2**-10 per step of 2**-10 runs exactly onto
+    # |x| = ball_stop = 2**-12 after five steps; both kernels exit at the
+    # start of the sixth, as the interpreters with sqrt(sum) <= ball_stop do
+    ball_stop, h = 2.0 ** -12, 2.0 ** -10
+    x0 = [ball_stop + 5 * h, 0.0]
+    tail = (np.array(x0), 0.0, 1.0, h, ball_stop, *_BOX, 1e-9)
+    fields = [_const(-1), ()]
+    assert _smooth_exact(fields, [], *tail) == _kernels.STOP_CONVERGED
+    states, times, _, _ = _kernels.rk4_smooth_run(
+        _kernels.smooth_kernel(fields, []), *tail)
+    assert states[-1].tolist() == [ball_stop, 0.0] and len(times) == 6
+    # sliding on x2 = 0 between (-1, -1) and (-1, 1): alpha 1/2, speed -1
+    fi, fj = [_const(-1), _const(-1)], [_const(-1), _const(1)]
+    tail = (np.array(x0), 0.0, 1.0, h, ball_stop, *_BOX, 1e-9, 1e-8)
+    assert _sliding_exact(_GRAD, fi, fj, _CHI, *tail) == _kernels.STOP_CONVERGED
+    states, times, _, x, t, _ = _kernels.rk4_sliding_run(
+        _kernels.sliding_kernel(_GRAD, fi, fj, _CHI), *tail)
+    assert x == [ball_stop, 0.0] and len(times) == 5 and t == 5 * h
 
 
 def _global_loads(code) -> set:
@@ -1169,15 +1380,15 @@ def test_runs_that_stop_just_short_of_t_end_end_on_it():
 # sha256 of each kernel source of tests/kernel_corpus.py: quadrant-cubic.sys
 # has no constant term list, so its kernels are the unspecialised ones
 PINNED_KERNEL_DIGESTS = {
-    'smooth 1 theta0': '8c78fcec339a4f5b9269f7a35a3ee97dc4c6179a64cc087bdb0ff1dca388359e',
-    'smooth 2 theta0': '9421b0706d839a31f612767e7bf3273b832f94006009b748732a6e0b0682543e',
-    'sliding 1,2 theta0': '6d6dc58016f3d05a6af0c8315af2f2b2001b232dbb553fb8693123b5e50daa56',
-    'smooth 1 theta0.5': '89e91b16fd4b4fce013b740b16d7cf816635c646a2f1267d2579d416f89612e5',
-    'smooth 2 theta0.5': '9421b0706d839a31f612767e7bf3273b832f94006009b748732a6e0b0682543e',
-    'sliding 1,2 theta0.5': '374214b50f11e25f2f0c9ffd3c270c1113114d259000d0021c825729012b664b',
-    'smooth 1 theta1': 'e7f49fc40d6aeccbe809a4e4347ac5ff10964a4ce2b3b4263868b0aa9b61e651',
-    'smooth 2 theta1': '9421b0706d839a31f612767e7bf3273b832f94006009b748732a6e0b0682543e',
-    'sliding 1,2 theta1': '6bd2df463864b9faec82298a1d18ca7684c1243ce67cd04d6d415d3c1e48494e',
+    'smooth 1 theta0': 'c1aba40ee57b20e174e804d025889f6f626655a8536eedaf3ce371ce88c57007',
+    'smooth 2 theta0': 'd0bb85ce502389362aa79a6abc781468321aec4382f5de7a097fccce6833d0cd',
+    'sliding 1,2 theta0': '6fce6361978aaa6dfb21438e818ca36e3445612ed9fa1b9d4e7bd23efc424423',
+    'smooth 1 theta0.5': '27a2826442848b68949c23751f24da9e27951fca228e2c1b370e4c0f2671ec64',
+    'smooth 2 theta0.5': 'd0bb85ce502389362aa79a6abc781468321aec4382f5de7a097fccce6833d0cd',
+    'sliding 1,2 theta0.5': 'd09054e8730848206f3d9e64fa8de06bb8b43089944861e4634dce33ea25a48f',
+    'smooth 1 theta1': '6e69f30811a1b96761dfefe80e8b31cb0543ff79580a40c8d165bc5b3b65817b',
+    'smooth 2 theta1': 'd0bb85ce502389362aa79a6abc781468321aec4382f5de7a097fccce6833d0cd',
+    'sliding 1,2 theta1': 'daeab6678c54a8242e758e1a7bd037cdfd23ba22b68820f516183bdac459f070',
 }
 
 
@@ -1189,7 +1400,7 @@ def test_kernel_sources_are_pinned():
 # sha256 of the sliding kernel source simulate compiles for
 # opposing-fields.sys: constant fields and normal, and two regions with no
 # other boundary, as the benchmark's sliding runs execute it
-OPPOSING_SLIDING_DIGEST = 'd480e7aa82d6dde1925a1cce68b7dbed90ed77529b62ac5ea11d129fbe80f105'
+OPPOSING_SLIDING_DIGEST = '8de82b26c33db87fe030ee8a1f94deea2ee3fa4ddd04ccb9131cf6f3e7376a49'
 
 
 def test_opposing_fields_sliding_kernel_source_is_pinned(monkeypatch,

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -973,6 +974,51 @@ def test_write_trajectory_matches_per_row_percent_writer(dim):
         write_trajectory(t, got)
         _per_row_percent_writer(t, ref)
         assert got.getvalue() == ref.getvalue()
+
+
+def _one_text_by_pack(column):
+    # the constant-column test _one_text replaced, on a list of floats (the
+    # writer ran it on states.T.tolist()): ends first, then every value
+    # packed against the first's bytes
+    first, last = column[0], column[-1]
+    if not (last == first or (first != first and last != last)):
+        return False
+    m = len(column)
+    return struct.pack(f"{m}d", *column) == struct.pack("d", first) * m
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def test_one_text_matches_the_packed_bytes_rule():
+    # each column as a list, as a strided row of states.T and as a
+    # contiguous array: _one_text reads it as the packed-bytes rule does
+    nan, other_nan = _float_of_bits(0x7FF8000000000000), _float_of_bits(0x7FF8000000000001)
+    assert math.isnan(other_nan) and struct.pack("d", nan) != struct.pack("d", other_nan)
+    inf = math.inf
+    columns = [
+        [0.25] * 7, [0.0] * 5, [-0.0] * 3, [0.0, 0.0, -0.0, 0.0],
+        [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0], [nan] * 4, [other_nan] * 3,
+        [nan, other_nan, nan], [nan, nan, other_nan], [inf] * 3, [-inf] * 2,
+        [inf, -inf], [inf, 1e308, inf], [1.5, 2.5, 1.5], [1.0, 2.0],
+        [5e-324, 5e-324], [5e-324, -5e-324],
+        # one-row chunks
+        [1.0], [-0.0], [nan], [other_nan], [inf],
+    ]
+    for column in columns:
+        want = _one_text_by_pack(column)
+        states = np.zeros((len(column), 3))
+        states[:, 1] = column
+        strided = states.T[1]
+        assert not strided.flags.c_contiguous or len(column) == 1
+        assert strided.tobytes() == struct.pack(f"{len(column)}d", *column)
+        for form in (column, strided, np.array(column)):
+            assert sim._one_text(form) is want, (column, type(form))
+    # the cases read both ways
+    assert not sim._one_text([0.0, 0.0, -0.0, 0.0])
+    assert not sim._one_text(np.array([nan, other_nan, nan]))
+    assert sim._one_text(np.array([other_nan] * 3))
 
 
 # sha256 of each corpus run's TSV (tests/trajectory_corpus.py); a change
