@@ -1,7 +1,8 @@
 """Joint Lyapunov-certificate search for switched systems on partitions.
 
-Builds one feasibility SDP tying together, per region i and boundary pair
-(i, j):
+Builds one feasibility SDP from SwitchedSystem.conditions, the list of the
+theorem's conditions that the sampling oracle checks too, per region i and
+boundary pair (i, j):
 
     (pd)     V_i - phi - eps_i*chi_i - sum_k q_ik*xi_ik     is SOS
     (lie)    -<dV_i/dx, f_il> - rho_i*chi_i - ... - mu*m    is SOS, per vertex l
@@ -30,7 +31,7 @@ from .poly import DISPLAY_CLEANUP, Polynomial, lie_derivative, monomial_basis
 from .sos import LinPoly, PositivityConstraint, assemble, \
     certificate_from_solution, SosCertificate
 from .backend import FEASIBLE, INFEASIBLE, solve, svec_diagonal
-from .system import SwitchedSystem, SystemFormatError
+from .system import BoundaryVariety, SwitchedSystem, SystemFormatError
 from .oracle import OracleConfig, OracleReport, verify_certificate
 
 CERTIFIED = "CERTIFIED"
@@ -183,12 +184,13 @@ def check_attractivity(sys: SwitchedSystem, pair) -> str:
 
 def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
                       cross_pairs=None):
-    """Assemble the joint feasibility SDP.
+    """Assemble the joint feasibility SDP from sys.conditions(cross_pairs):
+    a glue identity per continuity entry and a PositivityConstraint per
+    other entry, in that list's order.
 
-    cross_pairs: declared boundary pairs (b.pair) whose boundaries keep
-    their cross-Lie constraints, those of (i, j) then (j, i) for each pair
-    in the order given; None keeps them on every boundary, in
-    sys.boundaries order.
+    cross_pairs: the boundaries that keep their cross-Lie constraints, a
+    pair naming its boundary in either order; None keeps them on every
+    boundary.
 
     Returns (SdpProblem, plan) where plan carries the decision-variable
     LinPoly objects needed to read the solution back.
@@ -199,9 +201,6 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
     phi = _pd_floor(n, deg)
     margin = _margin(n, deg)
 
-    if cross_pairs is None:
-        cross_pairs = [b.pair for b in sys.boundaries]
-
     V = {}
     for rid in sorted(sys.regions):
         basis = monomial_basis(n, deg,
@@ -210,36 +209,25 @@ def build_feasibility(sys: SwitchedSystem, cfg: CertificationConfig,
 
     # lie_derivative(-V, f) is -lie_derivative(V, f) bit for bit
     neg_V = {rid: lp.scale(-1.0) for rid, lp in V.items()}
-    constraints = []
-    for rid in sorted(sys.regions):
-        region = sys.regions[rid]
-        eq = [] if region.chi.is_zero() else [region.chi]
-        ineq = [g for g in region.xi if not g.is_zero()] + box_gens
+    constraints, glue, identities = [], {}, []
+    for c in sys.conditions(cross_pairs):
+        on = c.domain
+        if c.kind == "continuity":
+            pdeg = max(deg - on.chi.degree(), 0)
+            p = glue[on.pair] = LinPoly.decision(n, f"p{on.i}_{on.j}",
+                                                 monomial_basis(n, pdeg))
+            identities.append(V[on.i] + p.mul_poly(on.chi) - V[on.j])
+            continue
+        if isinstance(on, BoundaryVariety):
+            eq, ineq = [on.chi], []
+        else:
+            eq = [] if on.chi.is_zero() else [on.chi]
+            ineq = [g for g in on.xi if not g.is_zero()]
+        target = (V[c.rid] - phi if c.kind == "positivity"
+                  else lie_derivative(neg_V[c.rid], c.field) - margin)
         constraints.append(PositivityConstraint(
-            cid=f"pd{rid}", target=V[rid] - phi,
-            equality_generators=eq, inequality_generators=ineq))
-        for l, f in enumerate(region.vertices):
-            constraints.append(PositivityConstraint(
-                cid=f"lie{rid}v{l}",
-                target=lie_derivative(neg_V[rid], f) - margin,
-                equality_generators=eq, inequality_generators=ineq))
-    for pair in cross_pairs:
-        chi = sys.boundary(*pair).chi
-        for i, j in (pair, pair[::-1]):
-            for l, f in enumerate(sys.regions[j].vertices):
-                constraints.append(PositivityConstraint(
-                    cid=f"cross{i}_{j}v{l}",
-                    target=lie_derivative(neg_V[i], f) - margin,
-                    equality_generators=[chi],
-                    inequality_generators=list(box_gens)))
-
-    glue = {}
-    identities = []
-    for b in sys.boundaries:
-        pdeg = max(deg - b.chi.degree(), 0)
-        glue[(b.i, b.j)] = LinPoly.decision(n, f"p{b.i}_{b.j}",
-                                            monomial_basis(n, pdeg))
-        identities.append(V[b.i] + glue[(b.i, b.j)].mul_poly(b.chi) - V[b.j])
+            cid=c.cid, target=target,
+            equality_generators=eq, inequality_generators=ineq + box_gens))
 
     problem = assemble(constraints, identities=identities)
     # Minimizing total Gram trace keeps the returned certificate at a sane

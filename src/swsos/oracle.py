@@ -31,8 +31,9 @@ chunks and keeps only the survivors.  A random chunk is one rng.random
 draw scaled in place to lo + (hi - lo) * d, the formula of numpy's
 uniform.  Per chunk the norms (squares summed in variable order, the
 simulator's ball-test rule) and the exclusion-ball mask are taken once.
-Each condition has one record, a ConditionRecord that folds its own
-samples, and one loop folds every condition, once per (chunk, region)
+Each entry of SwitchedSystem.conditions, the list the SOS program is built
+from too, has one record, a ConditionRecord that folds its own samples,
+and one loop folds every condition, once per (chunk, region)
 and once per boundary, taking the scale 1 + |x|^d once for each
 distinct degree d of the conditions it folds.  Boundary
 points come from random segments drawn in rounds with rng.uniform and
@@ -320,10 +321,9 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     """Refutation-check a Lyapunov family against every sampled condition.
 
     lyapunov: mapping region id -> Polynomial.
-    attractive_pairs: None checks lie_boundary, in both orders, on every
-    boundary; otherwise only on the boundaries these pairs name, a pair in
-    either order (certify's attractive_pairs).  A pair that names no
-    boundary raises KeyError.
+    attractive_pairs: the pairs of sys.conditions, whose entries are the
+    conditions checked; None checks lie_boundary on every boundary, a list
+    of pairs (certify's attractive_pairs) only on those they name.
 
     The region conditions are checked in one pass over the candidate
     chunks, each region's survivors gathered per chunk, and give the
@@ -333,8 +333,10 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
     origin_values (0.0 without origin regions).
     """
     cfg = cfg or OracleConfig()
-    if attractive_pairs is not None:
-        attractive_pairs = {sys.boundary(i, j).pair for i, j in attractive_pairs}
+    regions, boundaries = {}, {}     # id of each -> (it, its conditions)
+    for c in sys.conditions(attractive_pairs):
+        group = boundaries if isinstance(c.domain, BoundaryVariety) else regions
+        group.setdefault(id(c.domain), (c.domain, []))[1].append(c)
     rng = np.random.default_rng(cfg.seed)
     report = OracleReport(config=cfg)
     missing = [rid for rid in sys.regions if rid not in lyapunov]
@@ -343,64 +345,53 @@ def verify_certificate(sys: SwitchedSystem, lyapunov: dict,
 
     v0 = max(origin_values(sys, lyapunov).values(), default=0.0)
 
-    # a condition is (record, degree, values at columns and their norms),
-    # the values scaled by 1 + |x|^degree as they are folded in
-    def positivity(rid):
-        # V - V(0) must dominate a tolerance-sized quadratic
-        V = lyapunov[rid]
-        return (ConditionRecord("positivity", f"region {rid}"), V.degree(),
-                lambda cols, norms: cfg.tolerance * norms ** 2
-                - (V.eval_columns(cols) - v0))
+    def check(c):
+        """(record, degree, values at columns and their norms) of one
+        condition, the values scaled by 1 + |x|^degree as they are folded."""
+        record = ConditionRecord(c.kind, c.subject)
+        if c.kind == "positivity":
+            # V - V(0) must dominate a tolerance-sized quadratic
+            V = lyapunov[c.rid]
+            return (record, V.degree(), lambda cols, norms: cfg.tolerance * norms ** 2
+                    - (V.eval_columns(cols) - v0))
+        if c.kind == "continuity":
+            Vi, Vj = lyapunov[c.domain.i], lyapunov[c.domain.j]
+            return (record, max(Vi.degree(), Vj.degree()), lambda cols, norms:
+                    np.abs(Vi.eval_columns(cols) - Vj.eval_columns(cols)))
+        p = lie_derivative(lyapunov[c.rid], c.field)
+        return record, p.degree(), lambda cols, norms: p.eval_columns(cols)
 
-    def lie(condition, subject, V, f):
-        p = lie_derivative(V, f)
-        return (ConditionRecord(condition, subject), p.degree(),
-                lambda cols, norms: p.eval_columns(cols))
-
-    def continuity(bnd):
-        Vi, Vj = lyapunov[bnd.i], lyapunov[bnd.j]
-        return (ConditionRecord("continuity", f"boundary ({bnd.i},{bnd.j})"),
-                max(Vi.degree(), Vj.degree()),
-                lambda cols, norms: np.abs(Vi.eval_columns(cols) - Vj.eval_columns(cols)))
-
-    def fold(conditions, cols, norms):
-        """Fold every condition in at cols, one scale per distinct degree."""
+    def fold(checks, cols, norms):
+        """Fold every check in at cols, one scale per distinct degree."""
         scale = {}
-        for record, deg, values in conditions:
+        for record, deg, values in checks:
             if deg not in scale:
                 scale[deg] = _scale(norms, deg)
             record.fold(values(cols, norms) / scale[deg], cols)
 
-    checks = [(region, [positivity(rid),
-                        *(lie("lie_region", f"region {rid}, vertex {l}", lyapunov[rid], f)
-                          for l, f in enumerate(region.vertices))])
-              for rid, region in sorted(sys.regions.items())]
+    region_checks = [(region, [check(c) for c in conds])
+                     for region, conds in regions.values()]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in _candidate_chunks(sys.box, rng):
             chunk_norms = _norms(chunk)
             outside = chunk_norms >= EXCLUSION_RADIUS
-            for region, conditions in checks:
+            for region, checks in region_checks:
                 idx = np.flatnonzero(outside & region.contains(chunk, cfg.tolerance))
-                fold(conditions, chunk.take(idx, axis=1), chunk_norms.take(idx))
-        for region, conditions in checks:
-            report.warnings.extend(_survivor_warnings(region, conditions[0][0].samples))
-            report.records.extend(r.close(cfg.tolerance) for r, *_ in conditions)
+                fold(checks, chunk.take(idx, axis=1), chunk_norms.take(idx))
+        for region, checks in region_checks:
+            report.warnings.extend(_survivor_warnings(region, checks[0][0].samples))
+            report.records.extend(r.close(cfg.tolerance) for r, *_ in checks)
 
-        for bnd in sys.boundaries:
+        for bnd, conds in boundaries.values():
             pts, warns = sample_boundary(sys, bnd, cfg, rng)
             report.warnings.extend(warns)
             if pts.shape[0] == 0:
                 continue
-            conditions = [continuity(bnd)]
-            if attractive_pairs is None or bnd.pair in attractive_pairs:
-                conditions += [lie("lie_boundary", f"boundary ({i},{j}), vertex {l}",
-                                   lyapunov[i], f)
-                               for i, j in (bnd.pair, bnd.pair[::-1])
-                               for l, f in enumerate(sys.regions[j].vertices)]
+            checks = [check(c) for c in conds]
             cols = np.ascontiguousarray(pts.T)
-            fold(conditions, cols, _norms(cols))
-            report.records.extend(r.close(cfg.tolerance) for r, *_ in conditions)
+            fold(checks, cols, _norms(cols))
+            report.records.extend(r.close(cfg.tolerance) for r, *_ in checks)
 
     return report
 

@@ -77,6 +77,29 @@ class BoundaryVariety:
         return (self.i, self.j)
 
 
+@dataclass(frozen=True, eq=False)   # == on two regions' witness arrays raises
+class Condition:
+    """One condition of the Lyapunov-like theorem: cid names its SOS
+    constraint (None for continuity, a glue identity) and (kind, subject)
+    its oracle record.  rid is the region i whose V_i it constrains.
+
+        kind          cid               subject                   rid   vertex, field
+        positivity    pd{i}             region i                  i     None
+        lie_region    lie{i}v{l}        region i, vertex l        i     l, f_il
+        continuity    None              boundary (i,j)            None  None
+        lie_boundary  cross{i}_{j}v{l}  boundary (i,j), vertex l  i     l, f_jl
+
+    domain is its region, or its declared boundary for (i, j) and (j, i)."""
+
+    kind: str
+    rid: int | None
+    subject: str
+    cid: str | None
+    domain: SemiAlgebraicRegion | BoundaryVariety
+    vertex: int | None = None
+    field: PolyVector | None = None
+
+
 @dataclass
 class ValidationReport:
     checks: list = field(default_factory=list)   # (name, status, detail)
@@ -160,6 +183,30 @@ class SwitchedSystem:
             if {b.i, b.j} == {i, j}:
                 return b
         raise KeyError(f"no boundary between regions {i} and {j}")
+
+    def conditions(self, pairs=None) -> list:
+        """Every Condition of the theorem, in the order that the SOS program
+        and the oracle share: regions by id, each positivity then lie_region
+        per vertex; then boundaries in declared order, each continuity then,
+        if pairs is None or names it (in either order, once), lie_boundary
+        of (i, j) per vertex of region j and of (j, i) per vertex of region
+        i.  A pair that names no boundary raises KeyError."""
+        if pairs is not None:
+            pairs = {self.boundary(i, j).pair for i, j in pairs}
+        out = []
+        for rid, r in sorted(self.regions.items()):
+            out.append(Condition("positivity", rid, f"region {rid}", f"pd{rid}", r))
+            out += [Condition("lie_region", rid, f"region {rid}, vertex {l}",
+                              f"lie{rid}v{l}", r, l, f)
+                    for l, f in enumerate(r.vertices)]
+        for b in self.boundaries:
+            out.append(Condition("continuity", None, f"boundary ({b.i},{b.j})", None, b))
+            if pairs is None or b.pair in pairs:
+                out += [Condition("lie_boundary", i, f"boundary ({i},{j}), vertex {l}",
+                                  f"cross{i}_{j}v{l}", b, l, f)
+                        for i, j in (b.pair, b.pair[::-1])
+                        for l, f in enumerate(self.regions[j].vertices)]
+        return out
 
     def in_box(self, x) -> bool:
         lo, hi = self.box

@@ -20,9 +20,12 @@ from swsos.certify import (ATTRACTIVE, CERTIFIED, GLUE_RESIDUAL_TOL,
                            CertificationConfig, build_feasibility, certify,
                            check_attractivity)
 from swsos.cli import main
-from swsos.oracle import OracleReport
-from swsos.poly import lie_derivative
+from swsos.oracle import OracleReport, verify_certificate
+from swsos.poly import lie_derivative, parse_polynomial
 from swsos.system import load_system, parse_system
+
+from oracle_corpus import half_spaces_3d
+from program_corpus import problem_digest
 
 
 def _scalar_system(field_expr):
@@ -239,6 +242,40 @@ def test_build_feasibility_filtered_cross_pairs(quadrant_system):
     cfg = CertificationConfig(lyapunov_degree=4)
     problem, plan = build_feasibility(quadrant_system, cfg, cross_pairs=[])
     assert not any(c.cid.startswith("cross") for c in plan["constraints"])
+
+
+def test_cross_pairs_name_a_boundary_in_either_order_once(quadrant_system):
+    # a reversed or repeated pair used to reorder the constraints or give
+    # two PSD blocks one id
+    cfg = CertificationConfig(lyapunov_degree=4)
+    digests = {problem_digest(build_feasibility(quadrant_system, cfg,
+                                                cross_pairs=pairs)[0])
+               for pairs in ([(1, 2)], [(2, 1)], [(1, 2), (1, 2)],
+                             [(2, 1), (1, 2)])}
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("pairs", [None, [], [(2, 1)]],
+                         ids=["every-pair", "no-pairs", "reversed-pair"])
+@pytest.mark.parametrize("name", ["quadrant-cubic", "twisting", "half-spaces-3d"])
+def test_one_condition_entry_names_the_constraint_and_the_record(
+        systems_dir, small_oracle, name, pairs):
+    if name == "half-spaces-3d":
+        sys_, family = half_spaces_3d()
+    else:
+        sys_ = load_system(systems_dir / f"{name}.sys")
+        family = {rid: parse_polynomial("x1^2 + x2^2", 2) for rid in sys_.regions}
+    entries = sys_.conditions(pairs)
+    _, plan = build_feasibility(sys_, CertificationConfig(lyapunov_degree=2),
+                                cross_pairs=pairs)
+    assert [c.cid for c in plan["constraints"]] == [
+        e.cid for e in entries if e.kind != "continuity"]
+    report = verify_certificate(sys_, family, attractive_pairs=pairs)
+    # every boundary of these systems gets all its sample points, so every
+    # entry has its record
+    assert not [w for w in report.warnings if w.startswith("boundary")]
+    assert [(r.condition, r.subject) for r in report.records] == [
+        (e.kind, e.subject) for e in entries]
 
 
 def test_gluing_identity_holds_for_quadrant_certificate(quadrant_system,

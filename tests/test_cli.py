@@ -540,8 +540,15 @@ def test_certify_with_a_stalled_solve_exits_suspect(tmp_path, capsys, monkeypatc
      "attractive_pairs": [["1", "2"]]},
     {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
      "attractive_pairs": [[1, 3]]},
+    # {1.0, 2.0} == {1, 2}, so only the type test keeps these from naming
+    # boundary (1,2)
+    {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
+     "attractive_pairs": [[1.0, 2.0]]},
+    {"lyapunov": {"1": "x1^2 + x2^2", "2": "x1^2 + x2^2"},
+     "attractive_pairs": [[True, 2]]},
 ], ids=["top-level-list", "entry-not-string", "pairs-not-list",
-        "pair-of-three", "pair-of-strings", "pair-not-a-boundary"])
+        "pair-of-three", "pair-of-strings", "pair-not-a-boundary",
+        "pair-of-floats", "pair-with-a-bool"])
 def test_verify_malformed_lyapunov_file_is_input_error(tmp_path, capsys, doc):
     bad = tmp_path / "bad.lyap"
     bad.write_text(json.dumps(doc))

@@ -13,6 +13,9 @@ the certify stack (certify, sos, backend).
 Every function, class and method the package defines is read by the
 package or by perfbench: a name that only tests read is code kept for its
 tests, and each such name that stays on purpose is listed with its reason.
+certify and oracle take a region's vertex fields from the one list of the
+theorem's conditions, `SwitchedSystem.conditions`; the functions that read
+them on their own are listed with their reasons too.
 """
 import ast
 import os
@@ -154,6 +157,41 @@ def test_every_package_name_is_read_by_the_package_or_perfbench():
     assert [u for u in unread if u.split(": ")[-1] not in UNREAD_ON_PURPOSE] == []
     # every allowlisted name is still defined and still unread
     assert sorted(u.split(": ")[-1] for u in unread) == sorted(UNREAD_ON_PURPOSE)
+
+
+# -- the theorem's conditions have one list ------------------------------------
+
+# functions of certify.py and oracle.py that read a region's vertex fields
+# themselves instead of taking them from SwitchedSystem.conditions
+READS_VERTICES_ON_PURPOSE = {
+    "check_attractivity": "ROADMAP item 20 replaces it with entries of the list",
+    "vertex_convexity_check": "acceptance criterion 9 checks the vertex-only "
+                              "argument itself",
+}
+
+
+def _vertex_readers(source: str) -> set:
+    """The top-level functions and classes that read an attribute named
+    vertices, and "<module>" for a read outside them."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name if isinstance(node, defs) else "<module>"
+            for node in ast.parse(source).body
+            if any(isinstance(n, ast.Attribute) and n.attr == "vertices"
+                   and isinstance(n.ctx, ast.Load) for n in ast.walk(node))}
+
+
+def test_the_check_sees_a_vertices_read():
+    assert _vertex_readers(
+        "def f(r):\n    return [v for v in r.vertices]\n"
+        "def g(c):\n    return c.field\n"
+        "class C:\n    def m(self):\n        return self.vertices\n"
+        "x = s.vertices\n") == {"f", "C", "<module>"}
+
+
+def test_certify_and_oracle_take_vertex_fields_from_the_conditions():
+    readers = set().union(*(_vertex_readers((PACKAGE / m).read_text())
+                            for m in ("certify.py", "oracle.py")))
+    assert readers == set(READS_VERTICES_ON_PURPOSE)
 
 
 # -- each entry point loads only its modules -----------------------------------

@@ -262,6 +262,46 @@ def test_field_at_rejects_off_simplex(quadrant_system):
             quadrant_system.field_at(1, theta)
 
 
+def test_conditions_list_every_condition_in_one_order(quadrant_system):
+    sys_ = quadrant_system
+    r1, r2, b = sys_.regions[1], sys_.regions[2], sys_.boundary(1, 2)
+    conditions = sys_.conditions()
+    assert [(c.kind, c.rid, c.subject, c.cid, c.vertex) for c in conditions] == [
+        ("positivity", 1, "region 1", "pd1", None),
+        ("lie_region", 1, "region 1, vertex 0", "lie1v0", 0),
+        ("lie_region", 1, "region 1, vertex 1", "lie1v1", 1),
+        ("positivity", 2, "region 2", "pd2", None),
+        ("lie_region", 2, "region 2, vertex 0", "lie2v0", 0),
+        ("continuity", None, "boundary (1,2)", None, None),
+        ("lie_boundary", 1, "boundary (1,2), vertex 0", "cross1_2v0", 0),
+        ("lie_boundary", 2, "boundary (2,1), vertex 0", "cross2_1v0", 0),
+        ("lie_boundary", 2, "boundary (2,1), vertex 1", "cross2_1v1", 1),
+    ]
+    # a decrease condition's field is a vertex of the region on its side
+    # of the variety: its own for lie_region, the other one for lie_boundary
+    assert [c.field for c in conditions] == [
+        None, *r1.vertices, None, *r2.vertices, None, *r2.vertices, *r1.vertices]
+    assert [c.domain for c in conditions] == [r1] * 3 + [r2] * 2 + [b] * 4
+
+
+@pytest.mark.parametrize("pairs", [[(1, 2)], [(2, 1)], [(1, 2), (2, 1)],
+                                   [(2, 1), (2, 1)]])
+def test_conditions_pair_names_its_boundary_in_either_order_once(
+        quadrant_system, pairs):
+    assert ([vars(c) for c in quadrant_system.conditions(pairs)]
+            == [vars(c) for c in quadrant_system.conditions()])
+
+
+def test_conditions_without_pairs_keep_continuity(quadrant_system):
+    kinds = [c.kind for c in quadrant_system.conditions([])]
+    assert kinds.count("continuity") == 1 and "lie_boundary" not in kinds
+
+
+def test_conditions_pair_naming_no_boundary(quadrant_system):
+    with pytest.raises(KeyError):
+        quadrant_system.conditions([(1, 3)])
+
+
 def test_in_box(quadrant_system):
     assert quadrant_system.in_box((0.0, 0.0))
     assert not quadrant_system.in_box((5.0, 0.0))
